@@ -5,7 +5,7 @@ training sentence, plus vocabulary expansion and linear evaluation tooling.
 Modules:
     numerics         float64 linear algebra, Adam, clipping, gradient checks
     corpus           tokenization, vocabularies, sentence-triple streams
-    encoder          uni/bi GRU sentence encoder with manual backprop
+    encoder          uni/bi GRU sentence encoder; the GRU kernel with manual backprop
     decoder          conditional GRU language models over neighbor sentences
     trainer          the training objective, loop, and binary checkpoints
     vocab_expansion  least-squares map from external word vectors

@@ -2,8 +2,9 @@
 
 Subcommands: build-vocab, train, encode, expand, nn-word, nn-sent, eval-sick,
 eval-paraphrase, eval-classify, eval-rank, generate.  Every run is
-deterministic given its flags and seeds and emits one JSON manifest recording
-the config, input digests, and outputs.  Exit codes: 0 success, 2 usage or
+deterministic given its flags and seeds.  A run that writes an output file,
+or is given --manifest, also writes one JSON manifest recording the config,
+input digests, and outputs.  Exit codes: 0 success, 2 usage or
 config problems, 3 numeric failures, 4 I/O failures.
 
 A --config FILE of key=value lines can supply any flag's value; explicit
@@ -57,7 +58,15 @@ def _require_inputs(*paths) -> None:
         raise ConfigError("input path does not exist: " + ", ".join(missing))
 
 
-def _write_manifest(args, command: str, inputs, outputs, seeds, t0) -> str:
+def _write_manifest(args, command: str, inputs, outputs, seeds, t0) -> str | None:
+    """Write the run's manifest next to its first output, or to --manifest.
+    A run with no output file and no --manifest writes none, so such commands
+    leave the working directory untouched."""
+    path = args.manifest
+    if path is None:
+        if not outputs:
+            return None
+        path = str(outputs[0]) + ".manifest.json"
     config = {}
     for k, v in sorted(vars(args).items()):
         if k in ("func", "command", "manifest", "config_file"):
@@ -71,10 +80,6 @@ def _write_manifest(args, command: str, inputs, outputs, seeds, t0) -> str:
         "seeds": seeds,
         "wall_time_s": round(time.perf_counter() - t0, 3),
     }
-    path = args.manifest
-    if path is None:
-        path = (str(outputs[0]) + ".manifest.json" if outputs
-                else f"skipgru-{command}.manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -493,7 +498,8 @@ def _add_common(p):
     p.add_argument("--config", dest="config_file", default=None,
                    help="key=value file supplying flag defaults")
     p.add_argument("--manifest", default=None,
-                   help="manifest path (default: derived from the output)")
+                   help="manifest path (default: derived from the output; "
+                        "none for commands without an output file)")
 
 
 def _add_eval_flags(p):

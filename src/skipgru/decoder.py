@@ -13,6 +13,12 @@ The word distribution at step t is softmax(V h^t), sharing one output matrix V
 between both decoders.  At t = 1 the input is a learned begin-of-decode
 vector; afterwards it is the embedding of the ground-truth previous word
 (teacher forcing).  There are no bias terms and V has no bias column.
+
+Both decoders run on the encoder's GRU kernel.  The conditioning terms
+C_* h_enc are constant over a sentence, so they are added once to the input
+pre-activations X @ W_*.T before the time loop.  In the backward pass their
+gradients, and the gradient into h_enc, come from the per-step pre-activation
+gradients summed over time; V's gradient is one product dlogits.T @ H.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .encoder import GruTrace, gru_backward, gru_forward
 from .errors import ParameterError, RangeError, ShapeError, StateError
 from .numerics import (ParamSet, get_rng, log_softmax, orthogonal_init, sigmoid,
                        softmax, uniform_init)
@@ -182,11 +189,7 @@ class DecoderCache:
     target: tuple[int, ...]
     h_enc: np.ndarray
     X: np.ndarray        # (T, embed) inputs: begin, then target[:-1] embeddings
-    H_prev: np.ndarray   # (T, hidden)
-    R: np.ndarray
-    Z: np.ndarray
-    Hbar: np.ndarray
-    H: np.ndarray        # (T, hidden) post-step states
+    trace: GruTrace
     probs: np.ndarray    # (T, vocab) softmax rows
     log_prob: float
 
@@ -194,29 +197,13 @@ class DecoderCache:
 def _decode_forward(target: tuple[int, ...], h_enc: np.ndarray,
                     p: ConditionalGruParams, V: np.ndarray,
                     embedding: np.ndarray) -> DecoderCache:
-    T = len(target)
-    hid = p.hidden_dim
-    X = np.empty((T, p.embed_dim))
-    X[0] = p.begin
-    if T > 1:
-        X[1:] = embedding[list(target[:-1])]
-    H_prev = np.empty((T, hid))
-    R = np.empty((T, hid))
-    Z = np.empty((T, hid))
-    Hbar = np.empty((T, hid))
-    H = np.empty((T, hid))
-    h = np.zeros(hid)
-    for t in range(T):
-        H_prev[t] = h
-        step = _cond_core(X[t], h, h_enc, p)
-        R[t], Z[t], Hbar[t] = step.r, step.z, step.hbar
-        h = step.h
-        H[t] = h
-    logits = H @ V.T                      # (T, vocab)
-    logp = log_softmax(logits, axis=1)
-    total = float(logp[np.arange(T), list(target)].sum())
-    return DecoderCache(target=target, h_enc=np.asarray(h_enc, dtype=np.float64),
-                        X=X, H_prev=H_prev, R=R, Z=Z, Hbar=Hbar, H=H,
+    X = np.vstack([p.begin, embedding[list(target[:-1])]])
+    # The conditioning terms are constant over the sentence: add them once.
+    trace = gru_forward(X @ p.W_r.T + p.C_r @ h_enc, X @ p.W_z.T + p.C_z @ h_enc,
+                        X @ p.W.T + p.C @ h_enc, p)
+    logp = log_softmax(trace.S[1:] @ V.T, axis=1)      # (T, vocab)
+    total = float(logp[np.arange(len(target)), list(target)].sum())
+    return DecoderCache(target=target, h_enc=h_enc, X=X, trace=trace,
                         probs=np.exp(logp), log_prob=total)
 
 
@@ -252,59 +239,18 @@ def decoder_backward(cache: DecoderCache, p: ConditionalGruParams, V: np.ndarray
         raise StateError("decoder_backward needs the cache from "
                          "sentence_log_prob_with_cache")
     T = len(cache.target)
-    grads = {k: np.zeros_like(getattr(p, k)) for k in COND_KEYS}
-    dV = np.zeros_like(V)
-    demb = np.zeros_like(embedding)
-    g_henc = np.zeros_like(cache.h_enc)
-
     # Softmax cross-entropy: d(-log p)/dlogits = probs - onehot(target).
     dlogits = cache.probs.copy()
     dlogits[np.arange(T), list(cache.target)] -= 1.0
-    dV += dlogits.T @ cache.H
-    dH = dlogits @ V                      # (T, hidden) direct path into each h^t
-
-    g = np.zeros(p.hidden_dim)
-    for t in range(T - 1, -1, -1):
-        g = g + dH[t]
-        x, h_prev = cache.X[t], cache.H_prev[t]
-        r, z, hbar = cache.R[t], cache.Z[t], cache.Hbar[t]
-
-        dz = g * (hbar - h_prev)
-        dhbar = g * z
-        dh_prev = g * (1.0 - z)
-
-        da_h = dhbar * (1.0 - hbar * hbar)
-        grads["W"] += np.outer(da_h, x)
-        grads["U"] += np.outer(da_h, r * h_prev)
-        grads["C"] += np.outer(da_h, cache.h_enc)
-        g_henc += p.C.T @ da_h
-        drh = p.U.T @ da_h
-        dr = drh * h_prev
-        dh_prev += drh * r
-
-        da_r = dr * r * (1.0 - r)
-        grads["W_r"] += np.outer(da_r, x)
-        grads["U_r"] += np.outer(da_r, h_prev)
-        grads["C_r"] += np.outer(da_r, cache.h_enc)
-        g_henc += p.C_r.T @ da_r
-        dh_prev += p.U_r.T @ da_r
-
-        da_z = dz * z * (1.0 - z)
-        grads["W_z"] += np.outer(da_z, x)
-        grads["U_z"] += np.outer(da_z, h_prev)
-        grads["C_z"] += np.outer(da_z, cache.h_enc)
-        g_henc += p.C_z.T @ da_z
-        dh_prev += p.U_z.T @ da_z
-
-        dx = p.W.T @ da_h + p.W_r.T @ da_r + p.W_z.T @ da_z
-        if t == 0:
-            grads["begin"] += dx
-        else:
-            demb[cache.target[t - 1]] += dx
-        g = dh_prev
-
-    grads["V"] = dV
-    grads["emb"] = demb
+    # dlogits @ V is the direct path into each h^t.
+    back = gru_backward(cache.X, cache.trace, dlogits @ V, p)
+    grads = dict(back.params)
+    da_r, da_z, da_h = back.DA_r.sum(0), back.DA_z.sum(0), back.DA_h.sum(0)
+    grads.update(C_r=np.outer(da_r, cache.h_enc), C_z=np.outer(da_z, cache.h_enc),
+                 C=np.outer(da_h, cache.h_enc), begin=back.dX[0],
+                 V=dlogits.T @ cache.trace.S[1:], emb=np.zeros_like(embedding))
+    np.add.at(grads["emb"], list(cache.target[:-1]), back.dX[1:])
+    g_henc = p.C.T @ da_h + p.C_r.T @ da_r + p.C_z.T @ da_z
     return grads, g_henc
 
 

@@ -12,8 +12,16 @@ bidirectional variant runs a second, separately parameterized GRU over the
 reversed token sequence and concatenates both final states.  The terminal eos
 token is consumed like any other token.
 
-The backward pass is backpropagation through time, written out by hand so the
-whole model trains without autodiff.
+One kernel pair runs every GRU pass, here and in the decoders.  gru_forward
+takes the input pre-activations of all steps at once (one matrix product per
+gate, X @ W_*.T, computed before the time loop), so each step only adds the
+three recurrent products U_* h^{t-1}.  gru_backward is backpropagation through
+time written out by hand, so the whole model trains without autodiff: its
+time loop only carries the state gradient and records the gate pre-activation
+gradients DA_* of every step; each weight gradient is then one matrix product
+after the loop (for example DA_h.T @ X for W), and so are the input gradients,
+which are scatter-added into the embedding table because a sentence can
+repeat a token id.
 """
 
 from __future__ import annotations
@@ -83,20 +91,12 @@ def init_gru_params(embed_dim: int, hidden_dim: int, seed) -> GruParams:
 
 
 class GruStep(NamedTuple):
-    """One step's state and gate activations (kept for the backward pass)."""
+    """One step's state and gate activations."""
 
     h: np.ndarray
     r: np.ndarray
     z: np.ndarray
     hbar: np.ndarray
-
-
-def _gru_core(x: np.ndarray, h_prev: np.ndarray, p: GruParams) -> GruStep:
-    r = sigmoid(p.W_r @ x + p.U_r @ h_prev)
-    z = sigmoid(p.W_z @ x + p.U_z @ h_prev)
-    hbar = np.tanh(p.W @ x + p.U @ (r * h_prev))
-    h = (1.0 - z) * h_prev + z * hbar
-    return GruStep(h=h, r=r, z=z, hbar=hbar)
 
 
 def gru_step(x: np.ndarray, h_prev: np.ndarray, p: GruParams) -> GruStep:
@@ -107,7 +107,88 @@ def gru_step(x: np.ndarray, h_prev: np.ndarray, p: GruParams) -> GruStep:
         raise ShapeError(f"input has shape {x.shape}, expected ({p.embed_dim},)")
     if h_prev.shape != (p.hidden_dim,):
         raise ShapeError(f"state has shape {h_prev.shape}, expected ({p.hidden_dim},)")
-    return _gru_core(x, h_prev, p)
+    r = sigmoid(p.W_r @ x + p.U_r @ h_prev)
+    z = sigmoid(p.W_z @ x + p.U_z @ h_prev)
+    hbar = np.tanh(p.W @ x + p.U @ (r * h_prev))
+    h = (1.0 - z) * h_prev + z * hbar
+    return GruStep(h=h, r=r, z=z, hbar=hbar)
+
+
+class GruTrace(NamedTuple):
+    """Stacked activations of one gru_forward pass, kept for gru_backward."""
+
+    S: np.ndarray      # (T + 1, hidden): S[0] = h^0 = 0, S[t] = h^t
+    R: np.ndarray      # (T, hidden)
+    Z: np.ndarray
+    Hbar: np.ndarray
+
+    @property
+    def h_final(self) -> np.ndarray:
+        return self.S[-1]
+
+
+def gru_forward(A_r: np.ndarray, A_z: np.ndarray, A_h: np.ndarray,
+                p: GruParams) -> GruTrace:
+    """Run the recurrence over precomputed input pre-activations.
+
+    A_r, A_z, A_h are (T, hidden): every term of each gate's argument except
+    the recurrent one, e.g. X @ W_r.T for the encoder and X @ W_r.T + C_r h_enc
+    for a decoder.  Only the U_* products depend on the previous state, so
+    they are all that stays inside the time loop.  p is a GruParams or a
+    ConditionalGruParams; only its U_* matrices are read here.
+    """
+    T, hid = A_r.shape
+    S = np.zeros((T + 1, hid))
+    R, Z, Hbar = np.empty((T, hid)), np.empty((T, hid)), np.empty((T, hid))
+    h = S[0]
+    for t in range(T):
+        r = R[t] = sigmoid(A_r[t] + p.U_r @ h)
+        z = Z[t] = sigmoid(A_z[t] + p.U_z @ h)
+        hbar = Hbar[t] = np.tanh(A_h[t] + p.U @ (r * h))
+        h = S[t + 1] = (1.0 - z) * h + z * hbar
+    return GruTrace(S=S, R=R, Z=Z, Hbar=Hbar)
+
+
+class GruGrads(NamedTuple):
+    """What gru_backward returns for one pass."""
+
+    params: ParamSet     # the six W_* / U_* gradients
+    dX: np.ndarray       # (T, embed) gradient into each step's input
+    DA_r: np.ndarray     # (T, hidden) gradients of the gate pre-activations
+    DA_z: np.ndarray
+    DA_h: np.ndarray
+
+
+def gru_backward(X: np.ndarray, trace: GruTrace, dH: np.ndarray,
+                 p: GruParams) -> GruGrads:
+    """Backpropagation through time for one gru_forward pass over inputs X.
+
+    dH (T, hidden) is the gradient flowing into each state h^t from outside
+    the recurrence.  The time loop only carries the state gradient and
+    records the pre-activation gradients DA_*; every weight gradient and the
+    input gradients are then one matrix product each over all steps.
+    """
+    T, hid = trace.R.shape
+    H_prev, R, Z, Hbar = trace.S[:-1], trace.R, trace.Z, trace.Hbar
+    # Each step's local derivatives, formed for all steps at once.
+    G_h = Z * (1.0 - Hbar * Hbar)
+    G_z = (Hbar - H_prev) * Z * (1.0 - Z)
+    G_r = H_prev * R * (1.0 - R)
+    keep = 1.0 - Z
+    DA_r, DA_z, DA_h = np.empty((T, hid)), np.empty((T, hid)), np.empty((T, hid))
+    g = np.zeros(hid)
+    for t in range(T - 1, -1, -1):
+        g = g + dH[t]
+        da_h = DA_h[t] = g * G_h[t]
+        drh = p.U.T @ da_h
+        da_r = DA_r[t] = drh * G_r[t]
+        da_z = DA_z[t] = g * G_z[t]
+        g = g * keep[t] + drh * R[t] + p.U_r.T @ da_r + p.U_z.T @ da_z
+    params = {"W_r": DA_r.T @ X, "W_z": DA_z.T @ X, "W": DA_h.T @ X,
+              "U_r": DA_r.T @ H_prev, "U_z": DA_z.T @ H_prev,
+              "U": DA_h.T @ (R * H_prev)}
+    dX = DA_h @ p.W + DA_r @ p.W_r + DA_z @ p.W_z
+    return GruGrads(params=params, dX=dX, DA_r=DA_r, DA_z=DA_z, DA_h=DA_h)
 
 
 @dataclass
@@ -170,56 +251,8 @@ def _check_tokens(tokens: Sequence[int], vocab_size: int) -> tuple[int, ...]:
     return ids
 
 
-class DirectionCache(NamedTuple):
-    """Stacked forward-pass activations for one GRU direction."""
-
-    ids: tuple[int, ...]      # in the order the direction consumed them
-    X: np.ndarray             # (T, embed) inputs
-    H_prev: np.ndarray        # (T, hidden) state entering each step
-    R: np.ndarray             # (T, hidden)
-    Z: np.ndarray
-    Hbar: np.ndarray
-    h_final: np.ndarray       # (hidden,)
-
-
-def _run_direction(ids: tuple[int, ...], embedding: np.ndarray,
-                   p: GruParams) -> DirectionCache:
-    T = len(ids)
-    hid = p.hidden_dim
-    X = embedding[list(ids)]
-    H_prev = np.empty((T, hid))
-    R = np.empty((T, hid))
-    Z = np.empty((T, hid))
-    Hbar = np.empty((T, hid))
-    h = np.zeros(hid)
-    for t in range(T):
-        H_prev[t] = h
-        step = _gru_core(X[t], h, p)
-        R[t], Z[t], Hbar[t] = step.r, step.z, step.hbar
-        h = step.h
-    return DirectionCache(ids=ids, X=X, H_prev=H_prev, R=R, Z=Z, Hbar=Hbar, h_final=h)
-
-
-def run_embedded(X: np.ndarray, p: GruParams) -> DirectionCache:
-    """Run one direction over pre-built input vectors (used after vocabulary
-    expansion, where tokens resolve to vectors rather than embedding rows)."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != p.embed_dim:
-        raise ShapeError(f"inputs must be (T, {p.embed_dim}), got {X.shape}")
-    if X.shape[0] == 0:
-        raise InputError("cannot encode an empty input sequence")
-    T, hid = X.shape[0], p.hidden_dim
-    H_prev = np.empty((T, hid))
-    R = np.empty((T, hid))
-    Z = np.empty((T, hid))
-    Hbar = np.empty((T, hid))
-    h = np.zeros(hid)
-    for t in range(T):
-        H_prev[t] = h
-        step = _gru_core(X[t], h, p)
-        R[t], Z[t], Hbar[t] = step.r, step.z, step.hbar
-        h = step.h
-    return DirectionCache(ids=(), X=X, H_prev=H_prev, R=R, Z=Z, Hbar=Hbar, h_final=h)
+def _run_direction(X: np.ndarray, p: GruParams) -> GruTrace:
+    return gru_forward(X @ p.W_r.T, X @ p.W_z.T, X @ p.W.T, p)
 
 
 @dataclass
@@ -227,19 +260,25 @@ class EncoderCache:
     """Forward activations needed by encoder_backward."""
 
     tokens: tuple[int, ...]
-    fwd: DirectionCache
-    bwd: DirectionCache | None
+    X: np.ndarray             # (T, embed) embedding rows in token order
+    fwd: GruTrace
+    bwd: GruTrace | None      # run over X[::-1]
+
+
+def _encode_embedded(X: np.ndarray, model: EncoderModel,
+                     tokens: tuple[int, ...] = ()) -> tuple[np.ndarray, EncoderCache]:
+    fwd = _run_direction(X, model.forward)
+    if model.backward is None:
+        return fwd.h_final, EncoderCache(tokens=tokens, X=X, fwd=fwd, bwd=None)
+    bwd = _run_direction(X[::-1], model.backward)
+    vec = np.concatenate([fwd.h_final, bwd.h_final])
+    return vec, EncoderCache(tokens=tokens, X=X, fwd=fwd, bwd=bwd)
 
 
 def encode_with_cache(tokens: Sequence[int],
                       model: EncoderModel) -> tuple[np.ndarray, EncoderCache]:
     ids = _check_tokens(tokens, model.vocab_size)
-    fwd = _run_direction(ids, model.embedding, model.forward)
-    if model.backward is None:
-        return fwd.h_final, EncoderCache(tokens=ids, fwd=fwd, bwd=None)
-    bwd = _run_direction(ids[::-1], model.embedding, model.backward)
-    vec = np.concatenate([fwd.h_final, bwd.h_final])
-    return vec, EncoderCache(tokens=ids, fwd=fwd, bwd=bwd)
+    return _encode_embedded(model.embedding[list(ids)], model, ids)
 
 
 def encode(tokens: Sequence[int], model: EncoderModel) -> np.ndarray:
@@ -249,12 +288,16 @@ def encode(tokens: Sequence[int], model: EncoderModel) -> np.ndarray:
 
 
 def encode_vectors(X: np.ndarray, model: EncoderModel) -> np.ndarray:
-    """Encode from per-token input vectors instead of token ids."""
-    fwd = run_embedded(X, model.forward)
-    if model.backward is None:
-        return fwd.h_final
-    bwd = run_embedded(np.asarray(X)[::-1], model.backward)
-    return np.concatenate([fwd.h_final, bwd.h_final])
+    """Encode from per-token input vectors instead of token ids (used after
+    vocabulary expansion, where tokens resolve to vectors rather than
+    embedding rows)."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model.embed_dim:
+        raise ShapeError(f"inputs must be (T, {model.embed_dim}), got {X.shape}")
+    if X.shape[0] == 0:
+        raise InputError("cannot encode an empty input sequence")
+    vec, _ = _encode_embedded(X, model)
+    return vec
 
 
 def encode_combined(tokens: Sequence[int], uni: EncoderModel,
@@ -266,41 +309,12 @@ def encode_combined(tokens: Sequence[int], uni: EncoderModel,
     return np.concatenate([encode(tokens, uni), encode(tokens, bi)])
 
 
-def _direction_backward(cache: DirectionCache, grad_h: np.ndarray, p: GruParams,
-                        demb: np.ndarray | None) -> ParamSet:
-    """BPTT through one direction.  Accumulates embedding-row gradients into
-    `demb` (if given) and returns gradients for the six GRU matrices."""
-    grads = {k: np.zeros_like(getattr(p, k)) for k in GRU_KEYS}
-    g = np.asarray(grad_h, dtype=np.float64)
-    for t in range(len(cache.X) - 1, -1, -1):
-        x, h_prev = cache.X[t], cache.H_prev[t]
-        r, z, hbar = cache.R[t], cache.Z[t], cache.Hbar[t]
-
-        dz = g * (hbar - h_prev)
-        dhbar = g * z
-        dh_prev = g * (1.0 - z)
-
-        da_h = dhbar * (1.0 - hbar * hbar)
-        grads["W"] += np.outer(da_h, x)
-        grads["U"] += np.outer(da_h, r * h_prev)
-        drh = p.U.T @ da_h
-        dr = drh * h_prev
-        dh_prev += drh * r
-
-        da_r = dr * r * (1.0 - r)
-        grads["W_r"] += np.outer(da_r, x)
-        grads["U_r"] += np.outer(da_r, h_prev)
-        dh_prev += p.U_r.T @ da_r
-
-        da_z = dz * z * (1.0 - z)
-        grads["W_z"] += np.outer(da_z, x)
-        grads["U_z"] += np.outer(da_z, h_prev)
-        dh_prev += p.U_z.T @ da_z
-
-        if demb is not None:
-            demb[cache.ids[t]] += p.W.T @ da_h + p.W_r.T @ da_r + p.W_z.T @ da_z
-        g = dh_prev
-    return grads
+def _direction_backward(X: np.ndarray, trace: GruTrace, grad_h: np.ndarray,
+                        p: GruParams) -> GruGrads:
+    """BPTT through one direction whose only upstream gradient is on h^T."""
+    dH = np.zeros_like(trace.R)
+    dH[-1] = grad_h
+    return gru_backward(X, trace, dH, p)
 
 
 def encoder_backward(cache: EncoderCache, grad_output: np.ndarray,
@@ -319,13 +333,17 @@ def encoder_backward(cache: EncoderCache, grad_output: np.ndarray,
     if grad_output.shape != (model.output_dim,):
         raise ShapeError(f"grad_output has shape {grad_output.shape}, "
                          f"expected ({model.output_dim},)")
-    demb = np.zeros_like(model.embedding)
     hid = model.hidden_dim
+    demb = np.zeros_like(model.embedding)
+    fwd = _direction_backward(cache.X, cache.fwd, grad_output[:hid], model.forward)
     out: ParamSet = {"emb": demb}
-    fwd_grads = _direction_backward(cache.fwd, grad_output[:hid], model.forward, demb)
-    out.update({"enc." + k: v for k, v in fwd_grads.items()})
+    out.update({"enc." + k: v for k, v in fwd.params.items()})
+    dX = fwd.dX
     if model.backward is not None:
-        bwd_grads = _direction_backward(cache.bwd, grad_output[hid:],
-                                        model.backward, demb)
-        out.update({"enc_rev." + k: v for k, v in bwd_grads.items()})
+        bwd = _direction_backward(cache.X[::-1], cache.bwd, grad_output[hid:],
+                                  model.backward)
+        out.update({"enc_rev." + k: v for k, v in bwd.params.items()})
+        dX = dX + bwd.dX[::-1]
+    # Sentences repeat token ids, so the rows must be scatter-added.
+    np.add.at(demb, list(cache.tokens), dX)
     return out

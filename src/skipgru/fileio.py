@@ -1,8 +1,9 @@
 """Shared binary formats and hashing helpers.
 
 Vector files hold a header of two little-endian uint32 words (count, dim)
-followed by row-major 32-bit floats.  JSON written here is canonical (sorted
-keys, no whitespace) so identical content is identical bytes.
+followed by row-major little-endian float32 rows; read_vectors widens them to
+float64.  JSON written here is canonical (sorted keys, no whitespace) so
+identical content is identical bytes.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 import time
 from dataclasses import asdict, dataclass
@@ -220,6 +221,9 @@ def train_step(model: SkipGruModel, batch: Sequence[SentenceTriple],
     for k in total:
         total[k] *= scale
     norm = global_norm(total)
+    if not math.isfinite(norm):
+        raise NumericError(f"non-finite gradient norm {norm} at step "
+                           f"{opt.step + 1}; training aborted")
     clipped = norm > config.clip_threshold
     total = clip_gradients(total, config.clip_threshold)
     new_params, new_opt = adam_step(params, total, opt)
@@ -249,8 +253,9 @@ def train(model: SkipGruModel, triples: Sequence[SentenceTriple],
     batch_size slices; the current position is derived from opt.step alone, so
     resuming from a checkpoint continues the identical batch stream.  Appends
     one metrics row per step when metrics_path is given (header written only
-    for a fresh run) and checkpoints every config.checkpoint_every steps plus
-    at the end when checkpoint_path is given.
+    for a fresh run; a resumed run first drops the rows after opt.step) and
+    checkpoints every config.checkpoint_every steps plus at the end when
+    checkpoint_path is given.
     """
     config = model.config
     if not triples:
@@ -263,6 +268,8 @@ def train(model: SkipGruModel, triples: Sequence[SentenceTriple],
     cached_epoch, perm = -1, None
     metrics = None
     if metrics_path is not None:
+        if opt.step > 0 and os.path.exists(metrics_path):
+            _truncate_metrics(metrics_path, opt.step)
         metrics = open(metrics_path, "a" if opt.step > 0 else "w")
         if opt.step == 0:
             metrics.write(METRICS_HEADER + "\n")
@@ -290,6 +297,9 @@ def train(model: SkipGruModel, triples: Sequence[SentenceTriple],
                               f"{wall_ms:.3f}\n")
             if (checkpoint_path is not None and config.checkpoint_every > 0
                     and opt.step % config.checkpoint_every == 0):
+                if metrics is not None:
+                    # The rows up to the checkpoint reach the file before it.
+                    metrics.flush()
                 save_checkpoint(model, opt, checkpoint_path)
     finally:
         if metrics is not None:
@@ -297,6 +307,20 @@ def train(model: SkipGruModel, triples: Sequence[SentenceTriple],
     if checkpoint_path is not None:
         save_checkpoint(model, opt, checkpoint_path)
     return TrainResult(model=model, opt=opt, history=history)
+
+
+def _truncate_metrics(path, step: int) -> None:
+    """Cut a metrics CSV after the row of `step`.  A run stopped after its last
+    checkpoint has written rows that the run resumed from that checkpoint
+    writes again."""
+    size = 0
+    with open(path, "rb") as fh:
+        for i, line in enumerate(fh):
+            head = line.split(b",", 1)[0]
+            if i > 0 and not (head.isdigit() and int(head) <= step):
+                break
+            size += len(line)
+    os.truncate(path, size)
 
 
 def save_checkpoint(model: SkipGruModel, opt: AdamState, path) -> None:

@@ -482,6 +482,22 @@ def test_manifest_written(ws, tmp_path):
     assert doc["outputs"] == [str(out)]
 
 
+def test_commands_without_output_write_no_file(ws, expansion, tmp_path,
+                                               monkeypatch, capsys):
+    bank = ws["root"] / "nn-bank.txt"
+    bank.write_text("the cat sat .\nthe dog ran .\n")
+    monkeypatch.chdir(tmp_path)
+    ckpt = ["--ckpt", str(ws["ckpt"])]
+    assert main(["nn-word", *ckpt, "--expansion", str(expansion),
+                 "--query", "the", "--k", "2"]) == 0
+    assert main(["nn-sent", *ckpt, "--bank", str(bank), "--query",
+                 "the cat sat .", "--k", "1"]) == 0
+    assert main(["generate", *ckpt, "--seed-sentence", "the cat sat .",
+                 "--sentences", "1", "--seed", "0", "--max-len", "4"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_corrupt_checkpoint_exit_4(ws, tmp_path):
     bad = tmp_path / "bad.ckpt"
     blob = bytearray(ws["ckpt"].read_bytes())

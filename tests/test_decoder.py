@@ -157,13 +157,12 @@ def test_log_prob_range_errors(rng):
 # decoder_backward
 # ---------------------------------------------------------------------------
 
-def test_backward_finite_difference_all_inputs():
+def _fd_decoder(target):
     rng = np.random.default_rng(31)
     p = rand_cond_params(rng, embed=3, hidden=3, enc=2)
     V = rng.uniform(-0.7, 0.7, size=(5, 3))
     emb = rng.uniform(-0.7, 0.7, size=(5, 3))
     h_enc = rng.uniform(-0.7, 0.7, size=2)
-    target = (2, 4, 1, 0)
 
     params = dict(p.as_dict(), V=V, emb=emb, h_enc=h_enc)
 
@@ -175,7 +174,16 @@ def test_backward_finite_difference_all_inputs():
     _, cache = sentence_log_prob_with_cache(target, h_enc, p, V, emb)
     grads, g_henc = decoder_backward(cache, p, V, emb)
     analytic = dict(grads, h_enc=g_henc)
-    assert finite_diff_check(loss, params, analytic) < 1e-5
+    return finite_diff_check(loss, params, analytic)
+
+
+def test_backward_finite_difference_all_inputs():
+    assert _fd_decoder((2, 4, 1, 0)) < 1e-5
+
+
+def test_backward_finite_difference_repeated_inputs():
+    # target[:-1] = (2, 4, 2, 2): three steps read embedding row 2.
+    assert _fd_decoder((2, 4, 2, 2, 0)) < 1e-5
 
 
 def test_backward_degenerate_vocab_zero_gradient(rng):

@@ -217,10 +217,9 @@ def test_backward_untouched_embedding_rows_get_zero_gradient(rng):
             assert np.array_equal(row_grad, np.zeros(3))
 
 
-def _fd_encoder(mode, seed):
+def _fd_encoder(mode, seed, tokens=(2, 4, 3, 0)):
     m = randomize_params(make_model(vocab_size=6, embed_dim=3, hidden_dim=3,
                                     mode=mode), seed=seed)
-    tokens = (2, 4, 3, 0)
     probe = np.random.default_rng(seed + 77).normal(size=m.encoder.output_dim)
 
     def loss(params):
@@ -241,6 +240,12 @@ def test_backward_finite_difference_uni():
 
 def test_backward_finite_difference_bi():
     assert _fd_encoder("bi", seed=22) < 1e-5
+
+
+@pytest.mark.parametrize("mode", ["uni", "bi"])
+def test_backward_finite_difference_repeated_ids(mode):
+    # Id 2 occurs three times: each occurrence adds to the same embedding row.
+    assert _fd_encoder(mode, seed=23, tokens=(2, 4, 2, 2, 0)) < 1e-5
 
 
 # ---------------------------------------------------------------------------

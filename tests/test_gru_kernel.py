@@ -1,0 +1,140 @@
+"""The time-hoisted GRU kernel against a per-step reference.
+
+The reference below is backpropagation through time written one step at a
+time: every step recomputes its input and conditioning products, and every
+weight and embedding gradient is accumulated inside the loop (np.outer per
+step, one embedding row at a time).  encoder_backward and decoder_backward
+compute the same sums as matrix products after the loop, so they may differ
+from it only by float64 rounding.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import make_model, randomize_params
+from skipgru.decoder import decoder_backward, sentence_log_prob_with_cache
+from skipgru.encoder import encode_with_cache, encoder_backward
+from skipgru.numerics import log_softmax, sigmoid
+
+GATE_KEYS = ("W_r", "W_z", "W", "U_r", "U_z", "U")
+REL_TOL = 1e-12
+
+
+def ref_forward(X, p, h_enc=None):
+    """Per-step forward: the states entering each step and the gates."""
+    cond = {k: (getattr(p, k) @ h_enc if h_enc is not None else 0.0)
+            for k in ("C_r", "C_z", "C")}
+    h = np.zeros(p.U.shape[0])
+    steps = []
+    for x in X:
+        r = sigmoid(p.W_r @ x + p.U_r @ h + cond["C_r"])
+        z = sigmoid(p.W_z @ x + p.U_z @ h + cond["C_z"])
+        hbar = np.tanh(p.W @ x + p.U @ (r * h) + cond["C"])
+        steps.append((h, r, z, hbar))
+        h = (1.0 - z) * h + z * hbar
+    return steps, h
+
+
+def ref_backward(X, steps, dH, p, h_enc=None):
+    """Per-step BPTT; returns (weight grads, per-step dx, grad of h_enc)."""
+    keys = GATE_KEYS + (("C_r", "C_z", "C") if h_enc is not None else ())
+    grads = {k: np.zeros_like(getattr(p, k)) for k in keys}
+    dxs = [None] * len(X)
+    g_henc = np.zeros_like(h_enc) if h_enc is not None else None
+    g = np.zeros(p.U.shape[0])
+    for t in range(len(X) - 1, -1, -1):
+        g = g + dH[t]
+        x, (h_prev, r, z, hbar) = X[t], steps[t]
+        da_h = g * z * (1.0 - hbar * hbar)
+        drh = p.U.T @ da_h
+        da_r = drh * h_prev * r * (1.0 - r)
+        da_z = g * (hbar - h_prev) * z * (1.0 - z)
+        for gate, da in (("", da_h), ("_r", da_r), ("_z", da_z)):
+            grads["W" + gate] += np.outer(da, x)
+            grads["U" + gate] += np.outer(da, r * h_prev if gate == "" else h_prev)
+            if h_enc is not None:
+                grads["C" + gate] += np.outer(da, h_enc)
+                g_henc += getattr(p, "C" + gate).T @ da
+        dxs[t] = p.W.T @ da_h + p.W_r.T @ da_r + p.W_z.T @ da_z
+        g = g * (1.0 - z) + drh * r + p.U_r.T @ da_r + p.U_z.T @ da_z
+    return grads, dxs, g_henc
+
+
+def ref_encoder_grads(tokens, enc, grad_output):
+    """(sentence vector, gradients) as encode_with_cache/encoder_backward."""
+    out = {"emb": np.zeros_like(enc.embedding)}
+    finals = []
+    hid = enc.hidden_dim
+    dirs = [("enc.", enc.forward, list(tokens), grad_output[:hid])]
+    if enc.backward is not None:
+        dirs.append(("enc_rev.", enc.backward, list(tokens)[::-1],
+                     grad_output[hid:]))
+    for prefix, p, ids, g_final in dirs:
+        Xd = enc.embedding[ids]
+        steps, h_final = ref_forward(Xd, p)
+        finals.append(h_final)
+        dH = np.zeros((len(ids), hid))
+        dH[-1] = g_final
+        grads, dxs, _ = ref_backward(Xd, steps, dH, p)
+        out.update({prefix + k: v for k, v in grads.items()})
+        for i, dx in zip(ids, dxs):
+            out["emb"][i] += dx
+    return np.concatenate(finals), out
+
+
+def ref_decoder_grads(target, h_enc, p, V, emb):
+    """(log-likelihood, gradients, grad of h_enc) as the decoder computes."""
+    X = np.vstack([p.begin] + [emb[i] for i in target[:-1]])
+    steps, h_last = ref_forward(X, p, h_enc)
+    H = np.vstack([s[0] for s in steps[1:]] + [h_last])
+    logp = log_softmax(H @ V.T, axis=1)
+    dlogits = np.exp(logp)
+    dlogits[np.arange(len(target)), list(target)] -= 1.0
+    grads, dxs, g_henc = ref_backward(X, steps, dlogits @ V, p, h_enc)
+    grads["begin"] = dxs[0]
+    grads["V"] = dlogits.T @ H
+    grads["emb"] = np.zeros_like(emb)
+    for i, dx in zip(target[:-1], dxs[1:]):
+        grads["emb"][i] += dx
+    return logp[np.arange(len(target)), list(target)].sum(), grads, g_henc
+
+
+def rel_err(got, want):
+    scale = max(float(np.max(np.abs(want))), 1e-300)
+    return float(np.max(np.abs(got - want))) / scale
+
+
+SENTENCES = [(0,), (3, 0), (2, 4, 2, 2, 0), (5, 1, 7, 5, 3, 2, 6, 4, 5, 0)]
+
+
+@pytest.mark.parametrize("mode", ["uni", "bi"])
+@pytest.mark.parametrize("tokens", SENTENCES)
+def test_encoder_backward_matches_per_step_reference(mode, tokens):
+    m = randomize_params(make_model(vocab_size=8, embed_dim=4, hidden_dim=5,
+                                    mode=mode), seed=len(tokens))
+    grad_output = np.random.default_rng(3).normal(size=m.encoder.output_dim)
+    vec, cache = encode_with_cache(tokens, m.encoder)
+    got = encoder_backward(cache, grad_output, m.encoder)
+    want_vec, want = ref_encoder_grads(tokens, m.encoder, grad_output)
+    assert rel_err(vec, want_vec) < REL_TOL
+    assert got.keys() == want.keys()
+    for k in want:
+        assert rel_err(got[k], want[k]) < REL_TOL, k
+
+
+@pytest.mark.parametrize("mode", ["uni", "bi"])
+@pytest.mark.parametrize("target", SENTENCES)
+def test_decoder_backward_matches_per_step_reference(mode, target):
+    m = randomize_params(make_model(vocab_size=8, embed_dim=4, hidden_dim=5,
+                                    mode=mode), seed=10 + len(target))
+    h_enc = np.random.default_rng(4).uniform(-0.9, 0.9, size=m.encoder.output_dim)
+    p, V, emb = m.decoders.next_params, m.decoders.V, m.embedding
+    logp, cache = sentence_log_prob_with_cache(target, h_enc, p, V, emb)
+    got, got_henc = decoder_backward(cache, p, V, emb)
+    want_logp, want, want_henc = ref_decoder_grads(target, h_enc, p, V, emb)
+    assert abs(logp - want_logp) < REL_TOL * abs(want_logp)
+    assert got.keys() == want.keys()
+    for k in want:
+        assert rel_err(got[k], want[k]) < REL_TOL, k
+    assert rel_err(got_henc, want_henc) < REL_TOL
+

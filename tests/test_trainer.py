@@ -10,6 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from skipgru import trainer
 from conftest import make_model, make_vocab, random_triple, randomize_params
 from skipgru.corpus import SentenceTriple
 from skipgru.decoder import decoder_backward, sentence_log_prob, \
@@ -77,10 +78,10 @@ def test_grads_v_accumulates_both_decoders():
     assert np.max(np.abs(grads["V"] - (gn["V"] + gp["V"]))) < 1e-12
 
 
-def _fd_triple(mode, seed):
+def _fd_triple(mode, seed,
+               t=SentenceTriple(prev=(2, 0), curr=(3, 4, 0), next=(2, 3, 0))):
     m = randomize_params(make_model(vocab_size=5, embed_dim=2, hidden_dim=2,
                                     mode=mode), seed=seed)
-    t = SentenceTriple(prev=(2, 0), curr=(3, 4, 0), next=(2, 3, 0))
 
     def loss(params):
         return triple_loss(model_from_params(m.config, m.vocab, params), t)
@@ -95,6 +96,13 @@ def test_full_model_gradient_uni():
 
 def test_full_model_gradient_bi():
     assert _fd_triple("bi", seed=42) < 1e-4
+
+
+@pytest.mark.parametrize("mode", ["uni", "bi"])
+def test_full_model_gradient_repeated_ids(mode):
+    # Id 2 repeats within each sentence and across the three passes.
+    t = SentenceTriple(prev=(2, 2, 0), curr=(2, 4, 2, 2, 0), next=(3, 2, 3, 0))
+    assert _fd_triple(mode, seed=43, t=t) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +131,34 @@ def test_step_nonfinite_loss_aborts():
     bad = model_from_params(m.config, m.vocab, params)
     with pytest.raises(NumericError):
         train_step(bad, [small_triple()], make_optimizer(bad), bad.config)
+
+
+def test_nonfinite_gradient_stops_before_update_and_checkpoint(tmp_path, rng,
+                                                              monkeypatch):
+    # A finite loss with an infinite gradient entry: clipping would turn every
+    # parameter into NaN, and the step-3 checkpoint would persist them.
+    triples = [random_triple(6, rng) for _ in range(4)]
+    m = make_model(vocab_size=6, batch_size=2, max_steps=2, checkpoint_every=1,
+                   seed=12)
+    ckpt = tmp_path / "c.ckpt"
+    res = train(m, triples, checkpoint_path=ckpt)
+    saved = ckpt.read_bytes()
+    before = {k: v.copy() for k, v in res.model.param_dict().items()}
+    real_grads = trainer.triple_grads
+
+    def inf_grads(model, triple):
+        loss, grads = real_grads(model, triple)
+        grads["V"][0, 0] = np.inf
+        return loss, grads
+
+    monkeypatch.setattr(trainer, "triple_grads", inf_grads)
+    longer = model_from_params(dataclasses.replace(m.config, max_steps=4),
+                               m.vocab, res.model.param_dict())
+    with pytest.raises(NumericError, match="gradient norm"):
+        train(longer, triples, opt=res.opt, checkpoint_path=ckpt)
+    assert ckpt.read_bytes() == saved
+    after = res.model.param_dict()
+    assert all(np.array_equal(before[k], after[k]) for k in before)
 
 
 def test_step_clip_flag_iff_norm_exceeds_threshold():
@@ -183,6 +219,47 @@ def test_metrics_csv_contract(tmp_path, rng):
     assert len(lines) == 9                        # header + one row per step
     first = lines[1].split(",")
     assert first[0] == "1" and first[3] in ("0", "1")
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_resume_writes_each_metrics_row_once(tmp_path, rng, monkeypatch):
+    # Checkpoint at step 5, stop after step 7, resume to step 9: rows 6 and 7
+    # of the stopped run are replaced by the resumed run's rows.
+    triples = [random_triple(6, rng) for _ in range(8)]
+
+    def fresh():
+        return make_model(vocab_size=6, batch_size=2, max_steps=9,
+                          checkpoint_every=5, seed=13)
+
+    straight = tmp_path / "straight.csv"
+    train(fresh(), triples, metrics_path=straight)
+
+    metrics, ckpt = tmp_path / "m.csv", tmp_path / "c.ckpt"
+    real_step = trainer.train_step
+
+    def stop_after_7(model, batch, opt, config):
+        if opt.step == 7:
+            raise _Stop
+        return real_step(model, batch, opt, config)
+
+    monkeypatch.setattr(trainer, "train_step", stop_after_7)
+    with pytest.raises(_Stop):
+        train(fresh(), triples, metrics_path=metrics, checkpoint_path=ckpt)
+    monkeypatch.undo()
+    model, opt = load_checkpoint(ckpt)
+    assert opt.step == 5
+    assert len(metrics.read_text().splitlines()) == 1 + 7
+    train(model, triples, opt=opt, metrics_path=metrics, checkpoint_path=ckpt)
+
+    def without_wall_ms(path):
+        return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+    rows = without_wall_ms(metrics)
+    assert [r.split(",")[0] for r in rows[1:]] == [str(i) for i in range(1, 10)]
+    assert rows == without_wall_ms(straight)
 
 
 # ---------------------------------------------------------------------------
