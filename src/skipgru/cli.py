@@ -20,6 +20,7 @@ import os
 import sys
 import time
 from dataclasses import replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,28 +53,38 @@ def _threads() -> int:
     return n
 
 
+class Command(NamedTuple):
+    """A subcommand as registered: main checks that its input files exist,
+    runs func, and writes the manifest from its inputs and outputs."""
+
+    parser: argparse.ArgumentParser
+    func: Callable        # returns the run's seeds dict, or None for none
+    inputs: tuple         # dests of the flags naming files the command reads
+    outputs: tuple        # dests, or functions of args, naming files it writes
+
+
 def _require_inputs(*paths) -> None:
     missing = [str(p) for p in paths if p is not None and not os.path.exists(str(p))]
     if missing:
         raise ConfigError("input path does not exist: " + ", ".join(missing))
 
 
-def _write_manifest(args, command: str, inputs, outputs, seeds, t0) -> str | None:
+def _write_manifest(args, inputs, outputs, seeds, t0) -> None:
     """Write the run's manifest next to its first output, or to --manifest.
     A run with no output file and no --manifest writes none, so such commands
     leave the working directory untouched."""
     path = args.manifest
     if path is None:
         if not outputs:
-            return None
+            return
         path = str(outputs[0]) + ".manifest.json"
     config = {}
     for k, v in sorted(vars(args).items()):
-        if k in ("func", "command", "manifest", "config_file"):
+        if k in ("command", "manifest", "config_file"):
             continue
         config[k] = list(v) if isinstance(v, tuple) else v
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
         "inputs": {str(p): sha256_path(p) for p in inputs if p is not None},
         "outputs": [str(p) for p in outputs],
@@ -83,7 +94,6 @@ def _write_manifest(args, command: str, inputs, outputs, seeds, t0) -> str | Non
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 def _parse_l2_grid(raw: str) -> tuple:
@@ -99,9 +109,6 @@ def _parse_l2_grid(raw: str) -> tuple:
 def _load_models(args):
     """Primary checkpoint, optional second one (combine mode), and their
     expansion lookups.  Returns (models, lookups, variant_name)."""
-    _require_inputs(args.ckpt, getattr(args, "ckpt2", None),
-                    getattr(args, "expansion", None),
-                    getattr(args, "expansion2", None))
     model, _ = trainer.load_checkpoint(args.ckpt)
     models = [model]
     if getattr(args, "ckpt2", None):
@@ -133,10 +140,6 @@ def _encode_lines(lines, models, lookups) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _count_oov(lines, vocab) -> int:
-    return sum(1 for line in lines for t in corpus.tokenize(line) if t not in vocab)
-
-
 def _read_lines(path) -> list[str]:
     with open(path, encoding="utf-8") as fh:
         return [line.rstrip("\n") for line in fh]
@@ -158,8 +161,6 @@ def _write_metric_rows(path, rows) -> None:
 
 
 def cmd_build_vocab(args) -> None:
-    t0 = time.perf_counter()
-    _require_inputs(args.corpus)
     docs = corpus.read_documents(args.corpus)
     vocab = corpus.build_vocab((s for doc in docs for s in doc), args.size)
     corpus.save_vocab(vocab, args.out)
@@ -167,13 +168,13 @@ def cmd_build_vocab(args) -> None:
     stats["documents"] = len(docs)
     stats["vocab_size"] = vocab.size
     print(json.dumps(stats, sort_keys=True))
-    _write_manifest(args, "build-vocab", [args.corpus], [args.out],
-                    {}, t0)
 
 
-def cmd_train(args) -> None:
-    t0 = time.perf_counter()
-    _require_inputs(args.corpus, args.vocab)
+def _metrics_path(args) -> str:
+    return args.metrics or args.out + ".metrics.csv"
+
+
+def cmd_train(args) -> dict:
     vocab = corpus.load_vocab(args.vocab)
     docs = corpus.read_documents(args.corpus)
     stats: dict = {}
@@ -194,47 +195,37 @@ def cmd_train(args) -> None:
             alpha=args.lr, max_steps=args.steps, seed=args.seed, mode=args.mode,
             checkpoint_every=args.checkpoint_every)
         model, opt = trainer.SkipGruModel.init(vocab, config), None
-    metrics_path = args.metrics or args.out + ".metrics.csv"
-    result = trainer.train(model, triples, opt, metrics_path=metrics_path,
+    result = trainer.train(model, triples, opt, metrics_path=_metrics_path(args),
                            checkpoint_path=args.out)
     summary = {"steps": result.opt.step, "triples": stats.get("triples", 0)}
     if result.history:
         summary["first_loss"] = result.history[0]["loss"]
         summary["final_loss"] = result.history[-1]["loss"]
     print(json.dumps(summary, sort_keys=True))
-    _write_manifest(args, "train", [args.corpus, args.vocab],
-                    [args.out, metrics_path], {"seed": args.seed}, t0)
+    return {"seed": args.seed}
 
 
 def cmd_encode(args) -> None:
-    t0 = time.perf_counter()
-    _require_inputs(args.input)
     models, lookups, _ = _load_models(args)
     lines = _read_lines(args.input)
     for m, lk in zip(models, lookups):
         if lk is None:
-            oov = _count_oov(lines, m.vocab)
+            oov = sum(t not in m.vocab for line in lines
+                      for t in corpus.tokenize(line))
             if oov:
                 print(f"warning: {oov} out-of-vocabulary token(s) fell back "
                       f"to unk (no expansion map given)", file=sys.stderr)
     vectors = _encode_lines(lines, models, lookups)
     write_vectors(args.out, vectors)
-    outputs = [args.out]
     if args.text_out:
         with open(args.text_out, "w", encoding="utf-8") as fh:
             for row in vectors:
                 fh.write(" ".join(f"{x:.8e}" for x in row) + "\n")
-        outputs.append(args.text_out)
     print(json.dumps({"sentences": len(lines), "dim": int(vectors.shape[1])},
                      sort_keys=True))
-    _write_manifest(args, "encode",
-                    [args.input, args.ckpt, args.ckpt2, args.expansion,
-                     args.expansion2], outputs, {}, t0)
 
 
 def cmd_expand(args) -> None:
-    t0 = time.perf_counter()
-    _require_inputs(args.ckpt, args.embeddings)
     model, _ = trainer.load_checkpoint(args.ckpt)
     ext, skipped = vocab_expansion.read_embeddings_text(args.embeddings)
     emap = vocab_expansion.fit_expansion(ext, model)
@@ -246,8 +237,6 @@ def cmd_expand(args) -> None:
                       "expanded_vocab": len(set(ext.tokens)
                                             | set(model.vocab.id_to_token[2:]))},
                      sort_keys=True))
-    _write_manifest(args, "expand", [args.ckpt, args.embeddings], [args.out],
-                    {}, t0)
 
 
 def _native_only_lookup(model) -> vocab_expansion.ExpandedLookup:
@@ -261,62 +250,38 @@ def _native_only_lookup(model) -> vocab_expansion.ExpandedLookup:
 
 
 def cmd_nn_word(args) -> None:
-    t0 = time.perf_counter()
-    _require_inputs(args.ckpt, args.expansion)
-    model, _ = trainer.load_checkpoint(args.ckpt)
-    if args.expansion:
-        emap, ext = vocab_expansion.read_expansion(args.expansion)
-        lookup = vocab_expansion.expand(model, ext, emap)
-    else:
-        lookup = _native_only_lookup(model)
+    models, lookups, _ = _load_models(args)
+    lookup = lookups[0] or _native_only_lookup(models[0])
     for token, sim in vocab_expansion.nearest_words(args.query, lookup, args.k):
         print(f"{token}\t{sim:.6f}")
-    _write_manifest(args, "nn-word", [args.ckpt, args.expansion], [], {}, t0)
 
 
 def cmd_nn_sent(args) -> None:
-    t0 = time.perf_counter()
-    _require_inputs(args.bank)
     models, lookups, _ = _load_models(args)
     lines = [line for line in _read_lines(args.bank) if line.strip()]
     if not lines:
         raise InputError(f"{args.bank}: no sentences")
     vectors = _encode_lines(lines, models, lookups)
-    if len(models) == 2:
-        # Combined vectors: query through the same two-model concatenation.
-        q = np.concatenate([vocab_expansion.encode_text(args.query, m, lk)
-                            for m, lk in zip(models, lookups)])
-        sims = vocab_expansion._cosine_to_bank(q, vectors)
-        order = np.argsort(-sims, kind="stable")[:max(args.k, 0)]
-        ranked = [(lines[i], float(sims[i])) for i in order]
-    else:
-        bank = vocab_expansion.SentenceBank(sentences=lines, vectors=vectors)
-        ranked = vocab_expansion.nearest_sentences(args.query, models[0], bank,
-                                                   args.k, lookups[0])
-    for sentence, sim in ranked:
-        print(f"{sim:.6f}\t{sentence}")
-    _write_manifest(args, "nn-sent",
-                    [args.bank, args.ckpt, args.ckpt2, args.expansion,
-                     args.expansion2], [], {}, t0)
+    query = _encode_lines([args.query], models, lookups)[0]
+    for i, sim in vocab_expansion.cosine_top_k(query, vectors, args.k):
+        print(f"{sim:.6f}\t{lines[i]}")
 
 
-def _pair_features_matrix(left, right, models, lookups) -> np.ndarray:
+def _read_pair_features(path, models, lookups) -> tuple[np.ndarray, np.ndarray]:
+    """Pair features and gold values of one sentence-pair file."""
+    left, right, gold = probes.read_pair_dataset(path)
     uniq = sorted(set(left) | set(right))
     vecs = _encode_lines(uniq, models, lookups)
     index = {s: i for i, s in enumerate(uniq)}
     return np.vstack([probes.pair_features(vecs[index[a]], vecs[index[b]])
-                      for a, b in zip(left, right)])
+                      for a, b in zip(left, right)]), gold
 
 
-def cmd_eval_sick(args) -> None:
-    t0 = time.perf_counter()
-    _require_inputs(args.train, args.test)
+def cmd_eval_sick(args) -> dict:
     models, lookups, variant = _load_models(args)
     grid = _parse_l2_grid(args.l2_grid)
-    ltr, rtr, ytr = probes.read_pair_dataset(args.train)
-    lte, rte, yte = probes.read_pair_dataset(args.test)
-    Xtr = _pair_features_matrix(ltr, rtr, models, lookups)
-    Xte = _pair_features_matrix(lte, rte, models, lookups)
+    Xtr, ytr = _read_pair_features(args.train, models, lookups)
+    Xte, yte = _read_pair_features(args.test, models, lookups)
     best = probes.select_l2_relatedness(Xtr, ytr, args.folds, grid, args.seed)
     probe = probes.fit_relatedness(Xtr, ytr, best)
     pred = probes.predict_scores(probe, Xte)
@@ -329,22 +294,15 @@ def cmd_eval_sick(args) -> None:
             print(f"warning: {name}: {exc}", file=sys.stderr)
             rows.append(("sick", variant, name, "nan"))
     _write_metric_rows(args.out, rows)
-    _write_manifest(args, "eval-sick",
-                    [args.train, args.test, args.ckpt, args.ckpt2,
-                     args.expansion, args.expansion2],
-                    [args.out] if args.out else [], {"seed": args.seed}, t0)
+    return {"seed": args.seed}
 
 
-def cmd_eval_paraphrase(args) -> None:
-    t0 = time.perf_counter()
-    _require_inputs(args.train, args.test)
+def cmd_eval_paraphrase(args) -> dict:
     models, lookups, variant = _load_models(args)
     grid = _parse_l2_grid(args.l2_grid)
-    ltr, rtr, ytr = probes.read_pair_dataset(args.train)
-    lte, rte, yte = probes.read_pair_dataset(args.test)
+    Xtr, ytr = _read_pair_features(args.train, models, lookups)
+    Xte, yte = _read_pair_features(args.test, models, lookups)
     ytr_i, yte_i = ytr.astype(int), yte.astype(int)
-    Xtr = _pair_features_matrix(ltr, rtr, models, lookups)
-    Xte = _pair_features_matrix(lte, rte, models, lookups)
     best = probes.select_l2(Xtr, ytr_i, args.folds, grid, args.seed)
     probe = probes.fit_logreg(Xtr, ytr_i, best, n_classes=int(ytr_i.max()) + 1)
     pred = probes.predict(probe, Xte)
@@ -352,15 +310,10 @@ def cmd_eval_paraphrase(args) -> None:
             ("paraphrase", variant, "accuracy", probes.accuracy(pred, yte_i)),
             ("paraphrase", variant, "f1", probes.f1(pred, yte_i))]
     _write_metric_rows(args.out, rows)
-    _write_manifest(args, "eval-paraphrase",
-                    [args.train, args.test, args.ckpt, args.ckpt2,
-                     args.expansion, args.expansion2],
-                    [args.out] if args.out else [], {"seed": args.seed}, t0)
+    return {"seed": args.seed}
 
 
-def cmd_eval_classify(args) -> None:
-    t0 = time.perf_counter()
-    _require_inputs(args.data)
+def cmd_eval_classify(args) -> dict:
     models, lookups, variant = _load_models(args)
     grid = _parse_l2_grid(args.l2_grid)
     labels, sentences, names = probes.read_label_dataset(args.data)
@@ -372,19 +325,13 @@ def cmd_eval_classify(args) -> None:
     rows += [("classify", variant, f"fold{f}_accuracy", s)
              for f, s in enumerate(res["fold_scores"])]
     _write_metric_rows(args.out, rows)
-    _write_manifest(args, "eval-classify",
-                    [args.data, args.ckpt, args.ckpt2, args.expansion,
-                     args.expansion2],
-                    [args.out] if args.out else [],
-                    {"seed": args.seed, "classes": names}, t0)
+    return {"seed": args.seed, "classes": names}
 
 
-def cmd_eval_rank(args) -> None:
-    t0 = time.perf_counter()
-    _require_inputs(args.images, args.captions)
+def cmd_eval_rank(args) -> dict:
     models, lookups, _ = _load_models(args)
     X = read_vectors(args.images)
-    captions = [line for line in _read_lines(args.captions)]
+    captions = _read_lines(args.captions)
     g = args.group_size
     if len(captions) != len(X) * g:
         raise InputError(f"{len(X)} images need {len(X) * g} caption lines "
@@ -436,10 +383,7 @@ def cmd_eval_rank(args) -> None:
                          r.recall_at[k]))
         rows.append(("rank", f"{direction}-{split}", "medr", r.median_rank))
     _write_metric_rows(args.out, rows)
-    _write_manifest(args, "eval-rank",
-                    [args.images, args.captions, args.ckpt, args.ckpt2,
-                     args.expansion, args.expansion2],
-                    [args.out] if args.out else [], {"seed": args.seed}, t0)
+    return {"seed": args.seed}
 
 
 def generate_story(model, seed_sentence: str, n_sentences: int,
@@ -467,8 +411,7 @@ def generate_story(model, seed_sentence: str, n_sentences: int,
     return out
 
 
-def cmd_generate(args) -> None:
-    t0 = time.perf_counter()
+def cmd_generate(args) -> dict:
     models, lookups, _ = _load_models(args)
     model = models[0]
     story = generate_story(model, args.seed_sentence, args.sentences,
@@ -476,30 +419,24 @@ def cmd_generate(args) -> None:
                            lookups[0])
     for ids in story:
         print(corpus.detokenize(model.vocab.tokens_for(ids[:-1])))
-    _write_manifest(args, "generate", [args.ckpt], [],
-                    {"seed": args.seed}, t0)
+    return {"seed": args.seed}
 
 
 # ---------------------------------------------------------------- parser
 
 
-def _add_model_flags(p, combine: bool = True):
+# The files _add_model_flags names, for a command's declared inputs.
+MODEL_INPUTS = ("ckpt", "ckpt2", "expansion", "expansion2")
+
+
+def _add_model_flags(p):
     p.add_argument("--ckpt", required=True, help="model checkpoint")
-    if combine:
-        p.add_argument("--ckpt2", default=None,
-                       help="second checkpoint; outputs are concatenated")
-        p.add_argument("--expansion2", default=None,
-                       help="expansion map for --ckpt2")
+    p.add_argument("--ckpt2", default=None,
+                   help="second checkpoint; outputs are concatenated")
+    p.add_argument("--expansion2", default=None,
+                   help="expansion map for --ckpt2")
     p.add_argument("--expansion", default=None,
                    help="vocabulary expansion map (from `expand`)")
-
-
-def _add_common(p):
-    p.add_argument("--config", dest="config_file", default=None,
-                   help="key=value file supplying flag defaults")
-    p.add_argument("--manifest", default=None,
-                   help="manifest path (default: derived from the output; "
-                        "none for commands without an output file)")
 
 
 def _add_eval_flags(p):
@@ -518,20 +455,24 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     subs = parser.add_subparsers(dest="command", required=True)
     registry: dict = {}
 
-    def sub(name, func, **kw):
+    def sub(name, func, inputs=(), outputs=(), **kw):
         p = subs.add_parser(name, **kw)
-        p.set_defaults(func=func)
-        _add_common(p)
-        registry[name] = p
+        p.add_argument("--config", dest="config_file", default=None,
+                       help="key=value file supplying flag defaults")
+        p.add_argument("--manifest", default=None,
+                       help="manifest path (default: derived from the output; "
+                            "none for commands without an output file)")
+        registry[name] = Command(p, func, inputs, outputs)
         return p
 
-    p = sub("build-vocab", cmd_build_vocab,
+    p = sub("build-vocab", cmd_build_vocab, ("corpus",), ("out",),
             help="build a frequency-ranked vocabulary from a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--out", required=True)
 
-    p = sub("train", cmd_train, help="train the sentence encoder")
+    p = sub("train", cmd_train, ("corpus", "vocab"), ("out", _metrics_path),
+            help="train the sentence encoder")
     p.add_argument("--corpus", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--mode", choices=("uni", "bi"), default="uni")
@@ -549,33 +490,36 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    help="continue from the checkpoint at --out")
     p.add_argument("--out", required=True)
 
-    p = sub("encode", cmd_encode, help="encode sentences to a vector file")
+    p = sub("encode", cmd_encode, ("input", *MODEL_INPUTS), ("out", "text_out"),
+            help="encode sentences to a vector file")
     _add_model_flags(p)
     p.add_argument("--input", required=True, help="one sentence per line")
     p.add_argument("--out", required=True)
     p.add_argument("--text-out", default=None,
                    help="also write vectors as text")
 
-    p = sub("expand", cmd_expand,
+    p = sub("expand", cmd_expand, ("ckpt", "embeddings"), ("out",),
             help="fit the vocabulary-expansion map from external embeddings")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--embeddings", required=True,
                    help="textual word-vector file ('count dim' header)")
     p.add_argument("--out", required=True)
 
-    p = sub("nn-word", cmd_nn_word, help="nearest words in embedding space")
+    p = sub("nn-word", cmd_nn_word, ("ckpt", "expansion"),
+            help="nearest words in embedding space")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--expansion", default=None)
     p.add_argument("--query", required=True)
     p.add_argument("--k", type=int, default=10)
 
-    p = sub("nn-sent", cmd_nn_sent, help="nearest sentences from a bank")
+    p = sub("nn-sent", cmd_nn_sent, ("bank", *MODEL_INPUTS),
+            help="nearest sentences from a bank")
     _add_model_flags(p)
     p.add_argument("--bank", required=True, help="one sentence per line")
     p.add_argument("--query", required=True)
     p.add_argument("--k", type=int, default=5)
 
-    p = sub("eval-sick", cmd_eval_sick,
+    p = sub("eval-sick", cmd_eval_sick, ("train", "test", *MODEL_INPUTS), ("out",),
             help="semantic-relatedness probe (5-bin soft-target readout)")
     _add_model_flags(p)
     p.add_argument("--train", required=True)
@@ -583,19 +527,21 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     _add_eval_flags(p)
 
     p = sub("eval-paraphrase", cmd_eval_paraphrase,
+            ("train", "test", *MODEL_INPUTS), ("out",),
             help="paraphrase-detection probe")
     _add_model_flags(p)
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     _add_eval_flags(p)
 
-    p = sub("eval-classify", cmd_eval_classify,
+    p = sub("eval-classify", cmd_eval_classify, ("data", *MODEL_INPUTS), ("out",),
             help="classification probe with nested cross-validation")
     _add_model_flags(p)
     p.add_argument("--data", required=True, help="label TAB sentence rows")
     _add_eval_flags(p)
 
-    p = sub("eval-rank", cmd_eval_rank,
+    p = sub("eval-rank", cmd_eval_rank, ("images", "captions", *MODEL_INPUTS),
+            ("out",),
             help="image-sentence retrieval with a trained linear embedding")
     _add_model_flags(p)
     p.add_argument("--images", required=True, help="image feature vector file")
@@ -614,7 +560,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--init", choices=("random", "identity"), default="random")
     p.add_argument("--out", default=None, help="metrics CSV path")
 
-    p = sub("generate", cmd_generate,
+    p = sub("generate", cmd_generate, ("ckpt", "expansion"),
             help="iteratively sample a continuation, one sentence at a time")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--expansion", default=None)
@@ -645,7 +591,7 @@ def _apply_config_file(sub: argparse.ArgumentParser, raw: dict) -> None:
     defaults = {}
     for key, sval in raw.items():
         action = next((a for a in sub._actions if a.dest == key), None)
-        if action is None or key in ("config_file", "func"):
+        if action is None or key == "config_file":
             raise ConfigError(f"unknown config key {key!r}")
         if isinstance(action, (argparse._StoreTrueAction,
                                argparse._StoreFalseAction)):
@@ -681,9 +627,17 @@ def main(argv=None) -> int:
             if not argv or argv[0] not in registry:
                 raise ConfigError("--config requires a subcommand")
             _require_inputs(cfg_path)
-            _apply_config_file(registry[argv[0]], _read_config_file(cfg_path))
+            _apply_config_file(registry[argv[0]].parser,
+                               _read_config_file(cfg_path))
         args = parser.parse_args(argv)
-        args.func(args)
+        cmd = registry[args.command]
+        t0 = time.perf_counter()
+        inputs = [getattr(args, k) for k in cmd.inputs]
+        _require_inputs(*inputs)
+        seeds = cmd.func(args) or {}
+        outputs = [o(args) if callable(o) else getattr(args, o)
+                   for o in cmd.outputs]
+        _write_manifest(args, inputs, [o for o in outputs if o], seeds, t0)
         return 0
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,91 +24,52 @@ gradients summed over time; V's gradient is one product dlogits.T @ H.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .encoder import GruTrace, gru_backward, gru_forward
+from .encoder import (GRU_KEYS, INIT_RANGE, GruParams, GruTrace, gru_backward,
+                      gru_forward, init_gru_params)
 from .errors import ParameterError, RangeError, ShapeError, StateError
-from .numerics import (ParamSet, get_rng, log_softmax, orthogonal_init, sigmoid,
-                       softmax, uniform_init)
+from .numerics import (ParamSet, get_rng, log_softmax, sigmoid, softmax,
+                       uniform_init)
 
-INIT_RANGE = 0.1
-
-COND_INPUT_KEYS = ("W_r", "W_z", "W")
-COND_RECURRENT_KEYS = ("U_r", "U_z", "U")
 COND_CONDITIONING_KEYS = ("C_r", "C_z", "C")
-COND_MATRIX_KEYS = COND_INPUT_KEYS + COND_RECURRENT_KEYS + COND_CONDITIONING_KEYS
-COND_KEYS = COND_MATRIX_KEYS + ("begin",)
+COND_KEYS = GRU_KEYS + COND_CONDITIONING_KEYS + ("begin",)
 
 
 @dataclass
-class ConditionalGruParams:
-    """Nine weight matrices plus the learned begin-of-decode input vector."""
+class ConditionalGruParams(GruParams):
+    """A GRU's six matrices plus the three conditioning matrices and the
+    learned begin-of-decode input vector."""
 
-    W_r: np.ndarray   # (hidden, embed)
-    W_z: np.ndarray
-    W: np.ndarray
-    U_r: np.ndarray   # (hidden, hidden)
-    U_z: np.ndarray
-    U: np.ndarray
     C_r: np.ndarray   # (hidden, enc_dim)
     C_z: np.ndarray
     C: np.ndarray
     begin: np.ndarray  # (embed,)
 
+    KEYS: ClassVar[tuple[str, ...]] = COND_KEYS
+
     def __post_init__(self):
-        h, e = self.W_r.shape
-        enc = self.C_r.shape[1]
-        for key in COND_INPUT_KEYS:
-            if getattr(self, key).shape != (h, e):
-                raise ShapeError(f"{key} must have shape {(h, e)}, "
-                                 f"got {getattr(self, key).shape}")
-        for key in COND_RECURRENT_KEYS:
-            if getattr(self, key).shape != (h, h):
-                raise ShapeError(f"{key} must have shape {(h, h)}, "
-                                 f"got {getattr(self, key).shape}")
-        for key in COND_CONDITIONING_KEYS:
-            if getattr(self, key).shape != (h, enc):
-                raise ShapeError(f"{key} must have shape {(h, enc)}, "
-                                 f"got {getattr(self, key).shape}")
-        if self.begin.shape != (e,):
-            raise ShapeError(f"begin vector must have shape ({e},), "
-                             f"got {self.begin.shape}")
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.W_r.shape[0]
-
-    @property
-    def embed_dim(self) -> int:
-        return self.W_r.shape[1]
+        super().__post_init__()
+        self._check_shapes(COND_CONDITIONING_KEYS, (self.hidden_dim, self.enc_dim))
+        self._check_shapes(("begin",), (self.embed_dim,))
 
     @property
     def enc_dim(self) -> int:
         return self.C_r.shape[1]
 
-    def as_dict(self, prefix: str = "") -> ParamSet:
-        return {prefix + k: getattr(self, k) for k in COND_KEYS}
-
-    @classmethod
-    def from_dict(cls, d: ParamSet, prefix: str = "") -> "ConditionalGruParams":
-        return cls(**{k: np.asarray(d[prefix + k], dtype=np.float64) for k in COND_KEYS})
-
 
 def init_conditional_gru(embed_dim: int, hidden_dim: int, enc_dim: int,
                          seed) -> ConditionalGruParams:
-    """Recurrent matrices orthogonal; everything else uniform [-0.1, 0.1)."""
+    """The GRU matrices as init_gru_params draws them, then the conditioning
+    matrices and the begin vector uniform [-0.1, 0.1) from the same stream."""
     rng = get_rng(seed)
-    fields = {}
-    for key in COND_INPUT_KEYS:
-        fields[key] = uniform_init(hidden_dim, embed_dim, -INIT_RANGE, INIT_RANGE, rng)
-    for key in COND_RECURRENT_KEYS:
-        fields[key] = orthogonal_init(hidden_dim, hidden_dim, rng)
-    for key in COND_CONDITIONING_KEYS:
-        fields[key] = uniform_init(hidden_dim, enc_dim, -INIT_RANGE, INIT_RANGE, rng)
-    fields["begin"] = uniform_init(1, embed_dim, -INIT_RANGE, INIT_RANGE, rng)[0]
-    return ConditionalGruParams(**fields)
+    gru = init_gru_params(embed_dim, hidden_dim, rng)
+    cond = {key: uniform_init(hidden_dim, enc_dim, -INIT_RANGE, INIT_RANGE, rng)
+            for key in COND_CONDITIONING_KEYS}
+    begin = uniform_init(1, embed_dim, -INIT_RANGE, INIT_RANGE, rng)[0]
+    return ConditionalGruParams(**gru.as_dict(), **cond, begin=begin)
 
 
 @dataclass
@@ -140,22 +101,6 @@ def init_decoder_pair(vocab_size: int, embed_dim: int, hidden_dim: int,
     return DecoderPair(next_params=nxt, prev_params=prv, V=V)
 
 
-class _CondStep(NamedTuple):
-    h: np.ndarray
-    r: np.ndarray
-    z: np.ndarray
-    hbar: np.ndarray
-
-
-def _cond_core(x: np.ndarray, h_prev: np.ndarray, h_enc: np.ndarray,
-               p: ConditionalGruParams) -> _CondStep:
-    r = sigmoid(p.W_r @ x + p.U_r @ h_prev + p.C_r @ h_enc)
-    z = sigmoid(p.W_z @ x + p.U_z @ h_prev + p.C_z @ h_enc)
-    hbar = np.tanh(p.W @ x + p.U @ (r * h_prev) + p.C @ h_enc)
-    h = (1.0 - z) * h_prev + z * hbar
-    return _CondStep(h=h, r=r, z=z, hbar=hbar)
-
-
 def cond_gru_step(x: np.ndarray, h_prev: np.ndarray, h_enc: np.ndarray,
                   p: ConditionalGruParams) -> np.ndarray:
     """One conditioned GRU step; with h_enc = 0 this is the plain GRU step."""
@@ -169,7 +114,10 @@ def cond_gru_step(x: np.ndarray, h_prev: np.ndarray, h_enc: np.ndarray,
     if h_enc.shape != (p.enc_dim,):
         raise ShapeError(f"conditioning vector has shape {h_enc.shape}, "
                          f"expected ({p.enc_dim},)")
-    return _cond_core(x, h_prev, h_enc, p).h
+    r = sigmoid(p.W_r @ x + p.U_r @ h_prev + p.C_r @ h_enc)
+    z = sigmoid(p.W_z @ x + p.U_z @ h_prev + p.C_z @ h_enc)
+    hbar = np.tanh(p.W @ x + p.U @ (r * h_prev) + p.C @ h_enc)
+    return (1.0 - z) * h_prev + z * hbar
 
 
 def _check_target(target: Sequence[int], vocab_size: int) -> tuple[int, ...]:
@@ -194,19 +142,6 @@ class DecoderCache:
     log_prob: float
 
 
-def _decode_forward(target: tuple[int, ...], h_enc: np.ndarray,
-                    p: ConditionalGruParams, V: np.ndarray,
-                    embedding: np.ndarray) -> DecoderCache:
-    X = np.vstack([p.begin, embedding[list(target[:-1])]])
-    # The conditioning terms are constant over the sentence: add them once.
-    trace = gru_forward(X @ p.W_r.T + p.C_r @ h_enc, X @ p.W_z.T + p.C_z @ h_enc,
-                        X @ p.W.T + p.C @ h_enc, p)
-    logp = log_softmax(trace.S[1:] @ V.T, axis=1)      # (T, vocab)
-    total = float(logp[np.arange(len(target)), list(target)].sum())
-    return DecoderCache(target=target, h_enc=h_enc, X=X, trace=trace,
-                        probs=np.exp(logp), log_prob=total)
-
-
 def sentence_log_prob_with_cache(target: Sequence[int], h_enc: np.ndarray,
                                  p: ConditionalGruParams, V: np.ndarray,
                                  embedding: np.ndarray) -> tuple[float, DecoderCache]:
@@ -215,8 +150,14 @@ def sentence_log_prob_with_cache(target: Sequence[int], h_enc: np.ndarray,
     if h_enc.shape != (p.enc_dim,):
         raise ShapeError(f"conditioning vector has shape {h_enc.shape}, "
                          f"expected ({p.enc_dim},)")
-    cache = _decode_forward(ids, h_enc, p, V, embedding)
-    return cache.log_prob, cache
+    X = np.vstack([p.begin, embedding[list(ids[:-1])]])
+    # The conditioning terms are constant over the sentence: add them once.
+    trace = gru_forward(X @ p.W_r.T + p.C_r @ h_enc, X @ p.W_z.T + p.C_z @ h_enc,
+                        X @ p.W.T + p.C @ h_enc, p)
+    logp = log_softmax(trace.S[1:] @ V.T, axis=1)      # (T, vocab)
+    total = float(logp[np.arange(len(ids)), list(ids)].sum())
+    return total, DecoderCache(target=ids, h_enc=h_enc, X=X, trace=trace,
+                               probs=np.exp(logp), log_prob=total)
 
 
 def sentence_log_prob(target: Sequence[int], h_enc: np.ndarray,
@@ -270,7 +211,7 @@ def sample_sentence(h_enc: np.ndarray, p: ConditionalGruParams, V: np.ndarray,
     x = p.begin
     out: list[int] = []
     for _ in range(max_len):
-        h = _cond_core(x, h, h_enc, p).h
+        h = cond_gru_step(x, h, h_enc, p)
         logits = V @ h
         if temperature == 0.0:
             w = int(np.argmax(logits))

@@ -1,4 +1,4 @@
-"""GRU sentence encoder: unidirectional, bidirectional, and combined variants.
+"""GRU sentence encoder: unidirectional and bidirectional variants.
 
 The recurrence has no bias terms anywhere:
 
@@ -27,7 +27,7 @@ repeat a token id.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,7 +43,11 @@ GRU_KEYS = GRU_INPUT_KEYS + GRU_RECURRENT_KEYS
 
 @dataclass
 class GruParams:
-    """The six weight matrices of one (unconditioned) GRU direction."""
+    """The six weight matrices of one (unconditioned) GRU direction.
+
+    KEYS names the fields in parameter-name and checkpoint order; a subclass
+    that adds fields extends it.
+    """
 
     W_r: np.ndarray  # (hidden, embed)
     W_z: np.ndarray
@@ -52,15 +56,17 @@ class GruParams:
     U_z: np.ndarray
     U: np.ndarray
 
+    KEYS: ClassVar[tuple[str, ...]] = GRU_KEYS
+
     def __post_init__(self):
         h, e = self.W_r.shape
-        for key in GRU_INPUT_KEYS:
-            if getattr(self, key).shape != (h, e):
-                raise ShapeError(f"{key} must have shape {(h, e)}, "
-                                 f"got {getattr(self, key).shape}")
-        for key in GRU_RECURRENT_KEYS:
-            if getattr(self, key).shape != (h, h):
-                raise ShapeError(f"{key} must have shape {(h, h)}, "
+        self._check_shapes(GRU_INPUT_KEYS, (h, e))
+        self._check_shapes(GRU_RECURRENT_KEYS, (h, h))
+
+    def _check_shapes(self, keys: Sequence[str], shape: tuple[int, ...]) -> None:
+        for key in keys:
+            if getattr(self, key).shape != shape:
+                raise ShapeError(f"{key} must have shape {shape}, "
                                  f"got {getattr(self, key).shape}")
 
     @property
@@ -72,11 +78,12 @@ class GruParams:
         return self.W_r.shape[1]
 
     def as_dict(self, prefix: str = "") -> ParamSet:
-        return {prefix + k: getattr(self, k) for k in GRU_KEYS}
+        return {prefix + k: getattr(self, k) for k in self.KEYS}
 
     @classmethod
-    def from_dict(cls, d: ParamSet, prefix: str = "") -> "GruParams":
-        return cls(**{k: np.asarray(d[prefix + k], dtype=np.float64) for k in GRU_KEYS})
+    def from_dict(cls, d: ParamSet, prefix: str = ""):
+        return cls(**{k: np.asarray(d[prefix + k], dtype=np.float64)
+                      for k in cls.KEYS})
 
 
 def init_gru_params(embed_dim: int, hidden_dim: int, seed) -> GruParams:
@@ -134,8 +141,8 @@ def gru_forward(A_r: np.ndarray, A_z: np.ndarray, A_h: np.ndarray,
     A_r, A_z, A_h are (T, hidden): every term of each gate's argument except
     the recurrent one, e.g. X @ W_r.T for the encoder and X @ W_r.T + C_r h_enc
     for a decoder.  Only the U_* products depend on the previous state, so
-    they are all that stays inside the time loop.  p is a GruParams or a
-    ConditionalGruParams; only its U_* matrices are read here.
+    they are all that stays inside the time loop.  Only p's U_* matrices are
+    read here.
     """
     T, hid = A_r.shape
     S = np.zeros((T + 1, hid))
@@ -251,10 +258,6 @@ def _check_tokens(tokens: Sequence[int], vocab_size: int) -> tuple[int, ...]:
     return ids
 
 
-def _run_direction(X: np.ndarray, p: GruParams) -> GruTrace:
-    return gru_forward(X @ p.W_r.T, X @ p.W_z.T, X @ p.W.T, p)
-
-
 @dataclass
 class EncoderCache:
     """Forward activations needed by encoder_backward."""
@@ -267,12 +270,13 @@ class EncoderCache:
 
 def _encode_embedded(X: np.ndarray, model: EncoderModel,
                      tokens: tuple[int, ...] = ()) -> tuple[np.ndarray, EncoderCache]:
-    fwd = _run_direction(X, model.forward)
-    if model.backward is None:
-        return fwd.h_final, EncoderCache(tokens=tokens, X=X, fwd=fwd, bwd=None)
-    bwd = _run_direction(X[::-1], model.backward)
-    vec = np.concatenate([fwd.h_final, bwd.h_final])
-    return vec, EncoderCache(tokens=tokens, X=X, fwd=fwd, bwd=bwd)
+    fwd, bwd = (None if p is None else
+                gru_forward(Xd @ p.W_r.T, Xd @ p.W_z.T, Xd @ p.W.T, p)
+                for p, Xd in ((model.forward, X), (model.backward, X[::-1])))
+    cache = EncoderCache(tokens=tokens, X=X, fwd=fwd, bwd=bwd)
+    if bwd is None:
+        return fwd.h_final, cache
+    return np.concatenate([fwd.h_final, bwd.h_final]), cache
 
 
 def encode_with_cache(tokens: Sequence[int],
@@ -300,23 +304,6 @@ def encode_vectors(X: np.ndarray, model: EncoderModel) -> np.ndarray:
     return vec
 
 
-def encode_combined(tokens: Sequence[int], uni: EncoderModel,
-                    bi: EncoderModel) -> np.ndarray:
-    """Concatenation of an unidirectional and a bidirectional encoding."""
-    if uni.vocab_size != bi.vocab_size:
-        raise ConfigError(f"encoders index different vocabularies "
-                          f"({uni.vocab_size} vs {bi.vocab_size} rows)")
-    return np.concatenate([encode(tokens, uni), encode(tokens, bi)])
-
-
-def _direction_backward(X: np.ndarray, trace: GruTrace, grad_h: np.ndarray,
-                        p: GruParams) -> GruGrads:
-    """BPTT through one direction whose only upstream gradient is on h^T."""
-    dH = np.zeros_like(trace.R)
-    dH[-1] = grad_h
-    return gru_backward(X, trace, dH, p)
-
-
 def encoder_backward(cache: EncoderCache, grad_output: np.ndarray,
                      model: EncoderModel) -> ParamSet:
     """Gradients of a scalar loss with upstream `grad_output` = dL/d(encoding).
@@ -335,13 +322,16 @@ def encoder_backward(cache: EncoderCache, grad_output: np.ndarray,
                          f"expected ({model.output_dim},)")
     hid = model.hidden_dim
     demb = np.zeros_like(model.embedding)
-    fwd = _direction_backward(cache.X, cache.fwd, grad_output[:hid], model.forward)
+    # Only the final state h^T gets gradient from outside the recurrence.
+    dH = np.zeros_like(cache.fwd.R)
+    dH[-1] = grad_output[:hid]
+    fwd = gru_backward(cache.X, cache.fwd, dH, model.forward)
     out: ParamSet = {"emb": demb}
     out.update({"enc." + k: v for k, v in fwd.params.items()})
     dX = fwd.dX
     if model.backward is not None:
-        bwd = _direction_backward(cache.X[::-1], cache.bwd, grad_output[hid:],
-                                  model.backward)
+        dH[-1] = grad_output[hid:]
+        bwd = gru_backward(cache.X[::-1], cache.bwd, dH, model.backward)
         out.update({"enc_rev." + k: v for k, v in bwd.params.items()})
         dX = dX + bwd.dX[::-1]
     # Sentences repeat token ids, so the rows must be scatter-added.

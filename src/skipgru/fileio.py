@@ -1,28 +1,116 @@
-"""Shared binary formats and hashing helpers.
+"""Binary file formats, crash-safe writes, and hashing helpers.
+
+Checkpoints, expansion maps and vector files are written through
+atomic_output: the bytes go to a temporary file in the destination's
+directory, which replaces the destination (os.replace) only once it is
+complete, and which is removed if the write fails.  A crash therefore leaves
+the old file or the new one, never a torn one.  There is no fsync: this
+guards against a crashed process, not against a lost machine.
+
+Checkpoints and vocabulary-expansion maps share one container layout:
+
+    magic (8 bytes) | version (uint32) | header length n (uint64) |
+    header (n bytes of canonical JSON) | float64 blobs | sha256 (32 bytes)
+
+All integers and floats are little-endian.  The JSON is canonical (sorted
+keys, no whitespace, ASCII) so identical content is identical bytes; the
+blobs are row-major arrays whose shapes the header determines; the sha256
+covers everything before it.
 
 Vector files hold a header of two little-endian uint32 words (count, dim)
 followed by row-major little-endian float32 rows; read_vectors widens them to
-float64.  JSON written here is canonical (sorted keys, no whitespace) so
-identical content is identical bytes.
+float64.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
+import struct
+from contextlib import contextmanager
+from itertools import chain
 
 import numpy as np
 
-from .errors import InputError
+from .errors import CheckpointError, InputError, SkipGruError
+
+_PREFIX = struct.Struct("<IQ")     # version, header length
+_DIGEST_LEN = 32
 
 
-def canonical_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+@contextmanager
+def atomic_output(path):
+    """Binary file handle whose contents replace `path` only on success."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def write_container(path, magic: bytes, version: int, header: dict,
+                    blobs) -> None:
+    """Write one container file; `blobs` yields arrays stored as float64.
+
+    Each blob is hashed and written as it comes, so the file is never held in
+    memory as a whole.
+    """
+    head = json.dumps(header, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=True).encode("ascii")
+    chunks = chain([magic + _PREFIX.pack(version, len(head)) + head],
+                   (np.ascontiguousarray(b, dtype="<f8") for b in blobs))
+    digest = hashlib.sha256()
+    with atomic_output(path) as fh:
+        for chunk in chunks:
+            digest.update(chunk)
+            fh.write(chunk)
+        fh.write(digest.digest())
 
 
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def read_container(path, magic: bytes, version: int, kind: str, parse):
+    """Read a write_container file; returns (meta, list of float64 arrays).
+
+    parse(header) returns what the caller keeps from the header and the shape
+    of each blob in file order; it raises ValueError, KeyError, TypeError or a
+    package error on a header it cannot use.  Length, magic, checksum,
+    version, header and exact blob length are all checked before anything is
+    returned; each failure is a CheckpointError that names `kind`.
+    """
+    with open(path, "rb") as fh:
+        raw = memoryview(fh.read())
+    start = len(magic) + _PREFIX.size
+    if len(raw) < start + _DIGEST_LEN:
+        raise CheckpointError(f"{path}: too short to be a {kind} file")
+    if raw[:len(magic)] != magic:
+        raise CheckpointError(f"{path}: bad magic bytes for a {kind} file")
+    if hashlib.sha256(raw[:-_DIGEST_LEN]).digest() != raw[-_DIGEST_LEN:]:
+        raise CheckpointError(f"{path}: {kind} checksum mismatch "
+                              f"(truncated or corrupt)")
+    found, head_len = _PREFIX.unpack_from(raw, len(magic))
+    if found != version:
+        raise CheckpointError(f"{path}: unsupported {kind} version {found}")
+    try:
+        header = json.loads(bytes(raw[start:start + head_len]).decode("ascii"))
+        meta, shapes = parse(header)
+        if any(d < 0 for shape in shapes for d in shape):
+            raise ValueError("negative blob dimension")
+    except (ValueError, KeyError, TypeError, SkipGruError) as exc:
+        raise CheckpointError(f"{path}: malformed {kind} header ({exc})") from exc
+    body = raw[start + head_len:-_DIGEST_LEN]
+    sizes = [math.prod(shape) for shape in shapes]
+    if len(body) != 8 * sum(sizes):
+        raise CheckpointError(f"{path}: {kind} blob section has {len(body)} "
+                              f"bytes, expected {8 * sum(sizes)}")
+    blobs = np.split(np.frombuffer(body, dtype="<f8"), np.cumsum(sizes)[:-1])
+    return meta, [b.reshape(shape).astype(np.float64)
+                  for b, shape in zip(blobs, shapes)]
 
 
 def sha256_path(path) -> str:
@@ -38,7 +126,7 @@ def write_vectors(path, vectors: np.ndarray) -> None:
     arr = np.ascontiguousarray(vectors, dtype="<f4")
     if arr.ndim != 2:
         raise InputError(f"vector file needs a 2-D array, got {arr.ndim}-D")
-    with open(path, "wb") as fh:
+    with atomic_output(path) as fh:
         fh.write(np.asarray(arr.shape, dtype="<u4").tobytes())
         fh.write(arr.tobytes())
 

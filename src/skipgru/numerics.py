@@ -20,8 +20,6 @@ from .errors import NumericError, ParameterError, ShapeError
 
 ParamSet = dict[str, np.ndarray]
 
-SeedLike = "int | tuple[int, ...] | np.random.Generator"
-
 
 def get_rng(seed) -> np.random.Generator:
     """Return a Generator for `seed`; Generators pass through unchanged."""
@@ -65,20 +63,6 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """log(softmax(logits)) computed without forming small exponentials."""
     z = logits - np.max(logits, axis=axis, keepdims=True)
     return z - np.log(np.sum(np.exp(z), axis=axis, keepdims=True))
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with explicit shape and finiteness checks."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    out = a @ b
-    if not np.all(np.isfinite(out)):
-        raise NumericError("matmul produced non-finite entries")
-    return out
 
 
 def orthogonal_init(rows: int, cols: int, seed) -> np.ndarray:

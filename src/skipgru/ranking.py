@@ -154,7 +154,6 @@ class RankTrainConfig:
     batch_size: int = 100
     learning_rate: float = 0.001
     seed: int = 0
-    recall_ks: tuple = DEFAULT_RECALL_KS
     dev_group_size: int = 1
 
     def __post_init__(self):
@@ -168,7 +167,6 @@ class RankTrainConfig:
 class RetrievalResult:
     recall_at: dict  # K -> percentage in [0, 100]
     median_rank: float
-    excluded: int = 0
 
 
 class RankTrainResult(NamedTuple):
@@ -243,12 +241,9 @@ def _ranks_of_best_truth(S: np.ndarray, truth: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _summarize(ranks: np.ndarray, ks: Sequence[int],
-               excluded: int) -> RetrievalResult:
+def _summarize(ranks: np.ndarray, ks: Sequence[int]) -> RetrievalResult:
     recall = {int(k): 100.0 * float(np.mean(ranks <= k)) for k in ks}
-    return RetrievalResult(recall_at=recall,
-                           median_rank=float(np.median(ranks)),
-                           excluded=excluded)
+    return RetrievalResult(recall_at=recall, median_rank=float(np.median(ranks)))
 
 
 def evaluate_retrieval(images: np.ndarray, captions: np.ndarray,
@@ -273,5 +268,4 @@ def evaluate_retrieval(images: np.ndarray, captions: np.ndarray,
     ann = _ranks_of_best_truth(S, ann_truth)
     sea_truth = [np.array([j // group_size]) for j in range(len(Y))]
     sea = _ranks_of_best_truth(S.T, sea_truth)
-    return {"annotation": _summarize(ann, ks, 0),
-            "search": _summarize(sea, ks, 0)}
+    return {"annotation": _summarize(ann, ks), "search": _summarize(sea, ks)}

@@ -14,11 +14,8 @@ run exactly.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import os
-import struct
 import time
 from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
@@ -26,13 +23,13 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import SentenceTriple, Vocabulary
-from .decoder import (ConditionalGruParams, DecoderPair, decoder_backward,
-                      init_decoder_pair, sentence_log_prob,
+from .decoder import (COND_KEYS, ConditionalGruParams, DecoderPair,
+                      decoder_backward, init_decoder_pair, sentence_log_prob,
                       sentence_log_prob_with_cache)
-from .encoder import (EncoderModel, GruParams, encode, encode_with_cache,
-                      encoder_backward, init_encoder)
-from .errors import CheckpointError, ConfigError, InputError, NumericError
-from .fileio import canonical_json
+from .encoder import (GRU_KEYS, EncoderModel, GruParams, encode,
+                      encode_with_cache, encoder_backward, init_encoder)
+from .errors import ConfigError, InputError, NumericError
+from .fileio import read_container, write_container
 from .numerics import (AdamState, ParamSet, adam_step, clip_gradients,
                        get_rng, global_norm, seed_tuple)
 
@@ -78,12 +75,11 @@ class TrainConfig:
 def param_order(config: TrainConfig) -> list[str]:
     """Canonical parameter names; also the checkpoint blob order."""
     names = ["emb"]
-    names += ["enc." + k for k in ("W_r", "W_z", "W", "U_r", "U_z", "U")]
+    names += ["enc." + k for k in GRU_KEYS]
     if config.mode == "bi":
-        names += ["enc_rev." + k for k in ("W_r", "W_z", "W", "U_r", "U_z", "U")]
-    dec_keys = ("W_r", "W_z", "W", "U_r", "U_z", "U", "C_r", "C_z", "C", "begin")
-    names += ["dec_next." + k for k in dec_keys]
-    names += ["dec_prev." + k for k in dec_keys]
+        names += ["enc_rev." + k for k in GRU_KEYS]
+    names += ["dec_next." + k for k in COND_KEYS]
+    names += ["dec_prev." + k for k in COND_KEYS]
     names.append("V")
     return names
 
@@ -181,7 +177,7 @@ def triple_grads(model: SkipGruModel,
     for k, v in g_enc.items():
         if k != "emb":
             grads[k] = v
-    for k in ("W_r", "W_z", "W", "U_r", "U_z", "U", "C_r", "C_z", "C", "begin"):
+    for k in COND_KEYS:
         grads["dec_next." + k] = g_next[k]
         grads["dec_prev." + k] = g_prev[k]
     grads["V"] = g_next["V"] + g_prev["V"]
@@ -324,85 +320,45 @@ def _truncate_metrics(path, step: int) -> None:
 
 
 def save_checkpoint(model: SkipGruModel, opt: AdamState, path) -> None:
-    """Magic, version, canonical-JSON header, float64 blobs, sha256 trailer.
+    """A fileio container: magic SKIPGRUC, the canonical-JSON header (config,
+    vocabulary, parameter names and shapes, Adam hyperparameters and step),
+    then the float64 blobs.
 
     Blob order: every parameter in declared order, then the Adam first-moment
     buffers, then the second-moment buffers.  Identical model state always
     produces identical bytes.
     """
     params = model.param_dict()
-    names = list(params)
     header = {
         "adam": {"alpha": opt.alpha, "beta1": opt.beta1, "beta2": opt.beta2,
                  "epsilon": opt.epsilon, "step": opt.step},
         "config": asdict(model.config),
-        "params": [[k, list(params[k].shape)] for k in names],
+        "params": [[k, list(v.shape)] for k, v in params.items()],
         "vocab": model.vocab.id_to_token,
     }
-    head = canonical_json(header)
-    body = bytearray()
-    body += CHECKPOINT_MAGIC
-    body += struct.pack("<I", CHECKPOINT_VERSION)
-    body += struct.pack("<Q", len(head))
-    body += head
-    for group in (params, opt.m, opt.v):
-        for k in names:
-            body += np.ascontiguousarray(group[k], dtype="<f8").tobytes()
-    body += hashlib.sha256(bytes(body)).digest()
-    with open(path, "wb") as fh:
-        fh.write(bytes(body))
+    write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header,
+                    (group[k] for group in (params, opt.m, opt.v) for k in params))
+
+
+def _parse_checkpoint_header(header):
+    config = TrainConfig(**header["config"])
+    names = [str(k) for k, _ in header["params"]]
+    if names != param_order(config):
+        raise ValueError("parameter list does not match the config")
+    adam = header["adam"]
+    opt_fields = {k: float(adam[k]) for k in ("alpha", "beta1", "beta2", "epsilon")}
+    opt_fields["step"] = int(adam["step"])
+    shapes = [tuple(int(s) for s in shape) for _, shape in header["params"]]
+    meta = (config, Vocabulary(list(header["vocab"])), names, opt_fields)
+    return meta, shapes * 3
 
 
 def load_checkpoint(path) -> tuple[SkipGruModel, AdamState]:
     """Inverse of save_checkpoint; never returns a partially restored model."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < len(CHECKPOINT_MAGIC) + 12 + 32:
-        raise CheckpointError(f"{path}: file too short to be a checkpoint")
-    if raw[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic bytes")
-    if hashlib.sha256(raw[:-32]).digest() != raw[-32:]:
-        raise CheckpointError(f"{path}: checksum mismatch (truncated or corrupt)")
-    off = len(CHECKPOINT_MAGIC)
-    (version,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    (head_len,) = struct.unpack_from("<Q", raw, off)
-    off += 8
-    try:
-        header = json.loads(raw[off:off + head_len].decode("ascii"))
-        off += head_len
-        config = TrainConfig(**header["config"])
-        vocab = Vocabulary(list(header["vocab"]))
-        entries = [(str(k), tuple(int(s) for s in shape))
-                   for k, shape in header["params"]]
-    except (ValueError, KeyError, TypeError, ConfigError, InputError) as exc:
-        raise CheckpointError(f"{path}: malformed header ({exc})") from exc
-    if [k for k, _ in entries] != param_order(config):
-        raise CheckpointError(f"{path}: parameter list does not match the config")
-
-    def read_group():
-        nonlocal off
-        group: ParamSet = {}
-        for k, shape in entries:
-            count = int(np.prod(shape)) if shape else 1
-            end = off + count * 8
-            if end > len(raw) - 32:
-                raise CheckpointError(f"{path}: blob section truncated")
-            arr = np.frombuffer(raw[off:end], dtype="<f8").reshape(shape).copy()
-            group[k] = arr
-            off = end
-        return group
-
-    params = read_group()
-    m = read_group()
-    v = read_group()
-    if off != len(raw) - 32:
-        raise CheckpointError(f"{path}: trailing bytes after parameter blobs")
+    (config, vocab, names, opt_fields), blobs = read_container(
+        path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint",
+        _parse_checkpoint_header)
+    n = len(names)
+    params, m, v = (dict(zip(names, blobs[i * n:(i + 1) * n])) for i in range(3))
     model = model_from_params(config, vocab, params)
-    adam = header["adam"]
-    opt = AdamState(step=int(adam["step"]), m=m, v=v, alpha=float(adam["alpha"]),
-                    beta1=float(adam["beta1"]), beta2=float(adam["beta2"]),
-                    epsilon=float(adam["epsilon"]))
-    return model, opt
+    return model, AdamState(m=m, v=v, **opt_fields)

@@ -10,9 +10,6 @@ each stage.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import struct
 import warnings
 from dataclasses import dataclass, field
 
@@ -20,8 +17,8 @@ import numpy as np
 
 from .corpus import Vocabulary, tokenize
 from .encoder import encode_vectors
-from .errors import CheckpointError, ConfigError, InputError, ShapeError
-from .fileio import canonical_json
+from .errors import ConfigError, InputError, ShapeError
+from .fileio import read_container, write_container
 from .trainer import SkipGruModel
 
 
@@ -181,11 +178,16 @@ def encode_text(sentence: str, model: SkipGruModel,
     return encode_vectors(X, model.encoder)
 
 
-def _cosine_to_bank(q: np.ndarray, bank: np.ndarray) -> np.ndarray:
+def cosine_top_k(q: np.ndarray, bank: np.ndarray,
+                 k: int) -> list[tuple[int, float]]:
+    """(row, cosine similarity) of the k rows of `bank` most similar to q,
+    best first; ties keep row order.  A zero vector has similarity 0."""
     qn = float(np.linalg.norm(q))
     norms = np.linalg.norm(bank, axis=1)
     denom = np.where(norms == 0.0, 1.0, norms) * (qn if qn > 0 else 1.0)
-    return (bank @ q) / denom
+    sims = (bank @ q) / denom
+    order = np.argsort(-sims, kind="stable")[:max(k, 0)]
+    return [(int(i), float(sims[i])) for i in order]
 
 
 def nearest_words(query: str, lookup: ExpandedLookup,
@@ -197,9 +199,7 @@ def nearest_words(query: str, lookup: ExpandedLookup,
         raise InputError(f"query {query!r} is in neither vocabulary")
     candidates = [t for t in lookup.all_tokens() if t != query]
     bank = np.vstack([lookup.vector(t) for t in candidates])
-    sims = _cosine_to_bank(qvec, bank)
-    order = np.argsort(-sims, kind="stable")[:max(k, 0)]
-    return [(candidates[i], float(sims[i])) for i in order]
+    return [(candidates[i], sim) for i, sim in cosine_top_k(qvec, bank, k)]
 
 
 @dataclass
@@ -221,9 +221,8 @@ def nearest_sentences(query: str, model: SkipGruModel, bank: SentenceBank,
     if len(bank.sentences) == 0:
         raise InputError("sentence bank is empty")
     q = encode_text(query, model, lookup)
-    sims = _cosine_to_bank(q, bank.vectors)
-    order = np.argsort(-sims, kind="stable")[:max(k, 0)]
-    return [(bank.sentences[i], float(sims[i])) for i in order]
+    return [(bank.sentences[i], sim)
+            for i, sim in cosine_top_k(q, bank.vectors, k)]
 
 
 EXPANSION_MAGIC = b"SKIPGRUX"
@@ -232,8 +231,8 @@ EXPANSION_VERSION = 1
 
 def write_expansion(map: ExpansionMap, ext: ExternalEmbeddings, path) -> None:
     """Self-contained map file: the fitted W plus the external tokens and
-    vectors it applies to, with a sha256 trailer.  Same layout discipline as
-    checkpoints: magic, version, canonical-JSON header, float64 blobs."""
+    vectors it applies to, as a fileio container (magic SKIPGRUX) whose
+    blobs are W, then the external vectors."""
     header = {
         "ext_dim": int(ext.dim),
         "rank_deficient": bool(map.rank_deficient),
@@ -242,52 +241,22 @@ def write_expansion(map: ExpansionMap, ext: ExternalEmbeddings, path) -> None:
         "shared_count": int(map.shared_count),
         "tokens": ext.tokens,
     }
-    head = canonical_json(header)
-    body = bytearray()
-    body += EXPANSION_MAGIC
-    body += struct.pack("<I", EXPANSION_VERSION)
-    body += struct.pack("<Q", len(head))
-    body += head
-    body += np.ascontiguousarray(map.W, dtype="<f8").tobytes()
-    body += np.ascontiguousarray(ext.vectors, dtype="<f8").tobytes()
-    body += hashlib.sha256(bytes(body)).digest()
-    with open(path, "wb") as fh:
-        fh.write(bytes(body))
+    write_container(path, EXPANSION_MAGIC, EXPANSION_VERSION, header,
+                    (map.W, ext.vectors))
+
+
+def _parse_expansion_header(header):
+    tokens = [str(t) for t in header["tokens"]]
+    rnn_dim, ext_dim = int(header["rnn_dim"]), int(header["ext_dim"])
+    fit = {"shared_count": int(header["shared_count"]),
+           "residual_rms": float(header["residual_rms"]),
+           "rank_deficient": bool(header["rank_deficient"])}
+    return (tokens, fit), [(rnn_dim, ext_dim), (len(tokens), ext_dim)]
 
 
 def read_expansion(path) -> tuple[ExpansionMap, ExternalEmbeddings]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < len(EXPANSION_MAGIC) + 12 + 32:
-        raise CheckpointError(f"{path}: file too short to be an expansion map")
-    if raw[:len(EXPANSION_MAGIC)] != EXPANSION_MAGIC:
-        raise CheckpointError(f"{path}: bad magic bytes")
-    if hashlib.sha256(raw[:-32]).digest() != raw[-32:]:
-        raise CheckpointError(f"{path}: checksum mismatch (truncated or corrupt)")
-    off = len(EXPANSION_MAGIC)
-    (version,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    if version != EXPANSION_VERSION:
-        raise CheckpointError(f"{path}: unsupported expansion-map version {version}")
-    (head_len,) = struct.unpack_from("<Q", raw, off)
-    off += 8
-    try:
-        header = json.loads(raw[off:off + head_len].decode("ascii"))
-        off += head_len
-        tokens = [str(t) for t in header["tokens"]]
-        rnn_dim, ext_dim = int(header["rnn_dim"]), int(header["ext_dim"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CheckpointError(f"{path}: malformed header ({exc})") from exc
-    need = (rnn_dim * ext_dim + len(tokens) * ext_dim) * 8
-    if len(raw) - 32 - off != need:
-        raise CheckpointError(f"{path}: blob section has the wrong length")
-    W = np.frombuffer(raw[off:off + rnn_dim * ext_dim * 8],
-                      dtype="<f8").reshape(rnn_dim, ext_dim).copy()
-    off += rnn_dim * ext_dim * 8
-    vectors = np.frombuffer(raw[off:len(raw) - 32],
-                            dtype="<f8").reshape(len(tokens), ext_dim).copy()
+    (tokens, fit), (W, vectors) = read_container(
+        path, EXPANSION_MAGIC, EXPANSION_VERSION, "expansion-map",
+        _parse_expansion_header)
     ext = ExternalEmbeddings(tokens=tokens, vectors=vectors)
-    map = ExpansionMap(W=W, shared_count=int(header["shared_count"]),
-                       residual_rms=float(header["residual_rms"]),
-                       rank_deficient=bool(header["rank_deficient"]))
-    return map, ext
+    return ExpansionMap(W=W, **fit), ext

@@ -11,12 +11,12 @@ import time
 
 import numpy as np
 
-from skipgru.cli import generate_story, main
+from skipgru.cli import _encode_lines, generate_story, main
 from skipgru.corpus import SentenceTriple
 from skipgru.decoder import (ConditionalGruParams, decoder_backward,
                              sentence_log_prob, sentence_log_prob_with_cache)
-from skipgru.encoder import (EncoderModel, encode, encode_combined,
-                             encode_with_cache, encoder_backward)
+from skipgru.encoder import (EncoderModel, encode, encode_with_cache,
+                             encoder_backward)
 from skipgru.numerics import finite_diff_check
 from skipgru.probes import (fit_relatedness, logreg_objective, pair_features,
                             pearson, predict_scores, score_to_distribution,
@@ -387,7 +387,8 @@ def test_criterion_7_bidirectional(rng):
                             forward=bi.encoder.forward)
     assert np.array_equal(vec_bi[:hidden], encode(tokens, fwd_only))
 
-    combined = encode_combined(tokens, uni.encoder, bi.encoder)
+    # Combine mode concatenates the two models' vectors for the same line.
+    combined = _encode_lines(["w2 w6 w3 w7"], [uni, bi], [None, None])[0]
     assert combined.shape == (uni.encoder.output_dim + bi.encoder.output_dim,)
     assert np.array_equal(combined[:4], encode(tokens, uni.encoder))
     assert np.array_equal(combined[4:], vec_bi)

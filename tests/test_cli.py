@@ -11,9 +11,10 @@ import struct
 import numpy as np
 import pytest
 
-from skipgru.cli import main
+from skipgru.cli import _encode_lines, main
 from skipgru.fileio import read_vectors
 from skipgru.trainer import load_checkpoint
+from skipgru.vocab_expansion import encode_text
 
 CORPUS = """\
 the cat sat on the mat .
@@ -183,6 +184,34 @@ def test_encode_combine_concatenates(ws, tmp_path):
     assert np.array_equal(c[:, 6:], b)
 
 
+def test_encode_lines_concatenates_two_models(ws):
+    uni, _ = load_checkpoint(ws["ckpt"])
+    bi, _ = load_checkpoint(ws["bi"])
+    lines = ["the cat sat .", "a bird flew ."]
+    vecs = _encode_lines(lines, [uni, bi], [None, None])
+    assert vecs.shape == (2, 14)                          # 6 + 2*4
+    for row, line in zip(vecs, lines):
+        assert np.array_equal(row[:6], encode_text(line, uni))
+        assert np.array_equal(row[6:], encode_text(line, bi))
+
+
+def test_encode_ckpt2_vocab_mismatch_exit_2(ws, tmp_path, capsys):
+    vocab = tmp_path / "v10.txt"
+    assert main(["build-vocab", "--corpus", str(ws["corpus"]), "--size", "10",
+                 "--out", str(vocab)]) == 0
+    other = tmp_path / "other.ckpt"
+    assert main(["train", "--corpus", str(ws["corpus"]), "--vocab", str(vocab),
+                 "--embed-dim", "5", "--hidden-dim", "4", "--steps", "0",
+                 "--out", str(other)]) == 0
+    inp = tmp_path / "in.txt"
+    inp.write_text("the cat sat .\n")
+    capsys.readouterr()
+    assert main(["encode", "--ckpt", str(ws["ckpt"]), "--ckpt2", str(other),
+                 "--input", str(inp), "--out", str(tmp_path / "v.bin")]) == 2
+    assert "different vocabularies" in capsys.readouterr().err
+    assert not (tmp_path / "v.bin").exists()
+
+
 def test_encode_rerun_byte_identical(ws, tmp_path):
     inp = tmp_path / "in.txt"
     inp.write_text("the cat sat .\nthe dog ran .\n")
@@ -269,6 +298,19 @@ def test_nn_sent_query_ranked_first(ws, tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     first_sim, first_sent = lines[0].split("\t", 1)
     assert first_sent == "the dog ran ."
+    assert abs(float(first_sim) - 1.0) < 1e-6
+
+
+def test_nn_sent_two_models_query_ranked_first(ws, tmp_path, capsys):
+    bank = tmp_path / "bank.txt"
+    bank.write_text("the cat sat .\nthe dog ran .\na bird flew .\n")
+    assert main(["nn-sent", "--ckpt", str(ws["ckpt"]), "--ckpt2", str(ws["bi"]),
+                 "--bank", str(bank), "--query", "a bird flew .",
+                 "--k", "3"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 3
+    first_sim, first_sent = lines[0].split("\t", 1)
+    assert first_sent == "a bird flew ."
     assert abs(float(first_sim) - 1.0) < 1e-6
 
 

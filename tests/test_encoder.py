@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_model, make_vocab, randomize_params
-from skipgru.encoder import (EncoderModel, GruParams, encode, encode_combined,
+from skipgru.encoder import (EncoderModel, GruParams, encode,
                              encode_with_cache, encoder_backward, gru_step,
                              init_encoder, init_gru_params)
-from skipgru.errors import ConfigError, InputError, RangeError, ShapeError
+from skipgru.errors import InputError, RangeError, ShapeError
 from skipgru.numerics import finite_diff_check
 from skipgru.trainer import model_from_params
 
@@ -165,25 +165,6 @@ def test_bi_forward_half_equals_uni_with_same_parameters():
     tokens = (4, 2, 7, 0)
     assert np.array_equal(encode(tokens, bi.encoder)[:2],
                           encode(tokens, uni_enc))
-
-
-def test_encode_combined_dimensions_and_slices():
-    uni = randomize_params(make_model(vocab_size=8, embed_dim=3, hidden_dim=4),
-                           seed=1)
-    bi = randomize_params(make_model(vocab_size=8, embed_dim=3, hidden_dim=2,
-                                     mode="bi"), seed=2)
-    tokens = (3, 5, 0)
-    vec = encode_combined(tokens, uni.encoder, bi.encoder)
-    assert vec.shape == (8,)                      # 4 + 2*2
-    assert np.array_equal(vec[:4], encode(tokens, uni.encoder))
-    assert np.array_equal(vec[4:], encode(tokens, bi.encoder))
-
-
-def test_encode_combined_vocab_mismatch():
-    uni = make_model(vocab_size=8)
-    bi = make_model(vocab_size=6, mode="bi")
-    with pytest.raises(ConfigError):
-        encode_combined((2, 0), uni.encoder, bi.encoder)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Numeric core: init schemes, clipping, Adam, the finite-difference checker.
 
-Derived-value oracles used here: a naive triple-loop matrix product, scalar
-hand computations of the Adam update, and closed-form derivatives for the
-finite-difference checker's own sanity cases.
+Derived-value oracles used here: scalar hand computations of the Adam update,
+and closed-form derivatives for the finite-difference checker's own sanity
+cases.
 """
 
 import numpy as np
@@ -13,38 +13,8 @@ from hypothesis import strategies as st
 from skipgru.errors import NumericError, ParameterError, ShapeError
 from skipgru.numerics import (AdamState, adam_step, clip_gradients,
                               finite_diff_check, get_rng, global_norm,
-                              log_softmax, matmul, orthogonal_init, seed_tuple,
+                              log_softmax, orthogonal_init, seed_tuple,
                               sigmoid, softmax, uniform_init)
-
-
-# ---------------------------------------------------------------------------
-# matmul
-# ---------------------------------------------------------------------------
-
-def test_matmul_identity():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(matmul(np.eye(2), a), a)
-
-
-def test_matmul_hand_case():
-    out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-    assert out.shape == (1, 1) and out[0, 0] == 11.0
-
-
-def test_matmul_against_triple_loop(rng):
-    a = rng.normal(size=(5, 7))
-    b = rng.normal(size=(7, 3))
-    want = np.zeros((5, 3))
-    for i in range(5):
-        for j in range(3):
-            for k in range(7):
-                want[i, j] += a[i, k] * b[k, j]
-    assert np.max(np.abs(matmul(a, b) - want)) < 1e-12
-
-
-def test_matmul_shape_error():
-    with pytest.raises(ShapeError):
-        matmul(np.zeros((2, 3)), np.zeros((4, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,14 @@
 
 Oracles: the composition encode -> sentence_log_prob recomputed in the test,
 uniform-model closed-form losses, finite differences for the joint gradient,
-and byte-level file comparison for checkpoint round trips.
+and byte-level file comparison for checkpoint and expansion-map round trips,
+including files committed under tests/data by an earlier version.
 """
 
 import dataclasses
+import hashlib
+import pathlib
+import struct
 
 import numpy as np
 import pytest
@@ -22,6 +26,10 @@ from skipgru.trainer import (METRICS_HEADER, TrainConfig, load_checkpoint,
                              make_optimizer, model_from_params, param_order,
                              save_checkpoint, train, train_step, triple_grads,
                              triple_loss)
+from skipgru.vocab_expansion import (ExpansionMap, ExternalEmbeddings,
+                                     read_expansion, write_expansion)
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def small_triple():
@@ -281,32 +289,152 @@ def test_checkpoint_roundtrip_byte_identical(tmp_path, rng):
     assert m2.vocab.id_to_token == res.model.vocab.id_to_token
 
 
-def test_checkpoint_truncation_detected(tmp_path):
+# The damaged-file tests run over both container kinds: a checkpoint and an
+# expansion map, written and read through the same fileio container.
+
+def _saved_containers(tmp_path):
+    """(path, loader, kind name) for one fresh file of each container kind."""
     m = make_model(vocab_size=6)
-    path = tmp_path / "c.ckpt"
-    save_checkpoint(m, make_optimizer(m), path)
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-5])
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path)
+    ckpt, xmap = tmp_path / "c.ckpt", tmp_path / "x.map"
+    save_checkpoint(m, make_optimizer(m), ckpt)
+    ext = ExternalEmbeddings(tokens=["w2", "w3", "x4"],
+                             vectors=np.arange(6.0).reshape(3, 2))
+    write_expansion(ExpansionMap(W=np.ones((3, 2)), shared_count=2,
+                                 residual_rms=0.5), ext, xmap)
+    return [(ckpt, load_checkpoint, "checkpoint"),
+            (xmap, read_expansion, "expansion-map")]
+
+
+def _assert_rejected(path, load, kind):
+    with pytest.raises(CheckpointError) as exc:
+        load(path)
+    where, _, why = str(exc.value).partition(": ")
+    assert where == str(path) and kind in why
+
+
+def _resealed(body: bytes) -> bytes:
+    return body + hashlib.sha256(body).digest()
+
+
+def test_checkpoint_truncation_detected(tmp_path):
+    for path, load, kind in _saved_containers(tmp_path):
+        path.write_bytes(path.read_bytes()[:-5])
+        _assert_rejected(path, load, kind)
 
 
 def test_checkpoint_corruption_detected(tmp_path):
-    m = make_model(vocab_size=6)
-    path = tmp_path / "c.ckpt"
-    save_checkpoint(m, make_optimizer(m), path)
-    blob = bytearray(path.read_bytes())
-    blob[len(blob) // 2] ^= 0xFF
-    path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path)
+    for path, load, kind in _saved_containers(tmp_path):
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        _assert_rejected(path, load, kind)
 
 
 def test_checkpoint_bad_magic(tmp_path):
-    path = tmp_path / "c.ckpt"
-    path.write_bytes(b"NOTACKPT" + b"\0" * 64)
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path)
+    for path, load, kind in _saved_containers(tmp_path):
+        path.write_bytes(b"NOTACKPT" + b"\0" * 64)
+        _assert_rejected(path, load, kind)
+
+
+def test_container_unsupported_version(tmp_path):
+    # A valid checksum over a version this code does not know.
+    for path, load, kind in _saved_containers(tmp_path):
+        body = bytearray(path.read_bytes()[:-32])
+        body[8:12] = struct.pack("<I", 2)
+        path.write_bytes(_resealed(bytes(body)))
+        _assert_rejected(path, load, kind)
+
+
+def test_container_trailing_bytes(tmp_path):
+    # One extra float64 after the last blob, under a valid checksum.
+    for path, load, kind in _saved_containers(tmp_path):
+        path.write_bytes(_resealed(path.read_bytes()[:-32] + b"\0" * 8))
+        _assert_rejected(path, load, kind)
+
+
+def test_committed_files_resave_to_identical_bytes(tmp_path):
+    # tests/data holds files written before the container moved into fileio.
+    model, opt = load_checkpoint(DATA / "tiny.ckpt")
+    save_checkpoint(model, opt, tmp_path / "tiny.ckpt")
+    emap, ext = read_expansion(DATA / "tiny.map")
+    write_expansion(emap, ext, tmp_path / "tiny.map")
+    for name in ("tiny.ckpt", "tiny.map"):
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes()
+
+
+def test_committed_checkpoint_matches_fresh_init():
+    model, opt = load_checkpoint(DATA / "tiny.ckpt")
+    c = model.config
+    assert (c.vocab_size, c.embed_dim, c.hidden_dim, c.mode) == (6, 3, 4, "uni")
+    assert opt.step == 0
+    fresh = trainer.SkipGruModel.init(model.vocab, c).param_dict()
+    saved = model.param_dict()
+    assert list(saved) == list(fresh)
+    assert all(np.max(np.abs(saved[k] - fresh[k])) <= 1e-12 for k in saved)
+
+
+class _Crash(Exception):
+    pass
+
+
+def test_crash_mid_checkpoint_write_keeps_previous_file(tmp_path, rng,
+                                                      monkeypatch):
+    # The step-6 save fails after the parameter blobs are written: the step-3
+    # checkpoint must survive unchanged, and resuming from it must reproduce
+    # an uninterrupted run.
+    triples = [random_triple(6, rng) for _ in range(8)]
+
+    def fresh():
+        return make_model(vocab_size=6, batch_size=2, max_steps=9,
+                          checkpoint_every=3, seed=14)
+
+    straight_csv = tmp_path / "straight.csv"
+    straight = train(fresh(), triples, metrics_path=straight_csv)
+
+    run = tmp_path / "run"
+    run.mkdir()
+    ckpt, metrics = run / "c.ckpt", run / "m.csv"
+    real_step = trainer.train_step
+    seen = {}
+
+    class CrashingMoments(dict):
+        # Adam's first moments are the second blob group: by the time one is
+        # read, the header and every parameter blob have gone to the open
+        # temp file.
+        def __getitem__(self, key):
+            seen["partial"] = [p.name for p in run.iterdir()
+                               if p.name.endswith(".tmp")]
+            raise _Crash
+
+    def crash_on_step_6_save(model, batch, opt, config):
+        if opt.step == 5:
+            seen["saved"] = ckpt.read_bytes()
+            res = real_step(model, batch, opt, config)
+            return res._replace(opt=dataclasses.replace(
+                res.opt, m=CrashingMoments(res.opt.m)))
+        return real_step(model, batch, opt, config)
+
+    monkeypatch.setattr(trainer, "train_step", crash_on_step_6_save)
+    with pytest.raises(_Crash):
+        train(fresh(), triples, metrics_path=metrics, checkpoint_path=ckpt)
+    monkeypatch.undo()
+    assert len(seen["partial"]) == 1
+    assert ckpt.read_bytes() == seen["saved"]
+    assert sorted(p.name for p in run.iterdir()) == ["c.ckpt", "m.csv"]
+
+    model, opt = load_checkpoint(ckpt)
+    assert opt.step == 3
+    resumed = train(model, triples, opt=opt, metrics_path=metrics,
+                    checkpoint_path=ckpt)
+    a, b = straight.model.param_dict(), resumed.model.param_dict()
+    assert all(np.array_equal(a[k], b[k]) for k in a)
+
+    def without_wall_ms(path):
+        return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+    rows = without_wall_ms(metrics)
+    assert [r.split(",")[0] for r in rows[1:]] == [str(i) for i in range(1, 10)]
+    assert rows == without_wall_ms(straight_csv)
 
 
 def test_resume_equivalence(tmp_path, rng):
