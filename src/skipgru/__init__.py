@@ -3,7 +3,7 @@ conditional GRU decoders can reconstruct the sentences surrounding each
 training sentence, plus vocabulary expansion and linear evaluation tooling.
 
 Modules:
-    numerics         float64 linear algebra, Adam, clipping, gradient checks
+    numerics         float64 linear algebra, Adam, gradient clipping
     corpus           tokenization, vocabularies, sentence-triple streams
     encoder          uni/bi GRU sentence encoder; the GRU kernel with manual backprop
     decoder          conditional GRU language models over neighbor sentences

@@ -107,35 +107,32 @@ def _parse_l2_grid(raw: str) -> tuple:
 
 
 def _load_models(args):
-    """Primary checkpoint, optional second one (combine mode), and their
-    expansion lookups.  Returns (models, lookups, variant_name)."""
-    model, _ = trainer.load_checkpoint(args.ckpt)
-    models = [model]
-    if getattr(args, "ckpt2", None):
-        model2, _ = trainer.load_checkpoint(args.ckpt2)
-        if model2.vocab.id_to_token != model.vocab.id_to_token:
-            raise ConfigError("--ckpt and --ckpt2 use different vocabularies")
-        models.append(model2)
+    """One expansion lookup per checkpoint (--ckpt, and --ckpt2 in combine
+    mode), each with its map if one is given.  Returns (lookups, variant)."""
+    models = [trainer.load_checkpoint(path)[0]
+              for path in (args.ckpt, getattr(args, "ckpt2", None)) if path]
+    if len(models) == 2 and (models[1].vocab.id_to_token
+                             != models[0].vocab.id_to_token):
+        raise ConfigError("--ckpt and --ckpt2 use different vocabularies")
     lookups = []
     for m, path in zip(models, [getattr(args, "expansion", None),
                                 getattr(args, "expansion2", None)]):
+        emap = ext = None
         if path:
             emap, ext = vocab_expansion.read_expansion(path)
-            lookups.append(vocab_expansion.expand(m, ext, emap))
-        else:
-            lookups.append(None)
+        lookups.append(vocab_expansion.ExpandedLookup(m, ext, emap))
     variant = "combine" if len(models) == 2 else models[0].config.mode
-    return models, lookups, variant
+    return lookups, variant
 
 
-def _encode_lines(lines, models, lookups) -> np.ndarray:
+def _encode_lines(lines, lookups) -> np.ndarray:
     cache: dict[str, np.ndarray] = {}
     rows = []
     for line in lines:
         if line not in cache:
             cache[line] = np.concatenate([
-                vocab_expansion.encode_text(line, m, lk)
-                for m, lk in zip(models, lookups)])
+                vocab_expansion.encode_text(line, lk.model, lk)
+                for lk in lookups])
         rows.append(cache[line])
     return np.vstack(rows)
 
@@ -206,16 +203,16 @@ def cmd_train(args) -> dict:
 
 
 def cmd_encode(args) -> None:
-    models, lookups, _ = _load_models(args)
+    lookups, _ = _load_models(args)
     lines = _read_lines(args.input)
-    for m, lk in zip(models, lookups):
-        if lk is None:
-            oov = sum(t not in m.vocab for line in lines
+    for lk in lookups:
+        if lk.map is None:
+            oov = sum(t not in lk.model.vocab for line in lines
                       for t in corpus.tokenize(line))
             if oov:
                 print(f"warning: {oov} out-of-vocabulary token(s) fell back "
                       f"to unk (no expansion map given)", file=sys.stderr)
-    vectors = _encode_lines(lines, models, lookups)
+    vectors = _encode_lines(lines, lookups)
     write_vectors(args.out, vectors)
     if args.text_out:
         with open(args.text_out, "w", encoding="utf-8") as fh:
@@ -239,49 +236,38 @@ def cmd_expand(args) -> None:
                      sort_keys=True))
 
 
-def _native_only_lookup(model) -> vocab_expansion.ExpandedLookup:
-    """Lookup over just the training vocabulary (no expansion map given)."""
-    ext = vocab_expansion.ExternalEmbeddings(
-        tokens=[], vectors=np.zeros((0, 1)))
-    emap = vocab_expansion.ExpansionMap(
-        W=np.zeros((model.config.embed_dim, 1)), shared_count=0,
-        residual_rms=0.0)
-    return vocab_expansion.ExpandedLookup(model=model, ext=ext, map=emap)
-
-
 def cmd_nn_word(args) -> None:
-    models, lookups, _ = _load_models(args)
-    lookup = lookups[0] or _native_only_lookup(models[0])
+    [lookup], _ = _load_models(args)
     for token, sim in vocab_expansion.nearest_words(args.query, lookup, args.k):
         print(f"{token}\t{sim:.6f}")
 
 
 def cmd_nn_sent(args) -> None:
-    models, lookups, _ = _load_models(args)
+    lookups, _ = _load_models(args)
     lines = [line for line in _read_lines(args.bank) if line.strip()]
     if not lines:
         raise InputError(f"{args.bank}: no sentences")
-    vectors = _encode_lines(lines, models, lookups)
-    query = _encode_lines([args.query], models, lookups)[0]
+    vectors = _encode_lines(lines, lookups)
+    query = _encode_lines([args.query], lookups)[0]
     for i, sim in vocab_expansion.cosine_top_k(query, vectors, args.k):
         print(f"{sim:.6f}\t{lines[i]}")
 
 
-def _read_pair_features(path, models, lookups) -> tuple[np.ndarray, np.ndarray]:
+def _read_pair_features(path, lookups) -> tuple[np.ndarray, np.ndarray]:
     """Pair features and gold values of one sentence-pair file."""
     left, right, gold = probes.read_pair_dataset(path)
     uniq = sorted(set(left) | set(right))
-    vecs = _encode_lines(uniq, models, lookups)
+    vecs = _encode_lines(uniq, lookups)
     index = {s: i for i, s in enumerate(uniq)}
     return np.vstack([probes.pair_features(vecs[index[a]], vecs[index[b]])
                       for a, b in zip(left, right)]), gold
 
 
 def cmd_eval_sick(args) -> dict:
-    models, lookups, variant = _load_models(args)
+    lookups, variant = _load_models(args)
     grid = _parse_l2_grid(args.l2_grid)
-    Xtr, ytr = _read_pair_features(args.train, models, lookups)
-    Xte, yte = _read_pair_features(args.test, models, lookups)
+    Xtr, ytr = _read_pair_features(args.train, lookups)
+    Xte, yte = _read_pair_features(args.test, lookups)
     best = probes.select_l2_relatedness(Xtr, ytr, args.folds, grid, args.seed)
     probe = probes.fit_relatedness(Xtr, ytr, best)
     pred = probes.predict_scores(probe, Xte)
@@ -298,10 +284,10 @@ def cmd_eval_sick(args) -> dict:
 
 
 def cmd_eval_paraphrase(args) -> dict:
-    models, lookups, variant = _load_models(args)
+    lookups, variant = _load_models(args)
     grid = _parse_l2_grid(args.l2_grid)
-    Xtr, ytr = _read_pair_features(args.train, models, lookups)
-    Xte, yte = _read_pair_features(args.test, models, lookups)
+    Xtr, ytr = _read_pair_features(args.train, lookups)
+    Xte, yte = _read_pair_features(args.test, lookups)
     ytr_i, yte_i = ytr.astype(int), yte.astype(int)
     best = probes.select_l2(Xtr, ytr_i, args.folds, grid, args.seed)
     probe = probes.fit_logreg(Xtr, ytr_i, best, n_classes=int(ytr_i.max()) + 1)
@@ -314,10 +300,10 @@ def cmd_eval_paraphrase(args) -> dict:
 
 
 def cmd_eval_classify(args) -> dict:
-    models, lookups, variant = _load_models(args)
+    lookups, variant = _load_models(args)
     grid = _parse_l2_grid(args.l2_grid)
     labels, sentences, names = probes.read_label_dataset(args.data)
-    X = _encode_lines(sentences, models, lookups)
+    X = _encode_lines(sentences, lookups)
     res = probes.cross_validate(X, labels, args.folds, grid, args.seed,
                                 threads=_threads())
     rows = [("classify", variant, "accuracy", res["mean_accuracy"]),
@@ -329,14 +315,14 @@ def cmd_eval_classify(args) -> dict:
 
 
 def cmd_eval_rank(args) -> dict:
-    models, lookups, _ = _load_models(args)
+    lookups, _ = _load_models(args)
     X = read_vectors(args.images)
     captions = _read_lines(args.captions)
     g = args.group_size
     if len(captions) != len(X) * g:
         raise InputError(f"{len(X)} images need {len(X) * g} caption lines "
                          f"({g} per image), found {len(captions)}")
-    Y = _encode_lines(captions, models, lookups)
+    Y = _encode_lines(captions, lookups)
     n = len(X)
     n_train, n_dev = args.train_items, args.dev_items
     if n_train + n_dev > n:
@@ -412,13 +398,11 @@ def generate_story(model, seed_sentence: str, n_sentences: int,
 
 
 def cmd_generate(args) -> dict:
-    models, lookups, _ = _load_models(args)
-    model = models[0]
-    story = generate_story(model, args.seed_sentence, args.sentences,
-                           args.temperature, args.seed, args.max_len,
-                           lookups[0])
+    [lookup], _ = _load_models(args)
+    story = generate_story(lookup.model, args.seed_sentence, args.sentences,
+                           args.temperature, args.seed, args.max_len, lookup)
     for ids in story:
-        print(corpus.detokenize(model.vocab.tokens_for(ids[:-1])))
+        print(corpus.detokenize(lookup.model.vocab.tokens_for(ids[:-1])))
     return {"seed": args.seed}
 
 

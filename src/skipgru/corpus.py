@@ -67,9 +67,6 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self.token_to_id
 
-    def id_for(self, token: str) -> int:
-        return self.token_to_id.get(token, self.unk_id)
-
     def ids_for(self, tokens: Iterable[str]) -> list[int]:
         get = self.token_to_id.get
         unk = self.unk_id

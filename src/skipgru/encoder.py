@@ -97,30 +97,6 @@ def init_gru_params(embed_dim: int, hidden_dim: int, seed) -> GruParams:
     return GruParams(**fields)
 
 
-class GruStep(NamedTuple):
-    """One step's state and gate activations."""
-
-    h: np.ndarray
-    r: np.ndarray
-    z: np.ndarray
-    hbar: np.ndarray
-
-
-def gru_step(x: np.ndarray, h_prev: np.ndarray, p: GruParams) -> GruStep:
-    """One GRU step; gates come out strictly inside (0, 1) for finite inputs."""
-    x = np.asarray(x, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    if x.shape != (p.embed_dim,):
-        raise ShapeError(f"input has shape {x.shape}, expected ({p.embed_dim},)")
-    if h_prev.shape != (p.hidden_dim,):
-        raise ShapeError(f"state has shape {h_prev.shape}, expected ({p.hidden_dim},)")
-    r = sigmoid(p.W_r @ x + p.U_r @ h_prev)
-    z = sigmoid(p.W_z @ x + p.U_z @ h_prev)
-    hbar = np.tanh(p.W @ x + p.U @ (r * h_prev))
-    h = (1.0 - z) * h_prev + z * hbar
-    return GruStep(h=h, r=r, z=z, hbar=hbar)
-
-
 class GruTrace(NamedTuple):
     """Stacked activations of one gru_forward pass, kept for gru_backward."""
 

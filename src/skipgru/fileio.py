@@ -79,38 +79,46 @@ def read_container(path, magic: bytes, version: int, kind: str, parse):
 
     parse(header) returns what the caller keeps from the header and the shape
     of each blob in file order; it raises ValueError, KeyError, TypeError or a
-    package error on a header it cannot use.  Length, magic, checksum,
-    version, header and exact blob length are all checked before anything is
-    returned; each failure is a CheckpointError that names `kind`.
+    package error on a header it cannot use.  The file size is checked
+    against the shapes before any blob is allocated, and the checksum, taken
+    as the blobs are read into their arrays, before anything is returned;
+    each failure is a CheckpointError that names `kind`.
     """
     with open(path, "rb") as fh:
-        raw = memoryview(fh.read())
-    start = len(magic) + _PREFIX.size
-    if len(raw) < start + _DIGEST_LEN:
-        raise CheckpointError(f"{path}: too short to be a {kind} file")
-    if raw[:len(magic)] != magic:
-        raise CheckpointError(f"{path}: bad magic bytes for a {kind} file")
-    if hashlib.sha256(raw[:-_DIGEST_LEN]).digest() != raw[-_DIGEST_LEN:]:
-        raise CheckpointError(f"{path}: {kind} checksum mismatch "
-                              f"(truncated or corrupt)")
-    found, head_len = _PREFIX.unpack_from(raw, len(magic))
-    if found != version:
-        raise CheckpointError(f"{path}: unsupported {kind} version {found}")
-    try:
-        header = json.loads(bytes(raw[start:start + head_len]).decode("ascii"))
-        meta, shapes = parse(header)
-        if any(d < 0 for shape in shapes for d in shape):
-            raise ValueError("negative blob dimension")
-    except (ValueError, KeyError, TypeError, SkipGruError) as exc:
-        raise CheckpointError(f"{path}: malformed {kind} header ({exc})") from exc
-    body = raw[start + head_len:-_DIGEST_LEN]
-    sizes = [math.prod(shape) for shape in shapes]
-    if len(body) != 8 * sum(sizes):
-        raise CheckpointError(f"{path}: {kind} blob section has {len(body)} "
-                              f"bytes, expected {8 * sum(sizes)}")
-    blobs = np.split(np.frombuffer(body, dtype="<f8"), np.cumsum(sizes)[:-1])
-    return meta, [b.reshape(shape).astype(np.float64)
-                  for b, shape in zip(blobs, shapes)]
+        size = os.fstat(fh.fileno()).st_size
+        start = len(magic) + _PREFIX.size
+        if size < start + _DIGEST_LEN:
+            raise CheckpointError(f"{path}: too short to be a {kind} file")
+        lead = fh.read(start)
+        if lead[:len(magic)] != magic:
+            raise CheckpointError(f"{path}: bad magic bytes for a {kind} file")
+        found, head_len = _PREFIX.unpack_from(lead, len(magic))
+        if found != version:
+            raise CheckpointError(f"{path}: unsupported {kind} version {found}")
+        body_len = size - start - head_len - _DIGEST_LEN
+        try:
+            if body_len < 0:
+                raise ValueError("header runs past the end of the file")
+            head = fh.read(head_len)
+            meta, shapes = parse(json.loads(head.decode("ascii")))
+            if any(d < 0 for shape in shapes for d in shape):
+                raise ValueError("negative blob dimension")
+        except (ValueError, KeyError, TypeError, SkipGruError) as exc:
+            raise CheckpointError(f"{path}: malformed {kind} header "
+                                  f"({exc})") from exc
+        expected = 8 * sum(math.prod(shape) for shape in shapes)
+        if body_len != expected:
+            raise CheckpointError(f"{path}: {kind} blob section has "
+                                  f"{body_len} bytes, expected {expected}")
+        digest = hashlib.sha256(lead + head)
+        blobs = [np.empty(shape, dtype="<f8") for shape in shapes]
+        for blob in blobs:
+            fh.readinto(blob)
+            digest.update(blob)
+        if digest.digest() != fh.read(_DIGEST_LEN):
+            raise CheckpointError(f"{path}: {kind} checksum mismatch "
+                                  f"(truncated or corrupt)")
+    return meta, blobs
 
 
 def sha256_path(path) -> str:

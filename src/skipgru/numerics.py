@@ -1,4 +1,4 @@
-"""Dense float64 linear algebra, initializers, Adam, clipping, and gradient checking.
+"""Dense float64 linear algebra, initializers, Adam, and gradient clipping.
 
 A "matrix" throughout the package is a 2-D contiguous float64 ndarray; a
 "parameter set" is a dict mapping names to float64 arrays.  All functions here
@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import expit
 
-from .errors import NumericError, ParameterError, ShapeError
+from .errors import ParameterError, ShapeError
 
 ParamSet = dict[str, np.ndarray]
 
@@ -157,33 +157,3 @@ def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> tuple[Para
         new_p[k] = p - state.alpha * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
     return new_p, replace(state, step=t, m=new_m, v=new_v)
 
-
-def finite_diff_check(loss_fn, params: ParamSet, analytic: ParamSet, eps: float = 1e-5) -> float:
-    """Central-difference check of `analytic` against `loss_fn`.
-
-    Perturbs each coordinate of `params` in place (restoring it afterwards) and
-    returns the max over coordinates of
-    |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
-    """
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
-    worst = 0.0
-    for name in sorted(params):
-        arr = params[name]
-        ana = np.asarray(analytic[name], dtype=np.float64)
-        if ana.shape != arr.shape:
-            raise ShapeError(f"analytic gradient for '{name}' has shape {ana.shape}, "
-                             f"expected {arr.shape}")
-        for idx in np.ndindex(arr.shape):
-            orig = arr[idx]
-            arr[idx] = orig + eps
-            up = float(loss_fn(params))
-            arr[idx] = orig - eps
-            down = float(loss_fn(params))
-            arr[idx] = orig
-            if not (math.isfinite(up) and math.isfinite(down)):
-                raise NumericError(f"loss is non-finite near '{name}'{list(idx)}")
-            numeric = (up - down) / (2.0 * eps)
-            err = abs(ana[idx] - numeric) / max(1e-8, abs(ana[idx]) + abs(numeric))
-            worst = max(worst, err)
-    return worst

@@ -51,16 +51,6 @@ def score_to_distribution(y: float) -> np.ndarray:
     return p
 
 
-def distribution_to_score(p_hat: np.ndarray) -> float:
-    """Expectation r^T p_hat over the bins r = [1..5]."""
-    p = np.asarray(p_hat, dtype=np.float64)
-    if p.shape != (5,):
-        raise InputError(f"expected a 5-bin distribution, got shape {p.shape}")
-    if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-6:
-        raise InputError("p_hat must be nonnegative and sum to 1 within 1e-6")
-    return float(SCORE_BINS @ p)
-
-
 @dataclass
 class ProbeModel:
     weights: np.ndarray  # (n_classes, n_features)
@@ -181,60 +171,51 @@ def _pick_l2(scores_by_l2: dict[float, float]) -> float:
     return max(scores_by_l2, key=lambda l2: (scores_by_l2[l2], -l2))
 
 
+def _search_l2(fold: np.ndarray, l2_grid: Sequence[float], fit, score) -> float:
+    """Grid x folds search: for each penalty, fit(train_mask, l2) on every
+    non-empty fold's complement and score(probe, test_mask) on the fold; the
+    penalty with the highest mean score wins."""
+    if not l2_grid:
+        raise ParameterError("l2 grid is empty")
+    means = {float(l2): float(np.mean([score(fit(fold != f, l2), fold == f)
+                                       for f in np.unique(fold)]))
+             for l2 in l2_grid}
+    return _pick_l2(means)
+
+
 def select_l2(X: np.ndarray, labels: np.ndarray, folds: int,
               l2_grid: Sequence[float], seed) -> float:
     """Plain stratified CV on hard labels; returns the accuracy-best penalty."""
-    if not l2_grid:
-        raise ParameterError("l2 grid is empty")
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels).astype(int)
     C = int(labels.max()) + 1
-    fold = stratified_folds(labels, folds, seed)
-    scores: dict[float, float] = {}
-    for l2 in l2_grid:
-        accs = []
-        for f in range(folds):
-            tr, te = fold != f, fold == f
-            if not te.any():
-                continue
-            m = fit_logreg(X[tr], labels[tr], l2, n_classes=C)
-            accs.append(accuracy(predict(m, X[te]), labels[te]))
-        scores[float(l2)] = float(np.mean(accs))
-    return _pick_l2(scores)
+    return _search_l2(
+        stratified_folds(labels, folds, seed), l2_grid,
+        lambda tr, l2: fit_logreg(X[tr], labels[tr], l2, n_classes=C),
+        lambda m, te: accuracy(predict(m, X[te]), labels[te]))
 
 
 def cross_validate(X: np.ndarray, Y: np.ndarray, folds: int,
                    l2_grid: Sequence[float], seed, threads: int = 1) -> dict:
     """Nested CV: the inner loop picks the penalty on each training split, the
     outer loop reports held-out accuracy.  Deterministic given the seed; outer
-    folds may fan out over threads (results are keyed by fold index)."""
-    if not l2_grid:
-        raise ParameterError("l2 grid is empty")
+    folds fan out over `threads` workers (results are keyed by fold index)."""
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(Y).astype(int)
     C = int(labels.max()) + 1
     fold = stratified_folds(labels, folds, seed)
 
     def run_fold(f: int) -> tuple[float, float]:
-        tr = np.flatnonzero(fold != f)
-        te = np.flatnonzero(fold == f)
+        tr, te = fold != f, fold == f
         best = select_l2(X[tr], labels[tr], folds, l2_grid,
                          seed_tuple(seed, "cv-inner", f))
         m = fit_logreg(X[tr], labels[tr], best, n_classes=C)
         return best, accuracy(predict(m, X[te]), labels[te])
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_fold, range(folds)))
-    else:
-        results = [run_fold(f) for f in range(folds)]
-    fold_l2 = [r[0] for r in results]
-    fold_scores = [r[1] for r in results]
-    counts: dict[float, int] = {}
-    for l2 in fold_l2:
-        counts[l2] = counts.get(l2, 0) + 1
-    best_l2 = max(counts, key=lambda l2: (counts[l2], -l2))
-    return {"best_l2": best_l2, "fold_scores": fold_scores,
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        fold_l2, fold_scores = map(list, zip(*pool.map(run_fold, range(folds))))
+    counts = {l2: fold_l2.count(l2) for l2 in fold_l2}
+    return {"best_l2": _pick_l2(counts), "fold_scores": fold_scores,
             "fold_l2": fold_l2, "mean_accuracy": float(np.mean(fold_scores))}
 
 
@@ -246,27 +227,22 @@ def fit_relatedness(X: np.ndarray, scores: np.ndarray, l2: float) -> ProbeModel:
 
 def select_l2_relatedness(X: np.ndarray, scores: np.ndarray, folds: int,
                           l2_grid: Sequence[float], seed) -> float:
-    """CV over unstratified seeded folds, scored by held-out Pearson r."""
-    if not l2_grid:
-        raise ParameterError("l2 grid is empty")
+    """CV over unstratified seeded folds, scored by held-out Pearson r (a fold
+    whose correlation is undefined scores 0)."""
     X = np.asarray(X, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
     if folds < 2:
         raise ParameterError(f"need >= 2 folds, got {folds}")
-    rng = get_rng(seed_tuple(seed, "cv-folds"))
-    fold = rng.permutation(len(scores)) % folds
-    out: dict[float, float] = {}
-    for l2 in l2_grid:
-        rs = []
-        for f in range(folds):
-            tr, te = fold != f, fold == f
-            m = fit_relatedness(X[tr], scores[tr], l2)
-            try:
-                rs.append(pearson(predict_scores(m, X[te]), scores[te]))
-            except MetricError:
-                rs.append(0.0)
-        out[float(l2)] = float(np.mean(rs))
-    return _pick_l2(out)
+    fold = get_rng(seed_tuple(seed, "cv-folds")).permutation(len(scores)) % folds
+
+    def pearson_or_zero(m: ProbeModel, te: np.ndarray) -> float:
+        try:
+            return pearson(predict_scores(m, X[te]), scores[te])
+        except MetricError:
+            return 0.0
+    return _search_l2(fold, l2_grid,
+                      lambda tr, l2: fit_relatedness(X[tr], scores[tr], l2),
+                      pearson_or_zero)
 
 
 def _check_pair(a, b, min_len: int = 1) -> tuple[np.ndarray, np.ndarray]:

@@ -62,16 +62,6 @@ def init_ranking_model(image_dim: int, sentence_dim: int, embed_dim: int,
                         alpha=alpha, k_contrastive=k_contrastive)
 
 
-def pair_score(x: np.ndarray, y: np.ndarray, model: RankingModel) -> float:
-    """cosine(Ux, Vy) in [-1, 1]."""
-    a = model.U @ np.asarray(x, dtype=np.float64)
-    b = model.V @ np.asarray(y, dtype=np.float64)
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise MetricError("zero-norm embedded vector; cosine score undefined")
-    return float(a @ b) / (na * nb)
-
-
 def _embed_rows(X: np.ndarray, M: np.ndarray,
                 what: str) -> tuple[np.ndarray, np.ndarray]:
     A = X @ M.T
@@ -124,13 +114,6 @@ def _loss_and_weights(X: np.ndarray, Y: np.ndarray, model: RankingModel,
                 G[i, i] -= 1.0
                 G[j, i] += 1.0
     return loss, G, Ahat, Bhat, S, na, nb
-
-
-def ranking_loss(X: np.ndarray, Y: np.ndarray, model: RankingModel,
-                 contrastive_seed) -> float:
-    """Summed hinge loss over both directions for aligned (image, sentence)
-    rows; the contrastive draw depends only on the seed and batch size."""
-    return _loss_and_weights(X, Y, model, contrastive_seed)[0]
 
 
 def ranking_grads(X: np.ndarray, Y: np.ndarray, model: RankingModel,

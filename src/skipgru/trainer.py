@@ -248,8 +248,8 @@ def train(model: SkipGruModel, triples: Sequence[SentenceTriple],
     Each epoch is a fresh seeded permutation of the triples, consumed in
     batch_size slices; the current position is derived from opt.step alone, so
     resuming from a checkpoint continues the identical batch stream.  Appends
-    one metrics row per step when metrics_path is given (header written only
-    for a fresh run; a resumed run first drops the rows after opt.step) and
+    one metrics row per step when metrics_path is given (a new or empty file
+    gets the header first; a resumed run drops the rows after opt.step) and
     checkpoints every config.checkpoint_every steps plus at the end when
     checkpoint_path is given.
     """
@@ -267,7 +267,7 @@ def train(model: SkipGruModel, triples: Sequence[SentenceTriple],
         if opt.step > 0 and os.path.exists(metrics_path):
             _truncate_metrics(metrics_path, opt.step)
         metrics = open(metrics_path, "a" if opt.step > 0 else "w")
-        if opt.step == 0:
+        if metrics.tell() == 0:
             metrics.write(METRICS_HEADER + "\n")
     try:
         while opt.step < config.max_steps:

@@ -123,15 +123,16 @@ NATIVE, MAPPED, UNK = "native", "mapped", "unk"
 
 @dataclass
 class ExpandedLookup:
-    """Total token-to-vector resolver over the union vocabulary."""
+    """Total token-to-vector resolver over the union vocabulary; without a
+    map (ext and map both None) it covers the native vocabulary only."""
 
     model: SkipGruModel
-    ext: ExternalEmbeddings
-    map: ExpansionMap
+    ext: ExternalEmbeddings | None = None
+    map: ExpansionMap | None = None
 
     def __post_init__(self):
         emb = self.model.embedding
-        if self.map.W.shape != (emb.shape[1], self.ext.dim):
+        if self.map is not None and self.map.W.shape != (emb.shape[1], self.ext.dim):
             raise ShapeError(f"expansion map is {self.map.W.shape}, expected "
                              f"({emb.shape[1]}, {self.ext.dim})")
 
@@ -141,10 +142,11 @@ class ExpandedLookup:
         for cand in (token, token.lower()):
             if cand in vocab:
                 return NATIVE, emb[vocab.token_to_id[cand]]
-        for cand in (token, token.lower()):
-            i = self.ext.index.get(cand)
-            if i is not None:
-                return MAPPED, self.map.W @ self.ext.vectors[i]
+        if self.map is not None:
+            for cand in (token, token.lower()):
+                i = self.ext.index.get(cand)
+                if i is not None:
+                    return MAPPED, self.map.W @ self.ext.vectors[i]
         return UNK, emb[vocab.unk_id]
 
     def vector(self, token: str) -> np.ndarray:
@@ -153,6 +155,8 @@ class ExpandedLookup:
     def all_tokens(self) -> list[str]:
         """Union vocabulary: native words first, then ext-only words."""
         native = self.model.vocab.id_to_token[2:]
+        if self.map is None:
+            return native
         seen = set(native)
         return native + [t for t in self.ext.tokens if t not in seen]
 
@@ -164,11 +168,11 @@ def expand(model: SkipGruModel, ext: ExternalEmbeddings,
 
 def encode_text(sentence: str, model: SkipGruModel,
                 lookup: ExpandedLookup | None = None) -> np.ndarray:
-    """Encode a raw sentence; with a lookup, out-of-vocabulary words resolve
-    through the expansion map instead of collapsing to unk."""
+    """Encode a raw sentence; with a lookup that has a map, out-of-vocabulary
+    words resolve through the expansion map instead of collapsing to unk."""
     tokens = tokenize(sentence)
     emb = model.embedding
-    if lookup is None:
+    if lookup is None or lookup.map is None:
         ids = model.vocab.ids_for(tokens) + [model.vocab.eos_id]
         X = emb[ids]
     else:
@@ -193,11 +197,13 @@ def cosine_top_k(q: np.ndarray, bank: np.ndarray,
 def nearest_words(query: str, lookup: ExpandedLookup,
                   k: int) -> list[tuple[str, float]]:
     """Top-k tokens of the expanded vocabulary by cosine similarity to the
-    query in RNN embedding space; the query itself is excluded."""
+    query in RNN embedding space, excluding the query and its resolved form."""
     source, qvec = lookup.resolve(query)
     if source == UNK:
         raise InputError(f"query {query!r} is in neither vocabulary")
-    candidates = [t for t in lookup.all_tokens() if t != query]
+    index = lookup.model.vocab.token_to_id if source == NATIVE else lookup.ext.index
+    resolved = query if query in index else query.lower()
+    candidates = [t for t in lookup.all_tokens() if t not in (query, resolved)]
     bank = np.vstack([lookup.vector(t) for t in candidates])
     return [(candidates[i], sim) for i, sim in cosine_top_k(qvec, bank, k)]
 

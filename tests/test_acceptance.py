@@ -17,18 +17,17 @@ from skipgru.decoder import (ConditionalGruParams, decoder_backward,
                              sentence_log_prob, sentence_log_prob_with_cache)
 from skipgru.encoder import (EncoderModel, encode, encode_with_cache,
                              encoder_backward)
-from skipgru.numerics import finite_diff_check
 from skipgru.probes import (fit_relatedness, logreg_objective, pair_features,
-                            pearson, predict_scores, score_to_distribution,
-                            distribution_to_score)
+                            pearson, predict_scores, score_to_distribution)
 from skipgru.ranking import (RankingModel, RankTrainConfig, evaluate_retrieval,
-                             init_ranking_model, ranking_grads, ranking_loss,
-                             train_ranker)
+                             init_ranking_model, ranking_grads, train_ranker)
 from skipgru.trainer import (SkipGruModel, TrainConfig, model_from_params,
                              train, triple_grads, triple_loss)
-from skipgru.vocab_expansion import ExternalEmbeddings, fit_expansion
+from skipgru.vocab_expansion import (ExpandedLookup, ExternalEmbeddings,
+                                     fit_expansion)
 
 from conftest import make_model, make_vocab, randomize_params
+from reference import distribution_to_score, finite_diff_check
 
 RESULTS: list[str] = []
 
@@ -137,7 +136,7 @@ def _fd_ranking(seed):
         def loss(ps):
             cur = RankingModel(U=ps["U"], V=ps["V"], alpha=0.3,
                                k_contrastive=k)
-            return ranking_loss(X, Y, cur, contrastive_seed=cseed)
+            return ranking_grads(X, Y, cur, contrastive_seed=cseed)[0]
 
         value, grads = ranking_grads(X, Y, m, contrastive_seed=cseed)
         if value == 0.0:
@@ -388,7 +387,8 @@ def test_criterion_7_bidirectional(rng):
     assert np.array_equal(vec_bi[:hidden], encode(tokens, fwd_only))
 
     # Combine mode concatenates the two models' vectors for the same line.
-    combined = _encode_lines(["w2 w6 w3 w7"], [uni, bi], [None, None])[0]
+    combined = _encode_lines(["w2 w6 w3 w7"],
+                             [ExpandedLookup(uni), ExpandedLookup(bi)])[0]
     assert combined.shape == (uni.encoder.output_dim + bi.encoder.output_dim,)
     assert np.array_equal(combined[:4], encode(tokens, uni.encoder))
     assert np.array_equal(combined[4:], vec_bi)

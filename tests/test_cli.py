@@ -13,8 +13,8 @@ import pytest
 
 from skipgru.cli import _encode_lines, main
 from skipgru.fileio import read_vectors
-from skipgru.trainer import load_checkpoint
-from skipgru.vocab_expansion import encode_text
+from skipgru.trainer import METRICS_HEADER, load_checkpoint
+from skipgru.vocab_expansion import ExpandedLookup, encode_text
 
 CORPUS = """\
 the cat sat on the mat .
@@ -121,6 +121,22 @@ def test_train_metrics_rows(ws, tmp_path):
     assert lines[0].startswith("step,loss,grad_norm,clipped")
 
 
+def test_resume_into_new_or_empty_metrics_file_writes_header(ws, tmp_path):
+    out = tmp_path / "r.ckpt"
+    train = ["train", "--corpus", str(ws["corpus"]), "--vocab",
+             str(ws["vocab"]), "--embed-dim", "4", "--hidden-dim", "4",
+             "--batch", "4", "--seed", "1", "--out", str(out)]
+    assert main(train + ["--steps", "3"]) == 0
+    new, empty = tmp_path / "new.csv", tmp_path / "empty.csv"
+    empty.write_text("")
+    for metrics, steps, rows in ((new, "5", ["4", "5"]), (empty, "7", ["6", "7"])):
+        assert main(train + ["--steps", steps, "--resume",
+                             "--metrics", str(metrics)]) == 0
+        lines = metrics.read_text().splitlines()
+        assert lines[0] == METRICS_HEADER
+        assert [line.split(",")[0] for line in lines[1:]] == rows
+
+
 def test_train_rerun_identical_checkpoint(ws, tmp_path):
     outs = []
     for name in ("r1.ckpt", "r2.ckpt"):
@@ -188,7 +204,7 @@ def test_encode_lines_concatenates_two_models(ws):
     uni, _ = load_checkpoint(ws["ckpt"])
     bi, _ = load_checkpoint(ws["bi"])
     lines = ["the cat sat .", "a bird flew ."]
-    vecs = _encode_lines(lines, [uni, bi], [None, None])
+    vecs = _encode_lines(lines, [ExpandedLookup(uni), ExpandedLookup(bi)])
     assert vecs.shape == (2, 14)                          # 6 + 2*4
     for row, line in zip(vecs, lines):
         assert np.array_equal(row[:6], encode_text(line, uni))
@@ -280,6 +296,18 @@ def test_nn_word_without_expansion(ws, capsys):
     assert main(["nn-word", "--ckpt", str(ws["ckpt"]), "--query", "the",
                  "--k", "2"]) == 0
     assert len(capsys.readouterr().out.strip().splitlines()) == 2
+
+
+def test_nn_word_leaves_out_the_token_the_query_resolved_to(ws, expansion,
+                                                          capsys):
+    # "The" resolves to the native "the", which is not its own neighbour.
+    for extra in ([], ["--expansion", str(expansion)]):
+        assert main(["nn-word", "--ckpt", str(ws["ckpt"]), *extra,
+                     "--query", "The", "--k", "50"]) == 0
+        toks = [line.split("\t")[0]
+                for line in capsys.readouterr().out.splitlines()]
+        assert len(toks) == 21 + 3 * bool(extra)       # every other word
+        assert "the" not in toks and "The" not in toks
 
 
 def test_nn_word_unknown_query_exit_2(ws, capsys):

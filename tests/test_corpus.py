@@ -69,7 +69,7 @@ def test_build_vocab_all_fit():
 def test_build_vocab_frequency_cutoff():
     v = build_vocab(["a a b"], max_size=3)
     assert v.id_to_token == [EOS_TOKEN, UNK_TOKEN, "a"]
-    assert v.id_for("b") == v.unk_id
+    assert v.ids_for(["b"])[0] == v.unk_id
 
 
 def test_build_vocab_tie_broken_by_first_occurrence():
@@ -152,7 +152,7 @@ def test_triples_never_cross_documents():
     assert len(out) == 3
     # No triple may mix sentences of the two documents: the last sentence of
     # DOC_B ("d") and the first of DOC_A ("a b") never share a triple.
-    d_id = v.id_for("d")
+    d_id = v.ids_for(["d"])[0]
     for t in out:
         if t.curr[0] == d_id:
             assert t.next != tuple(v.ids_for(["a", "b"])) + (v.eos_id,)

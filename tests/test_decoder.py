@@ -12,10 +12,12 @@ from skipgru.decoder import (ConditionalGruParams, DecoderPair, cond_gru_step,
                              decoder_backward, init_conditional_gru,
                              init_decoder_pair, sample_sentence,
                              sentence_log_prob, sentence_log_prob_with_cache)
-from skipgru.encoder import GruParams, gru_step
+from skipgru.encoder import GruParams
 from skipgru.errors import (ParameterError, RangeError, ShapeError,
                             StateError)
-from skipgru.numerics import finite_diff_check, log_softmax, sigmoid, softmax
+from skipgru.numerics import log_softmax, sigmoid, softmax
+
+from reference import finite_diff_check, gru_step
 
 
 def rand_cond_params(rng, embed=3, hidden=3, enc=3, scale=0.7):

@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_model, make_vocab, randomize_params
+from reference import finite_diff_check, gru_step
 from skipgru.encoder import (EncoderModel, GruParams, encode,
-                             encode_with_cache, encoder_backward, gru_step,
+                             encode_with_cache, encoder_backward,
                              init_encoder, init_gru_params)
 from skipgru.errors import InputError, RangeError, ShapeError
-from skipgru.numerics import finite_diff_check
 from skipgru.trainer import model_from_params
 
 

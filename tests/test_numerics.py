@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skipgru.errors import NumericError, ParameterError, ShapeError
-from skipgru.numerics import (AdamState, adam_step, clip_gradients,
-                              finite_diff_check, get_rng, global_norm,
-                              log_softmax, orthogonal_init, seed_tuple,
-                              sigmoid, softmax, uniform_init)
+from skipgru.numerics import (AdamState, adam_step, clip_gradients, get_rng,
+                              global_norm, log_softmax, orthogonal_init,
+                              seed_tuple, sigmoid, softmax, uniform_init)
+
+from reference import finite_diff_check
 
 
 # ---------------------------------------------------------------------------

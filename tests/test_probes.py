@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 from skipgru.errors import (ConvergenceError, InputError, MetricError,
                             ParameterError, ShapeError)
 from skipgru.numerics import softmax
-from skipgru.probes import (DEFAULT_L2_GRID, accuracy, cross_validate,
-                            distribution_to_score, f1, fit_logreg,
-                            fit_relatedness, logreg_objective, mse,
+from skipgru.probes import (DEFAULT_L2_GRID, accuracy, cross_validate, f1,
+                            fit_logreg, fit_relatedness, logreg_objective, mse,
                             pair_features, pearson, predict, predict_proba,
                             predict_scores, read_label_dataset,
                             read_pair_dataset, score_to_distribution,
                             select_l2, spearman, stratified_folds)
+
+from reference import distribution_to_score
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +147,7 @@ def test_optimum_gradient_small_and_objective_matches_oracle():
 
 
 def test_objective_gradient_matches_finite_difference():
-    from skipgru.numerics import finite_diff_check
+    from reference import finite_diff_check
     rng = np.random.default_rng(9)
     X = rng.normal(size=(12, 3))
     T = np.eye(2)[(rng.uniform(size=12) > 0.4).astype(int)]

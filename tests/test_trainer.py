@@ -16,12 +16,13 @@ import pytest
 
 from skipgru import trainer
 from conftest import make_model, make_vocab, random_triple, randomize_params
+from reference import finite_diff_check
 from skipgru.corpus import SentenceTriple
 from skipgru.decoder import decoder_backward, sentence_log_prob, \
     sentence_log_prob_with_cache
 from skipgru.encoder import encode
 from skipgru.errors import CheckpointError, InputError, NumericError
-from skipgru.numerics import AdamState, finite_diff_check
+from skipgru.numerics import AdamState
 from skipgru.trainer import (METRICS_HEADER, TrainConfig, load_checkpoint,
                              make_optimizer, model_from_params, param_order,
                              save_checkpoint, train, train_step, triple_grads,
