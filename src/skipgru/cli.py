@@ -30,7 +30,7 @@ from .encoder import encode
 from .errors import (CheckpointError, ConfigError, ConvergenceError, InputError,
                      MetricError, NumericError, ParameterError, RangeError,
                      ShapeError, SkipGruError, StateError)
-from .fileio import read_vectors, sha256_path, write_vectors
+from .fileio import read_vectors, sha256_path, write_text, write_vectors
 from .numerics import seed_tuple
 from .probes import DEFAULT_L2_GRID
 
@@ -91,9 +91,7 @@ def _write_manifest(args, inputs, outputs, seeds, t0) -> None:
         "seeds": seeds,
         "wall_time_s": round(time.perf_counter() - t0, 3),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _parse_l2_grid(raw: str) -> tuple:
@@ -149,8 +147,7 @@ def _write_metric_rows(path, rows) -> None:
     lines = [METRIC_CSV_HEADER] + [f"{t},{va},{m},{fmt(v)}" for t, va, m, v in rows]
     text = "\n".join(lines) + "\n"
     if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text(path, text)
     sys.stdout.write(text)
 
 
@@ -215,9 +212,8 @@ def cmd_encode(args) -> None:
     vectors = _encode_lines(lines, lookups)
     write_vectors(args.out, vectors)
     if args.text_out:
-        with open(args.text_out, "w", encoding="utf-8") as fh:
-            for row in vectors:
-                fh.write(" ".join(f"{x:.8e}" for x in row) + "\n")
+        write_text(args.text_out, "".join(
+            " ".join(f"{x:.8e}" for x in row) + "\n" for row in vectors))
     print(json.dumps({"sentences": len(lines), "dim": int(vectors.shape[1])},
                      sort_keys=True))
 
@@ -247,20 +243,18 @@ def cmd_nn_sent(args) -> None:
     lines = [line for line in _read_lines(args.bank) if line.strip()]
     if not lines:
         raise InputError(f"{args.bank}: no sentences")
-    vectors = _encode_lines(lines, lookups)
+    bank = vocab_expansion.SentenceBank(sentences=lines,
+                                        vectors=_encode_lines(lines, lookups))
     query = _encode_lines([args.query], lookups)[0]
-    for i, sim in vocab_expansion.cosine_top_k(query, vectors, args.k):
-        print(f"{sim:.6f}\t{lines[i]}")
+    for line, sim in bank.top_k(query, args.k):
+        print(f"{sim:.6f}\t{line}")
 
 
 def _read_pair_features(path, lookups) -> tuple[np.ndarray, np.ndarray]:
     """Pair features and gold values of one sentence-pair file."""
     left, right, gold = probes.read_pair_dataset(path)
-    uniq = sorted(set(left) | set(right))
-    vecs = _encode_lines(uniq, lookups)
-    index = {s: i for i, s in enumerate(uniq)}
-    return np.vstack([probes.pair_features(vecs[index[a]], vecs[index[b]])
-                      for a, b in zip(left, right)]), gold
+    vecs = _encode_lines(left + right, lookups)
+    return probes.pair_features(vecs[:len(left)], vecs[len(left):]), gold
 
 
 def cmd_eval_sick(args) -> dict:

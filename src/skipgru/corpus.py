@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InputError, ParameterError
+from .fileio import write_text
 
 EOS_TOKEN = "<eos>"
 UNK_TOKEN = "<unk>"
@@ -159,9 +160,7 @@ def corpus_stats(documents: Iterable[list[str]]) -> dict:
 
 def save_vocab(vocab: Vocabulary, path) -> None:
     """One token per line; the line number is the token id."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for token in vocab.id_to_token:
-            fh.write(token + "\n")
+    write_text(path, "".join(token + "\n" for token in vocab.id_to_token))
 
 
 def load_vocab(path) -> Vocabulary:

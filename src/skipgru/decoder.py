@@ -18,7 +18,9 @@ Both decoders run on the encoder's GRU kernel.  The conditioning terms
 C_* h_enc are constant over a sentence, so they are added once to the input
 pre-activations X @ W_*.T before the time loop.  In the backward pass their
 gradients, and the gradient into h_enc, come from the per-step pre-activation
-gradients summed over time; V's gradient is one product dlogits.T @ H.
+gradients summed over time; V's gradient is one product dlogits.T @ H.  The
+sampler, whose next input is the word it has just drawn, runs the kernel one
+step at a time from the state it has reached.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ import numpy as np
 from .encoder import (GRU_KEYS, INIT_RANGE, GruParams, GruTrace, gru_backward,
                       gru_forward, init_gru_params)
 from .errors import ParameterError, RangeError, ShapeError, StateError
-from .numerics import (ParamSet, get_rng, log_softmax, sigmoid, softmax,
-                       uniform_init)
+from .numerics import ParamSet, get_rng, log_softmax, softmax, uniform_init
 
 COND_CONDITIONING_KEYS = ("C_r", "C_z", "C")
 COND_KEYS = GRU_KEYS + COND_CONDITIONING_KEYS + ("begin",)
@@ -101,23 +102,13 @@ def init_decoder_pair(vocab_size: int, embed_dim: int, hidden_dim: int,
     return DecoderPair(next_params=nxt, prev_params=prv, V=V)
 
 
-def cond_gru_step(x: np.ndarray, h_prev: np.ndarray, h_enc: np.ndarray,
-                  p: ConditionalGruParams) -> np.ndarray:
-    """One conditioned GRU step; with h_enc = 0 this is the plain GRU step."""
-    x = np.asarray(x, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
+def _check_conditioning(h_enc: np.ndarray,
+                        p: ConditionalGruParams) -> np.ndarray:
     h_enc = np.asarray(h_enc, dtype=np.float64)
-    if x.shape != (p.embed_dim,):
-        raise ShapeError(f"input has shape {x.shape}, expected ({p.embed_dim},)")
-    if h_prev.shape != (p.hidden_dim,):
-        raise ShapeError(f"state has shape {h_prev.shape}, expected ({p.hidden_dim},)")
     if h_enc.shape != (p.enc_dim,):
         raise ShapeError(f"conditioning vector has shape {h_enc.shape}, "
                          f"expected ({p.enc_dim},)")
-    r = sigmoid(p.W_r @ x + p.U_r @ h_prev + p.C_r @ h_enc)
-    z = sigmoid(p.W_z @ x + p.U_z @ h_prev + p.C_z @ h_enc)
-    hbar = np.tanh(p.W @ x + p.U @ (r * h_prev) + p.C @ h_enc)
-    return (1.0 - z) * h_prev + z * hbar
+    return h_enc
 
 
 def _check_target(target: Sequence[int], vocab_size: int) -> tuple[int, ...]:
@@ -146,10 +137,7 @@ def sentence_log_prob_with_cache(target: Sequence[int], h_enc: np.ndarray,
                                  p: ConditionalGruParams, V: np.ndarray,
                                  embedding: np.ndarray) -> tuple[float, DecoderCache]:
     ids = _check_target(target, V.shape[0])
-    h_enc = np.asarray(h_enc, dtype=np.float64)
-    if h_enc.shape != (p.enc_dim,):
-        raise ShapeError(f"conditioning vector has shape {h_enc.shape}, "
-                         f"expected ({p.enc_dim},)")
+    h_enc = _check_conditioning(h_enc, p)
     X = np.vstack([p.begin, embedding[list(ids[:-1])]])
     # The conditioning terms are constant over the sentence: add them once.
     trace = gru_forward(X @ p.W_r.T + p.C_r @ h_enc, X @ p.W_z.T + p.C_z @ h_enc,
@@ -204,21 +192,23 @@ def sample_sentence(h_enc: np.ndarray, p: ConditionalGruParams, V: np.ndarray,
         raise ParameterError(f"max_len must be >= 1, got {max_len}")
     if temperature < 0:
         raise ParameterError(f"temperature must be >= 0, got {temperature}")
-    h_enc = np.asarray(h_enc, dtype=np.float64)
+    h_enc = _check_conditioning(h_enc, p)
+    c_r, c_z, c_h = p.C_r @ h_enc, p.C_z @ h_enc, p.C @ h_enc
     rng = get_rng(seed)
-    vocab = V.shape[0]
     h = np.zeros(p.hidden_dim)
-    x = p.begin
+    x = p.begin[None, :]
     out: list[int] = []
     for _ in range(max_len):
-        h = cond_gru_step(x, h, h_enc, p)
+        # One kernel step from h; the next input is the word it samples.
+        h = gru_forward(x @ p.W_r.T + c_r, x @ p.W_z.T + c_z, x @ p.W.T + c_h,
+                        p, h0=h).h_final
         logits = V @ h
         if temperature == 0.0:
             w = int(np.argmax(logits))
         else:
-            w = int(rng.choice(vocab, p=softmax(logits / temperature)))
+            w = int(rng.choice(V.shape[0], p=softmax(logits / temperature)))
         out.append(w)
         if w == eos_id:
             break
-        x = embedding[w]
+        x = embedding[w][None, :]
     return out

@@ -100,7 +100,7 @@ def init_gru_params(embed_dim: int, hidden_dim: int, seed) -> GruParams:
 class GruTrace(NamedTuple):
     """Stacked activations of one gru_forward pass, kept for gru_backward."""
 
-    S: np.ndarray      # (T + 1, hidden): S[0] = h^0 = 0, S[t] = h^t
+    S: np.ndarray      # (T + 1, hidden): S[0] = h^0, S[t] = h^t
     R: np.ndarray      # (T, hidden)
     Z: np.ndarray
     Hbar: np.ndarray
@@ -111,17 +111,19 @@ class GruTrace(NamedTuple):
 
 
 def gru_forward(A_r: np.ndarray, A_z: np.ndarray, A_h: np.ndarray,
-                p: GruParams) -> GruTrace:
+                p: GruParams, h0: np.ndarray | float = 0.0) -> GruTrace:
     """Run the recurrence over precomputed input pre-activations.
 
     A_r, A_z, A_h are (T, hidden): every term of each gate's argument except
     the recurrent one, e.g. X @ W_r.T for the encoder and X @ W_r.T + C_r h_enc
     for a decoder.  Only the U_* products depend on the previous state, so
     they are all that stays inside the time loop.  Only p's U_* matrices are
-    read here.
+    read here.  The recurrence starts from h0, zero by default; the sampler,
+    which feeds one step at a time, passes the state it has reached.
     """
     T, hid = A_r.shape
-    S = np.zeros((T + 1, hid))
+    S = np.empty((T + 1, hid))
+    S[0] = h0
     R, Z, Hbar = np.empty((T, hid)), np.empty((T, hid)), np.empty((T, hid))
     h = S[0]
     for t in range(T):

@@ -1,6 +1,7 @@
 """Binary file formats, crash-safe writes, and hashing helpers.
 
-Checkpoints, expansion maps and vector files are written through
+Checkpoints, expansion maps, vector files and whole text files (write_text:
+vocabularies, metric CSVs, manifests, text vectors) are written through
 atomic_output: the bytes go to a temporary file in the destination's
 directory, which replaces the destination (os.replace) only once it is
 complete, and which is removed if the write fails.  A crash therefore leaves
@@ -53,6 +54,12 @@ def atomic_output(path):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def write_text(path, text: str) -> None:
+    """Write a whole UTF-8 text file through atomic_output."""
+    with atomic_output(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def write_container(path, magic: bytes, version: int, header: dict,

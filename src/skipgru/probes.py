@@ -27,13 +27,14 @@ DEFAULT_L2_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2)
 
 
 def pair_features(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """concat(u * v, |u - v|); symmetric in its arguments."""
+    """concat(u * v, |u - v|) along the last axis; symmetric in its arguments.
+    u and v are two vectors or two (n, d) blocks of row vectors."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ShapeError(f"pair_features needs two equal-length vectors, "
-                         f"got {u.shape} and {v.shape}")
-    return np.concatenate([u * v, np.abs(u - v)])
+    if u.shape != v.shape or u.ndim not in (1, 2):
+        raise ShapeError(f"pair_features needs two vectors or row blocks of "
+                         f"equal shape, got {u.shape} and {v.shape}")
+    return np.concatenate([u * v, np.abs(u - v)], axis=-1)
 
 
 def score_to_distribution(y: float) -> np.ndarray:
@@ -265,16 +266,14 @@ def pearson(a, b) -> float:
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks, a run of ties sharing their mean, as scipy.stats.rankdata
+    gives them; importing scipy.stats would add ~20 MB to every command."""
     order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x))
     sx = x[order]
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    first = np.flatnonzero(np.r_[True, sx[1:] != sx[:-1]])
+    last = np.r_[first[1:], len(x)] - 1
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
     return ranks
 
 

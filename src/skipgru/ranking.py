@@ -8,13 +8,16 @@ contrastive sentences and k contrastive images from within the batch:
     sum_k max(0, alpha - s(Ux, Vy) + s(Ux, Vy_k))
   + sum_k max(0, alpha - s(Ux, Vy) + s(Ux_k, Vy))
 
-Gradients are worked out by hand through the cosine and the hinges.
+Gradients are worked out by hand through the cosine and the hinges.  The
+hinges of all n x k draws are formed at once by indexing the score matrix,
+and each retrieval direction ranks every query with one stable sort, so
+exactly tied scores keep candidate order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -44,14 +47,6 @@ class RankingModel:
         if self.k_contrastive < 1:
             raise ParameterError(f"k_contrastive must be >= 1, "
                                  f"got {self.k_contrastive}")
-
-    @property
-    def embed_dim(self) -> int:
-        return self.U.shape[0]
-
-    def copy(self) -> "RankingModel":
-        return RankingModel(U=self.U.copy(), V=self.V.copy(), alpha=self.alpha,
-                            k_contrastive=self.k_contrastive)
 
 
 def init_ranking_model(image_dim: int, sentence_dim: int, embed_dim: int,
@@ -85,8 +80,14 @@ def _contrastive_draws(n: int, k: int, rng) -> tuple[np.ndarray, np.ndarray]:
     return sent, img
 
 
-def _loss_and_weights(X: np.ndarray, Y: np.ndarray, model: RankingModel,
-                      contrastive_seed):
+def ranking_grads(X: np.ndarray, Y: np.ndarray, model: RankingModel,
+                  contrastive_seed) -> tuple[float, dict[str, np.ndarray]]:
+    """Loss and dL/dU, dL/dV.
+
+    With G[i, j] the net weight on score S[i, j] from the active hinges, the
+    cosine backward per row is da_i = (sum_j G_ij bhat_j - (G S)_ii' ahat_i)
+    / ||a_i|| and symmetrically for b.
+    """
     n = len(X)
     if n != len(Y):
         raise ShapeError(f"{n} images vs {len(Y)} sentences")
@@ -97,35 +98,19 @@ def _loss_and_weights(X: np.ndarray, Y: np.ndarray, model: RankingModel,
     Bhat, nb = _embed_rows(Y, model.V, "sentence")
     S = Ahat @ Bhat.T
     sent, img = _contrastive_draws(n, model.k_contrastive, get_rng(contrastive_seed))
+    # Hinge (i, c) of each kind: sentence draws score S[i, sent[i, c]],
+    # image draws S[img[i, c], i]; each active hinge moves weight -1 onto the
+    # positive score S[i, i] and +1 onto its contrastive score.
+    rows = np.broadcast_to(np.arange(n)[:, None], sent.shape)
+    pos = np.diagonal(S)[:, None]
+    hinge_s = model.alpha - pos + S[rows, sent]
+    hinge_i = model.alpha - pos + S[img, rows]
+    act_s, act_i = hinge_s > 0.0, hinge_i > 0.0
+    loss = float(hinge_s[act_s].sum() + hinge_i[act_i].sum())
     G = np.zeros((n, n))
-    loss = 0.0
-    for i in range(n):
-        pos = S[i, i]
-        for j in sent[i]:
-            term = model.alpha - pos + S[i, j]
-            if term > 0.0:
-                loss += term
-                G[i, i] -= 1.0
-                G[i, j] += 1.0
-        for j in img[i]:
-            term = model.alpha - pos + S[j, i]
-            if term > 0.0:
-                loss += term
-                G[i, i] -= 1.0
-                G[j, i] += 1.0
-    return loss, G, Ahat, Bhat, S, na, nb
-
-
-def ranking_grads(X: np.ndarray, Y: np.ndarray, model: RankingModel,
-                  contrastive_seed) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss and dL/dU, dL/dV.
-
-    With G[i, j] the net weight on score S[i, j] from the active hinges, the
-    cosine backward per row is da_i = (sum_j G_ij bhat_j - (G S)_ii' ahat_i)
-    / ||a_i|| and symmetrically for b.
-    """
-    loss, G, Ahat, Bhat, S, na, nb = _loss_and_weights(X, Y, model,
-                                                       contrastive_seed)
+    np.fill_diagonal(G, -(act_s.sum(axis=1) + act_i.sum(axis=1)))
+    np.add.at(G, (np.concatenate([rows[act_s], img[act_i]]),
+                  np.concatenate([sent[act_s], rows[act_i]])), 1.0)
     GS = G * S
     dA = (G @ Bhat - GS.sum(axis=1)[:, None] * Ahat) / na[:, None]
     dB = (G.T @ Ahat - GS.sum(axis=0)[:, None] * Bhat) / nb[:, None]
@@ -157,12 +142,6 @@ class RankTrainResult(NamedTuple):
     history: list
 
 
-def dev_recall_at_1(X_dev: np.ndarray, Y_dev: np.ndarray, model: RankingModel,
-                    group_size: int = 1) -> float:
-    res = evaluate_retrieval(X_dev, Y_dev, model, group_size=group_size, ks=(1,))
-    return (res["annotation"].recall_at[1] + res["search"].recall_at[1]) / 2.0
-
-
 def train_ranker(pairs: tuple[np.ndarray, np.ndarray], model: RankingModel,
                  epochs: int, dev: tuple[np.ndarray, np.ndarray],
                  config: RankTrainConfig) -> RankTrainResult:
@@ -179,10 +158,9 @@ def train_ranker(pairs: tuple[np.ndarray, np.ndarray], model: RankingModel,
     n = len(X)
     if n != len(Y):
         raise ShapeError(f"{n} images vs {len(Y)} sentences")
-    params = {"U": model.U.copy(), "V": model.V.copy()}
-    opt = AdamState.initial(params, alpha=config.learning_rate)
-    best = model.copy()
-    best_score = -math.inf
+    opt = AdamState.initial({"U": model.U, "V": model.V},
+                            alpha=config.learning_rate)
+    best, best_score = model, -math.inf
     history: list = []
     for epoch in range(epochs):
         perm = get_rng(seed_tuple(config.seed, "rank-epoch", epoch)).permutation(n)
@@ -191,37 +169,31 @@ def train_ranker(pairs: tuple[np.ndarray, np.ndarray], model: RankingModel,
             idx = perm[start:start + config.batch_size]
             if len(idx) <= model.k_contrastive:
                 continue
-            cur = RankingModel(U=params["U"], V=params["V"], alpha=model.alpha,
-                               k_contrastive=model.k_contrastive)
-            loss, grads = ranking_grads(X[idx], Y[idx], cur,
+            loss, grads = ranking_grads(X[idx], Y[idx], model,
                                         seed_tuple(config.seed, "contrast",
                                                    epoch, b))
             if not math.isfinite(loss):
                 raise NumericError(f"non-finite ranking loss at epoch {epoch}; "
                                    f"training aborted")
             losses.append(loss)
-            params, opt = adam_step(params, grads, opt)
-        cur = RankingModel(U=params["U"], V=params["V"], alpha=model.alpha,
-                           k_contrastive=model.k_contrastive)
-        score = dev_recall_at_1(Xd, Yd, cur, config.dev_group_size)
+            params, opt = adam_step({"U": model.U, "V": model.V}, grads, opt)
+            model = replace(model, **params)
+        res = evaluate_retrieval(Xd, Yd, model, config.dev_group_size, ks=(1,))
+        score = (res["annotation"].recall_at[1] + res["search"].recall_at[1]) / 2.0
         history.append({"epoch": epoch, "dev_r1": score,
                         "mean_loss": float(np.mean(losses)) if losses else 0.0})
         if score > best_score:
-            best_score = score
-            best = cur.copy()
+            best, best_score = model, score
     return RankTrainResult(model=best, history=history)
 
 
-def _ranks_of_best_truth(S: np.ndarray, truth: list[np.ndarray]) -> np.ndarray:
-    """For each query row of S, the 1-based rank (stable descending order) of
-    its best-ranked ground-truth candidate."""
-    out = np.empty(len(S), dtype=int)
-    for q in range(len(S)):
-        order = np.argsort(-S[q], kind="stable")
-        pos = np.empty(S.shape[1], dtype=int)
-        pos[order] = np.arange(1, S.shape[1] + 1)
-        out[q] = int(pos[truth[q]].min())
-    return out
+def _rank_positions(S: np.ndarray) -> np.ndarray:
+    """P[q, c]: the 1-based rank of candidate c in query row q's stable
+    descending order of scores."""
+    order = np.argsort(-S, axis=1, kind="stable")
+    P = np.empty_like(order)
+    np.put_along_axis(P, order, np.arange(1, S.shape[1] + 1), axis=1)
+    return P
 
 
 def _summarize(ranks: np.ndarray, ks: Sequence[int]) -> RetrievalResult:
@@ -246,9 +218,9 @@ def evaluate_retrieval(images: np.ndarray, captions: np.ndarray,
     Ahat, _ = _embed_rows(X, model.U, "image")
     Bhat, _ = _embed_rows(Y, model.V, "sentence")
     S = Ahat @ Bhat.T                           # (n_images, n_captions)
-    ann_truth = [np.arange(i * group_size, (i + 1) * group_size)
-                 for i in range(len(X))]
-    ann = _ranks_of_best_truth(S, ann_truth)
-    sea_truth = [np.array([j // group_size]) for j in range(len(Y))]
-    sea = _ranks_of_best_truth(S.T, sea_truth)
+    # A query's rank is that of its best-ranked ground-truth candidate.
+    n = len(X)
+    ann = _rank_positions(S).reshape(n, n, group_size)[np.arange(n),
+                                                       np.arange(n)].min(axis=1)
+    sea = _rank_positions(S.T)[np.arange(len(Y)), np.arange(len(Y)) // group_size]
     return {"annotation": _summarize(ann, ks), "search": _summarize(sea, ks)}

@@ -182,18 +182,6 @@ def encode_text(sentence: str, model: SkipGruModel,
     return encode_vectors(X, model.encoder)
 
 
-def cosine_top_k(q: np.ndarray, bank: np.ndarray,
-                 k: int) -> list[tuple[int, float]]:
-    """(row, cosine similarity) of the k rows of `bank` most similar to q,
-    best first; ties keep row order.  A zero vector has similarity 0."""
-    qn = float(np.linalg.norm(q))
-    norms = np.linalg.norm(bank, axis=1)
-    denom = np.where(norms == 0.0, 1.0, norms) * (qn if qn > 0 else 1.0)
-    sims = (bank @ q) / denom
-    order = np.argsort(-sims, kind="stable")[:max(k, 0)]
-    return [(int(i), float(sims[i])) for i in order]
-
-
 def nearest_words(query: str, lookup: ExpandedLookup,
                   k: int) -> list[tuple[str, float]]:
     """Top-k tokens of the expanded vocabulary by cosine similarity to the
@@ -204,20 +192,36 @@ def nearest_words(query: str, lookup: ExpandedLookup,
     index = lookup.model.vocab.token_to_id if source == NATIVE else lookup.ext.index
     resolved = query if query in index else query.lower()
     candidates = [t for t in lookup.all_tokens() if t not in (query, resolved)]
-    bank = np.vstack([lookup.vector(t) for t in candidates])
-    return [(candidates[i], sim) for i, sim in cosine_top_k(qvec, bank, k)]
+    bank = SentenceBank(sentences=candidates,
+                        vectors=np.vstack([lookup.vector(t) for t in candidates]))
+    return bank.top_k(qvec, k)
 
 
 @dataclass
 class SentenceBank:
+    """Texts and their vectors, ranked by cosine similarity to a query; the
+    row norms are computed once, when the bank is built."""
+
     sentences: list[str]
-    vectors: np.ndarray  # (n, enc_dim)
+    vectors: np.ndarray  # (n, dim)
+    norms: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.vectors.ndim != 2 or self.vectors.shape[0] != len(self.sentences):
             raise InputError(f"need one vector row per sentence: "
                              f"{len(self.sentences)} sentences, "
                              f"vectors {self.vectors.shape}")
+        self.norms = np.linalg.norm(self.vectors, axis=1)
+
+    def top_k(self, q: np.ndarray, k: int) -> list[tuple[str, float]]:
+        """(text, cosine similarity) of the k rows most similar to q, best
+        first; ties keep row order.  A zero vector has similarity 0."""
+        qn = float(np.linalg.norm(q))
+        denom = (np.where(self.norms == 0.0, 1.0, self.norms)
+                 * (qn if qn > 0 else 1.0))
+        sims = (self.vectors @ q) / denom
+        order = np.argsort(-sims, kind="stable")[:max(k, 0)]
+        return [(self.sentences[i], float(sims[i])) for i in order]
 
 
 def nearest_sentences(query: str, model: SkipGruModel, bank: SentenceBank,
@@ -226,9 +230,7 @@ def nearest_sentences(query: str, model: SkipGruModel, bank: SentenceBank,
     """Top-k bank sentences by cosine similarity to the encoded query."""
     if len(bank.sentences) == 0:
         raise InputError("sentence bank is empty")
-    q = encode_text(query, model, lookup)
-    return [(bank.sentences[i], sim)
-            for i, sim in cosine_top_k(q, bank.vectors, k)]
+    return bank.top_k(encode_text(query, model, lookup), k)
 
 
 EXPANSION_MAGIC = b"SKIPGRUX"

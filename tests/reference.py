@@ -2,10 +2,17 @@
 paths are checked against, and the central-difference gradient check.
 
 None of these run in the package itself.  Each is the straightforward form of
-something the package computes in bulk: one GRU step (gru_forward runs all
-steps over hoisted input products), the cosine score of one image-sentence
-pair (ranking scores whole batches), and the expectation of one 5-bin
-relatedness distribution (probes.predict_scores does it per row).
+something the package computes in bulk:
+- one GRU step and one conditioned decoder step (gru_forward runs all steps
+  over hoisted input products), and the sampler built on the decoder step
+  (decoder.sample_sentence steps the kernel instead);
+- the cosine score of one image-sentence pair (ranking scores whole batches);
+- the ranking loss with one loop iteration per hinge, and retrieval ranks
+  with one sort per query (ranking builds both with array indexing);
+- average ranks with ties, one run of ties at a time (probes forms them
+  with array operations);
+- the expectation of one 5-bin relatedness distribution
+  (probes.predict_scores does it per row).
 """
 
 import math
@@ -13,12 +20,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from skipgru.decoder import ConditionalGruParams
 from skipgru.encoder import GruParams
 from skipgru.errors import (InputError, MetricError, NumericError,
                             ParameterError, ShapeError)
-from skipgru.numerics import ParamSet, sigmoid
+from skipgru.numerics import ParamSet, get_rng, sigmoid, softmax
 from skipgru.probes import SCORE_BINS
-from skipgru.ranking import RankingModel
+from skipgru.ranking import RankingModel, _contrastive_draws
 
 
 def finite_diff_check(loss_fn, params: ParamSet, analytic: ParamSet, eps: float = 1e-5) -> float:
@@ -76,6 +84,44 @@ def gru_step(x: np.ndarray, h_prev: np.ndarray, p: GruParams) -> GruStep:
     return GruStep(h=h, r=r, z=z, hbar=hbar)
 
 
+def cond_gru_step(x: np.ndarray, h_prev: np.ndarray, h_enc: np.ndarray,
+                  p: ConditionalGruParams) -> np.ndarray:
+    """One conditioned decoder step; with h_enc = 0 this is the plain GRU step."""
+    x = np.asarray(x, dtype=np.float64)
+    h_prev = np.asarray(h_prev, dtype=np.float64)
+    h_enc = np.asarray(h_enc, dtype=np.float64)
+    if x.shape != (p.embed_dim,):
+        raise ShapeError(f"input has shape {x.shape}, expected ({p.embed_dim},)")
+    if h_prev.shape != (p.hidden_dim,):
+        raise ShapeError(f"state has shape {h_prev.shape}, expected ({p.hidden_dim},)")
+    if h_enc.shape != (p.enc_dim,):
+        raise ShapeError(f"conditioning vector has shape {h_enc.shape}, "
+                         f"expected ({p.enc_dim},)")
+    r = sigmoid(p.W_r @ x + p.U_r @ h_prev + p.C_r @ h_enc)
+    z = sigmoid(p.W_z @ x + p.U_z @ h_prev + p.C_z @ h_enc)
+    hbar = np.tanh(p.W @ x + p.U @ (r * h_prev) + p.C @ h_enc)
+    return (1.0 - z) * h_prev + z * hbar
+
+
+def sample_sentence(h_enc, p: ConditionalGruParams, V, embedding, max_len: int,
+                    temperature: float, seed, eos_id: int = 0) -> list[int]:
+    """The sampler one cond_gru_step at a time, drawing from the same stream."""
+    rng = get_rng(seed)
+    h, x, out = np.zeros(p.hidden_dim), p.begin, []
+    for _ in range(max_len):
+        h = cond_gru_step(x, h, h_enc, p)
+        logits = V @ h
+        if temperature == 0.0:
+            w = int(np.argmax(logits))
+        else:
+            w = int(rng.choice(V.shape[0], p=softmax(logits / temperature)))
+        out.append(w)
+        if w == eos_id:
+            break
+        x = embedding[w]
+    return out
+
+
 def pair_score(x: np.ndarray, y: np.ndarray, model: RankingModel) -> float:
     """cosine(Ux, Vy) in [-1, 1]."""
     a = model.U @ np.asarray(x, dtype=np.float64)
@@ -84,6 +130,81 @@ def pair_score(x: np.ndarray, y: np.ndarray, model: RankingModel) -> float:
     if na == 0.0 or nb == 0.0:
         raise MetricError("zero-norm embedded vector; cosine score undefined")
     return float(a @ b) / (na * nb)
+
+
+def ranking_grads(X: np.ndarray, Y: np.ndarray, model: RankingModel,
+                  contrastive_seed) -> tuple[float, dict[str, np.ndarray]]:
+    """The hinge loss and its gradients, visiting one hinge at a time.
+
+    Scores, draws and the cosine backward are computed as the package computes
+    them; only the hinge terms and the weight table G are built in the loop,
+    so the loss may differ by summation order and G must agree exactly.
+    """
+    A, B = X @ model.U.T, Y @ model.V.T
+    na, nb = np.linalg.norm(A, axis=1), np.linalg.norm(B, axis=1)
+    Ahat, Bhat = A / na[:, None], B / nb[:, None]
+    S = Ahat @ Bhat.T
+    n = len(X)
+    sent, img = _contrastive_draws(n, model.k_contrastive,
+                                   get_rng(contrastive_seed))
+    G = np.zeros((n, n))
+    loss = 0.0
+    for i in range(n):
+        pos = S[i, i]
+        for j in sent[i]:
+            term = model.alpha - pos + S[i, j]
+            if term > 0.0:
+                loss += term
+                G[i, i] -= 1.0
+                G[i, j] += 1.0
+        for j in img[i]:
+            term = model.alpha - pos + S[j, i]
+            if term > 0.0:
+                loss += term
+                G[i, i] -= 1.0
+                G[j, i] += 1.0
+    GS = G * S
+    dA = (G @ Bhat - GS.sum(axis=1)[:, None] * Ahat) / na[:, None]
+    dB = (G.T @ Ahat - GS.sum(axis=0)[:, None] * Bhat) / nb[:, None]
+    return float(loss), {"U": dA.T @ X, "V": dB.T @ Y}
+
+
+def retrieval_ranks(images: np.ndarray, captions: np.ndarray,
+                    model: RankingModel, group_size: int) -> dict:
+    """Per direction, the rank of each query's best ground-truth candidate,
+    one stable sort per query; caption j belongs to image j // group_size."""
+    A, B = images @ model.U.T, captions @ model.V.T
+    S = (A / np.linalg.norm(A, axis=1)[:, None]) @ \
+        (B / np.linalg.norm(B, axis=1)[:, None]).T
+
+    def best_truth(S, truth):
+        out = []
+        for q in range(len(S)):
+            order = np.argsort(-S[q], kind="stable")
+            pos = np.empty(S.shape[1], dtype=int)
+            pos[order] = np.arange(1, S.shape[1] + 1)
+            out.append(int(pos[truth[q]].min()))
+        return np.array(out)
+
+    n, g = len(images), group_size
+    return {"annotation": best_truth(S, [range(i * g, (i + 1) * g)
+                                         for i in range(n)]),
+            "search": best_truth(S.T, [[j // g] for j in range(len(captions))])}
+
+
+def average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks in sorted order; a run of equal values shares its mean."""
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(len(x))
+    sx = x[order]
+    i = 0
+    while i < len(x):
+        j = i
+        while j + 1 < len(x) and sx[j + 1] == sx[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
 
 
 def distribution_to_score(p_hat: np.ndarray) -> float:

@@ -11,6 +11,7 @@ import struct
 import numpy as np
 import pytest
 
+from skipgru import trainer
 from skipgru.cli import _encode_lines, main
 from skipgru.fileio import read_vectors
 from skipgru.trainer import METRICS_HEADER, load_checkpoint
@@ -160,6 +161,37 @@ def test_train_resume_matches_straight_run(ws, tmp_path):
     assert main(base + ["--steps", "16", "--resume",
                         "--out", str(resumed)]) == 0
     assert straight.read_bytes() == resumed.read_bytes()
+
+
+def test_interrupted_train_resumes_to_the_same_checkpoint(ws, tmp_path,
+                                                          monkeypatch):
+    # A KeyboardInterrupt in step 5 stops the run after the step-3
+    # checkpoint; --resume from it finishes as an uninterrupted run does.
+    base = ["train", "--corpus", str(ws["corpus"]), "--vocab",
+            str(ws["vocab"]), "--embed-dim", "4", "--hidden-dim", "4",
+            "--batch", "4", "--seed", "6", "--steps", "9",
+            "--checkpoint-every", "3"]
+    straight = tmp_path / "s.ckpt"
+    assert main(base + ["--out", str(straight)]) == 0
+    out, metrics = tmp_path / "r.ckpt", tmp_path / "r.csv"
+    real_step = trainer.train_step
+
+    def interrupt_step_5(model, batch, opt, config):
+        if opt.step == 4:
+            raise KeyboardInterrupt
+        return real_step(model, batch, opt, config)
+
+    monkeypatch.setattr(trainer, "train_step", interrupt_step_5)
+    with pytest.raises(KeyboardInterrupt):
+        main(base + ["--out", str(out), "--metrics", str(metrics)])
+    monkeypatch.undo()
+    assert load_checkpoint(out)[1].step == 3
+    assert main(base + ["--out", str(out), "--metrics", str(metrics),
+                        "--resume"]) == 0
+    assert out.read_bytes() == straight.read_bytes()
+    steps = [line.split(",")[0] for line in metrics.read_text().splitlines()]
+    assert steps[1:] == [str(i) for i in range(1, 10)]
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 # ---------------------------------------------------------------------------

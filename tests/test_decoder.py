@@ -2,22 +2,24 @@
 backward pass, and sampling.
 
 Oracles: an independently coded step (re-derived from the update equations
-inside the test), an unrolled likelihood recomputation, the finite-difference
+inside the test), the reference step and step-at-a-time sampler of
+reference.py, an unrolled likelihood recomputation, the finite-difference
 checker, and a Monte-Carlo frequency check for the sampler.
 """
 
 import numpy as np
 import pytest
-from skipgru.decoder import (ConditionalGruParams, DecoderPair, cond_gru_step,
+from skipgru.decoder import (ConditionalGruParams, DecoderPair,
                              decoder_backward, init_conditional_gru,
                              init_decoder_pair, sample_sentence,
                              sentence_log_prob, sentence_log_prob_with_cache)
-from skipgru.encoder import GruParams
+from skipgru.encoder import GruParams, gru_forward
 from skipgru.errors import (ParameterError, RangeError, ShapeError,
                             StateError)
 from skipgru.numerics import log_softmax, sigmoid, softmax
 
-from reference import finite_diff_check, gru_step
+import reference
+from reference import cond_gru_step, finite_diff_check, gru_step
 
 
 def rand_cond_params(rng, embed=3, hidden=3, enc=3, scale=0.7):
@@ -32,16 +34,26 @@ def rand_cond_params(rng, embed=3, hidden=3, enc=3, scale=0.7):
 
 
 # ---------------------------------------------------------------------------
-# cond_gru_step
+# one conditioned step: the kernel from a given state, and the reference step
 # ---------------------------------------------------------------------------
+
+def kernel_step(x, h_prev, h_enc, p):
+    """One gru_forward step from h_prev with the conditioning added to the
+    input pre-activations, as sample_sentence runs it."""
+    X = np.asarray(x, dtype=np.float64)[None, :]
+    return gru_forward(X @ p.W_r.T + p.C_r @ h_enc, X @ p.W_z.T + p.C_z @ h_enc,
+                       X @ p.W.T + p.C @ h_enc, p, h0=h_prev).h_final
+
 
 def test_step_reduces_to_plain_gru_when_unconditioned(rng):
     p = rand_cond_params(rng)
     x, h_prev = rng.normal(size=3), rng.normal(size=3)
-    out = cond_gru_step(x, h_prev, np.zeros(3), p)
     plain = gru_step(x, h_prev, GruParams(W_r=p.W_r, W_z=p.W_z, W=p.W,
                                           U_r=p.U_r, U_z=p.U_z, U=p.U))
-    assert np.max(np.abs(out - plain.h)) < 1e-15
+    assert np.max(np.abs(cond_gru_step(x, h_prev, np.zeros(3), p)
+                         - plain.h)) < 1e-15
+    assert np.max(np.abs(kernel_step(x, h_prev, np.zeros(3), p)
+                         - plain.h)) < 1e-12
 
 
 def test_step_scalar_conditioning_hand_computation():
@@ -54,8 +66,9 @@ def test_step_scalar_conditioning_hand_computation():
                              C_r=np.zeros((hidden, hidden)),
                              C_z=np.zeros((hidden, hidden)),
                              C=np.eye(hidden), begin=np.zeros(1))
-    h = cond_gru_step(np.zeros(1), np.zeros(hidden), np.ones(hidden), p)
-    assert np.max(np.abs(h - 0.5 * np.tanh(1.0))) < 1e-12   # ~0.38080
+    for step in (cond_gru_step, kernel_step):
+        h = step(np.zeros(1), np.zeros(hidden), np.ones(hidden), p)
+        assert np.max(np.abs(h - 0.5 * np.tanh(1.0))) < 1e-12   # ~0.38080
 
 
 def _ref_cond_step(x, h_prev, h_enc, p):
@@ -70,8 +83,9 @@ def test_step_matches_independent_oracle(rng):
     p = rand_cond_params(rng, embed=4, hidden=3, enc=2)
     x, h_prev, h_enc = (rng.normal(size=4), rng.normal(size=3),
                         rng.normal(size=2))
-    assert np.max(np.abs(cond_gru_step(x, h_prev, h_enc, p) -
-                         _ref_cond_step(x, h_prev, h_enc, p))) < 1e-12
+    want = _ref_cond_step(x, h_prev, h_enc, p)
+    for step in (cond_gru_step, kernel_step):
+        assert np.max(np.abs(step(x, h_prev, h_enc, p) - want)) < 1e-12
 
 
 def test_step_shape_errors(rng):
@@ -80,6 +94,10 @@ def test_step_shape_errors(rng):
         cond_gru_step(np.zeros(5), np.zeros(3), np.zeros(3), p)
     with pytest.raises(ShapeError):
         cond_gru_step(np.zeros(3), np.zeros(3), np.zeros(9), p)
+    V, emb = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+    with pytest.raises(ShapeError):
+        sample_sentence(np.zeros(9), p, V, emb, max_len=3, temperature=1.0,
+                        seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +318,19 @@ def test_sample_temperature_sharpens(rng):
     cold = [sample_sentence(h_enc, p, V, emb, max_len=1, temperature=0.01,
                             seed=s)[0] for s in range(50)]
     assert all(w == greedy for w in cold)
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.5, 1.0, 2.0])
+def test_sample_matches_step_reference(rng, temperature):
+    # The kernel sampler and the one-step-at-a-time sampler draw the same
+    # words from the same seed.
+    p = rand_cond_params(rng, embed=3, hidden=4, enc=2)
+    V = rng.normal(size=(6, 4))
+    emb = rng.normal(size=(6, 3))
+    h_enc = rng.normal(size=2)
+    for seed in range(8):
+        assert sample_sentence(h_enc, p, V, emb, 12, temperature, seed) == \
+            reference.sample_sentence(h_enc, p, V, emb, 12, temperature, seed)
 
 
 def test_sample_parameter_errors(rng):

@@ -22,7 +22,7 @@ from skipgru.probes import (DEFAULT_L2_GRID, accuracy, cross_validate, f1,
                             read_pair_dataset, score_to_distribution,
                             select_l2, spearman, stratified_folds)
 
-from reference import distribution_to_score
+from reference import average_ranks, distribution_to_score
 
 
 # ---------------------------------------------------------------------------
@@ -38,6 +38,14 @@ def test_pair_features_identical_pair():
 def test_pair_features_hand_case():
     f = pair_features(np.array([1.0, 2.0]), np.array([3.0, -1.0]))
     assert np.array_equal(f, np.array([3.0, -2.0, 2.0, 3.0]))
+
+
+def test_pair_features_row_blocks_match_per_row(rng):
+    U, V = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+    want = np.vstack([pair_features(u, v) for u, v in zip(U, V)])
+    assert np.array_equal(pair_features(U, V), want)
+    with pytest.raises(ShapeError):
+        pair_features(U, V[:4])
 
 
 def test_pair_features_dimension_mismatch():
@@ -290,6 +298,18 @@ def test_spearman_handles_ties_like_scipy(rng):
     a = rng.integers(0, 4, size=40).astype(float)
     b = rng.integers(0, 4, size=40).astype(float)
     assert abs(spearman(a, b) - scipy.stats.spearmanr(a, b)[0]) < 1e-10
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_spearman_matches_average_rank_reference(seed):
+    # Few distinct values, so most ranks are shared by a run of ties.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    a = rng.integers(0, 1 + n // 4, size=n).astype(float)
+    b = rng.normal(size=n).round(int(rng.integers(0, 2)))
+    if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
+        return
+    assert spearman(a, b) == pearson(average_ranks(a), average_ranks(b))
 
 
 @given(st.integers(0, 200))

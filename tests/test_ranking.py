@@ -3,7 +3,8 @@ Recall@K / median-rank evaluation.
 
 Oracles: exhaustive hinge enumeration when the contrastive pool is forced,
 an independent reimplementation of the documented draw procedure, finite
-differences for the gradient, and hand-built score tables for retrieval.
+differences for the gradient, hand-built score tables for retrieval, and the
+per-hinge and per-query loops of reference.py.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from skipgru.numerics import get_rng, seed_tuple
 from skipgru.ranking import (RankingModel, RankTrainConfig, evaluate_retrieval,
                              init_ranking_model, ranking_grads, train_ranker)
 
+import reference
 from reference import finite_diff_check, pair_score
 
 
@@ -185,6 +187,64 @@ def test_gradient_finite_difference(rng):
         if err < 1e-5:
             return
     raise AssertionError("no kink-free instance found within 10 draws")
+
+
+def tied_batch(rng, n, image_dim, sentence_dim):
+    """Random pairs in which some rows repeat exactly, so that some scores
+    tie exactly (a repeated sentence scores the same against every image)."""
+    X = rng.normal(size=(n, image_dim))
+    Y = rng.normal(size=(n, sentence_dim))
+    src = rng.integers(0, n, size=n // 3)
+    dst = rng.integers(0, n, size=n // 3)
+    X[dst], Y[dst] = X[src], Y[src]
+    return X, Y
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_grads_match_per_hinge_reference(seed):
+    # Loss within 1e-12 relative (summation order differs); the hinge weight
+    # table holds integers, so the gradients must agree exactly.
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(4, 30)), int(rng.integers(1, 4))
+    X, Y = tied_batch(rng, n, 5, 7)
+    m = rand_model(rng, image_dim=5, sentence_dim=7, embed_dim=4,
+                   alpha=float(rng.uniform(0.1, 1.5)), k=min(k, n - 1))
+    loss, grads = ranking_grads(X, Y, m, contrastive_seed=(seed, 1))
+    want_loss, want = reference.ranking_grads(X, Y, m, (seed, 1))
+    assert abs(loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
+    for key in ("U", "V"):
+        assert np.array_equal(grads[key], want[key])
+
+
+def test_grads_match_per_hinge_reference_when_hinges_are_exactly_zero():
+    # One-hot pairs under the identity: every positive scores 1 and every
+    # contrastive 0, so with alpha = 1 each hinge sits exactly at zero and
+    # must stay inactive.
+    X = np.eye(6)
+    m = identity_model(6, alpha=1.0, k=3)
+    loss, grads = ranking_grads(X, X, m, contrastive_seed=2)
+    want_loss, want = reference.ranking_grads(X, X, m, 2)
+    assert loss == want_loss == 0.0
+    for key in ("U", "V"):
+        assert np.array_equal(grads[key], want[key])
+
+
+@pytest.mark.parametrize("group_size", [1, 5])
+@pytest.mark.parametrize("seed", range(4))
+def test_retrieval_matches_per_query_reference(seed, group_size):
+    rng = np.random.default_rng(100 + seed)
+    n = int(rng.integers(2, 15))
+    X, _ = tied_batch(rng, n, 5, 1)
+    _, Y = tied_batch(rng, n * group_size, 1, 6)
+    m = rand_model(rng, image_dim=5, sentence_dim=6, embed_dim=3)
+    ks = (1, 2, 5, 10)
+    res = evaluate_retrieval(X, Y, m, group_size=group_size, ks=ks)
+    for direction, ranks in reference.retrieval_ranks(X, Y, m,
+                                                      group_size).items():
+        r = res[direction]
+        assert r.recall_at == {k: 100.0 * float(np.mean(ranks <= k))
+                               for k in ks}
+        assert r.median_rank == float(np.median(ranks))
 
 
 # ---------------------------------------------------------------------------

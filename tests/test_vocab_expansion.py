@@ -275,6 +275,24 @@ def test_nearest_sentences_matches_exhaustive_scan():
     assert [s for s, _ in nearest_sentences(q, m, bank, k=5)] == want
 
 
+def test_bank_top_k_cosine_formula_and_ties():
+    vecs = np.array([[3.0, 4.0], [0.0, 0.0], [6.0, 8.0], [-1.0, 0.5]])
+    bank = SentenceBank(sentences=["a", "zero", "b", "c"], vectors=vecs)
+    assert np.array_equal(bank.norms, np.linalg.norm(vecs, axis=1))
+    q = np.array([0.3, 0.4])
+    sims = (vecs @ q) / (np.array([5.0, 1.0, 10.0, np.sqrt(1.25)]) * 0.5)
+    # "a" and "b" tie at cosine 1 and keep row order; the zero row scores 0.
+    assert bank.top_k(q, 4) == [("a", sims[0]), ("b", sims[2]),
+                                ("zero", 0.0), ("c", sims[3])]
+    assert [s for s, _ in bank.top_k(np.zeros(2), 4)] == ["a", "zero", "b", "c"]
+    # 40 rows in four directions, so each score is tied ten times exactly.
+    dirs = np.array([[0.0, 1.0], [1.0, 0.0], [-1.0, 0.0], [3.0, 4.0]])
+    many = SentenceBank(sentences=[str(i) for i in range(40)],
+                        vectors=dirs[np.arange(40) % 4] * np.arange(1, 41)[:, None])
+    want = sorted(range(40), key=lambda i: [2, 0, 3, 1][i % 4])   # stable
+    assert [int(s) for s, _ in many.top_k(np.array([0.3, 0.0]), 40)] == want
+
+
 def test_nearest_sentences_k_zero_and_empty_bank():
     m = randomize_params(make_model(vocab_size=8, embed_dim=3), seed=5)
     vecs = np.stack([encode_text("w2", m)])
