@@ -18,9 +18,12 @@ Both decoders run on the encoder's GRU kernel.  The conditioning terms
 C_* h_enc are constant over a sentence, so they are added once to the input
 pre-activations X @ W_*.T before the time loop.  In the backward pass their
 gradients, and the gradient into h_enc, come from the per-step pre-activation
-gradients summed over time; V's gradient is one product dlogits.T @ H.  The
-sampler, whose next input is the word it has just drawn, runs the kernel one
-step at a time from the state it has reached.
+gradients summed over time; V's gradient is one product dlogits.T @ H.
+decoder_backward adds every gradient into the caller's accumulator (V's by one
+BLAS call that accumulates in place, the input gradients by a scatter-add into
+the embedding rows), so a pass builds no (vocab, ·) array.  The sampler, whose
+next input is the word it has just drawn, runs the kernel one step at a time
+from the state it has reached.
 """
 
 from __future__ import annotations
@@ -157,12 +160,15 @@ def sentence_log_prob(target: Sequence[int], h_enc: np.ndarray,
 
 
 def decoder_backward(cache: DecoderCache, p: ConditionalGruParams, V: np.ndarray,
-                     embedding: np.ndarray) -> tuple[ParamSet, np.ndarray]:
-    """Gradients of the negative log-likelihood from a cached forward pass.
+                     grads: ParamSet, prefix: str) -> np.ndarray:
+    """Add the gradients of the negative log-likelihood from a cached forward
+    pass into `grads`, and return the conditioning gradient that flows back
+    into the encoder.
 
-    Returns (grads, grad_h_enc) where grads holds the nine decoder matrices,
-    "begin", the shared "V", and a full-table "emb" gradient.  grad_h_enc is
-    the conditioning gradient that flows back into the encoder.
+    The nine decoder matrices and "begin" are added under `prefix` (e.g.
+    "dec_next."), the shared output matrix's gradient into "V", and the input
+    rows' gradients are scatter-added into "emb" (the other rows are not
+    touched).
     """
     if not isinstance(cache, DecoderCache):
         raise StateError("decoder_backward needs the cache from "
@@ -173,14 +179,26 @@ def decoder_backward(cache: DecoderCache, p: ConditionalGruParams, V: np.ndarray
     dlogits[np.arange(T), list(cache.target)] -= 1.0
     # dlogits @ V is the direct path into each h^t.
     back = gru_backward(cache.X, cache.trace, dlogits @ V, p)
-    grads = dict(back.params)
     da_r, da_z, da_h = back.DA_r.sum(0), back.DA_z.sum(0), back.DA_h.sum(0)
-    grads.update(C_r=np.outer(da_r, cache.h_enc), C_z=np.outer(da_z, cache.h_enc),
-                 C=np.outer(da_h, cache.h_enc), begin=back.dX[0],
-                 V=dlogits.T @ cache.trace.S[1:], emb=np.zeros_like(embedding))
+    own = dict(back.params, C_r=np.outer(da_r, cache.h_enc),
+               C_z=np.outer(da_z, cache.h_enc), C=np.outer(da_h, cache.h_enc),
+               begin=back.dX[0])
+    for k, v in own.items():
+        grads[prefix + k] += v
+    # grads["V"] += dlogits.T @ H as one BLAS call that accumulates in place
+    # (beta = 1), so no (vocab, hidden) product is built first.  BLAS updates
+    # the column-major view of grads["V"]; if grads["V"] is not row-major it
+    # works on a copy, which is written back.  scipy.linalg is imported on
+    # first use, so commands that never train do not load it.
+    from scipy.linalg.blas import dgemm
+
+    gV = grads["V"]
+    acc = dgemm(1.0, cache.trace.S[1:], dlogits, trans_a=1, beta=1.0, c=gV.T,
+                overwrite_c=1)
+    if not np.shares_memory(acc, gV):
+        gV[...] = acc.T
     np.add.at(grads["emb"], list(cache.target[:-1]), back.dX[1:])
-    g_henc = p.C.T @ da_h + p.C_r.T @ da_r + p.C_z.T @ da_z
-    return grads, g_henc
+    return p.C.T @ da_h + p.C_r.T @ da_r + p.C_z.T @ da_z
 
 
 def sample_sentence(h_enc: np.ndarray, p: ConditionalGruParams, V: np.ndarray,

@@ -19,8 +19,9 @@ three recurrent products U_* h^{t-1}.  gru_backward is backpropagation through
 time written out by hand, so the whole model trains without autodiff: its
 time loop only carries the state gradient and records the gate pre-activation
 gradients DA_* of every step; each weight gradient is then one matrix product
-after the loop (for example DA_h.T @ X for W), and so are the input gradients,
-which are scatter-added into the embedding table because a sentence can
+after the loop (for example DA_h.T @ X for W), and so are the input gradients.
+encoder_backward adds these into the caller's gradient accumulator; the input
+gradients are scatter-added into its embedding rows, because a sentence can
 repeat a token id.
 """
 
@@ -283,12 +284,14 @@ def encode_vectors(X: np.ndarray, model: EncoderModel) -> np.ndarray:
 
 
 def encoder_backward(cache: EncoderCache, grad_output: np.ndarray,
-                     model: EncoderModel) -> ParamSet:
-    """Gradients of a scalar loss with upstream `grad_output` = dL/d(encoding).
+                     model: EncoderModel, grads: ParamSet) -> None:
+    """Add the gradients of a scalar loss with upstream `grad_output` =
+    dL/d(encoding) into `grads`.
 
-    Keys: "emb" (full embedding-table gradient; untouched rows stay zero),
-    "enc.W_r" ... "enc.U" for the forward GRU, and "enc_rev.*" when
-    bidirectional.
+    grads holds every parameter's accumulator under its name: the input rows
+    are scatter-added into "emb" (the other rows are not touched), the forward
+    GRU's six matrices into "enc.W_r" ... "enc.U", and the reverse GRU's into
+    "enc_rev.*" when bidirectional.
     """
     if not isinstance(cache, EncoderCache):
         raise StateError("encoder_backward needs the cache from encode_with_cache")
@@ -299,19 +302,18 @@ def encoder_backward(cache: EncoderCache, grad_output: np.ndarray,
         raise ShapeError(f"grad_output has shape {grad_output.shape}, "
                          f"expected ({model.output_dim},)")
     hid = model.hidden_dim
-    demb = np.zeros_like(model.embedding)
     # Only the final state h^T gets gradient from outside the recurrence.
     dH = np.zeros_like(cache.fwd.R)
     dH[-1] = grad_output[:hid]
     fwd = gru_backward(cache.X, cache.fwd, dH, model.forward)
-    out: ParamSet = {"emb": demb}
-    out.update({"enc." + k: v for k, v in fwd.params.items()})
+    for k, v in fwd.params.items():
+        grads["enc." + k] += v
     dX = fwd.dX
     if model.backward is not None:
         dH[-1] = grad_output[hid:]
         bwd = gru_backward(cache.X[::-1], cache.bwd, dH, model.backward)
-        out.update({"enc_rev." + k: v for k, v in bwd.params.items()})
+        for k, v in bwd.params.items():
+            grads["enc_rev." + k] += v
         dX = dX + bwd.dX[::-1]
     # Sentences repeat token ids, so the rows must be scatter-added.
-    np.add.at(demb, list(cache.tokens), dX)
-    return out
+    np.add.at(grads["emb"], list(cache.tokens), dX)

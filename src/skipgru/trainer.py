@@ -6,10 +6,13 @@ The loss for one triple (s_prev, s_curr, s_next) is
     -[log P(s_next | h) + log P(s_prev | h)],  h = encode(s_curr)
 
 and a batch optimizes the mean over its triples (the corpus objective is the
-sum; the mean keeps the learning rate independent of batch size).  Per-triple
-gradients are accumulated in batch order, so runs are reproducible bit for bit
-given a seed, and a checkpointed run resumed mid-stream matches an unbroken
-run exactly.
+sum; the mean keeps the learning rate independent of batch size).  A train
+step allocates one zero-filled gradient per parameter, and every encoder and
+decoder pass of every triple adds into it: no pass builds a vocabulary-sized
+array of its own.  The additions happen in a fixed order (triples in batch
+order; within a triple the next decoder, the previous decoder, then the
+encoder), so runs are reproducible bit for bit given a seed, and a
+checkpointed run resumed mid-stream matches an unbroken run exactly.
 """
 
 from __future__ import annotations
@@ -154,13 +157,14 @@ def triple_loss(model: SkipGruModel, triple: SentenceTriple) -> float:
     return -(lp_next + lp_prev)
 
 
-def triple_grads(model: SkipGruModel,
-                 triple: SentenceTriple) -> tuple[float, ParamSet]:
-    """Loss and full-model gradients for one triple.
+def triple_grads(model: SkipGruModel, triple: SentenceTriple,
+                 grads: ParamSet) -> float:
+    """Add one triple's gradients into `grads` and return its loss.
 
-    The conditioning gradients of both decoders are summed before flowing back
-    through the encoder; V and embedding gradients accumulate across all three
-    passes.
+    grads holds one accumulator per parameter name (param_order).  Both
+    decoders add into it before their conditioning gradients, summed, flow back
+    through the encoder, which adds last; V and embedding gradients thus
+    accumulate across all three passes.
     """
     emb, V = model.embedding, model.decoders.V
     h, enc_cache = encode_with_cache(triple.curr, model.encoder)
@@ -168,20 +172,12 @@ def triple_grads(model: SkipGruModel,
         triple.next, h, model.decoders.next_params, V, emb)
     lp_prev, cache_p = sentence_log_prob_with_cache(
         triple.prev, h, model.decoders.prev_params, V, emb)
-    g_next, gh_next = decoder_backward(cache_n, model.decoders.next_params, V, emb)
-    g_prev, gh_prev = decoder_backward(cache_p, model.decoders.prev_params, V, emb)
-    g_enc = encoder_backward(enc_cache, gh_next + gh_prev, model.encoder)
-
-    grads: ParamSet = {}
-    grads["emb"] = g_enc["emb"] + g_next["emb"] + g_prev["emb"]
-    for k, v in g_enc.items():
-        if k != "emb":
-            grads[k] = v
-    for k in COND_KEYS:
-        grads["dec_next." + k] = g_next[k]
-        grads["dec_prev." + k] = g_prev[k]
-    grads["V"] = g_next["V"] + g_prev["V"]
-    return -(lp_next + lp_prev), grads
+    gh_next = decoder_backward(cache_n, model.decoders.next_params, V, grads,
+                               "dec_next.")
+    gh_prev = decoder_backward(cache_p, model.decoders.prev_params, V, grads,
+                               "dec_prev.")
+    encoder_backward(enc_cache, gh_next + gh_prev, model.encoder, grads)
+    return -(lp_next + lp_prev)
 
 
 class TrainStepResult(NamedTuple):
@@ -196,8 +192,10 @@ def train_step(model: SkipGruModel, batch: Sequence[SentenceTriple],
                opt: AdamState, config: TrainConfig) -> TrainStepResult:
     """One optimizer step on the mean triple loss over `batch`.
 
-    Returns the loss measured before the update.  Per-triple gradients are
-    reduced in batch order (fixed reduction order keeps runs deterministic).
+    Returns the loss measured before the update.  One zero-filled gradient
+    set is passed to triple_grads for every triple in batch order, so the
+    reduction order is fixed and runs are deterministic; it is then scaled to
+    the batch mean, checked, clipped and handed to Adam.
     """
     if not batch:
         raise InputError("train_step needs a nonempty batch")
@@ -205,10 +203,7 @@ def train_step(model: SkipGruModel, batch: Sequence[SentenceTriple],
     total: ParamSet = {k: np.zeros_like(v) for k, v in params.items()}
     loss_sum = 0.0
     for triple in batch:
-        loss, grads = triple_grads(model, triple)
-        loss_sum += loss
-        for k in total:
-            total[k] += grads[k]
+        loss_sum += triple_grads(model, triple, total)
     mean_loss = loss_sum / len(batch)
     if not math.isfinite(mean_loss):
         raise NumericError(f"non-finite batch loss {mean_loss} at step "

@@ -37,6 +37,11 @@ def randomize_params(model: SkipGruModel, seed=0, scale=0.7) -> SkipGruModel:
     return model_from_params(model.config, model.vocab, params)
 
 
+def zero_grads(model: SkipGruModel) -> dict[str, np.ndarray]:
+    """A zero-filled gradient accumulator for every parameter of `model`."""
+    return {k: np.zeros_like(v) for k, v in model.param_dict().items()}
+
+
 def random_triple(vocab_size: int, rng, max_len=4) -> SentenceTriple:
     """Random eos-terminated triple over ids [2, vocab_size)."""
     def sent():

@@ -6,6 +6,10 @@ something the package computes in bulk:
 - one GRU step and one conditioned decoder step (gru_forward runs all steps
   over hoisted input products), and the sampler built on the decoder step
   (decoder.sample_sentence steps the kernel instead);
+- one triple's gradients as dense per-pass arrays: each encoder and decoder
+  pass returns its own full (vocab, embed) embedding gradient and each decoder
+  its own (vocab, hidden) V gradient, summed per triple (the package adds
+  every pass into one accumulator per train step instead);
 - the cosine score of one image-sentence pair (ranking scores whole batches);
 - the ranking loss with one loop iteration per hinge, and retrieval ranks
   with one sort per query (ranking builds both with array indexing);
@@ -20,8 +24,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from skipgru.decoder import ConditionalGruParams
-from skipgru.encoder import GruParams
+from skipgru.corpus import SentenceTriple
+from skipgru.decoder import (COND_KEYS, ConditionalGruParams, DecoderCache,
+                             sentence_log_prob_with_cache)
+from skipgru.encoder import (EncoderCache, EncoderModel, GruParams,
+                             encode_with_cache, gru_backward)
 from skipgru.errors import (InputError, MetricError, NumericError,
                             ParameterError, ShapeError)
 from skipgru.numerics import ParamSet, get_rng, sigmoid, softmax
@@ -120,6 +127,65 @@ def sample_sentence(h_enc, p: ConditionalGruParams, V, embedding, max_len: int,
             break
         x = embedding[w]
     return out
+
+
+def encoder_backward(cache: EncoderCache, grad_output: np.ndarray,
+                     model: EncoderModel) -> ParamSet:
+    """One encoder pass's gradients: a full-table "emb" (untouched rows stay
+    zero), "enc.*", and "enc_rev.*" when bidirectional."""
+    hid = model.hidden_dim
+    demb = np.zeros_like(model.embedding)
+    dH = np.zeros_like(cache.fwd.R)
+    dH[-1] = grad_output[:hid]
+    fwd = gru_backward(cache.X, cache.fwd, dH, model.forward)
+    out: ParamSet = {"emb": demb}
+    out.update({"enc." + k: v for k, v in fwd.params.items()})
+    dX = fwd.dX
+    if model.backward is not None:
+        dH[-1] = grad_output[hid:]
+        bwd = gru_backward(cache.X[::-1], cache.bwd, dH, model.backward)
+        out.update({"enc_rev." + k: v for k, v in bwd.params.items()})
+        dX = dX + bwd.dX[::-1]
+    np.add.at(demb, list(cache.tokens), dX)
+    return out
+
+
+def decoder_backward(cache: DecoderCache, p: ConditionalGruParams, V: np.ndarray,
+                     embedding: np.ndarray) -> tuple[ParamSet, np.ndarray]:
+    """One decoder pass's gradients (the nine matrices, "begin", a dense "V"
+    and a full-table "emb") and the gradient into h_enc."""
+    T = len(cache.target)
+    dlogits = cache.probs.copy()
+    dlogits[np.arange(T), list(cache.target)] -= 1.0
+    back = gru_backward(cache.X, cache.trace, dlogits @ V, p)
+    grads = dict(back.params)
+    da_r, da_z, da_h = back.DA_r.sum(0), back.DA_z.sum(0), back.DA_h.sum(0)
+    grads.update(C_r=np.outer(da_r, cache.h_enc), C_z=np.outer(da_z, cache.h_enc),
+                 C=np.outer(da_h, cache.h_enc), begin=back.dX[0],
+                 V=dlogits.T @ cache.trace.S[1:], emb=np.zeros_like(embedding))
+    np.add.at(grads["emb"], list(cache.target[:-1]), back.dX[1:])
+    g_henc = p.C.T @ da_h + p.C_r.T @ da_r + p.C_z.T @ da_z
+    return grads, g_henc
+
+
+def triple_grads(model, triple: SentenceTriple) -> tuple[float, ParamSet]:
+    """Loss and a fresh dense gradient set for one triple (a SkipGruModel)."""
+    emb, V = model.embedding, model.decoders.V
+    h, enc_cache = encode_with_cache(triple.curr, model.encoder)
+    lp_next, cache_n = sentence_log_prob_with_cache(
+        triple.next, h, model.decoders.next_params, V, emb)
+    lp_prev, cache_p = sentence_log_prob_with_cache(
+        triple.prev, h, model.decoders.prev_params, V, emb)
+    g_next, gh_next = decoder_backward(cache_n, model.decoders.next_params, V, emb)
+    g_prev, gh_prev = decoder_backward(cache_p, model.decoders.prev_params, V, emb)
+    g_enc = encoder_backward(enc_cache, gh_next + gh_prev, model.encoder)
+    grads: ParamSet = {"emb": g_enc["emb"] + g_next["emb"] + g_prev["emb"]}
+    grads.update((k, v) for k, v in g_enc.items() if k != "emb")
+    for k in COND_KEYS:
+        grads["dec_next." + k] = g_next[k]
+        grads["dec_prev." + k] = g_prev[k]
+    grads["V"] = g_next["V"] + g_prev["V"]
+    return -(lp_next + lp_prev), grads
 
 
 def pair_score(x: np.ndarray, y: np.ndarray, model: RankingModel) -> float:

@@ -26,7 +26,7 @@ from skipgru.trainer import (SkipGruModel, TrainConfig, model_from_params,
 from skipgru.vocab_expansion import (ExpandedLookup, ExternalEmbeddings,
                                      fit_expansion)
 
-from conftest import make_model, make_vocab, randomize_params
+from conftest import make_model, make_vocab, randomize_params, zero_grads
 from reference import distribution_to_score, finite_diff_check
 
 RESULTS: list[str] = []
@@ -66,10 +66,9 @@ def _fd_encoder(mode, seed):
         return float(probe @ encode(tokens, mm.encoder))
 
     _, cache = encode_with_cache(tokens, m.encoder)
-    analytic = encoder_backward(cache, probe, m.encoder)
-    params = m.param_dict()
-    full = {k: analytic.get(k, np.zeros_like(v)) for k, v in params.items()}
-    return finite_diff_check(loss, params, full)
+    analytic = zero_grads(m)
+    encoder_backward(cache, probe, m.encoder, analytic)
+    return finite_diff_check(loss, m.param_dict(), analytic)
 
 
 def _fd_decoder(seed):
@@ -92,7 +91,8 @@ def _fd_decoder(seed):
         return -sentence_log_prob(target, ps["h_enc"], pp, ps["V"], ps["emb"])
 
     _, cache = sentence_log_prob_with_cache(target, h_enc, p, V, emb)
-    grads, g_henc = decoder_backward(cache, p, V, emb)
+    grads = {k: np.zeros_like(v) for k, v in params.items() if k != "h_enc"}
+    g_henc = decoder_backward(cache, p, V, grads, "")
     return finite_diff_check(loss, params, dict(grads, h_enc=g_henc))
 
 
@@ -104,7 +104,8 @@ def _fd_triple(mode, seed):
     def loss(params):
         return triple_loss(model_from_params(m.config, m.vocab, params), t)
 
-    _, grads = triple_grads(m, t)
+    grads = zero_grads(m)
+    triple_grads(m, t, grads)
     return finite_diff_check(loss, m.param_dict(), grads)
 
 

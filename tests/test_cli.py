@@ -6,11 +6,16 @@ reasonable; SystemExit from argparse is asserted where flags are invalid.
 """
 
 import json
+import os
+import pathlib
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import skipgru
 from skipgru import trainer
 from skipgru.cli import _encode_lines, main
 from skipgru.fileio import read_vectors
@@ -32,6 +37,20 @@ the bird sat on the cat .
 a dog came home fast .
 the red cat went away .
 """
+
+
+def test_importing_the_cli_loads_no_optimizer_or_linalg():
+    # Only the probes need scipy.optimize and only training needs
+    # scipy.linalg; both are imported on first use, not at start-up.
+    src = str(pathlib.Path(skipgru.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, skipgru.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.linalg') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.fixture(scope="module")

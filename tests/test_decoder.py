@@ -177,6 +177,12 @@ def test_log_prob_range_errors(rng):
 # decoder_backward
 # ---------------------------------------------------------------------------
 
+def zero_accumulator(p, V, emb):
+    """Zero gradients for p's fields (no prefix), "V" and "emb"."""
+    return {k: np.zeros_like(v)
+            for k, v in dict(p.as_dict(), V=V, emb=emb).items()}
+
+
 def _fd_decoder(target):
     rng = np.random.default_rng(31)
     p = rand_cond_params(rng, embed=3, hidden=3, enc=2)
@@ -192,9 +198,9 @@ def _fd_decoder(target):
                                   ps["emb"])
 
     _, cache = sentence_log_prob_with_cache(target, h_enc, p, V, emb)
-    grads, g_henc = decoder_backward(cache, p, V, emb)
-    analytic = dict(grads, h_enc=g_henc)
-    return finite_diff_check(loss, params, analytic)
+    grads = zero_accumulator(p, V, emb)
+    g_henc = decoder_backward(cache, p, V, grads, "")
+    return finite_diff_check(loss, params, dict(grads, h_enc=g_henc))
 
 
 def test_backward_finite_difference_all_inputs():
@@ -206,6 +212,24 @@ def test_backward_finite_difference_repeated_inputs():
     assert _fd_decoder((2, 4, 2, 2, 0)) < 1e-5
 
 
+def test_backward_adds_into_column_major_v_accumulator(rng):
+    # BLAS accumulates into a row-major V gradient in place; any other layout
+    # is updated through a copy and must end with the same sums.
+    p = rand_cond_params(rng, embed=3, hidden=3, enc=2)
+    V, emb = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+    _, cache = sentence_log_prob_with_cache((2, 4, 2, 0), rng.normal(size=2),
+                                            p, V, emb)
+    start = rng.normal(size=V.shape)
+    rows, cols = zero_accumulator(p, V, emb), zero_accumulator(p, V, emb)
+    rows["V"], cols["V"] = start.copy(), np.asfortranarray(start)
+    decoder_backward(cache, p, V, rows, "")
+    decoder_backward(cache, p, V, cols, "")
+    assert cols["V"].flags.f_contiguous
+    assert not np.array_equal(rows["V"], start)
+    for k in rows:
+        assert np.max(np.abs(rows[k] - cols[k])) < 1e-15, k
+
+
 def test_backward_degenerate_vocab_zero_gradient(rng):
     # One-word vocabulary: every step has probability 1, the loss sits at its
     # minimum, and every gradient vanishes.
@@ -214,7 +238,8 @@ def test_backward_degenerate_vocab_zero_gradient(rng):
     emb = rng.normal(size=(1, 2))
     lp, cache = sentence_log_prob_with_cache((0, 0, 0), rng.normal(size=2),
                                              p, V, emb)
-    grads, g_henc = decoder_backward(cache, p, V, emb)
+    grads = zero_accumulator(p, V, emb)
+    g_henc = decoder_backward(cache, p, V, grads, "")
     assert abs(lp) < 1e-12
     assert all(np.max(np.abs(g)) < 1e-12 for g in grads.values())
     assert np.max(np.abs(g_henc)) < 1e-12
@@ -223,7 +248,7 @@ def test_backward_degenerate_vocab_zero_gradient(rng):
 def test_backward_missing_cache_is_state_error(rng):
     p = rand_cond_params(rng)
     with pytest.raises(StateError):
-        decoder_backward(None, p, np.zeros((4, 3)), np.zeros((4, 3)))
+        decoder_backward(None, p, np.zeros((4, 3)), {}, "")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_model, make_vocab, randomize_params
+from conftest import make_model, make_vocab, randomize_params, zero_grads
 from reference import finite_diff_check, gru_step
 from skipgru.encoder import (EncoderModel, GruParams, encode,
                              encode_with_cache, encoder_backward,
@@ -175,7 +175,8 @@ def test_backward_zero_upstream_gradient():
     m = randomize_params(make_model(vocab_size=6, embed_dim=3, hidden_dim=3),
                          seed=5)
     _, cache = encode_with_cache((2, 4, 0), m.encoder)
-    grads = encoder_backward(cache, np.zeros(3), m.encoder)
+    grads = zero_grads(m)
+    encoder_backward(cache, np.zeros(3), m.encoder, grads)
     assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.values())
 
 
@@ -183,14 +184,15 @@ def test_backward_missing_cache_is_state_error():
     from skipgru.errors import StateError
     m = make_model(vocab_size=6)
     with pytest.raises(StateError):
-        encoder_backward(None, np.zeros(3), m.encoder)
+        encoder_backward(None, np.zeros(3), m.encoder, {})
 
 
 def test_backward_untouched_embedding_rows_get_zero_gradient(rng):
     m = randomize_params(make_model(vocab_size=8, embed_dim=3, hidden_dim=3),
                          seed=6)
     _, cache = encode_with_cache((2, 3, 0), m.encoder)
-    grads = encoder_backward(cache, rng.normal(size=3), m.encoder)
+    grads = zero_grads(m)
+    encoder_backward(cache, rng.normal(size=3), m.encoder, grads)
     used = {0, 2, 3}
     for row in range(8):
         row_grad = grads["emb"][row]
@@ -208,11 +210,9 @@ def _fd_encoder(mode, seed, tokens=(2, 4, 3, 0)):
         return float(probe @ encode(tokens, mm.encoder))
 
     _, cache = encode_with_cache(tokens, m.encoder)
-    analytic = encoder_backward(cache, probe, m.encoder)
-    params = m.param_dict()
-    analytic_full = {k: analytic.get(k, np.zeros_like(v))
-                     for k, v in params.items()}
-    return finite_diff_check(loss, params, analytic_full)
+    analytic = zero_grads(m)
+    encoder_backward(cache, probe, m.encoder, analytic)
+    return finite_diff_check(loss, m.param_dict(), analytic)
 
 
 def test_backward_finite_difference_uni():

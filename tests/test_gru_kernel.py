@@ -4,14 +4,15 @@ The reference below is backpropagation through time written one step at a
 time: every step recomputes its input and conditioning products, and every
 weight and embedding gradient is accumulated inside the loop (np.outer per
 step, one embedding row at a time).  encoder_backward and decoder_backward
-compute the same sums as matrix products after the loop, so they may differ
-from it only by float64 rounding.
+compute the same sums as matrix products after the loop and add them into a
+gradient accumulator, so they may differ from it only by float64 rounding, and
+leave every other parameter's accumulator at zero.
 """
 
 import numpy as np
 import pytest
 
-from conftest import make_model, randomize_params
+from conftest import make_model, randomize_params, zero_grads
 from skipgru.decoder import decoder_backward, sentence_log_prob_with_cache
 from skipgru.encoder import encode_with_cache, encoder_backward
 from skipgru.numerics import log_softmax, sigmoid
@@ -114,12 +115,15 @@ def test_encoder_backward_matches_per_step_reference(mode, tokens):
                                     mode=mode), seed=len(tokens))
     grad_output = np.random.default_rng(3).normal(size=m.encoder.output_dim)
     vec, cache = encode_with_cache(tokens, m.encoder)
-    got = encoder_backward(cache, grad_output, m.encoder)
+    got = zero_grads(m)
+    encoder_backward(cache, grad_output, m.encoder, got)
     want_vec, want = ref_encoder_grads(tokens, m.encoder, grad_output)
     assert rel_err(vec, want_vec) < REL_TOL
-    assert got.keys() == want.keys()
-    for k in want:
-        assert rel_err(got[k], want[k]) < REL_TOL, k
+    for k in got:
+        if k in want:
+            assert rel_err(got[k], want[k]) < REL_TOL, k
+        else:
+            assert not got[k].any(), k
 
 
 @pytest.mark.parametrize("mode", ["uni", "bi"])
@@ -130,11 +134,16 @@ def test_decoder_backward_matches_per_step_reference(mode, target):
     h_enc = np.random.default_rng(4).uniform(-0.9, 0.9, size=m.encoder.output_dim)
     p, V, emb = m.decoders.next_params, m.decoders.V, m.embedding
     logp, cache = sentence_log_prob_with_cache(target, h_enc, p, V, emb)
-    got, got_henc = decoder_backward(cache, p, V, emb)
+    got = zero_grads(m)
+    got_henc = decoder_backward(cache, p, V, got, "dec_next.")
     want_logp, want, want_henc = ref_decoder_grads(target, h_enc, p, V, emb)
     assert abs(logp - want_logp) < REL_TOL * abs(want_logp)
-    assert got.keys() == want.keys()
-    for k in want:
-        assert rel_err(got[k], want[k]) < REL_TOL, k
+    want = {(k if k in ("V", "emb") else "dec_next." + k): v
+            for k, v in want.items()}
+    for k in got:
+        if k in want:
+            assert rel_err(got[k], want[k]) < REL_TOL, k
+        else:
+            assert not got[k].any(), k
     assert rel_err(got_henc, want_henc) < REL_TOL
 

@@ -10,19 +10,22 @@ import dataclasses
 import hashlib
 import pathlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from skipgru import trainer
-from conftest import make_model, make_vocab, random_triple, randomize_params
+from conftest import (make_model, make_vocab, random_triple, randomize_params,
+                      zero_grads)
+import reference
 from reference import finite_diff_check
 from skipgru.corpus import SentenceTriple
 from skipgru.decoder import decoder_backward, sentence_log_prob, \
     sentence_log_prob_with_cache
 from skipgru.encoder import encode
 from skipgru.errors import CheckpointError, InputError, NumericError
-from skipgru.numerics import AdamState
+from skipgru.numerics import AdamState, global_norm
 from skipgru.trainer import (METRICS_HEADER, TrainConfig, load_checkpoint,
                              make_optimizer, model_from_params, param_order,
                              save_checkpoint, train, train_step, triple_grads,
@@ -74,16 +77,16 @@ def test_grads_v_accumulates_both_decoders():
     # passes; the joint V gradient must equal the per-decoder sum.
     m = randomize_params(make_model(vocab_size=6), seed=4)
     t = small_triple()
-    _, grads = triple_grads(m, t)
+    grads = zero_grads(m)
+    triple_grads(m, t, grads)
     h = encode(t.curr, m.encoder)
     _, cn = sentence_log_prob_with_cache(t.next, h, m.decoders.next_params,
                                          m.decoders.V, m.embedding)
     _, cp = sentence_log_prob_with_cache(t.prev, h, m.decoders.prev_params,
                                          m.decoders.V, m.embedding)
-    gn, _ = decoder_backward(cn, m.decoders.next_params, m.decoders.V,
-                             m.embedding)
-    gp, _ = decoder_backward(cp, m.decoders.prev_params, m.decoders.V,
-                             m.embedding)
+    gn, gp = zero_grads(m), zero_grads(m)
+    decoder_backward(cn, m.decoders.next_params, m.decoders.V, gn, "dec_next.")
+    decoder_backward(cp, m.decoders.prev_params, m.decoders.V, gp, "dec_prev.")
     assert np.max(np.abs(grads["V"] - (gn["V"] + gp["V"]))) < 1e-12
 
 
@@ -95,7 +98,8 @@ def _fd_triple(mode, seed,
     def loss(params):
         return triple_loss(model_from_params(m.config, m.vocab, params), t)
 
-    _, grads = triple_grads(m, t)
+    grads = zero_grads(m)
+    triple_grads(m, t, grads)
     return finite_diff_check(loss, m.param_dict(), grads)
 
 
@@ -112,6 +116,95 @@ def test_full_model_gradient_repeated_ids(mode):
     # Id 2 repeats within each sentence and across the three passes.
     t = SentenceTriple(prev=(2, 2, 0), curr=(2, 4, 2, 2, 0), next=(3, 2, 3, 0))
     assert _fd_triple(mode, seed=43, t=t) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# one gradient accumulator per step, against the dense per-triple reference
+# ---------------------------------------------------------------------------
+
+# Mixed lengths, eos-only sentences, and ids repeated within a sentence,
+# across the three sentences of a triple, and across triples.
+MIXED_BATCH = [
+    SentenceTriple(prev=(0,), curr=(2, 2, 5, 2, 0), next=(3, 0)),
+    SentenceTriple(prev=(4, 7, 4, 0), curr=(0,), next=(0,)),
+    SentenceTriple(prev=(2, 3, 8, 6, 5, 3, 0), curr=(3, 4, 0),
+                   next=(3, 3, 3, 2, 0)),
+    SentenceTriple(prev=(5, 0), curr=(5, 6, 7, 8, 2, 4, 0), next=(8, 5, 0)),
+]
+
+
+def _rel_err(got, want):
+    return float(np.max(np.abs(got - want))) / max(float(np.max(np.abs(want))),
+                                                    1e-300)
+
+
+def _mixed_model(mode, seed, **overrides):
+    return randomize_params(make_model(vocab_size=9, embed_dim=3, hidden_dim=4,
+                                       mode=mode, **overrides), seed=seed)
+
+
+@pytest.mark.parametrize("mode", ["uni", "bi"])
+def test_batch_accumulation_matches_dense_per_triple_reference(mode):
+    m = _mixed_model(mode, seed=44)
+    grads = zero_grads(m)
+    losses = [triple_grads(m, t, grads) for t in MIXED_BATCH]
+    want = zero_grads(m)
+    for t, loss in zip(MIXED_BATCH, losses):
+        ref_loss, ref = reference.triple_grads(m, t)
+        assert loss == ref_loss
+        assert ref.keys() == want.keys()
+        for k in want:
+            want[k] += ref[k]
+    for k in want:
+        assert _rel_err(grads[k], want[k]) < 1e-12, k
+
+
+@pytest.mark.parametrize("mode", ["uni", "bi"])
+def test_accumulating_a_triple_twice_doubles_its_gradient(mode):
+    m = _mixed_model(mode, seed=45)
+    t = MIXED_BATCH[2]
+    once, twice = zero_grads(m), zero_grads(m)
+    triple_grads(m, t, once)
+    triple_grads(m, t, twice)
+    triple_grads(m, t, twice)
+    for k in once:
+        if k in ("V", "emb"):
+            # Several passes add into these: a rounded sum added twice may
+            # differ from twice that sum in the last bit.
+            assert _rel_err(twice[k], 2.0 * once[k]) < 1e-15, k
+        else:
+            # One addition per triple: x + x is exactly 2x.
+            assert np.array_equal(twice[k], 2.0 * once[k]), k
+
+
+def test_train_step_reduces_the_reference_gradients_of_its_batch():
+    m = _mixed_model("bi", seed=46, clip_threshold=1e9)
+    res = train_step(m, MIXED_BATCH, make_optimizer(m), m.config)
+    refs = [reference.triple_grads(m, t) for t in MIXED_BATCH]
+    mean = {k: sum(g[k] for _, g in refs) / len(refs) for k in refs[0][1]}
+    assert res.batch_loss == sum(loss for loss, _ in refs) / len(refs)
+    assert abs(res.grad_norm - global_norm(mean)) < 1e-12 * global_norm(mean)
+
+
+def test_triple_gradient_builds_no_vocabulary_sized_array():
+    # At V=20000, E=64, H=128 one (V, H) array takes 20.5 MB.  The dense
+    # per-pass reference builds several inside one triple; the accumulating
+    # path adds into the step's arrays and builds only (T, V) ones.
+    m = make_model(vocab_size=20000, embed_dim=64, hidden_dim=128)
+    t = SentenceTriple(prev=(5, 17, 2, 9, 0), curr=(3, 19999, 40, 7, 3, 0),
+                       next=(11, 12, 13, 11, 0))
+    grads = zero_grads(m)
+    tracemalloc.start()
+    try:
+        triple_grads(m, t, grads)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        reference.triple_grads(m, t)
+        ref_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * m.decoders.V.nbytes
+    assert ref_peak > 3 * m.decoders.V.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +248,10 @@ def test_nonfinite_gradient_stops_before_update_and_checkpoint(tmp_path, rng,
     before = {k: v.copy() for k, v in res.model.param_dict().items()}
     real_grads = trainer.triple_grads
 
-    def inf_grads(model, triple):
-        loss, grads = real_grads(model, triple)
+    def inf_grads(model, triple, grads):
+        loss = real_grads(model, triple, grads)
         grads["V"][0, 0] = np.inf
-        return loss, grads
+        return loss
 
     monkeypatch.setattr(trainer, "triple_grads", inf_grads)
     longer = model_from_params(dataclasses.replace(m.config, max_steps=4),
