@@ -123,16 +123,30 @@ def _load_models(args):
     return lookups, variant
 
 
+def _tokenize_distinct(lines) -> tuple[list[list[str]], np.ndarray]:
+    """The tokens of each distinct line, in first-seen order, and for every
+    line the index of its distinct line."""
+    index: dict[str, int] = {}
+    where = np.array([index.setdefault(line, len(index)) for line in lines],
+                     dtype=np.intp)
+    return [corpus.tokenize(line) for line in index], where
+
+
+def _encode_distinct(distinct, where, lookups) -> np.ndarray:
+    vecs = np.concatenate([
+        vocab_expansion.encode_sentences(distinct, lk.model, lk)
+        for lk in lookups], axis=1)
+    return vecs[where]
+
+
 def _encode_lines(lines, lookups) -> np.ndarray:
-    cache: dict[str, np.ndarray] = {}
-    rows = []
-    for line in lines:
-        if line not in cache:
-            cache[line] = np.concatenate([
-                vocab_expansion.encode_text(line, lk.model, lk)
-                for lk in lookups])
-        rows.append(cache[line])
-    return np.vstack(rows)
+    """One row per line: the line's vector under each lookup, concatenated.
+
+    Each distinct line is tokenized once and encoded once per model, in the
+    batched, length-sorted passes of vocab_expansion.encode_sentences.  No
+    lines give a (0, total output dim) array.
+    """
+    return _encode_distinct(*_tokenize_distinct(lines), lookups)
 
 
 def _read_lines(path) -> list[str]:
@@ -202,14 +216,16 @@ def cmd_train(args) -> dict:
 def cmd_encode(args) -> None:
     lookups, _ = _load_models(args)
     lines = _read_lines(args.input)
+    distinct, where = _tokenize_distinct(lines)
+    repeats = np.bincount(where, minlength=len(distinct))
     for lk in lookups:
         if lk.map is None:
-            oov = sum(t not in lk.model.vocab for line in lines
-                      for t in corpus.tokenize(line))
+            oov = sum(int(n) * sum(t not in lk.model.vocab for t in tokens)
+                      for n, tokens in zip(repeats, distinct))
             if oov:
                 print(f"warning: {oov} out-of-vocabulary token(s) fell back "
                       f"to unk (no expansion map given)", file=sys.stderr)
-    vectors = _encode_lines(lines, lookups)
+    vectors = _encode_distinct(distinct, where, lookups)
     write_vectors(args.out, vectors)
     if args.text_out:
         write_text(args.text_out, "".join(

@@ -15,11 +15,16 @@ token is consumed like any other token.
 One kernel pair runs every GRU pass, here and in the decoders.  gru_forward
 takes the input pre-activations of all steps at once (one matrix product per
 gate, X @ W_*.T, computed before the time loop), so each step only adds the
-three recurrent products U_* h^{t-1}.  gru_backward is backpropagation through
-time written out by hand, so the whole model trains without autodiff: its
-time loop only carries the state gradient and records the gate pre-activation
-gradients DA_* of every step; each weight gradient is then one matrix product
-after the loop (for example DA_h.T @ X for W), and so are the input gradients.
+three recurrent products U_* h^{t-1}.  Its inputs are (T, hidden) for one
+sequence or (T, B, hidden) for a right-padded batch of B sequences, which
+encode_batch uses to encode many sentences with one (B, hidden) matrix
+product per gate and step instead of B matrix-vector products.
+
+gru_backward is backpropagation through time written out by hand, so the
+whole model trains without autodiff: its time loop only carries the state
+gradient and records the gate pre-activation gradients DA_* of every step;
+each weight gradient is then one matrix product after the loop (for example
+DA_h.T @ X for W), and so are the input gradients.
 encoder_backward adds these into the caller's gradient accumulator; the input
 gradients are scatter-added into its embedding rows, because a sentence can
 repeat a token id.
@@ -101,8 +106,8 @@ def init_gru_params(embed_dim: int, hidden_dim: int, seed) -> GruParams:
 class GruTrace(NamedTuple):
     """Stacked activations of one gru_forward pass, kept for gru_backward."""
 
-    S: np.ndarray      # (T + 1, hidden): S[0] = h^0, S[t] = h^t
-    R: np.ndarray      # (T, hidden)
+    S: np.ndarray      # (T + 1, [B,] hidden): S[0] = h^0, S[t] = h^t
+    R: np.ndarray      # (T, [B,] hidden)
     Z: np.ndarray
     Hbar: np.ndarray
 
@@ -115,22 +120,27 @@ def gru_forward(A_r: np.ndarray, A_z: np.ndarray, A_h: np.ndarray,
                 p: GruParams, h0: np.ndarray | float = 0.0) -> GruTrace:
     """Run the recurrence over precomputed input pre-activations.
 
-    A_r, A_z, A_h are (T, hidden): every term of each gate's argument except
+    A_r, A_z, A_h are (T, hidden) for one sequence or (T, B, hidden) for B
+    sequences stepped together: every term of each gate's argument except
     the recurrent one, e.g. X @ W_r.T for the encoder and X @ W_r.T + C_r h_enc
     for a decoder.  Only the U_* products depend on the previous state, so
-    they are all that stays inside the time loop.  Only p's U_* matrices are
-    read here.  The recurrence starts from h0, zero by default; the sampler,
-    which feeds one step at a time, passes the state it has reached.
+    they are all that stays inside the time loop; they are written h @ U_*.T,
+    a matrix-vector product for one sequence (bit-identical to U_* @ h) and
+    one (B, hidden) x (hidden, hidden) product per step for B.  Only p's U_*
+    matrices are read here.  The recurrence starts from h0, zero by default;
+    the sampler, which feeds one step at a time, passes the state it has
+    reached.  The trace's arrays have A_r's trailing shape.
     """
-    T, hid = A_r.shape
-    S = np.empty((T + 1, hid))
+    T = A_r.shape[0]
+    S = np.empty((T + 1,) + A_r.shape[1:])
     S[0] = h0
-    R, Z, Hbar = np.empty((T, hid)), np.empty((T, hid)), np.empty((T, hid))
+    R, Z, Hbar = np.empty(A_r.shape), np.empty(A_r.shape), np.empty(A_r.shape)
+    U_rT, U_zT, UT = p.U_r.T, p.U_z.T, p.U.T
     h = S[0]
     for t in range(T):
-        r = R[t] = sigmoid(A_r[t] + p.U_r @ h)
-        z = Z[t] = sigmoid(A_z[t] + p.U_z @ h)
-        hbar = Hbar[t] = np.tanh(A_h[t] + p.U @ (r * h))
+        r = R[t] = sigmoid(A_r[t] + h @ U_rT)
+        z = Z[t] = sigmoid(A_z[t] + h @ U_zT)
+        hbar = Hbar[t] = np.tanh(A_h[t] + (r * h) @ UT)
         h = S[t + 1] = (1.0 - z) * h + z * hbar
     return GruTrace(S=S, R=R, Z=Z, Hbar=Hbar)
 
@@ -247,21 +257,17 @@ class EncoderCache:
     bwd: GruTrace | None      # run over X[::-1]
 
 
-def _encode_embedded(X: np.ndarray, model: EncoderModel,
-                     tokens: tuple[int, ...] = ()) -> tuple[np.ndarray, EncoderCache]:
-    fwd, bwd = (None if p is None else
-                gru_forward(Xd @ p.W_r.T, Xd @ p.W_z.T, Xd @ p.W.T, p)
-                for p, Xd in ((model.forward, X), (model.backward, X[::-1])))
-    cache = EncoderCache(tokens=tokens, X=X, fwd=fwd, bwd=bwd)
-    if bwd is None:
-        return fwd.h_final, cache
-    return np.concatenate([fwd.h_final, bwd.h_final]), cache
-
-
 def encode_with_cache(tokens: Sequence[int],
                       model: EncoderModel) -> tuple[np.ndarray, EncoderCache]:
     ids = _check_tokens(tokens, model.vocab_size)
-    return _encode_embedded(model.embedding[list(ids)], model, ids)
+    X = model.embedding[list(ids)]
+    fwd, bwd = (None if p is None else
+                gru_forward(Xd @ p.W_r.T, Xd @ p.W_z.T, Xd @ p.W.T, p)
+                for p, Xd in ((model.forward, X), (model.backward, X[::-1])))
+    cache = EncoderCache(tokens=ids, X=X, fwd=fwd, bwd=bwd)
+    if bwd is None:
+        return fwd.h_final, cache
+    return np.concatenate([fwd.h_final, bwd.h_final]), cache
 
 
 def encode(tokens: Sequence[int], model: EncoderModel) -> np.ndarray:
@@ -273,14 +279,47 @@ def encode(tokens: Sequence[int], model: EncoderModel) -> np.ndarray:
 def encode_vectors(X: np.ndarray, model: EncoderModel) -> np.ndarray:
     """Encode from per-token input vectors instead of token ids (used after
     vocabulary expansion, where tokens resolve to vectors rather than
-    embedding rows)."""
+    embedding rows).  It is encode_batch of one sentence, which gives the
+    bits of an unbatched pass."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.embed_dim:
         raise ShapeError(f"inputs must be (T, {model.embed_dim}), got {X.shape}")
-    if X.shape[0] == 0:
+    return encode_batch([X], model)[0]
+
+
+def encode_batch(inputs: Sequence[np.ndarray], model: EncoderModel) -> np.ndarray:
+    """Encode several sentences from their per-token input vectors, one
+    (T_b, embed) array each; returns one (output_dim,) row per sentence.
+
+    The sentences are right-padded into one (T, B, embed) block and each
+    direction is one gru_forward pass over it; sentence b's vector is read at
+    its own length, S[T_b, b].  Padded steps only come after a sentence's last
+    step, so they never feed back into it and no mask is needed.  The reverse
+    direction runs over each sentence reversed, then right-padded.  A row
+    agrees with the vector of its sentence encoded alone up to the summation
+    order of the matrix products (within 1e-12 relative); a batch of one
+    runs exactly the products of encode_with_cache's pass, so its bits match.
+    """
+    if not inputs:
+        return np.empty((0, model.output_dim))
+    lengths = [len(x) for x in inputs]
+    if min(lengths) == 0:
         raise InputError("cannot encode an empty input sequence")
-    vec, _ = _encode_embedded(X, model)
-    return vec
+    T, B = max(lengths), len(inputs)
+    halves = []
+    for p, flip in ((model.forward, False), (model.backward, True)):
+        if p is None:
+            continue
+        X = np.zeros((T, B, model.embed_dim))
+        for b, x in enumerate(inputs):
+            X[:len(x), b] = x[::-1] if flip else x
+        # One (T*B, embed) GEMM per gate; for B = 1 it is the (T, embed)
+        # product of a sentence encoded alone, so its bits do not change.
+        flat = X.reshape(T * B, model.embed_dim)
+        trace = gru_forward(*((flat @ W.T).reshape(T, B, -1)
+                              for W in (p.W_r, p.W_z, p.W)), p)
+        halves.append(trace.S[lengths, np.arange(B)])
+    return np.concatenate(halves, axis=1)
 
 
 def encoder_backward(cache: EncoderCache, grad_output: np.ndarray,

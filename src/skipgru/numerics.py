@@ -137,7 +137,15 @@ class AdamState:
 
 
 def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> tuple[ParamSet, AdamState]:
-    """One bias-corrected Adam update; returns (new params, new state)."""
+    """One bias-corrected Adam update; returns (new params, new state).
+
+    m <- b1 m + (1 - b1) g,  v <- b2 v + (1 - b2) g^2, and
+    p <- p - alpha (m / bc1) / (sqrt(v / bc2) + eps).  The new m, v and
+    parameter are fresh arrays that each term is written into in place, with
+    one scratch array per parameter, so the inputs are never mutated and the
+    update builds no other temporaries.  The operations and their order are
+    those of the formula, so the results are the same bits.
+    """
     if set(params) != set(grads) or set(params) != set(state.m):
         raise ShapeError("params, grads, and Adam buffers must share keys")
     for k in params:
@@ -150,10 +158,18 @@ def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> tuple[Para
     new_p, new_m, new_v = {}, {}, {}
     for k, p in params.items():
         g = grads[k]
-        m = b1 * state.m[k] + (1.0 - b1) * g
-        v = b2 * state.v[k] + (1.0 - b2) * (g * g)
-        new_m[k] = m
-        new_v[k] = v
-        new_p[k] = p - state.alpha * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+        tmp = np.multiply(1.0 - b1, g)
+        m = new_m[k] = np.multiply(b1, state.m[k])
+        m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - b2
+        v = new_v[k] = np.multiply(b2, state.v[k])
+        v += tmp
+        step = new_p[k] = np.divide(v, bc2)
+        np.sqrt(step, out=step)
+        step += state.epsilon
+        np.divide(m, bc1, out=tmp)
+        tmp *= state.alpha
+        np.divide(tmp, step, out=step)
+        np.subtract(p, step, out=step)
     return new_p, replace(state, step=t, m=new_m, v=new_v)
-

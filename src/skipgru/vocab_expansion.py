@@ -6,17 +6,22 @@ The fitted map W solves min_W sum_shared ||W v_ext - v_rnn||^2.  An expanded
 lookup resolves each token by precedence: native RNN embedding, else W v_ext,
 else the unk embedding, trying the exact token before its lowercased form at
 each stage.
+
+encode_text encodes one raw sentence (queries, generation); encode_sentences
+encodes many tokenized ones (encode, the evals, sentence banks) in
+length-sorted, padded chunks.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import Vocabulary, tokenize
-from .encoder import encode_vectors
+from .encoder import encode_batch, encode_vectors
 from .errors import ConfigError, InputError, ShapeError
 from .fileio import read_container, write_container
 from .trainer import SkipGruModel
@@ -166,20 +171,51 @@ def expand(model: SkipGruModel, ext: ExternalEmbeddings,
     return ExpandedLookup(model=model, ext=ext, map=map)
 
 
+# Sentences per padded encoder pass in encode_sentences.  A fixed size keeps
+# the vectors of a given input independent of any setting.
+ENCODE_CHUNK = 32
+
+
+def _input_rows(tokens: list[str], model: SkipGruModel,
+                lookup: ExpandedLookup | None) -> np.ndarray:
+    """(len(tokens) + 1, embed) encoder inputs of a tokenized sentence: each
+    token's vector, then the eos embedding."""
+    emb = model.embedding
+    if lookup is None or lookup.map is None:
+        return emb[model.vocab.ids_for(tokens) + [model.vocab.eos_id]]
+    rows = [lookup.vector(t) for t in tokens]
+    rows.append(emb[model.vocab.eos_id])
+    return np.vstack(rows)
+
+
 def encode_text(sentence: str, model: SkipGruModel,
                 lookup: ExpandedLookup | None = None) -> np.ndarray:
     """Encode a raw sentence; with a lookup that has a map, out-of-vocabulary
     words resolve through the expansion map instead of collapsing to unk."""
-    tokens = tokenize(sentence)
-    emb = model.embedding
-    if lookup is None or lookup.map is None:
-        ids = model.vocab.ids_for(tokens) + [model.vocab.eos_id]
-        X = emb[ids]
-    else:
-        rows = [lookup.vector(t) for t in tokens]
-        rows.append(emb[model.vocab.eos_id])
-        X = np.vstack(rows)
-    return encode_vectors(X, model.encoder)
+    return encode_vectors(_input_rows(tokenize(sentence), model, lookup),
+                          model.encoder)
+
+
+def encode_sentences(sentences: Sequence[list[str]], model: SkipGruModel,
+                     lookup: ExpandedLookup | None = None) -> np.ndarray:
+    """(n, output_dim) vectors of n tokenized sentences, in input order; each
+    token resolves as in encode_text.
+
+    The sentences are sorted by token count and encoded ENCODE_CHUNK at a time
+    by encoder.encode_batch, so each chunk is one padded pass with little
+    padding.  A chunk's input rows are gathered when it is encoded, never for
+    all sentences at once.  A row can differ from encode_text's vector of the
+    same sentence in its last bits (at most 1e-12 relative), depending on the
+    chunk it lands in; the same input always gives the same bits.
+    """
+    order = sorted(range(len(sentences)), key=lambda i: len(sentences[i]))
+    out = np.empty((len(sentences), model.encoder.output_dim))
+    for start in range(0, len(order), ENCODE_CHUNK):
+        chunk = order[start:start + ENCODE_CHUNK]
+        out[chunk] = encode_batch(
+            [_input_rows(sentences[i], model, lookup) for i in chunk],
+            model.encoder)
+    return out
 
 
 def nearest_words(query: str, lookup: ExpandedLookup,

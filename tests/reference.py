@@ -16,22 +16,27 @@ something the package computes in bulk:
 - average ranks with ties, one run of ties at a time (probes forms them
   with array operations);
 - the expectation of one 5-bin relatedness distribution
-  (probes.predict_scores does it per row).
+  (probes.predict_scores does it per row);
+- Adam as one expression per array (numerics.adam_step writes the same
+  operations into its output arrays in place);
+- encoding lines one at a time with the unrolled recurrence
+  (vocab_expansion.encode_sentences runs length-sorted, padded batches).
 """
 
 import math
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
-from skipgru.corpus import SentenceTriple
+from skipgru.corpus import SentenceTriple, tokenize
 from skipgru.decoder import (COND_KEYS, ConditionalGruParams, DecoderCache,
                              sentence_log_prob_with_cache)
 from skipgru.encoder import (EncoderCache, EncoderModel, GruParams,
                              encode_with_cache, gru_backward)
 from skipgru.errors import (InputError, MetricError, NumericError,
                             ParameterError, ShapeError)
-from skipgru.numerics import ParamSet, get_rng, sigmoid, softmax
+from skipgru.numerics import AdamState, ParamSet, get_rng, sigmoid, softmax
 from skipgru.probes import SCORE_BINS
 from skipgru.ranking import RankingModel, _contrastive_draws
 
@@ -281,3 +286,48 @@ def distribution_to_score(p_hat: np.ndarray) -> float:
     if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-6:
         raise InputError("p_hat must be nonnegative and sum to 1 within 1e-6")
     return float(SCORE_BINS @ p)
+
+
+def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> tuple[ParamSet, AdamState]:
+    """The bias-corrected Adam update as one expression per array, each
+    building its own temporaries (numerics.adam_step writes the same
+    operations, in the same order, into its output arrays)."""
+    t = state.step + 1
+    b1, b2 = state.beta1, state.beta2
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    new_p, new_m, new_v = {}, {}, {}
+    for k, p in params.items():
+        g = grads[k]
+        m = b1 * state.m[k] + (1.0 - b1) * g
+        v = b2 * state.v[k] + (1.0 - b2) * (g * g)
+        new_m[k] = m
+        new_v[k] = v
+        new_p[k] = p - state.alpha * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+    return new_p, replace(state, step=t, m=new_m, v=new_v)
+
+
+def encode_lines(lines, lookups) -> np.ndarray:
+    """Each line encoded alone, one gru_step per token of the unrolled
+    recurrence (the reverse direction over the reversed tokens), each model's
+    vector concatenated per line.  Tokens resolve through lookup.vector, so a
+    map-less lookup gives the native embedding or unk as ids do.  (The
+    package encodes each distinct line once, in length-sorted padded batches
+    over hoisted input products.)"""
+    out = []
+    for line in lines:
+        vec = []
+        for lk in lookups:
+            model = lk.model
+            X = [lk.vector(t) for t in tokenize(line)]
+            X.append(model.embedding[model.vocab.eos_id])
+            enc = model.encoder
+            for p, seq in ((enc.forward, X), (enc.backward, X[::-1])):
+                if p is None:
+                    continue
+                h = np.zeros(p.hidden_dim)
+                for x in seq:
+                    h = gru_step(x, h, p).h
+                vec.append(h)
+        out.append(np.concatenate(vec))
+    return np.vstack(out)

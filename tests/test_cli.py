@@ -15,12 +15,14 @@ import sys
 import numpy as np
 import pytest
 
+import reference
 import skipgru
-from skipgru import trainer
+from conftest import make_model
+from skipgru import corpus, trainer, vocab_expansion
 from skipgru.cli import _encode_lines, main
 from skipgru.fileio import read_vectors
 from skipgru.trainer import METRICS_HEADER, load_checkpoint
-from skipgru.vocab_expansion import ExpandedLookup, encode_text
+from skipgru.vocab_expansion import ExpandedLookup, encode_text, read_expansion
 
 CORPUS = """\
 the cat sat on the mat .
@@ -257,9 +259,145 @@ def test_encode_lines_concatenates_two_models(ws):
     lines = ["the cat sat .", "a bird flew ."]
     vecs = _encode_lines(lines, [ExpandedLookup(uni), ExpandedLookup(bi)])
     assert vecs.shape == (2, 14)                          # 6 + 2*4
-    for row, line in zip(vecs, lines):
-        assert np.array_equal(row[:6], encode_text(line, uni))
-        assert np.array_equal(row[6:], encode_text(line, bi))
+    # Each model's half is exactly what that model alone gives the batch.
+    # A batch's rows can differ from encode_text's in the last bits; the
+    # oracle test below checks these two lines against it within 1e-12.
+    assert np.array_equal(vecs[:, :6], _encode_lines(lines, [ExpandedLookup(uni)]))
+    assert np.array_equal(vecs[:, 6:], _encode_lines(lines, [ExpandedLookup(bi)]))
+
+
+# Lines over native words, mapped words ("puppy", "kitten", also capitalized)
+# and unk words ("Mykonos" resolves to neither), including eos-only lines and
+# the two lines of test_encode_lines_concatenates_two_models.
+ENCODE_WORDS = ("the cat sat on mat . dog ran fast a bird flew home red "
+                "puppy kitten Puppy KITTEN Mykonos zeppelin The Cat").split()
+
+
+def _mixed_lines(n, seed=0):
+    rng = np.random.default_rng(seed)
+    lines = ["the cat sat .", "a bird flew .", "", "   "]
+    while len(lines) < n:
+        if len(lines) % 7 == 6:
+            lines.append(lines[int(rng.integers(len(lines)))])   # a duplicate
+        else:
+            k = int(rng.integers(1, 41))
+            lines.append(" ".join(rng.choice(ENCODE_WORDS, size=k)))
+    return lines[:n]
+
+
+@pytest.fixture(scope="module")
+def lookups(ws, expansion):
+    """uni, bi and combine lookups, each without and with an expansion map
+    (the map's shape fits both models' 5-dim embeddings)."""
+    uni, _ = load_checkpoint(ws["ckpt"])
+    bi, _ = load_checkpoint(ws["bi"])
+    emap, ext = read_expansion(expansion)
+    out = {}
+    for mapped in (False, True):
+        lk = [ExpandedLookup(m, ext, emap) if mapped else ExpandedLookup(m)
+              for m in (uni, bi)]
+        tag = "mapped" if mapped else "native"
+        out.update({f"uni-{tag}": [lk[0]], f"bi-{tag}": [lk[1]],
+                    f"combine-{tag}": lk})
+    return out
+
+
+LOOKUP_KEYS = [f"{v}-{t}" for v in ("uni", "bi", "combine")
+               for t in ("native", "mapped")]
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 70])
+@pytest.mark.parametrize("key", LOOKUP_KEYS)
+def test_batched_encoding_matches_one_sentence_oracle(lookups, key, n):
+    lines = _mixed_lines(n, seed=n)
+    got = _encode_lines(lines, lookups[key])
+    one_at_a_time = np.vstack([
+        np.concatenate([encode_text(line, lk.model, lk) for lk in lookups[key]])
+        for line in lines])
+    for want in (reference.encode_lines(lines, lookups[key]), one_at_a_time):
+        assert got.shape == want.shape
+        # Relative to each row's size, so rows out of input order fail too.
+        rel = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
+        assert np.all(rel <= 1e-12)
+
+
+def test_batched_encoding_sees_every_token_source(lookups):
+    # The oracle test's lines resolve tokens natively, through the map and
+    # to unk alike.
+    [lk] = lookups["uni-mapped"]
+    sources = {lk.resolve(t)[0] for line in _mixed_lines(70, seed=70)
+               for t in corpus.tokenize(line)}
+    assert sources == {"native", "mapped", "unk"}
+
+
+@pytest.mark.parametrize("key", LOOKUP_KEYS)
+def test_one_line_encoding_is_bit_equal_to_encode_text(lookups, key):
+    for line in _mixed_lines(12, seed=5):
+        got = _encode_lines([line], lookups[key])[0]
+        want = np.concatenate([encode_text(line, lk.model, lk)
+                               for lk in lookups[key]])
+        assert np.array_equal(got, want)
+
+
+def test_encode_lines_of_no_lines_is_empty(lookups):
+    assert _encode_lines([], lookups["combine-mapped"]).shape == (0, 14)
+
+
+def test_batched_encoding_never_gathers_all_rows_at_once():
+    import tracemalloc
+    model = make_model(vocab_size=2000, embed_dim=64, hidden_dim=128)
+    rng = np.random.default_rng(0)
+    lines = [" ".join(f"w{i}" for i in rng.integers(2, 2000, size=k))
+             for k in rng.integers(15, 31, size=4000)]
+    all_rows = sum(len(line.split()) + 1 for line in lines) * 64 * 8
+    tracemalloc.start()
+    try:
+        vecs = _encode_lines(lines, [ExpandedLookup(model)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vecs.shape == (4000, 128)
+    assert peak < all_rows / 2
+
+
+def test_encode_empty_input_writes_empty_vector_file(ws, tmp_path, capsys):
+    inp = tmp_path / "empty.txt"
+    inp.write_text("")
+    out = tmp_path / "v.bin"
+    text = tmp_path / "v.txt"
+    assert main(["encode", "--ckpt", str(ws["ckpt"]), "--ckpt2", str(ws["bi"]),
+                 "--input", str(inp), "--out", str(out),
+                 "--text-out", str(text)]) == 0
+    assert read_vectors(out).shape == (0, 14)
+    assert text.read_text() == ""
+    assert json.loads(capsys.readouterr().out) == {"dim": 14, "sentences": 0}
+
+
+def test_encode_tokenizes_each_distinct_line_once(ws, tmp_path, monkeypatch,
+                                                  capsys):
+    lines = ["the zeppelin sat .", "a bird flew .", "the zeppelin sat .",
+             "the cat sat .", "a bird flew .", "the zeppelin sat ."]
+    inp = tmp_path / "in.txt"
+    inp.write_text("\n".join(lines) + "\n")
+    calls = []
+
+    def counting(binding):
+        def tokenize(text):
+            calls.append(text)
+            return binding(text)
+        return tokenize
+    monkeypatch.setattr(corpus, "tokenize", counting(corpus.tokenize))
+    monkeypatch.setattr(vocab_expansion, "tokenize",
+                        counting(vocab_expansion.tokenize))
+    capsys.readouterr()
+    assert main(["encode", "--ckpt", str(ws["ckpt"]), "--ckpt2", str(ws["bi"]),
+                 "--input", str(inp), "--out", str(tmp_path / "v.bin")]) == 0
+    assert sorted(calls) == sorted(set(lines))
+    # The warning still counts the OOV token of every repeated line, once
+    # per model without a map.
+    warning = ("warning: 3 out-of-vocabulary token(s) fell back to unk "
+               "(no expansion map given)")
+    assert capsys.readouterr().err.splitlines() == [warning, warning]
 
 
 def test_encode_ckpt2_vocab_mismatch_exit_2(ws, tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Numeric core: init schemes, clipping, Adam, the finite-difference checker.
 
 Derived-value oracles used here: scalar hand computations of the Adam update,
-and closed-form derivatives for the finite-difference checker's own sanity
+the one-expression-per-array Adam of reference.py, and closed-form derivatives for the finite-difference checker's own sanity
 cases.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from skipgru.numerics import (AdamState, adam_step, clip_gradients, get_rng,
                               global_norm, log_softmax, orthogonal_init,
                               seed_tuple, sigmoid, softmax, uniform_init)
 
+import reference
 from reference import finite_diff_check
 
 
@@ -166,6 +169,68 @@ def test_adam_step_counter_strictly_increases():
     for want in (1, 2, 3):
         p, st_ = adam_step(p, {"w": np.ones(2)}, st_)
         assert st_.step == want
+
+
+ADAM_SHAPES = {"emb": (2000, 64), "V": (2000, 128), "U": (64, 64),
+               "begin": (64,)}
+
+
+def _adam_problem(seed=0):
+    rng = np.random.default_rng(seed)
+    params = {k: rng.standard_normal(s) for k, s in ADAM_SHAPES.items()}
+    state = AdamState.initial(params, alpha=0.01)
+    grads = [{k: rng.standard_normal(s) * 10.0 ** -i
+              for k, s in ADAM_SHAPES.items()} for i in range(4)]
+    return params, state, grads
+
+
+def test_adam_is_bit_identical_to_the_expression_oracle():
+    params, state, grads = _adam_problem()
+    p, s = params, state
+    rp, rs = params, state
+    for g in grads:
+        p, s = adam_step(p, g, s)
+        rp, rs = reference.adam_step(rp, g, rs)
+        assert s.step == rs.step
+        for k in ADAM_SHAPES:
+            assert np.array_equal(p[k], rp[k])
+            assert np.array_equal(s.m[k], rs.m[k])
+            assert np.array_equal(s.v[k], rs.v[k])
+
+
+def test_adam_leaves_its_inputs_untouched():
+    params, state, grads = _adam_problem()
+    params, state = adam_step(params, grads[0], state)
+    copies = [{k: a.copy() for k, a in d.items()}
+              for d in (params, grads[1], state.m, state.v)]
+    new_p, new_s = adam_step(params, grads[1], state)
+    for d, c in zip((params, grads[1], state.m, state.v), copies):
+        for k in ADAM_SHAPES:
+            assert np.array_equal(d[k], c[k])
+    assert state.step == 1 and new_s is not state
+    for k in ADAM_SHAPES:
+        assert not np.shares_memory(new_s.m[k], state.m[k])
+        assert not np.shares_memory(new_p[k], params[k])
+
+
+def _adam_peak(step, params, grads, state) -> int:
+    tracemalloc.start()
+    try:
+        step(params, grads, state)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_adam_allocates_its_outputs_and_one_scratch_array():
+    params, state, grads = _adam_problem()
+    params, state = adam_step(params, grads[0], state)
+    total = sum(a.nbytes for a in params.values())
+    largest = max(a.nbytes for a in params.values())
+    # New params, m and v, plus one scratch array the size of a parameter.
+    bound = 3 * total + largest + 64 * 1024
+    assert _adam_peak(adam_step, params, grads[1], state) < bound
+    assert _adam_peak(reference.adam_step, params, grads[1], state) > bound
 
 
 # ---------------------------------------------------------------------------
