@@ -72,7 +72,8 @@ def _require_inputs(*paths) -> None:
 def _write_manifest(args, inputs, outputs, seeds, t0) -> None:
     """Write the run's manifest next to its first output, or to --manifest.
     A run with no output file and no --manifest writes none, so such commands
-    leave the working directory untouched."""
+    leave the working directory untouched.  An input container the run has
+    read is not read again: sha256_path reuses the digest of that read."""
     path = args.manifest
     if path is None:
         if not outputs:
@@ -107,7 +108,7 @@ def _parse_l2_grid(raw: str) -> tuple:
 def _load_models(args):
     """One expansion lookup per checkpoint (--ckpt, and --ckpt2 in combine
     mode), each with its map if one is given.  Returns (lookups, variant)."""
-    models = [trainer.load_checkpoint(path)[0]
+    models = [trainer.load_model(path)
               for path in (args.ckpt, getattr(args, "ckpt2", None)) if path]
     if len(models) == 2 and (models[1].vocab.id_to_token
                              != models[0].vocab.id_to_token):
@@ -235,7 +236,7 @@ def cmd_encode(args) -> None:
 
 
 def cmd_expand(args) -> None:
-    model, _ = trainer.load_checkpoint(args.ckpt)
+    model = trainer.load_model(args.ckpt)
     ext, skipped = vocab_expansion.read_embeddings_text(args.embeddings)
     emap = vocab_expansion.fit_expansion(ext, model)
     vocab_expansion.write_expansion(emap, ext, args.out)

@@ -16,7 +16,20 @@ Checkpoints and vocabulary-expansion maps share one container layout:
 All integers and floats are little-endian.  The JSON is canonical (sorted
 keys, no whitespace, ASCII) so identical content is identical bytes; the
 blobs are row-major arrays whose shapes the header determines; the sha256
-covers everything before it.
+covers everything before it.  A reader may build only the leading blobs (a
+checkpoint's parameters without its Adam moments); the rest still pass
+through the checksum before anything is returned.
+
+A verified read also yields the sha256 of the whole file: the running digest
+of everything before the stored one, fed those stored 32 bytes.  fileio keeps
+the last few such digests, keyed by the file's (device, inode, size, mtime,
+ctime), and sha256_path answers from that record when a fresh stat of the
+path matches a key exactly, so a command's manifest does not read its
+checkpoint a second time.  A file replaced through atomic_output has a new
+inode, and atomic_output drops any record of the inode it writes, so a
+rewritten file never matches a stale entry.  Only a rewrite in place by
+another program, to the same size and within one tick of the file system's
+clock after the read, would go unseen.
 
 Vector files hold a header of two little-endian uint32 words (count, dim)
 followed by row-major little-endian float32 rows; read_vectors widens them to
@@ -30,6 +43,7 @@ import json
 import math
 import os
 import struct
+import threading
 from contextlib import contextmanager
 from itertools import chain
 
@@ -39,6 +53,31 @@ from .errors import CheckpointError, InputError, SkipGruError
 
 _PREFIX = struct.Struct("<IQ")     # version, header length
 _DIGEST_LEN = 32
+_CHUNK = 1 << 20                   # bytes per read when hashing a file
+
+# Whole-file sha256 of the last verified container reads, by _stat_key.
+_DIGESTS: dict[tuple, str] = {}
+_DIGESTS_MAX = 16
+_DIGESTS_LOCK = threading.Lock()
+
+
+def _stat_key(st: os.stat_result) -> tuple:
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+
+
+def _remember(st: os.stat_result, hexdigest: str) -> None:
+    with _DIGESTS_LOCK:
+        _DIGESTS[_stat_key(st)] = hexdigest
+        while len(_DIGESTS) > _DIGESTS_MAX:
+            del _DIGESTS[next(iter(_DIGESTS))]
+
+
+def _forget(st: os.stat_result) -> None:
+    """Drop every record of st's inode, which now holds a new file: the
+    inode of a deleted file can be given to the next one created."""
+    with _DIGESTS_LOCK:
+        for key in [k for k in _DIGESTS if k[:2] == (st.st_dev, st.st_ino)]:
+            del _DIGESTS[key]
 
 
 @contextmanager
@@ -49,6 +88,7 @@ def atomic_output(path):
     try:
         with open(tmp, "wb") as fh:
             yield fh
+            _forget(os.fstat(fh.fileno()))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -81,18 +121,23 @@ def write_container(path, magic: bytes, version: int, header: dict,
         fh.write(digest.digest())
 
 
-def read_container(path, magic: bytes, version: int, kind: str, parse):
+def read_container(path, magic: bytes, version: int, kind: str, parse,
+                   keep=None):
     """Read a write_container file; returns (meta, list of float64 arrays).
 
     parse(header) returns what the caller keeps from the header and the shape
     of each blob in file order; it raises ValueError, KeyError, TypeError or a
-    package error on a header it cannot use.  The file size is checked
+    package error on a header it cannot use.  keep(meta), when given, is the
+    number of leading blobs to build; the bytes of the others are hashed
+    through one fixed buffer and never held.  The file size is checked
     against the shapes before any blob is allocated, and the checksum, taken
-    as the blobs are read into their arrays, before anything is returned;
-    each failure is a CheckpointError that names `kind`.
+    over every byte as the file is read, before anything is returned; each
+    failure is a CheckpointError that names `kind`.  A verified read records
+    the file's sha256 for sha256_path.
     """
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
+        st = os.fstat(fh.fileno())
+        size = st.st_size
         start = len(magic) + _PREFIX.size
         if size < start + _DIGEST_LEN:
             raise CheckpointError(f"{path}: too short to be a {kind} file")
@@ -117,21 +162,45 @@ def read_container(path, magic: bytes, version: int, kind: str, parse):
         if body_len != expected:
             raise CheckpointError(f"{path}: {kind} blob section has "
                                   f"{body_len} bytes, expected {expected}")
+        n = len(shapes) if keep is None else keep(meta)
         digest = hashlib.sha256(lead + head)
-        blobs = [np.empty(shape, dtype="<f8") for shape in shapes]
+        blobs = [np.empty(shape, dtype="<f8") for shape in shapes[:n]]
         for blob in blobs:
             fh.readinto(blob)
             digest.update(blob)
-        if digest.digest() != fh.read(_DIGEST_LEN):
+        _hash_through(fh, digest,
+                      8 * sum(math.prod(shape) for shape in shapes[n:]))
+        stored = fh.read(_DIGEST_LEN)
+        if digest.digest() != stored:
             raise CheckpointError(f"{path}: {kind} checksum mismatch "
                                   f"(truncated or corrupt)")
+        digest.update(stored)
+        _remember(st, digest.hexdigest())
     return meta, blobs
 
 
+def _hash_through(fh, digest, size: int) -> None:
+    """Feed the next `size` bytes of fh to digest, _CHUNK bytes at a time."""
+    buf = memoryview(bytearray(min(size, _CHUNK)))
+    while size:
+        got = fh.readinto(buf[:min(size, _CHUNK)])
+        if not got:
+            # Cut short since its size was read: the checksum fails.
+            return
+        digest.update(buf[:got])
+        size -= got
+
+
 def sha256_path(path) -> str:
+    """Hex sha256 of a file.  A container that read_container verified is not
+    read again while a fresh stat still matches the one taken at that read."""
+    with _DIGESTS_LOCK:
+        known = _DIGESTS.get(_stat_key(os.stat(path)))
+    if known is not None:
+        return known
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(_CHUNK), b""):
             h.update(chunk)
     return h.hexdigest()
 

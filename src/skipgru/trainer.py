@@ -246,7 +246,8 @@ def train(model: SkipGruModel, triples: Sequence[SentenceTriple],
     one metrics row per step when metrics_path is given (a new or empty file
     gets the header first; a resumed run drops the rows after opt.step) and
     checkpoints every config.checkpoint_every steps plus at the end when
-    checkpoint_path is given.
+    checkpoint_path is given; the end writes only if the last step did not,
+    so every run writes its final state exactly once.
     """
     config = model.config
     if not triples:
@@ -257,6 +258,7 @@ def train(model: SkipGruModel, triples: Sequence[SentenceTriple],
     steps_per_epoch = -(-n // config.batch_size)
     history: list = []
     cached_epoch, perm = -1, None
+    saved_step = None
     metrics = None
     if metrics_path is not None:
         if opt.step > 0 and os.path.exists(metrics_path):
@@ -292,10 +294,11 @@ def train(model: SkipGruModel, triples: Sequence[SentenceTriple],
                     # The rows up to the checkpoint reach the file before it.
                     metrics.flush()
                 save_checkpoint(model, opt, checkpoint_path)
+                saved_step = opt.step
     finally:
         if metrics is not None:
             metrics.close()
-    if checkpoint_path is not None:
+    if checkpoint_path is not None and saved_step != opt.step:
         save_checkpoint(model, opt, checkpoint_path)
     return TrainResult(model=model, opt=opt, history=history)
 
@@ -348,8 +351,19 @@ def _parse_checkpoint_header(header):
     return meta, shapes * 3
 
 
+def load_model(path) -> SkipGruModel:
+    """The model of a checkpoint, without building its Adam moments: what
+    inference needs.  The moments' bytes still pass through the checksum, so
+    this rejects every file that load_checkpoint rejects."""
+    (config, vocab, names, _), params = read_container(
+        path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint",
+        _parse_checkpoint_header, keep=lambda meta: len(meta[2]))
+    return model_from_params(config, vocab, dict(zip(names, params)))
+
+
 def load_checkpoint(path) -> tuple[SkipGruModel, AdamState]:
-    """Inverse of save_checkpoint; never returns a partially restored model."""
+    """Inverse of save_checkpoint; never returns a partially restored model.
+    Training resumes from this; inference loads through load_model."""
     (config, vocab, names, opt_fields), blobs = read_container(
         path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint",
         _parse_checkpoint_header)

@@ -5,6 +5,8 @@ All invocations run in-process through main(argv) so coverage and speed stay
 reasonable; SystemExit from argparse is asserted where flags are invalid.
 """
 
+import ast
+import hashlib
 import json
 import os
 import pathlib
@@ -764,6 +766,102 @@ def test_corrupt_checkpoint_exit_4(ws, tmp_path):
     bad.write_bytes(bytes(blob))
     assert main(["nn-word", "--ckpt", str(bad), "--query", "the",
                  "--k", "2"]) == 4
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+
+
+def test_manifest_digests_are_those_of_the_files(ws, expansion, tmp_path):
+    inp = tmp_path / "in.txt"
+    inp.write_text("the cat sat .\n")
+    manifest = tmp_path / "m.json"
+    assert main(["encode", "--ckpt", str(ws["ckpt"]), "--expansion",
+                 str(expansion), "--input", str(inp), "--out",
+                 str(tmp_path / "v.bin"), "--manifest", str(manifest)]) == 0
+    inputs = json.loads(manifest.read_text())["inputs"]
+    assert inputs == {str(p): _sha256(p) for p in (inp, ws["ckpt"], expansion)}
+
+
+def test_manifest_digest_follows_a_rewritten_checkpoint(ws, tmp_path):
+    inp = tmp_path / "in.txt"
+    inp.write_text("the cat sat .\n")
+    ckpt = tmp_path / "m.ckpt"
+    manifest = tmp_path / "m.json"
+    seen = []
+    for source in (ws["ckpt"], ws["bi"]):
+        trainer.save_checkpoint(*load_checkpoint(source), ckpt)
+        assert main(["encode", "--ckpt", str(ckpt), "--input", str(inp),
+                     "--out", str(tmp_path / "v.bin"), "--manifest",
+                     str(manifest)]) == 0
+        seen.append(json.loads(manifest.read_text())["inputs"][str(ckpt)])
+        assert seen[-1] == _sha256(ckpt)
+    assert seen[0] != seen[1]
+
+
+def test_encode_same_checkpoint_twice(ws, tmp_path):
+    inp = tmp_path / "in.txt"
+    inp.write_text("the cat sat .\na bird flew .\n")
+    one, two = tmp_path / "one.bin", tmp_path / "two.bin"
+    manifest = tmp_path / "m.json"
+    ckpt = str(ws["ckpt"])
+    assert main(["encode", "--ckpt", ckpt, "--input", str(inp),
+                 "--out", str(one)]) == 0
+    assert main(["encode", "--ckpt", ckpt, "--ckpt2", ckpt, "--input",
+                 str(inp), "--out", str(two), "--manifest",
+                 str(manifest)]) == 0
+    assert np.array_equal(read_vectors(two), np.hstack([read_vectors(one)] * 2))
+    inputs = json.loads(manifest.read_text())["inputs"]
+    assert inputs[ckpt] == _sha256(ckpt)
+
+
+def _damaged_moments(ckpt, tmp_path):
+    """Copies of ckpt with one byte of the Adam moments flipped, and with the
+    file cut inside them; the parameters are intact in both."""
+    good = ckpt.read_bytes()
+    flipped = bytearray(good)
+    flipped[-40] ^= 0x01                 # second moments, last blob
+    flipped_path, cut_path = tmp_path / "flip.ckpt", tmp_path / "cut.ckpt"
+    flipped_path.write_bytes(bytes(flipped))
+    cut_path.write_bytes(good[:-100])
+    return flipped_path, cut_path
+
+
+def test_damaged_moments_exit_4(ws, tmp_path, capsys):
+    inp = tmp_path / "in.txt"
+    inp.write_text("c0\tthe cat sat .\nc1\tthe dog ran .\n")
+    for bad in _damaged_moments(ws["ckpt"], tmp_path):
+        out = tmp_path / "out"
+        assert main(["encode", "--ckpt", str(bad), "--input", str(inp),
+                     "--out", str(out)]) == 4
+        assert main(["eval-classify", "--ckpt", str(bad), "--data", str(inp),
+                     "--folds", "2", "--out", str(out)]) == 4
+        assert main(["encode", "--ckpt", str(ws["ckpt"]), "--ckpt2", str(bad),
+                     "--input", str(inp), "--out", str(out)]) == 4
+        assert not out.exists()
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 3
+        assert all(e.startswith(f"i/o error: {bad}: checkpoint ")
+                   for e in errors)
+
+
+def test_only_resumed_training_loads_the_adam_moments():
+    # Inference builds the parameters alone (trainer.load_model); the moments
+    # are for train --resume.
+    tree = ast.parse(pathlib.Path(skipgru.cli.__file__).read_text("utf-8"))
+    callers = set()
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Attribute)
+                        and node.attr == "load_checkpoint"
+                        or isinstance(node, ast.Name)
+                        and node.id == "load_checkpoint"):
+                    callers.add(func.name)
+    assert callers == {"cmd_train"}
+    assert not any(isinstance(node, ast.ImportFrom)
+                   and any(a.name == "load_checkpoint" for a in node.names)
+                   for node in ast.walk(tree))
 
 
 def test_missing_required_flag_raises_usage_exit(ws):

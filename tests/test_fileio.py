@@ -9,6 +9,8 @@ halfway through its bytes.
 
 import ast
 import builtins
+import hashlib
+import os
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ from skipgru import fileio
 from skipgru.cli import _write_metric_rows, main
 from skipgru.corpus import save_vocab
 from skipgru.fileio import atomic_output, read_vectors, write_vectors
-from skipgru.trainer import make_optimizer, save_checkpoint
+from skipgru.trainer import load_model, make_optimizer, save_checkpoint
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "skipgru"
 
@@ -85,6 +87,63 @@ def write_opens_outside_atomic_output(package: Path) -> list[str]:
 
 def test_files_are_written_only_through_atomic_output():
     assert write_opens_outside_atomic_output(PACKAGE) == []
+
+
+def _no_reads(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("file read again")
+    monkeypatch.setattr(fileio, "open", refuse, raising=False)
+
+
+def test_sha256_path_reuses_the_digest_of_a_verified_read(tmp_path,
+                                                          monkeypatch):
+    path = tmp_path / "m.ckpt"
+    for seed in (0, 1):
+        # The second model rewrites the same path through atomic_output.
+        model = make_model(vocab_size=6, seed=seed)
+        save_checkpoint(model, make_optimizer(model), path)
+        want = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert fileio.sha256_path(path) == want
+        load_model(path)
+        with monkeypatch.context() as m:
+            _no_reads(m)
+            assert fileio.sha256_path(path) == want
+
+
+def test_sha256_path_hashes_a_file_changed_since_its_read(tmp_path):
+    path = tmp_path / "m.ckpt"
+    model = make_model(vocab_size=6)
+    save_checkpoint(model, make_optimizer(model), path)
+    load_model(path)
+    with open(path, "r+b") as fh:       # in place: same inode and size
+        fh.seek(-1, os.SEEK_END)
+        last = fh.read(1)
+        fh.seek(-1, os.SEEK_END)
+        fh.write(bytes([last[0] ^ 0xFF]))
+    # A coarse file-system clock could give the write the read's timestamps.
+    st = path.stat()
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns - 10**9))
+    assert fileio.sha256_path(path) == hashlib.sha256(
+        path.read_bytes()).hexdigest()
+
+
+def test_digest_record_is_bounded_and_forgets_rewritten_inodes(tmp_path):
+    model = make_model(vocab_size=6)
+    for i in range(fileio._DIGESTS_MAX + 3):
+        path = tmp_path / f"{i}.ckpt"
+        save_checkpoint(model, make_optimizer(model), path)
+        load_model(path)
+    assert len(fileio._DIGESTS) == fileio._DIGESTS_MAX
+    # atomic_output truncates and reuses a leftover temp file, as a new file
+    # can reuse the inode of a deleted one: no record of it may survive.
+    target = tmp_path / "v.bin"
+    tmp = tmp_path / f"v.bin.{os.getpid()}.tmp"
+    tmp.write_bytes(b"stale")
+    st = tmp.stat()
+    fileio._DIGESTS[(st.st_dev, st.st_ino, 5, 0, 0)] = "0" * 64
+    write_vectors(target, np.eye(2))
+    assert target.stat().st_ino == st.st_ino
+    assert not any(k[:2] == (st.st_dev, st.st_ino) for k in fileio._DIGESTS)
 
 
 class _HalfThenFail:

@@ -27,7 +27,8 @@ from skipgru.encoder import encode
 from skipgru.errors import CheckpointError, InputError, NumericError
 from skipgru.numerics import AdamState, global_norm
 from skipgru.trainer import (METRICS_HEADER, TrainConfig, load_checkpoint,
-                             make_optimizer, model_from_params, param_order,
+                             load_model, make_optimizer, model_from_params,
+                             param_order,
                              save_checkpoint, train, train_step, triple_grads,
                              triple_loss)
 from skipgru.vocab_expansion import (ExpansionMap, ExternalEmbeddings,
@@ -389,13 +390,15 @@ def test_checkpoint_roundtrip_byte_identical(tmp_path, rng):
 def _saved_containers(tmp_path):
     """(path, loader, kind name) for one fresh file of each container kind."""
     m = make_model(vocab_size=6)
-    ckpt, xmap = tmp_path / "c.ckpt", tmp_path / "x.map"
-    save_checkpoint(m, make_optimizer(m), ckpt)
+    ckpt, lean, xmap = (tmp_path / n for n in ("c.ckpt", "m.ckpt", "x.map"))
+    for path in (ckpt, lean):
+        save_checkpoint(m, make_optimizer(m), path)
     ext = ExternalEmbeddings(tokens=["w2", "w3", "x4"],
                              vectors=np.arange(6.0).reshape(3, 2))
     write_expansion(ExpansionMap(W=np.ones((3, 2)), shared_count=2,
                                  residual_rms=0.5), ext, xmap)
     return [(ckpt, load_checkpoint, "checkpoint"),
+            (lean, load_model, "checkpoint"),
             (xmap, read_expansion, "expansion-map")]
 
 
@@ -444,6 +447,40 @@ def test_container_trailing_bytes(tmp_path):
     for path, load, kind in _saved_containers(tmp_path):
         path.write_bytes(_resealed(path.read_bytes()[:-32] + b"\0" * 8))
         _assert_rejected(path, load, kind)
+
+
+def test_load_model_checks_the_moments_it_does_not_build(tmp_path):
+    # The parameters are the first third of the blobs; every byte after
+    # them belongs to the Adam moments, which load_model only hashes.
+    m = make_model(vocab_size=6)
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(m, make_optimizer(m), path)
+    good = path.read_bytes()
+    body = len(good) - 32
+    moments = 8 * 2 * sum(v.size for v in m.param_dict().values())
+    for at in (body - moments, body - moments // 2, body - 1):
+        blob = bytearray(good)
+        blob[at] ^= 0x01
+        path.write_bytes(bytes(blob))
+        _assert_rejected(path, load_model, "checkpoint")
+    for cut in (32, 32 + moments // 2):
+        path.write_bytes(good[:-cut])
+        _assert_rejected(path, load_model, "checkpoint")
+
+
+@pytest.mark.parametrize("mode", ["uni", "bi"])
+def test_load_model_equals_load_checkpoint(tmp_path, mode):
+    m = randomize_params(make_model(vocab_size=7, embed_dim=3, hidden_dim=4,
+                                    mode=mode), seed=5)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(m, make_optimizer(m), path)
+    for p in (path, DATA / "tiny.ckpt"):
+        full, lean = load_checkpoint(p)[0], load_model(p)
+        assert lean.config == full.config
+        assert lean.vocab.id_to_token == full.vocab.id_to_token
+        a, b = full.param_dict(), lean.param_dict()
+        assert list(a) == list(b)
+        assert all(a[k].tobytes() == b[k].tobytes() for k in a)
 
 
 def test_committed_files_resave_to_identical_bytes(tmp_path):
@@ -548,6 +585,41 @@ def test_resume_equivalence(tmp_path, rng):
                            m2.vocab, m2.param_dict())
     resumed = train(m2, triples, opt=opt2).model.param_dict()
     assert all(np.array_equal(straight[k], resumed[k]) for k in straight)
+
+
+def test_every_run_writes_its_final_checkpoint_once(tmp_path, rng,
+                                                    monkeypatch):
+    triples = [random_triple(6, rng) for _ in range(8)]
+
+    def fresh(steps):
+        return make_model(vocab_size=6, batch_size=4, seed=7,
+                          max_steps=steps, checkpoint_every=2)
+
+    # The bytes of the end state, as the save after the loop writes them.
+    final = tmp_path / "final.ckpt"
+    save_checkpoint(*train(fresh(4), triples)[:2], final)
+    saves = []
+    real_save = trainer.save_checkpoint
+
+    def counting_save(model, opt, path):
+        saves.append(opt.step)
+        real_save(model, opt, path)
+
+    monkeypatch.setattr(trainer, "save_checkpoint", counting_save)
+
+    def run(model, opt=None):
+        saves.clear()
+        train(model, triples, opt=opt, checkpoint_path=path)
+        return saves
+
+    path = tmp_path / "c.ckpt"
+    assert run(fresh(4)) == [2, 4]
+    assert path.read_bytes() == final.read_bytes()
+    assert run(fresh(5)) == [2, 4, 5]
+    assert run(fresh(0)) == [0]
+    # A resume that is already at max_steps.
+    assert run(*load_checkpoint(final)) == [4]
+    assert path.read_bytes() == final.read_bytes()
 
 
 # ---------------------------------------------------------------------------
