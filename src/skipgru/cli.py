@@ -126,11 +126,14 @@ def _load_models(args):
 
 def _tokenize_distinct(lines) -> tuple[list[list[str]], np.ndarray]:
     """The tokens of each distinct line, in first-seen order, and for every
-    line the index of its distinct line."""
+    line the index of its distinct line.  Equal tokens are one shared string,
+    so the lists cost a pointer per token beyond the distinct words."""
     index: dict[str, int] = {}
     where = np.array([index.setdefault(line, len(index)) for line in lines],
                      dtype=np.intp)
-    return [corpus.tokenize(line) for line in index], where
+    words: dict[str, str] = {}
+    return [[words.setdefault(t, t) for t in corpus.tokenize(line)]
+            for line in index], where
 
 
 def _encode_distinct(distinct, where, lookups) -> np.ndarray:

@@ -1,17 +1,19 @@
 """Dense float64 linear algebra, initializers, Adam, and gradient clipping.
 
 A "matrix" throughout the package is a 2-D contiguous float64 ndarray; a
-"parameter set" is a dict mapping names to float64 arrays.  All functions here
-are pure: inputs are never mutated, and every stochastic operation takes an
-explicit seed (an int, a tuple of ints, or a numpy Generator), so two runs with
-the same seed are bit-identical.
+"parameter set" is a dict mapping names to float64 arrays.  The optimizer
+writes into the arrays it is given: clip_gradients scales the gradient set in
+place, and adam_step updates the parameters and the moment buffers in place.
+Every other function here leaves its inputs unchanged.  Every stochastic
+operation takes an explicit seed (an int, a tuple of ints, or a numpy
+Generator), so two runs with the same seed are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -104,21 +106,26 @@ def global_norm(params: ParamSet) -> float:
 def clip_gradients(grads: ParamSet, threshold: float) -> ParamSet:
     """Rescale the whole set so its global L2 norm is at most `threshold`.
 
-    Below the threshold the input dict is returned unchanged; above it, every
-    array is scaled by threshold / norm.
+    Below the threshold nothing changes; above it, every array is multiplied
+    by threshold / norm in place.  Returns `grads` itself.
     """
     if threshold <= 0:
         raise ParameterError(f"clip threshold must be positive, got {threshold}")
     norm = global_norm(grads)
-    if norm <= threshold:
-        return grads
-    scale = threshold / norm
-    return {name: g * scale for name, g in grads.items()}
+    if norm > threshold:
+        scale = threshold / norm
+        for g in grads.values():
+            g *= scale
+    return grads
 
 
 @dataclass
 class AdamState:
-    """First/second moment buffers and hyperparameters for one parameter set."""
+    """First/second moment buffers and hyperparameters for one parameter set.
+
+    adam_step updates m and v in place and advances step, so the state holds
+    the only copy of the moments for the whole run.
+    """
 
     step: int
     m: ParamSet
@@ -136,40 +143,67 @@ class AdamState:
                    beta2=beta2, epsilon=epsilon)
 
 
-def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> tuple[ParamSet, AdamState]:
-    """One bias-corrected Adam update; returns (new params, new state).
+# Elements per block of adam_step; its two scratch buffers hold one block each.
+ADAM_BLOCK = 1 << 15
+
+
+def _check_adam_inputs(params: ParamSet, grads: ParamSet, state: AdamState) -> None:
+    """Raise before adam_step writes anything unless every array it writes is
+    a float64, C-contiguous, writeable array of the parameter's shape.  A
+    reshape(-1) of any other array would be a copy, and the update would be
+    lost."""
+    if not set(params) == set(grads) == set(state.m) == set(state.v):
+        raise ShapeError("params, grads, and Adam buffers must share keys")
+    for k, p in params.items():
+        for name, a in (("grad", grads[k]), ("m", state.m[k]), ("v", state.v[k])):
+            if a.shape != p.shape:
+                raise ShapeError(f"shape mismatch for '{k}': param {p.shape} "
+                                 f"vs {name} {a.shape}")
+        for name, a in (("param", p), ("m", state.m[k]), ("v", state.v[k])):
+            if (a.dtype != np.float64 or not a.flags.c_contiguous
+                    or not a.flags.writeable):
+                raise ParameterError(f"Adam {name} '{k}' must be a writeable, "
+                                     f"C-contiguous float64 array")
+
+
+def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> None:
+    """One bias-corrected Adam update of `params`, `state.m` and `state.v` in
+    place; advances state.step.
 
     m <- b1 m + (1 - b1) g,  v <- b2 v + (1 - b2) g^2, and
-    p <- p - alpha (m / bc1) / (sqrt(v / bc2) + eps).  The new m, v and
-    parameter are fresh arrays that each term is written into in place, with
-    one scratch array per parameter, so the inputs are never mutated and the
-    update builds no other temporaries.  The operations and their order are
-    those of the formula, so the results are the same bits.
+    p <- p - alpha (m / bc1) / (sqrt(v / bc2) + eps).  Each flattened array
+    is walked in blocks of ADAM_BLOCK elements with two block-sized scratch
+    buffers, so the step allocates no parameter-sized array.  Every operation
+    is elementwise and they run in the formula's order, so the result is the
+    same bits for any block size.  Nothing is written unless every array
+    passes _check_adam_inputs.
     """
-    if set(params) != set(grads) or set(params) != set(state.m):
-        raise ShapeError("params, grads, and Adam buffers must share keys")
-    for k in params:
-        if params[k].shape != grads[k].shape or params[k].shape != state.m[k].shape:
-            raise ShapeError(f"shape mismatch for '{k}': {params[k].shape} vs {grads[k].shape}")
+    _check_adam_inputs(params, grads, state)
     t = state.step + 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
-    new_p, new_m, new_v = {}, {}, {}
+    size = min(ADAM_BLOCK, max((p.size for p in params.values()), default=0))
+    buf_a, buf_b = np.empty(size), np.empty(size)
     for k, p in params.items():
-        g = grads[k]
-        tmp = np.multiply(1.0 - b1, g)
-        m = new_m[k] = np.multiply(b1, state.m[k])
-        m += tmp
-        np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - b2
-        v = new_v[k] = np.multiply(b2, state.v[k])
-        v += tmp
-        step = new_p[k] = np.divide(v, bc2)
-        np.sqrt(step, out=step)
-        step += state.epsilon
-        np.divide(m, bc1, out=tmp)
-        tmp *= state.alpha
-        np.divide(tmp, step, out=step)
-        np.subtract(p, step, out=step)
-    return new_p, replace(state, step=t, m=new_m, v=new_v)
+        p, g = p.reshape(-1), np.ravel(grads[k])
+        m, v = state.m[k].reshape(-1), state.v[k].reshape(-1)
+        for lo in range(0, p.size, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, p.size)
+            pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+            a, b = buf_a[:hi - lo], buf_b[:hi - lo]
+            np.multiply(1.0 - b1, gb, out=a)
+            mb *= b1
+            mb += a
+            np.multiply(gb, gb, out=a)
+            a *= 1.0 - b2
+            vb *= b2
+            vb += a
+            np.divide(vb, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += state.epsilon
+            np.divide(mb, bc1, out=a)
+            a *= state.alpha
+            np.divide(a, b, out=b)
+            pb -= b
+    state.step = t

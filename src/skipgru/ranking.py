@@ -149,7 +149,7 @@ def train_ranker(pairs: tuple[np.ndarray, np.ndarray], model: RankingModel,
     snapshot with the best dev Recall@1 (mean of both directions).
 
     Trailing batches too small to supply the contrastive draws are skipped.
-    epochs = 0 returns the model untouched.
+    The model passed in is never modified; epochs = 0 returns it.
     """
     X, Y = np.asarray(pairs[0], float), np.asarray(pairs[1], float)
     Xd, Yd = np.asarray(dev[0], float), np.asarray(dev[1], float)
@@ -158,9 +158,12 @@ def train_ranker(pairs: tuple[np.ndarray, np.ndarray], model: RankingModel,
     n = len(X)
     if n != len(Y):
         raise ShapeError(f"{n} images vs {len(Y)} sentences")
-    opt = AdamState.initial({"U": model.U, "V": model.V},
-                            alpha=config.learning_rate)
+    # Adam updates U and V in place: train copies of them, and copy again for
+    # each best snapshot, so neither aliases the weights that keep training.
     best, best_score = model, -math.inf
+    params = {"U": model.U.copy(), "V": model.V.copy()}
+    model = replace(model, **params)
+    opt = AdamState.initial(params, alpha=config.learning_rate)
     history: list = []
     for epoch in range(epochs):
         perm = get_rng(seed_tuple(config.seed, "rank-epoch", epoch)).permutation(n)
@@ -176,14 +179,14 @@ def train_ranker(pairs: tuple[np.ndarray, np.ndarray], model: RankingModel,
                 raise NumericError(f"non-finite ranking loss at epoch {epoch}; "
                                    f"training aborted")
             losses.append(loss)
-            params, opt = adam_step({"U": model.U, "V": model.V}, grads, opt)
-            model = replace(model, **params)
+            adam_step(params, grads, opt)
         res = evaluate_retrieval(Xd, Yd, model, config.dev_group_size, ks=(1,))
         score = (res["annotation"].recall_at[1] + res["search"].recall_at[1]) / 2.0
         history.append({"epoch": epoch, "dev_r1": score,
                         "mean_loss": float(np.mean(losses)) if losses else 0.0})
         if score > best_score:
-            best, best_score = model, score
+            best = replace(model, U=model.U.copy(), V=model.V.copy())
+            best_score = score
     return RankTrainResult(model=best, history=history)
 
 

@@ -13,6 +13,11 @@ array of its own.  The additions happen in a fixed order (triples in batch
 order; within a triple the next decoder, the previous decoder, then the
 encoder), so runs are reproducible bit for bit given a seed, and a
 checkpointed run resumed mid-stream matches an unbroken run exactly.
+
+Clipping and Adam then write into the gradient, the model's parameter arrays
+and the optimizer's moments in place, so a step holds four parameter-sized
+sets (parameters, two moments, one gradient) and no more: training updates
+the model and optimizer objects it is given.
 """
 
 from __future__ import annotations
@@ -190,12 +195,13 @@ class TrainStepResult(NamedTuple):
 
 def train_step(model: SkipGruModel, batch: Sequence[SentenceTriple],
                opt: AdamState, config: TrainConfig) -> TrainStepResult:
-    """One optimizer step on the mean triple loss over `batch`.
+    """One optimizer step on the mean triple loss over `batch`, applied in
+    place to `model`'s parameter arrays and `opt`; the result holds both.
 
     Returns the loss measured before the update.  One zero-filled gradient
     set is passed to triple_grads for every triple in batch order, so the
     reduction order is fixed and runs are deterministic; it is then scaled to
-    the batch mean, checked, clipped and handed to Adam.
+    the batch mean, checked, clipped in place and handed to Adam.
     """
     if not batch:
         raise InputError("train_step needs a nonempty batch")
@@ -216,10 +222,9 @@ def train_step(model: SkipGruModel, batch: Sequence[SentenceTriple],
         raise NumericError(f"non-finite gradient norm {norm} at step "
                            f"{opt.step + 1}; training aborted")
     clipped = norm > config.clip_threshold
-    total = clip_gradients(total, config.clip_threshold)
-    new_params, new_opt = adam_step(params, total, opt)
-    new_model = model_from_params(config, model.vocab, new_params)
-    return TrainStepResult(model=new_model, opt=new_opt, batch_loss=mean_loss,
+    clip_gradients(total, config.clip_threshold)
+    adam_step(params, total, opt)
+    return TrainStepResult(model=model, opt=opt, batch_loss=mean_loss,
                            grad_norm=norm, clipped=clipped)
 
 
@@ -238,7 +243,9 @@ def make_optimizer(model: SkipGruModel) -> AdamState:
 def train(model: SkipGruModel, triples: Sequence[SentenceTriple],
           opt: AdamState | None = None, metrics_path=None,
           checkpoint_path=None) -> TrainResult:
-    """Run from opt.step up to config.max_steps over shuffled triples.
+    """Run from opt.step up to config.max_steps over shuffled triples,
+    training `model` and `opt` in place: the result holds the same objects,
+    and a caller that needs the starting weights copies them first.
 
     Each epoch is a fresh seeded permutation of the triples, consumed in
     batch_size slices; the current position is derived from opt.step alone, so

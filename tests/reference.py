@@ -17,8 +17,9 @@ something the package computes in bulk:
   with array operations);
 - the expectation of one 5-bin relatedness distribution
   (probes.predict_scores does it per row);
-- Adam as one expression per array (numerics.adam_step writes the same
-  operations into its output arrays in place);
+- Adam as one expression per array, returning new parameters and moments
+  (numerics.adam_step applies the same operations to the caller's arrays in
+  place, block by block);
 - encoding lines one at a time with the unrolled recurrence
   (vocab_expansion.encode_sentences runs length-sorted, padded batches).
 """
@@ -290,8 +291,9 @@ def distribution_to_score(p_hat: np.ndarray) -> float:
 
 def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> tuple[ParamSet, AdamState]:
     """The bias-corrected Adam update as one expression per array, each
-    building its own temporaries (numerics.adam_step writes the same
-    operations, in the same order, into its output arrays)."""
+    building its own temporaries; returns (new params, new state) and leaves
+    its inputs unchanged (numerics.adam_step applies the same operations, in
+    the same order, to the parameters and moments in place)."""
     t = state.step + 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** t

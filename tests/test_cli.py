@@ -21,7 +21,7 @@ import reference
 import skipgru
 from conftest import make_model
 from skipgru import corpus, trainer, vocab_expansion
-from skipgru.cli import _encode_lines, main
+from skipgru.cli import _encode_lines, _tokenize_distinct, main
 from skipgru.fileio import read_vectors
 from skipgru.trainer import METRICS_HEADER, load_checkpoint
 from skipgru.vocab_expansion import ExpandedLookup, encode_text, read_expansion
@@ -360,6 +360,14 @@ def test_batched_encoding_never_gathers_all_rows_at_once():
         tracemalloc.stop()
     assert vecs.shape == (4000, 128)
     assert peak < all_rows / 2
+
+
+def test_distinct_lines_share_their_equal_tokens():
+    lines = ["the zeppelin sat .", "a zeppelin flew .", "the zeppelin sat ."]
+    distinct, where = _tokenize_distinct(lines)
+    assert distinct == [corpus.tokenize(lines[0]), corpus.tokenize(lines[1])]
+    assert where.tolist() == [0, 1, 0]
+    assert distinct[0][1] == "zeppelin" and distinct[0][1] is distinct[1][1]
 
 
 def test_encode_empty_input_writes_empty_vector_file(ws, tmp_path, capsys):

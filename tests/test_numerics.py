@@ -6,16 +6,19 @@ cases.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skipgru import numerics
 from skipgru.errors import NumericError, ParameterError, ShapeError
-from skipgru.numerics import (AdamState, adam_step, clip_gradients, get_rng,
-                              global_norm, log_softmax, orthogonal_init,
-                              seed_tuple, sigmoid, softmax, uniform_init)
+from skipgru.numerics import (ADAM_BLOCK, AdamState, adam_step, clip_gradients,
+                              get_rng, global_norm, log_softmax,
+                              orthogonal_init, seed_tuple, sigmoid, softmax,
+                              uniform_init)
 
 import reference
 from reference import finite_diff_check
@@ -79,25 +82,32 @@ def test_uniform_init_bad_interval():
 # ---------------------------------------------------------------------------
 
 def test_clip_below_threshold_is_bitwise_identity():
-    g = {"a": np.array([3.0, 4.0])}                      # norm 5
+    a = np.array([3.0, 4.0])                             # norm 5
+    g = {"a": a}
     out = clip_gradients(g, 10.0)
-    assert out["a"] is g["a"]
+    assert out is g and out["a"] is a
+    assert np.array_equal(a, [3.0, 4.0])
 
 
 def test_clip_at_boundary_unchanged():
     g = {"a": np.array([6.0, 8.0])}                      # norm 10 exactly
-    assert np.array_equal(clip_gradients(g, 10.0)["a"], g["a"])
+    out = clip_gradients(g, 10.0)
+    assert out is g
+    assert np.array_equal(out["a"], [6.0, 8.0])
 
 
 def test_clip_scales_by_half():
-    g = {"a": np.array([12.0, 16.0])}                    # norm 20
+    a = np.array([12.0, 16.0])                           # norm 20
+    g = {"a": a}
     out = clip_gradients(g, 10.0)
+    assert out is g and out["a"] is a
     assert np.max(np.abs(out["a"] - np.array([6.0, 8.0]))) < 1e-9
 
 
 def test_clip_global_norm_across_parameters():
     g = {"a": np.full((2,), 10.0), "b": np.full((2,), 10.0)}   # norm 20
     out = clip_gradients(g, 10.0)
+    assert out is g
     assert abs(global_norm(out) - 10.0) < 1e-9
 
 
@@ -106,8 +116,11 @@ def test_clip_global_norm_across_parameters():
 @settings(max_examples=60, deadline=None)
 def test_clip_idempotent_and_nonincreasing(vals, threshold):
     g = {"a": np.array(vals)}
-    once = clip_gradients(g, threshold)
-    twice = clip_gradients(once, threshold)
+    first = {"a": np.array(vals)}
+    once = clip_gradients(first, threshold)
+    second = {"a": once["a"].copy()}
+    twice = clip_gradients(second, threshold)
+    assert once is first and twice is second
     assert global_norm(once) <= global_norm(g) + 1e-12
     assert np.max(np.abs(twice["a"] - once["a"])) < 1e-9
 
@@ -116,21 +129,25 @@ def test_clip_idempotent_and_nonincreasing(vals, threshold):
 # Adam
 # ---------------------------------------------------------------------------
 
+def _copy(d):
+    return {k: a.copy() for k, a in d.items()}
+
+
 def test_adam_zero_gradient_is_identity():
     p = {"w": np.array([1.0, -2.0, 3.0])}
     st_ = AdamState.initial(p, alpha=0.1)
     g = {"w": np.zeros(3)}
-    out, st2 = adam_step(p, g, st_)
-    assert np.array_equal(out["w"], p["w"])
-    assert st2.step == 1
+    assert adam_step(p, g, st_) is None
+    assert np.array_equal(p["w"], [1.0, -2.0, 3.0])
+    assert st_.step == 1
 
 
 def test_adam_first_step_hand_computation():
     # Bias correction makes the first update alpha * g/(|g| + eps'): ~0.1.
     p = {"w": np.array([1.0])}
     st_ = AdamState.initial(p, alpha=0.1)
-    out, _ = adam_step(p, {"w": np.array([1.0])}, st_)
-    assert abs(out["w"][0] - 0.9) < 1e-6
+    adam_step(p, {"w": np.array([1.0])}, st_)
+    assert abs(p["w"][0] - 0.9) < 1e-6
 
 
 def _scalar_adam(p, grads, alpha=0.1, b1=0.9, b2=0.999, eps=1e-8):
@@ -149,11 +166,13 @@ def test_adam_two_steps_match_scalar_oracle():
     p = {"w": np.array([1.0])}
     st_ = AdamState.initial(p, alpha=0.1)
     g = {"w": np.array([1.0])}
-    p1, st_ = adam_step(p, g, st_)
-    p2, st_ = adam_step(p1, g, st_)
-    assert abs(p2["w"][0] - _scalar_adam(1.0, [1.0, 1.0])) < 1e-10
+    adam_step(p, g, st_)
+    p1 = p["w"][0]
+    adam_step(p, g, st_)
+    p2 = p["w"][0]
+    assert abs(p2 - _scalar_adam(1.0, [1.0, 1.0])) < 1e-10
     # Second step also moves by roughly -alpha for a repeated unit gradient.
-    assert abs((p2["w"][0] - p1["w"][0]) + 0.1) < 1e-2
+    assert abs((p2 - p1) + 0.1) < 1e-2
 
 
 def test_adam_shape_mismatch():
@@ -167,7 +186,7 @@ def test_adam_step_counter_strictly_increases():
     p = {"w": np.zeros(2)}
     st_ = AdamState.initial(p)
     for want in (1, 2, 3):
-        p, st_ = adam_step(p, {"w": np.ones(2)}, st_)
+        adam_step(p, {"w": np.ones(2)}, st_)
         assert st_.step == want
 
 
@@ -184,33 +203,83 @@ def _adam_problem(seed=0):
     return params, state, grads
 
 
-def test_adam_is_bit_identical_to_the_expression_oracle():
-    params, state, grads = _adam_problem()
-    p, s = params, state
-    rp, rs = params, state
-    for g in grads:
-        p, s = adam_step(p, g, s)
-        rp, rs = reference.adam_step(rp, g, rs)
-        assert s.step == rs.step
-        for k in ADAM_SHAPES:
-            assert np.array_equal(p[k], rp[k])
-            assert np.array_equal(s.m[k], rs.m[k])
-            assert np.array_equal(s.v[k], rs.v[k])
+def test_adam_is_bit_identical_to_the_expression_oracle(monkeypatch):
+    # Every operation is elementwise, so the block size cannot change a bit.
+    for block in (ADAM_BLOCK, 999):
+        monkeypatch.setattr(numerics, "ADAM_BLOCK", block)
+        params, state, grads = _adam_problem()
+        rp = _copy(params)
+        rs = replace(state, m=_copy(state.m), v=_copy(state.v))
+        for g in grads:
+            adam_step(params, g, state)
+            rp, rs = reference.adam_step(rp, g, rs)
+            assert state.step == rs.step
+            for k in ADAM_SHAPES:
+                assert np.array_equal(params[k], rp[k])
+                assert np.array_equal(state.m[k], rs.m[k])
+                assert np.array_equal(state.v[k], rs.v[k])
 
 
-def test_adam_leaves_its_inputs_untouched():
+def test_adam_updates_its_own_arrays_in_place():
     params, state, grads = _adam_problem()
-    params, state = adam_step(params, grads[0], state)
-    copies = [{k: a.copy() for k, a in d.items()}
-              for d in (params, grads[1], state.m, state.v)]
-    new_p, new_s = adam_step(params, grads[1], state)
-    for d, c in zip((params, grads[1], state.m, state.v), copies):
+    adam_step(params, grads[0], state)
+    arrays = [dict(d) for d in (params, state.m, state.v)]
+    before = [_copy(d) for d in (params, state.m, state.v)]
+    g_before = _copy(grads[1])
+    want_p, want_s = reference.adam_step(*before[:1], grads[1],
+                                         replace(state, m=before[1], v=before[2]))
+    adam_step(params, grads[1], state)
+    assert state.step == 2
+    for d, same, want in zip((params, state.m, state.v), arrays,
+                             (want_p, want_s.m, want_s.v)):
         for k in ADAM_SHAPES:
-            assert np.array_equal(d[k], c[k])
-    assert state.step == 1 and new_s is not state
+            assert d[k] is same[k]
+            assert np.array_equal(d[k], want[k])
     for k in ADAM_SHAPES:
-        assert not np.shares_memory(new_s.m[k], state.m[k])
-        assert not np.shares_memory(new_p[k], params[k])
+        assert np.array_equal(grads[1][k], g_before[k])
+        assert not np.array_equal(params[k], before[0][k])
+
+
+def _bad_last_key(params, grads, state):
+    last = list(params)[-1]
+    grads[last + "x"] = grads.pop(last)
+
+
+def _bad_last_moment_key(params, grads, state):
+    last = list(params)[-1]
+    state.v[last + "x"] = state.v.pop(last)
+
+
+def _bad_last_shape(params, grads, state):
+    last = list(params)[-1]
+    state.v[last] = np.zeros(state.v[last].size + 1)
+
+
+def _read_only_last_param(params, grads, state):
+    params[list(params)[-1]].flags.writeable = False
+
+
+def _strided_last_moment(params, grads, state):
+    last = list(params)[-1]
+    state.m[last] = np.zeros(2 * state.m[last].size)[::2]
+
+
+@pytest.mark.parametrize("spoil,error", [
+    (_bad_last_key, ShapeError), (_bad_last_moment_key, ShapeError),
+    (_bad_last_shape, ShapeError),
+    (_read_only_last_param, ParameterError),
+    (_strided_last_moment, ParameterError)])
+def test_adam_validates_every_array_before_writing(spoil, error):
+    params, state, grads = _adam_problem()
+    adam_step(params, grads[0], state)
+    spoil(params, grads[1], state)
+    before = [_copy(d) for d in (params, state.m, state.v)]
+    with pytest.raises(error):
+        adam_step(params, grads[1], state)
+    assert state.step == 1
+    for d, c in zip((params, state.m, state.v), before):
+        for k in c:
+            assert np.array_equal(d[k], c[k])
 
 
 def _adam_peak(step, params, grads, state) -> int:
@@ -222,15 +291,14 @@ def _adam_peak(step, params, grads, state) -> int:
         tracemalloc.stop()
 
 
-def test_adam_allocates_its_outputs_and_one_scratch_array():
+def test_adam_allocates_only_its_block_scratch():
     params, state, grads = _adam_problem()
-    params, state = adam_step(params, grads[0], state)
+    adam_step(params, grads[0], state)
     total = sum(a.nbytes for a in params.values())
-    largest = max(a.nbytes for a in params.values())
-    # New params, m and v, plus one scratch array the size of a parameter.
-    bound = 3 * total + largest + 64 * 1024
-    assert _adam_peak(adam_step, params, grads[1], state) < bound
-    assert _adam_peak(reference.adam_step, params, grads[1], state) > bound
+    # Two scratch buffers of ADAM_BLOCK float64 each: 512 KiB.
+    assert _adam_peak(adam_step, params, grads[1], state) < 1024 * 1024
+    # The expression oracle builds new params, m and v and its temporaries.
+    assert _adam_peak(reference.adam_step, params, grads[1], state) > 3 * total
 
 
 # ---------------------------------------------------------------------------

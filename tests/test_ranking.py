@@ -295,6 +295,24 @@ def test_train_deterministic(rng):
     assert a.history == b.history
 
 
+def test_train_returns_the_best_epoch_and_leaves_its_input_alone():
+    # A high learning rate on noisy pairs: dev R@1 peaks at the first epoch.
+    # The returned snapshot must hold that epoch's weights, not the live
+    # arrays that Adam went on updating in place.
+    rng = np.random.default_rng(5)
+    X, Y = planted_pairs(30, 4, rng, noise=0.5)
+    m = init_ranking_model(4, 4, 4, alpha=0.2, k_contrastive=5, seed=5)
+    U0, V0 = m.U.copy(), m.V.copy()
+    cfg = RankTrainConfig(batch_size=10, learning_rate=0.2, seed=5)
+    out = train_ranker((X[:20], Y[:20]), m, epochs=6, dev=(X[20:], Y[20:]),
+                       config=cfg)
+    best = max(h["dev_r1"] for h in out.history)
+    assert out.history[-1]["dev_r1"] < best
+    res = evaluate_retrieval(X[20:], Y[20:], out.model, 1, ks=(1,))
+    assert (res["annotation"].recall_at[1] + res["search"].recall_at[1]) / 2 == best
+    assert np.array_equal(m.U, U0) and np.array_equal(m.V, V0)
+
+
 def test_train_empty_dev_rejected(rng):
     X, Y = planted_pairs(10, 4, rng)
     m = init_ranking_model(4, 4, 4, alpha=0.2, k_contrastive=3, seed=0)

@@ -180,8 +180,9 @@ def test_accumulating_a_triple_twice_doubles_its_gradient(mode):
 
 def test_train_step_reduces_the_reference_gradients_of_its_batch():
     m = _mixed_model("bi", seed=46, clip_threshold=1e9)
-    res = train_step(m, MIXED_BATCH, make_optimizer(m), m.config)
+    # The step updates m in place, so the references come first.
     refs = [reference.triple_grads(m, t) for t in MIXED_BATCH]
+    res = train_step(m, MIXED_BATCH, make_optimizer(m), m.config)
     mean = {k: sum(g[k] for _, g in refs) / len(refs) for k in refs[0][1]}
     assert res.batch_loss == sum(loss for loss, _ in refs) / len(refs)
     assert abs(res.grad_norm - global_norm(mean)) < 1e-12 * global_norm(mean)
@@ -215,10 +216,47 @@ def test_triple_gradient_builds_no_vocabulary_sized_array():
 def test_step_zero_learning_rate_is_noop():
     m = randomize_params(make_model(vocab_size=6, alpha=0.0), seed=5)
     opt = make_optimizer(m)
+    before = {k: v.copy() for k, v in m.param_dict().items()}
     res = train_step(m, [small_triple()], opt, m.config)
-    before, after = m.param_dict(), res.model.param_dict()
+    after = res.model.param_dict()
     assert all(np.array_equal(before[k], after[k]) for k in before)
     assert res.batch_loss > 0
+
+
+def test_step_updates_the_model_and_optimizer_it_is_given():
+    m = randomize_params(make_model(vocab_size=6, mode="bi"), seed=5)
+    opt = make_optimizer(m)
+    arrays = [m.param_dict(), dict(opt.m), dict(opt.v)]
+    before = {k: v.copy() for k, v in arrays[0].items()}
+    res = train_step(m, [small_triple()], opt, m.config)
+    assert res.model is m and res.opt is opt and opt.step == 1
+    for d, same in zip((m.param_dict(), opt.m, opt.v), arrays):
+        assert all(d[k] is same[k] for k in same)
+    assert not any(np.array_equal(before[k], arrays[0][k]) for k in before)
+
+
+def test_clipping_step_holds_about_one_parameter_set():
+    # At V=20000, E=64, H=128 the parameters take 33 MB, almost all of it emb
+    # and V.  A step's own arrays are the gradient accumulator and per-pass
+    # (T, V) rows; clipping and Adam write in place.  New parameters and
+    # moments, or a scaled copy of the gradient, would each add a whole set.
+    m = make_model(vocab_size=20000, embed_dim=64, hidden_dim=128,
+                   clip_threshold=1e-6)
+    batch = [SentenceTriple(prev=(5, 17, 2, 9, 0), curr=(3, 19999, 40, 7, 3, 0),
+                            next=(11, 12, 13, 11, 0)),
+             SentenceTriple(prev=(8, 6, 0), curr=(21, 4, 0),
+                            next=(19998, 30, 31, 32, 33, 0))]
+    opt = make_optimizer(m)
+    train_step(m, batch, opt, m.config)
+    one_set = sum(a.nbytes for a in m.param_dict().values())
+    tracemalloc.start()
+    try:
+        res = train_step(m, batch, opt, m.config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.clipped
+    assert peak < 1.25 * one_set
 
 
 def test_step_empty_batch():
