@@ -7,9 +7,10 @@ or is given --manifest, also writes one JSON manifest recording the config,
 input digests, and outputs.  Exit codes: 0 success, 2 usage or
 config problems, 3 numeric failures, 4 I/O failures.
 
-A --config FILE of key=value lines can supply any flag's value; explicit
-flags override the file.  The SKIPGRU_THREADS environment variable caps
-worker threads for the parallelizable evaluation paths.
+A --config FILE of key=value lines can supply any flag's value, checked as
+the flag would check it; explicit flags override the file.  The
+SKIPGRU_THREADS environment variable caps worker threads for the
+parallelizable evaluation paths.
 """
 
 from __future__ import annotations
@@ -174,11 +175,13 @@ def _write_metric_rows(path, rows) -> None:
 
 def cmd_build_vocab(args) -> None:
     docs = corpus.read_documents(args.corpus)
-    vocab = corpus.build_vocab((s for doc in docs for s in doc), args.size)
+    counts = corpus.count_tokens(s for doc in docs for s in doc)
+    vocab = corpus.build_vocab(counts, args.size)
     corpus.save_vocab(vocab, args.out)
-    stats = corpus.corpus_stats(docs)
-    stats["documents"] = len(docs)
-    stats["vocab_size"] = vocab.size
+    stats = {"documents": len(docs), "sentences": sum(map(len, docs)),
+             "words": sum(counts.values()), "unique_words": len(counts),
+             "vocab_size": vocab.size}
+    stats["mean_words_per_sentence"] = stats["words"] / stats["sentences"]
     print(json.dumps(stats, sort_keys=True))
 
 
@@ -189,17 +192,24 @@ def _metrics_path(args) -> str:
 def cmd_train(args) -> dict:
     vocab = corpus.load_vocab(args.vocab)
     docs = corpus.read_documents(args.corpus)
-    stats: dict = {}
-    triples = list(corpus.iter_triples(docs, vocab, stats=stats))
+    triples = list(corpus.iter_triples(docs, vocab))
     if not triples:
         raise InputError("corpus contains no 3-sentence documents; "
                          "nothing to train on")
     if args.resume:
         _require_inputs(args.out)
         model, opt = trainer.load_checkpoint(args.out)
+        if model.vocab.id_to_token != vocab.id_to_token:
+            raise ConfigError(f"--vocab {args.vocab} is not the vocabulary of "
+                              f"the checkpoint {args.out}")
         config = replace(model.config, max_steps=args.steps,
                          checkpoint_every=args.checkpoint_every)
         model = trainer.model_from_params(config, model.vocab, model.param_dict())
+        # The manifest records the settings the run uses, not the flags'.
+        vars(args).update(seed=config.seed, mode=config.mode,
+                          embed_dim=config.embed_dim, hidden_dim=config.hidden_dim,
+                          batch=config.batch_size, clip=config.clip_threshold,
+                          lr=config.alpha)
     else:
         config = trainer.TrainConfig(
             embed_dim=args.embed_dim, hidden_dim=args.hidden_dim,
@@ -209,12 +219,12 @@ def cmd_train(args) -> dict:
         model, opt = trainer.SkipGruModel.init(vocab, config), None
     result = trainer.train(model, triples, opt, metrics_path=_metrics_path(args),
                            checkpoint_path=args.out)
-    summary = {"steps": result.opt.step, "triples": stats.get("triples", 0)}
+    summary = {"steps": result.opt.step, "triples": len(triples)}
     if result.history:
         summary["first_loss"] = result.history[0]["loss"]
         summary["final_loss"] = result.history[-1]["loss"]
     print(json.dumps(summary, sort_keys=True))
-    return {"seed": args.seed}
+    return {"seed": config.seed}
 
 
 def cmd_encode(args) -> None:
@@ -586,32 +596,41 @@ def _read_config_file(path) -> dict:
 
 
 def _apply_config_file(sub: argparse.ArgumentParser, raw: dict) -> None:
+    """Set the file's values as `sub`'s defaults, each checked as its flag
+    would check it: by type and choices, or as a 1/0, true/false, yes/no or
+    on/off boolean."""
     defaults = {}
     for key, sval in raw.items():
         action = next((a for a in sub._actions if a.dest == key), None)
         if action is None or key == "config_file":
             raise ConfigError(f"unknown config key {key!r}")
-        if isinstance(action, (argparse._StoreTrueAction,
-                               argparse._StoreFalseAction)):
-            defaults[key] = sval.lower() in ("1", "true", "yes", "on")
+        if isinstance(action, argparse._StoreTrueAction):
+            value = {"1": True, "true": True, "yes": True, "on": True, "0": False,
+                     "false": False, "no": False, "off": False}.get(sval.lower())
         elif action.type is not None:
             try:
-                defaults[key] = action.type(sval)
+                value = action.type(sval)
             except ValueError:
-                raise ConfigError(f"bad value {sval!r} for config key {key!r}")
+                value = None
         else:
-            defaults[key] = sval
+            value = sval
+        if value is None or action.choices and value not in action.choices:
+            raise ConfigError(f"bad value {sval!r} for config key {key!r}")
+        defaults[key] = value
         action.required = False  # the file satisfies this argument
     sub.set_defaults(**defaults)
 
 
 def _find_config_arg(argv: list[str]):
+    paths = []
     for i, tok in enumerate(argv):
         if tok == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
+            paths.append(argv[i + 1])
+        elif tok.startswith("--config="):
+            paths.append(tok.split("=", 1)[1])
+    if len(paths) > 1:
+        raise ConfigError("--config may be given only once")
+    return paths[0] if paths else None
 
 
 def main(argv=None) -> int:
@@ -628,6 +647,9 @@ def main(argv=None) -> int:
             _apply_config_file(registry[argv[0]].parser,
                                _read_config_file(cfg_path))
         args = parser.parse_args(argv)
+        if args.config_file != cfg_path:
+            # An abbreviated flag (--conf FILE) names a file never applied.
+            raise ConfigError("--config must be spelled in full")
         cmd = registry[args.command]
         t0 = time.perf_counter()
         inputs = [getattr(args, k) for k in cmd.inputs]

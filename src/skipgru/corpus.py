@@ -3,6 +3,9 @@
 Corpus files are UTF-8 text with one sentence per line; a blank line marks a
 document boundary.  Triples are only formed from sentences that are contiguous
 within one document.
+
+build-vocab tokenizes a corpus once, in count_tokens: the same counts rank
+the vocabulary (build_vocab) and give the corpus's word and unique-word stats.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from .fileio import write_text
 EOS_TOKEN = "<eos>"
 UNK_TOKEN = "<unk>"
 
-DEFAULT_SENTENCE_CAP = 100
+# Tokens kept per sentence; longer sentences are truncated before the eos.
+SENTENCE_CAP = 100
 
 # Rule-based tokenizer: lowercase, split punctuation into separate tokens,
 # split clitic contractions ("don't" -> "do n't", "he'll" -> "he 'll").
@@ -77,21 +81,25 @@ class Vocabulary:
         return [self.id_to_token[i] for i in ids]
 
 
-def build_vocab(sentences: Iterable[str], max_size: int) -> Vocabulary:
-    """Vocabulary of the (max_size - 2) most frequent tokens plus the reserved two.
-
-    Frequency ties are broken by first occurrence in the stream, so the result
-    is deterministic for a given corpus order.
-    """
-    if max_size < 3:
-        raise ParameterError(f"max_size must be at least 3, got {max_size}")
+def count_tokens(sentences: Iterable[str]) -> Counter[str]:
+    """Occurrences of every token, in first-seen order."""
     counts: Counter[str] = Counter()
     for sentence in sentences:
         counts.update(tokenize(sentence))
+    return counts
+
+
+def build_vocab(counts: Counter[str], max_size: int) -> Vocabulary:
+    """Vocabulary of the (max_size - 2) most frequent tokens plus the reserved two.
+
+    Frequency ties are broken by the order of `counts`, which count_tokens
+    keeps as first seen, so the result is deterministic for a corpus order.
+    """
+    if max_size < 3:
+        raise ParameterError(f"max_size must be at least 3, got {max_size}")
     if not counts:
         raise InputError("empty corpus: no tokens to build a vocabulary from")
-    # Counter preserves first-encounter order, so a stable sort on count alone
-    # breaks ties by first occurrence.
+    # A stable sort on count alone keeps first-occurrence order within ties.
     ranked = sorted(counts.items(), key=lambda kv: -kv[1])
     kept = [tok for tok, _ in ranked[: max_size - 2]]
     return Vocabulary([EOS_TOKEN, UNK_TOKEN] + kept)
@@ -105,57 +113,22 @@ class SentenceTriple(NamedTuple):
     next: tuple[int, ...]
 
 
-def encode_sentence(sentence: str, vocab: Vocabulary,
-                    cap: int = DEFAULT_SENTENCE_CAP) -> tuple[int, ...]:
-    """Token ids for one sentence, truncated to `cap` tokens, plus terminal eos."""
-    tokens = tokenize(sentence)[:cap]
+def encode_sentence(sentence: str, vocab: Vocabulary) -> tuple[int, ...]:
+    """Token ids of the sentence's first SENTENCE_CAP tokens, plus eos."""
+    tokens = tokenize(sentence)[:SENTENCE_CAP]
     return tuple(vocab.ids_for(tokens)) + (vocab.eos_id,)
 
 
-def iter_triples(documents: Iterable[list[str]], vocab: Vocabulary,
-                 cap: int = DEFAULT_SENTENCE_CAP,
-                 stats: dict | None = None) -> Iterator[SentenceTriple]:
-    """Yield one triple per interior sentence of each document.
-
-    Documents with fewer than three sentences yield nothing; if `stats` is
-    given it is updated in place with documents / skipped_documents / triples
-    counts.
-    """
-    if stats is not None:
-        stats.setdefault("documents", 0)
-        stats.setdefault("skipped_documents", 0)
-        stats.setdefault("triples", 0)
+def iter_triples(documents: Iterable[list[str]],
+                 vocab: Vocabulary) -> Iterator[SentenceTriple]:
+    """Yield one triple per interior sentence of each document; documents
+    with fewer than three sentences yield nothing."""
     for doc in documents:
-        if stats is not None:
-            stats["documents"] += 1
         if len(doc) < 3:
-            if stats is not None:
-                stats["skipped_documents"] += 1
             continue
-        encoded = [encode_sentence(s, vocab, cap) for s in doc]
+        encoded = [encode_sentence(s, vocab) for s in doc]
         for i in range(1, len(doc) - 1):
-            if stats is not None:
-                stats["triples"] += 1
             yield SentenceTriple(encoded[i - 1], encoded[i], encoded[i + 1])
-
-
-def corpus_stats(documents: Iterable[list[str]]) -> dict:
-    """Sentence, word, and unique-word counts over the tokenized corpus."""
-    sentences = 0
-    words = 0
-    unique: set[str] = set()
-    for doc in documents:
-        for sentence in doc:
-            tokens = tokenize(sentence)
-            sentences += 1
-            words += len(tokens)
-            unique.update(tokens)
-    return {
-        "sentences": sentences,
-        "words": words,
-        "unique_words": len(unique),
-        "mean_words_per_sentence": (words / sentences) if sentences else 0.0,
-    }
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:

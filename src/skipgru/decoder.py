@@ -133,7 +133,6 @@ class DecoderCache:
     X: np.ndarray        # (T, embed) inputs: begin, then target[:-1] embeddings
     trace: GruTrace
     probs: np.ndarray    # (T, vocab) softmax rows
-    log_prob: float
 
 
 def sentence_log_prob_with_cache(target: Sequence[int], h_enc: np.ndarray,
@@ -148,7 +147,7 @@ def sentence_log_prob_with_cache(target: Sequence[int], h_enc: np.ndarray,
     logp = log_softmax(trace.S[1:] @ V.T, axis=1)      # (T, vocab)
     total = float(logp[np.arange(len(ids)), list(ids)].sum())
     return total, DecoderCache(target=ids, h_enc=h_enc, X=X, trace=trace,
-                               probs=np.exp(logp), log_prob=total)
+                               probs=np.exp(logp))
 
 
 def sentence_log_prob(target: Sequence[int], h_enc: np.ndarray,

@@ -206,10 +206,6 @@ class EncoderModel:
             raise ShapeError("forward and backward hidden dims differ")
 
     @property
-    def mode(self) -> str:
-        return "uni" if self.backward is None else "bi"
-
-    @property
     def vocab_size(self) -> int:
         return self.embedding.shape[0]
 

@@ -103,15 +103,15 @@ def global_norm(params: ParamSet) -> float:
     return math.sqrt(total)
 
 
-def clip_gradients(grads: ParamSet, threshold: float) -> ParamSet:
+def clip_gradients(grads: ParamSet, threshold: float, norm: float) -> ParamSet:
     """Rescale the whole set so its global L2 norm is at most `threshold`.
 
+    `norm` is the set's global_norm, which the caller has already measured.
     Below the threshold nothing changes; above it, every array is multiplied
     by threshold / norm in place.  Returns `grads` itself.
     """
     if threshold <= 0:
         raise ParameterError(f"clip threshold must be positive, got {threshold}")
-    norm = global_norm(grads)
     if norm > threshold:
         scale = threshold / norm
         for g in grads.values():

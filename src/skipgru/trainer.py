@@ -201,7 +201,8 @@ def train_step(model: SkipGruModel, batch: Sequence[SentenceTriple],
     Returns the loss measured before the update.  One zero-filled gradient
     set is passed to triple_grads for every triple in batch order, so the
     reduction order is fixed and runs are deterministic; it is then scaled to
-    the batch mean, checked, clipped in place and handed to Adam.
+    the batch mean, and its one global norm is checked, reported and used to
+    clip it in place before it is handed to Adam.
     """
     if not batch:
         raise InputError("train_step needs a nonempty batch")
@@ -222,7 +223,7 @@ def train_step(model: SkipGruModel, batch: Sequence[SentenceTriple],
         raise NumericError(f"non-finite gradient norm {norm} at step "
                            f"{opt.step + 1}; training aborted")
     clipped = norm > config.clip_threshold
-    clip_gradients(total, config.clip_threshold)
+    clip_gradients(total, config.clip_threshold, norm)
     adam_step(params, total, opt)
     return TrainStepResult(model=model, opt=opt, batch_loss=mean_loss,
                            grad_norm=norm, clipped=clipped)

@@ -98,6 +98,35 @@ def test_vocab_stats_json(ws, tmp_path, capsys):
     assert stats["sentences"] == 11 and stats["documents"] == 3
 
 
+def test_vocab_stats_hand_count(tmp_path, capsys):
+    text = tmp_path / "c.txt"
+    text.write_text("a b .\nc .\n")
+    assert main(["build-vocab", "--corpus", str(text), "--size", "10",
+                 "--out", str(tmp_path / "v.txt")]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "documents": 1, "sentences": 2, "words": 5, "unique_words": 4,
+        "mean_words_per_sentence": 2.5, "vocab_size": 6}
+    # An empty corpus has no stats to print: it is rejected before any output.
+    text.write_text("\n\n")
+    assert main(["build-vocab", "--corpus", str(text), "--size", "10",
+                 "--out", str(tmp_path / "e.txt")]) == 2
+    assert not (tmp_path / "e.txt").exists()
+
+
+def test_vocab_tokenizes_each_sentence_once(ws, tmp_path, monkeypatch):
+    calls = []
+    real = corpus.tokenize
+
+    def tokenize(text):
+        calls.append(text)
+        return real(text)
+    monkeypatch.setattr(corpus, "tokenize", tokenize)
+    assert main(["build-vocab", "--corpus", str(ws["corpus"]), "--size", "24",
+                 "--out", str(tmp_path / "v.txt")]) == 0
+    assert sorted(calls) == sorted(line for line in CORPUS.splitlines() if line)
+    assert len(calls) == 11
+
+
 def test_vocab_rerun_byte_identical(ws, tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     for out in (a, b):
@@ -159,6 +188,43 @@ def test_resume_into_new_or_empty_metrics_file_writes_header(ws, tmp_path):
         lines = metrics.read_text().splitlines()
         assert lines[0] == METRICS_HEADER
         assert [line.split(",")[0] for line in lines[1:]] == rows
+
+
+def test_resume_with_another_vocabulary_exit_2(ws, tmp_path, capsys):
+    out, metrics = tmp_path / "r.ckpt", tmp_path / "r.csv"
+    train = ["train", "--corpus", str(ws["corpus"]), "--embed-dim", "4",
+             "--hidden-dim", "4", "--batch", "4", "--seed", "1",
+             "--metrics", str(metrics), "--out", str(out)]
+    assert main(train + ["--vocab", str(ws["vocab"]), "--steps", "2"]) == 0
+    tokens = ws["vocab"].read_text().splitlines()
+    tokens[2], tokens[3] = tokens[3], tokens[2]
+    swapped = tmp_path / "swapped.txt"
+    swapped.write_text("\n".join(tokens) + "\n")
+    before = out.read_bytes(), metrics.read_bytes()
+    capsys.readouterr()
+    assert main(train + ["--vocab", str(swapped), "--steps", "4",
+                         "--resume"]) == 2
+    assert "is not the vocabulary of the checkpoint" in capsys.readouterr().err
+    assert (out.read_bytes(), metrics.read_bytes()) == before
+
+
+def test_resume_manifest_records_the_checkpoint_settings(ws, tmp_path):
+    out = tmp_path / "r.ckpt"
+    base = ["train", "--corpus", str(ws["corpus"]), "--vocab",
+            str(ws["vocab"]), "--out", str(out)]
+    assert main(base + ["--seed", "5", "--batch", "4", "--embed-dim", "8",
+                        "--hidden-dim", "8", "--mode", "bi", "--clip", "7.5",
+                        "--lr", "0.002", "--steps", "2"]) == 0
+    manifest = pathlib.Path(str(out) + ".manifest.json")
+    first = json.loads(manifest.read_text())
+    assert main(base + ["--steps", "3", "--resume"]) == 0
+    resumed = json.loads(manifest.read_text())
+    assert resumed["seeds"] == first["seeds"] == {"seed": 5}
+    used = {"seed": 5, "batch": 4, "embed_dim": 8, "hidden_dim": 8,
+            "mode": "bi", "clip": 7.5, "lr": 0.002}
+    for doc in (first, resumed):
+        assert {k: doc["config"][k] for k in used} == used
+    assert resumed["config"]["steps"] == 3 and resumed["config"]["resume"]
 
 
 def test_train_rerun_identical_checkpoint(ws, tmp_path):
@@ -734,6 +800,49 @@ def test_config_file_unknown_key_exit_2(ws, tmp_path):
     cfg.write_text("bogus = 1\n")
     assert main(["nn-word", "--ckpt", str(ws["ckpt"]), "--config", str(cfg),
                  "--query", "the"]) == 2
+
+
+def test_config_value_outside_choices_exit_2(ws, tmp_path, capsys):
+    cfg = tmp_path / "rank.cfg"
+    cfg.write_text("init = bogus\n")
+    assert main(["eval-rank", "--ckpt", str(ws["ckpt"]), "--images", "x.bin",
+                 "--captions", "x.txt", "--config", str(cfg)]) == 2
+    assert "'init'" in capsys.readouterr().err
+
+
+def test_config_boolean_must_be_a_known_spelling(ws, tmp_path, capsys):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("resume = maybe\n")
+    out = tmp_path / "m.ckpt"
+    assert main(["train", "--corpus", str(ws["corpus"]), "--vocab",
+                 str(ws["vocab"]), "--steps", "1", "--out", str(out),
+                 "--config", str(cfg)]) == 2
+    assert "'resume'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_given_twice_exit_2(ws, tmp_path, capsys):
+    a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    a.write_text("query = the\n")
+    b.write_text("query = cat\n")
+    assert main(["nn-word", "--ckpt", str(ws["ckpt"]), "--config", str(a),
+                 f"--config={b}"]) == 2
+    assert "--config" in capsys.readouterr().err
+    # An abbreviated --config would name a file that is never applied.
+    assert main(["nn-word", "--ckpt", str(ws["ckpt"]), "--conf", str(a),
+                 "--query", "the"]) == 2
+
+
+def test_config_valid_choice_and_boolean_apply(ws, tmp_path):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("mode = bi\nresume = off\nembed-dim = 4\nhidden-dim = 3\n"
+                   "batch = 4\nsteps = 1\n")
+    out = tmp_path / "bi.ckpt"
+    assert main(["train", "--corpus", str(ws["corpus"]), "--vocab",
+                 str(ws["vocab"]), "--out", str(out), "--config",
+                 str(cfg)]) == 0
+    model, opt = load_checkpoint(out)
+    assert model.config.mode == "bi" and opt.step == 1
 
 
 def test_manifest_written(ws, tmp_path):

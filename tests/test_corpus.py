@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skipgru.corpus import (DEFAULT_SENTENCE_CAP, EOS_TOKEN, UNK_TOKEN,
-                            Vocabulary, build_vocab, corpus_stats, detokenize,
+from skipgru.corpus import (EOS_TOKEN, SENTENCE_CAP, UNK_TOKEN, Vocabulary,
+                            build_vocab, count_tokens, detokenize,
                             encode_sentence, iter_triples, load_vocab,
                             read_documents, save_vocab, tokenize)
 from skipgru.errors import InputError, ParameterError
@@ -59,38 +59,43 @@ def test_tokenize_deterministic():
 # Vocabulary / build_vocab
 # ---------------------------------------------------------------------------
 
+def test_count_tokens_in_first_seen_order():
+    counts = count_tokens(["b a .", "a c"])
+    assert list(counts.items()) == [("b", 1), ("a", 2), (".", 1), ("c", 1)]
+
+
 def test_build_vocab_all_fit():
-    v = build_vocab(["a b", "a c"], max_size=5)
+    v = build_vocab(count_tokens(["a b", "a c"]), max_size=5)
     assert set(v.id_to_token) == {EOS_TOKEN, UNK_TOKEN, "a", "b", "c"}
     assert v.eos_id == 0 and v.unk_id == 1
     assert v.id_to_token[2] == "a"                 # most frequent first
 
 
 def test_build_vocab_frequency_cutoff():
-    v = build_vocab(["a a b"], max_size=3)
+    v = build_vocab(count_tokens(["a a b"]), max_size=3)
     assert v.id_to_token == [EOS_TOKEN, UNK_TOKEN, "a"]
     assert v.ids_for(["b"])[0] == v.unk_id
 
 
 def test_build_vocab_tie_broken_by_first_occurrence():
-    v = build_vocab(["z q z q"], max_size=4)
+    v = build_vocab(count_tokens(["z q z q"]), max_size=4)
     assert v.id_to_token[2:] == ["z", "q"]
 
 
 def test_build_vocab_empty_corpus():
     with pytest.raises(InputError):
-        build_vocab([], max_size=10)
+        build_vocab(count_tokens([]), max_size=10)
 
 
 def test_build_vocab_max_size_floor():
     with pytest.raises(ParameterError):
-        build_vocab(["a"], max_size=2)
+        build_vocab(count_tokens(["a"]), max_size=2)
 
 
 def test_build_vocab_against_counting_oracle(rng):
     words = [f"t{i}" for i in range(120)]
     sents = [" ".join(rng.choice(words, size=8)) for _ in range(1000)]
-    v = build_vocab(sents, max_size=50)
+    v = build_vocab(count_tokens(sents), max_size=50)
     counts = Counter(w for s in sents for w in tokenize(s))
     kept = set(v.id_to_token[2:])
     floor = min(counts[w] for w in kept)
@@ -100,7 +105,7 @@ def test_build_vocab_against_counting_oracle(rng):
 
 
 def test_vocabulary_inverse_maps():
-    v = build_vocab(["x y z"], max_size=6)
+    v = build_vocab(count_tokens(["x y z"]), max_size=6)
     for i, tok in enumerate(v.id_to_token):
         assert v.token_to_id[tok] == i
     assert v.size == len(v.id_to_token)
@@ -112,7 +117,7 @@ def test_vocabulary_reserved_token_check():
 
 
 def test_vocab_save_load_roundtrip(tmp_path):
-    v = build_vocab(["the cat sat", "the dog ran"], max_size=8)
+    v = build_vocab(count_tokens(["the cat sat", "the dog ran"]), max_size=8)
     path = tmp_path / "vocab.txt"
     save_vocab(v, path)
     v2 = load_vocab(path)
@@ -128,7 +133,7 @@ DOC_B = ["a", "b", "c", "d"]                   # 4 sentences -> 2 triples
 
 
 def _vocab_for(*docs):
-    return build_vocab([s for d in docs for s in d], max_size=30)
+    return build_vocab(count_tokens([s for d in docs for s in d]), max_size=30)
 
 
 def test_triples_minimal_document():
@@ -160,14 +165,12 @@ def test_triples_never_cross_documents():
 
 def test_triples_skip_short_documents():
     v = _vocab_for(DOC_A)
-    stats = {}
-    out = list(iter_triples([["one", "two"], DOC_A], v, stats=stats))
+    out = list(iter_triples([["one", "two"], DOC_A], v))
     assert len(out) == 1
-    assert stats["skipped_documents"] == 1
 
 
 def test_triples_unknown_words_become_unk():
-    v = build_vocab(["a b c"], max_size=5)
+    v = build_vocab(count_tokens(["a b c"]), max_size=5)
     out = list(iter_triples([["a b", "zzz b", "c a"]], v))
     assert v.unk_id in out[0].curr
 
@@ -182,27 +185,15 @@ def test_triple_sequences_eos_terminated():
 
 
 def test_encode_sentence_caps_length():
-    v = build_vocab(["a b"], max_size=5)
-    ids = encode_sentence(" ".join(["a"] * 200), v, cap=10)
-    assert len(ids) == 11 and ids[-1] == v.eos_id
-    assert DEFAULT_SENTENCE_CAP == 100
+    v = build_vocab(count_tokens(["a b"]), max_size=5)
+    ids = encode_sentence(" ".join(["a"] * 200), v)
+    assert len(ids) == 101 and ids[-1] == v.eos_id
+    assert SENTENCE_CAP == 100
 
 
 # ---------------------------------------------------------------------------
-# stats and file input
+# file input
 # ---------------------------------------------------------------------------
-
-def test_corpus_stats_hand_count():
-    s = corpus_stats([["a b .", "c ."]])
-    assert s["sentences"] == 2 and s["words"] == 5
-    assert s["unique_words"] == 4 and s["mean_words_per_sentence"] == 2.5
-
-
-def test_corpus_stats_empty():
-    s = corpus_stats([])
-    assert s == {"sentences": 0, "words": 0, "unique_words": 0,
-                 "mean_words_per_sentence": 0.0}
-
 
 def test_read_documents_blank_line_boundary(tmp_path):
     p = tmp_path / "c.txt"
@@ -221,7 +212,7 @@ WORD = st.sampled_from(["alpha", "beta", "gamma", "delta", ".", ","])
 @given(st.lists(WORD, min_size=1, max_size=8))
 @settings(max_examples=60, deadline=None)
 def test_roundtrip_for_in_vocab_text(words):
-    v = build_vocab(["alpha beta gamma delta . ,"], max_size=10)
+    v = build_vocab(count_tokens(["alpha beta gamma delta . ,"]), max_size=10)
     sent = " ".join(words)
     ids = encode_sentence(sent, v)
     text = detokenize([v.id_to_token[i] for i in ids[:-1]])
@@ -232,13 +223,13 @@ def test_roundtrip_for_in_vocab_text(words):
                 max_size=6))
 @settings(max_examples=50, deadline=None)
 def test_triple_count_matches_enumeration(doc_sents):
-    v = build_vocab(["alpha beta gamma delta . ,"], max_size=10)
+    v = build_vocab(count_tokens(["alpha beta gamma delta . ,"]), max_size=10)
     docs = [[" ".join(w) for w in doc_sents]]
     want = max(0, len(doc_sents) - 2)
     assert len(list(iter_triples(docs, v))) == want
 
 
 def test_unk_never_for_in_vocab_tokens():
-    v = build_vocab(["p q r s"], max_size=8)
+    v = build_vocab(count_tokens(["p q r s"]), max_size=8)
     ids = encode_sentence("p q r s p q", v)
     assert v.unk_id not in ids

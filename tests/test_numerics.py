@@ -84,14 +84,14 @@ def test_uniform_init_bad_interval():
 def test_clip_below_threshold_is_bitwise_identity():
     a = np.array([3.0, 4.0])                             # norm 5
     g = {"a": a}
-    out = clip_gradients(g, 10.0)
+    out = clip_gradients(g, 10.0, global_norm(g))
     assert out is g and out["a"] is a
     assert np.array_equal(a, [3.0, 4.0])
 
 
 def test_clip_at_boundary_unchanged():
     g = {"a": np.array([6.0, 8.0])}                      # norm 10 exactly
-    out = clip_gradients(g, 10.0)
+    out = clip_gradients(g, 10.0, global_norm(g))
     assert out is g
     assert np.array_equal(out["a"], [6.0, 8.0])
 
@@ -99,14 +99,21 @@ def test_clip_at_boundary_unchanged():
 def test_clip_scales_by_half():
     a = np.array([12.0, 16.0])                           # norm 20
     g = {"a": a}
-    out = clip_gradients(g, 10.0)
+    out = clip_gradients(g, 10.0, global_norm(g))
     assert out is g and out["a"] is a
     assert np.max(np.abs(out["a"] - np.array([6.0, 8.0]))) < 1e-9
 
 
+def test_clip_scales_by_the_norm_it_is_given():
+    # The caller has measured the norm; clipping does not measure it again.
+    g = {"a": np.array([3.0, 4.0])}                      # norm 5
+    clip_gradients(g, 1.0, 10.0)
+    assert np.array_equal(g["a"], np.array([3.0, 4.0]) * 0.1)
+
+
 def test_clip_global_norm_across_parameters():
     g = {"a": np.full((2,), 10.0), "b": np.full((2,), 10.0)}   # norm 20
-    out = clip_gradients(g, 10.0)
+    out = clip_gradients(g, 10.0, global_norm(g))
     assert out is g
     assert abs(global_norm(out) - 10.0) < 1e-9
 
@@ -117,9 +124,9 @@ def test_clip_global_norm_across_parameters():
 def test_clip_idempotent_and_nonincreasing(vals, threshold):
     g = {"a": np.array(vals)}
     first = {"a": np.array(vals)}
-    once = clip_gradients(first, threshold)
+    once = clip_gradients(first, threshold, global_norm(first))
     second = {"a": once["a"].copy()}
-    twice = clip_gradients(second, threshold)
+    twice = clip_gradients(second, threshold, global_norm(second))
     assert once is first and twice is second
     assert global_norm(once) <= global_norm(g) + 1e-12
     assert np.max(np.abs(twice["a"] - once["a"])) < 1e-9

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from skipgru import trainer
+from skipgru import numerics, trainer
 from conftest import (make_model, make_vocab, random_triple, randomize_params,
                       zero_grads)
 import reference
@@ -311,6 +311,26 @@ def test_step_clip_flag_iff_norm_exceeds_threshold():
                           seed=6)
     res2 = train_step(m2, [small_triple()], make_optimizer(m2), m2.config)
     assert not res2.clipped
+
+
+def test_warm_step_measures_the_gradient_norm_once(monkeypatch):
+    # The norm that the step checks and reports is the one it clips by: one
+    # read of the whole gradient, not a second one inside clip_gradients.
+    m = randomize_params(make_model(vocab_size=6, clip_threshold=1e-3), seed=6)
+    opt = make_optimizer(m)
+    train_step(m, [small_triple()], opt, m.config)
+    calls = []
+
+    def counting(real):
+        def global_norm(params):
+            calls.append(real(params))
+            return calls[-1]
+        return global_norm
+    monkeypatch.setattr(trainer, "global_norm", counting(trainer.global_norm))
+    monkeypatch.setattr(numerics, "global_norm",
+                        counting(numerics.global_norm))
+    res = train_step(m, [small_triple()], opt, m.config)
+    assert res.clipped and calls == [res.grad_norm]
 
 
 def test_training_beats_uniform_baseline(rng):
