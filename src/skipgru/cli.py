@@ -189,6 +189,14 @@ def _metrics_path(args) -> str:
     return args.metrics or args.out + ".metrics.csv"
 
 
+# The train flags that a resumed run takes from its checkpoint, with their
+# defaults: each dest maps to (default, TrainConfig field).
+RESUMED_FLAGS = {"seed": (0, "seed"), "mode": ("uni", "mode"),
+                 "embed_dim": (64, "embed_dim"), "hidden_dim": (64, "hidden_dim"),
+                 "batch": (128, "batch_size"), "clip": (10.0, "clip_threshold"),
+                 "lr": (0.001, "alpha")}
+
+
 def cmd_train(args) -> dict:
     vocab = corpus.load_vocab(args.vocab)
     docs = corpus.read_documents(args.corpus)
@@ -204,12 +212,17 @@ def cmd_train(args) -> dict:
                               f"the checkpoint {args.out}")
         config = replace(model.config, max_steps=args.steps,
                          checkpoint_every=args.checkpoint_every)
+        used = {dest: getattr(config, field)
+                for dest, (_, field) in RESUMED_FLAGS.items()}
+        for dest, (default, _) in RESUMED_FLAGS.items():
+            given = getattr(args, dest)
+            if given != default and given != used[dest]:
+                raise ConfigError(f"--{dest.replace('_', '-')} {given} differs "
+                                  f"from the checkpoint's {used[dest]}; a "
+                                  f"resumed run keeps the checkpoint's value")
         model = trainer.model_from_params(config, model.vocab, model.param_dict())
         # The manifest records the settings the run uses, not the flags'.
-        vars(args).update(seed=config.seed, mode=config.mode,
-                          embed_dim=config.embed_dim, hidden_dim=config.hidden_dim,
-                          batch=config.batch_size, clip=config.clip_threshold,
-                          lr=config.alpha)
+        vars(args).update(used)
     else:
         config = trainer.TrainConfig(
             embed_dim=args.embed_dim, hidden_dim=args.hidden_dim,
@@ -483,14 +496,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
             help="train the sentence encoder")
     p.add_argument("--corpus", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--mode", choices=("uni", "bi"), default="uni")
-    p.add_argument("--embed-dim", type=int, default=64)
-    p.add_argument("--hidden-dim", type=int, default=64)
-    p.add_argument("--batch", type=int, default=128)
-    p.add_argument("--clip", type=float, default=10.0)
+    p.add_argument("--mode", choices=("uni", "bi"),
+                   default=RESUMED_FLAGS["mode"][0])
+    p.add_argument("--embed-dim", type=int, default=RESUMED_FLAGS["embed_dim"][0])
+    p.add_argument("--hidden-dim", type=int,
+                   default=RESUMED_FLAGS["hidden_dim"][0])
+    p.add_argument("--batch", type=int, default=RESUMED_FLAGS["batch"][0])
+    p.add_argument("--clip", type=float, default=RESUMED_FLAGS["clip"][0])
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=0.001)
+    p.add_argument("--seed", type=int, default=RESUMED_FLAGS["seed"][0])
+    p.add_argument("--lr", type=float, default=RESUMED_FLAGS["lr"][0])
     p.add_argument("--checkpoint-every", type=int, default=0)
     p.add_argument("--metrics", default=None,
                    help="metrics CSV (default: <out>.metrics.csv)")

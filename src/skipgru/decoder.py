@@ -21,9 +21,15 @@ gradients, and the gradient into h_enc, come from the per-step pre-activation
 gradients summed over time; V's gradient is one product dlogits.T @ H.
 decoder_backward adds every gradient into the caller's accumulator (V's by one
 BLAS call that accumulates in place, the input gradients by a scatter-add into
-the embedding rows), so a pass builds no (vocab, ·) array.  The sampler, whose
-next input is the word it has just drawn, runs the kernel one step at a time
-from the state it has reached.
+the embedding rows), so a pass builds no (vocab, ·) array.
+
+V may be row-major (as loaded for inference) or column-major (as trainer.train
+lays it out, with its gradient): every product takes either layout without a
+copy, and the column-major one streams V fastest for the few rows of one
+sentence.  The forward pass takes one exp over the (T, vocab) logits and
+normalises it in place into the probabilities the backward pass reads.  The
+sampler, whose next input is the word it has just drawn, runs the kernel one
+step at a time from the state it has reached.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import numpy as np
 from .encoder import (GRU_KEYS, INIT_RANGE, GruParams, GruTrace, gru_backward,
                       gru_forward, init_gru_params)
 from .errors import ParameterError, RangeError, ShapeError, StateError
-from .numerics import ParamSet, get_rng, log_softmax, softmax, uniform_init
+from .numerics import ParamSet, get_rng, softmax, uniform_init
 
 COND_CONDITIONING_KEYS = ("C_r", "C_z", "C")
 COND_KEYS = GRU_KEYS + COND_CONDITIONING_KEYS + ("begin",)
@@ -144,10 +150,17 @@ def sentence_log_prob_with_cache(target: Sequence[int], h_enc: np.ndarray,
     # The conditioning terms are constant over the sentence: add them once.
     trace = gru_forward(X @ p.W_r.T + p.C_r @ h_enc, X @ p.W_z.T + p.C_z @ h_enc,
                         X @ p.W.T + p.C @ h_enc, p)
-    logp = log_softmax(trace.S[1:] @ V.T, axis=1)      # (T, vocab)
-    total = float(logp[np.arange(len(ids)), list(ids)].sum())
+    # The loss reads z[target] - log(sum exp z) before z, exponentiated and
+    # normalised in place, becomes the probabilities.
+    z = trace.S[1:] @ V.T                               # (T, vocab)
+    z -= np.max(z, axis=1, keepdims=True)
+    picked = z[np.arange(len(ids)), list(ids)]
+    np.exp(z, out=z)
+    sums = np.sum(z, axis=1, keepdims=True)
+    total = float((picked - np.log(sums[:, 0])).sum())
+    z /= sums
     return total, DecoderCache(target=ids, h_enc=h_enc, X=X, trace=trace,
-                               probs=np.exp(logp))
+                               probs=z)
 
 
 def sentence_log_prob(target: Sequence[int], h_enc: np.ndarray,
@@ -167,11 +180,17 @@ def decoder_backward(cache: DecoderCache, p: ConditionalGruParams, V: np.ndarray
     The nine decoder matrices and "begin" are added under `prefix` (e.g.
     "dec_next."), the shared output matrix's gradient into "V", and the input
     rows' gradients are scatter-added into "emb" (the other rows are not
-    touched).
+    touched).  grads["V"] may be row- or column-major; either is updated in
+    place by one BLAS call, and any other layout raises ParameterError before
+    anything is added.
     """
     if not isinstance(cache, DecoderCache):
         raise StateError("decoder_backward needs the cache from "
                          "sentence_log_prob_with_cache")
+    gV = grads["V"]
+    if not (gV.flags.f_contiguous or gV.flags.c_contiguous):
+        raise ParameterError("the V gradient must be a row- or column-major "
+                             "contiguous array")
     T = len(cache.target)
     # Softmax cross-entropy: d(-log p)/dlogits = probs - onehot(target).
     dlogits = cache.probs.copy()
@@ -185,17 +204,17 @@ def decoder_backward(cache: DecoderCache, p: ConditionalGruParams, V: np.ndarray
     for k, v in own.items():
         grads[prefix + k] += v
     # grads["V"] += dlogits.T @ H as one BLAS call that accumulates in place
-    # (beta = 1), so no (vocab, hidden) product is built first.  BLAS updates
-    # the column-major view of grads["V"]; if grads["V"] is not row-major it
-    # works on a copy, which is written back.  scipy.linalg is imported on
-    # first use, so commands that never train do not load it.
+    # (beta = 1), so no (vocab, hidden) product is built first.  BLAS writes
+    # a column-major matrix: grads["V"] itself when it is column-major, its
+    # transpose when it is row-major.  scipy.linalg is imported on first use,
+    # so commands that never train do not load it.
     from scipy.linalg.blas import dgemm
 
-    gV = grads["V"]
-    acc = dgemm(1.0, cache.trace.S[1:], dlogits, trans_a=1, beta=1.0, c=gV.T,
-                overwrite_c=1)
-    if not np.shares_memory(acc, gV):
-        gV[...] = acc.T
+    S = cache.trace.S[1:]
+    if gV.flags.f_contiguous:
+        dgemm(1.0, dlogits.T, S, beta=1.0, c=gV, overwrite_c=1)
+    else:
+        dgemm(1.0, S, dlogits, trans_a=1, beta=1.0, c=gV.T, overwrite_c=1)
     np.add.at(grads["emb"], list(cache.target[:-1]), back.dX[1:])
     return p.C.T @ da_h + p.C_r.T @ da_r + p.C_z.T @ da_z
 

@@ -1,10 +1,12 @@
 """Dense float64 linear algebra, initializers, Adam, and gradient clipping.
 
-A "matrix" throughout the package is a 2-D contiguous float64 ndarray; a
-"parameter set" is a dict mapping names to float64 arrays.  The optimizer
-writes into the arrays it is given: clip_gradients scales the gradient set in
-place, and adam_step updates the parameters and the moment buffers in place.
-Every other function here leaves its inputs unchanged.  Every stochastic
+A "matrix" throughout the package is a 2-D contiguous float64 ndarray:
+row-major, except that training lays out the output matrix V, its gradient
+and its Adam moments column-major.  A "parameter set" is a dict mapping names
+to float64 arrays.  The optimizer writes into the arrays it is given:
+clip_gradients scales the gradient set in place, and adam_step updates the
+parameters and the moment buffers in place.  Every other function here leaves
+its inputs unchanged.  Every stochastic
 operation takes an explicit seed (an int, a tuple of ints, or a numpy
 Generator), so two runs with the same seed are bit-identical.
 """
@@ -95,10 +97,14 @@ def uniform_init(rows: int, cols: int, lo: float, hi: float, seed) -> np.ndarray
 
 
 def global_norm(params: ParamSet) -> float:
-    """L2 norm of all parameter entries concatenated, in sorted key order."""
+    """L2 norm of all parameter entries concatenated, in sorted key order.
+
+    Each array is read in its memory order, so a column-major array is not
+    copied first; its sum of squares then runs in that order.
+    """
     total = 0.0
     for name in sorted(params):
-        g = np.ravel(params[name])
+        g = np.ravel(params[name], order="K")
         total += float(np.dot(g, g))
     return math.sqrt(total)
 
@@ -147,11 +153,18 @@ class AdamState:
 ADAM_BLOCK = 1 << 15
 
 
+def _memory_order(a: np.ndarray) -> str:
+    """"F" for an array that is contiguous only column-major, else "C"."""
+    return "F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C"
+
+
 def _check_adam_inputs(params: ParamSet, grads: ParamSet, state: AdamState) -> None:
     """Raise before adam_step writes anything unless every array it writes is
-    a float64, C-contiguous, writeable array of the parameter's shape.  A
-    reshape(-1) of any other array would be a copy, and the update would be
-    lost."""
+    a float64, writeable array of the parameter's shape, the parameter is C-
+    or F-contiguous, and its moments are contiguous in the parameter's memory
+    order.  A flat view of any other array would be a copy, and the update
+    would be lost; moments in another order would pair each parameter entry
+    with another entry's moments."""
     if not set(params) == set(grads) == set(state.m) == set(state.v):
         raise ShapeError("params, grads, and Adam buffers must share keys")
     for k, p in params.items():
@@ -159,11 +172,12 @@ def _check_adam_inputs(params: ParamSet, grads: ParamSet, state: AdamState) -> N
             if a.shape != p.shape:
                 raise ShapeError(f"shape mismatch for '{k}': param {p.shape} "
                                  f"vs {name} {a.shape}")
+        order = _memory_order(p)
         for name, a in (("param", p), ("m", state.m[k]), ("v", state.v[k])):
-            if (a.dtype != np.float64 or not a.flags.c_contiguous
+            if (a.dtype != np.float64 or not a.flags[order + "_CONTIGUOUS"]
                     or not a.flags.writeable):
                 raise ParameterError(f"Adam {name} '{k}' must be a writeable, "
-                                     f"C-contiguous float64 array")
+                                     f"{order}-contiguous float64 array")
 
 
 def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> None:
@@ -171,12 +185,14 @@ def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> None:
     place; advances state.step.
 
     m <- b1 m + (1 - b1) g,  v <- b2 v + (1 - b2) g^2, and
-    p <- p - alpha (m / bc1) / (sqrt(v / bc2) + eps).  Each flattened array
-    is walked in blocks of ADAM_BLOCK elements with two block-sized scratch
-    buffers, so the step allocates no parameter-sized array.  Every operation
-    is elementwise and they run in the formula's order, so the result is the
-    same bits for any block size.  Nothing is written unless every array
-    passes _check_adam_inputs.
+    p <- p - alpha (m / bc1) / (sqrt(v / bc2) + eps).  Each array is
+    flattened in its parameter's memory order, row- or column-major, and
+    walked in blocks of ADAM_BLOCK elements with two block-sized scratch
+    buffers, so the step allocates no parameter-sized array (a gradient in
+    the other order is read through a copy).  Every operation is elementwise
+    and they run in the formula's order, so the result is the same bits for
+    any block size or layout.  Nothing is written unless every array passes
+    _check_adam_inputs.
     """
     _check_adam_inputs(params, grads, state)
     t = state.step + 1
@@ -186,8 +202,10 @@ def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> None:
     size = min(ADAM_BLOCK, max((p.size for p in params.values()), default=0))
     buf_a, buf_b = np.empty(size), np.empty(size)
     for k, p in params.items():
-        p, g = p.reshape(-1), np.ravel(grads[k])
-        m, v = state.m[k].reshape(-1), state.v[k].reshape(-1)
+        order = _memory_order(p)
+        p, g = p.reshape(-1, order=order), np.ravel(grads[k], order=order)
+        m = state.m[k].reshape(-1, order=order)
+        v = state.v[k].reshape(-1, order=order)
         for lo in range(0, p.size, ADAM_BLOCK):
             hi = min(lo + ADAM_BLOCK, p.size)
             pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]

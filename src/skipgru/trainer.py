@@ -256,12 +256,22 @@ def train(model: SkipGruModel, triples: Sequence[SentenceTriple],
     checkpoints every config.checkpoint_every steps plus at the end when
     checkpoint_path is given; the end writes only if the last step did not,
     so every run writes its final state exactly once.
+
+    On entry the output matrix V and its Adam moments are laid out
+    column-major (the step's gradient follows V through zeros_like), which
+    is the layout in which BLAS streams V fastest in every decoder pass.
+    model.decoders.V, opt.m["V"] and opt.v["V"] may thus be new arrays with
+    the same values; checkpoints store them row-major as before.
     """
     config = model.config
     if not triples:
         raise InputError("no training triples")
+    model.decoders.V = np.asfortranarray(model.decoders.V)
     if opt is None:
         opt = make_optimizer(model)
+    else:
+        for moments in (opt.m, opt.v):
+            moments["V"] = np.asfortranarray(moments["V"])
     n = len(triples)
     steps_per_epoch = -(-n // config.batch_size)
     history: list = []

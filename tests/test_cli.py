@@ -208,6 +208,30 @@ def test_resume_with_another_vocabulary_exit_2(ws, tmp_path, capsys):
     assert (out.read_bytes(), metrics.read_bytes()) == before
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--seed", "9"), ("--mode", "bi"), ("--embed-dim", "7"),
+    ("--hidden-dim", "7"), ("--batch", "5"), ("--clip", "2.5"),
+    ("--lr", "0.01")])
+def test_resume_with_a_conflicting_setting_exit_2(ws, tmp_path, capsys, flag,
+                                                  value):
+    # The uni checkpoint was trained with --seed 3, --embed-dim 5,
+    # --hidden-dim 6, --batch 4 and the default --mode, --clip and --lr; a
+    # resumed run keeps those, so a flag set to anything else is refused.
+    out, metrics = tmp_path / "r.ckpt", tmp_path / "r.csv"
+    out.write_bytes(ws["ckpt"].read_bytes())
+    metrics.write_bytes(pathlib.Path(str(ws["ckpt"]) + ".metrics.csv")
+                        .read_bytes())
+    before = out.read_bytes(), metrics.read_bytes()
+    capsys.readouterr()
+    assert main(["train", "--corpus", str(ws["corpus"]), "--vocab",
+                 str(ws["vocab"]), "--steps", "40", "--resume", "--metrics",
+                 str(metrics), "--out", str(out), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} {value}" in err and "checkpoint" in err
+    assert (out.read_bytes(), metrics.read_bytes()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.ckpt", "r.csv"]
+
+
 def test_resume_manifest_records_the_checkpoint_settings(ws, tmp_path):
     out = tmp_path / "r.ckpt"
     base = ["train", "--corpus", str(ws["corpus"]), "--vocab",

@@ -212,9 +212,20 @@ def test_backward_finite_difference_repeated_inputs():
     assert _fd_decoder((2, 4, 2, 2, 0)) < 1e-5
 
 
-def test_backward_adds_into_column_major_v_accumulator(rng):
-    # BLAS accumulates into a row-major V gradient in place; any other layout
-    # is updated through a copy and must end with the same sums.
+def test_backward_adds_into_column_major_v_accumulator(rng, monkeypatch):
+    # BLAS accumulates into a row-major V gradient (through its column-major
+    # transpose) and into a column-major one (directly) in place: the array
+    # BLAS returns is the accumulator itself, and both end with the same sums.
+    # Any other layout would be updated in a copy, so it is refused.
+    import scipy.linalg.blas as blas
+
+    results = []
+
+    def recording_dgemm(*args, **kwargs):
+        results.append(real_dgemm(*args, **kwargs))
+        return results[-1]
+    real_dgemm = blas.dgemm
+    monkeypatch.setattr(blas, "dgemm", recording_dgemm)
     p = rand_cond_params(rng, embed=3, hidden=3, enc=2)
     V, emb = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
     _, cache = sentence_log_prob_with_cache((2, 4, 2, 0), rng.normal(size=2),
@@ -222,12 +233,20 @@ def test_backward_adds_into_column_major_v_accumulator(rng):
     start = rng.normal(size=V.shape)
     rows, cols = zero_accumulator(p, V, emb), zero_accumulator(p, V, emb)
     rows["V"], cols["V"] = start.copy(), np.asfortranarray(start)
-    decoder_backward(cache, p, V, rows, "")
-    decoder_backward(cache, p, V, cols, "")
-    assert cols["V"].flags.f_contiguous
+    for grads in (rows, cols):
+        gV = grads["V"]
+        decoder_backward(cache, p, V, grads, "")
+        assert grads["V"] is gV and np.shares_memory(results[-1], gV)
+    assert len(results) == 2
+    assert cols["V"].flags.f_contiguous and not cols["V"].flags.c_contiguous
     assert not np.array_equal(rows["V"], start)
     for k in rows:
         assert np.max(np.abs(rows[k] - cols[k])) < 1e-15, k
+    strided = zero_accumulator(p, V, emb)
+    strided["V"] = np.zeros((V.shape[0], 2 * V.shape[1]))[:, ::2]
+    with pytest.raises(ParameterError):
+        decoder_backward(cache, p, V, strided, "")
+    assert not any(np.any(g) for g in strided.values())
 
 
 def test_backward_degenerate_vocab_zero_gradient(rng):

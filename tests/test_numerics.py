@@ -247,6 +247,47 @@ def test_adam_updates_its_own_arrays_in_place():
         assert not np.array_equal(params[k], before[0][k])
 
 
+def _fortran(arrays):
+    return {k: np.asfortranarray(a) for k, a in arrays.items()}
+
+
+@pytest.mark.parametrize("grad_order", ["F", "C"])
+def test_adam_on_column_major_arrays_is_bit_identical_to_the_oracle(grad_order):
+    # Training keeps V and its moments column-major: adam_step walks them in
+    # that memory order, in place, with the oracle's bits.  A gradient in the
+    # other order is read through a copy and gives the same bits.
+    params, state, grads = _adam_problem()
+    rp, rs = _copy(params), replace(state, m=_copy(state.m), v=_copy(state.v))
+    params = _fortran(params)
+    state = replace(state, m=_fortran(state.m), v=_fortran(state.v))
+    arrays = [dict(d) for d in (params, state.m, state.v)]
+    for g in grads:
+        adam_step(params, {k: np.asarray(a, order=grad_order)
+                           for k, a in g.items()}, state)
+        rp, rs = reference.adam_step(rp, g, rs)
+        for d, want in zip((params, state.m, state.v), (rp, rs.m, rs.v)):
+            for k in ADAM_SHAPES:
+                assert np.array_equal(d[k], want[k]), k
+    for d, same in zip((params, state.m, state.v), arrays):
+        for k in ADAM_SHAPES:
+            assert d[k] is same[k] and d[k].flags.f_contiguous
+
+
+def test_global_norm_reads_column_major_arrays_without_a_copy():
+    rng = np.random.default_rng(3)
+    rows = {"V": rng.standard_normal((2000, 128)), "b": rng.standard_normal(7)}
+    cols = _fortran(rows)
+    want = global_norm(rows)
+    tracemalloc.start()
+    try:
+        got = global_norm(cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(got - want) <= 1e-14 * want
+    assert peak < 0.1 * rows["V"].nbytes
+
+
 def _bad_last_key(params, grads, state):
     last = list(params)[-1]
     grads[last + "x"] = grads.pop(last)
@@ -271,11 +312,18 @@ def _strided_last_moment(params, grads, state):
     state.m[last] = np.zeros(2 * state.m[last].size)[::2]
 
 
+def _moment_in_another_order(params, grads, state):
+    # Contiguous, but its flat view would pair each entry of the row-major V
+    # with another entry's second moment.
+    state.v["V"] = np.asfortranarray(state.v["V"])
+
+
 @pytest.mark.parametrize("spoil,error", [
     (_bad_last_key, ShapeError), (_bad_last_moment_key, ShapeError),
     (_bad_last_shape, ShapeError),
     (_read_only_last_param, ParameterError),
-    (_strided_last_moment, ParameterError)])
+    (_strided_last_moment, ParameterError),
+    (_moment_in_another_order, ParameterError)])
 def test_adam_validates_every_array_before_writing(spoil, error):
     params, state, grads = _adam_problem()
     adam_step(params, grads[0], state)

@@ -188,6 +188,35 @@ def test_train_step_reduces_the_reference_gradients_of_its_batch():
     assert abs(res.grad_norm - global_norm(mean)) < 1e-12 * global_norm(mean)
 
 
+@pytest.mark.parametrize("mode", ["uni", "bi"])
+def test_train_step_takes_the_same_step_with_column_major_v(mode, monkeypatch):
+    # train() lays out V and its moments column-major; the step it takes must
+    # be the one it takes with the row-major V of a loaded checkpoint.
+    seen = []
+    real_adam = trainer.adam_step
+
+    def recording_adam(params, grads, state):
+        seen.append({k: g.copy(order="K") for k, g in grads.items()})
+        real_adam(params, grads, state)
+    monkeypatch.setattr(trainer, "adam_step", recording_adam)
+    runs = []
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        m = _mixed_model(mode, seed=47)
+        m.decoders.V = layout(m.decoders.V)
+        opt = make_optimizer(m)
+        runs.append((train_step(m, MIXED_BATCH, opt, m.config), opt))
+    (rows, _), (cols, opt) = runs
+    for a in (cols.model.decoders.V, opt.m["V"], opt.v["V"], seen[1]["V"]):
+        assert a.flags.f_contiguous and not a.flags.c_contiguous
+    assert rows.batch_loss == cols.batch_loss
+    assert abs(rows.grad_norm - cols.grad_norm) < 1e-12 * rows.grad_norm
+    for k in seen[0]:
+        assert _rel_err(seen[1][k], seen[0][k]) < 1e-12, k
+    want, got = rows.model.param_dict(), cols.model.param_dict()
+    for k in want:
+        assert _rel_err(got[k], want[k]) < 1e-12, k
+
+
 def test_triple_gradient_builds_no_vocabulary_sized_array():
     # At V=20000, E=64, H=128 one (V, H) array takes 20.5 MB.  The dense
     # per-pass reference builds several inside one triple; the accumulating
@@ -240,23 +269,28 @@ def test_clipping_step_holds_about_one_parameter_set():
     # and V.  A step's own arrays are the gradient accumulator and per-pass
     # (T, V) rows; clipping and Adam write in place.  New parameters and
     # moments, or a scaled copy of the gradient, would each add a whole set.
-    m = make_model(vocab_size=20000, embed_dim=64, hidden_dim=128,
-                   clip_threshold=1e-6)
+    # Both layouts of V are checked: with the column-major V of train(), a
+    # gradient norm or an Adam step that copied V into row-major order would
+    # add 20 MB.
     batch = [SentenceTriple(prev=(5, 17, 2, 9, 0), curr=(3, 19999, 40, 7, 3, 0),
                             next=(11, 12, 13, 11, 0)),
              SentenceTriple(prev=(8, 6, 0), curr=(21, 4, 0),
                             next=(19998, 30, 31, 32, 33, 0))]
-    opt = make_optimizer(m)
-    train_step(m, batch, opt, m.config)
-    one_set = sum(a.nbytes for a in m.param_dict().values())
-    tracemalloc.start()
-    try:
-        res = train_step(m, batch, opt, m.config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.clipped
-    assert peak < 1.25 * one_set
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        m = make_model(vocab_size=20000, embed_dim=64, hidden_dim=128,
+                       clip_threshold=1e-6)
+        m.decoders.V = layout(m.decoders.V)
+        opt = make_optimizer(m)
+        train_step(m, batch, opt, m.config)
+        one_set = sum(a.nbytes for a in m.param_dict().values())
+        tracemalloc.start()
+        try:
+            res = train_step(m, batch, opt, m.config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.clipped
+        assert peak < 1.25 * one_set, layout.__name__
 
 
 def test_step_empty_batch():
@@ -440,6 +474,32 @@ def test_checkpoint_roundtrip_byte_identical(tmp_path, rng):
     assert all(np.array_equal(a[k], b[k]) for k in a)
     assert opt2.step == res.opt.step
     assert m2.vocab.id_to_token == res.model.vocab.id_to_token
+
+
+def test_training_keeps_v_column_major_and_checkpoints_row_major(tmp_path, rng):
+    # A fresh and a resumed run both train with V and its moments
+    # column-major; the checkpoint holds the bytes that the same values,
+    # row-major, save to, and loading gives them back row-major.
+    triples = [random_triple(6, rng) for _ in range(5)]
+    ckpt, rows = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    res = train(make_model(vocab_size=6, hidden_dim=4, batch_size=2,
+                           max_steps=3, seed=4), triples, checkpoint_path=ckpt)
+    for a in (res.model.decoders.V, res.opt.m["V"], res.opt.v["V"]):
+        assert a.flags.f_contiguous and not a.flags.c_contiguous
+    model, opt = load_checkpoint(ckpt)
+    assert model.decoders.V.flags.c_contiguous and opt.m["V"].flags.c_contiguous
+    config = dataclasses.replace(model.config, max_steps=5)
+    model = model_from_params(config, model.vocab, model.param_dict())
+    res = train(model, triples, opt=opt, checkpoint_path=ckpt)
+    assert res.model is model and res.opt is opt and opt.step == 5
+    for a in (model.decoders.V, opt.m["V"], opt.v["V"]):
+        assert a.flags.f_contiguous and not a.flags.c_contiguous
+    row_major = lambda d: {k: np.ascontiguousarray(a) for k, a in d.items()}
+    save_checkpoint(model_from_params(config, model.vocab,
+                                      row_major(model.param_dict())),
+                    dataclasses.replace(opt, m=row_major(opt.m),
+                                        v=row_major(opt.v)), rows)
+    assert ckpt.read_bytes() == rows.read_bytes()
 
 
 # The damaged-file tests run over both container kinds: a checkpoint and an
