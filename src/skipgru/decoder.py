@@ -16,20 +16,31 @@ vector; afterwards it is the embedding of the ground-truth previous word
 
 Both decoders run on the encoder's GRU kernel.  The conditioning terms
 C_* h_enc are constant over a sentence, so they are added once to the input
-pre-activations X @ W_*.T before the time loop.  In the backward pass their
-gradients, and the gradient into h_enc, come from the per-step pre-activation
-gradients summed over time; V's gradient is one product dlogits.T @ H.
-decoder_backward adds every gradient into the caller's accumulator (V's by one
-BLAS call that accumulates in place, the input gradients by a scatter-add into
-the embedding rows), so a pass builds no (vocab, ·) array.
+pre-activations X @ W_*.T before the time loop.
+
+The backward pass comes in two parts, so that a train step can run the
+output layer once over all its decoder passes:
+- output_layer_backward takes the cached passes of a whole batch.  It stacks
+  their states into one (rows, hidden) matrix and walks it OUTPUT_CHUNK rows
+  at a time: it recomputes the logits into one buffer, turns them into
+  softmax rows with each row's log-normaliser, kept by the forward pass,
+  subtracts the one-hot targets, and takes the chunk's dlogits @ V and
+  dlogits.T @ H.  The latter is added into V's gradient by one BLAS call
+  that accumulates in place.  No (rows, vocab) array exists.  A train step
+  sizes that buffer with logits_buffer and lends it to every forward pass
+  of the batch as well.
+- decoder_backward runs the recurrence of one pass from its state gradients:
+  the per-step pre-activation gradients summed over time give the
+  conditioning matrices' gradients and the gradient into h_enc, and the input
+  gradients are scatter-added into the embedding rows.  It does no work on V.
 
 V may be row-major (as loaded for inference) or column-major (as trainer.train
 lays it out, with its gradient): every product takes either layout without a
-copy, and the column-major one streams V fastest for the few rows of one
-sentence.  The forward pass takes one exp over the (T, vocab) logits and
-normalises it in place into the probabilities the backward pass reads.  The
-sampler, whose next input is the word it has just drawn, runs the kernel one
-step at a time from the state it has reached.
+copy, and the column-major one streams V fastest for a few rows at a time.
+The forward pass takes one exp over the (T, vocab) logits for the loss and
+keeps only each row's log-normaliser.  The sampler, whose next input is the
+word it has just drawn, runs the kernel one step at a time from the state it
+has reached.
 """
 
 from __future__ import annotations
@@ -46,6 +57,9 @@ from .numerics import ParamSet, get_rng, softmax, uniform_init
 
 COND_CONDITIONING_KEYS = ("C_r", "C_z", "C")
 COND_KEYS = GRU_KEYS + COND_CONDITIONING_KEYS + ("begin",)
+
+# Decoder states whose logits output_layer_backward recomputes at a time.
+OUTPUT_CHUNK = 32
 
 
 @dataclass
@@ -132,35 +146,53 @@ def _check_target(target: Sequence[int], vocab_size: int) -> tuple[int, ...]:
 
 @dataclass
 class DecoderCache:
-    """Teacher-forced forward activations needed by decoder_backward."""
+    """Teacher-forced forward activations needed by output_layer_backward
+    and decoder_backward."""
 
     target: tuple[int, ...]
     h_enc: np.ndarray
     X: np.ndarray        # (T, embed) inputs: begin, then target[:-1] embeddings
     trace: GruTrace
-    probs: np.ndarray    # (T, vocab) softmax rows
+    lse: np.ndarray      # (T,) log sum exp of each step's logits
+
+
+def logits_buffer(lengths: Sequence[int], vocab_size: int) -> np.ndarray:
+    """One scratch array for the logits of a batch's decoder passes of the
+    given target lengths: each forward pass, and every chunk of
+    output_layer_backward over them all."""
+    rows = max(max(lengths), min(OUTPUT_CHUNK, sum(lengths)))
+    return np.empty((rows, vocab_size))
 
 
 def sentence_log_prob_with_cache(target: Sequence[int], h_enc: np.ndarray,
                                  p: ConditionalGruParams, V: np.ndarray,
-                                 embedding: np.ndarray) -> tuple[float, DecoderCache]:
+                                 embedding: np.ndarray,
+                                 scratch: np.ndarray | None = None
+                                 ) -> tuple[float, DecoderCache]:
+    """The teacher-forced log-likelihood and the cache that the backward pass
+    needs.  With `scratch` (from logits_buffer) the (T, vocab) logits are
+    formed in its leading rows.  A batch's passes then share one array: each
+    allocating its own between the caches the batch keeps fragments the heap
+    and raises the process's peak RSS."""
     ids = _check_target(target, V.shape[0])
     h_enc = _check_conditioning(h_enc, p)
     X = np.vstack([p.begin, embedding[list(ids[:-1])]])
     # The conditioning terms are constant over the sentence: add them once.
     trace = gru_forward(X @ p.W_r.T + p.C_r @ h_enc, X @ p.W_z.T + p.C_z @ h_enc,
                         X @ p.W.T + p.C @ h_enc, p)
-    # The loss reads z[target] - log(sum exp z) before z, exponentiated and
-    # normalised in place, becomes the probabilities.
-    z = trace.S[1:] @ V.T                               # (T, vocab)
-    z -= np.max(z, axis=1, keepdims=True)
+    # The loss reads z[target] - log(sum exp z) of the shifted logits z; the
+    # cache keeps each row's log-normaliser, from which the backward pass
+    # recomputes the softmax.
+    z = np.matmul(trace.S[1:], V.T,                     # (T, vocab)
+                  out=None if scratch is None else scratch[:len(ids)])
+    shift = np.max(z, axis=1)
+    z -= shift[:, None]
     picked = z[np.arange(len(ids)), list(ids)]
     np.exp(z, out=z)
-    sums = np.sum(z, axis=1, keepdims=True)
-    total = float((picked - np.log(sums[:, 0])).sum())
-    z /= sums
+    log_sums = np.log(np.sum(z, axis=1))
+    total = float((picked - log_sums).sum())
     return total, DecoderCache(target=ids, h_enc=h_enc, X=X, trace=trace,
-                               probs=z)
+                               lse=shift + log_sums)
 
 
 def sentence_log_prob(target: Sequence[int], h_enc: np.ndarray,
@@ -171,50 +203,80 @@ def sentence_log_prob(target: Sequence[int], h_enc: np.ndarray,
     return logp
 
 
-def decoder_backward(cache: DecoderCache, p: ConditionalGruParams, V: np.ndarray,
-                     grads: ParamSet, prefix: str) -> np.ndarray:
-    """Add the gradients of the negative log-likelihood from a cached forward
-    pass into `grads`, and return the conditioning gradient that flows back
-    into the encoder.
+def output_layer_backward(caches: Sequence[DecoderCache], V: np.ndarray,
+                          grads: ParamSet,
+                          scratch: np.ndarray) -> list[np.ndarray]:
+    """Add the output layer's gradient for every cached pass into grads["V"],
+    and return each pass's (T, hidden) gradient of its negative
+    log-likelihood with respect to its states h^1..h^T, in the order of
+    `caches`.
 
-    The nine decoder matrices and "begin" are added under `prefix` (e.g.
-    "dec_next."), the shared output matrix's gradient into "V", and the input
-    rows' gradients are scatter-added into "emb" (the other rows are not
-    touched).  grads["V"] may be row- or column-major; either is updated in
-    place by one BLAS call, and any other layout raises ParameterError before
+    The passes' states are stacked in that order and walked OUTPUT_CHUNK rows
+    at a time (the last chunk may be short), so grads["V"] gets one addition
+    per chunk, and the chunk's logits go into the leading rows of `scratch`
+    (from logits_buffer over the same passes).
+    grads["V"] may be row- or column-major; either is updated in place by one
+    BLAS call per chunk, and any other layout raises ParameterError before
     anything is added.
     """
-    if not isinstance(cache, DecoderCache):
-        raise StateError("decoder_backward needs the cache from "
+    if not all(isinstance(c, DecoderCache) for c in caches):
+        raise StateError("output_layer_backward needs the caches from "
                          "sentence_log_prob_with_cache")
     gV = grads["V"]
     if not (gV.flags.f_contiguous or gV.flags.c_contiguous):
         raise ParameterError("the V gradient must be a row- or column-major "
                              "contiguous array")
-    T = len(cache.target)
-    # Softmax cross-entropy: d(-log p)/dlogits = probs - onehot(target).
-    dlogits = cache.probs.copy()
-    dlogits[np.arange(T), list(cache.target)] -= 1.0
-    # dlogits @ V is the direct path into each h^t.
-    back = gru_backward(cache.X, cache.trace, dlogits @ V, p)
+    # scipy.linalg is imported on first use, so commands that never train do
+    # not load it.
+    from scipy.linalg.blas import dgemm
+
+    S = np.vstack([c.trace.S[1:] for c in caches])         # (rows, hidden)
+    targets = np.concatenate([c.target for c in caches])
+    lse = np.concatenate([c.lse for c in caches])
+    dS = np.empty_like(S)
+    for start in range(0, len(S), OUTPUT_CHUNK):
+        rows = slice(start, start + OUTPUT_CHUNK)
+        S_c = S[rows]
+        # Softmax cross-entropy: d(-log p)/dlogits = p - onehot(target),
+        # with p = exp(logits - lse) formed in place.
+        z = scratch[:len(S_c)]
+        np.matmul(S_c, V.T, out=z)
+        z -= lse[rows, None]
+        np.exp(z, out=z)
+        z[np.arange(len(z)), targets[rows]] -= 1.0
+        np.matmul(z, V, out=dS[rows])
+        # grads["V"] += z.T @ S_c, accumulated by BLAS in place (beta = 1)
+        # from operands it reads without a copy.  BLAS writes a column-major
+        # matrix: grads["V"] itself when it is column-major, its transpose
+        # when it is row-major.
+        if gV.flags.f_contiguous:
+            dgemm(1.0, z.T, S_c.T, trans_b=1, beta=1.0, c=gV, overwrite_c=1)
+        else:
+            dgemm(1.0, S_c.T, z.T, trans_b=1, beta=1.0, c=gV.T, overwrite_c=1)
+    return np.split(dS, np.cumsum([len(c.target) for c in caches[:-1]]))
+
+
+def decoder_backward(cache: DecoderCache, dS: np.ndarray,
+                     p: ConditionalGruParams, grads: ParamSet,
+                     prefix: str) -> np.ndarray:
+    """Add the gradients of a cached forward pass's recurrence into `grads`,
+    given dS, its (T, hidden) state gradients from output_layer_backward, and
+    return the conditioning gradient that flows back into the encoder.
+
+    The nine decoder matrices and "begin" are added under `prefix` (e.g.
+    "dec_next."), and the input rows' gradients are scatter-added into "emb"
+    (the other rows are not touched).  V's gradient is not touched.
+    """
+    if not isinstance(cache, DecoderCache):
+        raise StateError("decoder_backward needs the cache from "
+                         "sentence_log_prob_with_cache")
+    back = gru_backward(cache.X, cache.trace, dS, p)
     da_r, da_z, da_h = back.DA_r.sum(0), back.DA_z.sum(0), back.DA_h.sum(0)
     own = dict(back.params, C_r=np.outer(da_r, cache.h_enc),
                C_z=np.outer(da_z, cache.h_enc), C=np.outer(da_h, cache.h_enc),
                begin=back.dX[0])
     for k, v in own.items():
         grads[prefix + k] += v
-    # grads["V"] += dlogits.T @ H as one BLAS call that accumulates in place
-    # (beta = 1), so no (vocab, hidden) product is built first.  BLAS writes
-    # a column-major matrix: grads["V"] itself when it is column-major, its
-    # transpose when it is row-major.  scipy.linalg is imported on first use,
-    # so commands that never train do not load it.
-    from scipy.linalg.blas import dgemm
-
-    S = cache.trace.S[1:]
-    if gV.flags.f_contiguous:
-        dgemm(1.0, dlogits.T, S, beta=1.0, c=gV, overwrite_c=1)
-    else:
-        dgemm(1.0, S, dlogits, trans_a=1, beta=1.0, c=gV.T, overwrite_c=1)
     np.add.at(grads["emb"], list(cache.target[:-1]), back.dX[1:])
     return p.C.T @ da_h + p.C_r.T @ da_r + p.C_z.T @ da_z
 

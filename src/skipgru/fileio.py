@@ -53,7 +53,7 @@ from .errors import CheckpointError, InputError, SkipGruError
 
 _PREFIX = struct.Struct("<IQ")     # version, header length
 _DIGEST_LEN = 32
-_CHUNK = 1 << 20                   # bytes per read when hashing a file
+_CHUNK = 1 << 20                   # bytes per read or written block
 
 # Whole-file sha256 of the last verified container reads, by _stat_key.
 _DIGESTS: dict[tuple, str] = {}
@@ -106,19 +106,30 @@ def write_container(path, magic: bytes, version: int, header: dict,
                     blobs) -> None:
     """Write one container file; `blobs` yields arrays stored as float64.
 
-    Each blob is hashed and written as it comes, so the file is never held in
-    memory as a whole.
+    Each blob is hashed and written as it comes in row blocks of about _CHUNK
+    bytes, so the file is never held in memory as a whole, and a blob that is
+    not already row-major little-endian float64 (a column-major V) is never
+    copied whole either.
     """
     head = json.dumps(header, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=True).encode("ascii")
     chunks = chain([magic + _PREFIX.pack(version, len(head)) + head],
-                   (np.ascontiguousarray(b, dtype="<f8") for b in blobs))
+                   chain.from_iterable(map(_row_blocks, blobs)))
     digest = hashlib.sha256()
     with atomic_output(path) as fh:
         for chunk in chunks:
             digest.update(chunk)
             fh.write(chunk)
         fh.write(digest.digest())
+
+
+def _row_blocks(blob):
+    """The row-major float64 bytes of `blob`, in blocks of its rows: views
+    when it is laid out so already, else copies of one block at a time."""
+    a = np.atleast_1d(np.asarray(blob))
+    rows = max(1, _CHUNK // (8 * max(1, math.prod(a.shape[1:]))))
+    return (np.ascontiguousarray(a[i:i + rows], dtype="<f8")
+            for i in range(0, len(a), rows))
 
 
 def read_container(path, magic: bytes, version: int, kind: str, parse,

@@ -7,12 +7,24 @@ The loss for one triple (s_prev, s_curr, s_next) is
 
 and a batch optimizes the mean over its triples (the corpus objective is the
 sum; the mean keeps the learning rate independent of batch size).  A train
-step allocates one zero-filled gradient per parameter, and every encoder and
-decoder pass of every triple adds into it: no pass builds a vocabulary-sized
-array of its own.  The additions happen in a fixed order (triples in batch
-order; within a triple the next decoder, the previous decoder, then the
-encoder), so runs are reproducible bit for bit given a seed, and a
-checkpointed run resumed mid-stream matches an unbroken run exactly.
+step allocates one zero-filled gradient per parameter, and batch_grads adds
+the whole batch's gradient into it in three phases:
+
+  A. the forward pass of every triple in batch order: the encoder, then the
+     next and the previous decoder, whose caches keep each step's
+     log-normaliser rather than its softmax row (all passes form their
+     logits in one decoder.logits_buffer, which phase B reuses);
+  B. one output-layer backward over the decoder states of the whole batch
+     (decoder.output_layer_backward), which adds V's gradient chunk by chunk
+     and returns each pass's state gradients;
+  C. triple_grads for every triple in batch order: the next decoder's
+     recurrence, the previous decoder's, then the encoder's.
+
+No pass builds a vocabulary-sized array of its own.  The additions happen in
+that fixed order (V's over the stacked rows in phase-A order, every other
+parameter's triple by triple in phase C), so runs are reproducible bit for bit
+given a seed, and a checkpointed run resumed mid-stream matches an unbroken
+run exactly.
 
 Clipping and Adam then write into the gradient, the model's parameter arrays
 and the optimizer's moments in place, so a step holds four parameter-sized
@@ -31,10 +43,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import SentenceTriple, Vocabulary
-from .decoder import (COND_KEYS, ConditionalGruParams, DecoderPair,
-                      decoder_backward, init_decoder_pair, sentence_log_prob,
+from .decoder import (COND_KEYS, ConditionalGruParams, DecoderCache,
+                      DecoderPair, decoder_backward, init_decoder_pair,
+                      logits_buffer, output_layer_backward, sentence_log_prob,
                       sentence_log_prob_with_cache)
-from .encoder import (GRU_KEYS, EncoderModel, GruParams, encode,
+from .encoder import (GRU_KEYS, EncoderCache, EncoderModel, GruParams, encode,
                       encode_with_cache, encoder_backward, init_encoder)
 from .errors import ConfigError, InputError, NumericError
 from .fileio import read_container, write_container
@@ -162,27 +175,53 @@ def triple_loss(model: SkipGruModel, triple: SentenceTriple) -> float:
     return -(lp_next + lp_prev)
 
 
-def triple_grads(model: SkipGruModel, triple: SentenceTriple,
-                 grads: ParamSet) -> float:
-    """Add one triple's gradients into `grads` and return its loss.
+def batch_grads(model: SkipGruModel, batch: Sequence[SentenceTriple],
+                grads: ParamSet) -> float:
+    """Add the gradient of the summed triple losses of `batch` into `grads`
+    and return that sum, in the three phases of the module docstring.
 
-    grads holds one accumulator per parameter name (param_order).  Both
-    decoders add into it before their conditioning gradients, summed, flow back
-    through the encoder, which adds last; V and embedding gradients thus
-    accumulate across all three passes.
+    grads holds one accumulator per parameter name (param_order).  The loss
+    is the sum, in batch order, of each triple's -(log P(next) + log P(prev))
+    from its forward pass.
     """
-    emb, V = model.embedding, model.decoders.V
-    h, enc_cache = encode_with_cache(triple.curr, model.encoder)
-    lp_next, cache_n = sentence_log_prob_with_cache(
-        triple.next, h, model.decoders.next_params, V, emb)
-    lp_prev, cache_p = sentence_log_prob_with_cache(
-        triple.prev, h, model.decoders.prev_params, V, emb)
-    gh_next = decoder_backward(cache_n, model.decoders.next_params, V, grads,
+    emb, dec = model.embedding, model.decoders
+    scratch = logits_buffer([len(s) for t in batch for s in (t.next, t.prev)],
+                            dec.vocab_size)
+    loss = 0.0
+    caches = []
+    for triple in batch:
+        h, enc_cache = encode_with_cache(triple.curr, model.encoder)
+        lp_next, cache_n = sentence_log_prob_with_cache(
+            triple.next, h, dec.next_params, dec.V, emb, scratch)
+        lp_prev, cache_p = sentence_log_prob_with_cache(
+            triple.prev, h, dec.prev_params, dec.V, emb, scratch)
+        loss += -(lp_next + lp_prev)
+        caches.append((enc_cache, cache_n, cache_p))
+    dS = output_layer_backward([c for _, n, p in caches for c in (n, p)],
+                               dec.V, grads, scratch)
+    for i, triple_caches in enumerate(caches):
+        triple_grads(model, triple_caches, dS[2 * i:2 * i + 2], grads)
+    return loss
+
+
+def triple_grads(model: SkipGruModel,
+                 caches: tuple[EncoderCache, DecoderCache, DecoderCache],
+                 dS: Sequence[np.ndarray], grads: ParamSet) -> None:
+    """Add one triple's recurrence gradients into `grads`, given its forward
+    caches (encoder, next decoder, previous decoder) and the state gradients
+    (next, previous) that output_layer_backward returned for its decoders.
+
+    Both decoders add into grads before their conditioning gradients, summed,
+    flow back through the encoder, which adds last; embedding gradients thus
+    accumulate across all three passes.  V's gradient is not touched.
+    """
+    enc_cache, cache_n, cache_p = caches
+    dec = model.decoders
+    gh_next = decoder_backward(cache_n, dS[0], dec.next_params, grads,
                                "dec_next.")
-    gh_prev = decoder_backward(cache_p, model.decoders.prev_params, V, grads,
+    gh_prev = decoder_backward(cache_p, dS[1], dec.prev_params, grads,
                                "dec_prev.")
     encoder_backward(enc_cache, gh_next + gh_prev, model.encoder, grads)
-    return -(lp_next + lp_prev)
 
 
 class TrainStepResult(NamedTuple):
@@ -199,19 +238,18 @@ def train_step(model: SkipGruModel, batch: Sequence[SentenceTriple],
     place to `model`'s parameter arrays and `opt`; the result holds both.
 
     Returns the loss measured before the update.  One zero-filled gradient
-    set is passed to triple_grads for every triple in batch order, so the
-    reduction order is fixed and runs are deterministic; it is then scaled to
-    the batch mean, and its one global norm is checked, reported and used to
-    clip it in place before it is handed to Adam.
+    set is passed to batch_grads, which adds the batch's gradient in the
+    fixed order of the module docstring (forward passes, one output-layer
+    backward over all decoder states, then each triple's recurrences in
+    batch order), so runs are deterministic; it is then scaled to the batch
+    mean, and its one global norm is checked, reported and used to clip it in
+    place before it is handed to Adam.
     """
     if not batch:
         raise InputError("train_step needs a nonempty batch")
     params = model.param_dict()
     total: ParamSet = {k: np.zeros_like(v) for k, v in params.items()}
-    loss_sum = 0.0
-    for triple in batch:
-        loss_sum += triple_grads(model, triple, total)
-    mean_loss = loss_sum / len(batch)
+    mean_loss = batch_grads(model, batch, total) / len(batch)
     if not math.isfinite(mean_loss):
         raise NumericError(f"non-finite batch loss {mean_loss} at step "
                            f"{opt.step + 1}; training aborted")

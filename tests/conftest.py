@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from skipgru.corpus import EOS_TOKEN, UNK_TOKEN, SentenceTriple, Vocabulary
+from skipgru.decoder import (decoder_backward, logits_buffer,
+                             output_layer_backward)
 from skipgru.trainer import SkipGruModel, TrainConfig, model_from_params
 
 
@@ -40,6 +42,15 @@ def randomize_params(model: SkipGruModel, seed=0, scale=0.7) -> SkipGruModel:
 def zero_grads(model: SkipGruModel) -> dict[str, np.ndarray]:
     """A zero-filled gradient accumulator for every parameter of `model`."""
     return {k: np.zeros_like(v) for k, v in model.param_dict().items()}
+
+
+def decoder_pass_backward(cache, p, V, grads, prefix=""):
+    """One decoder pass's whole backward, as a train step runs it for a batch
+    of one pass: its output layer, then its recurrence.  Adds into `grads`
+    and returns the gradient into h_enc."""
+    dS, = output_layer_backward([cache], V, grads,
+                                logits_buffer([len(cache.target)], len(V)))
+    return decoder_backward(cache, dS, p, grads, prefix)
 
 
 def random_triple(vocab_size: int, rng, max_len=4) -> SentenceTriple:

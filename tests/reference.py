@@ -8,8 +8,10 @@ something the package computes in bulk:
   (decoder.sample_sentence steps the kernel instead);
 - one triple's gradients as dense per-pass arrays: each encoder and decoder
   pass returns its own full (vocab, embed) embedding gradient and each decoder
-  its own (vocab, hidden) V gradient, summed per triple (the package adds
-  every pass into one accumulator per train step instead);
+  its own (vocab, hidden) V gradient from its own (T, vocab) softmax, summed
+  per triple (the package adds every pass into one accumulator per train
+  step, and runs the output layer once over the whole batch's decoder states
+  in row chunks);
 - the cosine score of one image-sentence pair (ranking scores whole batches);
 - the ranking loss with one loop iteration per hinge, and retrieval ranks
   with one sort per query (ranking builds both with array indexing);
@@ -159,9 +161,10 @@ def encoder_backward(cache: EncoderCache, grad_output: np.ndarray,
 def decoder_backward(cache: DecoderCache, p: ConditionalGruParams, V: np.ndarray,
                      embedding: np.ndarray) -> tuple[ParamSet, np.ndarray]:
     """One decoder pass's gradients (the nine matrices, "begin", a dense "V"
-    and a full-table "emb") and the gradient into h_enc."""
+    and a full-table "emb") and the gradient into h_enc.  The softmax rows
+    are recomputed from the cached states, not from the cached normalisers."""
     T = len(cache.target)
-    dlogits = cache.probs.copy()
+    dlogits = softmax(cache.trace.S[1:] @ V.T, axis=1)
     dlogits[np.arange(T), list(cache.target)] -= 1.0
     back = gru_backward(cache.X, cache.trace, dlogits @ V, p)
     grads = dict(back.params)

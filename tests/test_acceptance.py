@@ -13,20 +13,21 @@ import numpy as np
 
 from skipgru.cli import _encode_lines, generate_story, main
 from skipgru.corpus import SentenceTriple
-from skipgru.decoder import (ConditionalGruParams, decoder_backward,
-                             sentence_log_prob, sentence_log_prob_with_cache)
+from skipgru.decoder import (ConditionalGruParams, sentence_log_prob,
+                             sentence_log_prob_with_cache)
 from skipgru.encoder import (EncoderModel, encode, encode_with_cache,
                              encoder_backward)
 from skipgru.probes import (fit_relatedness, logreg_objective, pair_features,
                             pearson, predict_scores, score_to_distribution)
 from skipgru.ranking import (RankingModel, RankTrainConfig, evaluate_retrieval,
                              init_ranking_model, ranking_grads, train_ranker)
-from skipgru.trainer import (SkipGruModel, TrainConfig, model_from_params,
-                             train, triple_grads, triple_loss)
+from skipgru.trainer import (SkipGruModel, TrainConfig, batch_grads,
+                             model_from_params, train, triple_loss)
 from skipgru.vocab_expansion import (ExpandedLookup, ExternalEmbeddings,
                                      fit_expansion)
 
-from conftest import make_model, make_vocab, randomize_params, zero_grads
+from conftest import (decoder_pass_backward, make_model, make_vocab,
+                      randomize_params, zero_grads)
 from reference import distribution_to_score, finite_diff_check
 
 RESULTS: list[str] = []
@@ -92,7 +93,7 @@ def _fd_decoder(seed):
 
     _, cache = sentence_log_prob_with_cache(target, h_enc, p, V, emb)
     grads = {k: np.zeros_like(v) for k, v in params.items() if k != "h_enc"}
-    g_henc = decoder_backward(cache, p, V, grads, "")
+    g_henc = decoder_pass_backward(cache, p, V, grads)
     return finite_diff_check(loss, params, dict(grads, h_enc=g_henc))
 
 
@@ -105,7 +106,7 @@ def _fd_triple(mode, seed):
         return triple_loss(model_from_params(m.config, m.vocab, params), t)
 
     grads = zero_grads(m)
-    triple_grads(m, t, grads)
+    batch_grads(m, [t], grads)
     return finite_diff_check(loss, m.param_dict(), grads)
 
 

@@ -9,9 +9,11 @@ checker, and a Monte-Carlo frequency check for the sampler.
 
 import numpy as np
 import pytest
+from skipgru import decoder
 from skipgru.decoder import (ConditionalGruParams, DecoderPair,
                              decoder_backward, init_conditional_gru,
-                             init_decoder_pair, sample_sentence,
+                             init_decoder_pair, logits_buffer,
+                             output_layer_backward, sample_sentence,
                              sentence_log_prob, sentence_log_prob_with_cache)
 from skipgru.encoder import GruParams, gru_forward
 from skipgru.errors import (ParameterError, RangeError, ShapeError,
@@ -19,6 +21,7 @@ from skipgru.errors import (ParameterError, RangeError, ShapeError,
 from skipgru.numerics import log_softmax, sigmoid, softmax
 
 import reference
+from conftest import decoder_pass_backward
 from reference import cond_gru_step, finite_diff_check, gru_step
 
 
@@ -122,7 +125,14 @@ def test_log_prob_nonpositive_and_prob_rows_normalized(rng):
     lp, cache = sentence_log_prob_with_cache((2, 4, 1, 0),
                                              rng.normal(size=2), p, V, emb)
     assert lp <= 0.0
-    assert np.max(np.abs(cache.probs.sum(axis=1) - 1.0)) < 1e-12
+    # The cache keeps each row's log-normaliser: exp(logits - lse) are the
+    # softmax rows, so each sums to 1.
+    logits = cache.trace.S[1:] @ V.T
+    assert cache.lse.shape == (4,)
+    assert np.max(np.abs(np.log(np.exp(logits).sum(axis=1)) - cache.lse)) \
+        < 1e-12
+    assert np.max(np.abs(np.exp(logits - cache.lse[:, None]).sum(axis=1)
+                         - 1.0)) < 1e-12
 
 
 def test_log_prob_matches_unrolled_oracle(rng):
@@ -199,7 +209,7 @@ def _fd_decoder(target):
 
     _, cache = sentence_log_prob_with_cache(target, h_enc, p, V, emb)
     grads = zero_accumulator(p, V, emb)
-    g_henc = decoder_backward(cache, p, V, grads, "")
+    g_henc = decoder_pass_backward(cache, p, V, grads)
     return finite_diff_check(loss, params, dict(grads, h_enc=g_henc))
 
 
@@ -215,8 +225,9 @@ def test_backward_finite_difference_repeated_inputs():
 def test_backward_adds_into_column_major_v_accumulator(rng, monkeypatch):
     # BLAS accumulates into a row-major V gradient (through its column-major
     # transpose) and into a column-major one (directly) in place: the array
-    # BLAS returns is the accumulator itself, and both end with the same sums.
-    # Any other layout would be updated in a copy, so it is refused.
+    # BLAS returns for every chunk is the accumulator itself, and both end
+    # with the same sums.  Any other layout would be updated in a copy, so it
+    # is refused before any chunk is added.
     import scipy.linalg.blas as blas
 
     results = []
@@ -226,18 +237,22 @@ def test_backward_adds_into_column_major_v_accumulator(rng, monkeypatch):
         return results[-1]
     real_dgemm = blas.dgemm
     monkeypatch.setattr(blas, "dgemm", recording_dgemm)
+    monkeypatch.setattr(decoder, "OUTPUT_CHUNK", 2)
     p = rand_cond_params(rng, embed=3, hidden=3, enc=2)
     V, emb = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
-    _, cache = sentence_log_prob_with_cache((2, 4, 2, 0), rng.normal(size=2),
-                                            p, V, emb)
+    caches = [sentence_log_prob_with_cache(target, rng.normal(size=2), p, V,
+                                           emb)[1]
+              for target in ((2, 4, 2, 0), (3, 0), (1, 1, 0))]
+    scratch = logits_buffer([len(c.target) for c in caches], len(V))
     start = rng.normal(size=V.shape)
     rows, cols = zero_accumulator(p, V, emb), zero_accumulator(p, V, emb)
     rows["V"], cols["V"] = start.copy(), np.asfortranarray(start)
     for grads in (rows, cols):
         gV = grads["V"]
-        decoder_backward(cache, p, V, grads, "")
-        assert grads["V"] is gV and np.shares_memory(results[-1], gV)
-    assert len(results) == 2
+        results.clear()
+        output_layer_backward(caches, V, grads, scratch)
+        assert grads["V"] is gV and len(results) == 5      # ceil(9 / 2)
+        assert all(np.shares_memory(r, gV) for r in results)
     assert cols["V"].flags.f_contiguous and not cols["V"].flags.c_contiguous
     assert not np.array_equal(rows["V"], start)
     for k in rows:
@@ -245,7 +260,7 @@ def test_backward_adds_into_column_major_v_accumulator(rng, monkeypatch):
     strided = zero_accumulator(p, V, emb)
     strided["V"] = np.zeros((V.shape[0], 2 * V.shape[1]))[:, ::2]
     with pytest.raises(ParameterError):
-        decoder_backward(cache, p, V, strided, "")
+        output_layer_backward(caches, V, strided, scratch)
     assert not any(np.any(g) for g in strided.values())
 
 
@@ -258,7 +273,7 @@ def test_backward_degenerate_vocab_zero_gradient(rng):
     lp, cache = sentence_log_prob_with_cache((0, 0, 0), rng.normal(size=2),
                                              p, V, emb)
     grads = zero_accumulator(p, V, emb)
-    g_henc = decoder_backward(cache, p, V, grads, "")
+    g_henc = decoder_pass_backward(cache, p, V, grads)
     assert abs(lp) < 1e-12
     assert all(np.max(np.abs(g)) < 1e-12 for g in grads.values())
     assert np.max(np.abs(g_henc)) < 1e-12
@@ -267,7 +282,10 @@ def test_backward_degenerate_vocab_zero_gradient(rng):
 def test_backward_missing_cache_is_state_error(rng):
     p = rand_cond_params(rng)
     with pytest.raises(StateError):
-        decoder_backward(None, p, np.zeros((4, 3)), {}, "")
+        decoder_backward(None, np.zeros((2, 3)), p, {}, "")
+    with pytest.raises(StateError):
+        output_layer_backward([None], np.zeros((4, 3)),
+                              {"V": np.zeros((4, 3))}, logits_buffer([1], 4))
 
 
 # ---------------------------------------------------------------------------

@@ -15,22 +15,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from skipgru import numerics, trainer
-from conftest import (make_model, make_vocab, random_triple, randomize_params,
-                      zero_grads)
+from skipgru import decoder, numerics, trainer
+from conftest import (decoder_pass_backward, make_model, make_vocab,
+                      random_triple, randomize_params, zero_grads)
 import reference
 from reference import finite_diff_check
 from skipgru.corpus import SentenceTriple
-from skipgru.decoder import decoder_backward, sentence_log_prob, \
-    sentence_log_prob_with_cache
+from skipgru.decoder import (OUTPUT_CHUNK, DecoderCache, sentence_log_prob,
+                             sentence_log_prob_with_cache)
 from skipgru.encoder import encode
 from skipgru.errors import CheckpointError, InputError, NumericError
 from skipgru.numerics import AdamState, global_norm
-from skipgru.trainer import (METRICS_HEADER, TrainConfig, load_checkpoint,
-                             load_model, make_optimizer, model_from_params,
-                             param_order,
-                             save_checkpoint, train, train_step, triple_grads,
-                             triple_loss)
+from skipgru.trainer import (METRICS_HEADER, TrainConfig, batch_grads,
+                             load_checkpoint, load_model, make_optimizer,
+                             model_from_params, param_order, save_checkpoint,
+                             train, train_step, triple_loss)
 from skipgru.vocab_expansion import (ExpansionMap, ExternalEmbeddings,
                                      read_expansion, write_expansion)
 
@@ -79,15 +78,17 @@ def test_grads_v_accumulates_both_decoders():
     m = randomize_params(make_model(vocab_size=6), seed=4)
     t = small_triple()
     grads = zero_grads(m)
-    triple_grads(m, t, grads)
+    batch_grads(m, [t], grads)
     h = encode(t.curr, m.encoder)
     _, cn = sentence_log_prob_with_cache(t.next, h, m.decoders.next_params,
                                          m.decoders.V, m.embedding)
     _, cp = sentence_log_prob_with_cache(t.prev, h, m.decoders.prev_params,
                                          m.decoders.V, m.embedding)
     gn, gp = zero_grads(m), zero_grads(m)
-    decoder_backward(cn, m.decoders.next_params, m.decoders.V, gn, "dec_next.")
-    decoder_backward(cp, m.decoders.prev_params, m.decoders.V, gp, "dec_prev.")
+    decoder_pass_backward(cn, m.decoders.next_params, m.decoders.V, gn,
+                          "dec_next.")
+    decoder_pass_backward(cp, m.decoders.prev_params, m.decoders.V, gp,
+                          "dec_prev.")
     assert np.max(np.abs(grads["V"] - (gn["V"] + gp["V"]))) < 1e-12
 
 
@@ -100,7 +101,7 @@ def _fd_triple(mode, seed,
         return triple_loss(model_from_params(m.config, m.vocab, params), t)
 
     grads = zero_grads(m)
-    triple_grads(m, t, grads)
+    batch_grads(m, [t], grads)
     return finite_diff_check(loss, m.param_dict(), grads)
 
 
@@ -148,14 +149,16 @@ def _mixed_model(mode, seed, **overrides):
 def test_batch_accumulation_matches_dense_per_triple_reference(mode):
     m = _mixed_model(mode, seed=44)
     grads = zero_grads(m)
-    losses = [triple_grads(m, t, grads) for t in MIXED_BATCH]
-    want = zero_grads(m)
-    for t, loss in zip(MIXED_BATCH, losses):
+    loss = batch_grads(m, MIXED_BATCH, grads)
+    want, want_loss = zero_grads(m), 0.0
+    for t in MIXED_BATCH:
         ref_loss, ref = reference.triple_grads(m, t)
-        assert loss == ref_loss
+        assert batch_grads(m, [t], zero_grads(m)) == ref_loss
+        want_loss += ref_loss
         assert ref.keys() == want.keys()
         for k in want:
             want[k] += ref[k]
+    assert loss == want_loss
     for k in want:
         assert _rel_err(grads[k], want[k]) < 1e-12, k
 
@@ -165,9 +168,9 @@ def test_accumulating_a_triple_twice_doubles_its_gradient(mode):
     m = _mixed_model(mode, seed=45)
     t = MIXED_BATCH[2]
     once, twice = zero_grads(m), zero_grads(m)
-    triple_grads(m, t, once)
-    triple_grads(m, t, twice)
-    triple_grads(m, t, twice)
+    batch_grads(m, [t], once)
+    batch_grads(m, [t], twice)
+    batch_grads(m, [t], twice)
     for k in once:
         if k in ("V", "emb"):
             # Several passes add into these: a rounded sum added twice may
@@ -220,14 +223,16 @@ def test_train_step_takes_the_same_step_with_column_major_v(mode, monkeypatch):
 def test_triple_gradient_builds_no_vocabulary_sized_array():
     # At V=20000, E=64, H=128 one (V, H) array takes 20.5 MB.  The dense
     # per-pass reference builds several inside one triple; the accumulating
-    # path adds into the step's arrays and builds only (T, V) ones.
+    # path adds into the step's arrays and builds only (T, V) logits in the
+    # forward pass and one (min(rows, OUTPUT_CHUNK), V) buffer in the
+    # output layer's backward.
     m = make_model(vocab_size=20000, embed_dim=64, hidden_dim=128)
     t = SentenceTriple(prev=(5, 17, 2, 9, 0), curr=(3, 19999, 40, 7, 3, 0),
                        next=(11, 12, 13, 11, 0))
     grads = zero_grads(m)
     tracemalloc.start()
     try:
-        triple_grads(m, t, grads)
+        batch_grads(m, [t], grads)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         reference.triple_grads(m, t)
@@ -236,6 +241,109 @@ def test_triple_gradient_builds_no_vocabulary_sized_array():
         tracemalloc.stop()
     assert peak < 0.5 * m.decoders.V.nbytes
     assert ref_peak > 3 * m.decoders.V.nbytes
+
+
+# A batch of 41 decoder rows: MIXED_BATCH's 25, then a 10-token next
+# sentence on rows 25-34, across the first OUTPUT_CHUNK boundary.
+LONG_BATCH = MIXED_BATCH + [
+    SentenceTriple(prev=(6, 2, 7, 7, 3, 0), curr=(4, 4, 0),
+                   next=(2, 5, 3, 8, 8, 6, 2, 7, 4, 0))]
+
+
+def _decoder_rows(batch):
+    return [n for t in batch for n in (len(t.next), len(t.prev))]
+
+
+@pytest.mark.parametrize("mode", ["uni", "bi"])
+def test_fused_output_layer_matches_reference_across_chunks(mode):
+    ends = np.cumsum(_decoder_rows(LONG_BATCH))
+    assert ends[-1] > OUTPUT_CHUNK
+    assert any(a < OUTPUT_CHUNK < b for a, b in zip(ends[:-1], ends[1:]))
+    m = _mixed_model(mode, seed=48)
+    grads = zero_grads(m)
+    loss = batch_grads(m, LONG_BATCH, grads)
+    want, want_loss = zero_grads(m), 0.0
+    for t in LONG_BATCH:
+        ref_loss, ref = reference.triple_grads(m, t)
+        want_loss += ref_loss
+        for k in want:
+            want[k] += ref[k]
+    assert loss == want_loss
+    for k in want:
+        assert _rel_err(grads[k], want[k]) < 1e-12, k
+
+
+@pytest.mark.parametrize("batch", [MIXED_BATCH, LONG_BATCH],
+                         ids=["mixed", "long"])
+def test_batch_loss_is_the_sum_of_the_sentence_log_probs(batch):
+    m = _mixed_model("bi", seed=49)
+    dec = m.decoders
+    want = 0.0
+    for t in batch:
+        h = encode(t.curr, m.encoder)
+        want += -(sentence_log_prob(t.next, h, dec.next_params, dec.V,
+                                    m.embedding)
+                  + sentence_log_prob(t.prev, h, dec.prev_params, dec.V,
+                                      m.embedding))
+    assert batch_grads(m, batch, zero_grads(m)) == want
+
+
+@pytest.mark.parametrize("chunk", [OUTPUT_CHUNK, 5])
+def test_step_runs_one_chunked_output_sweep_over_every_target(chunk,
+                                                              monkeypatch):
+    # One train step calls the output layer's backward once, on every decoder
+    # row of its batch, OUTPUT_CHUNK rows per V-gradient dgemm (the last
+    # chunk short), each of which writes the accumulator itself.
+    import scipy.linalg.blas as blas
+
+    calls, shapes = [], []
+
+    def recording_dgemm(*args, **kwargs):
+        out = real_dgemm(*args, **kwargs)
+        calls.append((args[1].shape[1], np.shares_memory(out, kwargs["c"])))
+        return out
+
+    def counting(*args):
+        shapes.append([c.lse.shape for c in args[0]])
+        return real_sweep(*args)
+    real_dgemm, real_sweep = blas.dgemm, trainer.output_layer_backward
+    monkeypatch.setattr(blas, "dgemm", recording_dgemm)
+    monkeypatch.setattr(trainer, "output_layer_backward", counting)
+    monkeypatch.setattr(decoder, "OUTPUT_CHUNK", chunk)
+    batch = LONG_BATCH * 2
+    rows = sum(_decoder_rows(batch))
+    m = _mixed_model("uni", seed=50)
+    m.decoders.V = np.asfortranarray(m.decoders.V)
+    train_step(m, batch, make_optimizer(m), m.config)
+    assert shapes == [[(n,) for n in _decoder_rows(batch)]]
+    assert len(calls) == -(-rows // chunk)
+    assert [n for n, _ in calls] == [chunk] * (rows // chunk) + \
+        ([rows % chunk] if rows % chunk else [])
+    assert all(shared for _, shared in calls)
+
+
+def test_decoder_caches_hold_no_vocabulary_sized_row(monkeypatch):
+    # The forward pass keeps each step's log-normaliser, not its softmax row:
+    # no array that a cache holds has a vocabulary-sized axis.
+    kept = []
+
+    def keeping(*args):
+        kept.extend(args[0])
+        return real_sweep(*args)
+    real_sweep = trainer.output_layer_backward
+    monkeypatch.setattr(trainer, "output_layer_backward", keeping)
+    m = randomize_params(make_model(vocab_size=97, embed_dim=3, hidden_dim=4),
+                         seed=51)
+    batch_grads(m, LONG_BATCH, zero_grads(m))
+    assert len(kept) == 2 * len(LONG_BATCH)
+    for cache in kept:
+        assert isinstance(cache, DecoderCache)
+        arrays = [getattr(cache, f.name)
+                  for f in dataclasses.fields(cache)] + list(cache.trace)
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+        assert len(arrays) == 7
+        assert cache.lse.shape == (len(cache.target),)
+        assert all(97 not in a.shape for a in arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +429,9 @@ def test_nonfinite_gradient_stops_before_update_and_checkpoint(tmp_path, rng,
     before = {k: v.copy() for k, v in res.model.param_dict().items()}
     real_grads = trainer.triple_grads
 
-    def inf_grads(model, triple, grads):
-        loss = real_grads(model, triple, grads)
+    def inf_grads(model, caches, dS, grads):
+        real_grads(model, caches, dS, grads)
         grads["V"][0, 0] = np.inf
-        return loss
 
     monkeypatch.setattr(trainer, "triple_grads", inf_grads)
     longer = model_from_params(dataclasses.replace(m.config, max_steps=4),
@@ -500,6 +607,34 @@ def test_training_keeps_v_column_major_and_checkpoints_row_major(tmp_path, rng):
                     dataclasses.replace(opt, m=row_major(opt.m),
                                         v=row_major(opt.v)), rows)
     assert ckpt.read_bytes() == rows.read_bytes()
+
+
+def test_checkpoint_save_writes_column_major_blobs_without_a_whole_copy(
+        tmp_path):
+    # At V=20000, H=128, V and each moment take 20.5 MB.  Saved column-major,
+    # as train() keeps them, each goes out through row blocks of about 1 MiB,
+    # to the bytes that row-major copies of the same values save to.
+    m = randomize_params(make_model(vocab_size=20000, embed_dim=64,
+                                    hidden_dim=128), seed=52)
+    opt = make_optimizer(m)
+    rng = np.random.default_rng(53)
+    for moments in (opt.m, opt.v):
+        moments["V"] = rng.uniform(0.0, 1.0, size=m.decoders.V.shape)
+    rows = tmp_path / "rows.ckpt"
+    save_checkpoint(m, opt, rows)
+    m.decoders.V = np.asfortranarray(m.decoders.V)
+    for moments in (opt.m, opt.v):
+        moments["V"] = np.asfortranarray(moments["V"])
+    cols = tmp_path / "cols.ckpt"
+    tracemalloc.start()
+    try:
+        save_checkpoint(m, opt, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.decoders.V.flags.f_contiguous and not m.decoders.V.flags.c_contiguous
+    assert peak < 5e6
+    assert cols.read_bytes() == rows.read_bytes()
 
 
 # The damaged-file tests run over both container kinds: a checkpoint and an
