@@ -199,8 +199,8 @@ RESUMED_FLAGS = {"seed": (0, "seed"), "mode": ("uni", "mode"),
 
 def cmd_train(args) -> dict:
     vocab = corpus.load_vocab(args.vocab)
-    docs = corpus.read_documents(args.corpus)
-    triples = list(corpus.iter_triples(docs, vocab))
+    triples = list(corpus.iter_triples(corpus.read_documents(args.corpus),
+                                       vocab))
     if not triples:
         raise InputError("corpus contains no 3-sentence documents; "
                          "nothing to train on")
@@ -220,7 +220,7 @@ def cmd_train(args) -> dict:
                 raise ConfigError(f"--{dest.replace('_', '-')} {given} differs "
                                   f"from the checkpoint's {used[dest]}; a "
                                   f"resumed run keeps the checkpoint's value")
-        model = trainer.model_from_params(config, model.vocab, model.param_dict())
+        model = replace(model, config=config)
         # The manifest records the settings the run uses, not the flags'.
         vars(args).update(used)
     else:
@@ -233,9 +233,9 @@ def cmd_train(args) -> dict:
     result = trainer.train(model, triples, opt, metrics_path=_metrics_path(args),
                            checkpoint_path=args.out)
     summary = {"steps": result.opt.step, "triples": len(triples)}
-    if result.history:
-        summary["first_loss"] = result.history[0]["loss"]
-        summary["final_loss"] = result.history[-1]["loss"]
+    if result.first_loss is not None:
+        summary["first_loss"] = result.first_loss
+        summary["final_loss"] = result.final_loss
     print(json.dumps(summary, sort_keys=True))
     return {"seed": config.seed}
 

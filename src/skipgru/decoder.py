@@ -34,13 +34,12 @@ output layer once over all its decoder passes:
   conditioning matrices' gradients and the gradient into h_enc, and the input
   gradients are scatter-added into the embedding rows.  It does no work on V.
 
-V may be row-major (as loaded for inference) or column-major (as trainer.train
-lays it out, with its gradient): every product takes either layout without a
-copy, and the column-major one streams V fastest for a few rows at a time.
-The forward pass takes one exp over the (T, vocab) logits for the loss and
-keeps only each row's log-normaliser.  The sampler, whose next input is the
-word it has just drawn, runs the kernel one step at a time from the state it
-has reached.
+The forward pass takes V row-major (as loaded for inference) or column-major
+(as trainer.train lays it out) without a copy; the backward pass takes only
+the column-major V gradient that trainer.train sets up.  The forward pass
+takes one exp over the (T, vocab) logits for the loss and keeps only each
+row's log-normaliser.  The sampler, whose next input is the word it has just
+drawn, runs the kernel one step at a time from the state it has reached.
 """
 
 from __future__ import annotations
@@ -166,12 +165,11 @@ def logits_buffer(lengths: Sequence[int], vocab_size: int) -> np.ndarray:
 
 def sentence_log_prob_with_cache(target: Sequence[int], h_enc: np.ndarray,
                                  p: ConditionalGruParams, V: np.ndarray,
-                                 embedding: np.ndarray,
-                                 scratch: np.ndarray | None = None
+                                 embedding: np.ndarray, scratch: np.ndarray
                                  ) -> tuple[float, DecoderCache]:
     """The teacher-forced log-likelihood and the cache that the backward pass
-    needs.  With `scratch` (from logits_buffer) the (T, vocab) logits are
-    formed in its leading rows.  A batch's passes then share one array: each
+    needs.  The (T, vocab) logits are formed in the leading rows of `scratch`
+    (from logits_buffer), so a batch's passes share one array: each
     allocating its own between the caches the batch keeps fragments the heap
     and raises the process's peak RSS."""
     ids = _check_target(target, V.shape[0])
@@ -183,8 +181,7 @@ def sentence_log_prob_with_cache(target: Sequence[int], h_enc: np.ndarray,
     # The loss reads z[target] - log(sum exp z) of the shifted logits z; the
     # cache keeps each row's log-normaliser, from which the backward pass
     # recomputes the softmax.
-    z = np.matmul(trace.S[1:], V.T,                     # (T, vocab)
-                  out=None if scratch is None else scratch[:len(ids)])
+    z = np.matmul(trace.S[1:], V.T, out=scratch[:len(ids)])  # (T, vocab)
     shift = np.max(z, axis=1)
     z -= shift[:, None]
     picked = z[np.arange(len(ids)), list(ids)]
@@ -199,7 +196,8 @@ def sentence_log_prob(target: Sequence[int], h_enc: np.ndarray,
                       p: ConditionalGruParams, V: np.ndarray,
                       embedding: np.ndarray) -> float:
     """Teacher-forced log P(target | h_enc) = sum_t log softmax(V h^t)[w^t]; <= 0."""
-    logp, _ = sentence_log_prob_with_cache(target, h_enc, p, V, embedding)
+    logp, _ = sentence_log_prob_with_cache(
+        target, h_enc, p, V, embedding, logits_buffer([len(target)], len(V)))
     return logp
 
 
@@ -215,16 +213,16 @@ def output_layer_backward(caches: Sequence[DecoderCache], V: np.ndarray,
     at a time (the last chunk may be short), so grads["V"] gets one addition
     per chunk, and the chunk's logits go into the leading rows of `scratch`
     (from logits_buffer over the same passes).
-    grads["V"] may be row- or column-major; either is updated in place by one
-    BLAS call per chunk, and any other layout raises ParameterError before
-    anything is added.
+    grads["V"] must be column-major, as trainer.train lays it out: BLAS
+    updates it in place by one call per chunk.  Any other layout raises
+    ParameterError before anything is added.
     """
     if not all(isinstance(c, DecoderCache) for c in caches):
         raise StateError("output_layer_backward needs the caches from "
                          "sentence_log_prob_with_cache")
     gV = grads["V"]
-    if not (gV.flags.f_contiguous or gV.flags.c_contiguous):
-        raise ParameterError("the V gradient must be a row- or column-major "
+    if not gV.flags.f_contiguous:
+        raise ParameterError("the V gradient must be a column-major "
                              "contiguous array")
     # scipy.linalg is imported on first use, so commands that never train do
     # not load it.
@@ -246,13 +244,8 @@ def output_layer_backward(caches: Sequence[DecoderCache], V: np.ndarray,
         z[np.arange(len(z)), targets[rows]] -= 1.0
         np.matmul(z, V, out=dS[rows])
         # grads["V"] += z.T @ S_c, accumulated by BLAS in place (beta = 1)
-        # from operands it reads without a copy.  BLAS writes a column-major
-        # matrix: grads["V"] itself when it is column-major, its transpose
-        # when it is row-major.
-        if gV.flags.f_contiguous:
-            dgemm(1.0, z.T, S_c.T, trans_b=1, beta=1.0, c=gV, overwrite_c=1)
-        else:
-            dgemm(1.0, S_c.T, z.T, trans_b=1, beta=1.0, c=gV.T, overwrite_c=1)
+        # from operands it reads without a copy.
+        dgemm(1.0, z.T, S_c.T, trans_b=1, beta=1.0, c=gV, overwrite_c=1)
     return np.split(dS, np.cumsum([len(c.target) for c in caches[:-1]]))
 
 

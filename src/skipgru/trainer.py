@@ -15,8 +15,8 @@ the whole batch's gradient into it in three phases:
      log-normaliser rather than its softmax row (all passes form their
      logits in one decoder.logits_buffer, which phase B reuses);
   B. one output-layer backward over the decoder states of the whole batch
-     (decoder.output_layer_backward), which adds V's gradient chunk by chunk
-     and returns each pass's state gradients;
+     (decoder.output_layer_backward), which adds into V's column-major
+     gradient chunk by chunk and returns each pass's state gradients;
   C. triple_grads for every triple in batch order: the next decoder's
      recurrence, the previous decoder's, then the encoder's.
 
@@ -225,8 +225,6 @@ def triple_grads(model: SkipGruModel,
 
 
 class TrainStepResult(NamedTuple):
-    model: SkipGruModel
-    opt: AdamState
     batch_loss: float
     grad_norm: float
     clipped: bool
@@ -235,7 +233,9 @@ class TrainStepResult(NamedTuple):
 def train_step(model: SkipGruModel, batch: Sequence[SentenceTriple],
                opt: AdamState, config: TrainConfig) -> TrainStepResult:
     """One optimizer step on the mean triple loss over `batch`, applied in
-    place to `model`'s parameter arrays and `opt`; the result holds both.
+    place to `model`'s parameter arrays and `opt`.  V must be column-major, as
+    train() lays it out: for any other layout ParameterError is raised before
+    the model or `opt` change.
 
     Returns the loss measured before the update.  One zero-filled gradient
     set is passed to batch_grads, which adds the batch's gradient in the
@@ -263,14 +263,14 @@ def train_step(model: SkipGruModel, batch: Sequence[SentenceTriple],
     clipped = norm > config.clip_threshold
     clip_gradients(total, config.clip_threshold, norm)
     adam_step(params, total, opt)
-    return TrainStepResult(model=model, opt=opt, batch_loss=mean_loss,
-                           grad_norm=norm, clipped=clipped)
+    return TrainStepResult(batch_loss=mean_loss, grad_norm=norm,
+                           clipped=clipped)
 
 
 class TrainResult(NamedTuple):
-    model: SkipGruModel
     opt: AdamState
-    history: list
+    first_loss: float | None   # None when the run takes no step
+    final_loss: float | None
 
 
 def make_optimizer(model: SkipGruModel) -> AdamState:
@@ -283,8 +283,10 @@ def train(model: SkipGruModel, triples: Sequence[SentenceTriple],
           opt: AdamState | None = None, metrics_path=None,
           checkpoint_path=None) -> TrainResult:
     """Run from opt.step up to config.max_steps over shuffled triples,
-    training `model` and `opt` in place: the result holds the same objects,
-    and a caller that needs the starting weights copies them first.
+    training `model` and `opt` in place; a caller that needs the starting
+    weights copies them first.  Returns the optimizer state (`opt`, or the
+    one made for a fresh run) and the batch losses of the run's first and
+    last steps.
 
     Each epoch is a fresh seeded permutation of the triples, consumed in
     batch_size slices; the current position is derived from opt.step alone, so
@@ -297,9 +299,10 @@ def train(model: SkipGruModel, triples: Sequence[SentenceTriple],
 
     On entry the output matrix V and its Adam moments are laid out
     column-major (the step's gradient follows V through zeros_like), which
-    is the layout in which BLAS streams V fastest in every decoder pass.
-    model.decoders.V, opt.m["V"] and opt.v["V"] may thus be new arrays with
-    the same values; checkpoints store them row-major as before.
+    is the layout in which BLAS streams V fastest in every decoder pass, and
+    the only one the output layer's backward accepts.  model.decoders.V,
+    opt.m["V"] and opt.v["V"] may thus be new arrays with the same values;
+    checkpoints store them row-major.
     """
     config = model.config
     if not triples:
@@ -312,7 +315,7 @@ def train(model: SkipGruModel, triples: Sequence[SentenceTriple],
             moments["V"] = np.asfortranarray(moments["V"])
     n = len(triples)
     steps_per_epoch = -(-n // config.batch_size)
-    history: list = []
+    first_loss = final_loss = None
     cached_epoch, perm = -1, None
     saved_step = None
     metrics = None
@@ -335,11 +338,9 @@ def train(model: SkipGruModel, triples: Sequence[SentenceTriple],
             t0 = time.perf_counter()
             res = train_step(model, batch, opt, config)
             wall_ms = (time.perf_counter() - t0) * 1000.0
-            model, opt = res.model, res.opt
-            row = {"step": opt.step, "loss": res.batch_loss,
-                   "grad_norm": res.grad_norm, "clipped": res.clipped,
-                   "wall_ms": wall_ms}
-            history.append(row)
+            if first_loss is None:
+                first_loss = res.batch_loss
+            final_loss = res.batch_loss
             if metrics is not None:
                 metrics.write(f"{opt.step},{res.batch_loss:.17g},"
                               f"{res.grad_norm:.17g},{int(res.clipped)},"
@@ -356,7 +357,7 @@ def train(model: SkipGruModel, triples: Sequence[SentenceTriple],
             metrics.close()
     if checkpoint_path is not None and saved_step != opt.step:
         save_checkpoint(model, opt, checkpoint_path)
-    return TrainResult(model=model, opt=opt, history=history)
+    return TrainResult(opt=opt, first_loss=first_loss, final_loss=final_loss)
 
 
 def _truncate_metrics(path, step: int) -> None:

@@ -40,8 +40,18 @@ def randomize_params(model: SkipGruModel, seed=0, scale=0.7) -> SkipGruModel:
 
 
 def zero_grads(model: SkipGruModel) -> dict[str, np.ndarray]:
-    """A zero-filled gradient accumulator for every parameter of `model`."""
-    return {k: np.zeros_like(v) for k, v in model.param_dict().items()}
+    """A zero-filled gradient accumulator for every parameter of `model`, with
+    V's column-major, the one layout that the output layer's backward takes."""
+    grads = {k: np.zeros_like(v) for k, v in model.param_dict().items()}
+    grads["V"] = np.zeros_like(grads["V"], order="F")
+    return grads
+
+
+def lay_out(model: SkipGruModel) -> SkipGruModel:
+    """`model` with V column-major, as trainer.train lays it out before the
+    steps it takes; a direct train_step call needs the same layout."""
+    model.decoders.V = np.asfortranarray(model.decoders.V)
+    return model
 
 
 def decoder_pass_backward(cache, p, V, grads, prefix=""):

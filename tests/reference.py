@@ -34,7 +34,7 @@ import numpy as np
 
 from skipgru.corpus import SentenceTriple, tokenize
 from skipgru.decoder import (COND_KEYS, ConditionalGruParams, DecoderCache,
-                             sentence_log_prob_with_cache)
+                             logits_buffer, sentence_log_prob_with_cache)
 from skipgru.encoder import (EncoderCache, EncoderModel, GruParams,
                              encode_with_cache, gru_backward)
 from skipgru.errors import (InputError, MetricError, NumericError,
@@ -181,10 +181,11 @@ def triple_grads(model, triple: SentenceTriple) -> tuple[float, ParamSet]:
     """Loss and a fresh dense gradient set for one triple (a SkipGruModel)."""
     emb, V = model.embedding, model.decoders.V
     h, enc_cache = encode_with_cache(triple.curr, model.encoder)
+    scratch = logits_buffer([len(triple.next), len(triple.prev)], len(V))
     lp_next, cache_n = sentence_log_prob_with_cache(
-        triple.next, h, model.decoders.next_params, V, emb)
+        triple.next, h, model.decoders.next_params, V, emb, scratch)
     lp_prev, cache_p = sentence_log_prob_with_cache(
-        triple.prev, h, model.decoders.prev_params, V, emb)
+        triple.prev, h, model.decoders.prev_params, V, emb, scratch)
     g_next, gh_next = decoder_backward(cache_n, model.decoders.next_params, V, emb)
     g_prev, gh_prev = decoder_backward(cache_p, model.decoders.prev_params, V, emb)
     g_enc = encoder_backward(enc_cache, gh_next + gh_prev, model.encoder)

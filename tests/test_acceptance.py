@@ -13,8 +13,8 @@ import numpy as np
 
 from skipgru.cli import _encode_lines, generate_story, main
 from skipgru.corpus import SentenceTriple
-from skipgru.decoder import (ConditionalGruParams, sentence_log_prob,
-                             sentence_log_prob_with_cache)
+from skipgru.decoder import (ConditionalGruParams, logits_buffer,
+                             sentence_log_prob, sentence_log_prob_with_cache)
 from skipgru.encoder import (EncoderModel, encode, encode_with_cache,
                              encoder_backward)
 from skipgru.probes import (fit_relatedness, logreg_objective, pair_features,
@@ -91,8 +91,10 @@ def _fd_decoder(seed):
         pp = ConditionalGruParams.from_dict(ps)
         return -sentence_log_prob(target, ps["h_enc"], pp, ps["V"], ps["emb"])
 
-    _, cache = sentence_log_prob_with_cache(target, h_enc, p, V, emb)
+    _, cache = sentence_log_prob_with_cache(
+        target, h_enc, p, V, emb, logits_buffer([len(target)], len(V)))
     grads = {k: np.zeros_like(v) for k, v in params.items() if k != "h_enc"}
+    grads["V"] = np.zeros_like(V, order="F")
     g_henc = decoder_pass_backward(cache, p, V, grads)
     return finite_diff_check(loss, params, dict(grads, h_enc=g_henc))
 
@@ -193,9 +195,8 @@ def test_criterion_2_memorization():
     for steps in range(100, 2001, 100):        # check every 100 steps
         import dataclasses
         cfg = dataclasses.replace(model.config, max_steps=steps)
-        model = model_from_params(cfg, model.vocab, model.param_dict())
-        result = train(model, triples, opt)
-        model, opt = result.model, result.opt
+        model = dataclasses.replace(model, config=cfg)
+        opt = train(model, triples, opt).opt
         mean_loss = float(np.mean([triple_loss(model, t) for t in triples]))
         if mean_loss < 0.1 * baseline:
             break

@@ -307,6 +307,32 @@ def test_interrupted_train_resumes_to_the_same_checkpoint(ws, tmp_path,
     assert list(tmp_path.glob("*.tmp")) == []
 
 
+def test_train_summary_losses_are_the_rows_the_run_appended(ws, tmp_path,
+                                                            capsys):
+    # A fresh run, a resumed run, and a resume already at --steps, which
+    # takes no step and prints no loss.
+    metrics = tmp_path / "m.csv"
+    base = ["train", "--corpus", str(ws["corpus"]), "--vocab",
+            str(ws["vocab"]), "--embed-dim", "4", "--hidden-dim", "4",
+            "--batch", "4", "--seed", "2", "--checkpoint-every", "2",
+            "--metrics", str(metrics), "--out", str(tmp_path / "s.ckpt")]
+    for steps, resume, appended in ((5, [], range(1, 6)),
+                                    (9, ["--resume"], range(6, 10)),
+                                    (9, ["--resume"], range(0))):
+        capsys.readouterr()
+        assert main(base + ["--steps", str(steps)] + resume) == 0
+        summary = json.loads(capsys.readouterr().out)
+        rows = [line.split(",") for line in metrics.read_text().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(1, steps + 1))
+        losses = [float(r[1]) for r in rows[len(rows) - len(appended):]]
+        assert summary.pop("steps") == steps
+        assert summary.pop("triples") == 5
+        if losses:
+            assert summary == {"first_loss": losses[0], "final_loss": losses[-1]}
+        else:
+            assert summary == {}
+
+
 # ---------------------------------------------------------------------------
 # encode
 # ---------------------------------------------------------------------------

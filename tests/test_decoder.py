@@ -122,8 +122,8 @@ def test_log_prob_nonpositive_and_prob_rows_normalized(rng):
     p = rand_cond_params(rng, embed=3, hidden=4, enc=2)
     V = rng.normal(size=(5, 4))
     emb = rng.normal(size=(5, 3))
-    lp, cache = sentence_log_prob_with_cache((2, 4, 1, 0),
-                                             rng.normal(size=2), p, V, emb)
+    lp, cache = sentence_log_prob_with_cache((2, 4, 1, 0), rng.normal(size=2),
+                                             p, V, emb, logits_buffer([4], 5))
     assert lp <= 0.0
     # The cache keeps each row's log-normaliser: exp(logits - lse) are the
     # softmax rows, so each sums to 1.
@@ -188,9 +188,11 @@ def test_log_prob_range_errors(rng):
 # ---------------------------------------------------------------------------
 
 def zero_accumulator(p, V, emb):
-    """Zero gradients for p's fields (no prefix), "V" and "emb"."""
+    """Zero gradients for p's fields (no prefix), "V" (column-major) and
+    "emb"."""
     return {k: np.zeros_like(v)
-            for k, v in dict(p.as_dict(), V=V, emb=emb).items()}
+            for k, v in dict(p.as_dict(), V=np.asfortranarray(V),
+                             emb=emb).items()}
 
 
 def _fd_decoder(target):
@@ -207,7 +209,8 @@ def _fd_decoder(target):
         return -sentence_log_prob(target, ps["h_enc"], pp, ps["V"],
                                   ps["emb"])
 
-    _, cache = sentence_log_prob_with_cache(target, h_enc, p, V, emb)
+    _, cache = sentence_log_prob_with_cache(
+        target, h_enc, p, V, emb, logits_buffer([len(target)], len(V)))
     grads = zero_accumulator(p, V, emb)
     g_henc = decoder_pass_backward(cache, p, V, grads)
     return finite_diff_check(loss, params, dict(grads, h_enc=g_henc))
@@ -223,11 +226,9 @@ def test_backward_finite_difference_repeated_inputs():
 
 
 def test_backward_adds_into_column_major_v_accumulator(rng, monkeypatch):
-    # BLAS accumulates into a row-major V gradient (through its column-major
-    # transpose) and into a column-major one (directly) in place: the array
-    # BLAS returns for every chunk is the accumulator itself, and both end
-    # with the same sums.  Any other layout would be updated in a copy, so it
-    # is refused before any chunk is added.
+    # BLAS accumulates into the column-major V gradient in place: the array
+    # BLAS returns for every chunk is the accumulator itself, and it ends
+    # with the sums of the dense per-pass reference.
     import scipy.linalg.blas as blas
 
     results = []
@@ -240,28 +241,23 @@ def test_backward_adds_into_column_major_v_accumulator(rng, monkeypatch):
     monkeypatch.setattr(decoder, "OUTPUT_CHUNK", 2)
     p = rand_cond_params(rng, embed=3, hidden=3, enc=2)
     V, emb = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+    targets = ((2, 4, 2, 0), (3, 0), (1, 1, 0))
+    scratch = logits_buffer([len(t) for t in targets], len(V))
     caches = [sentence_log_prob_with_cache(target, rng.normal(size=2), p, V,
-                                           emb)[1]
-              for target in ((2, 4, 2, 0), (3, 0), (1, 1, 0))]
-    scratch = logits_buffer([len(c.target) for c in caches], len(V))
+                                           emb, scratch)[1]
+              for target in targets]
     start = rng.normal(size=V.shape)
-    rows, cols = zero_accumulator(p, V, emb), zero_accumulator(p, V, emb)
-    rows["V"], cols["V"] = start.copy(), np.asfortranarray(start)
-    for grads in (rows, cols):
-        gV = grads["V"]
-        results.clear()
-        output_layer_backward(caches, V, grads, scratch)
-        assert grads["V"] is gV and len(results) == 5      # ceil(9 / 2)
-        assert all(np.shares_memory(r, gV) for r in results)
-    assert cols["V"].flags.f_contiguous and not cols["V"].flags.c_contiguous
-    assert not np.array_equal(rows["V"], start)
-    for k in rows:
-        assert np.max(np.abs(rows[k] - cols[k])) < 1e-15, k
-    strided = zero_accumulator(p, V, emb)
-    strided["V"] = np.zeros((V.shape[0], 2 * V.shape[1]))[:, ::2]
-    with pytest.raises(ParameterError):
-        output_layer_backward(caches, V, strided, scratch)
-    assert not any(np.any(g) for g in strided.values())
+    grads = zero_accumulator(p, V, emb)
+    grads["V"][...] = start
+    gV = grads["V"]
+    output_layer_backward(caches, V, grads, scratch)
+    assert grads["V"] is gV and len(results) == 5      # ceil(9 / 2)
+    assert all(np.shares_memory(r, gV) for r in results)
+    assert gV.flags.f_contiguous and not gV.flags.c_contiguous
+    want = start + sum(reference.decoder_backward(c, p, V, emb)[0]["V"]
+                       for c in caches)
+    assert np.max(np.abs(gV - want)) < 1e-12 * np.max(np.abs(want))
+    assert not any(np.any(g) for k, g in grads.items() if k != "V")
 
 
 def test_backward_degenerate_vocab_zero_gradient(rng):
@@ -271,7 +267,7 @@ def test_backward_degenerate_vocab_zero_gradient(rng):
     V = rng.normal(size=(1, 3))
     emb = rng.normal(size=(1, 2))
     lp, cache = sentence_log_prob_with_cache((0, 0, 0), rng.normal(size=2),
-                                             p, V, emb)
+                                             p, V, emb, logits_buffer([3], 1))
     grads = zero_accumulator(p, V, emb)
     g_henc = decoder_pass_backward(cache, p, V, grads)
     assert abs(lp) < 1e-12

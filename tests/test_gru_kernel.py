@@ -15,7 +15,7 @@ import pytest
 
 from conftest import (decoder_pass_backward, make_model, randomize_params,
                       zero_grads)
-from skipgru.decoder import sentence_log_prob_with_cache
+from skipgru.decoder import logits_buffer, sentence_log_prob_with_cache
 from skipgru.encoder import encode_with_cache, encoder_backward
 from skipgru.numerics import log_softmax, sigmoid
 
@@ -135,7 +135,8 @@ def test_decoder_backward_matches_per_step_reference(mode, target):
                                     mode=mode), seed=10 + len(target))
     h_enc = np.random.default_rng(4).uniform(-0.9, 0.9, size=m.encoder.output_dim)
     p, V, emb = m.decoders.next_params, m.decoders.V, m.embedding
-    logp, cache = sentence_log_prob_with_cache(target, h_enc, p, V, emb)
+    logp, cache = sentence_log_prob_with_cache(
+        target, h_enc, p, V, emb, logits_buffer([len(target)], len(V)))
     got = zero_grads(m)
     got_henc = decoder_pass_backward(cache, p, V, got, "dec_next.")
     want_logp, want, want_henc = ref_decoder_grads(target, h_enc, p, V, emb)

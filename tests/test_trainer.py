@@ -6,6 +6,7 @@ and byte-level file comparison for checkpoint and expansion-map round trips,
 including files committed under tests/data by an earlier version.
 """
 
+import ast
 import dataclasses
 import hashlib
 import pathlib
@@ -16,15 +17,17 @@ import numpy as np
 import pytest
 
 from skipgru import decoder, numerics, trainer
-from conftest import (decoder_pass_backward, make_model, make_vocab,
+from conftest import (decoder_pass_backward, lay_out, make_model, make_vocab,
                       random_triple, randomize_params, zero_grads)
 import reference
 from reference import finite_diff_check
 from skipgru.corpus import SentenceTriple
-from skipgru.decoder import (OUTPUT_CHUNK, DecoderCache, sentence_log_prob,
+from skipgru.decoder import (OUTPUT_CHUNK, DecoderCache, logits_buffer,
+                             output_layer_backward, sentence_log_prob,
                              sentence_log_prob_with_cache)
 from skipgru.encoder import encode
-from skipgru.errors import CheckpointError, InputError, NumericError
+from skipgru.errors import (CheckpointError, InputError, NumericError,
+                            ParameterError)
 from skipgru.numerics import AdamState, global_norm
 from skipgru.trainer import (METRICS_HEADER, TrainConfig, batch_grads,
                              load_checkpoint, load_model, make_optimizer,
@@ -34,6 +37,7 @@ from skipgru.vocab_expansion import (ExpansionMap, ExternalEmbeddings,
                                      read_expansion, write_expansion)
 
 DATA = pathlib.Path(__file__).parent / "data"
+PACKAGE = pathlib.Path(trainer.__file__).resolve().parent
 
 
 def small_triple():
@@ -80,10 +84,11 @@ def test_grads_v_accumulates_both_decoders():
     grads = zero_grads(m)
     batch_grads(m, [t], grads)
     h = encode(t.curr, m.encoder)
+    scratch = logits_buffer([len(t.next), len(t.prev)], m.config.vocab_size)
     _, cn = sentence_log_prob_with_cache(t.next, h, m.decoders.next_params,
-                                         m.decoders.V, m.embedding)
+                                         m.decoders.V, m.embedding, scratch)
     _, cp = sentence_log_prob_with_cache(t.prev, h, m.decoders.prev_params,
-                                         m.decoders.V, m.embedding)
+                                         m.decoders.V, m.embedding, scratch)
     gn, gp = zero_grads(m), zero_grads(m)
     decoder_pass_backward(cn, m.decoders.next_params, m.decoders.V, gn,
                           "dec_next.")
@@ -182,7 +187,7 @@ def test_accumulating_a_triple_twice_doubles_its_gradient(mode):
 
 
 def test_train_step_reduces_the_reference_gradients_of_its_batch():
-    m = _mixed_model("bi", seed=46, clip_threshold=1e9)
+    m = lay_out(_mixed_model("bi", seed=46, clip_threshold=1e9))
     # The step updates m in place, so the references come first.
     refs = [reference.triple_grads(m, t) for t in MIXED_BATCH]
     res = train_step(m, MIXED_BATCH, make_optimizer(m), m.config)
@@ -191,33 +196,43 @@ def test_train_step_reduces_the_reference_gradients_of_its_batch():
     assert abs(res.grad_norm - global_norm(mean)) < 1e-12 * global_norm(mean)
 
 
-@pytest.mark.parametrize("mode", ["uni", "bi"])
-def test_train_step_takes_the_same_step_with_column_major_v(mode, monkeypatch):
-    # train() lays out V and its moments column-major; the step it takes must
-    # be the one it takes with the row-major V of a loaded checkpoint.
-    seen = []
-    real_adam = trainer.adam_step
+def _strided(a):
+    """A copy of `a` that is neither row- nor column-major contiguous."""
+    out = np.zeros((a.shape[0], 2 * a.shape[1]))[:, ::2]
+    out[...] = a
+    return out
 
-    def recording_adam(params, grads, state):
-        seen.append({k: g.copy(order="K") for k, g in grads.items()})
-        real_adam(params, grads, state)
-    monkeypatch.setattr(trainer, "adam_step", recording_adam)
-    runs = []
-    for layout in (np.ascontiguousarray, np.asfortranarray):
-        m = _mixed_model(mode, seed=47)
-        m.decoders.V = layout(m.decoders.V)
-        opt = make_optimizer(m)
-        runs.append((train_step(m, MIXED_BATCH, opt, m.config), opt))
-    (rows, _), (cols, opt) = runs
-    for a in (cols.model.decoders.V, opt.m["V"], opt.v["V"], seen[1]["V"]):
-        assert a.flags.f_contiguous and not a.flags.c_contiguous
-    assert rows.batch_loss == cols.batch_loss
-    assert abs(rows.grad_norm - cols.grad_norm) < 1e-12 * rows.grad_norm
-    for k in seen[0]:
-        assert _rel_err(seen[1][k], seen[0][k]) < 1e-12, k
-    want, got = rows.model.param_dict(), cols.model.param_dict()
-    for k in want:
-        assert _rel_err(got[k], want[k]) < 1e-12, k
+
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, _strided],
+                         ids=["row-major", "strided"])
+def test_step_and_output_layer_refuse_a_v_gradient_not_column_major(layout):
+    # The output layer's backward adds into V's gradient only column-major,
+    # the layout that train() gives V; BLAS would update any other layout in
+    # a copy.  The gradient, the model and the optimizer stay unchanged.
+    m = _mixed_model("uni", seed=47)
+    dec = m.decoders
+    h = encode(MIXED_BATCH[0].curr, m.encoder)
+    scratch = logits_buffer([len(MIXED_BATCH[0].next)], dec.vocab_size)
+    _, cache = sentence_log_prob_with_cache(MIXED_BATCH[0].next, h,
+                                            dec.next_params, dec.V,
+                                            m.embedding, scratch)
+    grads = zero_grads(m)
+    grads["V"] = layout(np.random.default_rng(47).normal(size=dec.V.shape))
+    assert not grads["V"].flags.f_contiguous
+    before = {k: g.copy() for k, g in grads.items()}
+    with pytest.raises(ParameterError):
+        output_layer_backward([cache], dec.V, grads, scratch)
+    assert all(np.array_equal(grads[k], before[k]) for k in before)
+
+    dec.V = layout(dec.V)
+    opt = make_optimizer(m)
+    state = [{k: a.copy() for k, a in d.items()}
+             for d in (m.param_dict(), opt.m, opt.v)]
+    with pytest.raises(ParameterError):
+        train_step(m, MIXED_BATCH, opt, m.config)
+    assert opt.step == 0
+    for d, saved in zip((m.param_dict(), opt.m, opt.v), state):
+        assert all(np.array_equal(d[k], saved[k]) for k in saved)
 
 
 def test_triple_gradient_builds_no_vocabulary_sized_array():
@@ -312,8 +327,7 @@ def test_step_runs_one_chunked_output_sweep_over_every_target(chunk,
     monkeypatch.setattr(decoder, "OUTPUT_CHUNK", chunk)
     batch = LONG_BATCH * 2
     rows = sum(_decoder_rows(batch))
-    m = _mixed_model("uni", seed=50)
-    m.decoders.V = np.asfortranarray(m.decoders.V)
+    m = lay_out(_mixed_model("uni", seed=50))
     train_step(m, batch, make_optimizer(m), m.config)
     assert shapes == [[(n,) for n in _decoder_rows(batch)]]
     assert len(calls) == -(-rows // chunk)
@@ -351,22 +365,22 @@ def test_decoder_caches_hold_no_vocabulary_sized_row(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_step_zero_learning_rate_is_noop():
-    m = randomize_params(make_model(vocab_size=6, alpha=0.0), seed=5)
+    m = lay_out(randomize_params(make_model(vocab_size=6, alpha=0.0), seed=5))
     opt = make_optimizer(m)
     before = {k: v.copy() for k, v in m.param_dict().items()}
     res = train_step(m, [small_triple()], opt, m.config)
-    after = res.model.param_dict()
+    after = m.param_dict()
     assert all(np.array_equal(before[k], after[k]) for k in before)
     assert res.batch_loss > 0
 
 
 def test_step_updates_the_model_and_optimizer_it_is_given():
-    m = randomize_params(make_model(vocab_size=6, mode="bi"), seed=5)
+    m = lay_out(randomize_params(make_model(vocab_size=6, mode="bi"), seed=5))
     opt = make_optimizer(m)
     arrays = [m.param_dict(), dict(opt.m), dict(opt.v)]
     before = {k: v.copy() for k, v in arrays[0].items()}
-    res = train_step(m, [small_triple()], opt, m.config)
-    assert res.model is m and res.opt is opt and opt.step == 1
+    train_step(m, [small_triple()], opt, m.config)
+    assert opt.step == 1
     for d, same in zip((m.param_dict(), opt.m, opt.v), arrays):
         assert all(d[k] is same[k] for k in same)
     assert not any(np.array_equal(before[k], arrays[0][k]) for k in before)
@@ -377,28 +391,25 @@ def test_clipping_step_holds_about_one_parameter_set():
     # and V.  A step's own arrays are the gradient accumulator and per-pass
     # (T, V) rows; clipping and Adam write in place.  New parameters and
     # moments, or a scaled copy of the gradient, would each add a whole set.
-    # Both layouts of V are checked: with the column-major V of train(), a
-    # gradient norm or an Adam step that copied V into row-major order would
-    # add 20 MB.
+    # V is column-major, as train() lays it out: a gradient norm or an Adam
+    # step that copied V into row-major order would add 20 MB.
     batch = [SentenceTriple(prev=(5, 17, 2, 9, 0), curr=(3, 19999, 40, 7, 3, 0),
                             next=(11, 12, 13, 11, 0)),
              SentenceTriple(prev=(8, 6, 0), curr=(21, 4, 0),
                             next=(19998, 30, 31, 32, 33, 0))]
-    for layout in (np.ascontiguousarray, np.asfortranarray):
-        m = make_model(vocab_size=20000, embed_dim=64, hidden_dim=128,
-                       clip_threshold=1e-6)
-        m.decoders.V = layout(m.decoders.V)
-        opt = make_optimizer(m)
-        train_step(m, batch, opt, m.config)
-        one_set = sum(a.nbytes for a in m.param_dict().values())
-        tracemalloc.start()
-        try:
-            res = train_step(m, batch, opt, m.config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert res.clipped
-        assert peak < 1.25 * one_set, layout.__name__
+    m = lay_out(make_model(vocab_size=20000, embed_dim=64, hidden_dim=128,
+                           clip_threshold=1e-6))
+    opt = make_optimizer(m)
+    train_step(m, batch, opt, m.config)
+    one_set = sum(a.nbytes for a in m.param_dict().values())
+    tracemalloc.start()
+    try:
+        res = train_step(m, batch, opt, m.config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.clipped
+    assert peak < 1.25 * one_set
 
 
 def test_step_empty_batch():
@@ -411,7 +422,7 @@ def test_step_nonfinite_loss_aborts():
     m = make_model(vocab_size=6)
     params = m.param_dict()
     params["emb"] = params["emb"] + np.nan
-    bad = model_from_params(m.config, m.vocab, params)
+    bad = lay_out(model_from_params(m.config, m.vocab, params))
     with pytest.raises(NumericError):
         train_step(bad, [small_triple()], make_optimizer(bad), bad.config)
 
@@ -426,7 +437,7 @@ def test_nonfinite_gradient_stops_before_update_and_checkpoint(tmp_path, rng,
     ckpt = tmp_path / "c.ckpt"
     res = train(m, triples, checkpoint_path=ckpt)
     saved = ckpt.read_bytes()
-    before = {k: v.copy() for k, v in res.model.param_dict().items()}
+    before = {k: v.copy() for k, v in m.param_dict().items()}
     real_grads = trainer.triple_grads
 
     def inf_grads(model, caches, dS, grads):
@@ -435,21 +446,21 @@ def test_nonfinite_gradient_stops_before_update_and_checkpoint(tmp_path, rng,
 
     monkeypatch.setattr(trainer, "triple_grads", inf_grads)
     longer = model_from_params(dataclasses.replace(m.config, max_steps=4),
-                               m.vocab, res.model.param_dict())
+                               m.vocab, m.param_dict())
     with pytest.raises(NumericError, match="gradient norm"):
         train(longer, triples, opt=res.opt, checkpoint_path=ckpt)
     assert ckpt.read_bytes() == saved
-    after = res.model.param_dict()
+    after = m.param_dict()
     assert all(np.array_equal(before[k], after[k]) for k in before)
 
 
 def test_step_clip_flag_iff_norm_exceeds_threshold():
-    m = randomize_params(make_model(vocab_size=6, clip_threshold=1e-3),
-                         seed=6)
+    m = lay_out(randomize_params(make_model(vocab_size=6, clip_threshold=1e-3),
+                                 seed=6))
     res = train_step(m, [small_triple()], make_optimizer(m), m.config)
     assert res.clipped and res.grad_norm > 1e-3
-    m2 = randomize_params(make_model(vocab_size=6, clip_threshold=1e9),
-                          seed=6)
+    m2 = lay_out(randomize_params(make_model(vocab_size=6, clip_threshold=1e9),
+                                  seed=6))
     res2 = train_step(m2, [small_triple()], make_optimizer(m2), m2.config)
     assert not res2.clipped
 
@@ -457,7 +468,8 @@ def test_step_clip_flag_iff_norm_exceeds_threshold():
 def test_warm_step_measures_the_gradient_norm_once(monkeypatch):
     # The norm that the step checks and reports is the one it clips by: one
     # read of the whole gradient, not a second one inside clip_gradients.
-    m = randomize_params(make_model(vocab_size=6, clip_threshold=1e-3), seed=6)
+    m = lay_out(randomize_params(make_model(vocab_size=6, clip_threshold=1e-3),
+                                 seed=6))
     opt = make_optimizer(m)
     train_step(m, [small_triple()], opt, m.config)
     calls = []
@@ -474,17 +486,23 @@ def test_warm_step_measures_the_gradient_norm_once(monkeypatch):
     assert res.clipped and calls == [res.grad_norm]
 
 
-def test_training_beats_uniform_baseline(rng):
+def _losses(metrics_path) -> list[float]:
+    """The loss column of a metrics CSV, in step order."""
+    return [float(line.split(",")[1])
+            for line in metrics_path.read_text().splitlines()[1:]]
+
+
+def test_training_beats_uniform_baseline(tmp_path, rng):
     # 200 steps on a toy corpus must push batch loss below the uniform-model
     # level mean(len(prev) + len(next)) * log(vocab).
     vocab_size = 8
     triples = [random_triple(vocab_size, rng, max_len=3) for _ in range(50)]
     m = make_model(vocab_size=vocab_size, embed_dim=4, hidden_dim=6,
                    batch_size=16, max_steps=200, seed=1)
-    res = train(m, triples)
+    train(m, triples, metrics_path=tmp_path / "m.csv")
     baseline = float(np.mean([len(t.prev) + len(t.next) for t in triples])
                      ) * np.log(vocab_size)
-    assert res.history[-1]["loss"] < baseline
+    assert _losses(tmp_path / "m.csv")[-1] < baseline
 
 
 def test_training_deterministic_across_runs(rng):
@@ -492,20 +510,21 @@ def test_training_deterministic_across_runs(rng):
 
     def run():
         m = make_model(vocab_size=6, batch_size=4, max_steps=20, seed=9)
-        return train(m, triples).model.param_dict()
+        train(m, triples)
+        return m.param_dict()
 
     a, b = run(), run()
     assert all(np.array_equal(a[k], b[k]) for k in a)
 
 
-def test_memorizes_single_triple():
+def test_memorizes_single_triple(tmp_path):
     # One triple for 500 steps: smoothed loss decreases and collapses to
     # under 10% of its starting value.
     t = small_triple()
     m = make_model(vocab_size=6, embed_dim=4, hidden_dim=8, batch_size=1,
                    max_steps=500, seed=3)
-    res = train(m, [t])
-    losses = np.array([r["loss"] for r in res.history])
+    train(m, [t], metrics_path=tmp_path / "m.csv")
+    losses = np.array(_losses(tmp_path / "m.csv"))
     smooth = np.convolve(losses, np.ones(20) / 20, mode="valid")
     assert np.all(np.diff(smooth) <= 1e-3)       # monotone after smoothing
     assert losses[-1] < 0.1 * losses[0]
@@ -571,16 +590,16 @@ def test_resume_writes_each_metrics_row_once(tmp_path, rng, monkeypatch):
 def test_checkpoint_roundtrip_byte_identical(tmp_path, rng):
     triples = [random_triple(6, rng) for _ in range(5)]
     m = make_model(vocab_size=6, batch_size=2, max_steps=5, seed=4)
-    res = train(m, triples)
+    opt = train(m, triples).opt
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    save_checkpoint(res.model, res.opt, p1)
+    save_checkpoint(m, opt, p1)
     m2, opt2 = load_checkpoint(p1)
     save_checkpoint(m2, opt2, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    a, b = res.model.param_dict(), m2.param_dict()
+    a, b = m.param_dict(), m2.param_dict()
     assert all(np.array_equal(a[k], b[k]) for k in a)
-    assert opt2.step == res.opt.step
-    assert m2.vocab.id_to_token == res.model.vocab.id_to_token
+    assert opt2.step == opt.step
+    assert m2.vocab.id_to_token == m.vocab.id_to_token
 
 
 def test_training_keeps_v_column_major_and_checkpoints_row_major(tmp_path, rng):
@@ -589,16 +608,17 @@ def test_training_keeps_v_column_major_and_checkpoints_row_major(tmp_path, rng):
     # row-major, save to, and loading gives them back row-major.
     triples = [random_triple(6, rng) for _ in range(5)]
     ckpt, rows = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    res = train(make_model(vocab_size=6, hidden_dim=4, batch_size=2,
-                           max_steps=3, seed=4), triples, checkpoint_path=ckpt)
-    for a in (res.model.decoders.V, res.opt.m["V"], res.opt.v["V"]):
+    model = make_model(vocab_size=6, hidden_dim=4, batch_size=2, max_steps=3,
+                       seed=4)
+    res = train(model, triples, checkpoint_path=ckpt)
+    for a in (model.decoders.V, res.opt.m["V"], res.opt.v["V"]):
         assert a.flags.f_contiguous and not a.flags.c_contiguous
     model, opt = load_checkpoint(ckpt)
     assert model.decoders.V.flags.c_contiguous and opt.m["V"].flags.c_contiguous
     config = dataclasses.replace(model.config, max_steps=5)
     model = model_from_params(config, model.vocab, model.param_dict())
     res = train(model, triples, opt=opt, checkpoint_path=ckpt)
-    assert res.model is model and res.opt is opt and opt.step == 5
+    assert res.opt is opt and opt.step == 5
     for a in (model.decoders.V, opt.m["V"], opt.v["V"]):
         assert a.flags.f_contiguous and not a.flags.c_contiguous
     row_major = lambda d: {k: np.ascontiguousarray(a) for k, a in d.items()}
@@ -607,6 +627,32 @@ def test_training_keeps_v_column_major_and_checkpoints_row_major(tmp_path, rng):
                     dataclasses.replace(opt, m=row_major(opt.m),
                                         v=row_major(opt.v)), rows)
     assert ckpt.read_bytes() == rows.read_bytes()
+
+
+def _references(tree, name: str) -> list[str]:
+    """The top-level definition (or <module>) of every reference to `name`
+    in a parsed module, once per reference."""
+    return [getattr(stmt, "name", "<module>")
+            for stmt in tree.body for node in ast.walk(stmt)
+            if isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.Name) and node.id == name]
+
+
+def test_v_is_laid_out_in_train_alone_and_accumulated_by_one_dgemm():
+    # The layout of V is decided in one place: train() makes V and its
+    # moments column-major, and the output layer's backward adds into that
+    # layout through a single BLAS call.
+    laid_out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        laid_out += [f"{path.stem}.{where}"
+                     for where in _references(tree, "asfortranarray")]
+    assert sorted(set(laid_out)) == ["trainer.train"]
+    tree = ast.parse(pathlib.Path(decoder.__file__).read_text("utf-8"))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and "dgemm" in (getattr(node.func, "id", None),
+                             getattr(node.func, "attr", None))]
+    assert len(calls) == 1
 
 
 def test_checkpoint_save_writes_column_major_blobs_without_a_whole_copy(
@@ -773,7 +819,8 @@ def test_crash_mid_checkpoint_write_keeps_previous_file(tmp_path, rng,
                           checkpoint_every=3, seed=14)
 
     straight_csv = tmp_path / "straight.csv"
-    straight = train(fresh(), triples, metrics_path=straight_csv)
+    straight = fresh()
+    train(straight, triples, metrics_path=straight_csv)
 
     run = tmp_path / "run"
     run.mkdir()
@@ -794,8 +841,8 @@ def test_crash_mid_checkpoint_write_keeps_previous_file(tmp_path, rng,
         if opt.step == 5:
             seen["saved"] = ckpt.read_bytes()
             res = real_step(model, batch, opt, config)
-            return res._replace(opt=dataclasses.replace(
-                res.opt, m=CrashingMoments(res.opt.m)))
+            opt.m = CrashingMoments(opt.m)
+            return res
         return real_step(model, batch, opt, config)
 
     monkeypatch.setattr(trainer, "train_step", crash_on_step_6_save)
@@ -808,9 +855,8 @@ def test_crash_mid_checkpoint_write_keeps_previous_file(tmp_path, rng,
 
     model, opt = load_checkpoint(ckpt)
     assert opt.step == 3
-    resumed = train(model, triples, opt=opt, metrics_path=metrics,
-                    checkpoint_path=ckpt)
-    a, b = straight.model.param_dict(), resumed.model.param_dict()
+    train(model, triples, opt=opt, metrics_path=metrics, checkpoint_path=ckpt)
+    a, b = straight.param_dict(), model.param_dict()
     assert all(np.array_equal(a[k], b[k]) for k in a)
 
     def without_wall_ms(path):
@@ -828,15 +874,18 @@ def test_resume_equivalence(tmp_path, rng):
     def fresh(steps):
         return make_model(vocab_size=6, batch_size=4, max_steps=steps, seed=7)
 
-    straight = train(fresh(20), triples).model.param_dict()
+    straight = fresh(20)
+    train(straight, triples)
+    straight = straight.param_dict()
 
-    half = train(fresh(10), triples)
+    half = fresh(10)
     ckpt = tmp_path / "half.ckpt"
-    save_checkpoint(half.model, half.opt, ckpt)
+    save_checkpoint(half, train(half, triples).opt, ckpt)
     m2, opt2 = load_checkpoint(ckpt)
     m2 = model_from_params(dataclasses.replace(m2.config, max_steps=20),
                            m2.vocab, m2.param_dict())
-    resumed = train(m2, triples, opt=opt2).model.param_dict()
+    train(m2, triples, opt=opt2)
+    resumed = m2.param_dict()
     assert all(np.array_equal(straight[k], resumed[k]) for k in straight)
 
 
@@ -850,7 +899,8 @@ def test_every_run_writes_its_final_checkpoint_once(tmp_path, rng,
 
     # The bytes of the end state, as the save after the loop writes them.
     final = tmp_path / "final.ckpt"
-    save_checkpoint(*train(fresh(4), triples)[:2], final)
+    end = fresh(4)
+    save_checkpoint(end, train(end, triples).opt, final)
     saves = []
     real_save = trainer.save_checkpoint
 
@@ -900,7 +950,7 @@ def test_optimizer_buffers_survive_roundtrip(tmp_path, rng):
     m = make_model(vocab_size=6, batch_size=2, max_steps=3, seed=11)
     res = train(m, triples)
     path = tmp_path / "o.ckpt"
-    save_checkpoint(res.model, res.opt, path)
+    save_checkpoint(m, res.opt, path)
     _, opt2 = load_checkpoint(path)
     for k in res.opt.m:
         assert np.array_equal(res.opt.m[k], opt2.m[k])
