@@ -8,9 +8,7 @@ input digests, and outputs.  Exit codes: 0 success, 2 usage or
 config problems, 3 numeric failures, 4 I/O failures.
 
 A --config FILE of key=value lines can supply any flag's value, checked as
-the flag would check it; explicit flags override the file.  The
-SKIPGRU_THREADS environment variable caps worker threads for the
-parallelizable evaluation paths.
+the flag would check it; explicit flags override the file.
 """
 
 from __future__ import annotations
@@ -20,6 +18,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import replace
 from typing import Callable, NamedTuple
 
@@ -41,17 +40,6 @@ NUMERIC_ERRORS = (NumericError, ConvergenceError, MetricError)
 IO_ERRORS = (CheckpointError, OSError, UnicodeDecodeError)
 
 METRIC_CSV_HEADER = "task,variant,metric,value"
-
-
-def _threads() -> int:
-    raw = os.environ.get("SKIPGRU_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"SKIPGRU_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ConfigError(f"SKIPGRU_THREADS must be >= 1, got {n}")
-    return n
 
 
 class Command(NamedTuple):
@@ -174,11 +162,16 @@ def _write_metric_rows(path, rows) -> None:
 
 
 def cmd_build_vocab(args) -> None:
-    docs = corpus.read_documents(args.corpus)
-    counts = corpus.count_tokens(s for doc in docs for s in doc)
+    tally: Counter[str] = Counter()
+
+    def sentences():
+        for doc in corpus.read_documents(args.corpus):
+            tally.update(documents=1, sentences=len(doc))
+            yield from doc
+    counts = corpus.count_tokens(sentences())
     vocab = corpus.build_vocab(counts, args.size)
     corpus.save_vocab(vocab, args.out)
-    stats = {"documents": len(docs), "sentences": sum(map(len, docs)),
+    stats = {"documents": tally["documents"], "sentences": tally["sentences"],
              "words": sum(counts.values()), "unique_words": len(counts),
              "vocab_size": vocab.size}
     stats["mean_words_per_sentence"] = stats["words"] / stats["sentences"]
@@ -341,8 +334,7 @@ def cmd_eval_classify(args) -> dict:
     grid = _parse_l2_grid(args.l2_grid)
     labels, sentences, names = probes.read_label_dataset(args.data)
     X = _encode_lines(sentences, lookups)
-    res = probes.cross_validate(X, labels, args.folds, grid, args.seed,
-                                threads=_threads())
+    res = probes.cross_validate(X, labels, args.folds, grid, args.seed)
     rows = [("classify", variant, "accuracy", res["mean_accuracy"]),
             ("classify", variant, "best_l2", res["best_l2"])]
     rows += [("classify", variant, f"fold{f}_accuracy", s)
@@ -352,6 +344,10 @@ def cmd_eval_classify(args) -> dict:
 
 
 def cmd_eval_rank(args) -> dict:
+    n_train, n_dev = args.train_items, args.dev_items
+    for flag, count in (("--train-items", n_train), ("--dev-items", n_dev)):
+        if count < 0:
+            raise ConfigError(f"{flag} must be >= 0, got {count}")
     lookups, _ = _load_models(args)
     X = read_vectors(args.images)
     captions = _read_lines(args.captions)
@@ -361,7 +357,6 @@ def cmd_eval_rank(args) -> dict:
                          f"({g} per image), found {len(captions)}")
     Y = _encode_lines(captions, lookups)
     n = len(X)
-    n_train, n_dev = args.train_items, args.dev_items
     if n_train + n_dev > n:
         raise ConfigError(f"train ({n_train}) + dev ({n_dev}) items exceed "
                           f"the {n} available")

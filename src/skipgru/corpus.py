@@ -4,8 +4,9 @@ Corpus files are UTF-8 text with one sentence per line; a blank line marks a
 document boundary.  Triples are only formed from sentences that are contiguous
 within one document.
 
-build-vocab tokenizes a corpus once, in count_tokens: the same counts rank
-the vocabulary (build_vocab) and give the corpus's word and unique-word stats.
+build-vocab reads a corpus one document at a time and tokenizes it once, in
+count_tokens: the same counts rank the vocabulary (build_vocab) and give the
+corpus's word and unique-word stats.
 """
 
 from __future__ import annotations
@@ -146,19 +147,18 @@ def load_vocab(path) -> Vocabulary:
     return Vocabulary(tokens)
 
 
-def read_documents(path) -> list[list[str]]:
-    """Parse a corpus file: one sentence per line, blank line = document boundary."""
-    documents: list[list[str]] = []
+def read_documents(path) -> Iterator[list[str]]:
+    """Yield the documents of a corpus file one at a time: one sentence per
+    line, a blank line marks a document boundary."""
     current: list[str] = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.rstrip("\n")
             if line.strip() == "":
                 if current:
-                    documents.append(current)
+                    yield current
                     current = []
             else:
                 current.append(line)
     if current:
-        documents.append(current)
-    return documents
+        yield current

@@ -10,7 +10,6 @@ out as the expectation r^T p_hat.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -201,24 +200,23 @@ def select_l2(X: np.ndarray, labels: np.ndarray, folds: int,
 
 
 def cross_validate(X: np.ndarray, Y: np.ndarray, folds: int,
-                   l2_grid: Sequence[float], seed, threads: int = 1) -> dict:
+                   l2_grid: Sequence[float], seed) -> dict:
     """Nested CV: the inner loop picks the penalty on each training split, the
-    outer loop reports held-out accuracy.  Deterministic given the seed; outer
-    folds fan out over `threads` workers (results are keyed by fold index)."""
+    outer loop reports held-out accuracy.  Deterministic given the seed; the
+    non-empty outer folds run in order, on the calling thread.  A fold id past
+    the largest class's sample count holds no sample and gets no score."""
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(Y).astype(int)
     C = int(labels.max()) + 1
     fold = stratified_folds(labels, folds, seed)
-
-    def run_fold(f: int) -> tuple[float, float]:
+    fold_l2, fold_scores = [], []
+    for f in np.unique(fold):
         tr, te = fold != f, fold == f
         best = select_l2(X[tr], labels[tr], folds, l2_grid,
                          seed_tuple(seed, "cv-inner", f))
         m = fit_logreg(X[tr], labels[tr], best, n_classes=C)
-        return best, accuracy(predict(m, X[te]), labels[te])
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        fold_l2, fold_scores = map(list, zip(*pool.map(run_fold, range(folds))))
+        fold_l2.append(best)
+        fold_scores.append(accuracy(predict(m, X[te]), labels[te]))
     counts = {l2: fold_l2.count(l2) for l2 in fold_l2}
     return {"best_l2": _pick_l2(counts), "fold_scores": fold_scores,
             "fold_l2": fold_l2, "mean_accuracy": float(np.mean(fold_scores))}

@@ -7,15 +7,31 @@ error metric divides by a vanishing denominator; O(1) parameters keep every
 coordinate well above that floor without changing what is being checked.
 """
 
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from skipgru.corpus import EOS_TOKEN, UNK_TOKEN, SentenceTriple, Vocabulary
 from skipgru.decoder import (decoder_backward, logits_buffer,
                              output_layer_backward)
 from skipgru.trainer import SkipGruModel, TrainConfig, model_from_params
+
+# Hypothesis keeps no example database, which it would write to .hypothesis/
+# in the working directory, and caches the constants it reads from the sources
+# in a temporary home directory that the run removes at its end.
+settings.register_profile("no-database", database=None)
+settings.load_profile("no-database")
+HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="skipgru-hypothesis-")
+set_hypothesis_home_dir(HYPOTHESIS_HOME)
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(HYPOTHESIS_HOME, ignore_errors=True)
 
 
 def make_vocab(n_tokens: int) -> Vocabulary:

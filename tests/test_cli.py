@@ -57,6 +57,51 @@ def test_importing_the_cli_loads_no_optimizer_or_linalg():
     assert proc.stdout.strip() == "[]"
 
 
+# Names whose use would make a run depend on the environment or start threads.
+ENV_AND_THREAD_NAMES = {"os.environ", "os.getenv", "concurrent.futures",
+                        "ThreadPoolExecutor", "threading.Thread"}
+
+
+def _dotted_names(tree: ast.AST):
+    """Every bare name, one-level attribute (`os.environ`) and imported module
+    or name (`from os import getenv` gives os and os.getenv) in `tree`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            yield f"{node.value.id}.{node.attr}"
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            for alias in node.names:
+                yield alias.name
+                yield f"{node.module}.{alias.name}"
+
+
+def env_and_thread_uses(package: pathlib.Path) -> list[str]:
+    """module: name for each ENV_AND_THREAD_NAMES name used in `package`."""
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {f"{path.stem}: {name}" for name in _dotted_names(tree)
+                  if name in ENV_AND_THREAD_NAMES}
+    return sorted(found)
+
+
+def test_the_package_reads_no_environment_and_starts_no_thread(tmp_path):
+    package = pathlib.Path(skipgru.__file__).resolve().parent
+    assert env_and_thread_uses(package) == []
+    # The scan does see each of these spellings.
+    (tmp_path / "m.py").write_text(
+        "import os\nfrom os import getenv\nimport concurrent.futures\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "n = os.environ.get('N')\n")
+    assert env_and_thread_uses(tmp_path) == [
+        "m: ThreadPoolExecutor", "m: concurrent.futures", "m: os.environ",
+        "m: os.getenv"]
+
+
 @pytest.fixture(scope="module")
 def ws(tmp_path_factory):
     """Workspace with corpus, vocabulary, and a small trained checkpoint."""
@@ -750,6 +795,20 @@ def test_eval_classify_nested_cv(ws, tmp_path):
     assert sum(m.startswith("fold") for m in metrics) == 4
 
 
+def test_eval_classify_reports_only_the_non_empty_folds(ws, tmp_path):
+    # 5 + 4 rows over 10 folds: fold ids 5..9 hold no row.
+    rows = ["c1\tthe cat sat on the mat ."] * 5 + ["c0\tthe dog ran fast ."] * 4
+    data = tmp_path / "cls.tsv"
+    data.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "cls.csv"
+    assert main(["eval-classify", "--ckpt", str(ws["ckpt"]), "--data",
+                 str(data), "--folds", "10", "--l2-grid", "0.1,1.0",
+                 "--out", str(out)]) == 0
+    metrics = [r.split(",")[2] for r in out.read_text().splitlines()[1:]]
+    assert metrics == ["accuracy", "best_l2"] + [f"fold{f}_accuracy"
+                                                 for f in range(5)]
+
+
 def test_eval_rank_identity_case(ws, tmp_path, capsys):
     caps = tmp_path / "caps.txt"
     caps.write_text("".join(f"the cat sat {w} .\n" for w in
@@ -792,6 +851,27 @@ def test_eval_rank_trains_and_reports(ws, tmp_path, capsys):
     for d in ("annotation-test", "search-test"):
         for metric in ("R@1", "R@5", "R@10", "medr"):
             assert (d, metric) in names
+
+
+@pytest.mark.parametrize("flag", ["--train-items", "--dev-items"])
+def test_eval_rank_negative_item_count_exit_2(ws, tmp_path, capsys, flag):
+    # A negative count would make the test split start from the end.
+    caps = tmp_path / "caps.txt"
+    caps.write_text("".join(f"the cat sat {w} .\n" for w in
+                            ("on", "down", "fast", "away", "home", "back")))
+    vec = tmp_path / "caps.bin"
+    assert main(["encode", "--ckpt", str(ws["ckpt"]), "--input", str(caps),
+                 "--out", str(vec)]) == 0
+    capsys.readouterr()
+    counts = {"--train-items": "0", "--dev-items": "0", flag: "-4"}
+    out = tmp_path / "rank.csv"
+    assert main(["eval-rank", "--ckpt", str(ws["ckpt"]), "--images",
+                 str(vec), "--captions", str(caps), "--group-size", "1",
+                 *[x for kv in counts.items() for x in kv], "--embed-dim",
+                 "6", "--epochs", "0", "--init", "identity",
+                 "--out", str(out)]) == 2
+    assert f"{flag} must be >= 0, got -4" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

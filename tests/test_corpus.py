@@ -198,8 +198,19 @@ def test_encode_sentence_caps_length():
 def test_read_documents_blank_line_boundary(tmp_path):
     p = tmp_path / "c.txt"
     p.write_text("s1\ns2\n\ns3\ns4\ns5\n", encoding="utf-8")
-    docs = read_documents(p)
+    docs = list(read_documents(p))
     assert docs == [["s1", "s2"], ["s3", "s4", "s5"]]
+
+
+def test_read_documents_yields_a_document_before_reading_on(tmp_path):
+    # The bad byte lies past the first 8 KiB read, so only a reader that
+    # yields as it goes returns the first document before it fails.
+    p = tmp_path / "c.txt"
+    p.write_bytes(b"s1\ns2\n\n" + b"x" * 70000 + b"\n\xff\n")
+    docs = read_documents(p)
+    assert next(docs) == ["s1", "s2"]
+    with pytest.raises(UnicodeDecodeError):
+        next(docs)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from skipgru.errors import (ConvergenceError, InputError, MetricError,
                             ParameterError, ShapeError)
-from skipgru.numerics import softmax
+from skipgru.numerics import seed_tuple, softmax
 from skipgru.probes import (DEFAULT_L2_GRID, accuracy, cross_validate, f1,
                             fit_logreg, fit_relatedness, logreg_objective, mse,
                             pair_features, pearson, predict, predict_proba,
@@ -239,14 +239,30 @@ def test_cross_validate_null_labels_near_chance():
     assert abs(res["mean_accuracy"] - 0.5) < 0.137
 
 
-def test_cross_validate_deterministic_and_threaded_match():
+def test_cross_validate_is_deterministic():
     X, y = separable_data(n=50, seed=3)
     X += np.random.default_rng(0).normal(size=X.shape) * 3  # make it hard
     kw = dict(folds=4, l2_grid=[1e-3, 1e-1, 10.0], seed=11)
-    a = cross_validate(X, y, **kw)
-    b = cross_validate(X, y, **kw)
-    c = cross_validate(X, y, threads=4, **kw)
-    assert a == b == c
+    assert cross_validate(X, y, **kw) == cross_validate(X, y, **kw)
+
+
+def test_cross_validate_scores_only_the_non_empty_folds():
+    # 6 + 6 samples over 10 folds: fold ids 6..9 hold no sample.
+    X = np.random.default_rng(4).normal(size=(12, 2))
+    y = np.array([0, 1] * 6)
+    grid = (0.1, 1.0)
+    res = cross_validate(X, y, 10, grid, 0)
+    fold = stratified_folds(y, 10, 0)
+    assert sorted(set(fold)) == list(range(6))
+    assert len(res["fold_scores"]) == len(res["fold_l2"]) == 6
+    # Fold f is scored by the probe its own inner search picks on the rest.
+    for f in range(6):
+        tr, te = fold != f, fold == f
+        best = select_l2(X[tr], y[tr], 10, grid, seed_tuple(0, "cv-inner", f))
+        m = fit_logreg(X[tr], y[tr], best, n_classes=2)
+        assert res["fold_l2"][f] == best
+        assert res["fold_scores"][f] == accuracy(predict(m, X[te]), y[te])
+    assert res["mean_accuracy"] == float(np.mean(res["fold_scores"]))
 
 
 def test_select_l2_tie_prefers_smaller():
