@@ -269,12 +269,16 @@ def cmd_expand(args) -> None:
 
 
 def cmd_nn_word(args) -> None:
+    if args.k < 1:
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
     [lookup], _ = _load_models(args)
     for token, sim in vocab_expansion.nearest_words(args.query, lookup, args.k):
         print(f"{token}\t{sim:.6f}")
 
 
 def cmd_nn_sent(args) -> None:
+    if args.k < 1:
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
     lookups, _ = _load_models(args)
     lines = [line for line in _read_lines(args.bank) if line.strip()]
     if not lines:
@@ -375,10 +379,8 @@ def cmd_eval_rank(args) -> dict:
     if args.epochs > 0 and n_train > 0:
         if n_dev == 0:
             raise ConfigError("training needs --dev-items > 0")
-        tr_imgs = np.repeat(np.arange(n_train), g)
-        pairs = (X[tr_imgs], Y[:n_train * g])
-        dev_slice = slice(n_train, n_train + n_dev)
-        dev = (X[dev_slice], Y[n_train * g:(n_train + n_dev) * g])
+        pairs = (np.repeat(X[:n_train], g, axis=0), Y[:n_train * g])
+        dev = (X[n_train:n_train + n_dev], Y[n_train * g:(n_train + n_dev) * g])
         config = ranking.RankTrainConfig(batch_size=args.batch,
                                          learning_rate=args.lr, seed=args.seed,
                                          dev_group_size=g)
@@ -387,10 +389,8 @@ def cmd_eval_rank(args) -> dict:
         for row in result.history:
             print(f"epoch {row['epoch']}: dev R@1 {row['dev_r1']:.2f}, "
                   f"mean loss {row['mean_loss']:.4f}", file=sys.stderr)
-    lo = n_train + n_dev
-    split = "test" if lo < n else "dev"
-    if split == "dev":
-        lo = n_train
+    split = "test" if n_train + n_dev < n else "dev"
+    lo = n_train + n_dev if split == "test" else n_train
     Xe, Ye = X[lo:], Y[lo * g:]
     res = ranking.evaluate_retrieval(Xe, Ye, model, group_size=g)
     rows = []

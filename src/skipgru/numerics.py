@@ -63,12 +63,6 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """log(softmax(logits)) computed without forming small exponentials."""
-    z = logits - np.max(logits, axis=axis, keepdims=True)
-    return z - np.log(np.sum(np.exp(z), axis=axis, keepdims=True))
-
-
 def orthogonal_init(rows: int, cols: int, seed) -> np.ndarray:
     """Orthogonal (rows, cols) matrix from the QR of a seeded Gaussian.
 

@@ -236,11 +236,12 @@ def nearest_words(query: str, lookup: ExpandedLookup,
 @dataclass
 class SentenceBank:
     """Texts and their vectors, ranked by cosine similarity to a query; the
-    row norms are computed once, when the bank is built."""
+    row norms (safe_norms: a zero row's as 1) are computed once, at build."""
 
     sentences: list[str]
     vectors: np.ndarray  # (n, dim)
     norms: np.ndarray = field(init=False)
+    safe_norms: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.vectors.ndim != 2 or self.vectors.shape[0] != len(self.sentences):
@@ -248,15 +249,19 @@ class SentenceBank:
                              f"{len(self.sentences)} sentences, "
                              f"vectors {self.vectors.shape}")
         self.norms = np.linalg.norm(self.vectors, axis=1)
+        self.safe_norms = np.where(self.norms == 0.0, 1.0, self.norms)
 
     def top_k(self, q: np.ndarray, k: int) -> list[tuple[str, float]]:
         """(text, cosine similarity) of the k rows most similar to q, best
-        first; ties keep row order.  A zero vector has similarity 0."""
+        first; ties keep row order.  A zero vector has similarity 0.  Only the
+        rows at or above the k-th best are sorted: a full sort's hits and ties."""
         qn = float(np.linalg.norm(q))
-        denom = (np.where(self.norms == 0.0, 1.0, self.norms)
-                 * (qn if qn > 0 else 1.0))
-        sims = (self.vectors @ q) / denom
-        order = np.argsort(-sims, kind="stable")[:max(k, 0)]
+        sims = (self.vectors @ q) / (self.safe_norms * (qn if qn > 0 else 1.0))
+        rows = np.arange(len(sims))
+        if 0 < k < len(sims):
+            kth = -np.partition(-sims, k - 1)[k - 1]
+            rows = np.flatnonzero(~(sims < kth))  # NaNs too: sorted last
+        order = rows[np.argsort(-sims[rows], kind="stable")[:max(k, 0)]]
         return [(self.sentences[i], float(sims[i])) for i in order]
 
 

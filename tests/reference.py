@@ -19,6 +19,9 @@ something the package computes in bulk:
   with array operations);
 - the expectation of one 5-bin relatedness distribution
   (probes.predict_scores does it per row);
+- the logistic-regression objective as a log-softmax pass for the loss and a
+  separate softmax pass for the gradient, each taking its own row max, shift
+  and exp (probes.logreg_objective shifts and exponentiates once for both);
 - Adam as one expression per array, returning new parameters and moments
   (numerics.adam_step applies the same operations to the caller's arrays in
   place, block by block);
@@ -291,6 +294,29 @@ def distribution_to_score(p_hat: np.ndarray) -> float:
     if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-6:
         raise InputError("p_hat must be nonnegative and sum to 1 within 1e-6")
     return float(SCORE_BINS @ p)
+
+
+def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
+    """log(softmax(logits)) computed without forming small exponentials."""
+    z = logits - np.max(logits, axis=axis, keepdims=True)
+    return z - np.log(np.sum(np.exp(z), axis=axis, keepdims=True))
+
+
+def logreg_objective(w_flat: np.ndarray, X: np.ndarray, T: np.ndarray,
+                     l2: float) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy + (l2/2)||W||^2 and its gradient, the loss through
+    log_softmax and the gradient through softmax of the same logits."""
+    n, F = X.shape
+    C = T.shape[1]
+    W = w_flat[:C * F].reshape(C, F)
+    b = w_flat[C * F:]
+    logits = X @ W.T + b
+    loss = -float(np.sum(T * log_softmax(logits, axis=1))) / n \
+        + 0.5 * l2 * float(np.sum(W * W))
+    dlogits = (softmax(logits, axis=1) - T) / n
+    dW = dlogits.T @ X + l2 * W
+    db = dlogits.sum(axis=0)
+    return loss, np.concatenate([dW.ravel(), db])
 
 
 def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> tuple[ParamSet, AdamState]:

@@ -689,6 +689,23 @@ def test_nn_sent_query_ranked_first(ws, tmp_path, capsys):
     assert abs(float(first_sim) - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("k", ["0", "-3"])
+@pytest.mark.parametrize("command", ["nn-word", "nn-sent"])
+def test_nn_k_below_one_exit_2(tmp_path, capsys, command, k):
+    # Rejected before any file is read: the checkpoint is not one, and
+    # loading it would exit with code 4.
+    ckpt = tmp_path / "not-a.ckpt"
+    ckpt.write_bytes(b"garbage")
+    bank = tmp_path / "bank.txt"
+    bank.write_text("the cat sat .\n")
+    extra = ["--bank", str(bank)] if command == "nn-sent" else []
+    assert main([command, "--ckpt", str(ckpt), *extra, "--query", "the",
+                 "--k", k]) == 2
+    captured = capsys.readouterr()
+    assert f"--k must be >= 1, got {k}" in captured.err
+    assert captured.out == ""
+
+
 def test_nn_sent_two_models_query_ranked_first(ws, tmp_path, capsys):
     bank = tmp_path / "bank.txt"
     bank.write_text("the cat sat .\nthe dog ran .\na bird flew .\n")

@@ -18,11 +18,11 @@ from skipgru.decoder import (ConditionalGruParams, DecoderPair,
 from skipgru.encoder import GruParams, gru_forward
 from skipgru.errors import (ParameterError, RangeError, ShapeError,
                             StateError)
-from skipgru.numerics import log_softmax, sigmoid, softmax
+from skipgru.numerics import sigmoid, softmax
 
 import reference
 from conftest import decoder_pass_backward
-from reference import cond_gru_step, finite_diff_check, gru_step
+from reference import cond_gru_step, finite_diff_check, gru_step, log_softmax
 
 
 def rand_cond_params(rng, embed=3, hidden=3, enc=3, scale=0.7):

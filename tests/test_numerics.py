@@ -16,12 +16,11 @@ from hypothesis import strategies as st
 from skipgru import numerics
 from skipgru.errors import NumericError, ParameterError, ShapeError
 from skipgru.numerics import (ADAM_BLOCK, AdamState, adam_step, clip_gradients,
-                              get_rng, global_norm, log_softmax,
-                              orthogonal_init, seed_tuple, sigmoid, softmax,
-                              uniform_init)
+                              get_rng, global_norm, orthogonal_init,
+                              seed_tuple, sigmoid, softmax, uniform_init)
 
 import reference
-from reference import finite_diff_check
+from reference import finite_diff_check, log_softmax
 
 
 # ---------------------------------------------------------------------------

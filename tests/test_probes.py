@@ -2,7 +2,8 @@
 regression, cross-validation, and the scalar metrics.
 
 Oracles: scipy.stats for the correlation metrics, direct-formula
-recomputation for the logreg objective, and closed-form expectations for the
+recomputation for the logreg objective and the two-pass (log-softmax, then
+softmax) objective of reference.py, and closed-form expectations for the
 degenerate cases.
 """
 
@@ -22,6 +23,7 @@ from skipgru.probes import (DEFAULT_L2_GRID, accuracy, cross_validate, f1,
                             read_pair_dataset, score_to_distribution,
                             select_l2, spearman, stratified_folds)
 
+import reference
 from reference import average_ranks, distribution_to_score
 
 
@@ -166,6 +168,71 @@ def test_objective_gradient_matches_finite_difference():
 
     _, g = logreg_objective(w0, X, T, 0.05)
     assert finite_diff_check(loss_fn, {"w": w0.copy()}, {"w": g}) < 1e-6
+
+
+@pytest.mark.parametrize("C", [2, 4, 5, 9])
+@pytest.mark.parametrize("soft", [False, True])
+@pytest.mark.parametrize("scale", [1.0, 800.0])
+def test_objective_matches_two_pass_reference_bit_for_bit(C, soft, scale):
+    # One shift and one exp for both loss and gradient give the bits of a
+    # log-softmax pass and a softmax pass, also with logits near +-800, where
+    # an unshifted exp overflows; C = 9 rows are summed pairwise by numpy.
+    rng = np.random.default_rng(C)
+    n, F = 37, 6
+    X = rng.normal(size=(n, F))
+    if soft:
+        T = rng.dirichlet(np.ones(C), size=n)
+    else:
+        T = np.eye(C)[rng.integers(0, C, size=n)]
+    w = rng.normal(size=C * F + C)
+    w[C * F:] += scale * rng.choice([-1.0, 1.0], size=C)
+    for l2 in (0.0, 0.3):
+        loss, grad = logreg_objective(w, X, T, l2)
+        want_loss, want_grad = reference.logreg_objective(w, X, T, l2)
+        assert np.isfinite(loss) and loss == want_loss
+        assert np.array_equal(grad, want_grad)
+
+
+def test_fit_logreg_evaluates_the_objective_only_inside_lbfgs(monkeypatch):
+    # The convergence norm is read from L-BFGS's final gradient, so every
+    # objective call is one that the optimizer counted.
+    import scipy.optimize
+    from skipgru import probes
+    calls, nfev = [], []
+    real_objective, real_minimize = probes.logreg_objective, scipy.optimize.minimize
+
+    def counting_objective(*args):
+        calls.append(1)
+        return real_objective(*args)
+
+    def recording_minimize(*args, **kwargs):
+        res = real_minimize(*args, **kwargs)
+        nfev.append(res.nfev)
+        return res
+    monkeypatch.setattr(probes, "logreg_objective", counting_objective)
+    monkeypatch.setattr(scipy.optimize, "minimize", recording_minimize)
+    X, y = separable_data(seed=3)
+    m = fit_logreg(X, y, l2=0.01)
+    assert len(calls) == sum(nfev) and len(nfev) >= 1
+    w = np.concatenate([m.weights.ravel(), m.bias])
+    assert np.linalg.norm(real_objective(w, X, np.eye(2)[y], 0.01)[1]) < 1e-6
+
+
+def test_fit_logreg_forced_stall_raises(monkeypatch):
+    # An optimizer that never moves returns x0 and its true gradient; both
+    # runs then end short of the bound and the fit reports the stall.
+    import scipy.optimize
+    from scipy.optimize import OptimizeResult
+    starts = []
+
+    def stalled(fun, x0, args=(), **kwargs):
+        starts.append(x0.copy())
+        return OptimizeResult(x=x0.copy(), jac=fun(x0, *args)[1], nfev=1)
+    monkeypatch.setattr(scipy.optimize, "minimize", stalled)
+    X, y = separable_data(seed=2)
+    with pytest.raises(ConvergenceError, match="stalled"):
+        fit_logreg(X, y, l2=0.1)
+    assert len(starts) == 2 and not np.any(starts[1])
 
 
 def test_soft_targets_supported():

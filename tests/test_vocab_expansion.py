@@ -293,6 +293,27 @@ def test_bank_top_k_cosine_formula_and_ties():
     assert [int(s) for s, _ in many.top_k(np.array([0.3, 0.0]), 40)] == want
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_bank_top_k_partial_selection_matches_full_sort(seed):
+    # Duplicate rows, zero rows and a query along a duplicated row put ties
+    # at the k-th value; every k must give the full stable sort's prefix.
+    rng = np.random.default_rng(seed)
+    n = 23
+    vecs = rng.normal(size=(n, 3))
+    vecs[[4, 9, 15]] = vecs[2]
+    vecs[[7, 8]] = 0.0
+    vecs[11] = 3.0 * vecs[2]                 # same direction as row 2
+    bank = SentenceBank(sentences=[str(i) for i in range(n)], vectors=vecs)
+    for q in (vecs[2], rng.normal(size=3), np.zeros(3)):
+        qn = np.linalg.norm(q)
+        sims = (vecs @ q) / (np.where(bank.norms == 0.0, 1.0, bank.norms)
+                             * (qn if qn > 0 else 1.0))
+        full = [(str(i), float(sims[i]))
+                for i in np.argsort(-sims, kind="stable")]
+        for k in (0, 1, 2, 3, 5, n - 1, n, n + 3):
+            assert bank.top_k(q, k) == full[:k]
+
+
 def test_nearest_sentences_k_zero_and_empty_bank():
     m = randomize_params(make_model(vocab_size=8, embed_dim=3), seed=5)
     vecs = np.stack([encode_text("w2", m)])
