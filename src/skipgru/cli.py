@@ -644,7 +644,8 @@ def _find_config_arg(argv: list[str]):
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    # Path-like arguments are taken as the strings they name.
+    argv = [os.fspath(a) for a in (sys.argv[1:] if argv is None else argv)]
     parser, registry = build_parser()
     try:
         # Config defaults must land before parse_args so required flags that

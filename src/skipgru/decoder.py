@@ -19,16 +19,18 @@ C_* h_enc are constant over a sentence, so they are added once to the input
 pre-activations X @ W_*.T before the time loop.
 
 The backward pass comes in two parts, so that a train step can run the
-output layer once over all its decoder passes:
-- output_layer_backward takes the cached passes of a whole batch.  It stacks
-  their states into one (rows, hidden) matrix and walks it OUTPUT_CHUNK rows
-  at a time: it recomputes the logits into one buffer, turns them into
-  softmax rows with each row's log-normaliser, kept by the forward pass,
-  subtracts the one-hot targets, and takes the chunk's dlogits @ V and
-  dlogits.T @ H.  The latter is added into V's gradient by one BLAS call
-  that accumulates in place.  No (rows, vocab) array exists.  A train step
-  sizes that buffer with logits_buffer and lends it to every forward pass
-  of the batch as well.
+output layer once per group of decoder passes rather than once per pass:
+- sentence_log_prob_with_cache forms a pass's (T, vocab) logits in the rows
+  of a scratch array that it is handed, and leaves there their exponentials
+  exp(logits - row max); its cache keeps each row's sum.  A train step hands
+  its passes consecutive rows of one logits_buffer.
+- output_layer_backward takes the cached passes whose rows are pending in
+  that buffer.  It divides the rows by their sums into softmax rows and
+  subtracts the one-hot targets in place, then takes dlogits @ V, the
+  passes' state gradients, and dlogits.T @ H, which it adds into V's
+  gradient by one BLAS call that accumulates in place.  It forms no logits
+  and takes no exp: each logit of a train step is formed once, in the
+  forward pass.  No (rows, vocab) array exists beyond the buffer.
 - decoder_backward runs the recurrence of one pass from its state gradients:
   the per-step pre-activation gradients summed over time give the
   conditioning matrices' gradients and the gradient into h_enc, and the input
@@ -36,10 +38,9 @@ output layer once over all its decoder passes:
 
 The forward pass takes V row-major (as loaded for inference) or column-major
 (as trainer.train lays it out) without a copy; the backward pass takes only
-the column-major V gradient that trainer.train sets up.  The forward pass
-takes one exp over the (T, vocab) logits for the loss and keeps only each
-row's log-normaliser.  The sampler, whose next input is the word it has just
-drawn, runs the kernel one step at a time from the state it has reached.
+the column-major V gradient that trainer.train sets up.  The sampler, whose
+next input is the word it has just drawn, runs the kernel one step at a time
+from the state it has reached.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ from .numerics import ParamSet, get_rng, softmax, uniform_init
 COND_CONDITIONING_KEYS = ("C_r", "C_z", "C")
 COND_KEYS = GRU_KEYS + COND_CONDITIONING_KEYS + ("begin",)
 
-# Decoder states whose logits output_layer_backward recomputes at a time.
-OUTPUT_CHUNK = 32
+# Decoder rows pending in a logits_buffer at which a train step runs
+# output_layer_backward over them.
+OUTPUT_CHUNK = 64
 
 
 @dataclass
@@ -152,14 +154,15 @@ class DecoderCache:
     h_enc: np.ndarray
     X: np.ndarray        # (T, embed) inputs: begin, then target[:-1] embeddings
     trace: GruTrace
-    lse: np.ndarray      # (T,) log sum exp of each step's logits
+    sums: np.ndarray     # (T,) sum of each step's exp(logits - row max)
 
 
 def logits_buffer(lengths: Sequence[int], vocab_size: int) -> np.ndarray:
     """One scratch array for the logits of a batch's decoder passes of the
-    given target lengths: each forward pass, and every chunk of
-    output_layer_backward over them all."""
-    rows = max(max(lengths), min(OUTPUT_CHUNK, sum(lengths)))
+    given target lengths, handed out pass by pass in consecutive rows.  A
+    train step runs output_layer_backward as soon as OUTPUT_CHUNK rows are
+    pending, so at most OUTPUT_CHUNK - 1 rows wait when a pass begins."""
+    rows = min(sum(lengths), OUTPUT_CHUNK - 1 + max(lengths))
     return np.empty((rows, vocab_size))
 
 
@@ -169,7 +172,9 @@ def sentence_log_prob_with_cache(target: Sequence[int], h_enc: np.ndarray,
                                  ) -> tuple[float, DecoderCache]:
     """The teacher-forced log-likelihood and the cache that the backward pass
     needs.  The (T, vocab) logits are formed in the leading rows of `scratch`
-    (from logits_buffer), so a batch's passes share one array: each
+    (rows of a logits_buffer), which are left holding exp(logits - row max)
+    for output_layer_backward to read: the pass's softmax rows, scaled by
+    the cache's row sums.  A batch's passes share that one array: each
     allocating its own between the caches the batch keeps fragments the heap
     and raises the process's peak RSS."""
     ids = _check_target(target, V.shape[0])
@@ -178,18 +183,15 @@ def sentence_log_prob_with_cache(target: Sequence[int], h_enc: np.ndarray,
     # The conditioning terms are constant over the sentence: add them once.
     trace = gru_forward(X @ p.W_r.T + p.C_r @ h_enc, X @ p.W_z.T + p.C_z @ h_enc,
                         X @ p.W.T + p.C @ h_enc, p)
-    # The loss reads z[target] - log(sum exp z) of the shifted logits z; the
-    # cache keeps each row's log-normaliser, from which the backward pass
-    # recomputes the softmax.
+    # The loss reads z[target] - log(sum exp z) of the shifted logits z.
     z = np.matmul(trace.S[1:], V.T, out=scratch[:len(ids)])  # (T, vocab)
-    shift = np.max(z, axis=1)
-    z -= shift[:, None]
+    z -= np.max(z, axis=1)[:, None]
     picked = z[np.arange(len(ids)), list(ids)]
     np.exp(z, out=z)
-    log_sums = np.log(np.sum(z, axis=1))
-    total = float((picked - log_sums).sum())
+    sums = np.sum(z, axis=1)
+    total = float((picked - np.log(sums)).sum())
     return total, DecoderCache(target=ids, h_enc=h_enc, X=X, trace=trace,
-                               lse=shift + log_sums)
+                               sums=sums)
 
 
 def sentence_log_prob(target: Sequence[int], h_enc: np.ndarray,
@@ -204,18 +206,17 @@ def sentence_log_prob(target: Sequence[int], h_enc: np.ndarray,
 def output_layer_backward(caches: Sequence[DecoderCache], V: np.ndarray,
                           grads: ParamSet,
                           scratch: np.ndarray) -> list[np.ndarray]:
-    """Add the output layer's gradient for every cached pass into grads["V"],
+    """Add the output layer's gradient for the cached passes into grads["V"],
     and return each pass's (T, hidden) gradient of its negative
     log-likelihood with respect to its states h^1..h^T, in the order of
     `caches`.
 
-    The passes' states are stacked in that order and walked OUTPUT_CHUNK rows
-    at a time (the last chunk may be short), so grads["V"] gets one addition
-    per chunk, and the chunk's logits go into the leading rows of `scratch`
-    (from logits_buffer over the same passes).
+    The passes' forward calls must have left their rows in the leading rows
+    of `scratch`, one pass after another in the order of `caches`; those rows
+    are overwritten with the gradient of the loss with respect to the logits.
     grads["V"] must be column-major, as trainer.train lays it out: BLAS
-    updates it in place by one call per chunk.  Any other layout raises
-    ParameterError before anything is added.
+    updates it in place by one call.  Any other layout raises ParameterError
+    before anything is written.
     """
     if not all(isinstance(c, DecoderCache) for c in caches):
         raise StateError("output_layer_backward needs the caches from "
@@ -229,23 +230,15 @@ def output_layer_backward(caches: Sequence[DecoderCache], V: np.ndarray,
     from scipy.linalg.blas import dgemm
 
     S = np.vstack([c.trace.S[1:] for c in caches])         # (rows, hidden)
-    targets = np.concatenate([c.target for c in caches])
-    lse = np.concatenate([c.lse for c in caches])
-    dS = np.empty_like(S)
-    for start in range(0, len(S), OUTPUT_CHUNK):
-        rows = slice(start, start + OUTPUT_CHUNK)
-        S_c = S[rows]
-        # Softmax cross-entropy: d(-log p)/dlogits = p - onehot(target),
-        # with p = exp(logits - lse) formed in place.
-        z = scratch[:len(S_c)]
-        np.matmul(S_c, V.T, out=z)
-        z -= lse[rows, None]
-        np.exp(z, out=z)
-        z[np.arange(len(z)), targets[rows]] -= 1.0
-        np.matmul(z, V, out=dS[rows])
-        # grads["V"] += z.T @ S_c, accumulated by BLAS in place (beta = 1)
-        # from operands it reads without a copy.
-        dgemm(1.0, z.T, S_c.T, trans_b=1, beta=1.0, c=gV, overwrite_c=1)
+    # Softmax cross-entropy: d(-log p)/dlogits = p - onehot(target), with p
+    # the forward's exp rows over their sums.
+    G = scratch[:len(S)]
+    G /= np.concatenate([c.sums for c in caches])[:, None]
+    G[np.arange(len(G)), np.concatenate([c.target for c in caches])] -= 1.0
+    dS = G @ V
+    # grads["V"] += G.T @ S, accumulated by BLAS in place (beta = 1) from
+    # operands it reads without a copy.
+    dgemm(1.0, G.T, S.T, trans_b=1, beta=1.0, c=gV, overwrite_c=1)
     return np.split(dS, np.cumsum([len(c.target) for c in caches[:-1]]))
 
 
@@ -297,7 +290,13 @@ def sample_sentence(h_enc: np.ndarray, p: ConditionalGruParams, V: np.ndarray,
         if temperature == 0.0:
             w = int(np.argmax(logits))
         else:
-            w = int(rng.choice(V.shape[0], p=softmax(logits / temperature)))
+            # Shift before dividing: at a tiny temperature the other logits
+            # then go to -inf, not the top one to inf (and inf - inf = nan).
+            # softmax's own shift is then by 0, so temperature 1 keeps the
+            # bits of softmax(logits).
+            with np.errstate(over="ignore"):
+                scaled = (logits - np.max(logits)) / temperature
+            w = int(rng.choice(V.shape[0], p=softmax(scaled)))
         out.append(w)
         if w == eos_id:
             break

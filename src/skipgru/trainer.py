@@ -8,23 +8,27 @@ The loss for one triple (s_prev, s_curr, s_next) is
 and a batch optimizes the mean over its triples (the corpus objective is the
 sum; the mean keeps the learning rate independent of batch size).  A train
 step allocates one zero-filled gradient per parameter, and batch_grads adds
-the whole batch's gradient into it in three phases:
+the whole batch's gradient into it in three phases, the first two
+interleaved:
 
   A. the forward pass of every triple in batch order: the encoder, then the
-     next and the previous decoder, whose caches keep each step's
-     log-normaliser rather than its softmax row (all passes form their
-     logits in one decoder.logits_buffer, which phase B reuses);
-  B. one output-layer backward over the decoder states of the whole batch
-     (decoder.output_layer_backward), which adds into V's column-major
-     gradient chunk by chunk and returns each pass's state gradients;
+     next and the previous decoder.  Each decoder pass leaves its
+     exponentiated logits in the next free rows of one
+     decoder.logits_buffer, and its cache keeps each row's sum rather than
+     the row;
+  B. as soon as OUTPUT_CHUNK rows are pending in that buffer after a pass,
+     and once after the last pass, the output-layer backward over the
+     pending passes (decoder.output_layer_backward), which turns their rows
+     into softmax gradients in place, adds into V's column-major gradient
+     and returns each pass's state gradients.  No logit is formed twice;
   C. triple_grads for every triple in batch order: the next decoder's
      recurrence, the previous decoder's, then the encoder's.
 
-No pass builds a vocabulary-sized array of its own.  The additions happen in
-that fixed order (V's over the stacked rows in phase-A order, every other
-parameter's triple by triple in phase C), so runs are reproducible bit for bit
-given a seed, and a checkpointed run resumed mid-stream matches an unbroken
-run exactly.
+No pass builds a vocabulary-sized array of its own: the buffer holds about
+OUTPUT_CHUNK plus one sentence's rows.  The additions happen in a fixed order
+(V's group by group in phase-A order, every other parameter's triple by
+triple in phase C), so runs are reproducible bit for bit given a seed, and a
+checkpointed run resumed mid-stream matches an unbroken run exactly.
 
 Clipping and Adam then write into the gradient, the model's parameter arrays
 and the optimizer's moments in place, so a step holds four parameter-sized
@@ -43,10 +47,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import SentenceTriple, Vocabulary
-from .decoder import (COND_KEYS, ConditionalGruParams, DecoderCache,
-                      DecoderPair, decoder_backward, init_decoder_pair,
-                      logits_buffer, output_layer_backward, sentence_log_prob,
-                      sentence_log_prob_with_cache)
+from .decoder import (COND_KEYS, OUTPUT_CHUNK, ConditionalGruParams,
+                      DecoderCache, DecoderPair, decoder_backward,
+                      init_decoder_pair, logits_buffer, output_layer_backward,
+                      sentence_log_prob, sentence_log_prob_with_cache)
 from .encoder import (GRU_KEYS, EncoderCache, EncoderModel, GruParams, encode,
                       encode_with_cache, encoder_backward, init_encoder)
 from .errors import ConfigError, InputError, NumericError
@@ -188,17 +192,25 @@ def batch_grads(model: SkipGruModel, batch: Sequence[SentenceTriple],
     scratch = logits_buffer([len(s) for t in batch for s in (t.next, t.prev)],
                             dec.vocab_size)
     loss = 0.0
-    caches = []
+    caches, dS = [], []
+    pending, rows = [], 0
     for triple in batch:
         h, enc_cache = encode_with_cache(triple.curr, model.encoder)
-        lp_next, cache_n = sentence_log_prob_with_cache(
-            triple.next, h, dec.next_params, dec.V, emb, scratch)
-        lp_prev, cache_p = sentence_log_prob_with_cache(
-            triple.prev, h, dec.prev_params, dec.V, emb, scratch)
+        passes = []
+        for target, p in ((triple.next, dec.next_params),
+                          (triple.prev, dec.prev_params)):
+            passes.append(sentence_log_prob_with_cache(
+                target, h, p, dec.V, emb, scratch[rows:]))
+            pending.append(passes[-1][1])
+            rows += len(target)
+            if rows >= OUTPUT_CHUNK:
+                dS += output_layer_backward(pending, dec.V, grads, scratch)
+                pending, rows = [], 0
+        (lp_next, cache_n), (lp_prev, cache_p) = passes
         loss += -(lp_next + lp_prev)
         caches.append((enc_cache, cache_n, cache_p))
-    dS = output_layer_backward([c for _, n, p in caches for c in (n, p)],
-                               dec.V, grads, scratch)
+    if pending:
+        dS += output_layer_backward(pending, dec.V, grads, scratch)
     for i, triple_caches in enumerate(caches):
         triple_grads(model, triple_caches, dS[2 * i:2 * i + 2], grads)
     return loss
@@ -239,11 +251,11 @@ def train_step(model: SkipGruModel, batch: Sequence[SentenceTriple],
 
     Returns the loss measured before the update.  One zero-filled gradient
     set is passed to batch_grads, which adds the batch's gradient in the
-    fixed order of the module docstring (forward passes, one output-layer
-    backward over all decoder states, then each triple's recurrences in
-    batch order), so runs are deterministic; it is then scaled to the batch
-    mean, and its one global norm is checked, reported and used to clip it in
-    place before it is handed to Adam.
+    fixed order of the module docstring (forward passes, with an output-layer
+    backward over every OUTPUT_CHUNK or more of their decoder rows, then each
+    triple's recurrences in batch order), so runs are deterministic; it is
+    then scaled to the batch mean, and its one global norm is checked,
+    reported and used to clip it in place before it is handed to Adam.
     """
     if not batch:
         raise InputError("train_step needs a nonempty batch")

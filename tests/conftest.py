@@ -17,8 +17,7 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from skipgru.corpus import EOS_TOKEN, UNK_TOKEN, SentenceTriple, Vocabulary
-from skipgru.decoder import (decoder_backward, logits_buffer,
-                             output_layer_backward)
+from skipgru.decoder import decoder_backward, output_layer_backward
 from skipgru.trainer import SkipGruModel, TrainConfig, model_from_params
 
 # Hypothesis keeps no example database, which it would write to .hypothesis/
@@ -70,12 +69,12 @@ def lay_out(model: SkipGruModel) -> SkipGruModel:
     return model
 
 
-def decoder_pass_backward(cache, p, V, grads, prefix=""):
+def decoder_pass_backward(cache, scratch, p, V, grads, prefix=""):
     """One decoder pass's whole backward, as a train step runs it for a batch
-    of one pass: its output layer, then its recurrence.  Adds into `grads`
-    and returns the gradient into h_enc."""
-    dS, = output_layer_backward([cache], V, grads,
-                                logits_buffer([len(cache.target)], len(V)))
+    of one pass: its output layer, which reads the rows that the pass's
+    forward left in `scratch`, then its recurrence.  Adds into `grads` and
+    returns the gradient into h_enc."""
+    dS, = output_layer_backward([cache], V, grads, scratch)
     return decoder_backward(cache, dS, p, grads, prefix)
 
 

@@ -91,11 +91,11 @@ def _fd_decoder(seed):
         pp = ConditionalGruParams.from_dict(ps)
         return -sentence_log_prob(target, ps["h_enc"], pp, ps["V"], ps["emb"])
 
-    _, cache = sentence_log_prob_with_cache(
-        target, h_enc, p, V, emb, logits_buffer([len(target)], len(V)))
+    scratch = logits_buffer([len(target)], len(V))
+    _, cache = sentence_log_prob_with_cache(target, h_enc, p, V, emb, scratch)
     grads = {k: np.zeros_like(v) for k, v in params.items() if k != "h_enc"}
     grads["V"] = np.zeros_like(V, order="F")
-    g_henc = decoder_pass_backward(cache, p, V, grads)
+    g_henc = decoder_pass_backward(cache, scratch, p, V, grads)
     return finite_diff_check(loss, params, dict(grads, h_enc=g_henc))
 
 

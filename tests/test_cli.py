@@ -26,6 +26,8 @@ from skipgru.fileio import read_vectors
 from skipgru.trainer import METRICS_HEADER, load_checkpoint
 from skipgru.vocab_expansion import ExpandedLookup, encode_text, read_expansion
 
+DATA = pathlib.Path(__file__).parent / "data"
+
 CORPUS = """\
 the cat sat on the mat .
 the dog ran fast .
@@ -919,6 +921,33 @@ def test_generate_greedy_mode(ws, capsys):
     assert main(["generate", "--ckpt", str(ws["ckpt"]), "--seed-sentence",
                  "the cat sat .", "--sentences", "2", "--temperature", "0",
                  "--seed", "0", "--max-len", "6"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_generate_at_a_vanishing_temperature_is_greedy(capsys):
+    # 1e-320 is subnormal: logits over it overflow to inf, and the top one
+    # minus itself would be nan.  The sampler shifts first, so every other
+    # word gets probability 0 and the draw is the argmax.
+    args = ["generate", "--ckpt", str(DATA / "tiny.ckpt"), "--seed-sentence",
+            "hello", "--sentences", "2", "--max-len", "6", "--seed", "5"]
+    assert main(args + ["--temperature", "0"]) == 0
+    greedy = capsys.readouterr().out
+    assert main(args + ["--temperature", "1e-320"]) == 0
+    out = capsys.readouterr()
+    assert out.out == greedy and len(greedy.splitlines()) == 2
+    assert out.err == ""
+
+
+def test_path_like_arguments_are_taken_as_their_strings(ws, tmp_path,
+                                                        capsys):
+    cfg = tmp_path / "nn.cfg"
+    cfg.write_text("k = 2\n")
+    args = ["nn-word", "--ckpt", ws["ckpt"], "--query", "the"]
+    assert main([str(a) for a in args]) == 0
+    want = capsys.readouterr().out
+    assert main(args) == 0
+    assert capsys.readouterr().out == want
+    assert main(args + ["--config", cfg]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2
 
 

@@ -9,7 +9,6 @@ checker, and a Monte-Carlo frequency check for the sampler.
 
 import numpy as np
 import pytest
-from skipgru import decoder
 from skipgru.decoder import (ConditionalGruParams, DecoderPair,
                              decoder_backward, init_conditional_gru,
                              init_decoder_pair, logits_buffer,
@@ -122,17 +121,26 @@ def test_log_prob_nonpositive_and_prob_rows_normalized(rng):
     p = rand_cond_params(rng, embed=3, hidden=4, enc=2)
     V = rng.normal(size=(5, 4))
     emb = rng.normal(size=(5, 3))
+    scratch = np.full((6, 5), np.nan)
     lp, cache = sentence_log_prob_with_cache((2, 4, 1, 0), rng.normal(size=2),
-                                             p, V, emb, logits_buffer([4], 5))
+                                             p, V, emb, scratch)
     assert lp <= 0.0
-    # The cache keeps each row's log-normaliser: exp(logits - lse) are the
-    # softmax rows, so each sums to 1.
+    # The pass leaves exp(logits - row max) in the leading rows of its
+    # scratch and no other row; the cache keeps each row's sum, so the rows
+    # over their sums are the softmax rows, each summing to 1.
     logits = cache.trace.S[1:] @ V.T
-    assert cache.lse.shape == (4,)
-    assert np.max(np.abs(np.log(np.exp(logits).sum(axis=1)) - cache.lse)) \
+    rows = scratch[:4]
+    assert np.max(np.abs(rows - np.exp(logits - logits.max(axis=1)[:, None]))) \
         < 1e-12
-    assert np.max(np.abs(np.exp(logits - cache.lse[:, None]).sum(axis=1)
-                         - 1.0)) < 1e-12
+    assert np.all(np.isnan(scratch[4:]))
+    assert cache.sums.shape == (4,)
+    assert np.array_equal(cache.sums, rows.sum(axis=1))
+    assert np.max(np.abs(rows / cache.sums[:, None] - softmax(logits, axis=1))) \
+        < 1e-12
+    assert np.max(np.abs((rows / cache.sums[:, None]).sum(axis=1) - 1.0)) \
+        < 1e-12
+    assert abs(lp - sum(np.log(rows[t, w] / cache.sums[t])
+                        for t, w in enumerate((2, 4, 1, 0)))) < 1e-12
 
 
 def test_log_prob_matches_unrolled_oracle(rng):
@@ -209,10 +217,10 @@ def _fd_decoder(target):
         return -sentence_log_prob(target, ps["h_enc"], pp, ps["V"],
                                   ps["emb"])
 
-    _, cache = sentence_log_prob_with_cache(
-        target, h_enc, p, V, emb, logits_buffer([len(target)], len(V)))
+    scratch = logits_buffer([len(target)], len(V))
+    _, cache = sentence_log_prob_with_cache(target, h_enc, p, V, emb, scratch)
     grads = zero_accumulator(p, V, emb)
-    g_henc = decoder_pass_backward(cache, p, V, grads)
+    g_henc = decoder_pass_backward(cache, scratch, p, V, grads)
     return finite_diff_check(loss, params, dict(grads, h_enc=g_henc))
 
 
@@ -226,9 +234,11 @@ def test_backward_finite_difference_repeated_inputs():
 
 
 def test_backward_adds_into_column_major_v_accumulator(rng, monkeypatch):
-    # BLAS accumulates into the column-major V gradient in place: the array
-    # BLAS returns for every chunk is the accumulator itself, and it ends
-    # with the sums of the dense per-pass reference.
+    # Three passes leave their rows one after another in one buffer, and one
+    # output-layer backward over them reads those rows: BLAS accumulates
+    # into the column-major V gradient in place by one call, whose result is
+    # the accumulator itself, and it ends with the sums of the dense per-pass
+    # reference.
     import scipy.linalg.blas as blas
 
     results = []
@@ -238,25 +248,27 @@ def test_backward_adds_into_column_major_v_accumulator(rng, monkeypatch):
         return results[-1]
     real_dgemm = blas.dgemm
     monkeypatch.setattr(blas, "dgemm", recording_dgemm)
-    monkeypatch.setattr(decoder, "OUTPUT_CHUNK", 2)
     p = rand_cond_params(rng, embed=3, hidden=3, enc=2)
     V, emb = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
     targets = ((2, 4, 2, 0), (3, 0), (1, 1, 0))
     scratch = logits_buffer([len(t) for t in targets], len(V))
+    assert len(scratch) == 9
+    starts = np.cumsum([0] + [len(t) for t in targets])
     caches = [sentence_log_prob_with_cache(target, rng.normal(size=2), p, V,
-                                           emb, scratch)[1]
-              for target in targets]
+                                           emb, scratch[start:])[1]
+              for target, start in zip(targets, starts)]
     start = rng.normal(size=V.shape)
     grads = zero_accumulator(p, V, emb)
     grads["V"][...] = start
     gV = grads["V"]
-    output_layer_backward(caches, V, grads, scratch)
-    assert grads["V"] is gV and len(results) == 5      # ceil(9 / 2)
+    dS = output_layer_backward(caches, V, grads, scratch)
+    assert grads["V"] is gV and len(results) == 1
     assert all(np.shares_memory(r, gV) for r in results)
     assert gV.flags.f_contiguous and not gV.flags.c_contiguous
-    want = start + sum(reference.decoder_backward(c, p, V, emb)[0]["V"]
-                       for c in caches)
+    refs = [reference.decoder_backward(c, p, V, emb)[0]["V"] for c in caches]
+    want = start + sum(refs)
     assert np.max(np.abs(gV - want)) < 1e-12 * np.max(np.abs(want))
+    assert [d.shape for d in dS] == [(len(t), 3) for t in targets]
     assert not any(np.any(g) for k, g in grads.items() if k != "V")
 
 
@@ -266,10 +278,11 @@ def test_backward_degenerate_vocab_zero_gradient(rng):
     p = rand_cond_params(rng, embed=2, hidden=3, enc=2)
     V = rng.normal(size=(1, 3))
     emb = rng.normal(size=(1, 2))
+    scratch = logits_buffer([3], 1)
     lp, cache = sentence_log_prob_with_cache((0, 0, 0), rng.normal(size=2),
-                                             p, V, emb, logits_buffer([3], 1))
+                                             p, V, emb, scratch)
     grads = zero_accumulator(p, V, emb)
-    g_henc = decoder_pass_backward(cache, p, V, grads)
+    g_henc = decoder_pass_backward(cache, scratch, p, V, grads)
     assert abs(lp) < 1e-12
     assert all(np.max(np.abs(g)) < 1e-12 for g in grads.values())
     assert np.max(np.abs(g_henc)) < 1e-12

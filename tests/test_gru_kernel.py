@@ -137,10 +137,12 @@ def test_decoder_backward_matches_per_step_reference(mode, target):
                                     mode=mode), seed=10 + len(target))
     h_enc = np.random.default_rng(4).uniform(-0.9, 0.9, size=m.encoder.output_dim)
     p, V, emb = m.decoders.next_params, m.decoders.V, m.embedding
-    logp, cache = sentence_log_prob_with_cache(
-        target, h_enc, p, V, emb, logits_buffer([len(target)], len(V)))
+    scratch = logits_buffer([len(target)], len(V))
+    logp, cache = sentence_log_prob_with_cache(target, h_enc, p, V, emb,
+                                               scratch)
     got = zero_grads(m)
-    got_henc = decoder_pass_backward(cache, p, V, got, "dec_next.")
+    got_henc = decoder_pass_backward(cache, scratch, p, V, got,
+                                     "dec_next.")
     want_logp, want, want_henc = ref_decoder_grads(target, h_enc, p, V, emb)
     assert abs(logp - want_logp) < REL_TOL * abs(want_logp)
     want = {(k if k in ("V", "emb") else "dec_next." + k): v

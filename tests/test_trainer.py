@@ -78,22 +78,25 @@ def test_loss_nonnegative(rng):
 
 def test_grads_v_accumulates_both_decoders():
     # The shared output matrix collects gradient from both teacher-forced
-    # passes; the joint V gradient must equal the per-decoder sum.
+    # passes; the joint V gradient must equal the per-decoder sum.  Each
+    # pass's backward reads the rows that its forward left in the buffer the
+    # two passes share: the next decoder's first, then the previous one's.
     m = randomize_params(make_model(vocab_size=6), seed=4)
     t = small_triple()
     grads = zero_grads(m)
     batch_grads(m, [t], grads)
     h = encode(t.curr, m.encoder)
     scratch = logits_buffer([len(t.next), len(t.prev)], m.config.vocab_size)
+    rows_p = scratch[len(t.next):]
     _, cn = sentence_log_prob_with_cache(t.next, h, m.decoders.next_params,
                                          m.decoders.V, m.embedding, scratch)
     _, cp = sentence_log_prob_with_cache(t.prev, h, m.decoders.prev_params,
-                                         m.decoders.V, m.embedding, scratch)
+                                         m.decoders.V, m.embedding, rows_p)
     gn, gp = zero_grads(m), zero_grads(m)
-    decoder_pass_backward(cn, m.decoders.next_params, m.decoders.V, gn,
-                          "dec_next.")
-    decoder_pass_backward(cp, m.decoders.prev_params, m.decoders.V, gp,
-                          "dec_prev.")
+    decoder_pass_backward(cn, scratch, m.decoders.next_params, m.decoders.V,
+                          gn, "dec_next.")
+    decoder_pass_backward(cp, rows_p, m.decoders.prev_params, m.decoders.V,
+                          gp, "dec_prev.")
     assert np.max(np.abs(grads["V"] - (gn["V"] + gp["V"]))) < 1e-12
 
 
@@ -238,9 +241,9 @@ def test_step_and_output_layer_refuse_a_v_gradient_not_column_major(layout):
 def test_triple_gradient_builds_no_vocabulary_sized_array():
     # At V=20000, E=64, H=128 one (V, H) array takes 20.5 MB.  The dense
     # per-pass reference builds several inside one triple; the accumulating
-    # path adds into the step's arrays and builds only (T, V) logits in the
-    # forward pass and one (min(rows, OUTPUT_CHUNK), V) buffer in the
-    # output layer's backward.
+    # path adds into the step's arrays and builds only one logits buffer of
+    # at most OUTPUT_CHUNK - 1 + max(T) rows, which its forward passes fill
+    # and the output layer's backward reads.
     m = make_model(vocab_size=20000, embed_dim=64, hidden_dim=128)
     t = SentenceTriple(prev=(5, 17, 2, 9, 0), curr=(3, 19999, 40, 7, 3, 0),
                        next=(11, 12, 13, 11, 0))
@@ -259,26 +262,44 @@ def test_triple_gradient_builds_no_vocabulary_sized_array():
 
 
 # A batch of 41 decoder rows: MIXED_BATCH's 25, then a 10-token next
-# sentence on rows 25-34, across the first OUTPUT_CHUNK boundary.
+# sentence on rows 25-34.
 LONG_BATCH = MIXED_BATCH + [
     SentenceTriple(prev=(6, 2, 7, 7, 3, 0), curr=(4, 4, 0),
                    next=(2, 5, 3, 8, 8, 6, 2, 7, 4, 0))]
+
+# A batch of 76 decoder rows whose passes straddle a flush at OUTPUT_CHUNK =
+# 64: LONG_BATCH's 41 and 12 more, then 10-token next and previous sentences
+# on rows 53-62 and 63-72.  The flush after the latter takes 73 rows, every
+# row of the batch's buffer (63 + 10); the last triple's 3 rows go in the
+# flush at the end of the batch.
+STRADDLE_BATCH = LONG_BATCH + [
+    MIXED_BATCH[2],
+    SentenceTriple(prev=(8, 3, 5, 5, 2, 6, 7, 4, 3, 0), curr=(2, 6, 0),
+                   next=(7, 7, 2, 4, 6, 8, 3, 5, 2, 0)),
+    MIXED_BATCH[0]]
 
 
 def _decoder_rows(batch):
     return [n for t in batch for n in (len(t.next), len(t.prev))]
 
 
+def _set_output_chunk(monkeypatch, chunk):
+    # logits_buffer sizes the buffer by it, and batch_grads flushes by it.
+    monkeypatch.setattr(decoder, "OUTPUT_CHUNK", chunk)
+    monkeypatch.setattr(trainer, "OUTPUT_CHUNK", chunk)
+
+
 @pytest.mark.parametrize("mode", ["uni", "bi"])
 def test_fused_output_layer_matches_reference_across_chunks(mode):
-    ends = np.cumsum(_decoder_rows(LONG_BATCH))
-    assert ends[-1] > OUTPUT_CHUNK
-    assert any(a < OUTPUT_CHUNK < b for a, b in zip(ends[:-1], ends[1:]))
+    ends = list(np.cumsum(_decoder_rows(STRADDLE_BATCH)))
+    # A pass crosses OUTPUT_CHUNK, and passes follow the flush after it.
+    assert any(a < OUTPUT_CHUNK < b < ends[-1]
+               for a, b in zip(ends[:-1], ends[1:]))
     m = _mixed_model(mode, seed=48)
     grads = zero_grads(m)
-    loss = batch_grads(m, LONG_BATCH, grads)
+    loss = batch_grads(m, STRADDLE_BATCH, grads)
     want, want_loss = zero_grads(m), 0.0
-    for t in LONG_BATCH:
+    for t in STRADDLE_BATCH:
         ref_loss, ref = reference.triple_grads(m, t)
         want_loss += ref_loss
         for k in want:
@@ -288,8 +309,8 @@ def test_fused_output_layer_matches_reference_across_chunks(mode):
         assert _rel_err(grads[k], want[k]) < 1e-12, k
 
 
-@pytest.mark.parametrize("batch", [MIXED_BATCH, LONG_BATCH],
-                         ids=["mixed", "long"])
+@pytest.mark.parametrize("batch", [MIXED_BATCH, LONG_BATCH, STRADDLE_BATCH],
+                         ids=["mixed", "long", "straddle"])
 def test_batch_loss_is_the_sum_of_the_sentence_log_probs(batch):
     m = _mixed_model("bi", seed=49)
     dec = m.decoders
@@ -304,41 +325,98 @@ def test_batch_loss_is_the_sum_of_the_sentence_log_probs(batch):
 
 
 @pytest.mark.parametrize("chunk", [OUTPUT_CHUNK, 5])
-def test_step_runs_one_chunked_output_sweep_over_every_target(chunk,
-                                                              monkeypatch):
-    # One train step calls the output layer's backward once, on every decoder
-    # row of its batch, OUTPUT_CHUNK rows per V-gradient dgemm (the last
-    # chunk short), each of which writes the accumulator itself.
+def test_step_flushes_the_output_layer_at_pass_boundaries(chunk, monkeypatch):
+    # One train step runs the output layer's backward as soon as `chunk`
+    # rows are pending after a decoder pass, and once at the end: every
+    # decoder row goes through exactly one V-gradient dgemm, in phase-A
+    # order, each call's passes end at a pass boundary, and every dgemm
+    # writes the step's one accumulator in place.
     import scipy.linalg.blas as blas
 
-    calls, shapes = [], []
+    dgemms, calls, buffers = [], [], []
 
     def recording_dgemm(*args, **kwargs):
         out = real_dgemm(*args, **kwargs)
-        calls.append((args[1].shape[1], np.shares_memory(out, kwargs["c"])))
+        dgemms.append((args[2].T.copy(), kwargs["c"],
+                       np.shares_memory(out, kwargs["c"])))
         return out
 
-    def counting(*args):
-        shapes.append([c.lse.shape for c in args[0]])
-        return real_sweep(*args)
+    def recording_sweep(caches, *args):
+        calls.append(list(caches))
+        return real_sweep(caches, *args)
+
+    def recording_buffer(*args):
+        buffers.append(real_buffer(*args))
+        return buffers[-1]
     real_dgemm, real_sweep = blas.dgemm, trainer.output_layer_backward
+    real_buffer = trainer.logits_buffer
     monkeypatch.setattr(blas, "dgemm", recording_dgemm)
-    monkeypatch.setattr(trainer, "output_layer_backward", counting)
-    monkeypatch.setattr(decoder, "OUTPUT_CHUNK", chunk)
-    batch = LONG_BATCH * 2
-    rows = sum(_decoder_rows(batch))
+    monkeypatch.setattr(trainer, "output_layer_backward", recording_sweep)
+    monkeypatch.setattr(trainer, "logits_buffer", recording_buffer)
+    _set_output_chunk(monkeypatch, chunk)
+    batch = STRADDLE_BATCH
+    lengths = _decoder_rows(batch)
     m = lay_out(_mixed_model("uni", seed=50))
     train_step(m, batch, make_optimizer(m), m.config)
-    assert shapes == [[(n,) for n in _decoder_rows(batch)]]
-    assert len(calls) == -(-rows // chunk)
-    assert [n for n, _ in calls] == [chunk] * (rows // chunk) + \
-        ([rows % chunk] if rows % chunk else [])
-    assert all(shared for _, shared in calls)
+
+    passes = [c for call in calls for c in call]
+    assert [c.target for c in passes] == \
+        [s for t in batch for s in (t.next, t.prev)]
+    assert len({id(c) for c in passes}) == len(passes)
+    assert len(dgemms) == len(calls)
+    for call, (states, _, _) in zip(calls, dgemms):
+        assert np.array_equal(states,
+                              np.vstack([c.trace.S[1:] for c in call]))
+    rows = [sum(len(c.target) for c in call) for call in calls]
+    assert sum(rows) == sum(lengths)
+    for call, n in zip(calls[:-1], rows[:-1]):
+        assert n >= chunk > n - len(call[-1].target)
+    assert all(shared for _, _, shared in dgemms)
+    assert all(c is dgemms[0][1] for _, c, _ in dgemms)
+    assert dgemms[0][1].shape == m.decoders.V.shape
+    [buffer] = buffers
+    assert len(buffer) == min(sum(lengths), chunk - 1 + max(lengths))
+    assert max(rows) <= len(buffer)
+    if chunk == 64:
+        assert rows == [73, 3] and len(buffer) == 73
+
+
+class _CountingV(np.ndarray):
+    """A view of V that counts the rows it multiplies into logits: matmul
+    (and so `@`) by its transpose, whose last axis is the vocabulary."""
+
+    vocab_size = 0
+    logit_rows = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if (ufunc is np.matmul and isinstance(inputs[1], _CountingV)
+                and inputs[1].shape[-1] == _CountingV.vocab_size):
+            _CountingV.logit_rows += inputs[0].shape[0]
+        inputs = [np.asarray(x) if isinstance(x, _CountingV) else x
+                  for x in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(np.asarray(o) if isinstance(o, _CountingV)
+                                  else o for o in out)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_step_forms_each_logit_once(monkeypatch):
+    # Each decoder target row is multiplied by V once per train step, in its
+    # forward pass; the output layer's backward reads the rows that pass
+    # left instead of forming them again.
+    m = lay_out(_mixed_model("bi", seed=52))
+    assert m.config.vocab_size != m.config.hidden_dim
+    monkeypatch.setattr(_CountingV, "vocab_size", m.config.vocab_size)
+    monkeypatch.setattr(_CountingV, "logit_rows", 0)
+    m.decoders.V = m.decoders.V.view(_CountingV)
+    train_step(m, STRADDLE_BATCH, make_optimizer(m), m.config)
+    assert _CountingV.logit_rows == sum(_decoder_rows(STRADDLE_BATCH))
 
 
 def test_decoder_caches_hold_no_vocabulary_sized_row(monkeypatch):
-    # The forward pass keeps each step's log-normaliser, not its softmax row:
-    # no array that a cache holds has a vocabulary-sized axis.
+    # The forward pass leaves its exponentiated logits in the batch's buffer
+    # and keeps each row's sum, not the row: no array that a cache holds has
+    # a vocabulary-sized axis.
     kept = []
 
     def keeping(*args):
@@ -348,15 +426,15 @@ def test_decoder_caches_hold_no_vocabulary_sized_row(monkeypatch):
     monkeypatch.setattr(trainer, "output_layer_backward", keeping)
     m = randomize_params(make_model(vocab_size=97, embed_dim=3, hidden_dim=4),
                          seed=51)
-    batch_grads(m, LONG_BATCH, zero_grads(m))
-    assert len(kept) == 2 * len(LONG_BATCH)
+    batch_grads(m, STRADDLE_BATCH, zero_grads(m))
+    assert len(kept) == 2 * len(STRADDLE_BATCH)
     for cache in kept:
         assert isinstance(cache, DecoderCache)
         arrays = [getattr(cache, f.name)
                   for f in dataclasses.fields(cache)] + list(cache.trace)
         arrays = [a for a in arrays if isinstance(a, np.ndarray)]
         assert len(arrays) == 7
-        assert cache.lse.shape == (len(cache.target),)
+        assert cache.sums.shape == (len(cache.target),)
         assert all(97 not in a.shape for a in arrays)
 
 
