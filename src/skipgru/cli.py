@@ -116,13 +116,14 @@ def _load_models(args):
 def _tokenize_distinct(lines) -> tuple[list[list[str]], np.ndarray]:
     """The tokens of each distinct line, in first-seen order, and for every
     line the index of its distinct line.  Equal tokens are one shared string,
-    so the lists cost a pointer per token beyond the distinct words."""
+    so the lists cost a pointer per token beyond the distinct words: each
+    block of tokenize_lines is interned before the next one is formed."""
     index: dict[str, int] = {}
     where = np.array([index.setdefault(line, len(index)) for line in lines],
                      dtype=np.intp)
     words: dict[str, str] = {}
-    return [[words.setdefault(t, t) for t in corpus.tokenize(line)]
-            for line in index], where
+    return [[words.setdefault(t, t) for t in tokens]
+            for tokens in corpus.tokenize_lines(index)], where
 
 
 def _encode_distinct(distinct, where, lookups) -> np.ndarray:

@@ -7,6 +7,17 @@ within one document.
 build-vocab reads a corpus one document at a time and tokenizes it once, in
 count_tokens: the same counts rank the vocabulary (build_vocab) and give the
 corpus's word and unique-word stats.
+
+Text is tokenized in blocks of up to TOKENIZE_BLOCK lines (tokenize_lines):
+a block's lines are joined by "\n", lowercased once, rewritten once by each
+rule and split back into lines, so each regex runs once per block rather
+than once per line.  A "\n" inside a line first becomes a space.  The join
+cannot change a line's tokens: every rule, \b, the lookarounds and
+str.lower's final-sigma rule treat "\n" as they treat a space or the end of
+the string, and no rule matches or inserts "\n".  tokenize is the block of
+one line.  The apostrophe rules begin with a literal and check the word
+character before it by lookbehind, so the regex engine skips from one
+apostrophe (or "n't") to the next instead of trying every position.
 """
 
 from __future__ import annotations
@@ -14,6 +25,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InputError, ParameterError
@@ -28,20 +40,39 @@ SENTENCE_CAP = 100
 # Rule-based tokenizer: lowercase, split punctuation into separate tokens,
 # split clitic contractions ("don't" -> "do n't", "he'll" -> "he 'll").
 _PUNCT = re.compile(r"([^\w\s'])")
-_NT = re.compile(r"(?<=\w)(n't)\b")
-_CLITIC = re.compile(r"(?<=\w)('ll|'re|'ve|'d|'s|'m)\b")
-_LONE_APOSTROPHE = re.compile(r"(?<!\w)'|'(?!\w)")
+_NT = re.compile(r"(n't)(?<=\wn't)\b")
+_CLITIC = re.compile(r"('(?<=\w')(?:ll|re|ve|d|s|m))\b")
+_LONE_APOSTROPHE = re.compile(r"'(?:(?<!\w')|(?!\w))")
+
+# Lines tokenized together: the regex calls are paid once per block, and
+# only one block's text and tokens are alive at a time.
+TOKENIZE_BLOCK = 256
 
 
-def tokenize(text: str) -> list[str]:
-    """Lowercased tokens with punctuation and contractions split off."""
-    t = text.lower()
+def _tokenize_block(lines: list[str]) -> list[list[str]]:
+    """The tokens of each line, in one pass over the lines joined by "\n"."""
+    if not lines:
+        return []
+    t = "\n".join([line.replace("\n", " ") for line in lines]).lower()
     t = _PUNCT.sub(r" \1 ", t)
     # Quotes and possessives first, so clitic splits stay intact afterwards.
     t = _LONE_APOSTROPHE.sub(" ' ", t)
     t = _NT.sub(r" \1", t)
     t = _CLITIC.sub(r" \1", t)
-    return t.split()
+    return [line.split() for line in t.split("\n")]
+
+
+def tokenize(text: str) -> list[str]:
+    """Lowercased tokens with punctuation and contractions split off."""
+    return _tokenize_block([text])[0]
+
+
+def tokenize_lines(lines: Iterable[str]) -> Iterator[list[str]]:
+    """The tokens of each line, in order, tokenized TOKENIZE_BLOCK lines at a
+    time: the next block is read only once the last one's tokens are taken."""
+    lines = iter(lines)
+    while block := list(islice(lines, TOKENIZE_BLOCK)):
+        yield from _tokenize_block(block)
 
 
 def detokenize(tokens: Iterable[str]) -> str:
@@ -85,8 +116,8 @@ class Vocabulary:
 def count_tokens(sentences: Iterable[str]) -> Counter[str]:
     """Occurrences of every token, in first-seen order."""
     counts: Counter[str] = Counter()
-    for sentence in sentences:
-        counts.update(tokenize(sentence))
+    for tokens in tokenize_lines(sentences):
+        counts.update(tokens)
     return counts
 
 
@@ -114,20 +145,17 @@ class SentenceTriple(NamedTuple):
     next: tuple[int, ...]
 
 
-def encode_sentence(sentence: str, vocab: Vocabulary) -> tuple[int, ...]:
-    """Token ids of the sentence's first SENTENCE_CAP tokens, plus eos."""
-    tokens = tokenize(sentence)[:SENTENCE_CAP]
-    return tuple(vocab.ids_for(tokens)) + (vocab.eos_id,)
-
-
 def iter_triples(documents: Iterable[list[str]],
                  vocab: Vocabulary) -> Iterator[SentenceTriple]:
     """Yield one triple per interior sentence of each document; documents
     with fewer than three sentences yield nothing."""
+    eos = (vocab.eos_id,)
     for doc in documents:
         if len(doc) < 3:
             continue
-        encoded = [encode_sentence(s, vocab) for s in doc]
+        # Each sentence's first SENTENCE_CAP token ids, plus eos.
+        encoded = [tuple(vocab.ids_for(tokens[:SENTENCE_CAP])) + eos
+                   for tokens in tokenize_lines(doc)]
         for i in range(1, len(doc) - 1):
             yield SentenceTriple(encoded[i - 1], encoded[i], encoded[i + 1])
 

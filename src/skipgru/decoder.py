@@ -160,10 +160,25 @@ class DecoderCache:
 def logits_buffer(lengths: Sequence[int], vocab_size: int) -> np.ndarray:
     """One scratch array for the logits of a batch's decoder passes of the
     given target lengths, handed out pass by pass in consecutive rows.  A
-    train step runs output_layer_backward as soon as OUTPUT_CHUNK rows are
-    pending, so at most OUTPUT_CHUNK - 1 rows wait when a pass begins."""
+    train step runs output_layer_backward where output_flushes says, so at
+    most OUTPUT_CHUNK - 1 rows wait when a pass begins."""
     rows = min(sum(lengths), OUTPUT_CHUNK - 1 + max(lengths))
     return np.empty((rows, vocab_size))
+
+
+def output_flushes(lengths: Sequence[int]) -> list[bool]:
+    """For each of a batch's decoder passes of the given target lengths, in
+    order: whether output_layer_backward runs over the pending passes once
+    that pass is done.  It runs as soon as OUTPUT_CHUNK rows are pending, and
+    after the last pass."""
+    flushes, rows = [], 0
+    for n in lengths:
+        rows += n
+        flushes.append(rows >= OUTPUT_CHUNK)
+        if flushes[-1]:
+            rows = 0
+    flushes[-1] = True
+    return flushes
 
 
 def sentence_log_prob_with_cache(target: Sequence[int], h_enc: np.ndarray,

@@ -17,10 +17,11 @@ interleaved:
      decoder.logits_buffer, and its cache keeps each row's sum rather than
      the row;
   B. as soon as OUTPUT_CHUNK rows are pending in that buffer after a pass,
-     and once after the last pass, the output-layer backward over the
-     pending passes (decoder.output_layer_backward), which turns their rows
-     into softmax gradients in place, adds into V's column-major gradient
-     and returns each pass's state gradients.  No logit is formed twice;
+     and once after the last pass (decoder.output_flushes), the output-layer
+     backward over the pending passes (decoder.output_layer_backward), which
+     turns their rows into softmax gradients in place, adds into V's
+     column-major gradient and returns each pass's state gradients.  No
+     logit is formed twice;
   C. triple_grads for every triple in batch order: the next decoder's
      recurrence, the previous decoder's, then the encoder's.
 
@@ -47,9 +48,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import SentenceTriple, Vocabulary
-from .decoder import (COND_KEYS, OUTPUT_CHUNK, ConditionalGruParams,
-                      DecoderCache, DecoderPair, decoder_backward,
-                      init_decoder_pair, logits_buffer, output_layer_backward,
+from .decoder import (COND_KEYS, ConditionalGruParams, DecoderCache,
+                      DecoderPair, decoder_backward, init_decoder_pair,
+                      logits_buffer, output_flushes, output_layer_backward,
                       sentence_log_prob, sentence_log_prob_with_cache)
 from .encoder import (GRU_KEYS, EncoderCache, EncoderModel, GruParams, encode,
                       encode_with_cache, encoder_backward, init_encoder)
@@ -186,11 +187,14 @@ def batch_grads(model: SkipGruModel, batch: Sequence[SentenceTriple],
 
     grads holds one accumulator per parameter name (param_order).  The loss
     is the sum, in batch order, of each triple's -(log P(next) + log P(prev))
-    from its forward pass.
+    from its forward pass.  An empty batch raises InputError.
     """
+    if not batch:
+        raise InputError("a train step needs a nonempty batch")
     emb, dec = model.embedding, model.decoders
-    scratch = logits_buffer([len(s) for t in batch for s in (t.next, t.prev)],
-                            dec.vocab_size)
+    lengths = [len(s) for t in batch for s in (t.next, t.prev)]
+    scratch = logits_buffer(lengths, dec.vocab_size)
+    flushes = iter(output_flushes(lengths))
     loss = 0.0
     caches, dS = [], []
     pending, rows = [], 0
@@ -203,14 +207,12 @@ def batch_grads(model: SkipGruModel, batch: Sequence[SentenceTriple],
                 target, h, p, dec.V, emb, scratch[rows:]))
             pending.append(passes[-1][1])
             rows += len(target)
-            if rows >= OUTPUT_CHUNK:
+            if next(flushes):
                 dS += output_layer_backward(pending, dec.V, grads, scratch)
                 pending, rows = [], 0
         (lp_next, cache_n), (lp_prev, cache_p) = passes
         loss += -(lp_next + lp_prev)
         caches.append((enc_cache, cache_n, cache_p))
-    if pending:
-        dS += output_layer_backward(pending, dec.V, grads, scratch)
     for i, triple_caches in enumerate(caches):
         triple_grads(model, triple_caches, dS[2 * i:2 * i + 2], grads)
     return loss
@@ -257,8 +259,6 @@ def train_step(model: SkipGruModel, batch: Sequence[SentenceTriple],
     then scaled to the batch mean, and its one global norm is checked,
     reported and used to clip it in place before it is handed to Adam.
     """
-    if not batch:
-        raise InputError("train_step needs a nonempty batch")
     params = model.param_dict()
     total: ParamSet = {k: np.zeros_like(v) for k, v in params.items()}
     mean_loss = batch_grads(model, batch, total) / len(batch)

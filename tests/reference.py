@@ -27,16 +27,20 @@ something the package computes in bulk:
   (numerics.adam_step applies the same operations to the caller's arrays in
   place, block by block);
 - encoding lines one at a time with the unrolled recurrence
-  (vocab_expansion.encode_sentences runs length-sorted, padded batches).
+  (vocab_expansion.encode_sentences runs length-sorted, padded batches);
+- tokenizing one line at a time with rules that begin with a lookbehind, and
+  a sentence's token ids from its own tokenize call (corpus tokenizes blocks
+  of lines joined by "\n", with rules that begin at a literal).
 """
 
 import math
+import re
 from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
-from skipgru.corpus import SentenceTriple, tokenize
+from skipgru.corpus import SENTENCE_CAP, SentenceTriple, Vocabulary
 from skipgru.decoder import (COND_KEYS, ConditionalGruParams, DecoderCache,
                              logits_buffer, sentence_log_prob_with_cache)
 from skipgru.encoder import (EncoderCache, EncoderModel, GruParams,
@@ -46,6 +50,29 @@ from skipgru.errors import (InputError, MetricError, NumericError,
 from skipgru.numerics import AdamState, ParamSet, get_rng, sigmoid, softmax
 from skipgru.probes import SCORE_BINS
 from skipgru.ranking import RankingModel, _contrastive_draws
+
+
+_PUNCT = re.compile(r"([^\w\s'])")
+_NT = re.compile(r"(?<=\w)(n't)\b")
+_CLITIC = re.compile(r"(?<=\w)('ll|'re|'ve|'d|'s|'m)\b")
+_LONE_APOSTROPHE = re.compile(r"(?<!\w)'|'(?!\w)")
+
+
+def tokenize(text: str) -> list[str]:
+    """Lowercased tokens of one line with punctuation and contractions split
+    off, each rule applied to the line alone."""
+    t = text.lower()
+    t = _PUNCT.sub(r" \1 ", t)
+    t = _LONE_APOSTROPHE.sub(" ' ", t)
+    t = _NT.sub(r" \1", t)
+    t = _CLITIC.sub(r" \1", t)
+    return t.split()
+
+
+def encode_sentence(sentence: str, vocab: Vocabulary) -> tuple[int, ...]:
+    """Token ids of the sentence's first SENTENCE_CAP tokens, plus eos."""
+    tokens = tokenize(sentence)[:SENTENCE_CAP]
+    return tuple(vocab.ids_for(tokens)) + (vocab.eos_id,)
 
 
 def finite_diff_check(loss_fn, params: ParamSet, analytic: ParamSet, eps: float = 1e-5) -> float:

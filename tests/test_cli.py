@@ -20,7 +20,7 @@ import pytest
 import reference
 import skipgru
 from conftest import make_model
-from skipgru import corpus, trainer, vocab_expansion
+from skipgru import corpus, trainer
 from skipgru.cli import _encode_lines, _tokenize_distinct, main
 from skipgru.fileio import read_vectors
 from skipgru.trainer import METRICS_HEADER, load_checkpoint
@@ -160,14 +160,21 @@ def test_vocab_stats_hand_count(tmp_path, capsys):
     assert not (tmp_path / "e.txt").exists()
 
 
-def test_vocab_tokenizes_each_sentence_once(ws, tmp_path, monkeypatch):
+def _record_tokenized_lines(monkeypatch) -> list[str]:
+    """Every line that goes through the block tokenizer, which tokenize and
+    tokenize_lines both call, in call order."""
     calls = []
-    real = corpus.tokenize
+    real = corpus._tokenize_block
 
-    def tokenize(text):
-        calls.append(text)
-        return real(text)
-    monkeypatch.setattr(corpus, "tokenize", tokenize)
+    def tokenize_block(lines):
+        calls.extend(lines)
+        return real(lines)
+    monkeypatch.setattr(corpus, "_tokenize_block", tokenize_block)
+    return calls
+
+
+def test_vocab_tokenizes_each_sentence_once(ws, tmp_path, monkeypatch):
+    calls = _record_tokenized_lines(monkeypatch)
     assert main(["build-vocab", "--corpus", str(ws["corpus"]), "--size", "24",
                  "--out", str(tmp_path / "v.txt")]) == 0
     assert sorted(calls) == sorted(line for line in CORPUS.splitlines() if line)
@@ -552,16 +559,7 @@ def test_encode_tokenizes_each_distinct_line_once(ws, tmp_path, monkeypatch,
              "the cat sat .", "a bird flew .", "the zeppelin sat ."]
     inp = tmp_path / "in.txt"
     inp.write_text("\n".join(lines) + "\n")
-    calls = []
-
-    def counting(binding):
-        def tokenize(text):
-            calls.append(text)
-            return binding(text)
-        return tokenize
-    monkeypatch.setattr(corpus, "tokenize", counting(corpus.tokenize))
-    monkeypatch.setattr(vocab_expansion, "tokenize",
-                        counting(vocab_expansion.tokenize))
+    calls = _record_tokenized_lines(monkeypatch)
     capsys.readouterr()
     assert main(["encode", "--ckpt", str(ws["ckpt"]), "--ckpt2", str(ws["bi"]),
                  "--input", str(inp), "--out", str(tmp_path / "v.bin")]) == 0

@@ -1,20 +1,24 @@
 """Tokenization, vocabulary construction, and triple streaming.
 
-Oracles: hand-tokenized sentences, a Counter-based frequency oracle for the
-vocabulary cut, and direct enumeration for triple counts.
+Oracles: hand-tokenized sentences, the per-line tokenizer of reference.py for
+the block tokenizer, a Counter-based frequency oracle for the vocabulary cut,
+and direct enumeration for triple counts.
 """
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skipgru.corpus import (EOS_TOKEN, SENTENCE_CAP, UNK_TOKEN, Vocabulary,
-                            build_vocab, count_tokens, detokenize,
-                            encode_sentence, iter_triples, load_vocab,
-                            read_documents, save_vocab, tokenize)
+import reference
+from skipgru import corpus
+from skipgru.corpus import (EOS_TOKEN, SENTENCE_CAP, TOKENIZE_BLOCK, UNK_TOKEN,
+                            Vocabulary, build_vocab, count_tokens, detokenize,
+                            iter_triples, load_vocab, read_documents,
+                            save_vocab, tokenize, tokenize_lines)
 from skipgru.errors import InputError, ParameterError
 
 
@@ -53,6 +57,84 @@ def test_tokenize_whitespace_collapse():
 def test_tokenize_deterministic():
     s = "The cat, the hat; don't ask why!"
     assert tokenize(s) == tokenize(s)
+
+
+# Pieces that exercise every rule and every context the "\n" join could
+# change: contractions and clitics after word characters, spaces and line
+# edges; lone, doubled and inner apostrophes; a final sigma (lowercased by
+# what follows it); "İ", which lowercases to two characters; underscores and
+# digits (word characters); tabs and "\n" inside a line.
+PIECES = ["n't", "N'T", "'ll", "'re", "'ve", "'d", "'s", "'m", "'LL", "'S",
+          "'", "''", "o'clock", "don", "can", "won't", "Ann", "Σ", "ΑΣ", "σ",
+          "İ", "_", "_x", "7", "a", "B", " ", "  ", "\t", "\n", ".", ",", '"',
+          "?!", "-", "é"]
+LINE = st.one_of(st.lists(st.sampled_from(PIECES), max_size=12).map("".join),
+                 st.text(max_size=12))
+
+
+def _per_line(lines):
+    return [reference.tokenize(line) for line in lines]
+
+
+@given(st.lists(LINE, max_size=12))
+# An inner apostrophe before "n't" (not split off, as "n't" follows no word
+# character), a final sigma before "\n", and clitics after other apostrophes.
+@example(["a'n't", "ΑΣ\nα", "ΑΣ", "Σ", "'tis n't", "İ'S", "x''s", "''"])
+@settings(max_examples=300, deadline=None)
+def test_block_tokenizer_matches_the_per_line_oracle(lines):
+    want = _per_line(lines)
+    assert list(tokenize_lines(lines)) == want
+    assert corpus._tokenize_block(lines) == want
+    assert [tokenize(line) for line in lines] == want
+
+
+@given(st.lists(LINE, min_size=1, max_size=6),
+       st.integers(TOKENIZE_BLOCK - 2, 2 * TOKENIZE_BLOCK + 2))
+@settings(max_examples=30, deadline=None)
+def test_batches_that_straddle_the_block_size_match_the_oracle(pool, n):
+    lines = [pool[i % len(pool)] for i in range(n)]
+    assert list(tokenize_lines(lines)) == _per_line(lines)
+
+
+def test_tokenize_lines_of_no_lines_is_empty():
+    assert list(tokenize_lines([])) == []
+    assert list(tokenize_lines([""])) == [[]]
+
+
+def test_tokenize_lines_reads_one_block_ahead():
+    pulled = []
+
+    def lines():
+        for i in range(3 * TOKENIZE_BLOCK):
+            pulled.append(i)
+            yield f"w{i}"
+    out = tokenize_lines(lines())
+    assert next(out) == ["w0"]
+    assert len(pulled) == TOKENIZE_BLOCK
+    for _ in range(TOKENIZE_BLOCK - 1):
+        next(out)
+    assert len(pulled) == TOKENIZE_BLOCK
+    assert next(out) == [f"w{TOKENIZE_BLOCK}"]
+    assert len(pulled) == 2 * TOKENIZE_BLOCK
+
+
+def test_count_tokens_holds_one_block_at_a_time():
+    # 100 000 lines of 10 words from a 100-word vocabulary: the counts'
+    # transient memory is a block's text and tokens, far below the text of
+    # the whole stream joined.
+    words = [f"word{i}" for i in range(100)]
+    rng = np.random.default_rng(0)
+    lines = [" ".join(words[i] for i in row)
+             for row in rng.integers(0, 100, size=(100_000, 10))]
+    joined = sum(len(line) + 1 for line in lines)
+    tracemalloc.start()
+    try:
+        counts = count_tokens(lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == Counter(w for line in lines for w in line.split())
+    assert peak < joined / 10
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +266,16 @@ def test_triple_sequences_eos_terminated():
             assert all(i < v.size for i in seq)
 
 
+def _encode(sentence, vocab):
+    """The ids iter_triples gives a sentence: the middle of a document."""
+    [triple] = iter_triples([["", sentence, ""]], vocab)
+    assert triple.curr == reference.encode_sentence(sentence, vocab)
+    return triple.curr
+
+
 def test_encode_sentence_caps_length():
     v = build_vocab(count_tokens(["a b"]), max_size=5)
-    ids = encode_sentence(" ".join(["a"] * 200), v)
+    ids = _encode(" ".join(["a"] * 200), v)
     assert len(ids) == 101 and ids[-1] == v.eos_id
     assert SENTENCE_CAP == 100
 
@@ -225,9 +314,9 @@ WORD = st.sampled_from(["alpha", "beta", "gamma", "delta", ".", ","])
 def test_roundtrip_for_in_vocab_text(words):
     v = build_vocab(count_tokens(["alpha beta gamma delta . ,"]), max_size=10)
     sent = " ".join(words)
-    ids = encode_sentence(sent, v)
+    ids = _encode(sent, v)
     text = detokenize([v.id_to_token[i] for i in ids[:-1]])
-    assert encode_sentence(text, v) == ids
+    assert _encode(text, v) == ids
 
 
 @given(st.lists(st.lists(WORD, min_size=1, max_size=5), min_size=1,
@@ -242,5 +331,5 @@ def test_triple_count_matches_enumeration(doc_sents):
 
 def test_unk_never_for_in_vocab_tokens():
     v = build_vocab(count_tokens(["p q r s"]), max_size=8)
-    ids = encode_sentence("p q r s p q", v)
+    ids = _encode("p q r s p q", v)
     assert v.unk_id not in ids

@@ -284,9 +284,9 @@ def _decoder_rows(batch):
 
 
 def _set_output_chunk(monkeypatch, chunk):
-    # logits_buffer sizes the buffer by it, and batch_grads flushes by it.
+    # logits_buffer sizes the buffer by it, and output_flushes tells
+    # batch_grads where to flush by it.
     monkeypatch.setattr(decoder, "OUTPUT_CHUNK", chunk)
-    monkeypatch.setattr(trainer, "OUTPUT_CHUNK", chunk)
 
 
 @pytest.mark.parametrize("mode", ["uni", "bi"])
@@ -494,6 +494,14 @@ def test_step_empty_batch():
     m = make_model(vocab_size=6)
     with pytest.raises(InputError):
         train_step(m, [], make_optimizer(m), m.config)
+
+
+def test_batch_grads_of_an_empty_batch_is_an_input_error():
+    m = make_model(vocab_size=6)
+    grads = zero_grads(m)
+    with pytest.raises(InputError):
+        batch_grads(m, [], grads)
+    assert all(not g.any() for g in grads.values())
 
 
 def test_step_nonfinite_loss_aborts():
