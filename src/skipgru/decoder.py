@@ -18,19 +18,20 @@ Both decoders run on the encoder's GRU kernel.  The conditioning terms
 C_* h_enc are constant over a sentence, so they are added once to the input
 pre-activations X @ W_*.T before the time loop.
 
-The backward pass comes in two parts, so that a train step can run the
-output layer once per group of decoder passes rather than once per pass:
+A train step runs all of its decoder passes through decode_batch, which
+owns the output layer, so that it runs once per group of passes rather than
+once per pass:
+- decode_batch allocates one logits buffer for the step and hands each pass
+  the next free rows of it.
 - sentence_log_prob_with_cache forms a pass's (T, vocab) logits in the rows
-  of a scratch array that it is handed, and leaves there their exponentials
-  exp(logits - row max); its cache keeps each row's sum.  A train step hands
-  its passes consecutive rows of one logits_buffer.
-- output_layer_backward takes the cached passes whose rows are pending in
-  that buffer.  It divides the rows by their sums into softmax rows and
-  subtracts the one-hot targets in place, then takes dlogits @ V, the
-  passes' state gradients, and dlogits.T @ H, which it adds into V's
-  gradient by one BLAS call that accumulates in place.  It forms no logits
-  and takes no exp: each logit of a train step is formed once, in the
-  forward pass.  No (rows, vocab) array exists beyond the buffer.
+  it is handed and leaves there their softmax rows.
+- output_layer_backward runs as soon as OUTPUT_CHUNK rows are pending, and
+  after the last pass.  It subtracts the one-hot targets from the pending
+  rows in place, then takes dlogits @ V, the passes' state gradients, and
+  dlogits.T @ H, which it adds into V's gradient by one BLAS call that
+  accumulates in place.  It forms no logits and takes no exp: each logit of
+  a train step is formed once, in the forward pass.  No (rows, vocab) array
+  exists beyond the buffer.
 - decoder_backward runs the recurrence of one pass from its state gradients:
   the per-step pre-activation gradients summed over time give the
   conditioning matrices' gradients and the gradient into h_enc, and the input
@@ -52,13 +53,14 @@ import numpy as np
 
 from .encoder import (GRU_KEYS, INIT_RANGE, GruParams, GruTrace, gru_backward,
                       gru_forward, init_gru_params)
-from .errors import ParameterError, RangeError, ShapeError, StateError
+from .errors import (InputError, ParameterError, RangeError, ShapeError,
+                     StateError)
 from .numerics import ParamSet, get_rng, softmax, uniform_init
 
 COND_CONDITIONING_KEYS = ("C_r", "C_z", "C")
 COND_KEYS = GRU_KEYS + COND_CONDITIONING_KEYS + ("begin",)
 
-# Decoder rows pending in a logits_buffer at which a train step runs
+# Decoder rows pending in decode_batch's logits buffer at which it runs
 # output_layer_backward over them.
 OUTPUT_CHUNK = 64
 
@@ -154,31 +156,6 @@ class DecoderCache:
     h_enc: np.ndarray
     X: np.ndarray        # (T, embed) inputs: begin, then target[:-1] embeddings
     trace: GruTrace
-    sums: np.ndarray     # (T,) sum of each step's exp(logits - row max)
-
-
-def logits_buffer(lengths: Sequence[int], vocab_size: int) -> np.ndarray:
-    """One scratch array for the logits of a batch's decoder passes of the
-    given target lengths, handed out pass by pass in consecutive rows.  A
-    train step runs output_layer_backward where output_flushes says, so at
-    most OUTPUT_CHUNK - 1 rows wait when a pass begins."""
-    rows = min(sum(lengths), OUTPUT_CHUNK - 1 + max(lengths))
-    return np.empty((rows, vocab_size))
-
-
-def output_flushes(lengths: Sequence[int]) -> list[bool]:
-    """For each of a batch's decoder passes of the given target lengths, in
-    order: whether output_layer_backward runs over the pending passes once
-    that pass is done.  It runs as soon as OUTPUT_CHUNK rows are pending, and
-    after the last pass."""
-    flushes, rows = [], 0
-    for n in lengths:
-        rows += n
-        flushes.append(rows >= OUTPUT_CHUNK)
-        if flushes[-1]:
-            rows = 0
-    flushes[-1] = True
-    return flushes
 
 
 def sentence_log_prob_with_cache(target: Sequence[int], h_enc: np.ndarray,
@@ -186,12 +163,9 @@ def sentence_log_prob_with_cache(target: Sequence[int], h_enc: np.ndarray,
                                  embedding: np.ndarray, scratch: np.ndarray
                                  ) -> tuple[float, DecoderCache]:
     """The teacher-forced log-likelihood and the cache that the backward pass
-    needs.  The (T, vocab) logits are formed in the leading rows of `scratch`
-    (rows of a logits_buffer), which are left holding exp(logits - row max)
-    for output_layer_backward to read: the pass's softmax rows, scaled by
-    the cache's row sums.  A batch's passes share that one array: each
-    allocating its own between the caches the batch keeps fragments the heap
-    and raises the process's peak RSS."""
+    needs.  The (T, vocab) logits are formed in the leading rows of `scratch`,
+    which are left holding the pass's softmax rows for output_layer_backward
+    to read."""
     ids = _check_target(target, V.shape[0])
     h_enc = _check_conditioning(h_enc, p)
     X = np.vstack([p.begin, embedding[list(ids[:-1])]])
@@ -204,9 +178,9 @@ def sentence_log_prob_with_cache(target: Sequence[int], h_enc: np.ndarray,
     picked = z[np.arange(len(ids)), list(ids)]
     np.exp(z, out=z)
     sums = np.sum(z, axis=1)
+    z /= sums[:, None]
     total = float((picked - np.log(sums)).sum())
-    return total, DecoderCache(target=ids, h_enc=h_enc, X=X, trace=trace,
-                               sums=sums)
+    return total, DecoderCache(target=ids, h_enc=h_enc, X=X, trace=trace)
 
 
 def sentence_log_prob(target: Sequence[int], h_enc: np.ndarray,
@@ -214,8 +188,41 @@ def sentence_log_prob(target: Sequence[int], h_enc: np.ndarray,
                       embedding: np.ndarray) -> float:
     """Teacher-forced log P(target | h_enc) = sum_t log softmax(V h^t)[w^t]; <= 0."""
     logp, _ = sentence_log_prob_with_cache(
-        target, h_enc, p, V, embedding, logits_buffer([len(target)], len(V)))
+        target, h_enc, p, V, embedding, np.empty((len(target), len(V))))
     return logp
+
+
+def decode_batch(passes: Sequence[tuple[Sequence[int], np.ndarray,
+                                        ConditionalGruParams]],
+                 V: np.ndarray, embedding: np.ndarray, grads: ParamSet
+                 ) -> tuple[list[float], list[DecoderCache], list[np.ndarray]]:
+    """Run the teacher-forced forward pass of each (target, h_enc, params) in
+    `passes`, in order, and the output layer's backward over them; returns
+    each pass's log-likelihood, its cache and its (T, hidden) state gradients.
+
+    V's gradient is added into grads["V"], group by group in pass order;
+    nothing else in `grads` is touched.  The passes share one logits buffer:
+    each allocating its own between the caches a batch keeps fragments the
+    heap and raises the process's peak RSS.  At most OUTPUT_CHUNK - 1 rows
+    wait in it when a pass begins.  An empty `passes` raises InputError.
+    """
+    if not passes:
+        raise InputError("decode_batch needs at least one decoder pass")
+    lengths = [len(target) for target, _, _ in passes]
+    scratch = np.empty((min(sum(lengths), OUTPUT_CHUNK - 1 + max(lengths)),
+                        V.shape[0]))
+    log_probs, caches, dS = [], [], []
+    rows = 0
+    for target, h_enc, p in passes:
+        lp, cache = sentence_log_prob_with_cache(target, h_enc, p, V,
+                                                 embedding, scratch[rows:])
+        log_probs.append(lp)
+        caches.append(cache)
+        rows += len(cache.target)
+        if rows >= OUTPUT_CHUNK or len(caches) == len(passes):
+            dS += output_layer_backward(caches[len(dS):], V, grads, scratch)
+            rows = 0
+    return log_probs, caches, dS
 
 
 def output_layer_backward(caches: Sequence[DecoderCache], V: np.ndarray,
@@ -226,12 +233,12 @@ def output_layer_backward(caches: Sequence[DecoderCache], V: np.ndarray,
     log-likelihood with respect to its states h^1..h^T, in the order of
     `caches`.
 
-    The passes' forward calls must have left their rows in the leading rows
-    of `scratch`, one pass after another in the order of `caches`; those rows
-    are overwritten with the gradient of the loss with respect to the logits.
-    grads["V"] must be column-major, as trainer.train lays it out: BLAS
-    updates it in place by one call.  Any other layout raises ParameterError
-    before anything is written.
+    The passes' forward calls must have left their softmax rows in the
+    leading rows of `scratch`, one pass after another in the order of
+    `caches`; those rows are overwritten with the gradient of the loss with
+    respect to the logits.  grads["V"] must be column-major, as trainer.train
+    lays it out: BLAS updates it in place by one call.  Any other layout
+    raises ParameterError before anything is written.
     """
     if not all(isinstance(c, DecoderCache) for c in caches):
         raise StateError("output_layer_backward needs the caches from "
@@ -246,9 +253,8 @@ def output_layer_backward(caches: Sequence[DecoderCache], V: np.ndarray,
 
     S = np.vstack([c.trace.S[1:] for c in caches])         # (rows, hidden)
     # Softmax cross-entropy: d(-log p)/dlogits = p - onehot(target), with p
-    # the forward's exp rows over their sums.
+    # the forward's softmax rows.
     G = scratch[:len(S)]
-    G /= np.concatenate([c.sums for c in caches])[:, None]
     G[np.arange(len(G)), np.concatenate([c.target for c in caches])] -= 1.0
     dS = G @ V
     # grads["V"] += G.T @ S, accumulated by BLAS in place (beta = 1) from
@@ -289,7 +295,7 @@ def sample_sentence(h_enc: np.ndarray, p: ConditionalGruParams, V: np.ndarray,
     max_len tokens.  temperature = 0 means greedy argmax (no randomness)."""
     if max_len < 1:
         raise ParameterError(f"max_len must be >= 1, got {max_len}")
-    if temperature < 0:
+    if not temperature >= 0:
         raise ParameterError(f"temperature must be >= 0, got {temperature}")
     h_enc = _check_conditioning(h_enc, p)
     c_r, c_z, c_h = p.C_r @ h_enc, p.C_z @ h_enc, p.C @ h_enc

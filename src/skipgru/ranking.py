@@ -42,8 +42,9 @@ class RankingModel:
         if self.U.shape[0] != self.V.shape[0] or self.U.shape[0] < 1:
             raise ShapeError(f"U and V must share a positive embedding dim, "
                              f"got {self.U.shape} and {self.V.shape}")
-        if self.alpha <= 0:
-            raise ParameterError(f"margin must be positive, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ParameterError(f"margin must be finite and positive, "
+                                 f"got {self.alpha}")
         if self.k_contrastive < 1:
             raise ParameterError(f"k_contrastive must be >= 1, "
                                  f"got {self.k_contrastive}")
@@ -127,8 +128,9 @@ class RankTrainConfig:
     def __post_init__(self):
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and positive, "
+                              f"got {self.learning_rate}")
 
 
 @dataclass

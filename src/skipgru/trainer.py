@@ -8,28 +8,21 @@ The loss for one triple (s_prev, s_curr, s_next) is
 and a batch optimizes the mean over its triples (the corpus objective is the
 sum; the mean keeps the learning rate independent of batch size).  A train
 step allocates one zero-filled gradient per parameter, and batch_grads adds
-the whole batch's gradient into it in three phases, the first two
-interleaved:
+the whole batch's gradient into it in three sequential parts:
 
-  A. the forward pass of every triple in batch order: the encoder, then the
-     next and the previous decoder.  Each decoder pass leaves its
-     exponentiated logits in the next free rows of one
-     decoder.logits_buffer, and its cache keeps each row's sum rather than
-     the row;
-  B. as soon as OUTPUT_CHUNK rows are pending in that buffer after a pass,
-     and once after the last pass (decoder.output_flushes), the output-layer
-     backward over the pending passes (decoder.output_layer_backward), which
-     turns their rows into softmax gradients in place, adds into V's
-     column-major gradient and returns each pass's state gradients.  No
-     logit is formed twice;
+  A. the encoder's forward pass of every triple in batch order;
+  B. one decoder.decode_batch over the next and the previous decoder's pass
+     of every triple in batch order.  It runs the forward passes and the
+     output layer, which adds into V's column-major gradient group by group
+     and returns each pass's state gradients.  No logit is formed twice, and
+     no pass builds a vocabulary-sized array of its own;
   C. triple_grads for every triple in batch order: the next decoder's
      recurrence, the previous decoder's, then the encoder's.
 
-No pass builds a vocabulary-sized array of its own: the buffer holds about
-OUTPUT_CHUNK plus one sentence's rows.  The additions happen in a fixed order
-(V's group by group in phase-A order, every other parameter's triple by
-triple in phase C), so runs are reproducible bit for bit given a seed, and a
-checkpointed run resumed mid-stream matches an unbroken run exactly.
+The additions happen in a fixed order (V's in decode_batch's pass order,
+every other parameter's triple by triple in part C), so runs are
+reproducible bit for bit given a seed, and a checkpointed run resumed
+mid-stream matches an unbroken run exactly.
 
 Clipping and Adam then write into the gradient, the model's parameter arrays
 and the optimizer's moments in place, so a step holds four parameter-sized
@@ -49,9 +42,8 @@ import numpy as np
 
 from .corpus import SentenceTriple, Vocabulary
 from .decoder import (COND_KEYS, ConditionalGruParams, DecoderCache,
-                      DecoderPair, decoder_backward, init_decoder_pair,
-                      logits_buffer, output_flushes, output_layer_backward,
-                      sentence_log_prob, sentence_log_prob_with_cache)
+                      DecoderPair, decode_batch, decoder_backward,
+                      init_decoder_pair, sentence_log_prob)
 from .encoder import (GRU_KEYS, EncoderCache, EncoderModel, GruParams, encode,
                       encode_with_cache, encoder_backward, init_encoder)
 from .errors import ConfigError, InputError, NumericError
@@ -84,8 +76,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.clip_threshold <= 0:
+        # Written so that NaN fails: every comparison with NaN is false.
+        if not self.clip_threshold > 0:
             raise ConfigError(f"clip_threshold must be > 0, got {self.clip_threshold}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.mode not in ("uni", "bi"):
             raise ConfigError(f"mode must be 'uni' or 'bi', got {self.mode!r}")
         if min(self.embed_dim, self.hidden_dim) < 1:
@@ -183,38 +178,24 @@ def triple_loss(model: SkipGruModel, triple: SentenceTriple) -> float:
 def batch_grads(model: SkipGruModel, batch: Sequence[SentenceTriple],
                 grads: ParamSet) -> float:
     """Add the gradient of the summed triple losses of `batch` into `grads`
-    and return that sum, in the three phases of the module docstring.
+    and return that sum, in the three parts of the module docstring.
 
     grads holds one accumulator per parameter name (param_order).  The loss
     is the sum, in batch order, of each triple's -(log P(next) + log P(prev))
     from its forward pass.  An empty batch raises InputError.
     """
-    if not batch:
-        raise InputError("a train step needs a nonempty batch")
-    emb, dec = model.embedding, model.decoders
-    lengths = [len(s) for t in batch for s in (t.next, t.prev)]
-    scratch = logits_buffer(lengths, dec.vocab_size)
-    flushes = iter(output_flushes(lengths))
+    dec = model.decoders
+    encoded = [encode_with_cache(t.curr, model.encoder) for t in batch]
+    log_probs, caches, dS = decode_batch(
+        [pass_ for t, (h, _) in zip(batch, encoded)
+         for pass_ in ((t.next, h, dec.next_params),
+                       (t.prev, h, dec.prev_params))],
+        dec.V, model.embedding, grads)
     loss = 0.0
-    caches, dS = [], []
-    pending, rows = [], 0
-    for triple in batch:
-        h, enc_cache = encode_with_cache(triple.curr, model.encoder)
-        passes = []
-        for target, p in ((triple.next, dec.next_params),
-                          (triple.prev, dec.prev_params)):
-            passes.append(sentence_log_prob_with_cache(
-                target, h, p, dec.V, emb, scratch[rows:]))
-            pending.append(passes[-1][1])
-            rows += len(target)
-            if next(flushes):
-                dS += output_layer_backward(pending, dec.V, grads, scratch)
-                pending, rows = [], 0
-        (lp_next, cache_n), (lp_prev, cache_p) = passes
-        loss += -(lp_next + lp_prev)
-        caches.append((enc_cache, cache_n, cache_p))
-    for i, triple_caches in enumerate(caches):
-        triple_grads(model, triple_caches, dS[2 * i:2 * i + 2], grads)
+    for i, (_, enc_cache) in enumerate(encoded):
+        loss += -(log_probs[2 * i] + log_probs[2 * i + 1])
+        triple_grads(model, (enc_cache, caches[2 * i], caches[2 * i + 1]),
+                     dS[2 * i:2 * i + 2], grads)
     return loss
 
 
@@ -223,7 +204,7 @@ def triple_grads(model: SkipGruModel,
                  dS: Sequence[np.ndarray], grads: ParamSet) -> None:
     """Add one triple's recurrence gradients into `grads`, given its forward
     caches (encoder, next decoder, previous decoder) and the state gradients
-    (next, previous) that output_layer_backward returned for its decoders.
+    (next, previous) that decode_batch returned for its decoders.
 
     Both decoders add into grads before their conditioning gradients, summed,
     flow back through the encoder, which adds last; embedding gradients thus
@@ -253,11 +234,11 @@ def train_step(model: SkipGruModel, batch: Sequence[SentenceTriple],
 
     Returns the loss measured before the update.  One zero-filled gradient
     set is passed to batch_grads, which adds the batch's gradient in the
-    fixed order of the module docstring (forward passes, with an output-layer
-    backward over every OUTPUT_CHUNK or more of their decoder rows, then each
-    triple's recurrences in batch order), so runs are deterministic; it is
-    then scaled to the batch mean, and its one global norm is checked,
-    reported and used to clip it in place before it is handed to Adam.
+    fixed order of the module docstring (the encoder passes, one decode_batch
+    over the decoder passes, then each triple's recurrences in batch order),
+    so runs are deterministic; it is then scaled to the batch mean, and its
+    one global norm is checked, reported and used to clip it in place before
+    it is handed to Adam.
     """
     params = model.param_dict()
     total: ParamSet = {k: np.zeros_like(v) for k, v in params.items()}

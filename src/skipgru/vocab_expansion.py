@@ -137,6 +137,9 @@ class ExpandedLookup:
 
     def __post_init__(self):
         emb = self.model.embedding
+        if self.map is not None and self.ext is None:
+            raise InputError("an expansion map needs the external embeddings "
+                             "it maps from")
         if self.map is not None and self.map.W.shape != (emb.shape[1], self.ext.dim):
             raise ShapeError(f"expansion map is {self.map.W.shape}, expected "
                              f"({emb.shape[1]}, {self.ext.dim})")

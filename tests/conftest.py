@@ -17,7 +17,7 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from skipgru.corpus import EOS_TOKEN, UNK_TOKEN, SentenceTriple, Vocabulary
-from skipgru.decoder import decoder_backward, output_layer_backward
+from skipgru.decoder import decode_batch, decoder_backward
 from skipgru.trainer import SkipGruModel, TrainConfig, model_from_params
 
 # Hypothesis keeps no example database, which it would write to .hypothesis/
@@ -69,13 +69,14 @@ def lay_out(model: SkipGruModel) -> SkipGruModel:
     return model
 
 
-def decoder_pass_backward(cache, scratch, p, V, grads, prefix=""):
-    """One decoder pass's whole backward, as a train step runs it for a batch
-    of one pass: its output layer, which reads the rows that the pass's
-    forward left in `scratch`, then its recurrence.  Adds into `grads` and
-    returns the gradient into h_enc."""
-    dS, = output_layer_backward([cache], V, grads, scratch)
-    return decoder_backward(cache, dS, p, grads, prefix)
+def decoder_pass_backward(target, h_enc, p, V, embedding, grads, prefix=""):
+    """One decoder pass's forward and whole backward, as a train step runs
+    them for a batch of one pass: decode_batch, which runs the output layer,
+    then the recurrence.  Adds into `grads` and returns the log-likelihood,
+    the cache and the gradient into h_enc."""
+    [lp], [cache], [dS] = decode_batch([(target, h_enc, p)], V, embedding,
+                                       grads)
+    return lp, cache, decoder_backward(cache, dS, p, grads, prefix)
 
 
 def random_triple(vocab_size: int, rng, max_len=4) -> SentenceTriple:

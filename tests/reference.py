@@ -11,8 +11,8 @@ something the package computes in bulk:
   its own (vocab, hidden) V gradient from a (T, vocab) softmax of logits it
   forms again from the cached states (the package adds every pass into one
   accumulator per train step, and runs the output layer over groups of
-  passes from the exponentiated logits that their forward passes left in a
-  shared buffer);
+  passes from the softmax rows that their forward passes left in a shared
+  buffer);
 - the cosine score of one image-sentence pair (ranking scores whole batches);
 - the ranking loss with one loop iteration per hinge, and retrieval ranks
   with one sort per query (ranking builds both with array indexing);
@@ -42,7 +42,7 @@ import numpy as np
 
 from skipgru.corpus import SENTENCE_CAP, SentenceTriple, Vocabulary
 from skipgru.decoder import (COND_KEYS, ConditionalGruParams, DecoderCache,
-                             logits_buffer, sentence_log_prob_with_cache)
+                             sentence_log_prob_with_cache)
 from skipgru.encoder import (EncoderCache, EncoderModel, GruParams,
                              encode_with_cache, gru_backward)
 from skipgru.errors import (InputError, MetricError, NumericError,
@@ -193,8 +193,8 @@ def decoder_backward(cache: DecoderCache, p: ConditionalGruParams, V: np.ndarray
                      embedding: np.ndarray) -> tuple[ParamSet, np.ndarray]:
     """One decoder pass's gradients (the nine matrices, "begin", a dense "V"
     and a full-table "emb") and the gradient into h_enc.  The softmax rows
-    are recomputed from the cached states, not read from the forward's rows
-    or divided by the cached row sums."""
+    are recomputed from the cached states, not read from the forward's
+    rows."""
     T = len(cache.target)
     dlogits = softmax(cache.trace.S[1:] @ V.T, axis=1)
     dlogits[np.arange(T), list(cache.target)] -= 1.0
@@ -213,14 +213,14 @@ def triple_grads(model, triple: SentenceTriple) -> tuple[float, ParamSet]:
     """Loss and a fresh dense gradient set for one triple (a SkipGruModel)."""
     emb, V = model.embedding, model.decoders.V
     h, enc_cache = encode_with_cache(triple.curr, model.encoder)
-    # The forward passes are the package's; their rows of exponentiated
-    # logits go unread, since decoder_backward forms its own softmax.
+    # The forward passes are the package's; their softmax rows go unread,
+    # since decoder_backward forms its own softmax.
     lp_next, cache_n = sentence_log_prob_with_cache(
         triple.next, h, model.decoders.next_params, V, emb,
-        logits_buffer([len(triple.next)], len(V)))
+        np.empty((len(triple.next), len(V))))
     lp_prev, cache_p = sentence_log_prob_with_cache(
         triple.prev, h, model.decoders.prev_params, V, emb,
-        logits_buffer([len(triple.prev)], len(V)))
+        np.empty((len(triple.prev), len(V))))
     g_next, gh_next = decoder_backward(cache_n, model.decoders.next_params, V, emb)
     g_prev, gh_prev = decoder_backward(cache_p, model.decoders.prev_params, V, emb)
     g_enc = encoder_backward(enc_cache, gh_next + gh_prev, model.encoder)

@@ -13,8 +13,7 @@ import numpy as np
 
 from skipgru.cli import _encode_lines, generate_story, main
 from skipgru.corpus import SentenceTriple
-from skipgru.decoder import (ConditionalGruParams, logits_buffer,
-                             sentence_log_prob, sentence_log_prob_with_cache)
+from skipgru.decoder import ConditionalGruParams, sentence_log_prob
 from skipgru.encoder import (EncoderModel, encode, encode_with_cache,
                              encoder_backward)
 from skipgru.probes import (fit_relatedness, logreg_objective, pair_features,
@@ -91,11 +90,9 @@ def _fd_decoder(seed):
         pp = ConditionalGruParams.from_dict(ps)
         return -sentence_log_prob(target, ps["h_enc"], pp, ps["V"], ps["emb"])
 
-    scratch = logits_buffer([len(target)], len(V))
-    _, cache = sentence_log_prob_with_cache(target, h_enc, p, V, emb, scratch)
     grads = {k: np.zeros_like(v) for k, v in params.items() if k != "h_enc"}
     grads["V"] = np.zeros_like(V, order="F")
-    g_henc = decoder_pass_backward(cache, scratch, p, V, grads)
+    _, _, g_henc = decoder_pass_backward(target, h_enc, p, V, emb, grads)
     return finite_diff_check(loss, params, dict(grads, h_enc=g_henc))
 
 

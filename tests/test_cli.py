@@ -286,6 +286,26 @@ def test_resume_with_a_conflicting_setting_exit_2(ws, tmp_path, capsys, flag,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["r.ckpt", "r.csv"]
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-0.5"), ("--clip", "nan"),
+    ("--clip", "0")])
+def test_train_refuses_a_setting_it_cannot_train_by_exit_2(ws, tmp_path, capsys,
+                                                          flag, value):
+    # A NaN learning rate would make every parameter of the step-1
+    # checkpoint non-finite, a negative one trains uphill, and a NaN clip
+    # threshold never clips.  Each is refused before any file is written.
+    capsys.readouterr()
+    assert main(["train", "--corpus", str(ws["corpus"]), "--vocab",
+                 str(ws["vocab"]), "--embed-dim", "4", "--hidden-dim", "4",
+                 "--batch", "4", "--steps", "2", "--checkpoint-every", "1",
+                 "--metrics", str(tmp_path / "m.csv"),
+                 "--out", str(tmp_path / "m.ckpt"), flag, value]) == 2
+    message = {"--lr": "alpha must be finite and >= 0",
+               "--clip": "clip_threshold must be > 0"}[flag]
+    assert f"{message}, got {float(value)}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_resume_manifest_records_the_checkpoint_settings(ws, tmp_path):
     out = tmp_path / "r.ckpt"
     base = ["train", "--corpus", str(ws["corpus"]), "--vocab",
@@ -934,6 +954,17 @@ def test_generate_at_a_vanishing_temperature_is_greedy(capsys):
     out = capsys.readouterr()
     assert out.out == greedy and len(greedy.splitlines()) == 2
     assert out.err == ""
+
+
+def test_generate_at_a_nan_temperature_exit_2(tmp_path, capsys):
+    manifest = tmp_path / "g.manifest.json"
+    assert main(["generate", "--ckpt", str(DATA / "tiny.ckpt"),
+                 "--seed-sentence", "hello", "--sentences", "2",
+                 "--temperature", "nan", "--manifest", str(manifest)]) == 2
+    out = capsys.readouterr()
+    assert "temperature must be >= 0, got nan" in out.err
+    assert out.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_path_like_arguments_are_taken_as_their_strings(ws, tmp_path,

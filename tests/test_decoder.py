@@ -9,14 +9,14 @@ checker, and a Monte-Carlo frequency check for the sampler.
 
 import numpy as np
 import pytest
-from skipgru.decoder import (ConditionalGruParams, DecoderPair,
+from skipgru.decoder import (ConditionalGruParams, DecoderPair, decode_batch,
                              decoder_backward, init_conditional_gru,
-                             init_decoder_pair, logits_buffer,
-                             output_layer_backward, sample_sentence,
-                             sentence_log_prob, sentence_log_prob_with_cache)
+                             init_decoder_pair, output_layer_backward,
+                             sample_sentence, sentence_log_prob,
+                             sentence_log_prob_with_cache)
 from skipgru.encoder import GruParams, gru_forward
-from skipgru.errors import (ParameterError, RangeError, ShapeError,
-                            StateError)
+from skipgru.errors import (InputError, ParameterError, RangeError,
+                            ShapeError, StateError)
 from skipgru.numerics import sigmoid, softmax
 
 import reference
@@ -125,21 +125,15 @@ def test_log_prob_nonpositive_and_prob_rows_normalized(rng):
     lp, cache = sentence_log_prob_with_cache((2, 4, 1, 0), rng.normal(size=2),
                                              p, V, emb, scratch)
     assert lp <= 0.0
-    # The pass leaves exp(logits - row max) in the leading rows of its
-    # scratch and no other row; the cache keeps each row's sum, so the rows
-    # over their sums are the softmax rows, each summing to 1.
+    # The pass leaves its softmax rows in the leading rows of its scratch and
+    # no other row: each row sums to 1, and the log-likelihood is the sum of
+    # the logs of the target's entries.
     logits = cache.trace.S[1:] @ V.T
     rows = scratch[:4]
-    assert np.max(np.abs(rows - np.exp(logits - logits.max(axis=1)[:, None]))) \
-        < 1e-12
     assert np.all(np.isnan(scratch[4:]))
-    assert cache.sums.shape == (4,)
-    assert np.array_equal(cache.sums, rows.sum(axis=1))
-    assert np.max(np.abs(rows / cache.sums[:, None] - softmax(logits, axis=1))) \
-        < 1e-12
-    assert np.max(np.abs((rows / cache.sums[:, None]).sum(axis=1) - 1.0)) \
-        < 1e-12
-    assert abs(lp - sum(np.log(rows[t, w] / cache.sums[t])
+    assert np.max(np.abs(rows - softmax(logits, axis=1))) < 1e-12
+    assert np.max(np.abs(rows.sum(axis=1) - 1.0)) < 1e-12
+    assert abs(lp - sum(np.log(rows[t, w])
                         for t, w in enumerate((2, 4, 1, 0)))) < 1e-12
 
 
@@ -217,10 +211,8 @@ def _fd_decoder(target):
         return -sentence_log_prob(target, ps["h_enc"], pp, ps["V"],
                                   ps["emb"])
 
-    scratch = logits_buffer([len(target)], len(V))
-    _, cache = sentence_log_prob_with_cache(target, h_enc, p, V, emb, scratch)
     grads = zero_accumulator(p, V, emb)
-    g_henc = decoder_pass_backward(cache, scratch, p, V, grads)
+    _, _, g_henc = decoder_pass_backward(target, h_enc, p, V, emb, grads)
     return finite_diff_check(loss, params, dict(grads, h_enc=g_henc))
 
 
@@ -251,8 +243,7 @@ def test_backward_adds_into_column_major_v_accumulator(rng, monkeypatch):
     p = rand_cond_params(rng, embed=3, hidden=3, enc=2)
     V, emb = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
     targets = ((2, 4, 2, 0), (3, 0), (1, 1, 0))
-    scratch = logits_buffer([len(t) for t in targets], len(V))
-    assert len(scratch) == 9
+    scratch = np.empty((sum(len(t) for t in targets), len(V)))
     starts = np.cumsum([0] + [len(t) for t in targets])
     caches = [sentence_log_prob_with_cache(target, rng.normal(size=2), p, V,
                                            emb, scratch[start:])[1]
@@ -278,11 +269,9 @@ def test_backward_degenerate_vocab_zero_gradient(rng):
     p = rand_cond_params(rng, embed=2, hidden=3, enc=2)
     V = rng.normal(size=(1, 3))
     emb = rng.normal(size=(1, 2))
-    scratch = logits_buffer([3], 1)
-    lp, cache = sentence_log_prob_with_cache((0, 0, 0), rng.normal(size=2),
-                                             p, V, emb, scratch)
     grads = zero_accumulator(p, V, emb)
-    g_henc = decoder_pass_backward(cache, scratch, p, V, grads)
+    lp, _, g_henc = decoder_pass_backward((0, 0, 0), rng.normal(size=2), p, V,
+                                          emb, grads)
     assert abs(lp) < 1e-12
     assert all(np.max(np.abs(g)) < 1e-12 for g in grads.values())
     assert np.max(np.abs(g_henc)) < 1e-12
@@ -294,7 +283,15 @@ def test_backward_missing_cache_is_state_error(rng):
         decoder_backward(None, np.zeros((2, 3)), p, {}, "")
     with pytest.raises(StateError):
         output_layer_backward([None], np.zeros((4, 3)),
-                              {"V": np.zeros((4, 3))}, logits_buffer([1], 4))
+                              {"V": np.zeros((4, 3))}, np.empty((1, 4)))
+
+
+def test_decode_batch_of_no_passes_is_input_error(rng):
+    grads = {"V": np.zeros((4, 3), order="F")}
+    with pytest.raises(InputError):
+        decode_batch([], rng.normal(size=(4, 3)), rng.normal(size=(4, 3)),
+                     grads)
+    assert not grads["V"].any()
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +408,7 @@ def test_sample_parameter_errors(rng):
     with pytest.raises(ParameterError):
         sample_sentence(np.zeros(3), p, V, emb, max_len=0, temperature=1.0,
                         seed=0)
-    with pytest.raises(ParameterError):
-        sample_sentence(np.zeros(3), p, V, emb, max_len=5, temperature=-1.0,
-                        seed=0)
+    for temperature in (-1.0, float("nan")):
+        with pytest.raises(ParameterError):
+            sample_sentence(np.zeros(3), p, V, emb, max_len=5,
+                            temperature=temperature, seed=0)

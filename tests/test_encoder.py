@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from conftest import make_model, make_vocab, randomize_params, zero_grads
 from reference import finite_diff_check, gru_step
 from skipgru.encoder import (EncoderModel, GruParams, encode,
-                             encode_with_cache, encoder_backward,
-                             init_encoder, init_gru_params)
+                             encode_vectors, encode_with_cache,
+                             encoder_backward, init_encoder, init_gru_params)
 from skipgru.errors import InputError, RangeError, ShapeError
 from skipgru.trainer import model_from_params
 
@@ -138,6 +138,23 @@ def test_encode_permutation_sensitive():
 # ---------------------------------------------------------------------------
 # bidirectional and combined
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mode", ["uni", "bi"])
+@pytest.mark.parametrize("embed_dim,hidden_dim", [(3, 3), (64, 128)])
+def test_encode_vectors_of_embedding_rows_is_encode_bit_for_bit(
+        mode, embed_dim, hidden_dim):
+    # encode_vectors is encode_batch of one sentence, which runs exactly the
+    # products of encode_with_cache's pass: from the rows that token ids
+    # index, it gives the bits of encode.
+    m = randomize_params(make_model(vocab_size=50, embed_dim=embed_dim,
+                                    hidden_dim=hidden_dim, mode=mode),
+                         seed=hidden_dim, scale=2.0 / np.sqrt(hidden_dim))
+    rng = np.random.default_rng(embed_dim)
+    for length in range(1, 41):
+        ids = rng.integers(0, 50, size=length)
+        assert np.array_equal(encode_vectors(m.embedding[ids], m.encoder),
+                              encode(ids, m.encoder)), length
+
 
 def test_bi_concatenates_forward_and_reversed_final_states():
     m = randomize_params(make_model(vocab_size=8, embed_dim=3, hidden_dim=2,

@@ -4,7 +4,7 @@ The reference below is backpropagation through time written one step at a
 time: every step recomputes its input and conditioning products, and every
 weight and embedding gradient is accumulated inside the loop (np.outer per
 step, one embedding row at a time).  encoder_backward, and a decoder pass's
-output_layer_backward followed by its decoder_backward, compute the same sums
+decode_batch followed by its decoder_backward, compute the same sums
 as matrix products after the loop and add them into a gradient accumulator,
 so they may differ from it only by float64 rounding, and leave every other
 parameter's accumulator at zero.
@@ -15,7 +15,6 @@ import pytest
 
 from conftest import (decoder_pass_backward, make_model, randomize_params,
                       zero_grads)
-from skipgru.decoder import logits_buffer, sentence_log_prob_with_cache
 from skipgru.encoder import encode_with_cache, encoder_backward
 from skipgru.numerics import sigmoid
 
@@ -137,12 +136,9 @@ def test_decoder_backward_matches_per_step_reference(mode, target):
                                     mode=mode), seed=10 + len(target))
     h_enc = np.random.default_rng(4).uniform(-0.9, 0.9, size=m.encoder.output_dim)
     p, V, emb = m.decoders.next_params, m.decoders.V, m.embedding
-    scratch = logits_buffer([len(target)], len(V))
-    logp, cache = sentence_log_prob_with_cache(target, h_enc, p, V, emb,
-                                               scratch)
     got = zero_grads(m)
-    got_henc = decoder_pass_backward(cache, scratch, p, V, got,
-                                     "dec_next.")
+    logp, _, got_henc = decoder_pass_backward(target, h_enc, p, V, emb, got,
+                                              "dec_next.")
     want_logp, want, want_henc = ref_decoder_grads(target, h_enc, p, V, emb)
     assert abs(logp - want_logp) < REL_TOL * abs(want_logp)
     want = {(k if k in ("V", "emb") else "dec_next." + k): v

@@ -10,7 +10,8 @@ per-hinge and per-query loops of reference.py.
 import numpy as np
 import pytest
 
-from skipgru.errors import ConfigError, InputError, MetricError, ShapeError
+from skipgru.errors import (ConfigError, InputError, MetricError,
+                            ParameterError, ShapeError)
 from skipgru.numerics import get_rng, seed_tuple
 from skipgru.ranking import (RankingModel, RankTrainConfig, evaluate_retrieval,
                              init_ranking_model, ranking_grads, train_ranker)
@@ -148,6 +149,16 @@ def test_loss_batch_too_small(rng):
     Y = rng.normal(size=(3, 4))
     with pytest.raises(ConfigError):
         ranking_grads(X, Y, m, contrastive_seed=0)[0]
+
+
+@pytest.mark.parametrize("value", [0.0, -0.1, float("nan"), float("inf")])
+def test_margin_and_learning_rate_must_be_finite_and_positive(rng, value):
+    # Every comparison with NaN is false, so a bare `<= 0` lets it through.
+    with pytest.raises(ParameterError):
+        RankingModel(U=rng.normal(size=(2, 3)), V=rng.normal(size=(2, 4)),
+                     alpha=value)
+    with pytest.raises(ConfigError):
+        RankTrainConfig(learning_rate=value)
 
 
 def test_loss_deterministic_given_seed(rng):

@@ -22,9 +22,8 @@ from conftest import (decoder_pass_backward, lay_out, make_model, make_vocab,
 import reference
 from reference import finite_diff_check
 from skipgru.corpus import SentenceTriple
-from skipgru.decoder import (OUTPUT_CHUNK, DecoderCache, logits_buffer,
-                             output_layer_backward, sentence_log_prob,
-                             sentence_log_prob_with_cache)
+from skipgru.decoder import (OUTPUT_CHUNK, DecoderCache, output_layer_backward,
+                             sentence_log_prob, sentence_log_prob_with_cache)
 from skipgru.encoder import encode
 from skipgru.errors import (CheckpointError, InputError, NumericError,
                             ParameterError)
@@ -78,25 +77,20 @@ def test_loss_nonnegative(rng):
 
 def test_grads_v_accumulates_both_decoders():
     # The shared output matrix collects gradient from both teacher-forced
-    # passes; the joint V gradient must equal the per-decoder sum.  Each
-    # pass's backward reads the rows that its forward left in the buffer the
-    # two passes share: the next decoder's first, then the previous one's.
+    # passes; the joint V gradient must equal the per-decoder sum.  The
+    # triple's two passes share one logits buffer; each pass alone has its
+    # own.
     m = randomize_params(make_model(vocab_size=6), seed=4)
     t = small_triple()
     grads = zero_grads(m)
     batch_grads(m, [t], grads)
     h = encode(t.curr, m.encoder)
-    scratch = logits_buffer([len(t.next), len(t.prev)], m.config.vocab_size)
-    rows_p = scratch[len(t.next):]
-    _, cn = sentence_log_prob_with_cache(t.next, h, m.decoders.next_params,
-                                         m.decoders.V, m.embedding, scratch)
-    _, cp = sentence_log_prob_with_cache(t.prev, h, m.decoders.prev_params,
-                                         m.decoders.V, m.embedding, rows_p)
+    dec = m.decoders
     gn, gp = zero_grads(m), zero_grads(m)
-    decoder_pass_backward(cn, scratch, m.decoders.next_params, m.decoders.V,
-                          gn, "dec_next.")
-    decoder_pass_backward(cp, rows_p, m.decoders.prev_params, m.decoders.V,
-                          gp, "dec_prev.")
+    decoder_pass_backward(t.next, h, dec.next_params, dec.V, m.embedding, gn,
+                          "dec_next.")
+    decoder_pass_backward(t.prev, h, dec.prev_params, dec.V, m.embedding, gp,
+                          "dec_prev.")
     assert np.max(np.abs(grads["V"] - (gn["V"] + gp["V"]))) < 1e-12
 
 
@@ -215,7 +209,7 @@ def test_step_and_output_layer_refuse_a_v_gradient_not_column_major(layout):
     m = _mixed_model("uni", seed=47)
     dec = m.decoders
     h = encode(MIXED_BATCH[0].curr, m.encoder)
-    scratch = logits_buffer([len(MIXED_BATCH[0].next)], dec.vocab_size)
+    scratch = np.empty((len(MIXED_BATCH[0].next), dec.vocab_size))
     _, cache = sentence_log_prob_with_cache(MIXED_BATCH[0].next, h,
                                             dec.next_params, dec.V,
                                             m.embedding, scratch)
@@ -284,8 +278,7 @@ def _decoder_rows(batch):
 
 
 def _set_output_chunk(monkeypatch, chunk):
-    # logits_buffer sizes the buffer by it, and output_flushes tells
-    # batch_grads where to flush by it.
+    # decode_batch sizes its logits buffer and places its flushes by it.
     monkeypatch.setattr(decoder, "OUTPUT_CHUNK", chunk)
 
 
@@ -328,9 +321,9 @@ def test_batch_loss_is_the_sum_of_the_sentence_log_probs(batch):
 def test_step_flushes_the_output_layer_at_pass_boundaries(chunk, monkeypatch):
     # One train step runs the output layer's backward as soon as `chunk`
     # rows are pending after a decoder pass, and once at the end: every
-    # decoder row goes through exactly one V-gradient dgemm, in phase-A
-    # order, each call's passes end at a pass boundary, and every dgemm
-    # writes the step's one accumulator in place.
+    # decoder row goes through exactly one V-gradient dgemm, in pass order,
+    # each call's passes end at a pass boundary, every dgemm writes the
+    # step's one accumulator in place, and every call reads one buffer.
     import scipy.linalg.blas as blas
 
     dgemms, calls, buffers = [], [], []
@@ -341,18 +334,13 @@ def test_step_flushes_the_output_layer_at_pass_boundaries(chunk, monkeypatch):
                        np.shares_memory(out, kwargs["c"])))
         return out
 
-    def recording_sweep(caches, *args):
+    def recording_sweep(caches, V, grads, scratch):
         calls.append(list(caches))
-        return real_sweep(caches, *args)
-
-    def recording_buffer(*args):
-        buffers.append(real_buffer(*args))
-        return buffers[-1]
-    real_dgemm, real_sweep = blas.dgemm, trainer.output_layer_backward
-    real_buffer = trainer.logits_buffer
+        buffers.append(scratch)
+        return real_sweep(caches, V, grads, scratch)
+    real_dgemm, real_sweep = blas.dgemm, decoder.output_layer_backward
     monkeypatch.setattr(blas, "dgemm", recording_dgemm)
-    monkeypatch.setattr(trainer, "output_layer_backward", recording_sweep)
-    monkeypatch.setattr(trainer, "logits_buffer", recording_buffer)
+    monkeypatch.setattr(decoder, "output_layer_backward", recording_sweep)
     _set_output_chunk(monkeypatch, chunk)
     batch = STRADDLE_BATCH
     lengths = _decoder_rows(batch)
@@ -374,7 +362,8 @@ def test_step_flushes_the_output_layer_at_pass_boundaries(chunk, monkeypatch):
     assert all(shared for _, _, shared in dgemms)
     assert all(c is dgemms[0][1] for _, c, _ in dgemms)
     assert dgemms[0][1].shape == m.decoders.V.shape
-    [buffer] = buffers
+    buffer = buffers[0]
+    assert all(b is buffer for b in buffers)
     assert len(buffer) == min(sum(lengths), chunk - 1 + max(lengths))
     assert max(rows) <= len(buffer)
     if chunk == 64:
@@ -414,16 +403,15 @@ def test_step_forms_each_logit_once(monkeypatch):
 
 
 def test_decoder_caches_hold_no_vocabulary_sized_row(monkeypatch):
-    # The forward pass leaves its exponentiated logits in the batch's buffer
-    # and keeps each row's sum, not the row: no array that a cache holds has
-    # a vocabulary-sized axis.
+    # The forward pass leaves its softmax rows in the batch's buffer, not in
+    # its cache: no array that a cache holds has a vocabulary-sized axis.
     kept = []
 
     def keeping(*args):
         kept.extend(args[0])
         return real_sweep(*args)
-    real_sweep = trainer.output_layer_backward
-    monkeypatch.setattr(trainer, "output_layer_backward", keeping)
+    real_sweep = decoder.output_layer_backward
+    monkeypatch.setattr(decoder, "output_layer_backward", keeping)
     m = randomize_params(make_model(vocab_size=97, embed_dim=3, hidden_dim=4),
                          seed=51)
     batch_grads(m, STRADDLE_BATCH, zero_grads(m))
@@ -433,8 +421,7 @@ def test_decoder_caches_hold_no_vocabulary_sized_row(monkeypatch):
         arrays = [getattr(cache, f.name)
                   for f in dataclasses.fields(cache)] + list(cache.trace)
         arrays = [a for a in arrays if isinstance(a, np.ndarray)]
-        assert len(arrays) == 7
-        assert cache.sums.shape == (len(cache.target),)
+        assert len(arrays) == 6
         assert all(97 not in a.shape for a in arrays)
 
 
@@ -739,6 +726,32 @@ def test_v_is_laid_out_in_train_alone_and_accumulated_by_one_dgemm():
              and "dgemm" in (getattr(node.func, "id", None),
                              getattr(node.func, "attr", None))]
     assert len(calls) == 1
+
+
+def test_decode_batch_alone_runs_the_logits_buffer():
+    # One function owns the protocol of the shared logits buffer:
+    # decode_batch sizes it by OUTPUT_CHUNK, hands its rows to the forward
+    # passes and runs the output layer's backward over them.  The trainer
+    # names none of it, and no cache keeps a per-row sum beside the rows.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    trainer_names = {getattr(node, "id", None) or getattr(node, "attr", None)
+                     or getattr(node, "name", None)
+                     for node in ast.walk(trees["trainer"])}
+    assert not trainer_names & {"OUTPUT_CHUNK", "logits_buffer",
+                                "output_flushes", "output_layer_backward"}
+    tree = trees["decoder"]
+    assert sorted(set(_references(tree, "OUTPUT_CHUNK"))) == \
+        ["<module>", "decode_batch"]
+    callers = [f"{stem}.{where}" for stem, t in trees.items()
+               for where in _references(t, "output_layer_backward")]
+    assert callers == ["decoder.decode_batch"]
+    buffers = [stmt.name for stmt in tree.body for node in ast.walk(stmt)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", None) == "empty"
+               and "OUTPUT_CHUNK" in ast.dump(node)]
+    assert buffers == ["decode_batch"]
+    assert "sums" not in {f.name for f in dataclasses.fields(DecoderCache)}
 
 
 def test_checkpoint_save_writes_column_major_blobs_without_a_whole_copy(

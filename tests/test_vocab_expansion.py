@@ -12,7 +12,8 @@ from conftest import make_model, randomize_params
 from skipgru.encoder import encode
 from skipgru.errors import ConfigError, InputError
 from skipgru.trainer import model_from_params
-from skipgru.vocab_expansion import (ExternalEmbeddings, SentenceBank,
+from skipgru.vocab_expansion import (ExpandedLookup, ExternalEmbeddings,
+                                     SentenceBank,
                                      encode_text, expand, fit_expansion,
                                      nearest_sentences, nearest_words,
                                      read_embeddings_text, read_expansion,
@@ -164,6 +165,15 @@ def test_precedence_native_over_mapped():
     src, vec = lookup.resolve("w2")
     assert src == "native"
     assert np.array_equal(vec, m.embedding[m.vocab.token_to_id["w2"]])
+
+
+def test_map_without_external_embeddings_is_input_error():
+    # The map takes external vectors to the model's input space; without
+    # them it has nothing to map, and the lookup refuses to be built.
+    m, ext, _, lookup = make_lookup()
+    with pytest.raises(InputError):
+        ExpandedLookup(m, None, lookup.map)
+    assert ExpandedLookup(m, ext, None).resolve("only1")[0] == "unk"
 
 
 def test_encode_text_with_lookup_changes_only_oov_tokens():
