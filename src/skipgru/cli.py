@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -91,12 +92,16 @@ def _parse_l2_grid(raw: str) -> tuple:
         raise ConfigError(f"bad --l2-grid value {raw!r}")
     if not grid:
         raise ConfigError("--l2-grid is empty")
+    if not all(math.isfinite(x) and x >= 0 for x in grid):
+        raise ConfigError(f"--l2-grid values must be finite and >= 0, got {raw!r}")
     return grid
 
 
 def _load_models(args):
     """One expansion lookup per checkpoint (--ckpt, and --ckpt2 in combine
     mode), each with its map if one is given.  Returns (lookups, variant)."""
+    if getattr(args, "expansion2", None) and not getattr(args, "ckpt2", None):
+        raise ConfigError("--expansion2 needs --ckpt2")
     models = [trainer.load_model(path)
               for path in (args.ckpt, getattr(args, "ckpt2", None)) if path]
     if len(models) == 2 and (models[1].vocab.id_to_token
@@ -323,6 +328,9 @@ def cmd_eval_paraphrase(args) -> dict:
     grid = _parse_l2_grid(args.l2_grid)
     Xtr, ytr = _read_pair_features(args.train, lookups)
     Xte, yte = _read_pair_features(args.test, lookups)
+    for path, y in ((args.train, ytr), (args.test, yte)):
+        if not np.all(np.isfinite(y) & (y == np.round(y))):
+            raise InputError(f"{path}: paraphrase labels must be integers")
     ytr_i, yte_i = ytr.astype(int), yte.astype(int)
     best = probes.select_l2(Xtr, ytr_i, args.folds, grid, args.seed)
     probe = probes.fit_logreg(Xtr, ytr_i, best, n_classes=int(ytr_i.max()) + 1)
@@ -350,7 +358,8 @@ def cmd_eval_classify(args) -> dict:
 
 def cmd_eval_rank(args) -> dict:
     n_train, n_dev = args.train_items, args.dev_items
-    for flag, count in (("--train-items", n_train), ("--dev-items", n_dev)):
+    for flag, count in (("--train-items", n_train), ("--dev-items", n_dev),
+                        ("--epochs", args.epochs)):
         if count < 0:
             raise ConfigError(f"{flag} must be >= 0, got {count}")
     lookups, _ = _load_models(args)

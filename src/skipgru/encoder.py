@@ -10,7 +10,8 @@ The recurrence has no bias terms anywhere:
 with h^0 = 0.  The final hidden state is the sentence vector.  The
 bidirectional variant runs a second, separately parameterized GRU over the
 reversed token sequence and concatenates both final states.  The terminal eos
-token is consumed like any other token.
+token is consumed like any other token.  Both variants run one code path:
+every pass walks EncoderModel.directions, one entry per GRU.
 
 One kernel pair runs every GRU pass, here and in the decoders.  gru_forward
 takes the input pre-activations of all steps at once (one matrix product per
@@ -45,6 +46,9 @@ INIT_RANGE = 0.1
 GRU_INPUT_KEYS = ("W_r", "W_z", "W")
 GRU_RECURRENT_KEYS = ("U_r", "U_z", "U")
 GRU_KEYS = GRU_INPUT_KEYS + GRU_RECURRENT_KEYS
+
+# Parameter-name prefix of each encoder GRU in output order, forward first.
+ENCODER_PREFIXES = ("enc.", "enc_rev.")
 
 
 @dataclass
@@ -198,12 +202,12 @@ class EncoderModel:
     def __post_init__(self):
         if self.embedding.ndim != 2:
             raise ShapeError("embedding must be a 2-D (vocab, embed) matrix")
-        for p in (self.forward, self.backward):
-            if p is not None and p.embed_dim != self.embedding.shape[1]:
+        for p, _, _ in self.directions:
+            if p.embed_dim != self.embedding.shape[1]:
                 raise ShapeError(f"GRU input width {p.embed_dim} does not match "
                                  f"embedding width {self.embedding.shape[1]}")
-        if self.backward is not None and self.backward.hidden_dim != self.forward.hidden_dim:
-            raise ShapeError("forward and backward hidden dims differ")
+            if p.hidden_dim != self.forward.hidden_dim:
+                raise ShapeError("forward and backward hidden dims differ")
 
     @property
     def vocab_size(self) -> int:
@@ -219,7 +223,13 @@ class EncoderModel:
 
     @property
     def output_dim(self) -> int:
-        return self.hidden_dim * (2 if self.backward is not None else 1)
+        return self.hidden_dim * len(self.directions)
+
+    @property
+    def directions(self) -> list[tuple[GruParams, bool, str]]:
+        """(params, reversed, prefix) of each GRU direction, in output order."""
+        grus = [p for p in (self.forward, self.backward) if p is not None]
+        return list(zip(grus, (False, True), ENCODER_PREFIXES))
 
 
 def init_encoder(vocab_size: int, embed_dim: int, hidden_dim: int, mode: str,
@@ -249,21 +259,19 @@ class EncoderCache:
 
     tokens: tuple[int, ...]
     X: np.ndarray             # (T, embed) embedding rows in token order
-    fwd: GruTrace
-    bwd: GruTrace | None      # run over X[::-1]
+    traces: list[GruTrace]    # one per direction; the reverse one over X[::-1]
 
 
 def encode_with_cache(tokens: Sequence[int],
                       model: EncoderModel) -> tuple[np.ndarray, EncoderCache]:
     ids = _check_tokens(tokens, model.vocab_size)
     X = model.embedding[list(ids)]
-    fwd, bwd = (None if p is None else
-                gru_forward(Xd @ p.W_r.T, Xd @ p.W_z.T, Xd @ p.W.T, p)
-                for p, Xd in ((model.forward, X), (model.backward, X[::-1])))
-    cache = EncoderCache(tokens=ids, X=X, fwd=fwd, bwd=bwd)
-    if bwd is None:
-        return fwd.h_final, cache
-    return np.concatenate([fwd.h_final, bwd.h_final]), cache
+    traces = []
+    for p, rev, _ in model.directions:
+        Xd = X[::-1] if rev else X
+        traces.append(gru_forward(Xd @ p.W_r.T, Xd @ p.W_z.T, Xd @ p.W.T, p))
+    return (np.concatenate([trace.h_final for trace in traces]),
+            EncoderCache(tokens=ids, X=X, traces=traces))
 
 
 def encode(tokens: Sequence[int], model: EncoderModel) -> np.ndarray:
@@ -303,12 +311,10 @@ def encode_batch(inputs: Sequence[np.ndarray], model: EncoderModel) -> np.ndarra
         raise InputError("cannot encode an empty input sequence")
     T, B = max(lengths), len(inputs)
     halves = []
-    for p, flip in ((model.forward, False), (model.backward, True)):
-        if p is None:
-            continue
+    for p, rev, _ in model.directions:
         X = np.zeros((T, B, model.embed_dim))
         for b, x in enumerate(inputs):
-            X[:len(x), b] = x[::-1] if flip else x
+            X[:len(x), b] = x[::-1] if rev else x
         # One (T*B, embed) GEMM per gate; for B = 1 it is the (T, embed)
         # product of a sentence encoded alone, so its bits do not change.
         flat = X.reshape(T * B, model.embed_dim)
@@ -323,14 +329,14 @@ def encoder_backward(cache: EncoderCache, grad_output: np.ndarray,
     """Add the gradients of a scalar loss with upstream `grad_output` =
     dL/d(encoding) into `grads`.
 
-    grads holds every parameter's accumulator under its name: the input rows
-    are scatter-added into "emb" (the other rows are not touched), the forward
-    GRU's six matrices into "enc.W_r" ... "enc.U", and the reverse GRU's into
-    "enc_rev.*" when bidirectional.
+    grads holds every parameter's accumulator under its name: each direction's
+    six matrices are added into its prefix's ("enc.W_r" ... "enc.U", then
+    "enc_rev.*" when bidirectional), and the input rows, summed over the
+    directions, are scatter-added into "emb" (the other rows are not touched).
     """
     if not isinstance(cache, EncoderCache):
         raise StateError("encoder_backward needs the cache from encode_with_cache")
-    if (cache.bwd is None) != (model.backward is None):
+    if len(cache.traces) != len(model.directions):
         raise StateError("cache direction structure does not match the model")
     grad_output = np.asarray(grad_output, dtype=np.float64)
     if grad_output.shape != (model.output_dim,):
@@ -338,17 +344,13 @@ def encoder_backward(cache: EncoderCache, grad_output: np.ndarray,
                          f"expected ({model.output_dim},)")
     hid = model.hidden_dim
     # Only the final state h^T gets gradient from outside the recurrence.
-    dH = np.zeros_like(cache.fwd.R)
-    dH[-1] = grad_output[:hid]
-    fwd = gru_backward(cache.X, cache.fwd, dH, model.forward)
-    for k, v in fwd.params.items():
-        grads["enc." + k] += v
-    dX = fwd.dX
-    if model.backward is not None:
-        dH[-1] = grad_output[hid:]
-        bwd = gru_backward(cache.X[::-1], cache.bwd, dH, model.backward)
-        for k, v in bwd.params.items():
-            grads["enc_rev." + k] += v
-        dX = dX + bwd.dX[::-1]
+    dH = np.zeros_like(cache.traces[0].R)
+    dXs = []
+    for i, (p, rev, prefix) in enumerate(model.directions):
+        dH[-1] = grad_output[i * hid:(i + 1) * hid]
+        g = gru_backward(cache.X[::-1] if rev else cache.X, cache.traces[i], dH, p)
+        for k, v in g.params.items():
+            grads[prefix + k] += v
+        dXs.append(g.dX[::-1] if rev else g.dX)
     # Sentences repeat token ids, so the rows must be scatter-added.
-    np.add.at(grads["emb"], list(cache.tokens), dX)
+    np.add.at(grads["emb"], list(cache.tokens), sum(dXs[1:], dXs[0]))

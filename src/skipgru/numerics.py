@@ -2,11 +2,11 @@
 
 A "matrix" throughout the package is a 2-D contiguous float64 ndarray:
 row-major, except that training lays out the output matrix V, its gradient
-and its Adam moments column-major.  A "parameter set" is a dict mapping names
-to float64 arrays.  The optimizer writes into the arrays it is given:
+and its Adam moments column-major.  A "parameter set" is a dict mapping
+names to float64 arrays.  The optimizer writes into the arrays it is given:
 clip_gradients scales the gradient set in place, and adam_step updates the
-parameters and the moment buffers in place.  Every other function here leaves
-its inputs unchanged.  Every stochastic
+parameters and the moment buffers in place, each in the parameter's layout.
+Every other function here leaves its inputs unchanged.  Every stochastic
 operation takes an explicit seed (an int, a tuple of ints, or a numpy
 Generator), so two runs with the same seed are bit-identical.
 """
@@ -103,20 +103,22 @@ def global_norm(params: ParamSet) -> float:
     return math.sqrt(total)
 
 
-def clip_gradients(grads: ParamSet, threshold: float, norm: float) -> ParamSet:
+def clip_gradients(grads: ParamSet, threshold: float, norm: float) -> bool:
     """Rescale the whole set so its global L2 norm is at most `threshold`.
 
     `norm` is the set's global_norm, which the caller has already measured.
-    Below the threshold nothing changes; above it, every array is multiplied
-    by threshold / norm in place.  Returns `grads` itself.
+    Up to the threshold nothing changes; above it, every array is multiplied
+    by threshold / norm in place.  Returns whether the set was scaled.
     """
-    if threshold <= 0:
+    # Written so that NaN fails: every comparison with NaN is false.
+    if not threshold > 0:
         raise ParameterError(f"clip threshold must be positive, got {threshold}")
-    if norm > threshold:
+    clipped = norm > threshold
+    if clipped:
         scale = threshold / norm
         for g in grads.values():
             g *= scale
-    return grads
+    return clipped
 
 
 @dataclass
@@ -136,42 +138,36 @@ class AdamState:
     epsilon: float = 1e-8
 
     @classmethod
-    def initial(cls, params: ParamSet, alpha: float = 0.001, beta1: float = 0.9,
-                beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
+    def initial(cls, params: ParamSet, **hyper: float) -> "AdamState":
         zeros = lambda: {k: np.zeros_like(p) for k, p in params.items()}
-        return cls(step=0, m=zeros(), v=zeros(), alpha=alpha, beta1=beta1,
-                   beta2=beta2, epsilon=epsilon)
+        return cls(step=0, m=zeros(), v=zeros(), **hyper)
 
 
 # Elements per block of adam_step; its two scratch buffers hold one block each.
 ADAM_BLOCK = 1 << 15
 
 
-def _memory_order(a: np.ndarray) -> str:
-    """"F" for an array that is contiguous only column-major, else "C"."""
-    return "F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C"
-
-
 def _check_adam_inputs(params: ParamSet, grads: ParamSet, state: AdamState) -> None:
-    """Raise before adam_step writes anything unless every array it writes is
-    a float64, writeable array of the parameter's shape, the parameter is C-
-    or F-contiguous, and its moments are contiguous in the parameter's memory
-    order.  A flat view of any other array would be a copy, and the update
-    would be lost; moments in another order would pair each parameter entry
-    with another entry's moments."""
+    """Raise before adam_step writes anything unless each parameter, its
+    gradient and its moments are float64 arrays of one shape, contiguous in
+    the parameter's memory order, and all but the gradient are writeable.  A
+    flat view of any other array would be a copy, and the update would be
+    lost; a gradient or moments in another order would pair each parameter
+    entry with another entry's values."""
     if not set(params) == set(grads) == set(state.m) == set(state.v):
         raise ShapeError("params, grads, and Adam buffers must share keys")
     for k, p in params.items():
-        for name, a in (("grad", grads[k]), ("m", state.m[k]), ("v", state.v[k])):
+        order = "F" if p.flags.fnc else "C"
+        for name, a in (("param", p), ("grad", grads[k]), ("m", state.m[k]),
+                        ("v", state.v[k])):
             if a.shape != p.shape:
                 raise ShapeError(f"shape mismatch for '{k}': param {p.shape} "
                                  f"vs {name} {a.shape}")
-        order = _memory_order(p)
-        for name, a in (("param", p), ("m", state.m[k]), ("v", state.v[k])):
             if (a.dtype != np.float64 or not a.flags[order + "_CONTIGUOUS"]
-                    or not a.flags.writeable):
-                raise ParameterError(f"Adam {name} '{k}' must be a writeable, "
-                                     f"{order}-contiguous float64 array")
+                    or not (a.flags.writeable or name == "grad")):
+                raise ParameterError(f"Adam {name} '{k}' must be a writeable "
+                                     f"(if not the gradient), {order}-"
+                                     f"contiguous float64 array")
 
 
 def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> None:
@@ -179,13 +175,13 @@ def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> None:
     place; advances state.step.
 
     m <- b1 m + (1 - b1) g,  v <- b2 v + (1 - b2) g^2, and
-    p <- p - alpha (m / bc1) / (sqrt(v / bc2) + eps).  Each array is
-    flattened in its parameter's memory order, row- or column-major, and
-    walked in blocks of ADAM_BLOCK elements with two block-sized scratch
-    buffers, so the step allocates no parameter-sized array (a gradient in
-    the other order is read through a copy).  Every operation is elementwise
-    and they run in the formula's order, so the result is the same bits for
-    any block size or layout.  Nothing is written unless every array passes
+    p <- p - alpha (m / bc1) / (sqrt(v / bc2) + eps).  The parameter, its
+    gradient and its moments share one memory order, row- or column-major,
+    and each is viewed flat in it, then walked in blocks of ADAM_BLOCK
+    elements with two block-sized scratch buffers, so the step allocates no
+    parameter-sized array.  Every operation is elementwise and they run in
+    the formula's order, so the result is the same bits for any block size
+    or layout.  Nothing is written unless every array passes
     _check_adam_inputs.
     """
     _check_adam_inputs(params, grads, state)
@@ -196,10 +192,9 @@ def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> None:
     size = min(ADAM_BLOCK, max((p.size for p in params.values()), default=0))
     buf_a, buf_b = np.empty(size), np.empty(size)
     for k, p in params.items():
-        order = _memory_order(p)
-        p, g = p.reshape(-1, order=order), np.ravel(grads[k], order=order)
-        m = state.m[k].reshape(-1, order=order)
-        v = state.v[k].reshape(-1, order=order)
+        order = "F" if p.flags.fnc else "C"
+        p, g, m, v = (a.reshape(-1, order=order)
+                      for a in (p, grads[k], state.m[k], state.v[k]))
         for lo in range(0, p.size, ADAM_BLOCK):
             hi = min(lo + ADAM_BLOCK, p.size)
             pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]

@@ -113,7 +113,8 @@ def fit_logreg(X: np.ndarray, Y, l2: float,
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError(f"X must be 2-D, got {X.ndim}-D")
-    if l2 < 0:
+    # Written so that NaN fails: every comparison with NaN is false.
+    if not l2 >= 0:
         raise ParameterError(f"l2 must be >= 0, got {l2}")
     T = _as_targets(Y, n_classes)
     if len(T) != len(X):
@@ -237,6 +238,8 @@ def select_l2_relatedness(X: np.ndarray, scores: np.ndarray, folds: int,
     scores = np.asarray(scores, dtype=np.float64)
     if folds < 2:
         raise ParameterError(f"need >= 2 folds, got {folds}")
+    if len(scores) < 2:
+        raise InputError(f"cross-validation needs >= 2 rows, got {len(scores)}")
     fold = get_rng(seed_tuple(seed, "cv-folds")).permutation(len(scores)) % folds
 
     def pearson_or_zero(m: ProbeModel, te: np.ndarray) -> float:

@@ -44,8 +44,9 @@ from .corpus import SentenceTriple, Vocabulary
 from .decoder import (COND_KEYS, ConditionalGruParams, DecoderCache,
                       DecoderPair, decode_batch, decoder_backward,
                       init_decoder_pair, sentence_log_prob)
-from .encoder import (GRU_KEYS, EncoderCache, EncoderModel, GruParams, encode,
-                      encode_with_cache, encoder_backward, init_encoder)
+from .encoder import (ENCODER_PREFIXES, GRU_KEYS, EncoderCache, EncoderModel,
+                      GruParams, encode, encode_with_cache, encoder_backward,
+                      init_encoder)
 from .errors import ConfigError, InputError, NumericError
 from .fileio import read_container, write_container
 from .numerics import (AdamState, ParamSet, adam_step, clip_gradients,
@@ -76,6 +77,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("max_steps", "checkpoint_every"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         # Written so that NaN fails: every comparison with NaN is false.
         if not self.clip_threshold > 0:
             raise ConfigError(f"clip_threshold must be > 0, got {self.clip_threshold}")
@@ -89,16 +93,19 @@ class TrainConfig:
             raise ConfigError(f"vocab_size must be >= 3, got {self.vocab_size}")
 
     @property
+    def encoder_prefixes(self) -> tuple[str, ...]:
+        return ENCODER_PREFIXES[:2 if self.mode == "bi" else 1]
+
+    @property
     def encoder_dim(self) -> int:
-        return self.hidden_dim * (2 if self.mode == "bi" else 1)
+        return self.hidden_dim * len(self.encoder_prefixes)
 
 
 def param_order(config: TrainConfig) -> list[str]:
     """Canonical parameter names; also the checkpoint blob order."""
     names = ["emb"]
-    names += ["enc." + k for k in GRU_KEYS]
-    if config.mode == "bi":
-        names += ["enc_rev." + k for k in GRU_KEYS]
+    for prefix in config.encoder_prefixes:
+        names += [prefix + k for k in GRU_KEYS]
     names += ["dec_next." + k for k in COND_KEYS]
     names += ["dec_prev." + k for k in COND_KEYS]
     names.append("V")
@@ -145,9 +152,8 @@ class SkipGruModel:
 
     def param_dict(self) -> ParamSet:
         params: ParamSet = {"emb": self.encoder.embedding}
-        params.update(self.encoder.forward.as_dict("enc."))
-        if self.encoder.backward is not None:
-            params.update(self.encoder.backward.as_dict("enc_rev."))
+        for p, _, prefix in self.encoder.directions:
+            params.update(p.as_dict(prefix))
         params.update(self.decoders.next_params.as_dict("dec_next."))
         params.update(self.decoders.prev_params.as_dict("dec_prev."))
         params["V"] = self.decoders.V
@@ -156,10 +162,9 @@ class SkipGruModel:
 
 def model_from_params(config: TrainConfig, vocab: Vocabulary,
                       params: ParamSet) -> SkipGruModel:
-    fwd = GruParams.from_dict(params, "enc.")
-    bwd = GruParams.from_dict(params, "enc_rev.") if config.mode == "bi" else None
-    enc = EncoderModel(embedding=np.asarray(params["emb"], dtype=np.float64),
-                       forward=fwd, backward=bwd)
+    enc = EncoderModel(np.asarray(params["emb"], dtype=np.float64),
+                       *(GruParams.from_dict(params, prefix)
+                         for prefix in config.encoder_prefixes))
     dec = DecoderPair(next_params=ConditionalGruParams.from_dict(params, "dec_next."),
                       prev_params=ConditionalGruParams.from_dict(params, "dec_prev."),
                       V=np.asarray(params["V"], dtype=np.float64))
@@ -253,8 +258,7 @@ def train_step(model: SkipGruModel, batch: Sequence[SentenceTriple],
     if not math.isfinite(norm):
         raise NumericError(f"non-finite gradient norm {norm} at step "
                            f"{opt.step + 1}; training aborted")
-    clipped = norm > config.clip_threshold
-    clip_gradients(total, config.clip_threshold, norm)
+    clipped = clip_gradients(total, config.clip_threshold, norm)
     adam_step(params, total, opt)
     return TrainStepResult(batch_loss=mean_loss, grad_norm=norm,
                            clipped=clipped)

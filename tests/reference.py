@@ -174,15 +174,15 @@ def encoder_backward(cache: EncoderCache, grad_output: np.ndarray,
     zero), "enc.*", and "enc_rev.*" when bidirectional."""
     hid = model.hidden_dim
     demb = np.zeros_like(model.embedding)
-    dH = np.zeros_like(cache.fwd.R)
+    dH = np.zeros_like(cache.traces[0].R)
     dH[-1] = grad_output[:hid]
-    fwd = gru_backward(cache.X, cache.fwd, dH, model.forward)
+    fwd = gru_backward(cache.X, cache.traces[0], dH, model.forward)
     out: ParamSet = {"emb": demb}
     out.update({"enc." + k: v for k, v in fwd.params.items()})
     dX = fwd.dX
     if model.backward is not None:
         dH[-1] = grad_output[hid:]
-        bwd = gru_backward(cache.X[::-1], cache.bwd, dH, model.backward)
+        bwd = gru_backward(cache.X[::-1], cache.traces[1], dH, model.backward)
         out.update({"enc_rev." + k: v for k, v in bwd.params.items()})
         dX = dX + bwd.dX[::-1]
     np.add.at(demb, list(cache.tokens), dX)

@@ -306,6 +306,33 @@ def test_train_refuses_a_setting_it_cannot_train_by_exit_2(ws, tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resumed"])
+@pytest.mark.parametrize("counts", [("-3", "0"), ("4", "-1")],
+                         ids=["steps", "checkpoint_every"])
+def test_train_refuses_a_negative_count_by_exit_2(ws, tmp_path, capsys, counts,
+                                                  resume):
+    # --steps -3 used to train no step and still write a checkpoint, a
+    # metrics file and a manifest; --checkpoint-every -1 silently meant no
+    # periodic checkpoints.  Both are refused before any file is written,
+    # and a resumed run checks the settings it takes from the flags too.
+    out, metrics = tmp_path / "r.ckpt", tmp_path / "r.csv"
+    if resume:
+        out.write_bytes(ws["ckpt"].read_bytes())
+        metrics.write_bytes(pathlib.Path(str(ws["ckpt"]) + ".metrics.csv")
+                            .read_bytes())
+    before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+    steps, every = counts
+    capsys.readouterr()
+    assert main(["train", "--corpus", str(ws["corpus"]), "--vocab",
+                 str(ws["vocab"]), "--steps", steps, "--checkpoint-every",
+                 every, "--metrics", str(metrics), "--out", str(out)]
+                + (["--resume"] if resume else [])) == 2
+    name, value = (("max_steps", steps) if steps.startswith("-")
+                   else ("checkpoint_every", every))
+    assert f"{name} must be >= 0, got {value}" in capsys.readouterr().err
+    assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+
+
 def test_resume_manifest_records_the_checkpoint_settings(ws, tmp_path):
     out = tmp_path / "r.ckpt"
     base = ["train", "--corpus", str(ws["corpus"]), "--vocab",
@@ -608,6 +635,20 @@ def test_encode_ckpt2_vocab_mismatch_exit_2(ws, tmp_path, capsys):
     assert not (tmp_path / "v.bin").exists()
 
 
+def test_encode_expansion2_without_ckpt2_exit_2(ws, expansion, tmp_path,
+                                               capsys):
+    # A second map has no second model to expand; the run used to warn that
+    # no map was given and still list the map among its manifest's inputs.
+    inp = tmp_path / "in.txt"
+    inp.write_text("the zeppelin sat .\n")
+    capsys.readouterr()
+    assert main(["encode", "--ckpt", str(ws["ckpt"]), "--expansion2",
+                 str(expansion), "--input", str(inp),
+                 "--out", str(tmp_path / "v.bin")]) == 2
+    assert "--expansion2 needs --ckpt2" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt"]
+
+
 def test_encode_rerun_byte_identical(ws, tmp_path):
     inp = tmp_path / "in.txt"
     inp.write_text("the cat sat .\nthe dog ran .\n")
@@ -813,6 +854,68 @@ def test_eval_paraphrase_rows(ws, tmp_path):
     assert metrics == {"best_l2", "accuracy", "f1"}
 
 
+def _write_eval_rows(tmp_path, command, n) -> list[str]:
+    """The data flags of an eval command over files of n data rows."""
+    sents = ["the cat sat .", "the dog ran .", "a bird flew ."]
+    if command == "eval-classify":
+        data = tmp_path / "data.tsv"
+        data.write_text("".join(f"c{i % 2}\t{sents[i % 3]}\n"
+                                for i in range(n)))
+        return ["--data", str(data)]
+    gold = ("3.5", "1.5") if command == "eval-sick" else ("1", "0")
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("a\tb\tgold\n" + "".join(
+        f"{sents[i % 3]}\t{sents[(i + 1) % 3]}\t{gold[i % 2]}\n"
+        for i in range(n)))
+    return ["--train", str(pairs), "--test", str(pairs)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("command", ["eval-sick", "eval-paraphrase",
+                                     "eval-classify"])
+def test_eval_on_too_few_rows_exits_with_a_documented_code(ws, tmp_path,
+                                                           capsys, command, n):
+    # eval-sick on one training row used to die of an uncaught ValueError
+    # (exit 1): the only fold's training set was empty.
+    flags = _write_eval_rows(tmp_path, command, n)
+    out = tmp_path / "out.csv"
+    code = main([command, "--ckpt", str(ws["ckpt"]), *flags,
+                 "--l2-grid", "0.01", "--out", str(out)])
+    assert code in (0, 2, 3, 4)
+    assert out.exists() == (code == 0)
+
+
+@pytest.mark.parametrize("label", ["0.5", "nan", "inf"])
+def test_eval_paraphrase_refuses_a_label_that_is_not_an_integer(
+        ws, tmp_path, capsys, label):
+    # 0.5 used to be read as class 0 and nan as class -2**63.
+    rows = ["a\tb\tlabel"] + [f"the cat sat .\tthe dog ran .\t{y}"
+                               for y in ("0", "1") * 3 + (label,)]
+    data = tmp_path / "pairs.tsv"
+    data.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "para.csv"
+    capsys.readouterr()
+    assert main(["eval-paraphrase", "--ckpt", str(ws["ckpt"]), "--train",
+                 str(data), "--test", str(data), "--folds", "2",
+                 "--out", str(out)]) == 2
+    assert "paraphrase labels must be integers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["nan", "inf", "-1", "0.1,nan"])
+@pytest.mark.parametrize("command", ["eval-sick", "eval-classify"])
+def test_eval_refuses_an_l2_grid_value_it_cannot_fit_by_exit_2(
+        ws, tmp_path, capsys, command, grid):
+    # --l2-grid nan used to report chance accuracy with best_l2,nan.
+    flags = _write_eval_rows(tmp_path, command, 3)
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert main([command, "--ckpt", str(ws["ckpt"]), *flags, "--folds", "2",
+                 "--l2-grid", grid, "--out", str(out)]) == 2
+    assert "--l2-grid values must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_classify_nested_cv(ws, tmp_path):
     rng = np.random.default_rng(9)
     rows = []
@@ -890,9 +993,10 @@ def test_eval_rank_trains_and_reports(ws, tmp_path, capsys):
             assert (d, metric) in names
 
 
-@pytest.mark.parametrize("flag", ["--train-items", "--dev-items"])
+@pytest.mark.parametrize("flag", ["--train-items", "--dev-items", "--epochs"])
 def test_eval_rank_negative_item_count_exit_2(ws, tmp_path, capsys, flag):
-    # A negative count would make the test split start from the end.
+    # A negative item count would make the test split start from the end;
+    # a negative epoch count would skip training and exit 0.
     caps = tmp_path / "caps.txt"
     caps.write_text("".join(f"the cat sat {w} .\n" for w in
                             ("on", "down", "fast", "away", "home", "back")))
@@ -900,12 +1004,13 @@ def test_eval_rank_negative_item_count_exit_2(ws, tmp_path, capsys, flag):
     assert main(["encode", "--ckpt", str(ws["ckpt"]), "--input", str(caps),
                  "--out", str(vec)]) == 0
     capsys.readouterr()
-    counts = {"--train-items": "0", "--dev-items": "0", flag: "-4"}
+    counts = {"--train-items": "0", "--dev-items": "0", "--epochs": "0",
+              flag: "-4"}
     out = tmp_path / "rank.csv"
     assert main(["eval-rank", "--ckpt", str(ws["ckpt"]), "--images",
                  str(vec), "--captions", str(caps), "--group-size", "1",
                  *[x for kv in counts.items() for x in kv], "--embed-dim",
-                 "6", "--epochs", "0", "--init", "identity",
+                 "6", "--init", "identity",
                  "--out", str(out)]) == 2
     assert f"{flag} must be >= 0, got -4" in capsys.readouterr().err
     assert not out.exists()

@@ -83,38 +83,44 @@ def test_uniform_init_bad_interval():
 def test_clip_below_threshold_is_bitwise_identity():
     a = np.array([3.0, 4.0])                             # norm 5
     g = {"a": a}
-    out = clip_gradients(g, 10.0, global_norm(g))
-    assert out is g and out["a"] is a
+    assert clip_gradients(g, 10.0, global_norm(g)) is False
+    assert g["a"] is a
     assert np.array_equal(a, [3.0, 4.0])
 
 
 def test_clip_at_boundary_unchanged():
     g = {"a": np.array([6.0, 8.0])}                      # norm 10 exactly
-    out = clip_gradients(g, 10.0, global_norm(g))
-    assert out is g
-    assert np.array_equal(out["a"], [6.0, 8.0])
+    assert clip_gradients(g, 10.0, global_norm(g)) is False
+    assert np.array_equal(g["a"], [6.0, 8.0])
 
 
 def test_clip_scales_by_half():
     a = np.array([12.0, 16.0])                           # norm 20
     g = {"a": a}
-    out = clip_gradients(g, 10.0, global_norm(g))
-    assert out is g and out["a"] is a
-    assert np.max(np.abs(out["a"] - np.array([6.0, 8.0]))) < 1e-9
+    assert clip_gradients(g, 10.0, global_norm(g)) is True
+    assert g["a"] is a
+    assert np.max(np.abs(a - np.array([6.0, 8.0]))) < 1e-9
 
 
 def test_clip_scales_by_the_norm_it_is_given():
     # The caller has measured the norm; clipping does not measure it again.
     g = {"a": np.array([3.0, 4.0])}                      # norm 5
-    clip_gradients(g, 1.0, 10.0)
+    assert clip_gradients(g, 1.0, 10.0) is True
     assert np.array_equal(g["a"], np.array([3.0, 4.0]) * 0.1)
 
 
 def test_clip_global_norm_across_parameters():
     g = {"a": np.full((2,), 10.0), "b": np.full((2,), 10.0)}   # norm 20
-    out = clip_gradients(g, 10.0, global_norm(g))
-    assert out is g
-    assert abs(global_norm(out) - 10.0) < 1e-9
+    assert clip_gradients(g, 10.0, global_norm(g)) is True
+    assert abs(global_norm(g) - 10.0) < 1e-9
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan")])
+def test_clip_refuses_a_threshold_that_is_not_positive(threshold):
+    g = {"a": np.array([3.0, 4.0])}
+    with pytest.raises(ParameterError):
+        clip_gradients(g, threshold, 5.0)
+    assert np.array_equal(g["a"], [3.0, 4.0])
 
 
 @given(st.lists(st.floats(-50, 50, allow_nan=False), min_size=1, max_size=6),
@@ -122,11 +128,11 @@ def test_clip_global_norm_across_parameters():
 @settings(max_examples=60, deadline=None)
 def test_clip_idempotent_and_nonincreasing(vals, threshold):
     g = {"a": np.array(vals)}
-    first = {"a": np.array(vals)}
-    once = clip_gradients(first, threshold, global_norm(first))
-    second = {"a": once["a"].copy()}
-    twice = clip_gradients(second, threshold, global_norm(second))
-    assert once is first and twice is second
+    once = {"a": np.array(vals)}
+    clipped = clip_gradients(once, threshold, global_norm(once))
+    assert clipped == (global_norm(g) > threshold)
+    twice = {"a": once["a"].copy()}
+    clip_gradients(twice, threshold, global_norm(twice))
     assert global_norm(once) <= global_norm(g) + 1e-12
     assert np.max(np.abs(twice["a"] - once["a"])) < 1e-9
 
@@ -252,18 +258,24 @@ def _fortran(arrays):
 
 @pytest.mark.parametrize("grad_order", ["F", "C"])
 def test_adam_on_column_major_arrays_is_bit_identical_to_the_oracle(grad_order):
-    # Training keeps V and its moments column-major: adam_step walks them in
-    # that memory order, in place, with the oracle's bits.  A gradient in the
-    # other order is read through a copy and gives the same bits.
+    # Training keeps V, its gradient and its moments column-major: adam_step
+    # walks them in that memory order, in place, with the oracle's bits.  A
+    # gradient in the other order is refused before anything is written:
+    # walked flat, it would step each entry by another entry's gradient.
     params, state, grads = _adam_problem()
     rp, rs = _copy(params), replace(state, m=_copy(state.m), v=_copy(state.v))
     params = _fortran(params)
     state = replace(state, m=_fortran(state.m), v=_fortran(state.v))
     arrays = [dict(d) for d in (params, state.m, state.v)]
     for g in grads:
-        adam_step(params, {k: np.asarray(a, order=grad_order)
-                           for k, a in g.items()}, state)
-        rp, rs = reference.adam_step(rp, g, rs)
+        laid_out = {k: np.asarray(a, order=grad_order) for k, a in g.items()}
+        if grad_order == "F":
+            adam_step(params, laid_out, state)
+            rp, rs = reference.adam_step(rp, g, rs)
+        else:
+            with pytest.raises(ParameterError, match="grad 'emb'"):
+                adam_step(params, laid_out, state)
+        assert state.step == rs.step
         for d, want in zip((params, state.m, state.v), (rp, rs.m, rs.v)):
             for k in ADAM_SHAPES:
                 assert np.array_equal(d[k], want[k]), k
@@ -311,6 +323,17 @@ def _strided_last_moment(params, grads, state):
     state.m[last] = np.zeros(2 * state.m[last].size)[::2]
 
 
+def _grad_in_another_order(params, grads, state):
+    # Row-major V and a column-major gradient: each entry of V would be
+    # stepped by another entry's gradient if both were walked flat.
+    grads["V"] = np.asfortranarray(grads["V"])
+
+
+def _strided_last_grad(params, grads, state):
+    last = list(params)[-1]
+    grads[last] = np.zeros(2 * grads[last].size)[::2]
+
+
 def _moment_in_another_order(params, grads, state):
     # Contiguous, but its flat view would pair each entry of the row-major V
     # with another entry's second moment.
@@ -322,6 +345,8 @@ def _moment_in_another_order(params, grads, state):
     (_bad_last_shape, ShapeError),
     (_read_only_last_param, ParameterError),
     (_strided_last_moment, ParameterError),
+    (_grad_in_another_order, ParameterError),
+    (_strided_last_grad, ParameterError),
     (_moment_in_another_order, ParameterError)])
 def test_adam_validates_every_array_before_writing(spoil, error):
     params, state, grads = _adam_problem()

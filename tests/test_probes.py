@@ -21,7 +21,8 @@ from skipgru.probes import (DEFAULT_L2_GRID, accuracy, cross_validate, f1,
                             pair_features, pearson, predict, predict_proba,
                             predict_scores, read_label_dataset,
                             read_pair_dataset, score_to_distribution,
-                            select_l2, spearman, stratified_folds)
+                            select_l2, select_l2_relatedness, spearman,
+                            stratified_folds)
 
 import reference
 from reference import average_ranks, distribution_to_score
@@ -336,6 +337,18 @@ def test_select_l2_tie_prefers_smaller():
     X, y = separable_data(n=40, seed=5)
     best = select_l2(X, y, folds=4, l2_grid=[1e-1, 1e-3], seed=0)
     assert best == 1e-3                      # ties at accuracy 1.0
+
+
+@pytest.mark.parametrize("l2", [-1.0, float("nan")])
+def test_fit_logreg_refuses_a_negative_or_nan_penalty(l2):
+    X, y = separable_data()
+    with pytest.raises(ParameterError):
+        fit_logreg(X, y, l2)
+
+
+def test_select_l2_relatedness_needs_two_rows():
+    with pytest.raises(InputError):
+        select_l2_relatedness(np.ones((1, 3)), np.array([3.0]), 2, [0.1], 0)
 
 
 def test_cross_validate_empty_grid():

@@ -754,6 +754,40 @@ def test_decode_batch_alone_runs_the_logits_buffer():
     assert "sums" not in {f.name for f in dataclasses.fields(DecoderCache)}
 
 
+def _code_strings(tree) -> list[str]:
+    """Every string constant of a parsed module outside its docstrings and
+    other bare string statements."""
+    bare = {id(node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)}
+    return [node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in bare]
+
+
+def test_one_path_per_job_in_a_train_step():
+    # Both encoder directions run one loop over EncoderModel.directions, so
+    # no encoder pass nor param_dict branches on the reverse GRU; each
+    # parameter-name prefix is written once; Adam has one layout rule; and
+    # clip_gradients alone compares the norm with the clip threshold.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    defs = {(stem, node.name): node for stem, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for key in (("encoder", "encode_with_cache"), ("encoder", "encode_batch"),
+                ("encoder", "encoder_backward"), ("trainer", "param_dict")):
+        attrs = {node.attr for node in ast.walk(defs[key])
+                 if isinstance(node, ast.Attribute)}
+        assert not attrs & {"backward", "forward", "bwd", "fwd"}, key
+    strings = [v for tree in trees.values() for v in _code_strings(tree)]
+    for prefix in ("enc.", "enc_rev."):
+        assert strings.count(prefix) == 1, prefix
+    assert ("numerics", "_memory_order") not in defs
+    compares = [ast.dump(node) for node in ast.walk(defs["trainer", "train_step"])
+                if isinstance(node, ast.Compare)]
+    assert not [c for c in compares if "clip_threshold" in c]
+
+
 def test_checkpoint_save_writes_column_major_blobs_without_a_whole_copy(
         tmp_path):
     # At V=20000, H=128, V and each moment take 20.5 MB.  Saved column-major,
