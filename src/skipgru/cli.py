@@ -29,14 +29,11 @@ from . import corpus, probes, ranking, trainer, vocab_expansion
 from .decoder import sample_sentence
 from .encoder import encode
 from .errors import (CheckpointError, ConfigError, ConvergenceError, InputError,
-                     MetricError, NumericError, ParameterError, RangeError,
-                     ShapeError, SkipGruError, StateError)
+                     MetricError, NumericError, ParameterError, SkipGruError)
 from .fileio import read_vectors, sha256_path, write_text, write_vectors
 from .numerics import seed_tuple
 from .probes import DEFAULT_L2_GRID
 
-USAGE_ERRORS = (ConfigError, ParameterError, InputError, RangeError, ShapeError,
-                StateError)
 NUMERIC_ERRORS = (NumericError, ConvergenceError, MetricError)
 IO_ERRORS = (CheckpointError, OSError, UnicodeDecodeError)
 
@@ -188,12 +185,12 @@ def _metrics_path(args) -> str:
     return args.metrics or args.out + ".metrics.csv"
 
 
-# The train flags that a resumed run takes from its checkpoint, with their
-# defaults: each dest maps to (default, TrainConfig field).
-RESUMED_FLAGS = {"seed": (0, "seed"), "mode": ("uni", "mode"),
-                 "embed_dim": (64, "embed_dim"), "hidden_dim": (64, "hidden_dim"),
-                 "batch": (128, "batch_size"), "clip": (10.0, "clip_threshold"),
-                 "lr": (0.001, "alpha")}
+# The train flags that a resumed run takes from its checkpoint: each dest
+# maps to its TrainConfig field.  They have no argparse default, so None
+# means not given, and TrainConfig's own defaults fill in a fresh run.
+RESUMED_FLAGS = {"seed": "seed", "mode": "mode", "embed_dim": "embed_dim",
+                 "hidden_dim": "hidden_dim", "batch": "batch_size",
+                 "clip": "clip_threshold", "lr": "alpha"}
 
 
 def cmd_train(args) -> dict:
@@ -203,32 +200,31 @@ def cmd_train(args) -> dict:
     if not triples:
         raise InputError("corpus contains no 3-sentence documents; "
                          "nothing to train on")
+    given = {dest: getattr(args, dest) for dest in RESUMED_FLAGS
+             if getattr(args, dest) is not None}
+    counts = {"max_steps": args.steps, "checkpoint_every": args.checkpoint_every}
     if args.resume:
         _require_inputs(args.out)
         model, opt = trainer.load_checkpoint(args.out)
         if model.vocab.id_to_token != vocab.id_to_token:
             raise ConfigError(f"--vocab {args.vocab} is not the vocabulary of "
                               f"the checkpoint {args.out}")
-        config = replace(model.config, max_steps=args.steps,
-                         checkpoint_every=args.checkpoint_every)
-        used = {dest: getattr(config, field)
-                for dest, (_, field) in RESUMED_FLAGS.items()}
-        for dest, (default, _) in RESUMED_FLAGS.items():
-            given = getattr(args, dest)
-            if given != default and given != used[dest]:
-                raise ConfigError(f"--{dest.replace('_', '-')} {given} differs "
-                                  f"from the checkpoint's {used[dest]}; a "
-                                  f"resumed run keeps the checkpoint's value")
+        for dest, value in given.items():
+            kept = getattr(model.config, RESUMED_FLAGS[dest])
+            if value != kept:
+                raise ConfigError(f"--{dest.replace('_', '-')} {value} differs "
+                                  f"from the checkpoint's {kept}; a resumed "
+                                  f"run keeps the checkpoint's value")
+        config = replace(model.config, **counts)
         model = replace(model, config=config)
-        # The manifest records the settings the run uses, not the flags'.
-        vars(args).update(used)
     else:
         config = trainer.TrainConfig(
-            embed_dim=args.embed_dim, hidden_dim=args.hidden_dim,
-            vocab_size=vocab.size, batch_size=args.batch, clip_threshold=args.clip,
-            alpha=args.lr, max_steps=args.steps, seed=args.seed, mode=args.mode,
-            checkpoint_every=args.checkpoint_every)
+            vocab_size=vocab.size, **counts,
+            **{RESUMED_FLAGS[dest]: value for dest, value in given.items()})
         model, opt = trainer.SkipGruModel.init(vocab, config), None
+    # The manifest records the settings the run uses, not the flags'.
+    vars(args).update({dest: getattr(config, field)
+                       for dest, field in RESUMED_FLAGS.items()})
     result = trainer.train(model, triples, opt, metrics_path=_metrics_path(args),
                            checkpoint_path=args.out)
     summary = {"steps": result.opt.step, "triples": len(triples)}
@@ -415,7 +411,7 @@ def cmd_eval_rank(args) -> dict:
 
 
 def generate_story(model, seed_sentence: str, n_sentences: int,
-                   temperature: float, seed, max_len: int = 100,
+                   temperature: float, seed, max_len: int,
                    lookup=None) -> list[list[int]]:
     """The iterative generation loop: encode, sample the next sentence from
     the next-sentence decoder, re-encode the sample, repeat.
@@ -501,16 +497,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
             help="train the sentence encoder")
     p.add_argument("--corpus", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--mode", choices=("uni", "bi"),
-                   default=RESUMED_FLAGS["mode"][0])
-    p.add_argument("--embed-dim", type=int, default=RESUMED_FLAGS["embed_dim"][0])
-    p.add_argument("--hidden-dim", type=int,
-                   default=RESUMED_FLAGS["hidden_dim"][0])
-    p.add_argument("--batch", type=int, default=RESUMED_FLAGS["batch"][0])
-    p.add_argument("--clip", type=float, default=RESUMED_FLAGS["clip"][0])
+    p.add_argument("--mode", choices=("uni", "bi"))
+    p.add_argument("--embed-dim", type=int)
+    p.add_argument("--hidden-dim", type=int)
+    p.add_argument("--batch", type=int)
+    p.add_argument("--clip", type=float)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seed", type=int, default=RESUMED_FLAGS["seed"][0])
-    p.add_argument("--lr", type=float, default=RESUMED_FLAGS["lr"][0])
+    p.add_argument("--seed", type=int)
+    p.add_argument("--lr", type=float)
     p.add_argument("--checkpoint-every", type=int, default=0)
     p.add_argument("--metrics", default=None,
                    help="metrics CSV (default: <out>.metrics.csv)")
@@ -579,11 +573,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--train-items", type=int, default=0)
     p.add_argument("--dev-items", type=int, default=0)
     p.add_argument("--embed-dim", type=int, default=1000)
-    p.add_argument("--alpha", type=float, default=0.2)
-    p.add_argument("--k-contrastive", type=int, default=50)
+    p.add_argument("--alpha", type=float, default=ranking.RankingModel.alpha)
+    p.add_argument("--k-contrastive", type=int,
+                   default=ranking.RankingModel.k_contrastive)
     p.add_argument("--epochs", type=int, default=15)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--batch", type=int, default=100)
+    p.add_argument("--lr", type=float, default=ranking.RankTrainConfig.learning_rate)
+    p.add_argument("--batch", type=int, default=ranking.RankTrainConfig.batch_size)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--init", choices=("random", "identity"), default="random")
     p.add_argument("--out", default=None, help="metrics CSV path")
@@ -680,9 +675,6 @@ def main(argv=None) -> int:
                    for o in cmd.outputs]
         _write_manifest(args, inputs, [o for o in outputs if o], seeds, t0)
         return 0
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NUMERIC_ERRORS as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3

@@ -33,7 +33,7 @@ clock after the read, would go unseen.
 
 Vector files hold a header of two little-endian uint32 words (count, dim)
 followed by row-major little-endian float32 rows; read_vectors widens them to
-float64.
+float64, and refuses a file of any other length or with a non-finite entry.
 """
 
 from __future__ import annotations
@@ -231,9 +231,13 @@ def read_vectors(path) -> np.ndarray:
         raw = fh.read()
     if len(raw) < 8:
         raise InputError(f"{path}: truncated vector file header")
-    n, dim = np.frombuffer(raw[:8], dtype="<u4")
+    n, dim = (int(x) for x in np.frombuffer(raw[:8], dtype="<u4"))
+    if len(raw) != 8 + 4 * n * dim:
+        raise InputError(f"{path}: expected {n * dim} floats ({4 * n * dim} "
+                         f"bytes) after the header, found {len(raw) - 8} bytes")
     body = np.frombuffer(raw[8:], dtype="<f4")
-    if body.size != int(n) * int(dim):
-        raise InputError(f"{path}: expected {int(n) * int(dim)} floats, "
-                         f"found {body.size}")
-    return body.reshape(int(n), int(dim)).astype(np.float64)
+    finite = np.isfinite(body)
+    if not finite.all():
+        raise InputError(f"{path}: non-finite entry in row "
+                         f"{int(np.argmin(finite)) // dim}")
+    return body.reshape(n, dim).astype(np.float64)

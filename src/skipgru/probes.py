@@ -245,7 +245,7 @@ def select_l2_relatedness(X: np.ndarray, scores: np.ndarray, folds: int,
     def pearson_or_zero(m: ProbeModel, te: np.ndarray) -> float:
         try:
             return pearson(predict_scores(m, X[te]), scores[te])
-        except MetricError:
+        except (InputError, MetricError):   # one row, or no variance
             return 0.0
     return _search_l2(fold, l2_grid,
                       lambda tr, l2: fit_relatedness(X[tr], scores[tr], l2),

@@ -207,7 +207,7 @@ def _summarize(ranks: np.ndarray, ks: Sequence[int]) -> RetrievalResult:
 
 
 def evaluate_retrieval(images: np.ndarray, captions: np.ndarray,
-                       model: RankingModel, group_size: int = 5,
+                       model: RankingModel, group_size: int,
                        ks: Sequence[int] = DEFAULT_RECALL_KS) -> dict:
     """Both retrieval directions; caption j belongs to image j // group_size.
 

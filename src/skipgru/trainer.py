@@ -60,15 +60,17 @@ METRICS_HEADER = "step,loss,grad_norm,clipped,wall_ms"
 
 @dataclass
 class TrainConfig:
-    embed_dim: int
-    hidden_dim: int
+    """A training run's settings, and the one home of their defaults."""
+
     vocab_size: int
+    embed_dim: int = 64
+    hidden_dim: int = 64
     batch_size: int = 128
     clip_threshold: float = 10.0
-    alpha: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    alpha: float = AdamState.alpha
+    beta1: float = AdamState.beta1
+    beta2: float = AdamState.beta2
+    epsilon: float = AdamState.epsilon
     max_steps: int = 0
     seed: int = 0
     mode: str = "uni"

@@ -60,6 +60,8 @@ def read_embeddings_text(path) -> tuple[ExternalEmbeddings, int]:
             declared, dim = int(head[0]), int(head[1])
         except ValueError as exc:
             raise InputError(f"{path}: non-integer header") from exc
+        if dim < 1:
+            raise InputError(f"{path}: dim must be >= 1, got {dim}")
         tokens: list[str] = []
         rows: list[list[float]] = []
         skipped = 0

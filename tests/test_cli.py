@@ -6,6 +6,7 @@ reasonable; SystemExit from argparse is asserted where flags are invalid.
 """
 
 import ast
+import dataclasses
 import hashlib
 import json
 import os
@@ -20,13 +21,15 @@ import pytest
 import reference
 import skipgru
 from conftest import make_model
-from skipgru import corpus, trainer
-from skipgru.cli import _encode_lines, _tokenize_distinct, main
-from skipgru.fileio import read_vectors
+from skipgru import cli, corpus, errors, numerics, ranking, trainer
+from skipgru.cli import (RESUMED_FLAGS, _encode_lines, _tokenize_distinct,
+                         build_parser, main)
+from skipgru.fileio import read_vectors, write_vectors
 from skipgru.trainer import METRICS_HEADER, load_checkpoint
 from skipgru.vocab_expansion import ExpandedLookup, encode_text, read_expansion
 
 DATA = pathlib.Path(__file__).parent / "data"
+PACKAGE = pathlib.Path(skipgru.__file__).parent
 
 CORPUS = """\
 the cat sat on the mat .
@@ -350,6 +353,90 @@ def test_resume_manifest_records_the_checkpoint_settings(ws, tmp_path):
     for doc in (first, resumed):
         assert {k: doc["config"][k] for k in used} == used
     assert resumed["config"]["steps"] == 3 and resumed["config"]["resume"]
+
+
+# Each train settings flag at its default, as a resumed run might be given it.
+DEFAULT_SETTINGS = [("--seed", "0"), ("--mode", "uni"), ("--embed-dim", "64"),
+                    ("--hidden-dim", "64"), ("--batch", "128"),
+                    ("--clip", "10.0"), ("--lr", "0.001")]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("flag,value", DEFAULT_SETTINGS)
+def test_resume_refuses_a_default_value_that_differs_from_the_checkpoint(
+        ws, tmp_path, capsys, flag, value, source):
+    # A flag given at its default value used to be taken as not given: a bi
+    # run resumed with --mode uni kept training bi and exited 0.
+    out, metrics = tmp_path / "r.ckpt", tmp_path / "r.csv"
+    assert main(["train", "--corpus", str(ws["corpus"]), "--vocab",
+                 str(ws["vocab"]), "--seed", "2", "--mode", "bi",
+                 "--embed-dim", "4", "--hidden-dim", "3", "--batch", "4",
+                 "--clip", "7.5", "--lr", "0.01", "--steps", "2",
+                 "--metrics", str(metrics), "--out", str(out)]) == 0
+    setting = [flag, value]
+    if source == "config":
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"{flag[2:]} = {value}\n")
+        setting = ["--config", str(cfg)]
+    before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(["train", "--corpus", str(ws["corpus"]), "--vocab",
+                 str(ws["vocab"]), "--steps", "4", "--resume", "--metrics",
+                 str(metrics), "--out", str(out), *setting]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} {value} differs from the checkpoint's" in err
+    assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+
+
+def test_fresh_train_without_settings_flags_uses_the_config_defaults(
+        ws, tmp_path):
+    out = tmp_path / "d.ckpt"
+    assert main(["train", "--corpus", str(ws["corpus"]), "--vocab",
+                 str(ws["vocab"]), "--steps", "1", "--out", str(out)]) == 0
+    model, opt = load_checkpoint(out)
+    defaults = trainer.TrainConfig(vocab_size=model.vocab.size, max_steps=1)
+    assert model.config == defaults and opt.step == 1
+    config = json.loads(pathlib.Path(str(out) + ".manifest.json")
+                        .read_text())["config"]
+    assert {dest: config[dest] for dest in RESUMED_FLAGS} == {
+        dest: getattr(defaults, field) for dest, field in RESUMED_FLAGS.items()}
+
+
+def test_one_home_per_setting():
+    # The train settings flags have no default of their own: TrainConfig's
+    # fill a fresh run and the checkpoint's a resumed one.  eval-rank's
+    # model and training flags read theirs from the ranking types, and
+    # TrainConfig reads Adam's from AdamState.
+    _, registry = build_parser()
+    train = {a.dest: a.default for a in registry["train"].parser._actions}
+    assert {dest: train[dest] for dest in RESUMED_FLAGS} == dict.fromkeys(
+        RESUMED_FLAGS)
+    rank = {a.dest: a.default for a in registry["eval-rank"].parser._actions}
+    homes = {"alpha": ("RankingModel", "alpha"),
+             "k_contrastive": ("RankingModel", "k_contrastive"),
+             "lr": ("RankTrainConfig", "learning_rate"),
+             "batch": ("RankTrainConfig", "batch_size")}
+    trees = {stem: ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+             for stem in ("cli", "trainer")}
+    calls = [node for node in ast.walk(trees["cli"]) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "add_argument"]
+    flag_defaults = {}
+    for call in calls:
+        flag_defaults.setdefault(call.args[0].value, []).extend(
+            ast.unparse(kw.value) for kw in call.keywords if kw.arg == "default")
+    for dest, (cls, field) in homes.items():
+        assert rank[dest] == getattr(getattr(ranking, cls), field)
+        flag = "--" + dest.replace("_", "-")
+        assert flag_defaults[flag] == [f"ranking.{cls}.{field}"], flag
+    adam = {f.name: f.default for f in dataclasses.fields(numerics.AdamState)}
+    config = {f.name: f.default for f in dataclasses.fields(trainer.TrainConfig)}
+    [body] = [node.body for node in ast.walk(trees["trainer"])
+              if isinstance(node, ast.ClassDef) and node.name == "TrainConfig"]
+    field_defaults = {node.target.id: ast.unparse(node.value) for node in body
+                      if isinstance(node, ast.AnnAssign) and node.value}
+    for name in ("alpha", "beta1", "beta2", "epsilon"):
+        assert config[name] == adam[name], name
+        assert field_defaults[name] == f"AdamState.{name}", name
 
 
 def test_train_rerun_identical_checkpoint(ws, tmp_path):
@@ -702,6 +789,20 @@ def test_expand_summary(ws, expansion, capsys):
     assert out2.read_bytes() == expansion.read_bytes()
 
 
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_expand_refuses_a_dimension_below_one_by_exit_2(ws, tmp_path, capsys,
+                                                       dim):
+    # "2 -1" used to die of an uncaught reshape error (exit 1), and "2 0"
+    # wrote a map whose W had no columns.
+    emb = tmp_path / "ext.vec"
+    emb.write_text(f"2 {dim}\nthe\ncat\n")
+    capsys.readouterr()
+    assert main(["expand", "--ckpt", str(ws["ckpt"]), "--embeddings",
+                 str(emb), "--out", str(tmp_path / "x.map")]) == 2
+    assert f"dim must be >= 1, got {dim}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [emb]
+
+
 def test_nn_word_output_format(ws, expansion, capsys):
     assert main(["nn-word", "--ckpt", str(ws["ckpt"]), "--expansion",
                  str(expansion), "--query", "puppy", "--k", "3"]) == 0
@@ -885,6 +986,17 @@ def test_eval_on_too_few_rows_exits_with_a_documented_code(ws, tmp_path,
     assert out.exists() == (code == 0)
 
 
+def test_eval_sick_with_default_folds_on_a_small_training_file(ws, tmp_path):
+    # 15 rows over the default 10 folds leave folds of one row, whose
+    # correlation is undefined; they score 0 instead of exiting 2.
+    flags = _write_eval_rows(tmp_path, "eval-sick", 15)
+    out = tmp_path / "out.csv"
+    assert main(["eval-sick", "--ckpt", str(ws["ckpt"]), *flags,
+                 "--l2-grid", "0.01,1.0", "--out", str(out)]) == 0
+    metrics = [r.split(",")[2] for r in out.read_text().splitlines()[1:]]
+    assert metrics == ["best_l2", "pearson", "spearman", "mse"]
+
+
 @pytest.mark.parametrize("label", ["0.5", "nan", "inf"])
 def test_eval_paraphrase_refuses_a_label_that_is_not_an_integer(
         ws, tmp_path, capsys, label):
@@ -1013,6 +1125,30 @@ def test_eval_rank_negative_item_count_exit_2(ws, tmp_path, capsys, flag):
                  "6", "--init", "identity",
                  "--out", str(out)]) == 2
     assert f"{flag} must be >= 0, got -4" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("damage", ["nan", "inf", "odd_length"])
+def test_eval_rank_refuses_a_malformed_image_file_by_exit_2(ws, tmp_path,
+                                                           capsys, damage):
+    # A NaN feature used to give Recall@K from NaN scores with exit 0, and a
+    # body that is not whole floats an uncaught ValueError (exit 1).
+    caps = tmp_path / "caps.txt"
+    caps.write_text("".join(f"the cat sat {w} .\n" for w in
+                            ("on", "down", "fast", "away")))
+    images = np.ones((4, 3))
+    if damage != "odd_length":
+        images[1, 2] = float(damage)
+    img = tmp_path / "img.bin"
+    write_vectors(img, images)
+    if damage == "odd_length":
+        img.write_bytes(img.read_bytes() + b"\x00\x00")
+    out = tmp_path / "rank.csv"
+    capsys.readouterr()
+    assert main(["eval-rank", "--ckpt", str(ws["ckpt"]), "--images", str(img),
+                 "--captions", str(caps), "--group-size", "1", "--epochs", "0",
+                 "--embed-dim", "3", "--out", str(out)]) == 2
+    assert str(img) in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1295,3 +1431,25 @@ def test_missing_required_flag_raises_usage_exit(ws):
     with pytest.raises(SystemExit) as exc:
         main(["nn-word", "--ckpt", str(ws["ckpt"])])
     assert exc.value.code == 2
+
+
+# The exit code of each package error: 2 usage, 3 numeric, 4 file.
+ERROR_EXIT_CODES = {"ShapeError": 2, "ParameterError": 2, "InputError": 2,
+                    "RangeError": 2, "ConfigError": 2, "StateError": 2,
+                    "NumericError": 3, "ConvergenceError": 3, "MetricError": 3,
+                    "CheckpointError": 4}
+
+
+@pytest.mark.parametrize("name", ERROR_EXIT_CODES)
+def test_every_package_error_exits_with_its_code(ws, monkeypatch, capsys, name):
+    assert sorted(cls.__name__ for cls in vars(errors).values()
+                  if isinstance(cls, type) and issubclass(cls, errors.SkipGruError)
+                  and cls is not errors.SkipGruError) == sorted(ERROR_EXIT_CODES)
+
+    def fail(args):
+        raise getattr(errors, name)("planted")
+    monkeypatch.setattr(cli, "_load_models", fail)
+    capsys.readouterr()
+    assert main(["nn-word", "--ckpt", str(ws["ckpt"]), "--query", "the"]) == \
+        ERROR_EXIT_CODES[name]
+    assert capsys.readouterr().err.endswith("error: planted\n")

@@ -19,6 +19,7 @@ import pytest
 from conftest import make_model, make_vocab
 from skipgru import fileio
 from skipgru.cli import _write_metric_rows, main
+from skipgru.errors import InputError
 from skipgru.corpus import save_vocab
 from skipgru.fileio import atomic_output, read_vectors, write_vectors
 from skipgru.trainer import load_model, make_optimizer, save_checkpoint
@@ -51,6 +52,28 @@ def test_successful_write_replaces_file(tmp_path):
     write_vectors(path, np.ones((3, 1)))
     assert np.array_equal(read_vectors(path), np.ones((3, 1)))
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("tail", [b"\x00", b"\x00" * 7],
+                         ids=["one_byte_over", "seven_bytes_over"])
+def test_read_vectors_refuses_a_body_of_the_wrong_length(tmp_path, tail):
+    # A body that is not a whole number of floats used to die in
+    # np.frombuffer with an uncaught ValueError.
+    path = tmp_path / "v.bin"
+    write_vectors(path, np.ones((2, 3)))
+    path.write_bytes(path.read_bytes() + tail)
+    with pytest.raises(InputError, match="expected 6 floats"):
+        read_vectors(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_read_vectors_refuses_a_non_finite_entry(tmp_path, bad):
+    path = tmp_path / "v.bin"
+    vectors = np.ones((3, 2))
+    vectors[2, 1] = bad
+    write_vectors(path, vectors)
+    with pytest.raises(InputError, match="non-finite entry in row 2"):
+        read_vectors(path)
 
 
 def _is_write_mode(mode) -> bool:

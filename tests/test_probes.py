@@ -351,6 +351,15 @@ def test_select_l2_relatedness_needs_two_rows():
         select_l2_relatedness(np.ones((1, 3)), np.array([3.0]), 2, [0.1], 0)
 
 
+def test_select_l2_relatedness_scores_a_one_row_fold_zero():
+    # 15 rows over 10 folds leave five folds of one row, whose correlation
+    # is undefined; they score 0 instead of stopping the search.
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(15, 4))
+    y = np.clip(3.0 + X[:, 0], 1.0, 5.0)
+    assert select_l2_relatedness(X, y, 10, [0.01, 1.0], 0) in (0.01, 1.0)
+
+
 def test_cross_validate_empty_grid():
     X, y = separable_data()
     with pytest.raises(ParameterError):

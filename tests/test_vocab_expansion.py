@@ -354,6 +354,15 @@ def test_read_embeddings_rejects_short_rows(tmp_path):
         read_embeddings_text(p)
 
 
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_read_embeddings_rejects_a_dimension_below_one(tmp_path, dim):
+    # "2 -1" used to die of an uncaught reshape error, and "2 0" gave (2, 0).
+    p = tmp_path / "v.txt"
+    p.write_text(f"2 {dim}\nfoo\nbar\n", encoding="utf-8")
+    with pytest.raises(InputError, match=f"dim must be >= 1, got {dim}"):
+        read_embeddings_text(p)
+
+
 def test_expansion_file_roundtrip(tmp_path):
     m, ext, _ = planted_setup(seed=6)
     fit = fit_expansion(ext, m)
