@@ -606,7 +606,11 @@ def _read_config_file(path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip().replace("-", "_")
+            if key in values:
+                raise ConfigError(f"{path}:{lineno}: config key {key!r} "
+                                  f"is set twice")
+            values[key] = val.strip()
     return values
 
 

@@ -13,6 +13,9 @@ The word distribution at step t is softmax(V h^t), sharing one output matrix V
 between both decoders.  At t = 1 the input is a learned begin-of-decode
 vector; afterwards it is the embedding of the ground-truth previous word
 (teacher forcing).  There are no bias terms and V has no bias column.
+DecoderPair.directions yields each decoder with its parameter-name prefix
+(DECODER_PREFIXES), next then previous, so that callers run both decoders
+through one loop.  Their weights are drawn by trainer.SkipGruModel.init.
 
 Both decoders run on the encoder's GRU kernel.  The conditioning terms
 C_* h_enc are constant over a sentence, so they are added once to the input
@@ -51,14 +54,17 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .encoder import (GRU_KEYS, INIT_RANGE, GruParams, GruTrace, gru_backward,
-                      gru_forward, init_gru_params)
+from .encoder import GRU_KEYS, GruParams, GruTrace, gru_backward, gru_forward
 from .errors import (InputError, ParameterError, RangeError, ShapeError,
                      StateError)
-from .numerics import ParamSet, get_rng, softmax, uniform_init
+from .numerics import ParamSet, get_rng, softmax
 
 COND_CONDITIONING_KEYS = ("C_r", "C_z", "C")
 COND_KEYS = GRU_KEYS + COND_CONDITIONING_KEYS + ("begin",)
+
+# Parameter-name prefix of each decoder: the next sentence's, then the
+# previous sentence's.
+DECODER_PREFIXES = ("dec_next.", "dec_prev.")
 
 # Decoder rows pending in decode_batch's logits buffer at which it runs
 # output_layer_backward over them.
@@ -87,18 +93,6 @@ class ConditionalGruParams(GruParams):
         return self.C_r.shape[1]
 
 
-def init_conditional_gru(embed_dim: int, hidden_dim: int, enc_dim: int,
-                         seed) -> ConditionalGruParams:
-    """The GRU matrices as init_gru_params draws them, then the conditioning
-    matrices and the begin vector uniform [-0.1, 0.1) from the same stream."""
-    rng = get_rng(seed)
-    gru = init_gru_params(embed_dim, hidden_dim, rng)
-    cond = {key: uniform_init(hidden_dim, enc_dim, -INIT_RANGE, INIT_RANGE, rng)
-            for key in COND_CONDITIONING_KEYS}
-    begin = uniform_init(1, embed_dim, -INIT_RANGE, INIT_RANGE, rng)[0]
-    return ConditionalGruParams(**gru.as_dict(), **cond, begin=begin)
-
-
 @dataclass
 class DecoderPair:
     """Next- and previous-sentence decoders sharing one output matrix V."""
@@ -118,14 +112,10 @@ class DecoderPair:
     def vocab_size(self) -> int:
         return self.V.shape[0]
 
-
-def init_decoder_pair(vocab_size: int, embed_dim: int, hidden_dim: int,
-                      enc_dim: int, seed) -> DecoderPair:
-    rng = get_rng(seed)
-    nxt = init_conditional_gru(embed_dim, hidden_dim, enc_dim, rng)
-    prv = init_conditional_gru(embed_dim, hidden_dim, enc_dim, rng)
-    V = uniform_init(vocab_size, hidden_dim, -INIT_RANGE, INIT_RANGE, rng)
-    return DecoderPair(next_params=nxt, prev_params=prv, V=V)
+    @property
+    def directions(self) -> list[tuple[ConditionalGruParams, str]]:
+        """(params, prefix) of each decoder: next, then previous."""
+        return list(zip((self.next_params, self.prev_params), DECODER_PREFIXES))
 
 
 def _check_conditioning(h_enc: np.ndarray,

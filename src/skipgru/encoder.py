@@ -11,7 +11,9 @@ with h^0 = 0.  The final hidden state is the sentence vector.  The
 bidirectional variant runs a second, separately parameterized GRU over the
 reversed token sequence and concatenates both final states.  The terminal eos
 token is consumed like any other token.  Both variants run one code path:
-every pass walks EncoderModel.directions, one entry per GRU.
+every pass walks EncoderModel.directions, one entry per GRU.  The weights
+are drawn by trainer.SkipGruModel.init, which gives the recurrent matrices
+(GRU_RECURRENT_KEYS) an orthogonal start.
 
 One kernel pair runs every GRU pass, here and in the decoders.  gru_forward
 takes the input pre-activations of all steps at once (one matrix product per
@@ -38,10 +40,8 @@ from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InputError, RangeError, ShapeError, StateError
-from .numerics import ParamSet, get_rng, orthogonal_init, sigmoid, uniform_init
-
-INIT_RANGE = 0.1
+from .errors import InputError, RangeError, ShapeError, StateError
+from .numerics import ParamSet, sigmoid
 
 GRU_INPUT_KEYS = ("W_r", "W_z", "W")
 GRU_RECURRENT_KEYS = ("U_r", "U_z", "U")
@@ -94,17 +94,6 @@ class GruParams:
     def from_dict(cls, d: ParamSet, prefix: str = ""):
         return cls(**{k: np.asarray(d[prefix + k], dtype=np.float64)
                       for k in cls.KEYS})
-
-
-def init_gru_params(embed_dim: int, hidden_dim: int, seed) -> GruParams:
-    """Input matrices uniform [-0.1, 0.1); recurrent matrices orthogonal."""
-    rng = get_rng(seed)
-    fields = {}
-    for key in GRU_INPUT_KEYS:
-        fields[key] = uniform_init(hidden_dim, embed_dim, -INIT_RANGE, INIT_RANGE, rng)
-    for key in GRU_RECURRENT_KEYS:
-        fields[key] = orthogonal_init(hidden_dim, hidden_dim, rng)
-    return GruParams(**fields)
 
 
 class GruTrace(NamedTuple):
@@ -230,17 +219,6 @@ class EncoderModel:
         """(params, reversed, prefix) of each GRU direction, in output order."""
         grus = [p for p in (self.forward, self.backward) if p is not None]
         return list(zip(grus, (False, True), ENCODER_PREFIXES))
-
-
-def init_encoder(vocab_size: int, embed_dim: int, hidden_dim: int, mode: str,
-                 seed) -> EncoderModel:
-    if mode not in ("uni", "bi"):
-        raise ConfigError(f"encoder mode must be 'uni' or 'bi', got {mode!r}")
-    rng = get_rng(seed)
-    emb = uniform_init(vocab_size, embed_dim, -INIT_RANGE, INIT_RANGE, rng)
-    fwd = init_gru_params(embed_dim, hidden_dim, rng)
-    bwd = init_gru_params(embed_dim, hidden_dim, rng) if mode == "bi" else None
-    return EncoderModel(embedding=emb, forward=fwd, backward=bwd)
 
 
 def _check_tokens(tokens: Sequence[int], vocab_size: int) -> tuple[int, ...]:

@@ -33,7 +33,8 @@ clock after the read, would go unseen.
 
 Vector files hold a header of two little-endian uint32 words (count, dim)
 followed by row-major little-endian float32 rows; read_vectors widens them to
-float64, and refuses a file of any other length or with a non-finite entry.
+float64, and refuses a file of any other length, with a dim of 0 or with a
+non-finite entry.
 """
 
 from __future__ import annotations
@@ -232,6 +233,8 @@ def read_vectors(path) -> np.ndarray:
     if len(raw) < 8:
         raise InputError(f"{path}: truncated vector file header")
     n, dim = (int(x) for x in np.frombuffer(raw[:8], dtype="<u4"))
+    if dim < 1:
+        raise InputError(f"{path}: vector dimension must be >= 1, got {dim}")
     if len(raw) != 8 + 4 * n * dim:
         raise InputError(f"{path}: expected {n * dim} floats ({4 * n * dim} "
                          f"bytes) after the header, found {len(raw) - 8} bytes")

@@ -214,9 +214,12 @@ def evaluate_retrieval(images: np.ndarray, captions: np.ndarray,
     annotation: each image queries all captions and is scored by the rank of
     its best ground-truth caption.  search: each caption queries all images.
     Returns {"annotation": RetrievalResult, "search": RetrievalResult}.
+    No images raise InputError: no rank exists to summarize.
     """
     X = np.asarray(images, dtype=np.float64)
     Y = np.asarray(captions, dtype=np.float64)
+    if len(X) == 0:
+        raise InputError("retrieval needs at least one image")
     if group_size < 1 or len(Y) != len(X) * group_size:
         raise InputError(f"need exactly {group_size} captions per image: "
                          f"{len(X)} images, {len(Y)} captions")

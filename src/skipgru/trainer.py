@@ -1,6 +1,15 @@
 """Neighbor-reconstruction training: the twin-decoder objective, Adam steps
 with gradient clipping, the epoch loop, and versioned binary checkpoints.
 
+param_shapes(config) is the one table of the model's parameters: their
+names, their order and their shapes.  SkipGruModel.init draws its entries in
+that order from one seeded stream (the recurrent U_* matrices orthogonal,
+every other weight uniform in [-0.1, 0.1)); param_dict lists them in that
+order; and a checkpoint stores them in that order, under a header whose
+parameter list must equal the table of its own config.  Both decoders, like
+both encoder directions, are reached through their `directions`, so each
+parameter-name prefix is written once.
+
 The loss for one triple (s_prev, s_curr, s_next) is
 
     -[log P(s_next | h) + log P(s_prev | h)],  h = encode(s_curr)
@@ -41,21 +50,25 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import SentenceTriple, Vocabulary
-from .decoder import (COND_KEYS, ConditionalGruParams, DecoderCache,
-                      DecoderPair, decode_batch, decoder_backward,
-                      init_decoder_pair, sentence_log_prob)
-from .encoder import (ENCODER_PREFIXES, GRU_KEYS, EncoderCache, EncoderModel,
-                      GruParams, encode, encode_with_cache, encoder_backward,
-                      init_encoder)
+from .decoder import (COND_CONDITIONING_KEYS, DECODER_PREFIXES,
+                      ConditionalGruParams, DecoderCache, DecoderPair,
+                      decode_batch, decoder_backward, sentence_log_prob)
+from .encoder import (ENCODER_PREFIXES, GRU_INPUT_KEYS, GRU_RECURRENT_KEYS,
+                      EncoderCache, EncoderModel, GruParams, encode,
+                      encode_with_cache, encoder_backward)
 from .errors import ConfigError, InputError, NumericError
 from .fileio import read_container, write_container
 from .numerics import (AdamState, ParamSet, adam_step, clip_gradients,
-                       get_rng, global_norm, seed_tuple)
+                       get_rng, global_norm, orthogonal_init, seed_tuple)
 
 CHECKPOINT_MAGIC = b"SKIPGRUC"
 CHECKPOINT_VERSION = 1
 
 METRICS_HEADER = "step,loss,grad_norm,clipped,wall_ms"
+
+# Every weight that is not a recurrent U_* matrix starts uniform in
+# [-INIT_RANGE, INIT_RANGE).
+INIT_RANGE = 0.1
 
 
 @dataclass
@@ -103,15 +116,20 @@ class TrainConfig:
         return self.hidden_dim * len(self.encoder_prefixes)
 
 
-def param_order(config: TrainConfig) -> list[str]:
-    """Canonical parameter names; also the checkpoint blob order."""
-    names = ["emb"]
-    for prefix in config.encoder_prefixes:
-        names += [prefix + k for k in GRU_KEYS]
-    names += ["dec_next." + k for k in COND_KEYS]
-    names += ["dec_prev." + k for k in COND_KEYS]
-    names.append("V")
-    return names
+def param_shapes(config: TrainConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in the canonical order: the order
+    of param_dict, of the checkpoint blobs and of the init draws."""
+    E, H = config.embed_dim, config.hidden_dim
+    gru = {**dict.fromkeys(GRU_INPUT_KEYS, (H, E)),
+           **dict.fromkeys(GRU_RECURRENT_KEYS, (H, H))}
+    cond = {**gru, **dict.fromkeys(COND_CONDITIONING_KEYS, (H, config.encoder_dim)),
+            "begin": (E,)}
+    shapes = {"emb": (config.vocab_size, E)}
+    for prefixes, keys in ((config.encoder_prefixes, gru), (DECODER_PREFIXES, cond)):
+        for prefix in prefixes:
+            shapes.update({prefix + k: shape for k, shape in keys.items()})
+    shapes["V"] = (config.vocab_size, H)
+    return shapes
 
 
 @dataclass
@@ -129,10 +147,11 @@ class SkipGruModel:
             raise ConfigError(f"vocabulary size mismatch: config {c.vocab_size}, "
                               f"vocab {self.vocab.size}, "
                               f"embedding {self.encoder.vocab_size}")
-        if self.encoder.output_dim != self.decoders.next_params.enc_dim:
-            raise ConfigError(f"encoder output dim {self.encoder.output_dim} does "
-                              f"not match decoder conditioning dim "
-                              f"{self.decoders.next_params.enc_dim}")
+        for p, prefix in self.decoders.directions:
+            if self.encoder.output_dim != p.enc_dim:
+                raise ConfigError(f"encoder output dim {self.encoder.output_dim} "
+                                  f"does not match the conditioning dim "
+                                  f"{p.enc_dim} of {prefix}")
         if self.decoders.vocab_size != c.vocab_size:
             raise ConfigError("output matrix V rows do not match the vocabulary")
 
@@ -142,24 +161,21 @@ class SkipGruModel:
 
     @classmethod
     def init(cls, vocab: Vocabulary, config: TrainConfig) -> "SkipGruModel":
-        if vocab.size != config.vocab_size:
-            raise ConfigError(f"vocabulary has {vocab.size} tokens but config "
-                              f"says {config.vocab_size}")
         rng = get_rng(seed_tuple(config.seed, "init"))
-        enc = init_encoder(config.vocab_size, config.embed_dim, config.hidden_dim,
-                           config.mode, rng)
-        dec = init_decoder_pair(config.vocab_size, config.embed_dim,
-                                config.hidden_dim, config.encoder_dim, rng)
-        return cls(config=config, vocab=vocab, encoder=enc, decoders=dec)
+        params = {name: orthogonal_init(*shape, rng)
+                  if name.rpartition(".")[2] in GRU_RECURRENT_KEYS
+                  else rng.uniform(-INIT_RANGE, INIT_RANGE, size=shape)
+                  for name, shape in param_shapes(config).items()}
+        return model_from_params(config, vocab, params)
 
     def param_dict(self) -> ParamSet:
         params: ParamSet = {"emb": self.encoder.embedding}
         for p, _, prefix in self.encoder.directions:
             params.update(p.as_dict(prefix))
-        params.update(self.decoders.next_params.as_dict("dec_next."))
-        params.update(self.decoders.prev_params.as_dict("dec_prev."))
+        for p, prefix in self.decoders.directions:
+            params.update(p.as_dict(prefix))
         params["V"] = self.decoders.V
-        return {k: params[k] for k in param_order(self.config)}
+        return params
 
 
 def model_from_params(config: TrainConfig, vocab: Vocabulary,
@@ -167,8 +183,8 @@ def model_from_params(config: TrainConfig, vocab: Vocabulary,
     enc = EncoderModel(np.asarray(params["emb"], dtype=np.float64),
                        *(GruParams.from_dict(params, prefix)
                          for prefix in config.encoder_prefixes))
-    dec = DecoderPair(next_params=ConditionalGruParams.from_dict(params, "dec_next."),
-                      prev_params=ConditionalGruParams.from_dict(params, "dec_prev."),
+    dec = DecoderPair(*(ConditionalGruParams.from_dict(params, prefix)
+                        for prefix in DECODER_PREFIXES),
                       V=np.asarray(params["V"], dtype=np.float64))
     return SkipGruModel(config=config, vocab=vocab, encoder=enc, decoders=dec)
 
@@ -176,9 +192,10 @@ def model_from_params(config: TrainConfig, vocab: Vocabulary,
 def triple_loss(model: SkipGruModel, triple: SentenceTriple) -> float:
     """-[log P(next | h) + log P(prev | h)] with h = encode(curr); >= 0."""
     h = encode(triple.curr, model.encoder)
-    emb, V = model.embedding, model.decoders.V
-    lp_next = sentence_log_prob(triple.next, h, model.decoders.next_params, V, emb)
-    lp_prev = sentence_log_prob(triple.prev, h, model.decoders.prev_params, V, emb)
+    lp_next, lp_prev = (
+        sentence_log_prob(target, h, p, model.decoders.V, model.embedding)
+        for target, (p, _) in zip((triple.next, triple.prev),
+                                  model.decoders.directions))
     return -(lp_next + lp_prev)
 
 
@@ -187,16 +204,15 @@ def batch_grads(model: SkipGruModel, batch: Sequence[SentenceTriple],
     """Add the gradient of the summed triple losses of `batch` into `grads`
     and return that sum, in the three parts of the module docstring.
 
-    grads holds one accumulator per parameter name (param_order).  The loss
+    grads holds one accumulator per parameter name (param_shapes).  The loss
     is the sum, in batch order, of each triple's -(log P(next) + log P(prev))
     from its forward pass.  An empty batch raises InputError.
     """
     dec = model.decoders
     encoded = [encode_with_cache(t.curr, model.encoder) for t in batch]
     log_probs, caches, dS = decode_batch(
-        [pass_ for t, (h, _) in zip(batch, encoded)
-         for pass_ in ((t.next, h, dec.next_params),
-                       (t.prev, h, dec.prev_params))],
+        [(target, h, p) for t, (h, _) in zip(batch, encoded)
+         for target, (p, _) in zip((t.next, t.prev), dec.directions)],
         dec.V, model.embedding, grads)
     loss = 0.0
     for i, (_, enc_cache) in enumerate(encoded):
@@ -217,12 +233,11 @@ def triple_grads(model: SkipGruModel,
     flow back through the encoder, which adds last; embedding gradients thus
     accumulate across all three passes.  V's gradient is not touched.
     """
-    enc_cache, cache_n, cache_p = caches
-    dec = model.decoders
-    gh_next = decoder_backward(cache_n, dS[0], dec.next_params, grads,
-                               "dec_next.")
-    gh_prev = decoder_backward(cache_p, dS[1], dec.prev_params, grads,
-                               "dec_prev.")
+    enc_cache, *dec_caches = caches
+    gh_next, gh_prev = (
+        decoder_backward(cache, d, p, grads, prefix)
+        for cache, d, (p, prefix) in zip(dec_caches, dS,
+                                         model.decoders.directions))
     encoder_backward(enc_cache, gh_next + gh_prev, model.encoder, grads)
 
 
@@ -396,15 +411,14 @@ def save_checkpoint(model: SkipGruModel, opt: AdamState, path) -> None:
 
 def _parse_checkpoint_header(header):
     config = TrainConfig(**header["config"])
-    names = [str(k) for k, _ in header["params"]]
-    if names != param_order(config):
-        raise ValueError("parameter list does not match the config")
+    shapes = param_shapes(config)
+    if header["params"] != [[k, list(shape)] for k, shape in shapes.items()]:
+        raise ValueError("parameter names and shapes do not match the config")
     adam = header["adam"]
     opt_fields = {k: float(adam[k]) for k in ("alpha", "beta1", "beta2", "epsilon")}
     opt_fields["step"] = int(adam["step"])
-    shapes = [tuple(int(s) for s in shape) for _, shape in header["params"]]
-    meta = (config, Vocabulary(list(header["vocab"])), names, opt_fields)
-    return meta, shapes * 3
+    meta = (config, Vocabulary(list(header["vocab"])), list(shapes), opt_fields)
+    return meta, [tuple(map(int, shape)) for shape in shapes.values()] * 3
 
 
 def load_model(path) -> SkipGruModel:

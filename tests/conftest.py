@@ -7,7 +7,9 @@ error metric divides by a vanishing denominator; O(1) parameters keep every
 coordinate well above that floor without changing what is being checked.
 """
 
+import json
 import shutil
+import struct
 import sys
 import tempfile
 
@@ -18,7 +20,10 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from skipgru.corpus import EOS_TOKEN, UNK_TOKEN, SentenceTriple, Vocabulary
 from skipgru.decoder import decode_batch, decoder_backward
-from skipgru.trainer import SkipGruModel, TrainConfig, model_from_params
+from skipgru.fileio import write_container
+from skipgru.trainer import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, SkipGruModel,
+                             TrainConfig, make_optimizer, model_from_params,
+                             save_checkpoint)
 
 # Hypothesis keeps no example database, which it would write to .hypothesis/
 # in the working directory, and caches the constants it reads from the sources
@@ -44,6 +49,41 @@ def make_model(vocab_size=6, embed_dim=3, hidden_dim=3, mode="uni",
     cfg = TrainConfig(embed_dim=embed_dim, hidden_dim=hidden_dim,
                       vocab_size=vocab_size, mode=mode, seed=seed, **overrides)
     return SkipGruModel.init(make_vocab(vocab_size), cfg)
+
+
+def _config_disagrees(header):
+    header["config"]["hidden_dim"] += 1
+
+
+def _emb_too_wide(header):
+    header["params"][0][1][1] += 1
+
+
+def _params_reordered(header):
+    params = header["params"]
+    params[1], params[2] = params[2], params[1]
+
+
+# Header edits that leave a checkpoint's parameter list at odds with its
+# config: by a config value, by one shape, and by the order of the names.
+MISMATCHED_HEADERS = {"config": _config_disagrees, "emb": _emb_too_wide,
+                      "order": _params_reordered}
+
+
+def write_mismatched_checkpoint(path, edit) -> None:
+    """A checkpoint of a uni model (V=6, E=3, H=4) whose header `edit` has
+    changed, with zero blobs of the shapes its parameter list names and a
+    valid checksum: only the check of that list against the config can
+    refuse it."""
+    m = make_model(vocab_size=6, embed_dim=3, hidden_dim=4)
+    save_checkpoint(m, make_optimizer(m), path)
+    raw = path.read_bytes()
+    (length,) = struct.unpack_from("<Q", raw, len(CHECKPOINT_MAGIC) + 4)
+    start = len(CHECKPOINT_MAGIC) + 12
+    header = json.loads(raw[start:start + length])
+    edit(header)
+    write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header,
+                    [np.zeros(shape) for _, shape in header["params"] * 3])
 
 
 def randomize_params(model: SkipGruModel, seed=0, scale=0.7) -> SkipGruModel:

@@ -13,6 +13,9 @@ something the package computes in bulk:
   accumulator per train step, and runs the output layer over groups of
   passes from the softmax rows that their forward passes left in a shared
   buffer);
+- a model's initial weights from a chain of builders, one per GRU, encoder
+  and decoder pair, that share one random stream (SkipGruModel.init draws
+  each entry of trainer.param_shapes in turn);
 - the cosine score of one image-sentence pair (ranking scores whole batches);
 - the ranking loss with one loop iteration per hinge, and retrieval ranks
   with one sort per query (ranking builds both with array indexing);
@@ -41,15 +44,19 @@ from typing import NamedTuple
 import numpy as np
 
 from skipgru.corpus import SENTENCE_CAP, SentenceTriple, Vocabulary
-from skipgru.decoder import (COND_KEYS, ConditionalGruParams, DecoderCache,
+from skipgru.decoder import (COND_CONDITIONING_KEYS, COND_KEYS,
+                             ConditionalGruParams, DecoderCache, DecoderPair,
                              sentence_log_prob_with_cache)
-from skipgru.encoder import (EncoderCache, EncoderModel, GruParams,
-                             encode_with_cache, gru_backward)
+from skipgru.encoder import (GRU_INPUT_KEYS, GRU_RECURRENT_KEYS, EncoderCache,
+                             EncoderModel, GruParams, encode_with_cache,
+                             gru_backward)
 from skipgru.errors import (InputError, MetricError, NumericError,
                             ParameterError, ShapeError)
-from skipgru.numerics import AdamState, ParamSet, get_rng, sigmoid, softmax
+from skipgru.numerics import (AdamState, ParamSet, get_rng, orthogonal_init,
+                              seed_tuple, sigmoid, softmax, uniform_init)
 from skipgru.probes import SCORE_BINS
 from skipgru.ranking import RankingModel, _contrastive_draws
+from skipgru.trainer import INIT_RANGE, SkipGruModel, TrainConfig
 
 
 _PUNCT = re.compile(r"([^\w\s'])")
@@ -104,6 +111,58 @@ def finite_diff_check(loss_fn, params: ParamSet, analytic: ParamSet, eps: float 
             err = abs(ana[idx] - numeric) / max(1e-8, abs(ana[idx]) + abs(numeric))
             worst = max(worst, err)
     return worst
+
+
+def init_gru_params(embed_dim: int, hidden_dim: int, seed) -> GruParams:
+    """Input matrices uniform [-0.1, 0.1); recurrent matrices orthogonal."""
+    rng = get_rng(seed)
+    fields = {}
+    for key in GRU_INPUT_KEYS:
+        fields[key] = uniform_init(hidden_dim, embed_dim, -INIT_RANGE, INIT_RANGE, rng)
+    for key in GRU_RECURRENT_KEYS:
+        fields[key] = orthogonal_init(hidden_dim, hidden_dim, rng)
+    return GruParams(**fields)
+
+
+def init_encoder(vocab_size: int, embed_dim: int, hidden_dim: int, mode: str,
+                 seed) -> EncoderModel:
+    rng = get_rng(seed)
+    emb = uniform_init(vocab_size, embed_dim, -INIT_RANGE, INIT_RANGE, rng)
+    fwd = init_gru_params(embed_dim, hidden_dim, rng)
+    bwd = init_gru_params(embed_dim, hidden_dim, rng) if mode == "bi" else None
+    return EncoderModel(embedding=emb, forward=fwd, backward=bwd)
+
+
+def init_conditional_gru(embed_dim: int, hidden_dim: int, enc_dim: int,
+                         seed) -> ConditionalGruParams:
+    """The GRU matrices as init_gru_params draws them, then the conditioning
+    matrices and the begin vector uniform [-0.1, 0.1) from the same stream."""
+    rng = get_rng(seed)
+    gru = init_gru_params(embed_dim, hidden_dim, rng)
+    cond = {key: uniform_init(hidden_dim, enc_dim, -INIT_RANGE, INIT_RANGE, rng)
+            for key in COND_CONDITIONING_KEYS}
+    begin = uniform_init(1, embed_dim, -INIT_RANGE, INIT_RANGE, rng)[0]
+    return ConditionalGruParams(**gru.as_dict(), **cond, begin=begin)
+
+
+def init_decoder_pair(vocab_size: int, embed_dim: int, hidden_dim: int,
+                      enc_dim: int, seed) -> DecoderPair:
+    rng = get_rng(seed)
+    nxt = init_conditional_gru(embed_dim, hidden_dim, enc_dim, rng)
+    prv = init_conditional_gru(embed_dim, hidden_dim, enc_dim, rng)
+    V = uniform_init(vocab_size, hidden_dim, -INIT_RANGE, INIT_RANGE, rng)
+    return DecoderPair(next_params=nxt, prev_params=prv, V=V)
+
+
+def init_model(vocab: Vocabulary, config: TrainConfig) -> SkipGruModel:
+    """The encoder, then the decoder pair, drawn by the builders above from
+    the one stream that SkipGruModel.init draws from."""
+    rng = get_rng(seed_tuple(config.seed, "init"))
+    enc = init_encoder(config.vocab_size, config.embed_dim, config.hidden_dim,
+                       config.mode, rng)
+    dec = init_decoder_pair(config.vocab_size, config.embed_dim,
+                            config.hidden_dim, config.encoder_dim, rng)
+    return SkipGruModel(config=config, vocab=vocab, encoder=enc, decoders=dec)
 
 
 class GruStep(NamedTuple):

@@ -20,7 +20,8 @@ import pytest
 
 import reference
 import skipgru
-from conftest import make_model
+from conftest import (MISMATCHED_HEADERS, make_model,
+                      write_mismatched_checkpoint)
 from skipgru import cli, corpus, errors, numerics, ranking, trainer
 from skipgru.cli import (RESUMED_FLAGS, _encode_lines, _tokenize_distinct,
                          build_parser, main)
@@ -1152,6 +1153,24 @@ def test_eval_rank_refuses_a_malformed_image_file_by_exit_2(ws, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("header", [(4, 0), (0, 4)],
+                         ids=["dim_zero", "no_images"])
+def test_eval_rank_refuses_an_image_file_without_entries_by_exit_2(
+        ws, tmp_path, capsys, header):
+    # A dim of 0 used to exit 3 on a zero-norm image, and no images exited 0
+    # with NaN metrics.
+    img = tmp_path / "img.bin"
+    img.write_bytes(struct.pack("<II", *header))
+    caps = tmp_path / "caps.txt"
+    caps.write_text("the cat sat .\n" * header[0])
+    out = tmp_path / "rank.csv"
+    capsys.readouterr()
+    assert main(["eval-rank", "--ckpt", str(ws["ckpt"]), "--images", str(img),
+                 "--captions", str(caps), "--group-size", "1", "--epochs", "0",
+                 "--embed-dim", "3", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
@@ -1279,6 +1298,16 @@ def test_config_given_twice_exit_2(ws, tmp_path, capsys):
                  "--query", "the"]) == 2
 
 
+def test_config_key_set_twice_exit_2(ws, tmp_path, capsys):
+    # The last value used to win: this file ran nn-sent with k = 2.
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("k = 3\nquery = the cat\nk = 2\n")
+    assert main(["nn-sent", "--ckpt", str(ws["ckpt"]), "--bank",
+                 str(ws["corpus"]), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "'k'" in err and f"{cfg}:3" in err
+
+
 def test_config_valid_choice_and_boolean_apply(ws, tmp_path):
     cfg = tmp_path / "train.cfg"
     cfg.write_text("mode = bi\nresume = off\nembed-dim = 4\nhidden-dim = 3\n"
@@ -1329,6 +1358,23 @@ def test_corrupt_checkpoint_exit_4(ws, tmp_path):
     bad.write_bytes(bytes(blob))
     assert main(["nn-word", "--ckpt", str(bad), "--query", "the",
                  "--k", "2"]) == 4
+
+
+@pytest.mark.parametrize("case", sorted(MISMATCHED_HEADERS))
+def test_checkpoint_header_at_odds_with_its_config_exit_4(tmp_path, capsys,
+                                                          case):
+    # A header config of hidden_dim 5 over arrays of H = 4 used to load and
+    # encode with exit 0, and an emb one column too wide exited 2 with a
+    # ShapeError.
+    ckpt = tmp_path / "c.ckpt"
+    write_mismatched_checkpoint(ckpt, MISMATCHED_HEADERS[case])
+    inp = tmp_path / "in.txt"
+    inp.write_text("the cat sat .\n")
+    out = tmp_path / "v.bin"
+    assert main(["encode", "--ckpt", str(ckpt), "--input", str(inp),
+                 "--out", str(out)]) == 4
+    assert "malformed checkpoint header" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ckpt", "in.txt"]
 
 
 def _sha256(path) -> str:

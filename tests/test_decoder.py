@@ -9,18 +9,17 @@ checker, and a Monte-Carlo frequency check for the sampler.
 
 import numpy as np
 import pytest
-from skipgru.decoder import (ConditionalGruParams, DecoderPair, decode_batch,
-                             decoder_backward, init_conditional_gru,
-                             init_decoder_pair, output_layer_backward,
-                             sample_sentence, sentence_log_prob,
-                             sentence_log_prob_with_cache)
+from skipgru.decoder import (DECODER_PREFIXES, ConditionalGruParams,
+                             DecoderPair, decode_batch, decoder_backward,
+                             output_layer_backward, sample_sentence,
+                             sentence_log_prob, sentence_log_prob_with_cache)
 from skipgru.encoder import GruParams, gru_forward
 from skipgru.errors import (InputError, ParameterError, RangeError,
                             ShapeError, StateError)
 from skipgru.numerics import sigmoid, softmax
 
 import reference
-from conftest import decoder_pass_backward
+from conftest import decoder_pass_backward, make_model
 from reference import cond_gru_step, finite_diff_check, gru_step, log_softmax
 
 
@@ -299,17 +298,20 @@ def test_decode_batch_of_no_passes_is_input_error(rng):
 # ---------------------------------------------------------------------------
 
 def test_decoder_pair_rejects_shared_parameter_storage():
-    p = init_conditional_gru(3, 4, 4, seed=(8,))
+    p = rand_cond_params(np.random.default_rng(8), embed=3, hidden=4, enc=4)
     with pytest.raises(ParameterError):
         DecoderPair(next_params=p, prev_params=p, V=np.zeros((5, 4)))
 
 
 def test_decoder_pair_init_shapes():
-    pair = init_decoder_pair(vocab_size=7, embed_dim=3, hidden_dim=4,
-                             enc_dim=8, seed=(9,))
+    pair = make_model(vocab_size=7, embed_dim=3, hidden_dim=4, mode="bi",
+                      seed=9).decoders
     assert pair.V.shape == (7, 4)
     assert pair.next_params.C.shape == (4, 8)
     assert pair.prev_params.begin.shape == (3,)
+    (nxt, next_prefix), (prv, prev_prefix) = pair.directions
+    assert nxt is pair.next_params and prv is pair.prev_params
+    assert (next_prefix, prev_prefix) == DECODER_PREFIXES
     assert not np.array_equal(pair.next_params.W, pair.prev_params.W)
 
 

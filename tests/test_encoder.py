@@ -14,7 +14,7 @@ from conftest import make_model, make_vocab, randomize_params, zero_grads
 from reference import finite_diff_check, gru_step
 from skipgru.encoder import (EncoderModel, GruParams, encode,
                              encode_vectors, encode_with_cache,
-                             encoder_backward, init_encoder, init_gru_params)
+                             encoder_backward)
 from skipgru.errors import InputError, RangeError, ShapeError
 from skipgru.trainer import model_from_params
 
@@ -251,17 +251,21 @@ def test_backward_finite_difference_repeated_ids(mode):
 # ---------------------------------------------------------------------------
 
 def test_init_recurrent_orthogonal_input_uniform():
-    p = init_gru_params(3, 4, seed=(1, 2))
-    for u in (p.U_r, p.U_z, p.U):
-        assert np.max(np.abs(u.T @ u - np.eye(4))) < 1e-6
-    for w in (p.W_r, p.W_z, p.W):
-        assert np.all(np.abs(w) <= 0.1)
+    enc = make_model(vocab_size=10, embed_dim=3, hidden_dim=4, mode="bi",
+                     seed=2).encoder
+    assert np.all(np.abs(enc.embedding) <= 0.1)
+    for p, _, _ in enc.directions:
+        for u in (p.U_r, p.U_z, p.U):
+            assert np.max(np.abs(u.T @ u - np.eye(4))) < 1e-6
+        for w in (p.W_r, p.W_z, p.W):
+            assert np.all(np.abs(w) <= 0.1)
 
 
 def test_init_encoder_modes_and_determinism():
-    e1 = init_encoder(10, 3, 4, "uni", seed=(5,))
-    e2 = init_encoder(10, 3, 4, "uni", seed=(5,))
+    e1, e2 = (make_model(vocab_size=10, embed_dim=3, hidden_dim=4,
+                         seed=5).encoder for _ in range(2))
     assert np.array_equal(e1.embedding, e2.embedding)
     assert e1.backward is None and e1.output_dim == 4
-    bi = init_encoder(10, 3, 4, "bi", seed=(5,))
+    bi = make_model(vocab_size=10, embed_dim=3, hidden_dim=4, mode="bi",
+                    seed=5).encoder
     assert bi.backward is not None and bi.output_dim == 8

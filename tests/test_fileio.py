@@ -11,6 +11,7 @@ import ast
 import builtins
 import hashlib
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,16 @@ def test_read_vectors_refuses_a_body_of_the_wrong_length(tmp_path, tail):
     write_vectors(path, np.ones((2, 3)))
     path.write_bytes(path.read_bytes() + tail)
     with pytest.raises(InputError, match="expected 6 floats"):
+        read_vectors(path)
+
+
+@pytest.mark.parametrize("count", [0, 4])
+def test_read_vectors_refuses_a_dimension_of_zero(tmp_path, count):
+    # Rows of no entries used to load, and eval-rank then failed on a
+    # zero-norm image (exit 3) instead of on its input (exit 2).
+    path = tmp_path / "v.bin"
+    path.write_bytes(struct.pack("<II", count, 0))
+    with pytest.raises(InputError, match="dimension must be >= 1, got 0"):
         read_vectors(path)
 
 

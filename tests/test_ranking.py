@@ -416,6 +416,13 @@ def test_group_size_mismatch_rejected(rng):
         evaluate_retrieval(np.eye(3), np.eye(3), m, group_size=5)
 
 
+def test_no_images_rejected():
+    # Zero images used to give NaN recalls and median ranks.
+    m = identity_model(3)
+    with pytest.raises(InputError, match="at least one image"):
+        evaluate_retrieval(np.empty((0, 3)), np.empty((0, 3)), m, group_size=1)
+
+
 def test_init_ranking_model_shapes_and_range():
     m = init_ranking_model(7, 5, 4, alpha=0.2, k_contrastive=50, seed=11)
     assert m.U.shape == (4, 7) and m.V.shape == (4, 5)

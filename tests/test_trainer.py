@@ -17,20 +17,21 @@ import numpy as np
 import pytest
 
 from skipgru import decoder, numerics, trainer
-from conftest import (decoder_pass_backward, lay_out, make_model, make_vocab,
-                      random_triple, randomize_params, zero_grads)
+from conftest import (MISMATCHED_HEADERS, decoder_pass_backward, lay_out,
+                      make_model, make_vocab, random_triple, randomize_params,
+                      write_mismatched_checkpoint, zero_grads)
 import reference
 from reference import finite_diff_check
 from skipgru.corpus import SentenceTriple
 from skipgru.decoder import (OUTPUT_CHUNK, DecoderCache, output_layer_backward,
                              sentence_log_prob, sentence_log_prob_with_cache)
 from skipgru.encoder import encode
-from skipgru.errors import (CheckpointError, InputError, NumericError,
-                            ParameterError)
+from skipgru.errors import (CheckpointError, ConfigError, InputError,
+                            NumericError, ParameterError)
 from skipgru.numerics import AdamState, global_norm
 from skipgru.trainer import (METRICS_HEADER, TrainConfig, batch_grads,
                              load_checkpoint, load_model, make_optimizer,
-                             model_from_params, param_order, save_checkpoint,
+                             model_from_params, param_shapes, save_checkpoint,
                              train, train_step, triple_loss)
 from skipgru.vocab_expansion import (ExpansionMap, ExternalEmbeddings,
                                      read_expansion, write_expansion)
@@ -881,6 +882,16 @@ def test_container_trailing_bytes(tmp_path):
         _assert_rejected(path, load, kind)
 
 
+@pytest.mark.parametrize("case", sorted(MISMATCHED_HEADERS))
+def test_header_params_must_match_the_config(tmp_path, case):
+    # Each file has a valid checksum and blobs of the sizes its header
+    # names; its parameter list disagrees with its config's names or shapes.
+    path = tmp_path / "c.ckpt"
+    write_mismatched_checkpoint(path, MISMATCHED_HEADERS[case])
+    for load in (load_checkpoint, load_model):
+        _assert_rejected(path, load, "checkpoint")
+
+
 def test_load_model_checks_the_moments_it_does_not_build(tmp_path):
     # The parameters are the first third of the blobs; every byte after
     # them belongs to the Adam moments, which load_model only hashes.
@@ -1072,10 +1083,58 @@ def test_config_validation():
         TrainConfig(embed_dim=3, hidden_dim=3, vocab_size=5, mode="tri")
 
 
-def test_param_order_covers_param_dict():
+def test_param_shapes_cover_param_dict():
     for mode in ("uni", "bi"):
-        m = make_model(vocab_size=6, mode=mode)
-        assert list(m.param_dict().keys()) == param_order(m.config)
+        m = make_model(vocab_size=6, embed_dim=3, hidden_dim=4, mode=mode)
+        assert ([(k, v.shape) for k, v in m.param_dict().items()]
+                == list(param_shapes(m.config).items()))
+
+
+def test_init_rejects_a_vocabulary_of_another_size():
+    cfg = TrainConfig(vocab_size=9, embed_dim=3, hidden_dim=4)
+    with pytest.raises(ConfigError, match="vocabulary size mismatch"):
+        trainer.SkipGruModel.init(make_vocab(8), cfg)
+
+
+@pytest.mark.parametrize("seed", [0, 17])
+@pytest.mark.parametrize("mode", ["uni", "bi"])
+def test_init_matches_the_builder_chain(mode, seed):
+    # SkipGruModel.init draws param_shapes in order from one stream; the
+    # oracle draws the same stream GRU by GRU, then decoder by decoder.
+    cfg = TrainConfig(vocab_size=9, embed_dim=3, hidden_dim=5, mode=mode,
+                      seed=seed)
+    got = trainer.SkipGruModel.init(make_vocab(9), cfg).param_dict()
+    want = reference.init_model(make_vocab(9), cfg).param_dict()
+    assert list(got) == list(want)
+    assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+
+
+def test_one_table_declares_every_parameter():
+    # param_shapes alone writes the parameter names: the builders that drew
+    # the model piece by piece are gone, each decoder's prefix is one string
+    # constant, and trainer reaches the decoders through their directions.
+    removed = {"init_gru_params", "init_encoder", "init_conditional_gru",
+               "init_decoder_pair", "param_order"}
+    prefixes = {"dec_next.": 0, "dec_prev.": 0}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef,
+                                           ast.FunctionDef))
+                      and ast.get_docstring(node) is not None}
+        for node in ast.walk(tree):
+            name = getattr(node, "name", None) or getattr(node, "id", None) \
+                or getattr(node, "attr", None)
+            assert name not in removed, (path.name, name)
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in docstrings):
+                for prefix in prefixes:
+                    prefixes[prefix] += prefix in node.value
+        if path.stem == "trainer":
+            attrs = {node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)}
+            assert not attrs & {"next_params", "prev_params"}
+    assert prefixes == {"dec_next.": 1, "dec_prev.": 1}
 
 
 def test_optimizer_buffers_survive_roundtrip(tmp_path, rng):
