@@ -15,7 +15,8 @@ vector; afterwards it is the embedding of the ground-truth previous word
 (teacher forcing).  There are no bias terms and V has no bias column.
 DecoderPair.directions yields each decoder with its parameter-name prefix
 (DECODER_PREFIXES), next then previous, so that callers run both decoders
-through one loop.  Their weights are drawn by trainer.SkipGruModel.init.
+through one loop.  Their weights are drawn by trainer.SkipGruModel.init,
+and trainer.model_from_params is the one check of their shapes.
 
 Both decoders run on the encoder's GRU kernel.  The conditioning terms
 C_* h_enc are constant over a sentence, so they are added once to the input
@@ -83,11 +84,6 @@ class ConditionalGruParams(GruParams):
 
     KEYS: ClassVar[tuple[str, ...]] = COND_KEYS
 
-    def __post_init__(self):
-        super().__post_init__()
-        self._check_shapes(COND_CONDITIONING_KEYS, (self.hidden_dim, self.enc_dim))
-        self._check_shapes(("begin",), (self.embed_dim,))
-
     @property
     def enc_dim(self) -> int:
         return self.C_r.shape[1]
@@ -104,13 +100,6 @@ class DecoderPair:
     def __post_init__(self):
         if self.next_params is self.prev_params:
             raise ParameterError("decoders must not share parameter storage")
-        if self.V.ndim != 2 or self.V.shape[1] != self.next_params.hidden_dim:
-            raise ShapeError(f"V must be (vocab, {self.next_params.hidden_dim}), "
-                             f"got {self.V.shape}")
-
-    @property
-    def vocab_size(self) -> int:
-        return self.V.shape[0]
 
     @property
     def directions(self) -> list[tuple[ConditionalGruParams, str]]:

@@ -13,7 +13,9 @@ reversed token sequence and concatenates both final states.  The terminal eos
 token is consumed like any other token.  Both variants run one code path:
 every pass walks EncoderModel.directions, one entry per GRU.  The weights
 are drawn by trainer.SkipGruModel.init, which gives the recurrent matrices
-(GRU_RECURRENT_KEYS) an orthogonal start.
+(GRU_RECURRENT_KEYS) an orthogonal start.  The classes here check no shapes:
+trainer.model_from_params, which builds every model, is the one check of
+its arrays.
 
 One kernel pair runs every GRU pass, here and in the decoders.  gru_forward
 takes the input pre-activations of all steps at once (one matrix product per
@@ -68,24 +70,9 @@ class GruParams:
 
     KEYS: ClassVar[tuple[str, ...]] = GRU_KEYS
 
-    def __post_init__(self):
-        h, e = self.W_r.shape
-        self._check_shapes(GRU_INPUT_KEYS, (h, e))
-        self._check_shapes(GRU_RECURRENT_KEYS, (h, h))
-
-    def _check_shapes(self, keys: Sequence[str], shape: tuple[int, ...]) -> None:
-        for key in keys:
-            if getattr(self, key).shape != shape:
-                raise ShapeError(f"{key} must have shape {shape}, "
-                                 f"got {getattr(self, key).shape}")
-
     @property
     def hidden_dim(self) -> int:
         return self.W_r.shape[0]
-
-    @property
-    def embed_dim(self) -> int:
-        return self.W_r.shape[1]
 
     def as_dict(self, prefix: str = "") -> ParamSet:
         return {prefix + k: getattr(self, k) for k in self.KEYS}
@@ -187,16 +174,6 @@ class EncoderModel:
     embedding: np.ndarray  # (vocab, embed)
     forward: GruParams
     backward: GruParams | None = None
-
-    def __post_init__(self):
-        if self.embedding.ndim != 2:
-            raise ShapeError("embedding must be a 2-D (vocab, embed) matrix")
-        for p, _, _ in self.directions:
-            if p.embed_dim != self.embedding.shape[1]:
-                raise ShapeError(f"GRU input width {p.embed_dim} does not match "
-                                 f"embedding width {self.embedding.shape[1]}")
-            if p.hidden_dim != self.forward.hidden_dim:
-                raise ShapeError("forward and backward hidden dims differ")
 
     @property
     def vocab_size(self) -> int:

@@ -133,6 +133,25 @@ def _row_blocks(blob):
             for i in range(0, len(a), rows))
 
 
+# The JSON types that each kind of header field may take.
+_KINDS = {"int": int, "float": (int, float), "bool": bool, "str": str}
+
+
+def check_types(values: dict, kinds: dict, error=TypeError) -> None:
+    """Raise `error` for the first key of `kinds` whose value in `values` is
+    not of its kind: "int", "float", "bool", "str" or "list[str]".  A bool is
+    no int, and an int is also a float.  Nothing is cast."""
+    for key, kind in kinds.items():
+        value = values[key]
+        if kind == "list[str]":
+            ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+        else:
+            ok = (isinstance(value, _KINDS[kind])
+                  and isinstance(value, bool) == (kind == "bool"))
+        if not ok:
+            raise error(f"{key} must be {kind}, got {value!r:.40}")
+
+
 def read_container(path, magic: bytes, version: int, kind: str, parse,
                    keep=None):
     """Read a write_container file; returns (meta, list of float64 arrays).

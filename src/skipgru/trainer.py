@@ -6,9 +6,10 @@ names, their order and their shapes.  SkipGruModel.init draws its entries in
 that order from one seeded stream (the recurrent U_* matrices orthogonal,
 every other weight uniform in [-0.1, 0.1)); param_dict lists them in that
 order; and a checkpoint stores them in that order, under a header whose
-parameter list must equal the table of its own config.  Both decoders, like
-both encoder directions, are reached through their `directions`, so each
-parameter-name prefix is written once.
+parameter list must equal the table of its own config.  model_from_params,
+which builds every model, is the one check of a model's arrays against the
+table.  Both decoders, like both encoder directions, are reached through
+their `directions`, so each parameter-name prefix is written once.
 
 The loss for one triple (s_prev, s_curr, s_next) is
 
@@ -44,7 +45,8 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from itertools import zip_longest
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -57,7 +59,7 @@ from .encoder import (ENCODER_PREFIXES, GRU_INPUT_KEYS, GRU_RECURRENT_KEYS,
                       EncoderCache, EncoderModel, GruParams, encode,
                       encode_with_cache, encoder_backward)
 from .errors import ConfigError, InputError, NumericError
-from .fileio import read_container, write_container
+from .fileio import check_types, read_container, write_container
 from .numerics import (AdamState, ParamSet, adam_step, clip_gradients,
                        get_rng, global_norm, orthogonal_init, seed_tuple)
 
@@ -73,7 +75,8 @@ INIT_RANGE = 0.1
 
 @dataclass
 class TrainConfig:
-    """A training run's settings, and the one home of their defaults."""
+    """A training run's settings, and the one home of their defaults.  Each
+    field holds its annotated type: no bool or float passes for an int."""
 
     vocab_size: int
     embed_dim: int = 64
@@ -90,6 +93,8 @@ class TrainConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self):
+        check_types(vars(self), {f.name: f.type for f in fields(self)},
+                    ConfigError)
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         for name in ("max_steps", "checkpoint_every"):
@@ -141,20 +146,6 @@ class SkipGruModel:
     encoder: EncoderModel
     decoders: DecoderPair
 
-    def __post_init__(self):
-        c = self.config
-        if self.vocab.size != c.vocab_size or self.encoder.vocab_size != c.vocab_size:
-            raise ConfigError(f"vocabulary size mismatch: config {c.vocab_size}, "
-                              f"vocab {self.vocab.size}, "
-                              f"embedding {self.encoder.vocab_size}")
-        for p, prefix in self.decoders.directions:
-            if self.encoder.output_dim != p.enc_dim:
-                raise ConfigError(f"encoder output dim {self.encoder.output_dim} "
-                                  f"does not match the conditioning dim "
-                                  f"{p.enc_dim} of {prefix}")
-        if self.decoders.vocab_size != c.vocab_size:
-            raise ConfigError("output matrix V rows do not match the vocabulary")
-
     @property
     def embedding(self) -> np.ndarray:
         return self.encoder.embedding
@@ -180,6 +171,18 @@ class SkipGruModel:
 
 def model_from_params(config: TrainConfig, vocab: Vocabulary,
                       params: ParamSet) -> SkipGruModel:
+    """The model of `params`, once their names, order and shapes equal
+    param_shapes(config) and the vocabulary has config.vocab_size entries:
+    the one check of a model's arrays.  The first entry that differs raises
+    ConfigError."""
+    if vocab.size != config.vocab_size:
+        raise ConfigError(f"vocabulary size mismatch: config {config.vocab_size}, "
+                          f"vocab {vocab.size}")
+    found = ((name, np.shape(a)) for name, a in params.items())
+    for i, (want, got) in enumerate(zip_longest(
+            param_shapes(config).items(), found, fillvalue="nothing")):
+        if want != got:
+            raise ConfigError(f"parameter {i} is {got}, expected {want}")
     enc = EncoderModel(np.asarray(params["emb"], dtype=np.float64),
                        *(GruParams.from_dict(params, prefix)
                          for prefix in config.encoder_prefixes))
@@ -375,14 +378,16 @@ def train(model: SkipGruModel, triples: Sequence[SentenceTriple],
 
 
 def _truncate_metrics(path, step: int) -> None:
-    """Cut a metrics CSV after the row of `step`.  A run stopped after its last
+    """Cut a metrics CSV after the row of `step`, or before its first line
+    without a newline if that comes first.  A run stopped after its last
     checkpoint has written rows that the run resumed from that checkpoint
-    writes again."""
+    writes again, and a kill between buffer flushes leaves a torn last row."""
     size = 0
     with open(path, "rb") as fh:
         for i, line in enumerate(fh):
             head = line.split(b",", 1)[0]
-            if i > 0 and not (head.isdigit() and int(head) <= step):
+            if not line.endswith(b"\n") or i > 0 and not (
+                    head.isdigit() and int(head) <= step):
                 break
             size += len(line)
     os.truncate(path, size)
@@ -412,13 +417,19 @@ def save_checkpoint(model: SkipGruModel, opt: AdamState, path) -> None:
 def _parse_checkpoint_header(header):
     config = TrainConfig(**header["config"])
     shapes = param_shapes(config)
-    if header["params"] != [[k, list(shape)] for k, shape in shapes.items()]:
+    # Compared as text, so that 3.0 or true does not pass for 3 or 1.
+    if repr(header["params"]) != repr([[k, list(v)] for k, v in shapes.items()]):
         raise ValueError("parameter names and shapes do not match the config")
-    adam = header["adam"]
-    opt_fields = {k: float(adam[k]) for k in ("alpha", "beta1", "beta2", "epsilon")}
-    opt_fields["step"] = int(adam["step"])
-    meta = (config, Vocabulary(list(header["vocab"])), list(shapes), opt_fields)
-    return meta, [tuple(map(int, shape)) for shape in shapes.values()] * 3
+    check_types(header, {"vocab": "list[str]"})
+    if len(header["vocab"]) != config.vocab_size:
+        raise ValueError(f"{len(header['vocab'])} vocabulary tokens, config "
+                         f"vocab_size {config.vocab_size}")
+    kinds = {**dict.fromkeys(("alpha", "beta1", "beta2", "epsilon"), "float"),
+             "step": "int"}
+    check_types(header["adam"], kinds)
+    opt_fields = {k: header["adam"][k] for k in kinds}
+    meta = (config, Vocabulary(header["vocab"]), list(shapes), opt_fields)
+    return meta, list(shapes.values()) * 3
 
 
 def load_model(path) -> SkipGruModel:

@@ -23,7 +23,7 @@ import numpy as np
 from .corpus import Vocabulary, tokenize
 from .encoder import encode_batch, encode_vectors
 from .errors import ConfigError, InputError, ShapeError
-from .fileio import read_container, write_container
+from .fileio import check_types, read_container, write_container
 from .trainer import SkipGruModel
 
 
@@ -300,11 +300,13 @@ def write_expansion(map: ExpansionMap, ext: ExternalEmbeddings, path) -> None:
 
 
 def _parse_expansion_header(header):
-    tokens = [str(t) for t in header["tokens"]]
-    rnn_dim, ext_dim = int(header["rnn_dim"]), int(header["ext_dim"])
-    fit = {"shared_count": int(header["shared_count"]),
-           "residual_rms": float(header["residual_rms"]),
-           "rank_deficient": bool(header["rank_deficient"])}
+    check_types(header, {"tokens": "list[str]", "rnn_dim": "int",
+                         "ext_dim": "int", "shared_count": "int",
+                         "residual_rms": "float", "rank_deficient": "bool"})
+    tokens, rnn_dim, ext_dim = (header[k] for k in ("tokens", "rnn_dim",
+                                                    "ext_dim"))
+    fit = {k: header[k]
+           for k in ("shared_count", "residual_rms", "rank_deficient")}
     return (tokens, fit), [(rnn_dim, ext_dim), (len(tokens), ext_dim)]
 
 

@@ -23,7 +23,9 @@ from skipgru.decoder import decode_batch, decoder_backward
 from skipgru.fileio import write_container
 from skipgru.trainer import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, SkipGruModel,
                              TrainConfig, make_optimizer, model_from_params,
-                             save_checkpoint)
+                             param_shapes, save_checkpoint)
+from skipgru.vocab_expansion import (ExpansionMap, ExternalEmbeddings,
+                                     write_expansion)
 
 # Hypothesis keeps no example database, which it would write to .hypothesis/
 # in the working directory, and caches the constants it reads from the sources
@@ -64,26 +66,88 @@ def _params_reordered(header):
     params[1], params[2] = params[2], params[1]
 
 
-# Header edits that leave a checkpoint's parameter list at odds with its
-# config: by a config value, by one shape, and by the order of the names.
+def _vocab_too_short(header):
+    header["vocab"].pop()
+
+
+# Header edits that leave a checkpoint's header at odds with its config: by
+# a config value, by one shape, by the order of the names, and by the length
+# of the vocabulary.
 MISMATCHED_HEADERS = {"config": _config_disagrees, "emb": _emb_too_wide,
-                      "order": _params_reordered}
+                      "order": _params_reordered, "vocab": _vocab_too_short}
+
+# The header's parameter list of write_mismatched_checkpoint's model.
+_PARAMS = [[k, list(shape)] for k, shape in param_shapes(
+    TrainConfig(vocab_size=6, embed_dim=3, hidden_dim=4)).items()]
+
+# One header field per case, given a JSON value of another type that a cast
+# would once have let through: a float or a bool for an int, a bool or a
+# string for a float, a string for a bool, a number among strings.  The keys
+# name the field, a dot stepping into a nested object.
+CHECKPOINT_FIELD_TYPES = {
+    "config.vocab_size": 6.0, "config.embed_dim": 3.0,
+    "config.hidden_dim": 4.0, "config.batch_size": True,
+    "config.max_steps": 0.0, "config.seed": True,
+    "config.checkpoint_every": False, "config.clip_threshold": True,
+    "config.alpha": True, "config.beta1": True, "config.beta2": "0.999",
+    "config.epsilon": True, "adam.alpha": "0.001", "adam.beta1": True,
+    "adam.beta2": True, "adam.epsilon": True, "adam.step": 2.7,
+    "vocab": [EOS_TOKEN, UNK_TOKEN, 2, "w3", "w4", "w5"],
+    "params": [["emb", [6, 3.0]], *_PARAMS[1:]],
+}
+EXPANSION_FIELD_TYPES = {
+    "tokens": ["w2", "w3", 4], "rnn_dim": 3.0, "ext_dim": 2.0,
+    "shared_count": True, "residual_rms": "0.5", "rank_deficient": "false",
+}
+
+
+def retyped(key, value):
+    """A header edit that sets the field `key` (dotted) to `value`."""
+    def edit(header):
+        *outer, last = key.split(".")
+        for k in outer:
+            header = header[k]
+        header[last] = value
+    return edit
+
+
+def _read_header(raw: bytes) -> tuple[dict, int]:
+    """A container's header and the offset of its first blob byte."""
+    (length,) = struct.unpack_from("<Q", raw, 12)
+    return json.loads(raw[20:20 + length]), 20 + length
 
 
 def write_mismatched_checkpoint(path, edit) -> None:
     """A checkpoint of a uni model (V=6, E=3, H=4) whose header `edit` has
     changed, with zero blobs of the shapes its parameter list names and a
-    valid checksum: only the check of that list against the config can
-    refuse it."""
+    valid checksum: only a check of the header can refuse it."""
     m = make_model(vocab_size=6, embed_dim=3, hidden_dim=4)
     save_checkpoint(m, make_optimizer(m), path)
-    raw = path.read_bytes()
-    (length,) = struct.unpack_from("<Q", raw, len(CHECKPOINT_MAGIC) + 4)
-    start = len(CHECKPOINT_MAGIC) + 12
-    header = json.loads(raw[start:start + length])
+    header, _ = _read_header(path.read_bytes())
     edit(header)
     write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header,
-                    [np.zeros(shape) for _, shape in header["params"] * 3])
+                    [np.zeros([int(d) for d in shape])
+                     for _, shape in header["params"] * 3])
+
+
+def write_small_map(path) -> None:
+    """An expansion map that fits make_model(embed_dim=3): W (3, 2) over the
+    external words w2, w3 and x4."""
+    ext = ExternalEmbeddings(tokens=["w2", "w3", "x4"],
+                             vectors=np.arange(6.0).reshape(3, 2))
+    write_expansion(ExpansionMap(W=np.ones((3, 2)), shared_count=2,
+                                 residual_rms=0.5), ext, path)
+
+
+def edit_header(path, edit) -> None:
+    """Rewrite the container at `path` with its header changed by `edit`,
+    its blob bytes as they were and a valid checksum."""
+    raw = path.read_bytes()
+    header, start = _read_header(raw)
+    edit(header)
+    version, _ = struct.unpack_from("<IQ", raw, 8)
+    write_container(path, raw[:8], version, header,
+                    [np.frombuffer(raw[start:-32], dtype="<f8")])
 
 
 def randomize_params(model: SkipGruModel, seed=0, scale=0.7) -> SkipGruModel:

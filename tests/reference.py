@@ -178,8 +178,8 @@ def gru_step(x: np.ndarray, h_prev: np.ndarray, p: GruParams) -> GruStep:
     """One GRU step; gates come out strictly inside (0, 1) for finite inputs."""
     x = np.asarray(x, dtype=np.float64)
     h_prev = np.asarray(h_prev, dtype=np.float64)
-    if x.shape != (p.embed_dim,):
-        raise ShapeError(f"input has shape {x.shape}, expected ({p.embed_dim},)")
+    if x.shape != p.W_r.shape[1:]:
+        raise ShapeError(f"input has shape {x.shape}, expected {p.W_r.shape[1:]}")
     if h_prev.shape != (p.hidden_dim,):
         raise ShapeError(f"state has shape {h_prev.shape}, expected ({p.hidden_dim},)")
     r = sigmoid(p.W_r @ x + p.U_r @ h_prev)
@@ -195,8 +195,8 @@ def cond_gru_step(x: np.ndarray, h_prev: np.ndarray, h_enc: np.ndarray,
     x = np.asarray(x, dtype=np.float64)
     h_prev = np.asarray(h_prev, dtype=np.float64)
     h_enc = np.asarray(h_enc, dtype=np.float64)
-    if x.shape != (p.embed_dim,):
-        raise ShapeError(f"input has shape {x.shape}, expected ({p.embed_dim},)")
+    if x.shape != p.W_r.shape[1:]:
+        raise ShapeError(f"input has shape {x.shape}, expected {p.W_r.shape[1:]}")
     if h_prev.shape != (p.hidden_dim,):
         raise ShapeError(f"state has shape {h_prev.shape}, expected ({p.hidden_dim},)")
     if h_enc.shape != (p.enc_dim,):

@@ -20,8 +20,9 @@ import pytest
 
 import reference
 import skipgru
-from conftest import (MISMATCHED_HEADERS, make_model,
-                      write_mismatched_checkpoint)
+from conftest import (CHECKPOINT_FIELD_TYPES, EXPANSION_FIELD_TYPES,
+                      MISMATCHED_HEADERS, edit_header, make_model, retyped,
+                      write_mismatched_checkpoint, write_small_map)
 from skipgru import cli, corpus, errors, numerics, ranking, trainer
 from skipgru.cli import (RESUMED_FLAGS, _encode_lines, _tokenize_distinct,
                          build_parser, main)
@@ -1364,8 +1365,8 @@ def test_corrupt_checkpoint_exit_4(ws, tmp_path):
 def test_checkpoint_header_at_odds_with_its_config_exit_4(tmp_path, capsys,
                                                           case):
     # A header config of hidden_dim 5 over arrays of H = 4 used to load and
-    # encode with exit 0, and an emb one column too wide exited 2 with a
-    # ShapeError.
+    # encode with exit 0, and an emb one column too wide, or a vocabulary list
+    # one token short, exited 2.
     ckpt = tmp_path / "c.ckpt"
     write_mismatched_checkpoint(ckpt, MISMATCHED_HEADERS[case])
     inp = tmp_path / "in.txt"
@@ -1375,6 +1376,29 @@ def test_checkpoint_header_at_odds_with_its_config_exit_4(tmp_path, capsys,
                  "--out", str(out)]) == 4
     assert "malformed checkpoint header" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ckpt", "in.txt"]
+
+
+@pytest.mark.parametrize(
+    "kind,key", [("checkpoint", k) for k in sorted(CHECKPOINT_FIELD_TYPES)]
+    + [("expansion-map", k) for k in sorted(EXPANSION_FIELD_TYPES)])
+def test_header_field_of_another_type_exit_4(tmp_path, capsys, kind, key):
+    # Each of these files used to load, and encode exited 0.
+    ckpt, xmap = tmp_path / "c.ckpt", tmp_path / "x.map"
+    m = make_model(vocab_size=6, embed_dim=3, hidden_dim=4)
+    trainer.save_checkpoint(m, trainer.make_optimizer(m), ckpt)
+    write_small_map(xmap)
+    if kind == "checkpoint":
+        write_mismatched_checkpoint(ckpt,
+                                    retyped(key, CHECKPOINT_FIELD_TYPES[key]))
+    else:
+        edit_header(xmap, retyped(key, EXPANSION_FIELD_TYPES[key]))
+    inp = tmp_path / "in.txt"
+    inp.write_text("w2 x4 .\n")
+    assert main(["encode", "--ckpt", str(ckpt), "--expansion", str(xmap),
+                 "--input", str(inp), "--out", str(tmp_path / "v.bin")]) == 4
+    assert f"malformed {kind} header" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ckpt", "in.txt",
+                                                          "x.map"]
 
 
 def _sha256(path) -> str:

@@ -17,9 +17,11 @@ import numpy as np
 import pytest
 
 from skipgru import decoder, numerics, trainer
-from conftest import (MISMATCHED_HEADERS, decoder_pass_backward, lay_out,
-                      make_model, make_vocab, random_triple, randomize_params,
-                      write_mismatched_checkpoint, zero_grads)
+from conftest import (CHECKPOINT_FIELD_TYPES, EXPANSION_FIELD_TYPES,
+                      MISMATCHED_HEADERS, decoder_pass_backward, edit_header,
+                      lay_out, make_model, make_vocab, random_triple,
+                      randomize_params, retyped, write_mismatched_checkpoint,
+                      write_small_map, zero_grads)
 import reference
 from reference import finite_diff_check
 from skipgru.corpus import SentenceTriple
@@ -33,8 +35,7 @@ from skipgru.trainer import (METRICS_HEADER, TrainConfig, batch_grads,
                              load_checkpoint, load_model, make_optimizer,
                              model_from_params, param_shapes, save_checkpoint,
                              train, train_step, triple_loss)
-from skipgru.vocab_expansion import (ExpansionMap, ExternalEmbeddings,
-                                     read_expansion, write_expansion)
+from skipgru.vocab_expansion import read_expansion, write_expansion
 
 DATA = pathlib.Path(__file__).parent / "data"
 PACKAGE = pathlib.Path(trainer.__file__).resolve().parent
@@ -210,7 +211,7 @@ def test_step_and_output_layer_refuse_a_v_gradient_not_column_major(layout):
     m = _mixed_model("uni", seed=47)
     dec = m.decoders
     h = encode(MIXED_BATCH[0].curr, m.encoder)
-    scratch = np.empty((len(MIXED_BATCH[0].next), dec.vocab_size))
+    scratch = np.empty((len(MIXED_BATCH[0].next), len(dec.V)))
     _, cache = sentence_log_prob_with_cache(MIXED_BATCH[0].next, h,
                                             dec.next_params, dec.V,
                                             m.embedding, scratch)
@@ -657,6 +658,44 @@ def test_resume_writes_each_metrics_row_once(tmp_path, rng, monkeypatch):
     assert rows == without_wall_ms(straight)
 
 
+@pytest.mark.parametrize("torn", ["1", "1,0.5"])
+def test_resume_drops_a_torn_last_metrics_row(tmp_path, rng, monkeypatch,
+                                              torn):
+    # A kill between buffer flushes leaves the start of a row, here one
+    # whose leading digits read as a step at or before the checkpoint's.
+    # The resumed run used to append its first row to it ("16,...").
+    triples = [random_triple(6, rng) for _ in range(8)]
+
+    def fresh():
+        return make_model(vocab_size=6, batch_size=2, max_steps=9,
+                          checkpoint_every=5, seed=13)
+
+    straight = tmp_path / "straight.csv"
+    train(fresh(), triples, metrics_path=straight)
+
+    metrics, ckpt = tmp_path / "m.csv", tmp_path / "c.ckpt"
+    real_step = trainer.train_step
+
+    def stop_after_5(model, batch, opt, config):
+        if opt.step == 5:
+            raise _Stop
+        return real_step(model, batch, opt, config)
+
+    monkeypatch.setattr(trainer, "train_step", stop_after_5)
+    with pytest.raises(_Stop):
+        train(fresh(), triples, metrics_path=metrics, checkpoint_path=ckpt)
+    monkeypatch.undo()
+    with open(metrics, "a") as fh:
+        fh.write(torn)
+    model, opt = load_checkpoint(ckpt)
+    train(model, triples, opt=opt, metrics_path=metrics, checkpoint_path=ckpt)
+
+    def without_wall_ms(path):
+        return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+    assert without_wall_ms(metrics) == without_wall_ms(straight)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
@@ -826,10 +865,7 @@ def _saved_containers(tmp_path):
     ckpt, lean, xmap = (tmp_path / n for n in ("c.ckpt", "m.ckpt", "x.map"))
     for path in (ckpt, lean):
         save_checkpoint(m, make_optimizer(m), path)
-    ext = ExternalEmbeddings(tokens=["w2", "w3", "x4"],
-                             vectors=np.arange(6.0).reshape(3, 2))
-    write_expansion(ExpansionMap(W=np.ones((3, 2)), shared_count=2,
-                                 residual_rms=0.5), ext, xmap)
+    write_small_map(xmap)
     return [(ckpt, load_checkpoint, "checkpoint"),
             (lean, load_model, "checkpoint"),
             (xmap, read_expansion, "expansion-map")]
@@ -890,6 +926,76 @@ def test_header_params_must_match_the_config(tmp_path, case):
     write_mismatched_checkpoint(path, MISMATCHED_HEADERS[case])
     for load in (load_checkpoint, load_model):
         _assert_rejected(path, load, "checkpoint")
+
+
+@pytest.mark.parametrize("key", sorted(CHECKPOINT_FIELD_TYPES))
+def test_checkpoint_header_fields_are_checked_not_cast(tmp_path, key):
+    # Each field used to pass through int(), float() or a comparison that
+    # equates 3.0 with 3 and true with 1, and the file loaded.
+    path = tmp_path / "c.ckpt"
+    write_mismatched_checkpoint(path, retyped(key, CHECKPOINT_FIELD_TYPES[key]))
+    for load in (load_checkpoint, load_model):
+        _assert_rejected(path, load, "checkpoint")
+
+
+@pytest.mark.parametrize("key", sorted(EXPANSION_FIELD_TYPES))
+def test_expansion_header_fields_are_checked_not_cast(tmp_path, key):
+    # "rank_deficient": "false" used to read as True, "shared_count": true
+    # as 1 and "rnn_dim": 3.0 as 3.
+    path = tmp_path / "x.map"
+    write_small_map(path)
+    edit_header(path, retyped(key, EXPANSION_FIELD_TYPES[key]))
+    _assert_rejected(path, read_expansion, "expansion-map")
+
+
+def _set(name, shape):
+    return lambda params, vocab: ({**params, name: np.zeros(shape)}, vocab)
+
+
+# (mode, edit of a V=6, E=3, H=4 model's params and vocab, what the error
+# names) for each way an array table can differ from param_shapes.
+MALFORMED_PARAMS = {
+    "W_width": ("uni", _set("enc.W_z", (4, 4)), "enc.W_z"),
+    "U_not_square": ("uni", _set("dec_next.U", (4, 3)), "dec_next.U"),
+    "C_uni_width_in_bi": ("bi", _set("dec_prev.C_r", (4, 4)), "dec_prev.C_r"),
+    "begin_length": ("uni", _set("dec_prev.begin", (4,)), "dec_prev.begin"),
+    "V_shape": ("uni", _set("V", (6, 3)), "'V'"),
+    "emb_shape": ("bi", _set("emb", (5, 3)), "'emb'"),
+    "vocab_size": ("uni", lambda params, vocab: (params, make_vocab(7)),
+                   "vocabulary size"),
+    "missing": ("uni", lambda params, vocab: (
+        {k: v for k, v in params.items() if k != "enc.U"}, vocab), "enc.U"),
+    "extra": ("bi", _set("dec_prev.extra", (1,)), "expected nothing"),
+    "reordered": ("uni", lambda params, vocab: (dict(sorted(params.items())),
+                                                vocab), "'emb'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PARAMS))
+def test_model_from_params_checks_every_array(case):
+    mode, edit, named = MALFORMED_PARAMS[case]
+    m = make_model(vocab_size=6, embed_dim=3, hidden_dim=4, mode=mode)
+    params, vocab = edit(m.param_dict(), m.vocab)
+    with pytest.raises(ConfigError, match=named):
+        model_from_params(m.config, vocab, params)
+
+
+def test_no_component_constructor_checks_shapes():
+    # model_from_params is the one check of a model's arrays: the classes of
+    # these modules raise no ShapeError as they are built, and only two keep
+    # a check of their own (DecoderPair's shared storage, TrainConfig's
+    # values).
+    checked = []
+    for stem in ("encoder", "decoder", "trainer"):
+        tree = ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for fn in cls.body:
+                if getattr(fn, "name", None) == "__post_init__":
+                    checked.append(cls.name)
+                    raised = [ast.unparse(n.exc) for n in ast.walk(fn)
+                              if isinstance(n, ast.Raise) and n.exc]
+                    assert not any("ShapeError" in r for r in raised), cls.name
+    assert sorted(checked) == ["DecoderPair", "TrainConfig"]
 
 
 def test_load_model_checks_the_moments_it_does_not_build(tmp_path):
