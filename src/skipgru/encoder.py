@@ -23,7 +23,12 @@ gate, X @ W_*.T, computed before the time loop), so each step only adds the
 three recurrent products U_* h^{t-1}.  Its inputs are (T, hidden) for one
 sequence or (T, B, hidden) for a right-padded batch of B sequences, which
 encode_batch uses to encode many sentences with one (B, hidden) matrix
-product per gate and step instead of B matrix-vector products.
+product per gate and step instead of B matrix-vector products.  The r and z
+pre-activations of a step sit in one gate block, (2, [B,] hidden): the U_r
+and U_z products are written into its two halves, and one numerics.sigmoid
+call takes the whole block in place.  The other per-step results are
+written into the trace or into buffers made once per pass, and no weight
+matrix is copied.
 
 gru_backward is backpropagation through time written out by hand, so the
 whole model trains without autodiff: its time loop only carries the state
@@ -84,7 +89,11 @@ class GruParams:
 
 
 class GruTrace(NamedTuple):
-    """Stacked activations of one gru_forward pass, kept for gru_backward."""
+    """Stacked activations of one gru_forward pass, kept for gru_backward.
+
+    R and Z are the two halves of the pass's gate block RZ, (T, 2, [B,]
+    hidden): R = RZ[:, 0], Z = RZ[:, 1].
+    """
 
     S: np.ndarray      # (T + 1, [B,] hidden): S[0] = h^0, S[t] = h^t
     R: np.ndarray      # (T, [B,] hidden)
@@ -107,21 +116,39 @@ def gru_forward(A_r: np.ndarray, A_z: np.ndarray, A_h: np.ndarray,
     they are all that stays inside the time loop; they are written h @ U_*.T,
     a matrix-vector product for one sequence (bit-identical to U_* @ h) and
     one (B, hidden) x (hidden, hidden) product per step for B.  Only p's U_*
-    matrices are read here.  The recurrence starts from h0, zero by default;
-    the sampler, which feeds one step at a time, passes the state it has
-    reached.  The trace's arrays have A_r's trailing shape.
+    matrices are read here, and none is copied.  The recurrence starts from
+    h0, zero by default; the sampler, which feeds one step at a time, passes
+    the state it has reached.  The trace's arrays have A_r's trailing shape.
+
+    Step t writes the U_r and U_z products into the two halves of its gate
+    block RZ[t] and takes the sigmoid of the whole block in one call, in
+    place.  Every other result is written into the trace or into two
+    buffers made once per call, so the loop allocates no array.
     """
-    T = A_r.shape[0]
-    S = np.empty((T + 1,) + A_r.shape[1:])
+    T, shape = A_r.shape[0], A_r.shape[1:]
+    S = np.empty((T + 1,) + shape)
     S[0] = h0
-    R, Z, Hbar = np.empty(A_r.shape), np.empty(A_r.shape), np.empty(A_r.shape)
+    RZ, Hbar = np.empty((T, 2) + shape), np.empty(A_r.shape)
+    R, Z = RZ[:, 0], RZ[:, 1]
     U_rT, U_zT, UT = p.U_r.T, p.U_z.T, p.U.T
-    h = S[0]
-    for t in range(T):
-        r = R[t] = sigmoid(A_r[t] + h @ U_rT)
-        z = Z[t] = sigmoid(A_z[t] + h @ U_zT)
-        hbar = Hbar[t] = np.tanh(A_h[t] + (r * h) @ UT)
-        h = S[t + 1] = (1.0 - z) * h + z * hbar
+    # one is a 0-d array, which numpy takes faster than the float 1.0.
+    a, b, one = np.empty(shape), np.empty(shape), np.array(1.0)
+    for a_r, a_z, a_h, rz, r, z, hbar, h, h_next in zip(
+            A_r, A_z, A_h, RZ, R, Z, Hbar, S, S[1:]):
+        np.matmul(h, U_rT, out=r)
+        r += a_r
+        np.matmul(h, U_zT, out=z)
+        z += a_z
+        sigmoid(rz, out=rz)
+        np.multiply(r, h, out=a)
+        np.matmul(a, UT, out=hbar)
+        hbar += a_h
+        np.tanh(hbar, out=hbar)
+        # h^t = (1 - z) * h^{t-1} + z * hbar, in that order.
+        np.subtract(one, z, out=a)
+        a *= h
+        np.multiply(z, hbar, out=b)
+        np.add(a, b, out=h_next)
     return GruTrace(S=S, R=R, Z=Z, Hbar=Hbar)
 
 
@@ -141,8 +168,9 @@ def gru_backward(X: np.ndarray, trace: GruTrace, dH: np.ndarray,
 
     dH (T, hidden) is the gradient flowing into each state h^t from outside
     the recurrence.  The time loop only carries the state gradient and
-    records the pre-activation gradients DA_*; every weight gradient and the
-    input gradients are then one matrix product each over all steps.
+    records the pre-activation gradients DA_*, writing each step's vectors
+    into them or into buffers made once per call; every weight gradient and
+    the input gradients are then one matrix product each over all steps.
     """
     T, hid = trace.R.shape
     H_prev, R, Z, Hbar = trace.S[:-1], trace.R, trace.Z, trace.Hbar
@@ -152,14 +180,24 @@ def gru_backward(X: np.ndarray, trace: GruTrace, dH: np.ndarray,
     G_r = H_prev * R * (1.0 - R)
     keep = 1.0 - Z
     DA_r, DA_z, DA_h = np.empty((T, hid)), np.empty((T, hid)), np.empty((T, hid))
-    g = np.zeros(hid)
-    for t in range(T - 1, -1, -1):
-        g = g + dH[t]
-        da_h = DA_h[t] = g * G_h[t]
-        drh = p.U.T @ da_h
-        da_r = DA_r[t] = drh * G_r[t]
-        da_z = DA_z[t] = g * G_z[t]
-        g = g * keep[t] + drh * R[t] + p.U_r.T @ da_r + p.U_z.T @ da_z
+    UT, U_rT, U_zT = p.U.T, p.U_r.T, p.U_z.T
+    # g carries the state gradient; drh and u are the step's buffers.
+    g, drh, u = np.zeros(hid), np.empty(hid), np.empty(hid)
+    steps = list(zip(dH, DA_h, DA_r, DA_z, G_h, G_r, G_z, keep, R))
+    for dh, da_h, da_r, da_z, g_h, g_r, g_z, keep_t, r in reversed(steps):
+        g += dh
+        np.multiply(g, g_h, out=da_h)
+        np.matmul(UT, da_h, out=drh)
+        np.multiply(drh, g_r, out=da_r)
+        np.multiply(g, g_z, out=da_z)
+        # g = g * keep + drh * r + U_r.T @ da_r + U_z.T @ da_z, in that order.
+        g *= keep_t
+        drh *= r
+        g += drh
+        np.matmul(U_rT, da_r, out=u)
+        g += u
+        np.matmul(U_zT, da_z, out=u)
+        g += u
     params = {"W_r": DA_r.T @ X, "W_z": DA_z.T @ X, "W": DA_h.T @ X,
               "U_r": DA_r.T @ H_prev, "U_z": DA_z.T @ H_prev,
               "U": DA_h.T @ (R * H_prev)}

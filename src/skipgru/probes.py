@@ -81,12 +81,14 @@ def logreg_objective(w_flat: np.ndarray, X: np.ndarray, T: np.ndarray,
                      l2: float) -> tuple[float, np.ndarray]:
     """Mean cross-entropy + (l2/2)||W||^2 (bias unregularized) and its gradient
     from one shift z by the row max (taken over a faster (C, n) copy) and one
-    e = exp(z): loss via z - log(sum e), gradient via softmax e / sum e."""
+    e = exp(z): loss via z - log(sum e), gradient via softmax e / sum e.  The
+    logits product reads a contiguous copy of W.T, which is faster than the
+    transposed view when C is small."""
     n, F = X.shape
     C = T.shape[1]
     W = w_flat[:C * F].reshape(C, F)
     b = w_flat[C * F:]
-    logits = X @ W.T + b
+    logits = X @ np.ascontiguousarray(W.T) + b
     z = logits - logits.T.copy().max(axis=0)[:, None]
     e = np.exp(z)
     s = e.sum(axis=1, keepdims=True)

@@ -59,7 +59,7 @@ from .encoder import (ENCODER_PREFIXES, GRU_INPUT_KEYS, GRU_RECURRENT_KEYS,
                       EncoderCache, EncoderModel, GruParams, encode,
                       encode_with_cache, encoder_backward)
 from .errors import ConfigError, InputError, NumericError
-from .fileio import check_types, read_container, write_container
+from .fileio import check_keys, check_types, read_container, write_container
 from .numerics import (AdamState, ParamSet, adam_step, clip_gradients,
                        get_rng, global_norm, orthogonal_init, seed_tuple)
 
@@ -415,6 +415,10 @@ def save_checkpoint(model: SkipGruModel, opt: AdamState, path) -> None:
 
 
 def _parse_checkpoint_header(header):
+    # Exact key sets: a key that load ignored would not survive a resave,
+    # and a config key that is missing would take its default.
+    check_keys(header, ("adam", "config", "params", "vocab"))
+    check_keys(header["config"], [f.name for f in fields(TrainConfig)])
     config = TrainConfig(**header["config"])
     shapes = param_shapes(config)
     # Compared as text, so that 3.0 or true does not pass for 3 or 1.
@@ -426,7 +430,11 @@ def _parse_checkpoint_header(header):
                          f"vocab_size {config.vocab_size}")
     kinds = {**dict.fromkeys(("alpha", "beta1", "beta2", "epsilon"), "float"),
              "step": "int"}
+    check_keys(header["adam"], kinds)
     check_types(header["adam"], kinds)
+    if header["adam"]["step"] < 0:
+        raise ValueError(f"adam step must be >= 0, got "
+                         f"{header['adam']['step']}")
     opt_fields = {k: header["adam"][k] for k in kinds}
     meta = (config, Vocabulary(header["vocab"]), list(shapes), opt_fields)
     return meta, list(shapes.values()) * 3

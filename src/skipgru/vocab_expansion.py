@@ -23,7 +23,7 @@ import numpy as np
 from .corpus import Vocabulary, tokenize
 from .encoder import encode_batch, encode_vectors
 from .errors import ConfigError, InputError, ShapeError
-from .fileio import check_types, read_container, write_container
+from .fileio import check_keys, check_types, read_container, write_container
 from .trainer import SkipGruModel
 
 
@@ -300,9 +300,11 @@ def write_expansion(map: ExpansionMap, ext: ExternalEmbeddings, path) -> None:
 
 
 def _parse_expansion_header(header):
-    check_types(header, {"tokens": "list[str]", "rnn_dim": "int",
-                         "ext_dim": "int", "shared_count": "int",
-                         "residual_rms": "float", "rank_deficient": "bool"})
+    kinds = {"tokens": "list[str]", "rnn_dim": "int", "ext_dim": "int",
+             "shared_count": "int", "residual_rms": "float",
+             "rank_deficient": "bool"}
+    check_keys(header, kinds)
+    check_types(header, kinds)
     tokens, rnn_dim, ext_dim = (header[k] for k in ("tokens", "rnn_dim",
                                                     "ext_dim"))
     fit = {k: header[k]

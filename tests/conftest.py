@@ -12,6 +12,7 @@ import shutil
 import struct
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -111,6 +112,36 @@ def retyped(key, value):
     return edit
 
 
+def dropped(key):
+    """A header edit that removes the field `key` (dotted)."""
+    def edit(header):
+        *outer, last = key.split(".")
+        for k in outer:
+            header = header[k]
+        del header[last]
+    return edit
+
+
+# Header edits that leave a key set other than the format's: each key of
+# every object dropped ("-key"), and one unknown key added to each object
+# ("+key").  A config key with a default used to be filled in when dropped,
+# and an unknown top-level, adam or map key was ignored.
+_CHECKPOINT_KEYS = (
+    ["adam", "config", "params", "vocab"]
+    + [f"adam.{k}" for k in ("alpha", "beta1", "beta2", "epsilon", "step")]
+    + [f"config.{k}" for k in asdict(TrainConfig(vocab_size=6))])
+CHECKPOINT_KEY_EDITS = {
+    **{f"-{k}": dropped(k) for k in _CHECKPOINT_KEYS},
+    "+extra": retyped("extra", 1),
+    "+adam.momentum": retyped("adam.momentum", 0.9),
+    "+config.dropout": retyped("config.dropout", 0.5)}
+EXPANSION_KEY_EDITS = {
+    **{f"-{k}": dropped(k) for k in ("tokens", "rnn_dim", "ext_dim",
+                                     "shared_count", "residual_rms",
+                                     "rank_deficient")},
+    "+extra": retyped("extra", 1)}
+
+
 def _read_header(raw: bytes) -> tuple[dict, int]:
     """A container's header and the offset of its first blob byte."""
     (length,) = struct.unpack_from("<Q", raw, 12)
@@ -119,15 +150,16 @@ def _read_header(raw: bytes) -> tuple[dict, int]:
 
 def write_mismatched_checkpoint(path, edit) -> None:
     """A checkpoint of a uni model (V=6, E=3, H=4) whose header `edit` has
-    changed, with zero blobs of the shapes its parameter list names and a
-    valid checksum: only a check of the header can refuse it."""
+    changed, with zero blobs of the shapes its parameter list names (the
+    model's, if the edit drops the list) and a valid checksum: only a check
+    of the header can refuse it."""
     m = make_model(vocab_size=6, embed_dim=3, hidden_dim=4)
     save_checkpoint(m, make_optimizer(m), path)
     header, _ = _read_header(path.read_bytes())
     edit(header)
     write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header,
                     [np.zeros([int(d) for d in shape])
-                     for _, shape in header["params"] * 3])
+                     for _, shape in header.get("params", _PARAMS) * 3])
 
 
 def write_small_map(path) -> None:

@@ -20,7 +20,8 @@ import pytest
 
 import reference
 import skipgru
-from conftest import (CHECKPOINT_FIELD_TYPES, EXPANSION_FIELD_TYPES,
+from conftest import (CHECKPOINT_FIELD_TYPES, CHECKPOINT_KEY_EDITS,
+                      EXPANSION_FIELD_TYPES, EXPANSION_KEY_EDITS,
                       MISMATCHED_HEADERS, edit_header, make_model, retyped,
                       write_mismatched_checkpoint, write_small_map)
 from skipgru import cli, corpus, errors, numerics, ranking, trainer
@@ -1378,27 +1379,52 @@ def test_checkpoint_header_at_odds_with_its_config_exit_4(tmp_path, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ckpt", "in.txt"]
 
 
-@pytest.mark.parametrize(
-    "kind,key", [("checkpoint", k) for k in sorted(CHECKPOINT_FIELD_TYPES)]
-    + [("expansion-map", k) for k in sorted(EXPANSION_FIELD_TYPES)])
-def test_header_field_of_another_type_exit_4(tmp_path, capsys, kind, key):
-    # Each of these files used to load, and encode exited 0.
+def _assert_encode_refuses(tmp_path, capsys, kind, edit):
+    """encode over a checkpoint and a map, one of them (`kind`) with its
+    header changed by `edit`, exits 4 and writes no vectors and no manifest."""
     ckpt, xmap = tmp_path / "c.ckpt", tmp_path / "x.map"
     m = make_model(vocab_size=6, embed_dim=3, hidden_dim=4)
     trainer.save_checkpoint(m, trainer.make_optimizer(m), ckpt)
     write_small_map(xmap)
     if kind == "checkpoint":
-        write_mismatched_checkpoint(ckpt,
-                                    retyped(key, CHECKPOINT_FIELD_TYPES[key]))
+        write_mismatched_checkpoint(ckpt, edit)
     else:
-        edit_header(xmap, retyped(key, EXPANSION_FIELD_TYPES[key]))
+        edit_header(xmap, edit)
     inp = tmp_path / "in.txt"
     inp.write_text("w2 x4 .\n")
     assert main(["encode", "--ckpt", str(ckpt), "--expansion", str(xmap),
-                 "--input", str(inp), "--out", str(tmp_path / "v.bin")]) == 4
+                 "--input", str(inp), "--out", str(tmp_path / "v.bin"),
+                 "--manifest", str(tmp_path / "m.json")]) == 4
     assert f"malformed {kind} header" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ckpt", "in.txt",
                                                           "x.map"]
+
+
+@pytest.mark.parametrize(
+    "kind,key", [("checkpoint", k) for k in sorted(CHECKPOINT_FIELD_TYPES)]
+    + [("expansion-map", k) for k in sorted(EXPANSION_FIELD_TYPES)])
+def test_header_field_of_another_type_exit_4(tmp_path, capsys, kind, key):
+    # Each of these files used to load, and encode exited 0.
+    types = (CHECKPOINT_FIELD_TYPES if kind == "checkpoint"
+             else EXPANSION_FIELD_TYPES)
+    _assert_encode_refuses(tmp_path, capsys, kind, retyped(key, types[key]))
+
+
+@pytest.mark.parametrize(
+    "kind,case", [("checkpoint", k) for k in sorted(CHECKPOINT_KEY_EDITS)]
+    + [("expansion-map", k) for k in sorted(EXPANSION_KEY_EDITS)])
+def test_header_key_set_other_than_the_format_exit_4(tmp_path, capsys, kind,
+                                                     case):
+    # A dropped config key with a default, or an unknown top-level, adam or
+    # map key, used to load, and encode exited 0.
+    edits = (CHECKPOINT_KEY_EDITS if kind == "checkpoint"
+             else EXPANSION_KEY_EDITS)
+    _assert_encode_refuses(tmp_path, capsys, kind, edits[case])
+
+
+def test_negative_adam_step_exit_4(tmp_path, capsys):
+    _assert_encode_refuses(tmp_path, capsys, "checkpoint",
+                           retyped("adam.step", -3))
 
 
 def _sha256(path) -> str:

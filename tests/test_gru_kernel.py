@@ -8,14 +8,21 @@ decode_batch followed by its decoder_backward, compute the same sums
 as matrix products after the loop and add them into a gradient accumulator,
 so they may differ from it only by float64 rounding, and leave every other
 parameter's accumulator at zero.
+
+gru_forward itself is checked against its own single-sequence passes: a
+right-padded (T, B) pass against B passes of one sentence, and for the
+memory it takes beyond its trace.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import (decoder_pass_backward, make_model, randomize_params,
                       zero_grads)
-from skipgru.encoder import encode_with_cache, encoder_backward
+from skipgru.encoder import (GruParams, encode_with_cache, encoder_backward,
+                             gru_forward)
 from skipgru.numerics import sigmoid
 
 from reference import log_softmax
@@ -150,3 +157,59 @@ def test_decoder_backward_matches_per_step_reference(mode, target):
             assert not got[k].any(), k
     assert rel_err(got_henc, want_henc) < REL_TOL
 
+
+
+def _random_gru(embed_dim, hidden_dim, seed):
+    rng = np.random.default_rng(seed)
+    W = [rng.uniform(-0.7, 0.7, size=(hidden_dim, embed_dim))
+         for _ in range(3)]
+    U = [rng.uniform(-0.7, 0.7, size=(hidden_dim, hidden_dim))
+         / np.sqrt(hidden_dim) for _ in range(3)]
+    return GruParams(*W, *U)
+
+
+@pytest.mark.parametrize("h0", [0.0, "random"])
+def test_batched_pass_matches_single_passes(h0):
+    # Each column of a right-padded (T, B) pass is its sentence's own pass up
+    # to the summation order of the (B, hidden) products; a batch of one runs
+    # the single pass's products, so its bits match.
+    hid, lengths = 6, (1, 3, 7, 7, 12)
+    p = _random_gru(4, hid, seed=7)
+    rng = np.random.default_rng(8)
+    singles = [[rng.normal(size=(n, hid)) * 2 for _ in range(3)]
+               for n in lengths]
+    starts = [rng.uniform(-1, 1, size=hid) if h0 == "random" else 0.0
+              for _ in lengths]
+    T, B = max(lengths), len(lengths)
+    padded = [np.zeros((T, B, hid)) for _ in range(3)]
+    for b, A in enumerate(singles):
+        for gate in range(3):
+            padded[gate][:lengths[b], b] = A[gate]
+    batch = gru_forward(*padded, p, h0=np.vstack([np.zeros(hid) + s
+                                                   for s in starts]))
+    for b, (n, A, start) in enumerate(zip(lengths, singles, starts)):
+        one = gru_forward(*A, p, h0=start)
+        for got, want in zip(batch, one):
+            assert rel_err(got[:len(want), b], want) < REL_TOL
+        alone = gru_forward(*(a[:, None] for a in A), p,
+                            h0=np.zeros((1, hid)) + start)
+        for got, want in zip(alone, one):
+            assert np.array_equal(got[:, 0], want)
+
+
+def test_forward_allocates_no_weight_sized_array():
+    # A pass may allocate its trace and a few state-sized buffers, but no
+    # (hidden, hidden) array: that would be a copy of a recurrent matrix
+    # (for example U_r and U_z stacked) on every call.
+    hid = 512
+    p = _random_gru(8, hid, seed=9)
+    A = [np.random.default_rng(10).normal(size=(2, hid)) for _ in range(3)]
+    gru_forward(*A, p)
+    tracemalloc.start()
+    try:
+        trace = gru_forward(*A, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    trace_bytes = sum(a.nbytes for a in trace)
+    assert peak - trace_bytes < p.U.nbytes

@@ -455,6 +455,36 @@ def test_sigmoid_matches_formula(rng):
     assert np.max(np.abs(sigmoid(x) - 1.0 / (1.0 + np.exp(-x)))) < 1e-12
 
 
+SIGMOID_EDGES = [-1e3, -709.8, -37.0, 0.0, 37.0, 709.8, 1e3]
+
+
+@pytest.mark.parametrize("x", [
+    np.array(SIGMOID_EDGES),
+    np.concatenate([np.linspace(-750.0, 750.0, 30001),
+                    np.random.default_rng(0).normal(size=30000) * 8])])
+def test_sigmoid_raises_no_fp_error_and_agrees_with_expit(x):
+    # exp(-x) would overflow below -709.78 and underflow above 708.4; the
+    # clamp keeps every step finite and normal, so even an errstate that
+    # raises on underflow sees nothing.  Wherever expit's value is a normal
+    # float the two differ only in how exp rounds: a few ulp.
+    from scipy.special import expit
+    with np.errstate(all="raise"):
+        got = sigmoid(x)
+        inplace = x.copy()
+        assert sigmoid(inplace, out=inplace) is inplace
+    assert np.array_equal(inplace, got)
+    assert np.all((got >= 0.0) & (got <= 1.0))
+    want = expit(x)
+    normal = want >= np.finfo(np.float64).tiny
+    assert np.all(np.abs(got - want)[normal] <= 4 * np.spacing(want[normal]))
+    assert np.all(got[~normal] < 2 * np.finfo(np.float64).tiny)
+    assert np.all(got[x >= 37.0] == 1.0)
+
+
+def test_sigmoid_keeps_nan():
+    assert np.isnan(sigmoid(np.array([np.nan, 0.0]))).tolist() == [True, False]
+
+
 def test_softmax_rows_sum_to_one(rng):
     p = softmax(rng.normal(size=(4, 6)) * 10)
     assert np.max(np.abs(p.sum(axis=-1) - 1.0)) < 1e-12

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from skipgru import decoder, numerics, trainer
-from conftest import (CHECKPOINT_FIELD_TYPES, EXPANSION_FIELD_TYPES,
+from conftest import (CHECKPOINT_FIELD_TYPES, CHECKPOINT_KEY_EDITS,
+                      EXPANSION_FIELD_TYPES, EXPANSION_KEY_EDITS,
                       MISMATCHED_HEADERS, decoder_pass_backward, edit_header,
                       lay_out, make_model, make_vocab, random_triple,
                       randomize_params, retyped, write_mismatched_checkpoint,
@@ -946,6 +947,34 @@ def test_expansion_header_fields_are_checked_not_cast(tmp_path, key):
     write_small_map(path)
     edit_header(path, retyped(key, EXPANSION_FIELD_TYPES[key]))
     _assert_rejected(path, read_expansion, "expansion-map")
+
+
+@pytest.mark.parametrize("case", sorted(CHECKPOINT_KEY_EDITS))
+def test_checkpoint_header_key_sets_are_exact(tmp_path, case):
+    # A config without seed or batch_size used to load with the defaults, so
+    # a resume trained with other settings; an unknown top-level or adam key
+    # loaded and was dropped on resave.
+    path = tmp_path / "c.ckpt"
+    write_mismatched_checkpoint(path, CHECKPOINT_KEY_EDITS[case])
+    for load in (load_checkpoint, load_model):
+        _assert_rejected(path, load, "checkpoint")
+
+
+@pytest.mark.parametrize("case", sorted(EXPANSION_KEY_EDITS))
+def test_expansion_header_key_set_is_exact(tmp_path, case):
+    path = tmp_path / "x.map"
+    write_small_map(path)
+    edit_header(path, EXPANSION_KEY_EDITS[case])
+    _assert_rejected(path, read_expansion, "expansion-map")
+
+
+def test_checkpoint_with_a_negative_adam_step_is_refused(tmp_path):
+    # It used to load, and training from it ran Adam at steps -2, -1 and 0,
+    # whose bias corrections turned the parameters NaN.
+    path = tmp_path / "c.ckpt"
+    write_mismatched_checkpoint(path, retyped("adam.step", -3))
+    for load in (load_checkpoint, load_model):
+        _assert_rejected(path, load, "checkpoint")
 
 
 def _set(name, shape):
