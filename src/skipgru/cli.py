@@ -4,8 +4,13 @@ Subcommands: build-vocab, train, encode, expand, nn-word, nn-sent, eval-sick,
 eval-paraphrase, eval-classify, eval-rank, generate.  Every run is
 deterministic given its flags and seeds.  A run that writes an output file,
 or is given --manifest, also writes one JSON manifest recording the config,
-input digests, and outputs.  Exit codes: 0 success, 2 usage or
+input digests, outputs, and an env block: numpy's version, its BLAS, and the
+BLAS thread count the run used.  Exit codes: 0 success, 2 usage or
 config problems, 3 numeric failures, 4 I/O failures.
+
+main sets numpy's OpenBLAS to one thread before it dispatches, so every
+command runs one BLAS thread, and gives the same bytes, whatever
+OPENBLAS_NUM_THREADS says.  A numpy built on another BLAS exits 2.
 
 A --config FILE of key=value lines can supply any flag's value, checked as
 the flag would check it; explicit flags override the file.
@@ -31,7 +36,8 @@ from .encoder import encode
 from .errors import (CheckpointError, ConfigError, ConvergenceError, InputError,
                      MetricError, NumericError, ParameterError, SkipGruError)
 from .fileio import read_vectors, sha256_path, write_text, write_vectors
-from .numerics import seed_tuple
+from .numerics import (blas_name, blas_threads, seed_tuple,
+                       use_one_blas_thread)
 from .probes import DEFAULT_L2_GRID
 
 NUMERIC_ERRORS = (NumericError, ConvergenceError, MetricError)
@@ -78,6 +84,8 @@ def _write_manifest(args, inputs, outputs, seeds, t0) -> None:
         "outputs": [str(p) for p in outputs],
         "seeds": seeds,
         "wall_time_s": round(time.perf_counter() - t0, 3),
+        "env": {"numpy": np.__version__, "blas": blas_name(),
+                "blas_threads": blas_threads()},
     }
     write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -657,6 +665,7 @@ def main(argv=None) -> int:
     argv = [os.fspath(a) for a in (sys.argv[1:] if argv is None else argv)]
     parser, registry = build_parser()
     try:
+        use_one_blas_thread()
         # Config defaults must land before parse_args so required flags that
         # the file supplies do not abort the parse; explicit flags still win.
         cfg_path = _find_config_arg(argv)

@@ -32,8 +32,9 @@ once per pass:
 - output_layer_backward runs as soon as OUTPUT_CHUNK rows are pending, and
   after the last pass.  It subtracts the one-hot targets from the pending
   rows in place, then takes dlogits @ V, the passes' state gradients, and
-  dlogits.T @ H, which it adds into V's gradient by one BLAS call that
-  accumulates in place.  It forms no logits and takes no exp: each logit of
+  dlogits.T @ H, which it adds into V's gradient in place by one dgemm
+  (numerics.add_matmul, on numpy's own OpenBLAS: a train step loads no
+  scipy).  It forms no logits and takes no exp: each logit of
   a train step is formed once, in the forward pass.  No (rows, vocab) array
   exists beyond the buffer.
 - decoder_backward runs the recurrence of one pass from its state gradients:
@@ -58,7 +59,7 @@ import numpy as np
 from .encoder import GRU_KEYS, GruParams, GruTrace, gru_backward, gru_forward
 from .errors import (InputError, ParameterError, RangeError, ShapeError,
                      StateError)
-from .numerics import ParamSet, get_rng, softmax
+from .numerics import ParamSet, add_matmul, get_rng, softmax
 
 COND_CONDITIONING_KEYS = ("C_r", "C_z", "C")
 COND_KEYS = GRU_KEYS + COND_CONDITIONING_KEYS + ("begin",)
@@ -226,10 +227,6 @@ def output_layer_backward(caches: Sequence[DecoderCache], V: np.ndarray,
     if not gV.flags.f_contiguous:
         raise ParameterError("the V gradient must be a column-major "
                              "contiguous array")
-    # scipy.linalg is imported on first use, so commands that never train do
-    # not load it.
-    from scipy.linalg.blas import dgemm
-
     S = np.vstack([c.trace.S[1:] for c in caches])         # (rows, hidden)
     # Softmax cross-entropy: d(-log p)/dlogits = p - onehot(target), with p
     # the forward's softmax rows.
@@ -238,7 +235,7 @@ def output_layer_backward(caches: Sequence[DecoderCache], V: np.ndarray,
     dS = G @ V
     # grads["V"] += G.T @ S, accumulated by BLAS in place (beta = 1) from
     # operands it reads without a copy.
-    dgemm(1.0, G.T, S.T, trans_b=1, beta=1.0, c=gV, overwrite_c=1)
+    add_matmul(gV, G.T, S)
     return np.split(dS, np.cumsum([len(c.target) for c in caches[:-1]]))
 
 

@@ -5,7 +5,9 @@ vocabularies, metric CSVs, manifests, text vectors) are written through
 atomic_output: the bytes go to a temporary file in the destination's
 directory, which replaces the destination (os.replace) only once it is
 complete, and which is removed if the write fails.  A crash therefore leaves
-the old file or the new one, never a torn one.  There is no fsync: this
+the old file or the new one, never a torn one.  A killed writer leaves its
+temp file, `<path>.<pid>.tmp`; the next successful write of `path` removes
+each such file whose process is gone.  There is no fsync: this
 guards against a crashed process, not against a lost machine.
 
 Checkpoints and vocabulary-expansion maps share one container layout:
@@ -43,9 +45,10 @@ import hashlib
 import json
 import math
 import os
+import re
 import struct
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from itertools import chain
 
 import numpy as np
@@ -81,9 +84,34 @@ def _forget(st: os.stat_result) -> None:
             del _DIGESTS[key]
 
 
+def _remove_orphans(path: str) -> None:
+    """Remove each `path`.<pid>.tmp whose writer has died: a process killed
+    mid-write leaves its temp file behind.  A file whose pid is alive, or
+    belongs to another user (os.kill raises PermissionError), is kept: it
+    may be a write in flight."""
+    if os.name != "posix":   # elsewhere os.kill(pid, 0) ends the process
+        return
+    folder, name = os.path.split(path)
+    pattern = re.compile(re.escape(name) + r"\.([0-9]{1,9})\.tmp")
+    with os.scandir(folder or ".") as entries:
+        orphans = [(e.path, int(m[1])) for e in entries
+                   if (m := pattern.fullmatch(e.name)) and int(m[1]) > 0]
+    for tmp, pid in orphans:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            with suppress(FileNotFoundError):
+                os.remove(tmp)
+        except PermissionError:
+            pass
+
+
 @contextmanager
 def atomic_output(path):
-    """Binary file handle whose contents replace `path` only on success."""
+    """Binary file handle whose contents replace `path` only on success.
+
+    After a successful replace, temp files of `path` left by writers that
+    have died are removed (_remove_orphans)."""
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -95,6 +123,7 @@ def atomic_output(path):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+    _remove_orphans(path)
 
 
 def write_text(path, text: str) -> None:

@@ -7,21 +7,32 @@ names to float64 arrays.  The optimizer writes into the arrays it is given:
 clip_gradients scales the gradient set in place, and adam_step updates the
 parameters and the moment buffers in place, each in the parameter's layout.
 sigmoid writes into the `out` array it is given, which may be its input, as
-the GRU kernel does with each step's gate block.  Every other function here
+the GRU kernel does with each step's gate block, and add_matmul adds a
+product into the column-major `out` it is given.  Every other function here
 leaves its inputs unchanged.  Every stochastic
 operation takes an explicit seed (an int, a tuple of ints, or a numpy
 Generator), so two runs with the same seed are bit-identical.
+
+add_matmul, use_one_blas_thread and blas_threads call the OpenBLAS that
+numpy itself loads (the scipy-openblas64 build shipped in numpy's wheels)
+through ctypes, so no second BLAS is loaded for them.  The library is looked
+up on first use, through the symbols of numpy's core extension module; a
+numpy linked to another BLAS raises ConfigError there, naming that BLAS.
+One thread keeps a product's bits independent of the host: OpenBLAS splits
+some products across threads with another summation order.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ConfigError, ParameterError, ShapeError
 
 ParamSet = dict[str, np.ndarray]
 
@@ -86,6 +97,97 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     z = logits - np.max(logits, axis=axis, keepdims=True)
     e = np.exp(z)
     return e / np.sum(e, axis=axis, keepdims=True)
+
+
+# CBLAS enum values (cblas.h).
+_COL_MAJOR, _NO_TRANS, _TRANS = 102, 111, 112
+
+
+class _OpenBlas:
+    """The entry points of numpy's OpenBLAS, typed for the 64-bit-integer
+    interface that its scipy-openblas64 build exports."""
+
+    def __init__(self):
+        from numpy._core import _multiarray_umath
+        # dlsym through the extension's handle also searches the libraries it
+        # links, so this finds the OpenBLAS that numpy's own products run on.
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        try:
+            self.dgemm = lib.scipy_cblas_dgemm64_
+            self.set_threads = lib.scipy_openblas_set_num_threads64_
+            self.get_threads = lib.scipy_openblas_get_num_threads64_
+        except AttributeError:
+            raise ConfigError(f"numpy's BLAS ({blas_name()}) is not the "
+                              "scipy-openblas64 build that numpy's wheels "
+                              "ship; skipgru needs that build") from None
+        i, n, p = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p
+        self.dgemm.argtypes = [i, i, i, n, n, n, ctypes.c_double, p, n, p, n,
+                               ctypes.c_double, p, n]
+        self.dgemm.restype = None
+        self.set_threads.argtypes, self.set_threads.restype = [i], None
+        self.get_threads.argtypes, self.get_threads.restype = [], i
+
+
+@functools.cache
+def _openblas() -> _OpenBlas:
+    return _OpenBlas()
+
+
+def blas_name() -> str:
+    """Name and version of the BLAS numpy is built against."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
+def use_one_blas_thread() -> None:
+    """Run every product of numpy's OpenBLAS on one thread from now on,
+    whatever OPENBLAS_NUM_THREADS says."""
+    _openblas().set_threads(1)
+
+
+def blas_threads() -> int:
+    """The thread count numpy's OpenBLAS now runs with."""
+    return _openblas().get_threads()
+
+
+def _blas_operand(x: np.ndarray) -> tuple[int, int]:
+    """(CBLAS transpose flag, leading dimension) under which a contiguous
+    2-D array is read in place as a column-major matrix."""
+    if x.flags.f_contiguous:
+        return _NO_TRANS, max(1, x.shape[0])
+    return _TRANS, max(1, x.shape[1])
+
+
+def add_matmul(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """out += a @ b in place, by one dgemm of numpy's OpenBLAS (beta = 1).
+
+    `out` must be a writeable column-major (m, n) float64 array that shares
+    no memory with `a` or `b`; a (m, k) and b (k, n) are float64 arrays, each
+    contiguous in either order, read without a copy.  Anything else raises
+    ParameterError before anything is written.
+    """
+    for name, x in (("out", out), ("a", a), ("b", b)):
+        if (not isinstance(x, np.ndarray) or x.ndim != 2
+                or x.dtype != np.float64):
+            raise ParameterError(f"add_matmul's {name} must be a 2-D float64 "
+                                 "array")
+        if not (x.flags.f_contiguous or x.flags.c_contiguous):
+            raise ParameterError(f"add_matmul's {name} must be contiguous")
+    (m, k), n = a.shape, b.shape[1]
+    if b.shape[0] != k or out.shape != (m, n):
+        raise ParameterError(f"add_matmul cannot add {a.shape} @ {b.shape} "
+                             f"into {out.shape}")
+    if not (out.flags.f_contiguous and out.flags.writeable):
+        raise ParameterError("add_matmul's out must be a writeable "
+                             "column-major array")
+    if np.shares_memory(out, a) or np.shares_memory(out, b):
+        raise ParameterError("add_matmul's out overlaps an operand")
+    if out.size == 0 or k == 0:
+        return
+    (trans_a, lda), (trans_b, ldb) = _blas_operand(a), _blas_operand(b)
+    _openblas().dgemm(_COL_MAJOR, trans_a, trans_b, m, n, k, 1.0,
+                      a.ctypes.data, lda, b.ctypes.data, ldb, 1.0,
+                      out.ctypes.data, max(1, m))
 
 
 def orthogonal_init(rows: int, cols: int, seed) -> np.ndarray:

@@ -51,18 +51,104 @@ the red cat went away .
 """
 
 
-def test_importing_the_cli_loads_no_optimizer_or_linalg():
-    # Only the probes need scipy.optimize and only training needs
-    # scipy.linalg; both are imported on first use, not at start-up.
+def _python(code: str, **env) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports this skipgru, with
+    `env` added to the environment."""
     src = str(pathlib.Path(skipgru.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, skipgru.cli; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.linalg') "
-            "if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src, **env),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_importing_the_cli_loads_no_optimizer_or_linalg(tmp_path):
+    # Only the probes need scipy.optimize, and they import it on first use,
+    # not at start-up.  Training loads no scipy at all: the output layer's
+    # dgemm runs on numpy's own OpenBLAS.
+    proc = _python("import sys, skipgru.cli; "
+                   "print(sorted(m for m in ('scipy.optimize', 'scipy.linalg') "
+                   "if m in sys.modules))")
     assert proc.stdout.strip() == "[]"
+    corpus, vocab = tmp_path / "corpus.txt", tmp_path / "vocab.txt"
+    corpus.write_text(CORPUS, encoding="utf-8")
+    assert main(["build-vocab", "--corpus", str(corpus), "--size", "24",
+                 "--out", str(vocab)]) == 0
+    argv = ["train", "--corpus", str(corpus), "--vocab", str(vocab),
+            "--embed-dim", "6", "--hidden-dim", "8", "--batch", "3",
+            "--steps", "2", "--out", str(tmp_path / "m.ckpt")]
+    proc = _python("import sys; from skipgru.cli import main; "
+                   f"assert main({argv!r}) == 0; "
+                   "print(sorted(m for m in sys.modules "
+                   "if m.split('.')[0] == 'scipy'))")
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert trainer.load_checkpoint(tmp_path / "m.ckpt")[1].step == 2
+
+
+def test_numpy_on_another_blas_exits_2(tmp_path, monkeypatch, capsys):
+    # Training runs its V-gradient dgemm on numpy's OpenBLAS, with no other
+    # path: a numpy whose BLAS exports no scipy-openblas64 symbols stops
+    # every command before it runs, naming that BLAS.
+    class NoSymbols:
+        def __getattr__(self, name):
+            raise AttributeError(name)
+    monkeypatch.setattr(numerics.ctypes, "CDLL", lambda path: NoSymbols())
+    numerics._openblas.cache_clear()
+    corpus, vocab = tmp_path / "corpus.txt", tmp_path / "vocab.txt"
+    corpus.write_text(CORPUS, encoding="utf-8")
+    try:
+        assert main(["build-vocab", "--corpus", str(corpus), "--size", "24",
+                     "--out", str(vocab)]) == 2
+    finally:
+        numerics._openblas.cache_clear()
+    assert numerics.blas_name() in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [corpus]
+
+
+def _without_wall_ms(path) -> list[str]:
+    return [line.rsplit(",", 1)[0] for line in
+            pathlib.Path(path).read_text().splitlines()]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="one CPU: OpenBLAS would run one thread anyway")
+def test_train_bytes_do_not_depend_on_openblas_num_threads(tmp_path):
+    # At V=2000, OpenBLAS on two threads gives the output layer's dS = G @ V
+    # other bits, so the bytes of a run depended on the environment.  main
+    # sets one thread, so a run under OPENBLAS_NUM_THREADS=2 writes the same
+    # checkpoint and metrics (without wall_ms) as one under 1, and its
+    # manifest records the one thread it ran on.
+    rng = np.random.default_rng(0)
+    words = np.tile(rng.permutation(2100), 3)
+    lengths = rng.integers(6, 14, size=360)
+    sentences = [" ".join(f"w{i}" for i in words[end - n:end]) + " ."
+                 for n, end in zip(lengths, np.cumsum(lengths))]
+    docs = ["\n".join(sentences[k:k + 6]) for k in range(0, 360, 6)]
+    corpus, vocab = tmp_path / "corpus.txt", tmp_path / "vocab.txt"
+    corpus.write_text("\n\n".join(docs) + "\n", encoding="utf-8")
+    assert main(["build-vocab", "--corpus", str(corpus), "--size", "2000",
+                 "--out", str(vocab)]) == 0
+    assert len(vocab.read_text().splitlines()) == 2000
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.ckpt"
+        argv = ["train", "--corpus", str(corpus), "--vocab", str(vocab),
+                "--mode", "bi", "--embed-dim", "16", "--hidden-dim", "32",
+                "--batch", "8", "--steps", "3", "--seed", "3",
+                "--out", str(out)]
+        _python(f"import sys; from skipgru.cli import main; "
+                f"sys.exit(main({argv!r}))", OPENBLAS_NUM_THREADS=threads)
+        manifest = json.loads(pathlib.Path(f"{out}.manifest.json").read_text())
+        runs[threads] = (out.read_bytes(),
+                         _without_wall_ms(f"{out}.metrics.csv"),
+                         manifest["env"])
+    assert runs["1"][:2] == runs["2"][:2]
+    assert len(runs["2"][1]) == 4
+    env = runs["2"][2]
+    assert env == runs["1"][2]
+    assert env["blas_threads"] == 1
+    assert env["numpy"] == np.__version__
+    assert env["blas"].startswith("scipy-openblas")
 
 
 # Names whose use would make a run depend on the environment or start threads.

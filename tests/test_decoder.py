@@ -9,6 +9,7 @@ checker, and a Monte-Carlo frequency check for the sampler.
 
 import numpy as np
 import pytest
+from skipgru import decoder, numerics
 from skipgru.decoder import (DECODER_PREFIXES, ConditionalGruParams,
                              DecoderPair, decode_batch, decoder_backward,
                              output_layer_backward, sample_sentence,
@@ -227,18 +228,15 @@ def test_backward_finite_difference_repeated_inputs():
 def test_backward_adds_into_column_major_v_accumulator(rng, monkeypatch):
     # Three passes leave their rows one after another in one buffer, and one
     # output-layer backward over them reads those rows: BLAS accumulates
-    # into the column-major V gradient in place by one call, whose result is
+    # into the column-major V gradient in place by one call, whose output is
     # the accumulator itself, and it ends with the sums of the dense per-pass
     # reference.
-    import scipy.linalg.blas as blas
-
     results = []
 
-    def recording_dgemm(*args, **kwargs):
-        results.append(real_dgemm(*args, **kwargs))
-        return results[-1]
-    real_dgemm = blas.dgemm
-    monkeypatch.setattr(blas, "dgemm", recording_dgemm)
+    def recording_add_matmul(out, a, b):
+        numerics.add_matmul(out, a, b)
+        results.append(out)
+    monkeypatch.setattr(decoder, "add_matmul", recording_add_matmul)
     p = rand_cond_params(rng, embed=3, hidden=3, enc=2)
     V, emb = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
     targets = ((2, 4, 2, 0), (3, 0), (1, 1, 0))

@@ -55,6 +55,30 @@ def test_successful_write_replaces_file(tmp_path):
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_successful_write_removes_temp_files_of_dead_writers(tmp_path):
+    # A writer killed mid-write leaves path.<pid>.tmp.  The next successful
+    # write of path removes it once that pid is gone, and keeps the temp
+    # file of a live writer, whose write may be in flight, and the files of
+    # other paths.
+    import subprocess
+    import sys
+    dead = subprocess.Popen([sys.executable, "-c", "pass"])
+    dead.wait()
+    live = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+    try:
+        path = tmp_path / "v.bin"
+        orphan = tmp_path / f"v.bin.{dead.pid}.tmp"
+        in_flight = tmp_path / f"v.bin.{live.pid}.tmp"
+        other = tmp_path / f"w.bin.{dead.pid}.tmp"
+        for f in (orphan, in_flight, other):
+            f.write_bytes(b"partial")
+        write_vectors(path, np.eye(2))
+        assert sorted(tmp_path.iterdir()) == sorted([path, in_flight, other])
+    finally:
+        live.kill()
+        live.wait()
+
+
 @pytest.mark.parametrize("tail", [b"\x00", b"\x00" * 7],
                          ids=["one_byte_over", "seven_bytes_over"])
 def test_read_vectors_refuses_a_body_of_the_wrong_length(tmp_path, tail):

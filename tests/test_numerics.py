@@ -504,3 +504,87 @@ def test_log_softmax_consistent_with_softmax(rng):
 def test_softmax_survives_large_logits():
     p = softmax(np.array([1000.0, 0.0, -1000.0]))
     assert np.isfinite(p).all() and abs(p.sum() - 1.0) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# add_matmul: the V-gradient dgemm on numpy's OpenBLAS
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def one_blas_thread():
+    """numpy's and scipy's OpenBLAS copies each on one thread: at two,
+    OpenBLAS may split a product another way in each copy."""
+    import ctypes
+
+    import scipy.linalg._fblas
+    scipy_blas = ctypes.CDLL(scipy.linalg._fblas.__file__)
+    before = numerics.blas_threads(), scipy_blas.scipy_openblas_get_num_threads()
+    numerics.use_one_blas_thread()
+    scipy_blas.scipy_openblas_set_num_threads(1)
+    assert numerics.blas_threads() == 1
+    yield
+    numerics._openblas().set_threads(before[0])
+    scipy_blas.scipy_openblas_set_num_threads(before[1])
+
+
+@pytest.mark.parametrize("vocab", [300, 2000, 20000])
+def test_add_matmul_gives_the_bits_of_scipy_dgemm(vocab, one_blas_thread):
+    # The output layer's call: G.T (column-major view of the C-order logits
+    # gradient) times the C-order states S, added into a column-major V
+    # gradient; scipy's dgemm was that call before.
+    from scipy.linalg.blas import dgemm
+    rng = np.random.default_rng(vocab)
+    for rows in (17, 64, 90):
+        G, S = rng.normal(size=(rows, vocab)), rng.normal(size=(rows, 128))
+        want = np.asfortranarray(rng.normal(size=(vocab, 128)))
+        got = want.copy(order="F")
+        dgemm(1.0, G.T, S.T, trans_b=1, beta=1.0, c=want, overwrite_c=1)
+        assert numerics.add_matmul(got, G.T, S) is None
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("order_a", "CF")
+@pytest.mark.parametrize("order_b", "CF")
+def test_add_matmul_reads_either_order(order_a, order_b, rng):
+    a = np.asarray(rng.normal(size=(5, 3)), order=order_a)
+    b = np.asarray(rng.normal(size=(3, 4)), order=order_b)
+    out = np.asfortranarray(rng.normal(size=(5, 4)))
+    want = out + a @ b
+    numerics.add_matmul(out, a, b)
+    assert np.max(np.abs(out - want)) < 1e-12
+
+
+def _read_only(x):
+    x.flags.writeable = False
+    return x
+
+
+def _refused_add_matmuls():
+    """(out, a, b, the refusal's message) of each call add_matmul must
+    refuse, by name."""
+    rng = np.random.default_rng(7)
+    a, b = rng.normal(size=(6, 4)), rng.normal(size=(4, 5))
+    out = np.asfortranarray(rng.normal(size=(6, 5)))
+    shared = np.asfortranarray(rng.normal(size=(6, 9)))
+    square = np.asfortranarray(rng.normal(size=(4, 4)))
+    return {
+        "out-c-order": (np.ascontiguousarray(out), a, b, "column-major"),
+        "out-float32": (out.astype(np.float32, order="F"), a, b, "float64"),
+        "a-float32": (out, a.astype(np.float32), b, "float64"),
+        "b-int": (out, a, b.astype(np.int64), "float64"),
+        "inner-mismatch": (out, a, b[:3], "cannot add"),
+        "out-shape": (np.asfortranarray(out[:, :4]), a, b, "cannot add"),
+        "a-strided": (out, rng.normal(size=(6, 8))[:, ::2], b, "contiguous"),
+        "out-read-only": (_read_only(out.copy(order="F")), a, b, "writeable"),
+        "out-overlaps-a": (shared[:, :5], shared[:, 3:7], b, "overlaps"),
+        "out-is-b": (square, a[:4], square, "overlaps"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_refused_add_matmuls()))
+def test_add_matmul_refusal_leaves_out_unchanged(case):
+    out, a, b, message = _refused_add_matmuls()[case]
+    before = out.copy(order="K")
+    with pytest.raises(ParameterError, match=message):
+        numerics.add_matmul(out, a, b)
+    assert np.array_equal(out, before)

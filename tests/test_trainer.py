@@ -327,22 +327,20 @@ def test_step_flushes_the_output_layer_at_pass_boundaries(chunk, monkeypatch):
     # decoder row goes through exactly one V-gradient dgemm, in pass order,
     # each call's passes end at a pass boundary, every dgemm writes the
     # step's one accumulator in place, and every call reads one buffer.
-    import scipy.linalg.blas as blas
-
     dgemms, calls, buffers = [], [], []
 
-    def recording_dgemm(*args, **kwargs):
-        out = real_dgemm(*args, **kwargs)
-        dgemms.append((args[2].T.copy(), kwargs["c"],
-                       np.shares_memory(out, kwargs["c"])))
-        return out
+    def recording_add_matmul(out, a, b):
+        want = out + a @ b
+        numerics.add_matmul(out, a, b)
+        dgemms.append((b.copy(), out, np.allclose(out, want, rtol=1e-12,
+                                                  atol=1e-12)))
 
     def recording_sweep(caches, V, grads, scratch):
         calls.append(list(caches))
         buffers.append(scratch)
         return real_sweep(caches, V, grads, scratch)
-    real_dgemm, real_sweep = blas.dgemm, decoder.output_layer_backward
-    monkeypatch.setattr(blas, "dgemm", recording_dgemm)
+    real_sweep = decoder.output_layer_backward
+    monkeypatch.setattr(decoder, "add_matmul", recording_add_matmul)
     monkeypatch.setattr(decoder, "output_layer_backward", recording_sweep)
     _set_output_chunk(monkeypatch, chunk)
     batch = STRADDLE_BATCH
@@ -764,8 +762,8 @@ def test_v_is_laid_out_in_train_alone_and_accumulated_by_one_dgemm():
     assert sorted(set(laid_out)) == ["trainer.train"]
     tree = ast.parse(pathlib.Path(decoder.__file__).read_text("utf-8"))
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and "dgemm" in (getattr(node.func, "id", None),
-                             getattr(node.func, "attr", None))]
+             and "add_matmul" in (getattr(node.func, "id", None),
+                                  getattr(node.func, "attr", None))]
     assert len(calls) == 1
 
 
