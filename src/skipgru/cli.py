@@ -366,6 +366,10 @@ def cmd_eval_rank(args) -> dict:
                         ("--epochs", args.epochs)):
         if count < 0:
             raise ConfigError(f"{flag} must be >= 0, got {count}")
+    # Checked before any work, also when nothing trains.
+    config = ranking.RankTrainConfig(batch_size=args.batch,
+                                     learning_rate=args.lr, seed=args.seed,
+                                     dev_group_size=args.group_size)
     lookups, _ = _load_models(args)
     X = read_vectors(args.images)
     captions = _read_lines(args.captions)
@@ -395,9 +399,6 @@ def cmd_eval_rank(args) -> dict:
             raise ConfigError("training needs --dev-items > 0")
         pairs = (np.repeat(X[:n_train], g, axis=0), Y[:n_train * g])
         dev = (X[n_train:n_train + n_dev], Y[n_train * g:(n_train + n_dev) * g])
-        config = ranking.RankTrainConfig(batch_size=args.batch,
-                                         learning_rate=args.lr, seed=args.seed,
-                                         dev_group_size=g)
         result = ranking.train_ranker(pairs, model, args.epochs, dev, config)
         model = result.model
         for row in result.history:

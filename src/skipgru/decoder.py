@@ -37,10 +37,13 @@ once per pass:
   scipy).  It forms no logits and takes no exp: each logit of
   a train step is formed once, in the forward pass.  No (rows, vocab) array
   exists beyond the buffer.
-- decoder_backward runs the recurrence of one pass from its state gradients:
-  the per-step pre-activation gradients summed over time give the
-  conditioning matrices' gradients and the gradient into h_enc, and the input
-  gradients are scatter-added into the embedding rows.  It does no work on V.
+- decoder_backward then runs one decoder's passes from their state
+  gradients as one right-padded (T, B) gru_backward, the next decoder's
+  first: the per-step pre-activation gradients summed over time give the
+  conditioning matrices' gradients and each pass's gradient into h_enc, and
+  the input gradients are scatter-added into the embedding rows by one
+  np.add.at.  It does no work on V.  It drops each pass's inputs and trace
+  once packed, so a step holds each decoder's states once.
 
 The forward pass takes V row-major (as loaded for inference) or column-major
 (as trainer.train lays it out) without a copy; the backward pass takes only
@@ -56,7 +59,8 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .encoder import GRU_KEYS, GruParams, GruTrace, gru_backward, gru_forward
+from .encoder import (GRU_KEYS, GruParams, GruTrace, gru_backward, gru_forward,
+                      pad_batch)
 from .errors import (InputError, ParameterError, RangeError, ShapeError,
                      StateError)
 from .numerics import ParamSet, add_matmul, get_rng, softmax
@@ -130,7 +134,8 @@ def _check_target(target: Sequence[int], vocab_size: int) -> tuple[int, ...]:
 @dataclass
 class DecoderCache:
     """Teacher-forced forward activations needed by output_layer_backward
-    and decoder_backward."""
+    and decoder_backward.  A cache serves one backward pass:
+    decoder_backward sets X and trace to None once it has packed them."""
 
     target: tuple[int, ...]
     h_enc: np.ndarray
@@ -239,29 +244,39 @@ def output_layer_backward(caches: Sequence[DecoderCache], V: np.ndarray,
     return np.split(dS, np.cumsum([len(c.target) for c in caches[:-1]]))
 
 
-def decoder_backward(cache: DecoderCache, dS: np.ndarray,
+def decoder_backward(caches: Sequence[DecoderCache], dS: Sequence[np.ndarray],
                      p: ConditionalGruParams, grads: ParamSet,
                      prefix: str) -> np.ndarray:
-    """Add the gradients of a cached forward pass's recurrence into `grads`,
-    given dS, its (T, hidden) state gradients from output_layer_backward, and
-    return the conditioning gradient that flows back into the encoder.
+    """Add the gradients of one decoder's cached forward passes, run as one
+    right-padded (T, B) recurrence, into `grads`, given dS, each pass's
+    (T, hidden) state gradients from output_layer_backward, and return the
+    (B, enc_dim) conditioning gradients that flow back into the encoder.
 
     The nine decoder matrices and "begin" are added under `prefix` (e.g.
     "dec_next."), and the input rows' gradients are scatter-added into "emb"
-    (the other rows are not touched).  V's gradient is not touched.
+    in pass order (the other rows are not touched).  V's gradient is not
+    touched.
     """
-    if not isinstance(cache, DecoderCache):
-        raise StateError("decoder_backward needs the cache from "
-                         "sentence_log_prob_with_cache")
-    back = gru_backward(cache.X, cache.trace, dS, p)
+    if not all(isinstance(c, DecoderCache) and c.trace is not None
+               for c in caches):
+        raise StateError("decoder_backward needs the caches from "
+                         "sentence_log_prob_with_cache, each used once")
+    X = pad_batch([c.X for c in caches])
+    trace = GruTrace(*map(pad_batch, zip(*(c.trace for c in caches))))
+    for c in caches:
+        c.X = c.trace = None
+    back = gru_backward(X, trace, pad_batch(dS), p)
     da_r, da_z, da_h = back.DA_r.sum(0), back.DA_z.sum(0), back.DA_h.sum(0)
-    own = dict(back.params, C_r=np.outer(da_r, cache.h_enc),
-               C_z=np.outer(da_z, cache.h_enc), C=np.outer(da_h, cache.h_enc),
-               begin=back.dX[0])
+    H_enc = np.array([c.h_enc for c in caches])
+    own = dict(back.params, C_r=da_r.T @ H_enc, C_z=da_z.T @ H_enc,
+               C=da_h.T @ H_enc, begin=back.dX[0].sum(0))
     for k, v in own.items():
         grads[prefix + k] += v
-    np.add.at(grads["emb"], list(cache.target[:-1]), back.dX[1:])
-    return p.C.T @ da_h + p.C_r.T @ da_r + p.C_z.T @ da_z
+    # Step t > 0 of pass b reads the embedding row of target[t - 1].
+    np.add.at(grads["emb"], [w for c in caches for w in c.target[:-1]],
+              np.concatenate([back.dX[1:len(c.target), b]
+                              for b, c in enumerate(caches)]))
+    return da_h @ p.C + da_r @ p.C_r + da_z @ p.C_z
 
 
 def sample_sentence(h_enc: np.ndarray, p: ConditionalGruParams, V: np.ndarray,

@@ -31,13 +31,17 @@ written into the trace or into buffers made once per pass, and no weight
 matrix is copied.
 
 gru_backward is backpropagation through time written out by hand, so the
-whole model trains without autodiff: its time loop only carries the state
-gradient and records the gate pre-activation gradients DA_* of every step;
-each weight gradient is then one matrix product after the loop (for example
-DA_h.T @ X for W), and so are the input gradients.
-encoder_backward adds these into the caller's gradient accumulator; the input
-gradients are scatter-added into its embedding rows, because a sentence can
-repeat a token id.
+whole model trains without autodiff.  It takes the same (T, [B,] hidden)
+layouts (pad_batch builds a padded batch): its time loop only carries the
+state gradient, with one product da @ U_* per gate and step, and records the
+gate pre-activation gradients DA_* of every step; each weight gradient is
+then one matrix product over the T·B rows after the loop (for example
+DA_h.T @ X for W), and so are the input gradients.  Padding needs no mask:
+padded steps come after a sequence's last real step, so with no gradient
+flowing into them the carried gradient stays exactly zero there.  Each
+decoder runs one padded pass over its passes of a batch; encoder_backward
+runs one pass per sentence and direction and scatter-adds the input
+gradients into its embedding rows, because a sentence can repeat a token id.
 """
 
 from __future__ import annotations
@@ -105,6 +109,15 @@ class GruTrace(NamedTuple):
         return self.S[-1]
 
 
+def pad_batch(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Right-pad (T_b, ...) arrays with zeros into one (T, B, ...) block, T
+    the longest T_b: the batch layout of gru_forward and gru_backward."""
+    out = np.zeros((max(map(len, arrays)), len(arrays)) + arrays[0].shape[1:])
+    for b, a in enumerate(arrays):
+        out[:len(a), b] = a
+    return out
+
+
 def gru_forward(A_r: np.ndarray, A_z: np.ndarray, A_h: np.ndarray,
                 p: GruParams, h0: np.ndarray | float = 0.0) -> GruTrace:
     """Run the recurrence over precomputed input pre-activations.
@@ -155,54 +168,65 @@ def gru_forward(A_r: np.ndarray, A_z: np.ndarray, A_h: np.ndarray,
 class GruGrads(NamedTuple):
     """What gru_backward returns for one pass."""
 
-    params: ParamSet     # the six W_* / U_* gradients
-    dX: np.ndarray       # (T, embed) gradient into each step's input
-    DA_r: np.ndarray     # (T, hidden) gradients of the gate pre-activations
+    params: ParamSet     # the six W_* / U_* gradients, summed over the batch
+    dX: np.ndarray       # (T, [B,] embed) gradient into each step's input
+    DA_r: np.ndarray     # (T, [B,] hidden) gradients of the gate pre-activations
     DA_z: np.ndarray
     DA_h: np.ndarray
 
 
 def gru_backward(X: np.ndarray, trace: GruTrace, dH: np.ndarray,
                  p: GruParams) -> GruGrads:
-    """Backpropagation through time for one gru_forward pass over inputs X.
+    """Backpropagation through time for one gru_forward pass over inputs X,
+    (T, embed) for one sequence or (T, B, embed) for a right-padded batch.
 
-    dH (T, hidden) is the gradient flowing into each state h^t from outside
-    the recurrence.  The time loop only carries the state gradient and
-    records the pre-activation gradients DA_*, writing each step's vectors
-    into them or into buffers made once per call; every weight gradient and
-    the input gradients are then one matrix product each over all steps.
+    dH, with the trace's shape, is the gradient flowing into each state h^t
+    from outside the recurrence, and zero on padded steps.  The time loop
+    only carries the state gradient and records the pre-activation gradients
+    DA_*, in buffers made once per call; every weight gradient and the input
+    gradients are then one matrix product each over the T·B rows.  A padded
+    step leaves the state gradient and its DA_* rows exactly zero, so it
+    needs no mask and adds nothing.  A batch of one keeps the bits of one
+    sequence.
     """
-    T, hid = trace.R.shape
     H_prev, R, Z, Hbar = trace.S[:-1], trace.R, trace.Z, trace.Hbar
-    # Each step's local derivatives, formed for all steps at once.
-    G_h = Z * (1.0 - Hbar * Hbar)
-    G_z = (Hbar - H_prev) * Z * (1.0 - Z)
-    G_r = H_prev * R * (1.0 - R)
-    keep = 1.0 - Z
-    DA_r, DA_z, DA_h = np.empty((T, hid)), np.empty((T, hid)), np.empty((T, hid))
-    UT, U_rT, U_zT = p.U.T, p.U_r.T, p.U_z.T
-    # g carries the state gradient; drh and u are the step's buffers.
-    g, drh, u = np.zeros(hid), np.empty(hid), np.empty(hid)
-    steps = list(zip(dH, DA_h, DA_r, DA_z, G_h, G_r, G_z, keep, R))
-    for dh, da_h, da_r, da_z, g_h, g_r, g_z, keep_t, r in reversed(steps):
+    # Each step's local derivatives, formed for all steps at once in the
+    # arrays that the loop then scales in place into DA_*.
+    DA_h = Z * (1.0 - Hbar * Hbar)
+    DA_z = (Hbar - H_prev) * Z * (1.0 - Z)
+    DA_r = H_prev * R * (1.0 - R)
+    # g carries the state gradient; drh, u and keep are the step's buffers.
+    g, drh, u, keep = (np.zeros(R.shape[1:]) for _ in range(4))
+    one = np.array(1.0)
+    steps = list(zip(dH, DA_h, DA_r, DA_z, R, Z))
+    for dh, da_h, da_r, da_z, r, z in reversed(steps):
         g += dh
-        np.multiply(g, g_h, out=da_h)
-        np.matmul(UT, da_h, out=drh)
-        np.multiply(drh, g_r, out=da_r)
-        np.multiply(g, g_z, out=da_z)
-        # g = g * keep + drh * r + U_r.T @ da_r + U_z.T @ da_z, in that order.
-        g *= keep_t
+        da_h *= g
+        np.matmul(da_h, p.U, out=drh)
+        da_r *= drh
+        da_z *= g
+        # g = g * (1 - z) + drh * r + da_r @ U_r + da_z @ U_z, in that order.
+        np.subtract(one, z, out=keep)
+        g *= keep
         drh *= r
         g += drh
-        np.matmul(U_rT, da_r, out=u)
+        np.matmul(da_r, p.U_r, out=u)
         g += u
-        np.matmul(U_zT, da_z, out=u)
+        np.matmul(da_z, p.U_z, out=u)
         g += u
-    params = {"W_r": DA_r.T @ X, "W_z": DA_z.T @ X, "W": DA_h.T @ X,
-              "U_r": DA_r.T @ H_prev, "U_z": DA_z.T @ H_prev,
-              "U": DA_h.T @ (R * H_prev)}
-    dX = DA_h @ p.W + DA_r @ p.W_r + DA_z @ p.W_z
-    return GruGrads(params=params, dX=dX, DA_r=DA_r, DA_z=DA_z, DA_h=DA_h)
+    # The products run over the T·B rows.  U's runs first, so that its
+    # (T, [B,] hidden) operand R * H_prev is freed before any other result.
+    hid = R.shape[-1]
+    As = [A.reshape(-1, hid) for A in (DA_r, DA_z, DA_h)]
+    dU = As[2].T @ (R * H_prev).reshape(-1, hid)
+    dX = As[2] @ p.W
+    dX += As[0] @ p.W_r
+    dX += As[1] @ p.W_z
+    Xs, Hs = X.reshape(-1, X.shape[-1]), H_prev.reshape(-1, hid)
+    params = {"W_r": As[0].T @ Xs, "W_z": As[1].T @ Xs, "W": As[2].T @ Xs,
+              "U_r": As[0].T @ Hs, "U_z": As[1].T @ Hs, "U": dU}
+    return GruGrads(params=params, dX=dX.reshape(X.shape),
+                    DA_r=DA_r, DA_z=DA_z, DA_h=DA_h)
 
 
 @dataclass
@@ -302,18 +326,15 @@ def encode_batch(inputs: Sequence[np.ndarray], model: EncoderModel) -> np.ndarra
     lengths = [len(x) for x in inputs]
     if min(lengths) == 0:
         raise InputError("cannot encode an empty input sequence")
-    T, B = max(lengths), len(inputs)
     halves = []
     for p, rev, _ in model.directions:
-        X = np.zeros((T, B, model.embed_dim))
-        for b, x in enumerate(inputs):
-            X[:len(x), b] = x[::-1] if rev else x
+        X = pad_batch([x[::-1] if rev else x for x in inputs])
         # One (T*B, embed) GEMM per gate; for B = 1 it is the (T, embed)
         # product of a sentence encoded alone, so its bits do not change.
-        flat = X.reshape(T * B, model.embed_dim)
-        trace = gru_forward(*((flat @ W.T).reshape(T, B, -1)
+        flat = X.reshape(-1, model.embed_dim)
+        trace = gru_forward(*((flat @ W.T).reshape(X.shape[:2] + (-1,))
                               for W in (p.W_r, p.W_z, p.W)), p)
-        halves.append(trace.S[lengths, np.arange(B)])
+        halves.append(trace.S[lengths, np.arange(len(inputs))])
     return np.concatenate(halves, axis=1)
 
 

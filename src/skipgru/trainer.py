@@ -26,11 +26,13 @@ the whole batch's gradient into it in three sequential parts:
      output layer, which adds into V's column-major gradient group by group
      and returns each pass's state gradients.  No logit is formed twice, and
      no pass builds a vocabulary-sized array of its own;
-  C. triple_grads for every triple in batch order: the next decoder's
-     recurrence, the previous decoder's, then the encoder's.
+  C. triple_grads over the batch: one decoder_backward over the next
+     decoder's passes, right-padded into one (T, B) recurrence, then one
+     over the previous decoder's, then each triple's encoder_backward in
+     batch order, from the sum of its two conditioning gradients.
 
-The additions happen in a fixed order (V's in decode_batch's pass order,
-every other parameter's triple by triple in part C), so runs are
+The additions happen in a fixed order (V's in decode_batch's pass order, the
+decoders' in part C's, and the encoder's triple by triple), so runs are
 reproducible bit for bit given a seed, and a checkpointed run resumed
 mid-stream matches an unbroken run exactly.
 
@@ -217,31 +219,29 @@ def batch_grads(model: SkipGruModel, batch: Sequence[SentenceTriple],
         [(target, h, p) for t, (h, _) in zip(batch, encoded)
          for target, (p, _) in zip((t.next, t.prev), dec.directions)],
         dec.V, model.embedding, grads)
-    loss = 0.0
-    for i, (_, enc_cache) in enumerate(encoded):
-        loss += -(log_probs[2 * i] + log_probs[2 * i + 1])
-        triple_grads(model, (enc_cache, caches[2 * i], caches[2 * i + 1]),
-                     dS[2 * i:2 * i + 2], grads)
-    return loss
+    triple_grads(model, [cache for _, cache in encoded], caches, dS, grads)
+    return -sum(n + p for n, p in zip(log_probs[::2], log_probs[1::2]))
 
 
-def triple_grads(model: SkipGruModel,
-                 caches: tuple[EncoderCache, DecoderCache, DecoderCache],
-                 dS: Sequence[np.ndarray], grads: ParamSet) -> None:
-    """Add one triple's recurrence gradients into `grads`, given its forward
-    caches (encoder, next decoder, previous decoder) and the state gradients
-    (next, previous) that decode_batch returned for its decoders.
+def triple_grads(model: SkipGruModel, enc_caches: Sequence[EncoderCache],
+                 dec_caches: Sequence[DecoderCache], dS: Sequence[np.ndarray],
+                 grads: ParamSet) -> None:
+    """Part C of batch_grads: add the batch's recurrence gradients into
+    `grads`, given its triples' encoder caches in batch order, and the
+    decoder caches and state gradients that decode_batch returned (next,
+    then previous, for each triple).
 
-    Both decoders add into grads before their conditioning gradients, summed,
-    flow back through the encoder, which adds last; embedding gradients thus
-    accumulate across all three passes.  V's gradient is not touched.
+    The next decoder's passes run as one decoder_backward, then the previous
+    decoder's; each triple's two conditioning gradients, summed, then flow
+    back through its encoder, triple by triple.  Embedding gradients thus
+    accumulate across all the passes.  V's gradient is not touched, and the
+    decoder caches serve no further backward pass.
     """
-    enc_cache, *dec_caches = caches
     gh_next, gh_prev = (
-        decoder_backward(cache, d, p, grads, prefix)
-        for cache, d, (p, prefix) in zip(dec_caches, dS,
-                                         model.decoders.directions))
-    encoder_backward(enc_cache, gh_next + gh_prev, model.encoder, grads)
+        decoder_backward(dec_caches[i::2], dS[i::2], p, grads, prefix)
+        for i, (p, prefix) in enumerate(model.decoders.directions))
+    for cache, g in zip(enc_caches, gh_next + gh_prev):
+        encoder_backward(cache, g, model.encoder, grads)
 
 
 class TrainStepResult(NamedTuple):
@@ -260,7 +260,8 @@ def train_step(model: SkipGruModel, batch: Sequence[SentenceTriple],
     Returns the loss measured before the update.  One zero-filled gradient
     set is passed to batch_grads, which adds the batch's gradient in the
     fixed order of the module docstring (the encoder passes, one decode_batch
-    over the decoder passes, then each triple's recurrences in batch order),
+    over the decoder passes, then one recurrence per decoder and each
+    triple's encoder recurrence in batch order),
     so runs are deterministic; it is then scaled to the batch mean, and its
     one global norm is checked, reported and used to clip it in place before
     it is handed to Adam.

@@ -208,11 +208,12 @@ def lay_out(model: SkipGruModel) -> SkipGruModel:
 def decoder_pass_backward(target, h_enc, p, V, embedding, grads, prefix=""):
     """One decoder pass's forward and whole backward, as a train step runs
     them for a batch of one pass: decode_batch, which runs the output layer,
-    then the recurrence.  Adds into `grads` and returns the log-likelihood,
-    the cache and the gradient into h_enc."""
+    then the recurrence of a one-pass batch.  Adds into `grads` and returns
+    the log-likelihood, the cache and the gradient into h_enc."""
     [lp], [cache], [dS] = decode_batch([(target, h_enc, p)], V, embedding,
                                        grads)
-    return lp, cache, decoder_backward(cache, dS, p, grads, prefix)
+    [g_henc] = decoder_backward([cache], [dS], p, grads, prefix)
+    return lp, cache, g_henc
 
 
 def random_triple(vocab_size: int, rng, max_len=4) -> SentenceTriple:

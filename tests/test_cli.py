@@ -151,6 +151,41 @@ def test_train_bytes_do_not_depend_on_openblas_num_threads(tmp_path):
     assert env["blas"].startswith("scipy-openblas")
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="one CPU: OpenBLAS would run one thread anyway")
+def test_eval_bytes_do_not_depend_on_openblas_num_threads(ws, tmp_path):
+    # The evals load scipy's own OpenBLAS through scipy.optimize, which main
+    # does not pin.  The probe fits and the ranker's training epochs still
+    # write the same metrics CSVs under OPENBLAS_NUM_THREADS 2 as under 1.
+    rng = np.random.default_rng(4)
+    sents = ["the cat sat .", "the dog ran .", "a bird flew .",
+             "the cat ran away .", "the small dog sat down .",
+             "a red bird came back ."]
+    caps, img = tmp_path / "caps.txt", tmp_path / "img.bin"
+    caps.write_text("".join(sents[i % len(sents)] + "\n" for i in range(24)))
+    write_vectors(img, rng.normal(size=(24, 7)))
+    model = ["--ckpt", str(ws["ckpt"]), "--seed", "2"]
+    argvs = {
+        "classify": ["eval-classify", *model, "--folds", "3",
+                     *_write_eval_rows(tmp_path, "eval-classify", 30)],
+        "sick": ["eval-sick", *model, "--folds", "3",
+                 *_write_eval_rows(tmp_path, "eval-sick", 30)],
+        "rank": ["eval-rank", *model, "--images", str(img), "--captions",
+                 str(caps), "--group-size", "1", "--train-items", "12",
+                 "--dev-items", "6", "--embed-dim", "5", "--k-contrastive",
+                 "3", "--batch", "12", "--epochs", "3"]}
+    for threads in ("1", "2"):
+        runs = [argv + ["--out", str(tmp_path / f"{name}{threads}.csv")]
+                for name, argv in argvs.items()]
+        _python(f"import sys; from skipgru.cli import main; "
+                f"sys.exit(max(main(argv) for argv in {runs!r}))",
+                OPENBLAS_NUM_THREADS=threads)
+    for name in argvs:
+        one = (tmp_path / f"{name}1.csv").read_bytes()
+        assert len(one.splitlines()) > 2
+        assert one == (tmp_path / f"{name}2.csv").read_bytes(), name
+
+
 # Names whose use would make a run depend on the environment or start threads.
 ENV_AND_THREAD_NAMES = {"os.environ", "os.getenv", "concurrent.futures",
                         "ThreadPoolExecutor", "threading.Thread"}
@@ -1215,6 +1250,29 @@ def test_eval_rank_negative_item_count_exit_2(ws, tmp_path, capsys, flag):
                  "--out", str(out)]) == 2
     assert f"{flag} must be >= 0, got -4" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--lr", "nan"), ("--lr", "-1"), ("--lr", "inf"), ("--batch", "0")])
+def test_eval_rank_refuses_a_setting_it_cannot_train_by_exit_2(
+        ws, tmp_path, capsys, flag, value):
+    # With the default --train-items 0 nothing trains, and these values used
+    # to exit 0 with a metrics CSV and a manifest.  Each is refused by the
+    # ranker's training config before any work.
+    caps = tmp_path / "caps.txt"
+    caps.write_text("".join(f"the cat sat {w} .\n" for w in
+                            ("on", "down", "fast", "away")))
+    img = tmp_path / "img.bin"
+    write_vectors(img, np.ones((4, 3)))
+    out = tmp_path / "rank.csv"
+    capsys.readouterr()
+    assert main(["eval-rank", "--ckpt", str(ws["ckpt"]), "--images", str(img),
+                 "--captions", str(caps), "--group-size", "1",
+                 "--embed-dim", "3", "--out", str(out), flag, value]) == 2
+    message = {"--lr": "learning_rate must be finite and positive",
+               "--batch": "batch_size must be >= 2"}[flag]
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["caps.txt", "img.bin"]
 
 
 @pytest.mark.parametrize("damage", ["nan", "inf", "odd_length"])

@@ -277,10 +277,26 @@ def test_backward_degenerate_vocab_zero_gradient(rng):
 def test_backward_missing_cache_is_state_error(rng):
     p = rand_cond_params(rng)
     with pytest.raises(StateError):
-        decoder_backward(None, np.zeros((2, 3)), p, {}, "")
+        decoder_backward([None], [np.zeros((2, 3))], p, {}, "")
     with pytest.raises(StateError):
         output_layer_backward([None], np.zeros((4, 3)),
                               {"V": np.zeros((4, 3))}, np.empty((1, 4)))
+
+
+def test_backward_refuses_a_cache_it_has_used(rng):
+    # decoder_backward drops a cache's inputs and trace once it has packed
+    # them, so a second backward pass over the same cache is refused before
+    # anything is added.
+    p = rand_cond_params(rng, embed=3, hidden=3, enc=2)
+    V, emb = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+    grads = zero_accumulator(p, V, emb)
+    _, cache, _ = decoder_pass_backward((2, 4, 0), rng.normal(size=2), p, V,
+                                        emb, grads)
+    assert cache.X is None and cache.trace is None
+    before = {k: g.copy() for k, g in grads.items()}
+    with pytest.raises(StateError, match="each used once"):
+        decoder_backward([cache], [np.zeros((3, 3))], p, grads, "")
+    assert all(np.array_equal(grads[k], before[k]) for k in grads)
 
 
 def test_decode_batch_of_no_passes_is_input_error(rng):

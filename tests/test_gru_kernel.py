@@ -9,9 +9,10 @@ as matrix products after the loop and add them into a gradient accumulator,
 so they may differ from it only by float64 rounding, and leave every other
 parameter's accumulator at zero.
 
-gru_forward itself is checked against its own single-sequence passes: a
-right-padded (T, B) pass against B passes of one sentence, and for the
-memory it takes beyond its trace.
+gru_forward and gru_backward are checked against their own single-sequence
+passes: a right-padded (T, B) pass against B passes of one sentence, and
+gru_forward for the memory it takes beyond its trace.  A train step runs one
+gru_backward per decoder over that decoder's passes.
 """
 
 import tracemalloc
@@ -19,10 +20,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (decoder_pass_backward, make_model, randomize_params,
-                      zero_grads)
-from skipgru.encoder import (GruParams, encode_with_cache, encoder_backward,
-                             gru_forward)
+from conftest import (decoder_pass_backward, lay_out, make_model,
+                      random_triple, randomize_params, zero_grads)
+from skipgru import decoder, encoder, trainer
+from skipgru.encoder import (GruParams, GruTrace, encode_with_cache,
+                             encoder_backward, gru_backward, gru_forward,
+                             pad_batch)
 from skipgru.numerics import sigmoid
 
 from reference import log_softmax
@@ -213,3 +216,90 @@ def test_forward_allocates_no_weight_sized_array():
         tracemalloc.stop()
     trace_bytes = sum(a.nbytes for a in trace)
     assert peak - trace_bytes < p.U.nbytes
+
+
+def _padded_backward_case(lengths, seed, hid=6, embed=4):
+    """B single passes over random inputs, their traces and state
+    gradients, and the same passes right-padded into one (T, B) batch."""
+    p = _random_gru(embed, hid, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    Xs = [rng.normal(size=(n, embed)) for n in lengths]
+    traces = [gru_forward(*(X @ W.T for W in (p.W_r, p.W_z, p.W)), p)
+              for X in Xs]
+    dHs = [rng.normal(size=(n, hid)) for n in lengths]
+    padded = (pad_batch(Xs), GruTrace(*map(pad_batch, zip(*traces))),
+              pad_batch(dHs))
+    return p, list(zip(Xs, traces, dHs)), padded
+
+
+def test_padded_backward_matches_single_passes():
+    # Lengths 1 to 12; dH is nonzero only on real steps.  Each column of the
+    # padded pass is its sequence's own backward pass up to the summation
+    # order of the (B, hidden) products, its padded rows are zero, and each
+    # weight gradient is the sum over the single passes.
+    lengths = (1, 3, 7, 7, 12, 2, 9)
+    p, singles, padded = _padded_backward_case(lengths, seed=21)
+    batch = gru_backward(*padded, p)
+    wants = [gru_backward(X, trace, dH, p) for X, trace, dH in singles]
+    for b, (n, want) in enumerate(zip(lengths, wants)):
+        for field in ("dX", "DA_r", "DA_z", "DA_h"):
+            got = getattr(batch, field)[:, b]
+            assert rel_err(got[:n], getattr(want, field)) < REL_TOL, field
+            assert not got[n:].any(), field
+    for k, got in batch.params.items():
+        assert rel_err(got, sum(w.params[k] for w in wants)) < REL_TOL, k
+
+
+def test_backward_batch_of_one_keeps_the_bits_of_a_single_pass():
+    p, [(X, trace, dH)], _ = _padded_backward_case((9,), seed=22)
+    one = gru_backward(X, trace, dH, p)
+    alone = gru_backward(X[:, None], GruTrace(*(a[:, None] for a in trace)),
+                         dH[:, None], p)
+    for k in one.params:
+        assert np.array_equal(alone.params[k], one.params[k]), k
+    for field in ("dX", "DA_r", "DA_z", "DA_h"):
+        assert np.array_equal(getattr(alone, field)[:, 0],
+                              getattr(one, field)), field
+
+
+def test_backward_extra_zero_padding_leaves_the_weight_gradients():
+    p, _, padded = _padded_backward_case((4, 6, 2), seed=23)
+
+    def extend(a, steps=3):
+        return np.concatenate([a, np.zeros((steps,) + a.shape[1:])])
+    X, trace, dH = padded
+    want = gru_backward(X, trace, dH, p)
+    got = gru_backward(extend(X), GruTrace(*map(extend, trace)), extend(dH), p)
+    for k in want.params:
+        assert np.array_equal(got.params[k], want.params[k]), k
+    assert np.array_equal(got.dX[:len(X)], want.dX)
+    assert not got.dX[len(X):].any()
+
+
+@pytest.mark.parametrize("mode", ["uni", "bi"])
+def test_train_step_runs_one_backward_pass_per_decoder(mode, monkeypatch):
+    # Per train step: one gru_backward per encoder direction and triple, and
+    # one per decoder over all of its passes, right-padded to (T, B); and
+    # decoder_backward twice, next decoder first.
+    backward_batches, decoder_calls = [], []
+    real_gru_backward = gru_backward
+    real_decoder_backward = trainer.decoder_backward
+
+    def recording_gru_backward(X, trace, dH, p):
+        backward_batches.append(X.shape[1:-1])
+        return real_gru_backward(X, trace, dH, p)
+
+    def recording_decoder_backward(caches, dS, p, grads, prefix):
+        decoder_calls.append((prefix, len(caches)))
+        return real_decoder_backward(caches, dS, p, grads, prefix)
+    for module in (encoder, decoder):
+        monkeypatch.setattr(module, "gru_backward", recording_gru_backward)
+    monkeypatch.setattr(trainer, "decoder_backward", recording_decoder_backward)
+    rng = np.random.default_rng(24)
+    batch = [random_triple(9, rng, max_len=6) for _ in range(5)]
+    m = lay_out(randomize_params(make_model(vocab_size=9, embed_dim=3,
+                                            hidden_dim=4, mode=mode), seed=25))
+    trainer.train_step(m, batch, trainer.make_optimizer(m), m.config)
+    directions = len(m.encoder.directions)
+    assert backward_batches == [(5,), (5,)] + [()] * (directions * len(batch))
+    assert decoder_calls == [("dec_next.", 5), ("dec_prev.", 5)]

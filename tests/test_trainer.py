@@ -258,6 +258,32 @@ def test_triple_gradient_builds_no_vocabulary_sized_array():
     assert ref_peak > 3 * m.decoders.V.nbytes
 
 
+def test_batch_grads_peak_memory_at_the_recurrence_bound_shape():
+    # V=2000, E=64, H=128, a batch of 32 uni triples of 16-31 tokens.  Each
+    # decoder's passes run as one padded (T, B) backward pass, and each
+    # pass's own trace is dropped once packed, so the batch holds each
+    # decoder's states once.  One batch_grads peaks at 18.8 MB here; it
+    # peaked at 13.8 MB with a backward pass per sentence, and at 22.3 MB
+    # with the per-pass traces kept beside the padded copies.
+    m = lay_out(randomize_params(
+        make_model(vocab_size=2000, embed_dim=64, hidden_dim=128), seed=60))
+    rng = np.random.default_rng(61)
+
+    def sentence():
+        body = rng.integers(2, 2000, size=int(rng.integers(15, 31)))
+        return tuple(int(t) for t in body) + (0,)
+    batch = [SentenceTriple(sentence(), sentence(), sentence())
+             for _ in range(32)]
+    grads = zero_grads(m)
+    tracemalloc.start()
+    try:
+        batch_grads(m, batch, grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 19.5e6
+
+
 # A batch of 41 decoder rows: MIXED_BATCH's 25, then a 10-token next
 # sentence on rows 25-34.
 LONG_BATCH = MIXED_BATCH + [
@@ -336,7 +362,9 @@ def test_step_flushes_the_output_layer_at_pass_boundaries(chunk, monkeypatch):
                                                   atol=1e-12)))
 
     def recording_sweep(caches, V, grads, scratch):
-        calls.append(list(caches))
+        # The states are read here: decoder_backward drops each cache's
+        # trace once it has packed it.
+        calls.append([(c, c.trace.S[1:]) for c in caches])
         buffers.append(scratch)
         return real_sweep(caches, V, grads, scratch)
     real_sweep = decoder.output_layer_backward
@@ -348,18 +376,17 @@ def test_step_flushes_the_output_layer_at_pass_boundaries(chunk, monkeypatch):
     m = lay_out(_mixed_model("uni", seed=50))
     train_step(m, batch, make_optimizer(m), m.config)
 
-    passes = [c for call in calls for c in call]
+    passes = [c for call in calls for c, _ in call]
     assert [c.target for c in passes] == \
         [s for t in batch for s in (t.next, t.prev)]
     assert len({id(c) for c in passes}) == len(passes)
     assert len(dgemms) == len(calls)
     for call, (states, _, _) in zip(calls, dgemms):
-        assert np.array_equal(states,
-                              np.vstack([c.trace.S[1:] for c in call]))
-    rows = [sum(len(c.target) for c in call) for call in calls]
+        assert np.array_equal(states, np.vstack([S for _, S in call]))
+    rows = [sum(len(c.target) for c, _ in call) for call in calls]
     assert sum(rows) == sum(lengths)
     for call, n in zip(calls[:-1], rows[:-1]):
-        assert n >= chunk > n - len(call[-1].target)
+        assert n >= chunk > n - len(call[-1][0].target)
     assert all(shared for _, _, shared in dgemms)
     assert all(c is dgemms[0][1] for _, c, _ in dgemms)
     assert dgemms[0][1].shape == m.decoders.V.shape
@@ -406,10 +433,14 @@ def test_step_forms_each_logit_once(monkeypatch):
 def test_decoder_caches_hold_no_vocabulary_sized_row(monkeypatch):
     # The forward pass leaves its softmax rows in the batch's buffer, not in
     # its cache: no array that a cache holds has a vocabulary-sized axis.
+    # The arrays are read at the sweep, before decoder_backward drops X and
+    # the trace.
     kept = []
 
     def keeping(*args):
-        kept.extend(args[0])
+        kept.extend((cache, [getattr(cache, f.name)
+                             for f in dataclasses.fields(cache)]
+                     + list(cache.trace)) for cache in args[0])
         return real_sweep(*args)
     real_sweep = decoder.output_layer_backward
     monkeypatch.setattr(decoder, "output_layer_backward", keeping)
@@ -417,10 +448,8 @@ def test_decoder_caches_hold_no_vocabulary_sized_row(monkeypatch):
                          seed=51)
     batch_grads(m, STRADDLE_BATCH, zero_grads(m))
     assert len(kept) == 2 * len(STRADDLE_BATCH)
-    for cache in kept:
+    for cache, arrays in kept:
         assert isinstance(cache, DecoderCache)
-        arrays = [getattr(cache, f.name)
-                  for f in dataclasses.fields(cache)] + list(cache.trace)
         arrays = [a for a in arrays if isinstance(a, np.ndarray)]
         assert len(arrays) == 6
         assert all(97 not in a.shape for a in arrays)
@@ -514,8 +543,8 @@ def test_nonfinite_gradient_stops_before_update_and_checkpoint(tmp_path, rng,
     before = {k: v.copy() for k, v in m.param_dict().items()}
     real_grads = trainer.triple_grads
 
-    def inf_grads(model, caches, dS, grads):
-        real_grads(model, caches, dS, grads)
+    def inf_grads(model, enc_caches, dec_caches, dS, grads):
+        real_grads(model, enc_caches, dec_caches, dS, grads)
         grads["V"][0, 0] = np.inf
 
     monkeypatch.setattr(trainer, "triple_grads", inf_grads)
