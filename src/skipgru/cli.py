@@ -247,14 +247,14 @@ def cmd_encode(args) -> None:
     lookups, _ = _load_models(args)
     lines = _read_lines(args.input)
     distinct, where = _tokenize_distinct(lines)
-    repeats = np.bincount(where, minlength=len(distinct))
-    for lk in lookups:
-        if lk.map is None:
-            oov = sum(int(n) * sum(t not in lk.model.vocab for t in tokens)
-                      for n, tokens in zip(repeats, distinct))
-            if oov:
-                print(f"warning: {oov} out-of-vocabulary token(s) fell back "
-                      f"to unk (no expansion map given)", file=sys.stderr)
+    if any(lk.map is None for lk in lookups):
+        known = lookups[0].model.vocab.token_to_id     # one vocabulary
+        repeats = np.repeat(np.bincount(where, minlength=len(distinct)),
+                            [len(tokens) for tokens in distinct])
+        oov = int(repeats[[t not in known for ts in distinct for t in ts]].sum())
+        if oov:
+            print(f"warning: {oov} out-of-vocabulary token(s) fell back "
+                  f"to unk (no expansion map given)", file=sys.stderr)
     vectors = _encode_distinct(distinct, where, lookups)
     write_vectors(args.out, vectors)
     if args.text_out:

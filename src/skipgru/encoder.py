@@ -23,7 +23,7 @@ gate, X @ W_*.T, computed before the time loop), so each step only adds the
 three recurrent products U_* h^{t-1}.  Its inputs are (T, hidden) for one
 sequence or (T, B, hidden) for a right-padded batch of B sequences, which
 encode_batch uses to encode many sentences with one (B, hidden) matrix
-product per gate and step instead of B matrix-vector products.  The r and z
+product per gate and step over input products of distinct rows.  The r and z
 pre-activations of a step sit in one gate block, (2, [B,] hidden): the U_r
 and U_z products are written into its two halves, and one numerics.sigmoid
 call takes the whole block in place.  The other per-step results are
@@ -298,43 +298,39 @@ def encode(tokens: Sequence[int], model: EncoderModel) -> np.ndarray:
 
 
 def encode_vectors(X: np.ndarray, model: EncoderModel) -> np.ndarray:
-    """Encode from per-token input vectors instead of token ids (used after
-    vocabulary expansion, where tokens resolve to vectors rather than
-    embedding rows).  It is encode_batch of one sentence, which gives the
-    bits of an unbatched pass."""
+    """Encode from per-token input vectors instead of token ids (after
+    vocabulary expansion, tokens resolve to vectors, not embedding rows): one
+    sentence's encode_batch over its own rows, with an unbatched pass's bits."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.embed_dim:
         raise ShapeError(f"inputs must be (T, {model.embed_dim}), got {X.shape}")
-    return encode_batch([X], model)[0]
+    return encode_batch(X, np.arange(len(X))[:, None], [len(X)], model)[0]
 
 
-def encode_batch(inputs: Sequence[np.ndarray], model: EncoderModel) -> np.ndarray:
-    """Encode several sentences from their per-token input vectors, one
-    (T_b, embed) array each; returns one (output_dim,) row per sentence.
+def encode_batch(rows: np.ndarray, index: np.ndarray, lengths: Sequence[int],
+                 model: EncoderModel) -> np.ndarray:
+    """Encode B sentences from their (T, B) row matrix: index[t, b] is the
+    row of `rows` that sentence b reads at step t < lengths[b], any row after.
 
-    The sentences are right-padded into one (T, B, embed) block and each
-    direction is one gru_forward pass over it; sentence b's vector is read at
-    its own length, S[T_b, b].  Padded steps only come after a sentence's last
-    step, so they never feed back into it and no mask is needed.  The reverse
-    direction runs over each sentence reversed, then right-padded.  A row
-    agrees with the vector of its sentence encoded alone up to the summation
-    order of the matrix products (within 1e-12 relative); a batch of one
-    runs exactly the products of encode_with_cache's pass, so its bits match.
+    Each direction multiplies `rows` by W_r, W_z and W once, gathers the
+    pre-activations by index and runs one gru_forward pass, whose trace lives
+    only inside this call; sentence b's vector is S[T_b, b].  Padded steps
+    come after a sentence's last, so no mask is needed; the reverse direction
+    reads each sentence's rows reversed.  A row matches its sentence encoded
+    alone within 1e-12 relative; one sentence over its own rows runs exactly
+    encode_with_cache's products, so its bits match.
     """
-    if not inputs:
-        return np.empty((0, model.output_dim))
-    lengths = [len(x) for x in inputs]
-    if min(lengths) == 0:
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if 0 in lengths:
         raise InputError("cannot encode an empty input sequence")
+    cols, steps = np.arange(len(lengths)), np.arange(len(index))[:, None]
+    # Step t of a reversed sentence is its step T_b - 1 - t; padding stays.
+    flip = np.where(steps < lengths, lengths - 1 - steps, steps)
     halves = []
     for p, rev, _ in model.directions:
-        X = pad_batch([x[::-1] if rev else x for x in inputs])
-        # One (T*B, embed) GEMM per gate; for B = 1 it is the (T, embed)
-        # product of a sentence encoded alone, so its bits do not change.
-        flat = X.reshape(-1, model.embed_dim)
-        trace = gru_forward(*((flat @ W.T).reshape(X.shape[:2] + (-1,))
-                              for W in (p.W_r, p.W_z, p.W)), p)
-        halves.append(trace.S[lengths, np.arange(len(inputs))])
+        at = index[flip, cols] if rev else index
+        gates = ((rows @ W.T).take(at, axis=0) for W in (p.W_r, p.W_z, p.W))
+        halves.append(gru_forward(*gates, p).S[lengths, cols])
     return np.concatenate(halves, axis=1)
 
 

@@ -9,7 +9,7 @@ each stage.
 
 encode_text encodes one raw sentence (queries, generation); encode_sentences
 encodes many tokenized ones (encode, the evals, sentence banks) in
-length-sorted, padded chunks.
+length-sorted, padded chunks whose distinct input rows are multiplied once.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Vocabulary, tokenize
+from .corpus import EOS_TOKEN, Vocabulary, tokenize
 from .encoder import encode_batch, encode_vectors
 from .errors import ConfigError, InputError, ShapeError
 from .fileio import check_keys, check_types, read_container, write_container
@@ -181,16 +181,37 @@ def expand(model: SkipGruModel, ext: ExternalEmbeddings,
 ENCODE_CHUNK = 32
 
 
+def _row_matrix(chunk: list[list[str]], model: SkipGruModel,
+                lookup: ExpandedLookup | None) -> tuple:
+    """(rows, index, lengths) of sentences for encoder.encode_batch: distinct
+    input rows (under a map, each word resolved once) and the (T, B) row
+    matrix of the steps, padded with eos; one sentence keeps its own rows."""
+    vocab, emb, first = model.vocab, model.embedding, {EOS_TOKEN: 0}
+    steps = [first.setdefault(t, len(first)) for tokens in chunk for t in tokens]
+    ids, vectors, get = vocab.ids_for(first), [], vocab.token_to_id.get
+    for k, t in enumerate(first if lookup is not None and lookup.map else ()):
+        source, vec = lookup.resolve(t)
+        ids[k] = (len(emb) + len(vectors) if source == MAPPED
+                  else get(t, get(t.lower(), vocab.unk_id)))
+        vectors += [vec] if source == MAPPED else []
+    lengths = np.array([len(tokens) + 1 for tokens in chunk])
+    matrix = np.zeros((lengths.max(), len(chunk)), dtype=np.intp)
+    matrix.T[np.arange(len(matrix)) < lengths[:, None] - 1] = steps
+    keep, at = np.unique(ids, return_inverse=True)
+    rows = np.vstack([emb[keep[:len(keep) - len(vectors)]], *vectors])
+    if len(chunk) == 1:
+        return rows[at[matrix[:, 0]]], np.arange(len(matrix))[:, None], lengths
+    return rows, at[matrix], lengths
+
+
 def _input_rows(tokens: list[str], model: SkipGruModel,
                 lookup: ExpandedLookup | None) -> np.ndarray:
     """(len(tokens) + 1, embed) encoder inputs of a tokenized sentence: each
     token's vector, then the eos embedding."""
-    emb = model.embedding
+    emb, eos = model.embedding, model.vocab.eos_id
     if lookup is None or lookup.map is None:
-        return emb[model.vocab.ids_for(tokens) + [model.vocab.eos_id]]
-    rows = [lookup.vector(t) for t in tokens]
-    rows.append(emb[model.vocab.eos_id])
-    return np.vstack(rows)
+        return emb[model.vocab.ids_for(tokens) + [eos]]
+    return np.vstack([lookup.vector(t) for t in tokens] + [emb[eos]])
 
 
 def encode_text(sentence: str, model: SkipGruModel,
@@ -206,20 +227,18 @@ def encode_sentences(sentences: Sequence[list[str]], model: SkipGruModel,
     """(n, output_dim) vectors of n tokenized sentences, in input order; each
     token resolves as in encode_text.
 
-    The sentences are sorted by token count and encoded ENCODE_CHUNK at a time
-    by encoder.encode_batch, so each chunk is one padded pass with little
-    padding.  A chunk's input rows are gathered when it is encoded, never for
-    all sentences at once.  A row can differ from encode_text's vector of the
-    same sentence in its last bits (at most 1e-12 relative), depending on the
-    chunk it lands in; the same input always gives the same bits.
+    Sorted by token count, they are encoded ENCODE_CHUNK at a time, each chunk
+    in one encoder.encode_batch pass over its row matrix: the products run over
+    its distinct rows, and its trace lives only inside that pass.  A vector may
+    differ from encode_text's in its last bits (at most 1e-12 relative), never
+    between runs.
     """
     order = sorted(range(len(sentences)), key=lambda i: len(sentences[i]))
     out = np.empty((len(sentences), model.encoder.output_dim))
     for start in range(0, len(order), ENCODE_CHUNK):
         chunk = order[start:start + ENCODE_CHUNK]
-        out[chunk] = encode_batch(
-            [_input_rows(sentences[i], model, lookup) for i in chunk],
-            model.encoder)
+        out[chunk] = encode_batch(*_row_matrix([sentences[i] for i in chunk],
+                                               model, lookup), model.encoder)
     return out
 
 

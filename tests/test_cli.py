@@ -23,13 +23,17 @@ import skipgru
 from conftest import (CHECKPOINT_FIELD_TYPES, CHECKPOINT_KEY_EDITS,
                       EXPANSION_FIELD_TYPES, EXPANSION_KEY_EDITS,
                       MISMATCHED_HEADERS, edit_header, make_model, retyped,
-                      write_mismatched_checkpoint, write_small_map)
-from skipgru import cli, corpus, errors, numerics, ranking, trainer
+                      randomize_params, write_mismatched_checkpoint,
+                      write_small_map)
+from skipgru import (cli, corpus, errors, numerics, ranking, trainer,
+                     vocab_expansion)
 from skipgru.cli import (RESUMED_FLAGS, _encode_lines, _tokenize_distinct,
                          build_parser, main)
 from skipgru.fileio import read_vectors, write_vectors
 from skipgru.trainer import METRICS_HEADER, load_checkpoint
-from skipgru.vocab_expansion import ExpandedLookup, encode_text, read_expansion
+from skipgru.vocab_expansion import (ExpandedLookup, ExpansionMap,
+                                     ExternalEmbeddings, encode_text,
+                                     read_expansion)
 
 DATA = pathlib.Path(__file__).parent / "data"
 PACKAGE = pathlib.Path(skipgru.__file__).parent
@@ -769,6 +773,115 @@ def test_one_line_encoding_is_bit_equal_to_encode_text(lookups, key):
         assert np.array_equal(got, want)
 
 
+# One word 40 times each: a native, a mapped and an unk word.
+REPEATED_LINES = [" ".join([w] * 40) for w in ("cat", "puppy", "Mykonos")]
+
+
+def _chunk_edge_lines(n):
+    """REPEATED_LINES, then distinct mixed lines: n distinct lines in all, so
+    n = 33 leaves a last chunk of one sentence."""
+    mixed = [line for line in dict.fromkeys(_mixed_lines(4 * n, seed=n + 1))
+             if line not in REPEATED_LINES]
+    return REPEATED_LINES + mixed[:n - len(REPEATED_LINES)]
+
+
+def _concatenated_encode_text(line, lks):
+    return np.concatenate([encode_text(line, lk.model, lk) for lk in lks])
+
+
+@pytest.mark.parametrize("n", [31, 32, 33])
+@pytest.mark.parametrize("key", LOOKUP_KEYS)
+def test_row_matrix_encoding_of_repeated_words_matches_oracle(lookups, key, n):
+    # The row matrix's distinct rows stand for many steps; each vector still
+    # agrees with the unrolled one-sentence oracle, and a line of one
+    # repeated word, alone, keeps encode_text's bits.
+    lines = _chunk_edge_lines(n)
+    got = _encode_lines(lines, lookups[key])
+    want = reference.encode_lines(lines, lookups[key])
+    rel = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
+    assert np.all(rel <= 1e-12)
+    for line in REPEATED_LINES:
+        assert np.array_equal(_encode_lines([line], lookups[key])[0],
+                              _concatenated_encode_text(line, lookups[key]))
+
+
+@pytest.mark.parametrize("mode", ["uni", "bi"])
+def test_one_line_keeps_encode_text_bits_at_the_benchmark_width(mode):
+    # At E=64, H=128 OpenBLAS can sum a product over 2 distinct rows with
+    # another kernel than one over a line's 41 rows, so a line encoded alone
+    # must multiply its own rows, as encode_text does.
+    rng = np.random.default_rng(3)
+    model = randomize_params(make_model(vocab_size=50, embed_dim=64,
+                                        hidden_dim=128, mode=mode),
+                             seed=3, scale=0.1)
+    ext = ExternalEmbeddings(tokens=["puppy"], vectors=rng.normal(size=(1, 4)))
+    emap = ExpansionMap(W=rng.normal(size=(64, 4)), shared_count=1,
+                        residual_rms=0.0)
+    lines = ["w7 " * 40, "w3 w4 " * 20, "w9 zeppelin " * 10 + "w9",
+             "puppy " * 40, "w5 puppy " * 20]
+    for lk in (ExpandedLookup(model), ExpandedLookup(model, ext, emap)):
+        for line in lines:
+            assert np.array_equal(_encode_lines([line], [lk])[0],
+                                  encode_text(line, model, lk)), line
+
+
+class _ProductRecorder(np.ndarray):
+    """A weight matrix that records the row count of every matrix product
+    whose right operand it (or its transpose) is."""
+
+    def __array_finalize__(self, obj):
+        self.seen = getattr(obj, "seen", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and inputs[-1] is self:
+            self.seen.append(inputs[0].shape[0])
+        plain = [x.view(np.ndarray) if isinstance(x, _ProductRecorder) else x
+                 for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def _recording_input_products(model, seen):
+    def rec(W):
+        view = W.view(_ProductRecorder)
+        view.seen = seen
+        return view
+    grus = {d: dataclasses.replace(p, W_r=rec(p.W_r), W_z=rec(p.W_z), W=rec(p.W))
+            for d, p in (("forward", model.encoder.forward),
+                         ("backward", model.encoder.backward)) if p is not None}
+    return dataclasses.replace(
+        model, encoder=dataclasses.replace(model.encoder, **grus))
+
+
+@pytest.mark.parametrize("n", [31, 32, 33])
+@pytest.mark.parametrize("key", ["uni-native", "uni-mapped", "bi-native",
+                                 "bi-mapped"])
+def test_input_products_run_over_each_chunks_distinct_rows(lookups, key, n):
+    [lk] = lookups[key]
+    seen = []
+    recorded = ExpandedLookup(_recording_input_products(lk.model, seen),
+                              lk.ext, lk.map)
+    lines = _chunk_edge_lines(n)
+    assert np.array_equal(_encode_lines(lines, [recorded]),
+                          _encode_lines(lines, [lk]))
+    distinct, _ = _tokenize_distinct(lines)
+    assert len(distinct) == n
+    order = sorted(distinct, key=len)
+    chunks = [order[i:i + vocab_expansion.ENCODE_CHUNK]
+              for i in range(0, len(order), vocab_expansion.ENCODE_CHUNK)]
+    eos = lk.model.embedding[lk.model.vocab.eos_id]
+    per_chunk = 3 * len(lk.model.encoder.directions)
+    assert len(seen) == per_chunk * len(chunks)
+    for c, chunk in enumerate(chunks):
+        steps = sum(len(tokens) + 1 for tokens in chunk)
+        vecs = np.vstack([lk.vector(t) for tokens in chunk for t in tokens]
+                         + [eos])
+        # A chunk of one sentence multiplies its own rows, as encode_text
+        # does; any other chunk each of its distinct rows once.
+        want = steps if len(chunk) == 1 else len(np.unique(vecs, axis=0))
+        assert seen[c * per_chunk:(c + 1) * per_chunk] == [want] * per_chunk
+        assert len(chunk) == 1 or want < steps
+
+
 def test_encode_lines_of_no_lines_is_empty(lookups):
     assert _encode_lines([], lookups["combine-mapped"]).shape == (0, 14)
 
@@ -788,6 +901,29 @@ def test_batched_encoding_never_gathers_all_rows_at_once():
         tracemalloc.stop()
     assert vecs.shape == (4000, 128)
     assert peak < all_rows / 2
+
+
+# tracemalloc peak of encode_sentences on the input below when each chunk was
+# padded row by row and multiplied over all its padded steps (11.9 MiB).  The
+# row matrix reads 11.3 MiB, and 15.2 MiB when a chunk's trace outlives its
+# pass until the next chunk's has been formed.
+PADDED_ENCODE_PEAK = 12_488_232
+
+
+def test_encode_sentences_peak_memory_stays_at_the_padded_passes():
+    import tracemalloc
+    model = make_model(vocab_size=2000, embed_dim=64, hidden_dim=128)
+    rng = np.random.default_rng(0)
+    sentences = [[f"w{i}" for i in rng.integers(2, 2000, size=k)]
+                 for k in rng.integers(15, 31, size=4000)]
+    tracemalloc.start()
+    try:
+        vecs = vocab_expansion.encode_sentences(sentences, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vecs.shape == (4000, 128)
+    assert peak <= PADDED_ENCODE_PEAK
 
 
 def test_distinct_lines_share_their_equal_tokens():
@@ -823,10 +959,10 @@ def test_encode_tokenizes_each_distinct_line_once(ws, tmp_path, monkeypatch,
                  "--input", str(inp), "--out", str(tmp_path / "v.bin")]) == 0
     assert sorted(calls) == sorted(set(lines))
     # The warning still counts the OOV token of every repeated line, once
-    # per model without a map.
+    # per run: the two models share one vocabulary.
     warning = ("warning: 3 out-of-vocabulary token(s) fell back to unk "
                "(no expansion map given)")
-    assert capsys.readouterr().err.splitlines() == [warning, warning]
+    assert capsys.readouterr().err.splitlines() == [warning]
 
 
 def test_encode_ckpt2_vocab_mismatch_exit_2(ws, tmp_path, capsys):
@@ -879,6 +1015,24 @@ def test_encode_warns_on_oov(ws, tmp_path, capsys):
     assert main(["encode", "--ckpt", str(ws["ckpt"]), "--input", str(inp),
                  "--out", str(out)]) == 0
     assert "out-of-vocabulary" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("maps", [[], ["--expansion"], ["--expansion2"],
+                                  ["--expansion", "--expansion2"]])
+def test_combine_encode_warns_once_with_the_oov_count(ws, expansion, tmp_path,
+                                                      capsys, maps):
+    # zeppelin, puppy and kitten are not in the vocabulary: 1 + 3 + 1 tokens.
+    inp = tmp_path / "in.txt"
+    inp.write_text("the zeppelin sat .\nzeppelin puppy kitten\n"
+                   "the zeppelin sat .\n")
+    argv = ["encode", "--ckpt", str(ws["ckpt"]), "--ckpt2", str(ws["bi"]),
+            "--input", str(inp), "--out", str(tmp_path / "v.bin")]
+    capsys.readouterr()
+    assert main(argv + [a for flag in maps for a in (flag, str(expansion))]) == 0
+    warning = ("warning: 5 out-of-vocabulary token(s) fell back to unk "
+               "(no expansion map given)")
+    want = [] if len(maps) == 2 else [warning]
+    assert capsys.readouterr().err.splitlines() == want
 
 
 # ---------------------------------------------------------------------------
