@@ -36,7 +36,7 @@ from .encoder import encode
 from .errors import (CheckpointError, ConfigError, ConvergenceError, InputError,
                      MetricError, NumericError, ParameterError, SkipGruError)
 from .fileio import read_vectors, sha256_path, write_text, write_vectors
-from .numerics import (blas_name, blas_threads, seed_tuple,
+from .numerics import (blas_core, blas_name, blas_threads, seed_tuple,
                        use_one_blas_thread)
 from .probes import DEFAULT_L2_GRID
 
@@ -85,7 +85,7 @@ def _write_manifest(args, inputs, outputs, seeds, t0) -> None:
         "seeds": seeds,
         "wall_time_s": round(time.perf_counter() - t0, 3),
         "env": {"numpy": np.__version__, "blas": blas_name(),
-                "blas_threads": blas_threads()},
+                "blas_core": blas_core(), "blas_threads": blas_threads()},
     }
     write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 

@@ -1,4 +1,5 @@
-"""Dense float64 linear algebra, initializers, Adam, and gradient clipping.
+"""Dense float64 linear algebra, initializers, Adam, gradient clipping, and
+the L-BFGS minimizer of the linear probes.
 
 A "matrix" throughout the package is a 2-D contiguous float64 ndarray:
 row-major, except that training lays out the output matrix V, its gradient
@@ -9,17 +10,20 @@ parameters and the moment buffers in place, each in the parameter's layout.
 sigmoid writes into the `out` array it is given, which may be its input, as
 the GRU kernel does with each step's gate block, and add_matmul adds a
 product into the column-major `out` it is given.  Every other function here
-leaves its inputs unchanged.  Every stochastic
-operation takes an explicit seed (an int, a tuple of ints, or a numpy
-Generator), so two runs with the same seed are bit-identical.
+leaves its inputs unchanged; lbfgs calls the objective it is given on new
+arrays only.  Every stochastic operation takes an explicit seed (an int, a
+tuple of ints, or a numpy Generator), so two runs with the same seed are
+bit-identical.
 
-add_matmul, use_one_blas_thread and blas_threads call the OpenBLAS that
-numpy itself loads (the scipy-openblas64 build shipped in numpy's wheels)
-through ctypes, so no second BLAS is loaded for them.  The library is looked
-up on first use, through the symbols of numpy's core extension module; a
-numpy linked to another BLAS raises ConfigError there, naming that BLAS.
-One thread keeps a product's bits independent of the host: OpenBLAS splits
-some products across threads with another summation order.
+add_matmul, use_one_blas_thread, blas_threads and blas_core call the
+OpenBLAS that numpy itself loads (the scipy-openblas64 build shipped in
+numpy's wheels) through ctypes, so no second BLAS is loaded for them.  The
+library is looked up on first use, through the symbols of numpy's core
+extension module; a numpy linked to another BLAS raises ConfigError there,
+naming that BLAS.  One thread keeps a product's bits independent of the
+host's core count: OpenBLAS splits some products across threads with another
+summation order.  The kernel family, which blas_core names, still follows
+the CPU, and products of two families can differ in their last bits.
 """
 
 from __future__ import annotations
@@ -28,7 +32,9 @@ import ctypes
 import functools
 import math
 import zlib
+from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,6 +122,7 @@ class _OpenBlas:
             self.dgemm = lib.scipy_cblas_dgemm64_
             self.set_threads = lib.scipy_openblas_set_num_threads64_
             self.get_threads = lib.scipy_openblas_get_num_threads64_
+            self.core = lib.scipy_openblas_get_corename64_
         except AttributeError:
             raise ConfigError(f"numpy's BLAS ({blas_name()}) is not the "
                               "scipy-openblas64 build that numpy's wheels "
@@ -126,6 +133,7 @@ class _OpenBlas:
         self.dgemm.restype = None
         self.set_threads.argtypes, self.set_threads.restype = [i], None
         self.get_threads.argtypes, self.get_threads.restype = [], i
+        self.core.argtypes, self.core.restype = [], ctypes.c_char_p
 
 
 @functools.cache
@@ -148,6 +156,13 @@ def use_one_blas_thread() -> None:
 def blas_threads() -> int:
     """The thread count numpy's OpenBLAS now runs with."""
     return _openblas().get_threads()
+
+
+def blas_core() -> str:
+    """The kernel family ("core type") numpy's OpenBLAS runs its products
+    with, such as SkylakeX or Haswell: chosen for the host's CPU when the
+    library loads, unless OPENBLAS_CORETYPE names another."""
+    return _openblas().core().decode("ascii")
 
 
 def _blas_operand(x: np.ndarray) -> tuple[int, int]:
@@ -341,3 +356,162 @@ def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> None:
             np.divide(a, b, out=b)
             pb -= b
     state.step = t
+
+
+
+class LbfgsResult(NamedTuple):
+    """Where lbfgs stopped: the point, the objective's value and gradient
+    there, and how many times the objective was evaluated."""
+
+    x: np.ndarray
+    value: float
+    grad: np.ndarray
+    nfev: int
+
+
+# lbfgs stops below this gradient norm, which is 100 times tighter than the
+# probes' acceptance bound (1e-6), or after this many iterations; it keeps
+# this many (s, y) pairs.
+LBFGS_GTOL, LBFGS_MAX_ITER, LBFGS_MEMORY = 1e-8, 20000, 10
+# Strong-Wolfe constants, sufficient decrease c1 and curvature c2 (the usual
+# quasi-Newton pair), and the evaluations one line search may spend.  A trial
+# whose value is within _FLAT * |f0| of the search's start is judged by its
+# slope alone: there the values differ by little more than their rounding.
+_WOLFE_C1, _WOLFE_C2, _SEARCH_EVALS, _FLAT = 1e-4, 0.9, 20, 1e-12
+
+
+def _cubic_step(lo: tuple, hi: tuple) -> float:
+    """Trial step inside the bracket of the (step, value, slope, ...) trials
+    lo, the best so far, and hi: the minimizer of the cubic through both
+    ends' values and slopes, or the midpoint where that is undefined or not
+    short of hi by a tenth of the bracket.  It may lie as close to lo as the
+    cubic puts it, so one trial can shrink the bracket by many orders of
+    magnitude, as a first step of 1/||g|| often needs."""
+    (a, fa, da), (b, fb, db) = lo[:3], hi[:3]
+    d1 = da + db - 3.0 * (fa - fb) / (a - b)
+    rad = d1 * d1 - da * db
+    if rad >= 0.0:
+        d2 = math.copysign(math.sqrt(rad), b - a)
+        den = db - da + 2.0 * d2
+        if den != 0.0:
+            t = b - (b - a) * (db + d2 - d1) / den
+            if 0.0 < (t - a) / (b - a) <= 0.9:
+                return t
+    return 0.5 * (a + b)
+
+
+def _wolfe_search(phi, f0: float, d0: float, step: float) -> tuple | None:
+    """A step along a descent direction, whose value is f0 and slope d0 < 0
+    at step 0, that meets the strong Wolfe conditions: the bracketing and
+    zoom of Nocedal & Wright's Algorithms 3.5 and 3.6, trying `step` first
+    and doubling it while the value falls and the slope stays negative.
+
+    phi(step) returns (value, slope, point, gradient) there, and the search
+    returns the accepted (step, value, slope, point, gradient).  A trial
+    whose value is within _FLAT * |f0| of f0 passes the sufficient-decrease
+    test when its slope is at most (1 - 2 c1) |d0|, which is that test on a
+    quadratic (the approximate Wolfe condition of Hager & Zhang, 2005): near
+    a minimum the values stop telling steps apart before the slopes do.  A
+    non-finite value or slope counts as a step too long.  The search returns
+    None when _SEARCH_EVALS evaluations find no step, or when the bracket has
+    no float left strictly between its ends.
+    """
+    flat = _FLAT * abs(f0)
+
+    def too_long(t, ref):
+        if abs(t[1] - f0) <= flat:
+            return not t[2] <= (2.0 * _WOLFE_C1 - 1.0) * d0
+        return not t[1] <= f0 + _WOLFE_C1 * t[0] * d0 or t[1] >= ref[1]
+
+    prev, lo, hi = (0.0, f0, d0), None, None
+    for _ in range(_SEARCH_EVALS):
+        if lo is not None:
+            a, b = sorted((lo[0], hi[0]))
+            if not a < 0.5 * (a + b) < b:
+                return None
+            step = _cubic_step(lo, hi)
+        t = (step, *phi(step))
+        if not (math.isfinite(t[1]) and math.isfinite(t[2])):
+            t = (step, math.inf, math.nan, *t[3:])
+        if lo is None:
+            if too_long(t, prev):
+                lo, hi = prev, t
+            elif abs(t[2]) <= -_WOLFE_C2 * d0:
+                return t
+            elif t[2] >= 0.0:
+                lo, hi = t, prev
+            else:
+                prev, step = t, 2.0 * step
+        elif too_long(t, lo):
+            hi = t
+        elif abs(t[2]) <= -_WOLFE_C2 * d0:
+            return t
+        else:
+            if t[2] * (hi[0] - lo[0]) >= 0.0:
+                hi = lo
+            lo = t
+    return None
+
+
+def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
+    """-H g, for the L-BFGS inverse-Hessian estimate H built from the
+    (s, y, 1 / s.y) pairs, oldest first, on the scaled identity
+    (s.y / y.y) I of the newest pair (Nocedal & Wright, Algorithm 7.4)."""
+    q = -g
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * float(s @ q))
+        q -= alphas[-1] * y
+    if pairs:
+        _, y, rho = pairs[-1]
+        q *= 1.0 / (rho * float(y @ y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * float(y @ q)) * s
+    return q
+
+
+def lbfgs(fun, x0: np.ndarray) -> LbfgsResult:
+    """Minimize fun from x0 by L-BFGS (Liu & Nocedal, 1989); fun maps a
+    float64 vector to its (value, gradient).
+
+    Each direction comes from the two-loop recursion over the last
+    LBFGS_MEMORY (s, y) pairs; a pair whose s.y is not positive is not
+    stored.  The strong-Wolfe line search (c1 = 1e-4, c2 = 0.9) tries step 1,
+    or 1/||g|| along -g while no pair is stored, as on the first iteration.
+    The run stops once ||g||_2 < LBFGS_GTOL, after LBFGS_MAX_ITER iterations,
+    or when a line search finds no step; so the caller reads the returned
+    gradient to judge the point.  No accepted step raises the value by more
+    than _FLAT * |value|, the band in which the line search judges steps by
+    their slope, and every other accepted step lowers it.  The same inputs
+    give the same bits.
+    """
+    x = np.array(x0, dtype=np.float64)
+    value, g = fun(x)
+    value, nfev, pairs = float(value), 1, deque(maxlen=LBFGS_MEMORY)
+
+    def phi(step):
+        nonlocal nfev
+        nfev += 1
+        xt = x + step * d
+        vt, gt = fun(xt)
+        return float(vt), float(gt @ d), xt, gt
+
+    for _ in range(LBFGS_MAX_ITER):
+        gnorm = math.sqrt(float(g @ g))
+        if not gnorm >= LBFGS_GTOL:
+            break
+        d = _two_loop(g, pairs)
+        d0 = float(g @ d)
+        if not d0 < 0.0:
+            pairs.clear()
+            d, d0 = -g, -gnorm * gnorm
+        t = _wolfe_search(phi, value, d0, 1.0 if pairs else 1.0 / gnorm)
+        if t is None:
+            break
+        _, value, _, x_new, g_new = t
+        s, y = x_new - x, g_new - g
+        sy = float(s @ y)
+        if sy > 0.0:
+            pairs.append((s, y, 1.0 / sy))
+        x, g = x_new, g_new
+    return LbfgsResult(x, value, g, nfev)

@@ -5,8 +5,9 @@ cross-validated L2, and the scalar metrics.
 Relatedness scores y in [1, 5] become distributions over the bins r = 1..5
 with mass y - floor(y) on bin floor(y) + 1 and the remainder on bin floor(y);
 the probe is trained with cross-entropy against those soft targets and read
-out as the expectation r^T p_hat.  Each L-BFGS probe fit takes one shift and
-one exp of the logits per evaluation, and converges on its final gradient.
+out as the expectation r^T p_hat.  Each probe is fitted by numerics.lbfgs,
+the package's own numpy L-BFGS, with one shift and one exp of the logits per
+evaluation, and is accepted on its final gradient.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, InputError, MetricError, ParameterError,
                      ShapeError)
-from .numerics import get_rng, seed_tuple, softmax
+from .numerics import get_rng, lbfgs, seed_tuple, softmax
 
 SCORE_BINS = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
 
@@ -102,16 +103,14 @@ def logreg_objective(w_flat: np.ndarray, X: np.ndarray, T: np.ndarray,
 
 def fit_logreg(X: np.ndarray, Y, l2: float,
                n_classes: int | None = None) -> ProbeModel:
-    """Deterministic batch L-BFGS fit from zeros until the norm of L-BFGS's
-    final gradient is below 1e-6; each evaluation shifts and exponentiates once.
+    """Deterministic batch L-BFGS fit (numerics.lbfgs) from zeros, run until
+    the gradient norm is below 1e-8, its line search stalls, or its iteration
+    cap; the fit is accepted when the final gradient norm is below 1e-6, and
+    raises ConvergenceError otherwise.  Each evaluation of the objective
+    shifts and exponentiates the logits once.
 
     Y may be hard integer labels or rows of soft target distributions.
-    scipy.optimize is imported here, not with the module: at module level it
-    added about 23 MB and 0.3 s to the start-up of every command, and only the
-    probes need it.
     """
-    from scipy.optimize import minimize
-
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError(f"X must be 2-D, got {X.ndim}-D")
@@ -123,16 +122,9 @@ def fit_logreg(X: np.ndarray, Y, l2: float,
         raise ShapeError(f"{len(X)} feature rows vs {len(T)} target rows")
     n, F = X.shape
     C = T.shape[1]
-    res = minimize(logreg_objective, np.zeros(C * F + C), args=(X, T, l2),
-                   jac=True, method="L-BFGS-B",
-                   options={"maxiter": 2000, "ftol": 1e-14, "gtol": 1e-10})
-    gnorm = float(np.linalg.norm(res.jac))
-    if gnorm >= 1e-6:
-        res = minimize(logreg_objective, res.x, args=(X, T, l2), jac=True,
-                       method="L-BFGS-B",
-                       options={"maxiter": 20000, "ftol": 0.0, "gtol": 1e-12})
-        gnorm = float(np.linalg.norm(res.jac))
-    if gnorm >= 1e-6:
+    res = lbfgs(lambda w: logreg_objective(w, X, T, l2), np.zeros(C * F + C))
+    gnorm = float(np.linalg.norm(res.grad))
+    if not gnorm < 1e-6:
         raise ConvergenceError(f"logistic regression stalled with gradient norm "
                                f"{gnorm:.3e} (l2={l2}, n={n}, features={F})")
     return ProbeModel(weights=res.x[:C * F].reshape(C, F).copy(),
@@ -208,11 +200,21 @@ def cross_validate(X: np.ndarray, Y: np.ndarray, folds: int,
     """Nested CV: the inner loop picks the penalty on each training split, the
     outer loop reports held-out accuracy.  Deterministic given the seed; the
     non-empty outer folds run in order, on the calling thread.  A fold id past
-    the largest class's sample count holds no sample and gets no score."""
+    the largest class's sample count holds no sample and gets no score.
+
+    The inner search stratifies each outer training split again, so before
+    any fit every class must keep at least 2 samples in its smallest one."""
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(Y).astype(int)
     C = int(labels.max()) + 1
     fold = stratified_folds(labels, folds, seed)
+    for c in np.unique(labels):
+        folds_of_c = fold[labels == c]
+        k = len(folds_of_c)
+        if k - np.bincount(folds_of_c).max() < 2:
+            raise InputError(f"class {c} has {k} sample(s); nested "
+                             f"cross-validation over {folds} folds needs at "
+                             f"least 2 of them in every outer training split")
     fold_l2, fold_scores = [], []
     for f in np.unique(fold):
         tr, te = fold != f, fold == f
@@ -275,7 +277,7 @@ def pearson(a, b) -> float:
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks, a run of ties sharing their mean, as scipy.stats.rankdata
-    gives them; importing scipy.stats would add ~20 MB to every command."""
+    gives them; the package depends on numpy alone."""
     order = np.argsort(x, kind="stable")
     sx = x[order]
     first = np.flatnonzero(np.r_[True, sx[1:] != sx[:-1]])

@@ -67,9 +67,8 @@ def _python(code: str, **env) -> subprocess.CompletedProcess:
 
 
 def test_importing_the_cli_loads_no_optimizer_or_linalg(tmp_path):
-    # Only the probes need scipy.optimize, and they import it on first use,
-    # not at start-up.  Training loads no scipy at all: the output layer's
-    # dgemm runs on numpy's own OpenBLAS.
+    # The package imports no scipy: the probes fit with numerics.lbfgs, and
+    # the output layer's dgemm runs on numpy's own OpenBLAS.
     proc = _python("import sys, skipgru.cli; "
                    "print(sorted(m for m in ('scipy.optimize', 'scipy.linalg') "
                    "if m in sys.modules))")
@@ -158,9 +157,9 @@ def test_train_bytes_do_not_depend_on_openblas_num_threads(tmp_path):
 @pytest.mark.skipif((os.cpu_count() or 1) < 2,
                     reason="one CPU: OpenBLAS would run one thread anyway")
 def test_eval_bytes_do_not_depend_on_openblas_num_threads(ws, tmp_path):
-    # The evals load scipy's own OpenBLAS through scipy.optimize, which main
-    # does not pin.  The probe fits and the ranker's training epochs still
-    # write the same metrics CSVs under OPENBLAS_NUM_THREADS 2 as under 1.
+    # The probe fits and the ranker's training epochs run on numpy's
+    # OpenBLAS, which main sets to one thread, so they write the same
+    # metrics CSVs under OPENBLAS_NUM_THREADS 2 as under 1.
     rng = np.random.default_rng(4)
     sents = ["the cat sat .", "the dog ran .", "a bird flew .",
              "the cat ran away .", "the small dog sat down .",
@@ -188,6 +187,57 @@ def test_eval_bytes_do_not_depend_on_openblas_num_threads(ws, tmp_path):
         one = (tmp_path / f"{name}1.csv").read_bytes()
         assert len(one.splitlines()) > 2
         assert one == (tmp_path / f"{name}2.csv").read_bytes(), name
+
+
+def test_the_evals_load_no_scipy(ws, tmp_path):
+    # A fresh process runs the three probe evals and eval-rank; none of them
+    # loads a scipy module.
+    rng = np.random.default_rng(4)
+    caps, img = tmp_path / "caps.txt", tmp_path / "img.bin"
+    caps.write_text("the cat sat .\nthe dog ran .\na bird flew .\n" * 8)
+    write_vectors(img, rng.normal(size=(24, 7)))
+    model = ["--ckpt", str(ws["ckpt"]), "--seed", "2"]
+    runs = []
+    for command in ("eval-classify", "eval-sick", "eval-paraphrase"):
+        (tmp_path / command).mkdir()
+        runs.append([command, *model, "--folds", "3",
+                     *_write_eval_rows(tmp_path / command, command, 30),
+                     "--out", str(tmp_path / command / "out.csv")])
+    runs.append(["eval-rank", *model, "--images", str(img), "--captions",
+                 str(caps), "--group-size", "1", "--train-items", "12",
+                 "--dev-items", "6", "--embed-dim", "5", "--k-contrastive",
+                 "3", "--batch", "12", "--epochs", "2",
+                 "--out", str(tmp_path / "rank.csv")])
+    proc = _python("import sys; from skipgru.cli import main; "
+                   f"assert [main(argv) for argv in {runs!r}] == [0] * 4; "
+                   "print(sorted(m for m in sys.modules "
+                   "if m.split('.')[0] == 'scipy'))")
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    for command in ("eval-classify", "eval-sick", "eval-paraphrase"):
+        assert len((tmp_path / command / "out.csv").read_text().splitlines()) > 2
+
+
+def test_manifest_names_the_blas_core_it_ran_on(tmp_path):
+    # The bytes of a run depend on the kernel family OpenBLAS picked for the
+    # CPU, so the manifest records it; OPENBLAS_CORETYPE forces another.
+    read = "from skipgru import numerics; print(numerics.blas_core())"
+    default = _python(read).stdout.strip()
+    if _python(read, OPENBLAS_CORETYPE="Haswell").stdout.strip() in (
+            default, ""):
+        pytest.skip("OPENBLAS_CORETYPE=Haswell does not change the core "
+                    f"OpenBLAS reports on this host ({default})")
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(CORPUS, encoding="utf-8")
+    cores = {}
+    for forced in ({}, {"OPENBLAS_CORETYPE": "Haswell"}):
+        out = tmp_path / f"vocab{len(cores)}.txt"
+        argv = ["build-vocab", "--corpus", str(corpus), "--size", "24",
+                "--out", str(out)]
+        _python(f"import sys; from skipgru.cli import main; "
+                f"sys.exit(main({argv!r}))", **forced)
+        manifest = json.loads(pathlib.Path(f"{out}.manifest.json").read_text())
+        cores[forced.get("OPENBLAS_CORETYPE")] = manifest["env"]["blas_core"]
+    assert cores == {None: default, "Haswell": "Haswell"}
 
 
 # Names whose use would make a run depend on the environment or start threads.
@@ -233,6 +283,38 @@ def test_the_package_reads_no_environment_and_starts_no_thread(tmp_path):
     assert env_and_thread_uses(tmp_path) == [
         "m: ThreadPoolExecutor", "m: concurrent.futures", "m: os.environ",
         "m: os.getenv"]
+
+
+def scipy_imports(package: pathlib.Path) -> list[str]:
+    """module or module.function: imported module, for each import of scipy
+    in `package`; an import inside a function or class names it."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = path.stem + (f".{top.name}" if hasattr(top, "name") else "")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                found += [f"{where}: {name}" for name in names
+                          if name.split(".")[0] == "scipy"]
+    return found
+
+
+def test_the_package_imports_no_scipy(tmp_path):
+    # numpy is the package's only runtime dependency; scipy serves the tests
+    # as an oracle.
+    assert scipy_imports(PACKAGE) == []
+    # The scan does see each of these spellings.
+    (tmp_path / "m.py").write_text(
+        "import scipy\nfrom scipy.optimize import minimize\n"
+        "from . import scipy_like\n"
+        "def f():\n    import scipy.stats as st, os\n")
+    assert scipy_imports(tmp_path) == [
+        "m: scipy", "m: scipy.optimize", "m.f: scipy.stats"]
 
 
 @pytest.fixture(scope="module")
@@ -1247,6 +1329,20 @@ def _write_eval_rows(tmp_path, command, n) -> list[str]:
         f"{sents[i % 3]}\t{sents[(i + 1) % 3]}\t{gold[i % 2]}\n"
         for i in range(n)))
     return ["--train", str(pairs), "--test", str(pairs)]
+
+
+def test_eval_classify_refuses_a_class_too_rare_for_nested_folds(ws, tmp_path,
+                                                                  capsys):
+    # Two samples of a class over 3 folds leave one in some outer training
+    # split, which the inner search cannot stratify; the refusal names the
+    # class's own count before any fit, and no output is written.
+    data, out = tmp_path / "data.tsv", tmp_path / "out.csv"
+    data.write_text("".join(f"{label}\tthe cat sat .\n"
+                            for label in ["a"] * 10 + ["b"] * 10 + ["c"] * 2))
+    assert main(["eval-classify", "--ckpt", str(ws["ckpt"]), "--data",
+                 str(data), "--folds", "3", "--out", str(out)]) == 2
+    assert "class 2 has 2 sample(s)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -1,8 +1,10 @@
-"""Numeric core: init schemes, clipping, Adam, the finite-difference checker.
+"""Numeric core: init schemes, clipping, Adam, L-BFGS, the finite-difference
+checker.
 
 Derived-value oracles used here: scalar hand computations of the Adam update,
-the one-expression-per-array Adam of reference.py, and closed-form derivatives for the finite-difference checker's own sanity
-cases.
+the one-expression-per-array Adam of reference.py, scipy's L-BFGS-B and
+closed-form minimizers for lbfgs, and closed-form derivatives for the
+finite-difference checker's own sanity cases.
 """
 
 import tracemalloc
@@ -588,3 +590,99 @@ def test_add_matmul_refusal_leaves_out_unchanged(case):
     with pytest.raises(ParameterError, match=message):
         numerics.add_matmul(out, a, b)
     assert np.array_equal(out, before)
+
+
+# ---------------------------------------------------------------------------
+# lbfgs: the linear probes' minimizer
+# ---------------------------------------------------------------------------
+
+def _probe_problem(C, soft):
+    """Features and hard or soft targets of a probe fit with C classes."""
+    rng = np.random.default_rng(C)
+    X = rng.normal(size=(60, 8)) * 2.0
+    if soft:
+        return X, rng.dirichlet(np.ones(C), size=60)
+    return X, np.eye(C)[rng.integers(0, C, size=60)]
+
+
+@pytest.mark.parametrize("l2", [1e-4, 1.0, 100.0])
+@pytest.mark.parametrize("C", [2, 4, 5, 9])
+@pytest.mark.parametrize("soft", [False, True])
+def test_lbfgs_reaches_the_loss_of_scipy_lbfgsb(soft, C, l2):
+    # scipy's L-BFGS-B, run to a tighter gradient than the probes accept, is
+    # the oracle of the probe objective's minimum.
+    from scipy.optimize import minimize
+
+    from skipgru.probes import logreg_objective
+    X, T = _probe_problem(C, soft)
+    fun = lambda w: logreg_objective(w, X, T, l2)
+    w0 = np.zeros(C * 8 + C)
+    got = numerics.lbfgs(fun, w0)
+    want = minimize(fun, w0, jac=True, method="L-BFGS-B",
+                    options={"maxiter": 20000, "ftol": 0.0, "gtol": 1e-12})
+    assert np.linalg.norm(got.grad) < 1e-6
+    assert np.linalg.norm(want.jac) < 1e-6
+    assert abs(got.value - want.fun) < 1e-8
+    assert got.value == fun(got.x)[0] and np.array_equal(got.grad, fun(got.x)[1])
+    assert not np.any(w0)
+
+
+def test_lbfgs_finds_the_minimizer_of_a_convex_quadratic(rng):
+    # f(x) = x.A x / 2 - b.x with A of condition number 1e3: x* = A^-1 b.
+    q, _ = np.linalg.qr(rng.normal(size=(20, 20)))
+    A = q @ np.diag(np.logspace(0, 3, 20)) @ q.T
+    b = rng.normal(size=20)
+    res = numerics.lbfgs(lambda x: (0.5 * x @ A @ x - b @ x, A @ x - b),
+                         np.zeros(20))
+    assert np.linalg.norm(res.grad) < 1e-8
+    assert np.max(np.abs(res.x - np.linalg.solve(A, b))) < 1e-8
+
+
+def test_lbfgs_shrinks_a_first_step_far_too_long():
+    # Near the minimizer of a stiff quadratic the first trial, a unit step
+    # along -g, goes 1e7 times too far, as a probe fit on features of 1e-3
+    # with l2 = 100 does.  The cubic step lands on the minimizer at once,
+    # where halving the bracket would take 24 of the 20 evaluations.
+    res = numerics.lbfgs(lambda x: (50.0 * x @ x, 100.0 * x),
+                         np.full(4, 4e-8))
+    assert np.linalg.norm(res.grad) < 1e-8 and res.nfev <= 5
+
+
+def test_lbfgs_solves_rosenbrock_from_the_classic_start():
+    def rosenbrock(x):
+        a, b = x
+        value = (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
+        grad = np.array([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a),
+                         200.0 * (b - a * a)])
+        return value, grad
+    res = numerics.lbfgs(rosenbrock, np.array([-1.2, 1.0]))
+    assert np.linalg.norm(res.grad) < 1e-8
+    assert np.max(np.abs(res.x - 1.0)) < 1e-7
+    assert res.nfev < 200
+
+
+def test_lbfgs_takes_a_non_finite_value_for_a_step_too_long():
+    # Past x = 1.5 the objective is NaN; the doubling steps from -10 land
+    # there, and the search brackets back into the finite part.
+    def fun(x):
+        if x[0] > 1.5:
+            return np.nan, np.array([np.nan])
+        return (x[0] - 1.0) ** 2, 2.0 * (x - 1.0)
+    with np.errstate(all="raise"):
+        res = numerics.lbfgs(fun, np.array([-10.0]))
+    assert abs(res.x[0] - 1.0) < 1e-8 and res.value < 1e-16
+
+
+def test_wolfe_search_stops_on_a_bracket_with_no_float_inside():
+    # The first trial, at the smallest float step or at 0, is too long; the
+    # bracket it closes holds no float, so the search gives up after that
+    # one call.  On (0, 0) a cubic step would divide by zero.
+    calls = []
+
+    def phi(step):
+        calls.append(step)
+        return 1.0, -1.0, None, None
+    for step in (5e-324, 0.0):
+        calls.clear()
+        assert numerics._wolfe_search(phi, 0.0, -1.0, step) is None
+        assert calls == [step]

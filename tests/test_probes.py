@@ -7,6 +7,8 @@ softmax) objective of reference.py, and closed-form expectations for the
 degenerate cases.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from skipgru.errors import (ConvergenceError, InputError, MetricError,
                             ParameterError, ShapeError)
-from skipgru.numerics import seed_tuple, softmax
+from skipgru.numerics import LbfgsResult, seed_tuple, softmax
 from skipgru.probes import (DEFAULT_L2_GRID, accuracy, cross_validate, f1,
                             fit_logreg, fit_relatedness, logreg_objective, mse,
                             pair_features, pearson, predict, predict_proba,
@@ -195,23 +197,22 @@ def test_objective_matches_two_pass_reference_bit_for_bit(C, soft, scale):
 
 
 def test_fit_logreg_evaluates_the_objective_only_inside_lbfgs(monkeypatch):
-    # The convergence norm is read from L-BFGS's final gradient, so every
-    # objective call is one that the optimizer counted.
-    import scipy.optimize
+    # The convergence norm is read from the solver's final gradient, so every
+    # objective call is one that the solver counted.
     from skipgru import probes
     calls, nfev = [], []
-    real_objective, real_minimize = probes.logreg_objective, scipy.optimize.minimize
+    real_objective, real_lbfgs = probes.logreg_objective, probes.lbfgs
 
     def counting_objective(*args):
         calls.append(1)
         return real_objective(*args)
 
-    def recording_minimize(*args, **kwargs):
-        res = real_minimize(*args, **kwargs)
+    def recording_lbfgs(*args, **kwargs):
+        res = real_lbfgs(*args, **kwargs)
         nfev.append(res.nfev)
         return res
     monkeypatch.setattr(probes, "logreg_objective", counting_objective)
-    monkeypatch.setattr(scipy.optimize, "minimize", recording_minimize)
+    monkeypatch.setattr(probes, "lbfgs", recording_lbfgs)
     X, y = separable_data(seed=3)
     m = fit_logreg(X, y, l2=0.01)
     assert len(calls) == sum(nfev) and len(nfev) >= 1
@@ -220,20 +221,64 @@ def test_fit_logreg_evaluates_the_objective_only_inside_lbfgs(monkeypatch):
 
 
 def test_fit_logreg_forced_stall_raises(monkeypatch):
-    # An optimizer that never moves returns x0 and its true gradient; both
-    # runs then end short of the bound and the fit reports the stall.
-    import scipy.optimize
-    from scipy.optimize import OptimizeResult
+    # A solver that never moves returns x0 and its true gradient; the one
+    # run then ends short of the bound and the fit reports the stall.
+    from skipgru import probes
     starts = []
 
-    def stalled(fun, x0, args=(), **kwargs):
+    def stalled(fun, x0, **kwargs):
         starts.append(x0.copy())
-        return OptimizeResult(x=x0.copy(), jac=fun(x0, *args)[1], nfev=1)
-    monkeypatch.setattr(scipy.optimize, "minimize", stalled)
+        value, grad = fun(x0)
+        return LbfgsResult(x=x0.copy(), value=value, grad=grad, nfev=1)
+    monkeypatch.setattr(probes, "lbfgs", stalled)
     X, y = separable_data(seed=2)
     with pytest.raises(ConvergenceError, match="stalled"):
         fit_logreg(X, y, l2=0.1)
-    assert len(starts) == 2 and not np.any(starts[1])
+    assert len(starts) == 1 and not np.any(starts[0])
+
+
+def test_fit_logreg_whose_gradient_disagrees_stalls_no_worse_than_zeros(
+        monkeypatch):
+    # With the gradient's sign flipped, every search direction climbs: the
+    # fit stalls and raises, and the solver's point is no worse than its
+    # start, the zeros.
+    from skipgru import probes
+    real_objective, real_lbfgs = probes.logreg_objective, probes.lbfgs
+    results = []
+
+    def flipped_objective(*args):
+        value, grad = real_objective(*args)
+        return value, -grad
+
+    def recording_lbfgs(*args, **kwargs):
+        results.append(real_lbfgs(*args, **kwargs))
+        return results[-1]
+    monkeypatch.setattr(probes, "logreg_objective", flipped_objective)
+    monkeypatch.setattr(probes, "lbfgs", recording_lbfgs)
+    X, y = separable_data(seed=4)
+    with pytest.raises(ConvergenceError, match="stalled"):
+        fit_logreg(X, y, l2=0.1)
+    start = real_objective(np.zeros(6), X, np.eye(2)[y], 0.1)[0]
+    assert results[0].value <= start
+    assert real_objective(results[0].x, X, np.eye(2)[y], 0.1)[0] <= start
+
+
+@pytest.mark.parametrize("soft", [False, True])
+def test_fit_logreg_is_bit_identical_and_warns_nothing(soft):
+    # Two fits of one problem give the same bits, and no warning escapes,
+    # also from the one-point problem whose logits grow to 1e6 and beyond.
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(50, 7)) * 3.0
+    Y = rng.dirichlet(np.ones(5), size=50) if soft else rng.integers(0, 5, 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fits = [fit_logreg(X, Y, l2=1e-4) for _ in range(2)]
+        try:
+            fit_logreg(np.array([[1e6]]), np.array([1]), 0.0, n_classes=2)
+        except ConvergenceError:
+            pass
+    assert fits[0].weights.tobytes() == fits[1].weights.tobytes()
+    assert fits[0].bias.tobytes() == fits[1].bias.tobytes()
 
 
 def test_soft_targets_supported():
@@ -331,6 +376,25 @@ def test_cross_validate_scores_only_the_non_empty_folds():
         assert res["fold_l2"][f] == best
         assert res["fold_scores"][f] == accuracy(predict(m, X[te]), y[te])
     assert res["mean_accuracy"] == float(np.mean(res["fold_scores"]))
+
+
+@pytest.mark.parametrize("k, folds, refused", [(2, 3, True), (3, 2, True),
+                                               (3, 3, False)])
+def test_cross_validate_refuses_a_class_too_rare_for_the_inner_folds(
+        k, folds, refused):
+    # The inner search stratifies each outer training split again.  Two
+    # samples over 3 folds, or three over 2, leave one sample of the class
+    # in some training split, and the refusal names the class's own count;
+    # three samples over 3 folds leave two in each, and the search runs.
+    X = np.random.default_rng(5).normal(size=(20 + k, 3))
+    y = np.array([0] * 10 + [1] * 10 + [2] * k)
+    if refused:
+        with pytest.raises(InputError, match=f"class 2 has {k} sample.*"
+                                             f"{folds} folds"):
+            cross_validate(X, y, folds, [0.1, 1.0], seed=0)
+    else:
+        res = cross_validate(X, y, folds, [0.1, 1.0], seed=0)
+        assert len(res["fold_scores"]) == folds
 
 
 def test_select_l2_tie_prefers_smaller():
