@@ -114,6 +114,13 @@ class TrainConfig:
         if self.vocab_size < 3:
             raise ConfigError(f"vocab_size must be >= 3, got {self.vocab_size}")
 
+    def check_adam(self, adam: dict) -> None:
+        """Raise ConfigError at the first Adam value in `adam` unlike ours."""
+        for k in ("alpha", "beta1", "beta2", "epsilon"):
+            if adam[k] != getattr(self, k):
+                raise ConfigError(f"adam.{k} {adam[k]} differs from config.{k} "
+                                  f"{getattr(self, k)}")
+
     @property
     def encoder_prefixes(self) -> tuple[str, ...]:
         return ENCODER_PREFIXES[:2 if self.mode == "bi" else 1]
@@ -329,6 +336,7 @@ def train(model: SkipGruModel, triples: Sequence[SentenceTriple],
     if opt is None:
         opt = make_optimizer(model)
     else:
+        config.check_adam(vars(opt))
         for moments in (opt.m, opt.v):
             moments["V"] = np.asfortranarray(moments["V"])
     n = len(triples)
@@ -431,13 +439,13 @@ def _parse_checkpoint_header(header):
                          f"vocab_size {config.vocab_size}")
     kinds = {**dict.fromkeys(("alpha", "beta1", "beta2", "epsilon"), "float"),
              "step": "int"}
-    check_keys(header["adam"], kinds)
-    check_types(header["adam"], kinds)
-    if header["adam"]["step"] < 0:
-        raise ValueError(f"adam step must be >= 0, got "
-                         f"{header['adam']['step']}")
-    opt_fields = {k: header["adam"][k] for k in kinds}
-    meta = (config, Vocabulary(header["vocab"]), list(shapes), opt_fields)
+    adam = header["adam"]
+    check_keys(adam, kinds)
+    check_types(adam, kinds)
+    if adam["step"] < 0:
+        raise ValueError(f"adam step must be >= 0, got {adam['step']}")
+    config.check_adam(adam)
+    meta = (config, Vocabulary(header["vocab"]), list(shapes), adam)
     return meta, list(shapes.values()) * 3
 
 

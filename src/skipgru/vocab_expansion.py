@@ -2,10 +2,10 @@
 RNN embedding space with un-regularized least squares over shared words, then
 encode sentences whose words were never seen in training.
 
-The fitted map W solves min_W sum_shared ||W v_ext - v_rnn||^2.  An expanded
-lookup resolves each token by precedence: native RNN embedding, else W v_ext,
-else the unk embedding, trying the exact token before its lowercased form at
-each stage.
+The fitted map W solves min_W sum_shared ||W v_ext - v_rnn||^2.  One rule,
+ExpandedLookup.locate, places each token: native RNN embedding, else W v_ext,
+else the unk embedding, the exact token before its lowercased form at each
+stage.  Every input row and every word that nearest_words ranks follows it.
 
 encode_text encodes one raw sentence (queries, generation); encode_sentences
 encodes many tokenized ones (encode, the evals, sentence banks) in
@@ -130,8 +130,8 @@ NATIVE, MAPPED, UNK = "native", "mapped", "unk"
 
 @dataclass
 class ExpandedLookup:
-    """Total token-to-vector resolver over the union vocabulary; without a
-    map (ext and map both None) it covers the native vocabulary only."""
+    """Token-to-vector resolver over the union vocabulary, by locate's rule;
+    without a map (ext and map both None) it covers the native words only."""
 
     model: SkipGruModel
     ext: ExternalEmbeddings | None = None
@@ -146,29 +146,29 @@ class ExpandedLookup:
             raise ShapeError(f"expansion map is {self.map.W.shape}, expected "
                              f"({emb.shape[1]}, {self.ext.dim})")
 
+    def locate(self, token: str) -> tuple[str, int]:
+        """(source, i): the native id, else (under a map) the external index,
+        else the unk id; each stage tries token, then token.lower()."""
+        for source, index in ((NATIVE, self.model.vocab.token_to_id),
+                              (MAPPED, self.ext.index if self.map else {})):
+            for cand in (token, token.lower()):
+                if cand in index:
+                    return source, index[cand]
+        return UNK, self.model.vocab.unk_id
+
     def resolve(self, token: str) -> tuple[str, np.ndarray]:
         """(source, vector) where source is "native", "mapped", or "unk"."""
-        vocab, emb = self.model.vocab, self.model.embedding
-        for cand in (token, token.lower()):
-            if cand in vocab:
-                return NATIVE, emb[vocab.token_to_id[cand]]
-        if self.map is not None:
-            for cand in (token, token.lower()):
-                i = self.ext.index.get(cand)
-                if i is not None:
-                    return MAPPED, self.map.W @ self.ext.vectors[i]
-        return UNK, emb[vocab.unk_id]
-
-    def vector(self, token: str) -> np.ndarray:
-        return self.resolve(token)[1]
+        source, i = self.locate(token)
+        if source == MAPPED:
+            return source, self.map.W @ self.ext.vectors[i]
+        return source, self.model.embedding[i]
 
     def all_tokens(self) -> list[str]:
-        """Union vocabulary: native words first, then ext-only words."""
-        native = self.model.vocab.id_to_token[2:]
-        if self.map is None:
-            return native
-        seen = set(native)
-        return native + [t for t in self.ext.tokens if t not in seen]
+        """The words nearest_words ranks: the native words, then each external
+        word that locates to its own row (not "Holiday" beside "holiday")."""
+        return self.model.vocab.id_to_token[2:] + [
+            t for i, t in enumerate(self.ext.tokens if self.map else ())
+            if self.locate(t) == (MAPPED, i)]
 
 
 def expand(model: SkipGruModel, ext: ExternalEmbeddings,
@@ -188,11 +188,11 @@ def _row_matrix(chunk: list[list[str]], model: SkipGruModel,
     matrix of the steps, padded with eos; one sentence keeps its own rows."""
     vocab, emb, first = model.vocab, model.embedding, {EOS_TOKEN: 0}
     steps = [first.setdefault(t, len(first)) for tokens in chunk for t in tokens]
-    ids, vectors, get = vocab.ids_for(first), [], vocab.token_to_id.get
+    ids, vectors = vocab.ids_for(first), []
     for k, t in enumerate(first if lookup is not None and lookup.map else ()):
         source, vec = lookup.resolve(t)
         ids[k] = (len(emb) + len(vectors) if source == MAPPED
-                  else get(t, get(t.lower(), vocab.unk_id)))
+                  else lookup.locate(t)[1])
         vectors += [vec] if source == MAPPED else []
     lengths = np.array([len(tokens) + 1 for tokens in chunk])
     matrix = np.zeros((lengths.max(), len(chunk)), dtype=np.intp)
@@ -204,22 +204,16 @@ def _row_matrix(chunk: list[list[str]], model: SkipGruModel,
     return rows, at[matrix], lengths
 
 
-def _input_rows(tokens: list[str], model: SkipGruModel,
-                lookup: ExpandedLookup | None) -> np.ndarray:
-    """(len(tokens) + 1, embed) encoder inputs of a tokenized sentence: each
-    token's vector, then the eos embedding."""
-    emb, eos = model.embedding, model.vocab.eos_id
-    if lookup is None or lookup.map is None:
-        return emb[model.vocab.ids_for(tokens) + [eos]]
-    return np.vstack([lookup.vector(t) for t in tokens] + [emb[eos]])
-
-
 def encode_text(sentence: str, model: SkipGruModel,
                 lookup: ExpandedLookup | None = None) -> np.ndarray:
-    """Encode a raw sentence; with a lookup that has a map, out-of-vocabulary
-    words resolve through the expansion map instead of collapsing to unk."""
-    return encode_vectors(_input_rows(tokenize(sentence), model, lookup),
-                          model.encoder)
+    """Encode a raw sentence from its tokens' rows and the eos embedding; a
+    lookup with a map gives out-of-vocabulary words their mapped rows."""
+    tokens, emb, eos = tokenize(sentence), model.embedding, model.vocab.eos_id
+    if lookup is None or lookup.map is None:
+        X = emb[model.vocab.ids_for(tokens) + [eos]]
+    else:
+        X = np.vstack([lookup.resolve(t)[1] for t in tokens] + [emb[eos]])
+    return encode_vectors(X, model.encoder)
 
 
 def encode_sentences(sentences: Sequence[list[str]], model: SkipGruModel,
@@ -244,17 +238,15 @@ def encode_sentences(sentences: Sequence[list[str]], model: SkipGruModel,
 
 def nearest_words(query: str, lookup: ExpandedLookup,
                   k: int) -> list[tuple[str, float]]:
-    """Top-k tokens of the expanded vocabulary by cosine similarity to the
-    query in RNN embedding space, excluding the query and its resolved form."""
-    source, qvec = lookup.resolve(query)
-    if source == UNK:
+    """Top-k words of lookup.all_tokens() by cosine similarity to the query
+    in RNN embedding space, leaving out the word whose row the query has."""
+    where = lookup.locate(query)
+    if where[0] == UNK:
         raise InputError(f"query {query!r} is in neither vocabulary")
-    index = lookup.model.vocab.token_to_id if source == NATIVE else lookup.ext.index
-    resolved = query if query in index else query.lower()
-    candidates = [t for t in lookup.all_tokens() if t not in (query, resolved)]
-    bank = SentenceBank(sentences=candidates,
-                        vectors=np.vstack([lookup.vector(t) for t in candidates]))
-    return bank.top_k(qvec, k)
+    candidates = [t for t in lookup.all_tokens() if lookup.locate(t) != where]
+    bank = SentenceBank(sentences=candidates, vectors=np.vstack(
+        [lookup.resolve(t)[1] for t in candidates]))
+    return bank.top_k(lookup.resolve(query)[1], k)
 
 
 @dataclass

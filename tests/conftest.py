@@ -71,11 +71,17 @@ def _vocab_too_short(header):
     header["vocab"].pop()
 
 
+def _adam_disagrees(header):
+    header["adam"]["alpha"] = 0.5
+
+
 # Header edits that leave a checkpoint's header at odds with its config: by
-# a config value, by one shape, by the order of the names, and by the length
-# of the vocabulary.
-MISMATCHED_HEADERS = {"config": _config_disagrees, "emb": _emb_too_wide,
-                      "order": _params_reordered, "vocab": _vocab_too_short}
+# a config value, by one shape, by the order of the names, by the length of
+# the vocabulary, and by an Adam hyperparameter that differs from the
+# config's copy.
+MISMATCHED_HEADERS = {"adam": _adam_disagrees, "config": _config_disagrees,
+                      "emb": _emb_too_wide, "order": _params_reordered,
+                      "vocab": _vocab_too_short}
 
 # The header's parameter list of write_mismatched_checkpoint's model.
 _PARAMS = [[k, list(shape)] for k, shape in param_shapes(

@@ -442,7 +442,7 @@ def encode_lines(lines, lookups) -> np.ndarray:
         vec = []
         for lk in lookups:
             model = lk.model
-            X = [lk.vector(t) for t in tokenize(line)]
+            X = [lk.resolve(t)[1] for t in tokenize(line)]
             X.append(model.embedding[model.vocab.eos_id])
             enc = model.encoder
             for p, seq in ((enc.forward, X), (enc.backward, X[::-1])):

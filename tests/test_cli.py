@@ -475,6 +475,27 @@ def test_resume_with_another_vocabulary_exit_2(ws, tmp_path, capsys):
     assert (out.read_bytes(), metrics.read_bytes()) == before
 
 
+def test_resume_from_adam_values_at_odds_with_the_config_exit_4(ws, tmp_path,
+                                                                 capsys):
+    # The header's adam.alpha 0.5 over its config's alpha 0.001 used to
+    # resume with exit 0 and train at rate 0.5, while the manifest and the
+    # --lr check read 0.001.
+    out, metrics = tmp_path / "r.ckpt", tmp_path / "r.csv"
+    out.write_bytes(ws["ckpt"].read_bytes())
+    edit_header(out, MISMATCHED_HEADERS["adam"])
+    metrics.write_bytes(pathlib.Path(str(ws["ckpt"]) + ".metrics.csv")
+                        .read_bytes())
+    before = out.read_bytes(), metrics.read_bytes()
+    capsys.readouterr()
+    assert main(["train", "--corpus", str(ws["corpus"]), "--vocab",
+                 str(ws["vocab"]), "--steps", "33", "--resume", "--lr",
+                 "0.001", "--metrics", str(metrics), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "malformed checkpoint header" in err and "adam.alpha 0.5" in err
+    assert (out.read_bytes(), metrics.read_bytes()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.ckpt", "r.csv"]
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--seed", "9"), ("--mode", "bi"), ("--embed-dim", "7"),
     ("--hidden-dim", "7"), ("--batch", "5"), ("--clip", "2.5"),
@@ -955,7 +976,7 @@ def test_input_products_run_over_each_chunks_distinct_rows(lookups, key, n):
     assert len(seen) == per_chunk * len(chunks)
     for c, chunk in enumerate(chunks):
         steps = sum(len(tokens) + 1 for tokens in chunk)
-        vecs = np.vstack([lk.vector(t) for tokens in chunk for t in tokens]
+        vecs = np.vstack([lk.resolve(t)[1] for tokens in chunk for t in tokens]
                          + [eos])
         # A chunk of one sentence multiplies its own rows, as encode_text
         # does; any other chunk each of its distinct rows once.
@@ -1190,6 +1211,28 @@ def test_nn_word_leaves_out_the_token_the_query_resolved_to(ws, expansion,
                 for line in capsys.readouterr().out.splitlines()]
         assert len(toks) == 21 + 3 * bool(extra)       # every other word
         assert "the" not in toks and "The" not in toks
+
+
+def test_nn_word_lists_a_capitalized_native_word_once(ws, tmp_path, capsys):
+    # An external "The" locates to the native "the": it has no row of its
+    # own, so it is no candidate.  It used to be ranked first, at similarity
+    # 1, as the nearest neighbour of "the".
+    rng = np.random.default_rng(1)
+    words = ws["vocab"].read_text().splitlines()[2:] + ["The", "Cat", "Zeta"]
+    vec = tmp_path / "ext.vec"
+    vec.write_text(f"{len(words)} 4\n" + "".join(
+        f"{w} {' '.join(f'{v:.6f}' for v in rng.normal(size=4))}\n"
+        for w in words))
+    xmap = tmp_path / "x.map"
+    assert main(["expand", "--ckpt", str(ws["ckpt"]), "--embeddings",
+                 str(vec), "--out", str(xmap)]) == 0
+    capsys.readouterr()
+    assert main(["nn-word", "--ckpt", str(ws["ckpt"]), "--expansion",
+                 str(xmap), "--query", "the", "--k", "50"]) == 0
+    toks = [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()]
+    native = words[:-3]
+    assert "the" in native and "cat" in native
+    assert sorted(toks) == sorted([w for w in native if w != "the"] + ["Zeta"])
 
 
 def test_nn_word_unknown_query_exit_2(ws, capsys):

@@ -796,6 +796,23 @@ def test_v_is_laid_out_in_train_alone_and_accumulated_by_one_dgemm():
     assert len(calls) == 1
 
 
+def test_the_expanded_vocabulary_is_placed_by_locate_alone():
+    # One rule places every word: the lowercase fallback is written once, in
+    # ExpandedLookup.locate, and a word's vector has one accessor, resolve.
+    tree = ast.parse((PACKAGE / "vocab_expansion.py").read_text("utf-8"))
+    sites = []
+    for stmt in tree.body:
+        for part in stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]:
+            where = ".".join(dict.fromkeys(getattr(node, "name", "<module>")
+                                           for node in (stmt, part)))
+            sites += [where for node in ast.walk(part)
+                      if isinstance(node, ast.Call)
+                      and getattr(node.func, "attr", None) == "lower"]
+    assert sites == ["ExpandedLookup.locate"]
+    assert "vector" not in {node.name for node in ast.walk(tree)
+                            if isinstance(node, ast.FunctionDef)}
+
+
 def test_decode_batch_alone_runs_the_logits_buffer():
     # One function owns the protocol of the shared logits buffer:
     # decode_batch sizes it by OUTPUT_CHUNK, hands its rows to the forward
@@ -1171,6 +1188,24 @@ def test_crash_mid_checkpoint_write_keeps_previous_file(tmp_path, rng,
     rows = without_wall_ms(metrics)
     assert [r.split(",")[0] for r in rows[1:]] == [str(i) for i in range(1, 10)]
     assert rows == without_wall_ms(straight_csv)
+
+
+def test_train_refuses_an_optimizer_at_odds_with_the_config(tmp_path, rng):
+    # Adam steps with the optimizer's copy of its hyperparameters, and the
+    # manifest and --resume read the config's; the two must agree before any
+    # step or write.
+    triples = [random_triple(6, rng) for _ in range(4)]
+    m = make_model(vocab_size=6, batch_size=2, max_steps=3, seed=7)
+    before = {k: v.copy() for k, v in m.param_dict().items()}
+    for field in ("alpha", "beta1", "beta2", "epsilon"):
+        opt = make_optimizer(m)
+        setattr(opt, field, getattr(opt, field) / 2)
+        with pytest.raises(ConfigError, match=f"adam.{field} "):
+            train(m, triples, opt=opt, metrics_path=tmp_path / "m.csv",
+                  checkpoint_path=tmp_path / "c.ckpt")
+        assert opt.step == 0
+    assert all(np.array_equal(v, m.param_dict()[k]) for k, v in before.items())
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_resume_equivalence(tmp_path, rng):

@@ -226,12 +226,12 @@ def test_k_larger_than_vocabulary_clamps():
 def test_ranking_matches_brute_force_scan():
     m, ext, _, lookup = make_lookup(n_shared=30, extra_ext=20, seed=17)
     query = "w5"
-    qv = lookup.vector(query)
+    qv = lookup.resolve(query)[1]
     sims = []
     for tok in lookup.all_tokens():
         if tok == query:
             continue
-        v = lookup.vector(tok)
+        v = lookup.resolve(tok)[1]
         sims.append((tok, float(qv @ v /
                                 (np.linalg.norm(qv) * np.linalg.norm(v)))))
     order = sorted(range(len(sims)), key=lambda i: -sims[i][1])
@@ -249,6 +249,46 @@ def test_cosine_scale_invariance():
     m2 = model_from_params(m.config, m.vocab, params)
     lookup2 = expand(m2, scaled, fit_expansion(scaled, m2))
     assert [t for t, _ in nearest_words("w4", lookup2, k=5)] == base
+
+
+def cased_lookup():
+    """Native w2..w11; external w2..w11 (a fitted map), cased copies W5 and
+    W7 of two native words, and Zeta and zeta, which have no native form.
+    Every external vector is its own draw."""
+    m = randomize_params(make_model(vocab_size=12, embed_dim=3), seed=5)
+    tokens = [f"w{i}" for i in range(2, 12)] + ["W5", "W7", "Zeta", "zeta"]
+    X = np.random.default_rng(6).normal(size=(len(tokens), 3))
+    ext = ExternalEmbeddings(tokens=tokens, vectors=X)
+    return m, expand(m, ext, fit_expansion(ext, m))
+
+
+def test_cased_copies_of_native_words_are_not_candidates():
+    # W5 and W7 locate to the native w5 and w7, so neither has a row of its
+    # own.  W5 used to rank first for w5 at similarity 1, and W7 was listed
+    # beside w7 at w7's similarity.
+    m, lookup = cased_lookup()
+    natives = [f"w{i}" for i in range(2, 12)]
+    assert lookup.all_tokens() == natives + ["Zeta", "zeta"]
+    for query in ("w5", "W5"):
+        assert lookup.locate(query) == ("native", m.vocab.token_to_id["w5"])
+        ranked = [t for t, _ in nearest_words(query, lookup, k=50)]
+        assert sorted(ranked) == sorted(set(natives) - {"w5"} | {"Zeta", "zeta"})
+    assert nearest_words("W5", lookup, k=50) == nearest_words("w5", lookup, k=50)
+
+
+def test_external_words_that_differ_only_in_case_keep_their_own_rows():
+    m, lookup = cased_lookup()
+    ext = lookup.ext
+    for word in ("Zeta", "zeta"):
+        assert lookup.locate(word) == ("mapped", ext.index[word])
+        assert np.array_equal(lookup.resolve(word)[1],
+                              lookup.map.W @ ext.vectors[ext.index[word]])
+        ranked = dict(nearest_words(word, lookup, k=50))
+        other = word.swapcase()[0] + word[1:]
+        assert word not in ranked and other in ranked
+        assert ranked[other] < 1.0 - 1e-9
+    # An unseen casing falls back to the lowercased external word.
+    assert lookup.locate("ZETA") == ("mapped", ext.index["zeta"])
 
 
 def test_unresolvable_query_is_input_error():
