@@ -247,11 +247,11 @@ def cmd_encode(args) -> None:
     lookups, _ = _load_models(args)
     lines = _read_lines(args.input)
     distinct, where = _tokenize_distinct(lines)
-    if any(lk.map is None for lk in lookups):
-        known = lookups[0].model.vocab.token_to_id     # one vocabulary
-        repeats = np.repeat(np.bincount(where, minlength=len(distinct)),
-                            [len(tokens) for tokens in distinct])
-        oov = int(repeats[[t not in known for ts in distinct for t in ts]].sum())
+    if bare := [lk for lk in lookups if lk.map is None]:    # one vocabulary
+        unk = {t for t in set().union(*distinct)
+               if bare[0].locate(t)[0] == vocab_expansion.UNK}
+        oov = sum(int(n) * sum(t in unk for t in ts)
+                  for n, ts in zip(np.bincount(where), distinct))
         if oov:
             print(f"warning: {oov} out-of-vocabulary token(s) fell back "
                   f"to unk (no expansion map given)", file=sys.stderr)

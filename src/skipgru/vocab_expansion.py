@@ -5,7 +5,7 @@ encode sentences whose words were never seen in training.
 The fitted map W solves min_W sum_shared ||W v_ext - v_rnn||^2.  One rule,
 ExpandedLookup.locate, places each token: native RNN embedding, else W v_ext,
 else the unk embedding, the exact token before its lowercased form at each
-stage.  Every input row and every word that nearest_words ranks follows it.
+stage.  Every input row follows it; nearest_words ranks one row per word.
 
 encode_text encodes one raw sentence (queries, generation); encode_sentences
 encodes many tokenized ones (encode, the evals, sentence banks) in
@@ -163,13 +163,6 @@ class ExpandedLookup:
             return source, self.map.W @ self.ext.vectors[i]
         return source, self.model.embedding[i]
 
-    def all_tokens(self) -> list[str]:
-        """The words nearest_words ranks: the native words, then each external
-        word that locates to its own row (not "Holiday" beside "holiday")."""
-        return self.model.vocab.id_to_token[2:] + [
-            t for i, t in enumerate(self.ext.tokens if self.map else ())
-            if self.locate(t) == (MAPPED, i)]
-
 
 def expand(model: SkipGruModel, ext: ExternalEmbeddings,
            map: ExpansionMap) -> ExpandedLookup:
@@ -238,14 +231,20 @@ def encode_sentences(sentences: Sequence[list[str]], model: SkipGruModel,
 
 def nearest_words(query: str, lookup: ExpandedLookup,
                   k: int) -> list[tuple[str, float]]:
-    """Top-k words of lookup.all_tokens() by cosine similarity to the query
-    in RNN embedding space, leaving out the word whose row the query has."""
+    """Top-k words by cosine similarity to the query in RNN embedding space:
+    the native words, then each external word that locates to its own index
+    (not "Holiday" beside "holiday"), less the one whose row the query has."""
     where = lookup.locate(query)
     if where[0] == UNK:
         raise InputError(f"query {query!r} is in neither vocabulary")
-    candidates = [t for t in lookup.all_tokens() if lookup.locate(t) != where]
-    bank = SentenceBank(sentences=candidates, vectors=np.vstack(
-        [lookup.resolve(t)[1] for t in candidates]))
+    ext, model = lookup.ext, lookup.model
+    ids = [n for n in range(2, model.vocab.size) if (NATIVE, n) != where]
+    own = [j for j, t in enumerate(ext.tokens if lookup.map else ())
+           if lookup.locate(t) == (MAPPED, j) != where]
+    words = [model.vocab.id_to_token[n] for n in ids]
+    mapped = [ext.vectors[own] @ lookup.map.W.T] if own else []
+    bank = SentenceBank(sentences=words + [ext.tokens[j] for j in own],
+                        vectors=np.vstack([model.embedding[ids], *mapped]))
     return bank.top_k(lookup.resolve(query)[1], k)
 
 

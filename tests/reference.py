@@ -31,6 +31,8 @@ something the package computes in bulk:
   place, block by block);
 - encoding lines one at a time with the unrolled recurrence
   (vocab_expansion.encode_sentences runs length-sorted, padded batches);
+- the words nearest_words ranks, one locate call per word
+  (nearest_words forms their rows as one matrix);
 - tokenizing one line at a time with rules that begin with a lookbehind, and
   a sentence's token ids from its own tokenize call (corpus tokenizes blocks
   of lines joined by "\n", with rules that begin at a literal).
@@ -433,7 +435,7 @@ def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> tuple[Para
 def encode_lines(lines, lookups) -> np.ndarray:
     """Each line encoded alone, one gru_step per token of the unrolled
     recurrence (the reverse direction over the reversed tokens), each model's
-    vector concatenated per line.  Tokens resolve through lookup.vector, so a
+    vector concatenated per line.  Tokens resolve through lookup.resolve, so a
     map-less lookup gives the native embedding or unk as ids do.  (The
     package encodes each distinct line once, in length-sorted padded batches
     over hoisted input products.)"""
@@ -454,3 +456,12 @@ def encode_lines(lines, lookups) -> np.ndarray:
                 vec.append(h)
         out.append(np.concatenate(vec))
     return np.vstack(out)
+
+
+def union_words(lookup) -> list[str]:
+    """The native words, then (under a map) each external word that locates
+    to its own index: not a cased copy such as "Holiday" of a native
+    "holiday"."""
+    ext = lookup.ext.tokens if lookup.map is not None else []
+    return lookup.model.vocab.id_to_token[2:] + [
+        t for i, t in enumerate(ext) if lookup.locate(t) == ("mapped", i)]

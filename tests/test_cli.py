@@ -1235,6 +1235,17 @@ def test_nn_word_lists_a_capitalized_native_word_once(ws, tmp_path, capsys):
     assert sorted(toks) == sorted([w for w in native if w != "the"] + ["Zeta"])
 
 
+def test_nn_word_with_no_other_word_prints_no_lines(tmp_path, capsys):
+    # The vocabulary <eos> <unk> w2 has no word besides the query.  Ranking
+    # an empty candidate list used to die of np.vstack([]) (exit 1).
+    ckpt = tmp_path / "one.ckpt"
+    m = make_model(vocab_size=3, embed_dim=3, hidden_dim=4)
+    trainer.save_checkpoint(m, trainer.make_optimizer(m), ckpt)
+    capsys.readouterr()
+    assert main(["nn-word", "--ckpt", str(ckpt), "--query", "w2"]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_nn_word_unknown_query_exit_2(ws, capsys):
     # A query word found in neither vocabulary is a usage error, not an
     # unk fallback: neighbor lists for unk would be meaningless.

@@ -811,6 +811,10 @@ def test_the_expanded_vocabulary_is_placed_by_locate_alone():
     assert sites == ["ExpandedLookup.locate"]
     assert "vector" not in {node.name for node in ast.walk(tree)
                             if isinstance(node, ast.FunctionDef)}
+    # The CLI places words through locate too: it reads no vocabulary index.
+    tree = ast.parse((PACKAGE / "cli.py").read_text("utf-8"))
+    assert "token_to_id" not in {getattr(node, "attr", None)
+                                 for node in ast.walk(tree)}
 
 
 def test_decode_batch_alone_runs_the_logits_buffer():

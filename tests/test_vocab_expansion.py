@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import make_model, randomize_params
+from reference import union_words
 from skipgru.encoder import encode
 from skipgru.errors import ConfigError, InputError
 from skipgru.trainer import model_from_params
@@ -220,7 +221,7 @@ def test_exact_duplicate_similarity_one():
 def test_k_larger_than_vocabulary_clamps():
     m, ext, _, lookup = make_lookup(n_shared=4, extra_ext=2)
     ranked = nearest_words("w2", lookup, k=1000)
-    assert len(ranked) == len(lookup.all_tokens()) - 1
+    assert len(ranked) == len(union_words(lookup)) - 1
 
 
 def test_ranking_matches_brute_force_scan():
@@ -228,7 +229,7 @@ def test_ranking_matches_brute_force_scan():
     query = "w5"
     qv = lookup.resolve(query)[1]
     sims = []
-    for tok in lookup.all_tokens():
+    for tok in union_words(lookup):
         if tok == query:
             continue
         v = lookup.resolve(tok)[1]
@@ -268,12 +269,31 @@ def test_cased_copies_of_native_words_are_not_candidates():
     # beside w7 at w7's similarity.
     m, lookup = cased_lookup()
     natives = [f"w{i}" for i in range(2, 12)]
-    assert lookup.all_tokens() == natives + ["Zeta", "zeta"]
+    assert union_words(lookup) == natives + ["Zeta", "zeta"]
     for query in ("w5", "W5"):
         assert lookup.locate(query) == ("native", m.vocab.token_to_id["w5"])
         ranked = [t for t, _ in nearest_words(query, lookup, k=50)]
         assert sorted(ranked) == sorted(set(natives) - {"w5"} | {"Zeta", "zeta"})
     assert nearest_words("W5", lookup, k=50) == nearest_words("w5", lookup, k=50)
+
+
+def test_nearest_words_locates_each_external_word_once(monkeypatch):
+    # One locate per external word builds the candidates; native words need
+    # none (a native word's place is its id).  The query is located once by
+    # nearest_words and once inside its one resolve.  Every mapped row comes
+    # from one product, not from a resolve per candidate.
+    m, lookup = cased_lookup()
+    calls = {"locate": 0, "resolve": 0}
+    for name in calls:
+        real = getattr(ExpandedLookup, name)
+
+        def counted(self, token, real=real, name=name):
+            calls[name] += 1
+            return real(self, token)
+        monkeypatch.setattr(ExpandedLookup, name, counted)
+    ranked = nearest_words("zeta", lookup, k=50)
+    assert calls == {"locate": len(lookup.ext.tokens) + 2, "resolve": 1}
+    assert [t for t, _ in ranked if t in ("zeta", "Zeta")] == ["Zeta"]
 
 
 def test_external_words_that_differ_only_in_case_keep_their_own_rows():
