@@ -32,7 +32,7 @@ import numpy as np
 
 from . import corpus, probes, ranking, trainer, vocab_expansion
 from .decoder import sample_sentence
-from .encoder import encode
+from .encoder import encode_vectors
 from .errors import (CheckpointError, ConfigError, ConvergenceError, InputError,
                      MetricError, NumericError, ParameterError, SkipGruError)
 from .fileio import read_vectors, sha256_path, write_text, write_vectors
@@ -361,42 +361,43 @@ def cmd_eval_classify(args) -> dict:
 
 
 def cmd_eval_rank(args) -> dict:
-    n_train, n_dev = args.train_items, args.dev_items
+    n_train, n_dev, g = args.train_items, args.dev_items, args.group_size
     for flag, count in (("--train-items", n_train), ("--dev-items", n_dev),
                         ("--epochs", args.epochs)):
         if count < 0:
             raise ConfigError(f"{flag} must be >= 0, got {count}")
-    # Checked before any work, also when nothing trains.
-    config = ranking.RankTrainConfig(batch_size=args.batch,
-                                     learning_rate=args.lr, seed=args.seed,
-                                     dev_group_size=args.group_size)
+    # Every setting is checked before a caption is encoded, also when
+    # nothing trains.
+    config = ranking.RankTrainConfig(
+        batch_size=args.batch, learning_rate=args.lr, seed=args.seed,
+        dev_group_size=g, alpha=args.alpha, k_contrastive=args.k_contrastive)
+    training = args.epochs > 0 and n_train > 0
+    if training:
+        if n_dev == 0:
+            raise ConfigError("training needs --dev-items > 0")
+        config.check_pairs(n_train * g)
     lookups, _ = _load_models(args)
     X = read_vectors(args.images)
-    captions = _read_lines(args.captions)
-    g = args.group_size
-    if len(captions) != len(X) * g:
-        raise InputError(f"{len(X)} images need {len(X) * g} caption lines "
-                         f"({g} per image), found {len(captions)}")
-    Y = _encode_lines(captions, lookups)
     n = len(X)
     if n_train + n_dev > n:
         raise ConfigError(f"train ({n_train}) + dev ({n_dev}) items exceed "
                           f"the {n} available")
+    sentence_dim = sum(lk.model.encoder.output_dim for lk in lookups)
     if args.init == "identity":
-        if not (X.shape[1] == Y.shape[1] == args.embed_dim):
+        if not (X.shape[1] == sentence_dim == args.embed_dim):
             raise ConfigError("--init identity needs image, sentence, and "
                               "embedding dims to be equal")
         model = ranking.RankingModel(U=np.eye(args.embed_dim),
-                                     V=np.eye(args.embed_dim),
-                                     alpha=args.alpha,
-                                     k_contrastive=args.k_contrastive)
+                                     V=np.eye(args.embed_dim))
     else:
-        model = ranking.init_ranking_model(X.shape[1], Y.shape[1],
-                                           args.embed_dim, args.alpha,
-                                           args.k_contrastive, args.seed)
-    if args.epochs > 0 and n_train > 0:
-        if n_dev == 0:
-            raise ConfigError("training needs --dev-items > 0")
+        model = ranking.init_ranking_model(X.shape[1], sentence_dim,
+                                           args.embed_dim, args.seed)
+    captions = _read_lines(args.captions)
+    if len(captions) != n * g:
+        raise InputError(f"{n} images need {n * g} caption lines "
+                         f"({g} per image), found {len(captions)}")
+    Y = _encode_lines(captions, lookups)
+    if training:
         pairs = (np.repeat(X[:n_train], g, axis=0), Y[:n_train * g])
         dev = (X[n_train:n_train + n_dev], Y[n_train * g:(n_train + n_dev) * g])
         result = ranking.train_ranker(pairs, model, args.epochs, dev, config)
@@ -440,7 +441,7 @@ def generate_story(model, seed_sentence: str, n_sentences: int,
         if ids[-1] != model.vocab.eos_id:
             ids.append(model.vocab.eos_id)
         out.append(ids)
-        h = encode(ids, model.encoder)
+        h = encode_vectors(model.embedding[ids], model.encoder)
     return out
 
 
@@ -582,9 +583,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--train-items", type=int, default=0)
     p.add_argument("--dev-items", type=int, default=0)
     p.add_argument("--embed-dim", type=int, default=1000)
-    p.add_argument("--alpha", type=float, default=ranking.RankingModel.alpha)
+    p.add_argument("--alpha", type=float, default=ranking.RankTrainConfig.alpha)
     p.add_argument("--k-contrastive", type=int,
-                   default=ranking.RankingModel.k_contrastive)
+                   default=ranking.RankTrainConfig.k_contrastive)
     p.add_argument("--epochs", type=int, default=15)
     p.add_argument("--lr", type=float, default=ranking.RankTrainConfig.learning_rate)
     p.add_argument("--batch", type=int, default=ranking.RankTrainConfig.batch_size)

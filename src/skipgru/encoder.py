@@ -291,12 +291,6 @@ def encode_with_cache(tokens: Sequence[int],
             EncoderCache(tokens=ids, X=X, traces=traces))
 
 
-def encode(tokens: Sequence[int], model: EncoderModel) -> np.ndarray:
-    """Sentence vector: final state (uni) or forward||reverse final states (bi)."""
-    vec, _ = encode_with_cache(tokens, model)
-    return vec
-
-
 def encode_vectors(X: np.ndarray, model: EncoderModel) -> np.ndarray:
     """Encode from per-token input vectors instead of token ids (after
     vocabulary expansion, tokens resolve to vectors, not embedding rows): one

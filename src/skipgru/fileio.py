@@ -181,15 +181,15 @@ def check_types(values: dict, kinds: dict, error=TypeError) -> None:
             raise error(f"{key} must be {kind}, got {value!r:.40}")
 
 
-def check_keys(values, keys, error=ValueError) -> None:
-    """Raise `error` unless `values` is a dict whose keys are exactly `keys`,
-    naming the keys that are missing and those that are not expected."""
+def check_keys(values, keys) -> None:
+    """Raise ValueError unless `values` is a dict whose keys are exactly
+    `keys`, naming the keys that are missing and those that are not expected."""
     if not isinstance(values, dict):
-        raise error(f"expected an object, got {values!r:.40}")
+        raise ValueError(f"expected an object, got {values!r:.40}")
     missing, extra = set(keys) - set(values), set(values) - set(keys)
     if missing or extra:
-        raise error(f"missing keys {sorted(missing)}, unexpected keys "
-                    f"{sorted(extra)}")
+        raise ValueError(f"missing keys {sorted(missing)}, unexpected keys "
+                         f"{sorted(extra)}")
 
 
 def read_container(path, magic: bytes, version: int, kind: str, parse,

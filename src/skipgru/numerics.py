@@ -7,6 +7,8 @@ and its Adam moments column-major.  A "parameter set" is a dict mapping
 names to float64 arrays.  The optimizer writes into the arrays it is given:
 clip_gradients scales the gradient set in place, and adam_step updates the
 parameters and the moment buffers in place, each in the parameter's layout.
+An AdamState is only the step count and the moments: adam_step takes its
+hyperparameters from the caller, and the ADAM_* constants are their defaults.
 sigmoid writes into the `out` array it is given, which may be its input, as
 the GRU kernel does with each step's gate block, and add_matmul adds a
 product into the column-major `out` it is given.  Every other function here
@@ -98,11 +100,11 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.reciprocal(out, out=out)
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax with max-subtraction; rows sum to 1 exactly up to rounding."""
-    z = logits - np.max(logits, axis=axis, keepdims=True)
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, max-subtracted; rows sum to 1 up to rounding."""
+    z = logits - np.max(logits, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 # CBLAS enum values (cblas.h).
@@ -263,9 +265,13 @@ def clip_gradients(grads: ParamSet, threshold: float, norm: float) -> bool:
     return clipped
 
 
+# Adam's default hyperparameters, named by adam_step and by TrainConfig.
+ADAM_ALPHA, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.001, 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    """First/second moment buffers and hyperparameters for one parameter set.
+    """Step count and first/second moment buffers for one parameter set.
 
     adam_step updates m and v in place and advances step, so the state holds
     the only copy of the moments for the whole run.
@@ -274,15 +280,11 @@ class AdamState:
     step: int
     m: ParamSet
     v: ParamSet
-    alpha: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
-    def initial(cls, params: ParamSet, **hyper: float) -> "AdamState":
+    def initial(cls, params: ParamSet) -> "AdamState":
         zeros = lambda: {k: np.zeros_like(p) for k, p in params.items()}
-        return cls(step=0, m=zeros(), v=zeros(), **hyper)
+        return cls(step=0, m=zeros(), v=zeros())
 
 
 # Elements per block of adam_step; its two scratch buffers hold one block each.
@@ -312,12 +314,14 @@ def _check_adam_inputs(params: ParamSet, grads: ParamSet, state: AdamState) -> N
                                      f"contiguous float64 array")
 
 
-def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> None:
+def adam_step(params: ParamSet, grads: ParamSet, state: AdamState,
+              alpha: float = ADAM_ALPHA, beta1: float = ADAM_BETA1,
+              beta2: float = ADAM_BETA2, epsilon: float = ADAM_EPSILON) -> None:
     """One bias-corrected Adam update of `params`, `state.m` and `state.v` in
-    place; advances state.step.
+    place, with step size alpha; advances state.step.
 
-    m <- b1 m + (1 - b1) g,  v <- b2 v + (1 - b2) g^2, and
-    p <- p - alpha (m / bc1) / (sqrt(v / bc2) + eps).  The parameter, its
+    m <- beta1 m + (1 - beta1) g,  v <- beta2 v + (1 - beta2) g^2, and
+    p <- p - alpha (m / bc1) / (sqrt(v / bc2) + epsilon).  The parameter, its
     gradient and its moments share one memory order, row- or column-major,
     and each is viewed flat in it, then walked in blocks of ADAM_BLOCK
     elements with two block-sized scratch buffers, so the step allocates no
@@ -328,9 +332,8 @@ def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> None:
     """
     _check_adam_inputs(params, grads, state)
     t = state.step + 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** t
-    bc2 = 1.0 - b2 ** t
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
     size = min(ADAM_BLOCK, max((p.size for p in params.values()), default=0))
     buf_a, buf_b = np.empty(size), np.empty(size)
     for k, p in params.items():
@@ -341,18 +344,18 @@ def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> None:
             hi = min(lo + ADAM_BLOCK, p.size)
             pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
             a, b = buf_a[:hi - lo], buf_b[:hi - lo]
-            np.multiply(1.0 - b1, gb, out=a)
-            mb *= b1
+            np.multiply(1.0 - beta1, gb, out=a)
+            mb *= beta1
             mb += a
             np.multiply(gb, gb, out=a)
-            a *= 1.0 - b2
-            vb *= b2
+            a *= 1.0 - beta2
+            vb *= beta2
             vb += a
             np.divide(vb, bc2, out=b)
             np.sqrt(b, out=b)
-            b += state.epsilon
+            b += epsilon
             np.divide(mb, bc1, out=a)
-            a *= state.alpha
+            a *= alpha
             np.divide(a, b, out=b)
             pb -= b
     state.step = t

@@ -53,7 +53,6 @@ def score_to_distribution(y: float) -> np.ndarray:
 class ProbeModel:
     weights: np.ndarray  # (n_classes, n_features)
     bias: np.ndarray     # (n_classes,)
-    l2: float
 
     def __post_init__(self):
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
@@ -128,12 +127,12 @@ def fit_logreg(X: np.ndarray, Y, l2: float,
         raise ConvergenceError(f"logistic regression stalled with gradient norm "
                                f"{gnorm:.3e} (l2={l2}, n={n}, features={F})")
     return ProbeModel(weights=res.x[:C * F].reshape(C, F).copy(),
-                      bias=res.x[C * F:].copy(), l2=l2)
+                      bias=res.x[C * F:].copy())
 
 
 def predict_proba(model: ProbeModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
-    return softmax(X @ model.weights.T + model.bias, axis=1)
+    return softmax(X @ model.weights.T + model.bias)
 
 
 def predict(model: ProbeModel, X: np.ndarray) -> np.ndarray:

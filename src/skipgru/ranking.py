@@ -11,19 +11,20 @@ contrastive sentences and k contrastive images from within the batch:
 Gradients are worked out by hand through the cosine and the hinges.  The
 hinges of all n x k draws are formed at once by indexing the score matrix,
 and each retrieval direction ranks every query with one stable sort, so
-exactly tied scores keep candidate order.
+exactly tied scores keep candidate order.  A RankingModel is only U and V:
+alpha and k live in RankTrainConfig, whose batch size must exceed k.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (ConfigError, InputError, MetricError, NumericError,
-                     ParameterError, ShapeError)
+                     ShapeError)
 from .numerics import AdamState, adam_step, get_rng, seed_tuple, uniform_init
 
 DEFAULT_RECALL_KS = (1, 5, 10)
@@ -33,8 +34,6 @@ DEFAULT_RECALL_KS = (1, 5, 10)
 class RankingModel:
     U: np.ndarray  # (embed_dim, image_dim)
     V: np.ndarray  # (embed_dim, sentence_dim)
-    alpha: float = 0.2
-    k_contrastive: int = 50
 
     def __post_init__(self):
         if self.U.ndim != 2 or self.V.ndim != 2:
@@ -42,20 +41,13 @@ class RankingModel:
         if self.U.shape[0] != self.V.shape[0] or self.U.shape[0] < 1:
             raise ShapeError(f"U and V must share a positive embedding dim, "
                              f"got {self.U.shape} and {self.V.shape}")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ParameterError(f"margin must be finite and positive, "
-                                 f"got {self.alpha}")
-        if self.k_contrastive < 1:
-            raise ParameterError(f"k_contrastive must be >= 1, "
-                                 f"got {self.k_contrastive}")
 
 
 def init_ranking_model(image_dim: int, sentence_dim: int, embed_dim: int,
-                       alpha: float, k_contrastive: int, seed) -> RankingModel:
+                       seed) -> RankingModel:
     rng = get_rng(seed_tuple(seed, "rank-init"))
     return RankingModel(U=uniform_init(embed_dim, image_dim, -0.1, 0.1, rng),
-                        V=uniform_init(embed_dim, sentence_dim, -0.1, 0.1, rng),
-                        alpha=alpha, k_contrastive=k_contrastive)
+                        V=uniform_init(embed_dim, sentence_dim, -0.1, 0.1, rng))
 
 
 def _embed_rows(X: np.ndarray, M: np.ndarray,
@@ -81,9 +73,41 @@ def _contrastive_draws(n: int, k: int, rng) -> tuple[np.ndarray, np.ndarray]:
     return sent, img
 
 
+@dataclass
+class RankTrainConfig:
+    """The ranker's training settings, and the one home of their defaults."""
+
+    batch_size: int = 100
+    learning_rate: float = 0.001
+    seed: int = 0
+    dev_group_size: int = 1
+    alpha: float = 0.2
+    k_contrastive: int = 50
+
+    def __post_init__(self):
+        for name in ("alpha", "learning_rate"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, "
+                                  f"got {value}")
+        if self.k_contrastive < 1:
+            raise ConfigError(f"k_contrastive must be >= 1, "
+                              f"got {self.k_contrastive}")
+        if self.batch_size <= self.k_contrastive:
+            raise ConfigError(f"batch_size {self.batch_size} must exceed "
+                              f"k_contrastive {self.k_contrastive}")
+
+    def check_pairs(self, n_pairs: int) -> None:
+        """Raise ConfigError unless n_pairs pairs can supply the draws."""
+        if n_pairs <= self.k_contrastive:
+            raise ConfigError(f"training needs more than k_contrastive "
+                              f"{self.k_contrastive} pairs, got {n_pairs}")
+
+
 def ranking_grads(X: np.ndarray, Y: np.ndarray, model: RankingModel,
+                  config: RankTrainConfig,
                   contrastive_seed) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss and dL/dU, dL/dV.
+    """Loss and dL/dU, dL/dV, under config's margin and contrastive count.
 
     With G[i, j] the net weight on score S[i, j] from the active hinges, the
     cosine backward per row is da_i = (sum_j G_ij bhat_j - (G S)_ii' ahat_i)
@@ -92,20 +116,18 @@ def ranking_grads(X: np.ndarray, Y: np.ndarray, model: RankingModel,
     n = len(X)
     if n != len(Y):
         raise ShapeError(f"{n} images vs {len(Y)} sentences")
-    if n <= model.k_contrastive:
-        raise ConfigError(f"batch of {n} cannot supply {model.k_contrastive} "
-                          f"contrastive terms")
+    config.check_pairs(n)
     Ahat, na = _embed_rows(X, model.U, "image")
     Bhat, nb = _embed_rows(Y, model.V, "sentence")
     S = Ahat @ Bhat.T
-    sent, img = _contrastive_draws(n, model.k_contrastive, get_rng(contrastive_seed))
+    sent, img = _contrastive_draws(n, config.k_contrastive, get_rng(contrastive_seed))
     # Hinge (i, c) of each kind: sentence draws score S[i, sent[i, c]],
     # image draws S[img[i, c], i]; each active hinge moves weight -1 onto the
     # positive score S[i, i] and +1 onto its contrastive score.
     rows = np.broadcast_to(np.arange(n)[:, None], sent.shape)
     pos = np.diagonal(S)[:, None]
-    hinge_s = model.alpha - pos + S[rows, sent]
-    hinge_i = model.alpha - pos + S[img, rows]
+    hinge_s = config.alpha - pos + S[rows, sent]
+    hinge_i = config.alpha - pos + S[img, rows]
     act_s, act_i = hinge_s > 0.0, hinge_i > 0.0
     loss = float(hinge_s[act_s].sum() + hinge_i[act_i].sum())
     G = np.zeros((n, n))
@@ -116,21 +138,6 @@ def ranking_grads(X: np.ndarray, Y: np.ndarray, model: RankingModel,
     dA = (G @ Bhat - GS.sum(axis=1)[:, None] * Ahat) / na[:, None]
     dB = (G.T @ Ahat - GS.sum(axis=0)[:, None] * Bhat) / nb[:, None]
     return loss, {"U": dA.T @ X, "V": dB.T @ Y}
-
-
-@dataclass
-class RankTrainConfig:
-    batch_size: int = 100
-    learning_rate: float = 0.001
-    seed: int = 0
-    dev_group_size: int = 1
-
-    def __post_init__(self):
-        if self.batch_size < 2:
-            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(f"learning_rate must be finite and positive, "
-                              f"got {self.learning_rate}")
 
 
 @dataclass
@@ -150,8 +157,9 @@ def train_ranker(pairs: tuple[np.ndarray, np.ndarray], model: RankingModel,
     """Adam on the hinge ranking loss over shuffled minibatches, keeping the
     snapshot with the best dev Recall@1 (mean of both directions).
 
-    Trailing batches too small to supply the contrastive draws are skipped.
-    The model passed in is never modified; epochs = 0 returns it.
+    Training needs more than k_contrastive pairs, and a trailing batch too
+    small for the draws is skipped.  The model passed in is never modified;
+    epochs = 0 returns it.
     """
     X, Y = np.asarray(pairs[0], float), np.asarray(pairs[1], float)
     Xd, Yd = np.asarray(dev[0], float), np.asarray(dev[1], float)
@@ -160,34 +168,36 @@ def train_ranker(pairs: tuple[np.ndarray, np.ndarray], model: RankingModel,
     n = len(X)
     if n != len(Y):
         raise ShapeError(f"{n} images vs {len(Y)} sentences")
+    if epochs > 0:
+        config.check_pairs(n)
     # Adam updates U and V in place: train copies of them, and copy again for
     # each best snapshot, so neither aliases the weights that keep training.
     best, best_score = model, -math.inf
     params = {"U": model.U.copy(), "V": model.V.copy()}
-    model = replace(model, **params)
-    opt = AdamState.initial(params, alpha=config.learning_rate)
+    model = RankingModel(**params)
+    opt = AdamState.initial(params)
     history: list = []
     for epoch in range(epochs):
         perm = get_rng(seed_tuple(config.seed, "rank-epoch", epoch)).permutation(n)
         losses = []
         for b, start in enumerate(range(0, n, config.batch_size)):
             idx = perm[start:start + config.batch_size]
-            if len(idx) <= model.k_contrastive:
+            if len(idx) <= config.k_contrastive:
                 continue
-            loss, grads = ranking_grads(X[idx], Y[idx], model,
+            loss, grads = ranking_grads(X[idx], Y[idx], model, config,
                                         seed_tuple(config.seed, "contrast",
                                                    epoch, b))
             if not math.isfinite(loss):
                 raise NumericError(f"non-finite ranking loss at epoch {epoch}; "
                                    f"training aborted")
             losses.append(loss)
-            adam_step(params, grads, opt)
+            adam_step(params, grads, opt, config.learning_rate)
         res = evaluate_retrieval(Xd, Yd, model, config.dev_group_size, ks=(1,))
         score = (res["annotation"].recall_at[1] + res["search"].recall_at[1]) / 2.0
         history.append({"epoch": epoch, "dev_r1": score,
-                        "mean_loss": float(np.mean(losses)) if losses else 0.0})
+                        "mean_loss": float(np.mean(losses))})
         if score > best_score:
-            best = replace(model, U=model.U.copy(), V=model.V.copy())
+            best = RankingModel(model.U.copy(), model.V.copy())
             best_score = score
     return RankTrainResult(model=best, history=history)
 

@@ -39,7 +39,8 @@ mid-stream matches an unbroken run exactly.
 Clipping and Adam then write into the gradient, the model's parameter arrays
 and the optimizer's moments in place, so a step holds four parameter-sized
 sets (parameters, two moments, one gradient) and no more: training updates
-the model and optimizer objects it is given.
+the model and optimizer objects it is given.  Adam steps with the config's
+hyperparameters, which a checkpoint's adam block must repeat.
 """
 
 from __future__ import annotations
@@ -58,12 +59,13 @@ from .decoder import (COND_CONDITIONING_KEYS, DECODER_PREFIXES,
                       ConditionalGruParams, DecoderCache, DecoderPair,
                       decode_batch, decoder_backward, sentence_log_prob)
 from .encoder import (ENCODER_PREFIXES, GRU_INPUT_KEYS, GRU_RECURRENT_KEYS,
-                      EncoderCache, EncoderModel, GruParams, encode,
-                      encode_with_cache, encoder_backward)
+                      EncoderCache, EncoderModel, GruParams, encode_with_cache,
+                      encoder_backward)
 from .errors import ConfigError, InputError, NumericError
 from .fileio import check_keys, check_types, read_container, write_container
-from .numerics import (AdamState, ParamSet, adam_step, clip_gradients,
-                       get_rng, global_norm, orthogonal_init, seed_tuple)
+from .numerics import (ADAM_ALPHA, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON,
+                       AdamState, ParamSet, adam_step, clip_gradients, get_rng,
+                       global_norm, orthogonal_init, seed_tuple)
 
 CHECKPOINT_MAGIC = b"SKIPGRUC"
 CHECKPOINT_VERSION = 1
@@ -85,10 +87,10 @@ class TrainConfig:
     hidden_dim: int = 64
     batch_size: int = 128
     clip_threshold: float = 10.0
-    alpha: float = AdamState.alpha
-    beta1: float = AdamState.beta1
-    beta2: float = AdamState.beta2
-    epsilon: float = AdamState.epsilon
+    alpha: float = ADAM_ALPHA
+    beta1: float = ADAM_BETA1
+    beta2: float = ADAM_BETA2
+    epsilon: float = ADAM_EPSILON
     max_steps: int = 0
     seed: int = 0
     mode: str = "uni"
@@ -113,13 +115,6 @@ class TrainConfig:
             raise ConfigError("embed_dim and hidden_dim must be positive")
         if self.vocab_size < 3:
             raise ConfigError(f"vocab_size must be >= 3, got {self.vocab_size}")
-
-    def check_adam(self, adam: dict) -> None:
-        """Raise ConfigError at the first Adam value in `adam` unlike ours."""
-        for k in ("alpha", "beta1", "beta2", "epsilon"):
-            if adam[k] != getattr(self, k):
-                raise ConfigError(f"adam.{k} {adam[k]} differs from config.{k} "
-                                  f"{getattr(self, k)}")
 
     @property
     def encoder_prefixes(self) -> tuple[str, ...]:
@@ -203,7 +198,7 @@ def model_from_params(config: TrainConfig, vocab: Vocabulary,
 
 def triple_loss(model: SkipGruModel, triple: SentenceTriple) -> float:
     """-[log P(next | h) + log P(prev | h)] with h = encode(curr); >= 0."""
-    h = encode(triple.curr, model.encoder)
+    h = encode_with_cache(triple.curr, model.encoder)[0]
     lp_next, lp_prev = (
         sentence_log_prob(target, h, p, model.decoders.V, model.embedding)
         for target, (p, _) in zip((triple.next, triple.prev),
@@ -287,7 +282,8 @@ def train_step(model: SkipGruModel, batch: Sequence[SentenceTriple],
         raise NumericError(f"non-finite gradient norm {norm} at step "
                            f"{opt.step + 1}; training aborted")
     clipped = clip_gradients(total, config.clip_threshold, norm)
-    adam_step(params, total, opt)
+    adam_step(params, total, opt, config.alpha, config.beta1, config.beta2,
+              config.epsilon)
     return TrainStepResult(batch_loss=mean_loss, grad_norm=norm,
                            clipped=clipped)
 
@@ -296,12 +292,6 @@ class TrainResult(NamedTuple):
     opt: AdamState
     first_loss: float | None   # None when the run takes no step
     final_loss: float | None
-
-
-def make_optimizer(model: SkipGruModel) -> AdamState:
-    c = model.config
-    return AdamState.initial(model.param_dict(), alpha=c.alpha, beta1=c.beta1,
-                             beta2=c.beta2, epsilon=c.epsilon)
 
 
 def train(model: SkipGruModel, triples: Sequence[SentenceTriple],
@@ -334,9 +324,8 @@ def train(model: SkipGruModel, triples: Sequence[SentenceTriple],
         raise InputError("no training triples")
     model.decoders.V = np.asfortranarray(model.decoders.V)
     if opt is None:
-        opt = make_optimizer(model)
+        opt = AdamState.initial(model.param_dict())
     else:
-        config.check_adam(vars(opt))
         for moments in (opt.m, opt.v):
             moments["V"] = np.asfortranarray(moments["V"])
     n = len(triples)
@@ -404,18 +393,18 @@ def _truncate_metrics(path, step: int) -> None:
 
 def save_checkpoint(model: SkipGruModel, opt: AdamState, path) -> None:
     """A fileio container: magic SKIPGRUC, the canonical-JSON header (config,
-    vocabulary, parameter names and shapes, Adam hyperparameters and step),
-    then the float64 blobs.
+    vocabulary, parameter names and shapes, and an adam block of the
+    config's Adam hyperparameters and opt.step), then the float64 blobs.
 
     Blob order: every parameter in declared order, then the Adam first-moment
     buffers, then the second-moment buffers.  Identical model state always
     produces identical bytes.
     """
-    params = model.param_dict()
+    params, c = model.param_dict(), model.config
     header = {
-        "adam": {"alpha": opt.alpha, "beta1": opt.beta1, "beta2": opt.beta2,
-                 "epsilon": opt.epsilon, "step": opt.step},
-        "config": asdict(model.config),
+        "adam": {"alpha": c.alpha, "beta1": c.beta1, "beta2": c.beta2,
+                 "epsilon": c.epsilon, "step": opt.step},
+        "config": asdict(c),
         "params": [[k, list(v.shape)] for k, v in params.items()],
         "vocab": model.vocab.id_to_token,
     }
@@ -437,15 +426,19 @@ def _parse_checkpoint_header(header):
     if len(header["vocab"]) != config.vocab_size:
         raise ValueError(f"{len(header['vocab'])} vocabulary tokens, config "
                          f"vocab_size {config.vocab_size}")
-    kinds = {**dict.fromkeys(("alpha", "beta1", "beta2", "epsilon"), "float"),
-             "step": "int"}
+    hyper = ("alpha", "beta1", "beta2", "epsilon")
+    kinds = {**dict.fromkeys(hyper, "float"), "step": "int"}
     adam = header["adam"]
     check_keys(adam, kinds)
     check_types(adam, kinds)
     if adam["step"] < 0:
         raise ValueError(f"adam step must be >= 0, got {adam['step']}")
-    config.check_adam(adam)
-    meta = (config, Vocabulary(header["vocab"]), list(shapes), adam)
+    # The one check of the block against the config, whose values Adam uses.
+    for k in hyper:
+        if adam[k] != getattr(config, k):
+            raise ValueError(f"adam.{k} {adam[k]} differs from config.{k} "
+                             f"{getattr(config, k)}")
+    meta = (config, Vocabulary(header["vocab"]), list(shapes), adam["step"])
     return meta, list(shapes.values()) * 3
 
 
@@ -462,10 +455,10 @@ def load_model(path) -> SkipGruModel:
 def load_checkpoint(path) -> tuple[SkipGruModel, AdamState]:
     """Inverse of save_checkpoint; never returns a partially restored model.
     Training resumes from this; inference loads through load_model."""
-    (config, vocab, names, opt_fields), blobs = read_container(
+    (config, vocab, names, step), blobs = read_container(
         path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint",
         _parse_checkpoint_header)
     n = len(names)
     params, m, v = (dict(zip(names, blobs[i * n:(i + 1) * n])) for i in range(3))
     model = model_from_params(config, vocab, params)
-    return model, AdamState(m=m, v=v, **opt_fields)
+    return model, AdamState(step, m, v)

@@ -255,7 +255,6 @@ class SentenceBank:
 
     sentences: list[str]
     vectors: np.ndarray  # (n, dim)
-    norms: np.ndarray = field(init=False)
     safe_norms: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -263,8 +262,8 @@ class SentenceBank:
             raise InputError(f"need one vector row per sentence: "
                              f"{len(self.sentences)} sentences, "
                              f"vectors {self.vectors.shape}")
-        self.norms = np.linalg.norm(self.vectors, axis=1)
-        self.safe_norms = np.where(self.norms == 0.0, 1.0, self.norms)
+        norms = np.linalg.norm(self.vectors, axis=1)
+        self.safe_norms = np.where(norms == 0.0, 1.0, norms)
 
     def top_k(self, q: np.ndarray, k: int) -> list[tuple[str, float]]:
         """(text, cosine similarity) of the k rows most similar to q, best

@@ -22,9 +22,10 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from skipgru.corpus import EOS_TOKEN, UNK_TOKEN, SentenceTriple, Vocabulary
 from skipgru.decoder import decode_batch, decoder_backward
 from skipgru.fileio import write_container
+from skipgru.numerics import AdamState
 from skipgru.trainer import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, SkipGruModel,
-                             TrainConfig, make_optimizer, model_from_params,
-                             param_shapes, save_checkpoint)
+                             TrainConfig, model_from_params, param_shapes,
+                             save_checkpoint)
 from skipgru.vocab_expansion import (ExpansionMap, ExternalEmbeddings,
                                      write_expansion)
 
@@ -160,7 +161,7 @@ def write_mismatched_checkpoint(path, edit) -> None:
     model's, if the edit drops the list) and a valid checksum: only a check
     of the header can refuse it."""
     m = make_model(vocab_size=6, embed_dim=3, hidden_dim=4)
-    save_checkpoint(m, make_optimizer(m), path)
+    save_checkpoint(m, AdamState.initial(m.param_dict()), path)
     header, _ = _read_header(path.read_bytes())
     edit(header)
     write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header,

@@ -54,10 +54,11 @@ from skipgru.encoder import (GRU_INPUT_KEYS, GRU_RECURRENT_KEYS, EncoderCache,
                              gru_backward)
 from skipgru.errors import (InputError, MetricError, NumericError,
                             ParameterError, ShapeError)
-from skipgru.numerics import (AdamState, ParamSet, get_rng, orthogonal_init,
+from skipgru.numerics import (ADAM_ALPHA, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON,
+                              AdamState, ParamSet, get_rng, orthogonal_init,
                               seed_tuple, sigmoid, softmax, uniform_init)
 from skipgru.probes import SCORE_BINS
-from skipgru.ranking import RankingModel, _contrastive_draws
+from skipgru.ranking import RankingModel, RankTrainConfig, _contrastive_draws
 from skipgru.trainer import INIT_RANGE, SkipGruModel, TrainConfig
 
 
@@ -257,7 +258,7 @@ def decoder_backward(cache: DecoderCache, p: ConditionalGruParams, V: np.ndarray
     are recomputed from the cached states, not read from the forward's
     rows."""
     T = len(cache.target)
-    dlogits = softmax(cache.trace.S[1:] @ V.T, axis=1)
+    dlogits = softmax(cache.trace.S[1:] @ V.T)
     dlogits[np.arange(T), list(cache.target)] -= 1.0
     back = gru_backward(cache.X, cache.trace, dlogits @ V, p)
     grads = dict(back.params)
@@ -305,6 +306,7 @@ def pair_score(x: np.ndarray, y: np.ndarray, model: RankingModel) -> float:
 
 
 def ranking_grads(X: np.ndarray, Y: np.ndarray, model: RankingModel,
+                  config: RankTrainConfig,
                   contrastive_seed) -> tuple[float, dict[str, np.ndarray]]:
     """The hinge loss and its gradients, visiting one hinge at a time.
 
@@ -317,20 +319,20 @@ def ranking_grads(X: np.ndarray, Y: np.ndarray, model: RankingModel,
     Ahat, Bhat = A / na[:, None], B / nb[:, None]
     S = Ahat @ Bhat.T
     n = len(X)
-    sent, img = _contrastive_draws(n, model.k_contrastive,
+    sent, img = _contrastive_draws(n, config.k_contrastive,
                                    get_rng(contrastive_seed))
     G = np.zeros((n, n))
     loss = 0.0
     for i in range(n):
         pos = S[i, i]
         for j in sent[i]:
-            term = model.alpha - pos + S[i, j]
+            term = config.alpha - pos + S[i, j]
             if term > 0.0:
                 loss += term
                 G[i, i] -= 1.0
                 G[i, j] += 1.0
         for j in img[i]:
-            term = model.alpha - pos + S[j, i]
+            term = config.alpha - pos + S[j, i]
             if term > 0.0:
                 loss += term
                 G[i, i] -= 1.0
@@ -406,19 +408,21 @@ def logreg_objective(w_flat: np.ndarray, X: np.ndarray, T: np.ndarray,
     logits = X @ W.T + b
     loss = -float(np.sum(T * log_softmax(logits, axis=1))) / n \
         + 0.5 * l2 * float(np.sum(W * W))
-    dlogits = (softmax(logits, axis=1) - T) / n
+    dlogits = (softmax(logits) - T) / n
     dW = dlogits.T @ X + l2 * W
     db = dlogits.sum(axis=0)
     return loss, np.concatenate([dW.ravel(), db])
 
 
-def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> tuple[ParamSet, AdamState]:
+def adam_step(params: ParamSet, grads: ParamSet, state: AdamState,
+              alpha: float = ADAM_ALPHA) -> tuple[ParamSet, AdamState]:
     """The bias-corrected Adam update as one expression per array, each
-    building its own temporaries; returns (new params, new state) and leaves
-    its inputs unchanged (numerics.adam_step applies the same operations, in
-    the same order, to the parameters and moments in place)."""
+    building its own temporaries, under the default betas and epsilon;
+    returns (new params, new state) and leaves its inputs unchanged
+    (numerics.adam_step applies the same operations, in the same order, to
+    the parameters and moments in place)."""
     t = state.step + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     new_p, new_m, new_v = {}, {}, {}
@@ -428,7 +432,7 @@ def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> tuple[Para
         v = b2 * state.v[k] + (1.0 - b2) * (g * g)
         new_m[k] = m
         new_v[k] = v
-        new_p[k] = p - state.alpha * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+        new_p[k] = p - alpha * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
     return new_p, replace(state, step=t, m=new_m, v=new_v)
 
 

@@ -14,8 +14,7 @@ import numpy as np
 from skipgru.cli import _encode_lines, generate_story, main
 from skipgru.corpus import SentenceTriple
 from skipgru.decoder import ConditionalGruParams, sentence_log_prob
-from skipgru.encoder import (EncoderModel, encode, encode_with_cache,
-                             encoder_backward)
+from skipgru.encoder import EncoderModel, encode_with_cache, encoder_backward
 from skipgru.probes import (fit_relatedness, logreg_objective, pair_features,
                             pearson, predict_scores, score_to_distribution)
 from skipgru.ranking import (RankingModel, RankTrainConfig, evaluate_retrieval,
@@ -63,7 +62,7 @@ def _fd_encoder(mode, seed):
 
     def loss(params):
         mm = model_from_params(m.config, m.vocab, params)
-        return float(probe @ encode(tokens, mm.encoder))
+        return float(probe @ encode_with_cache(tokens, mm.encoder)[0])
 
     _, cache = encode_with_cache(tokens, m.encoder)
     analytic = zero_grads(m)
@@ -129,17 +128,16 @@ def _fd_ranking(seed):
         X = rng.normal(size=(n, 3))
         Y = rng.normal(size=(n, 4))
         m = RankingModel(U=rng.normal(size=(3, 3)),
-                         V=rng.normal(size=(3, 4)), alpha=0.3,
-                         k_contrastive=k)
+                         V=rng.normal(size=(3, 4)))
+        cfg = RankTrainConfig(alpha=0.3, k_contrastive=k)
         cseed = (seed, attempt)
         params = {"U": m.U.copy(), "V": m.V.copy()}
 
         def loss(ps):
-            cur = RankingModel(U=ps["U"], V=ps["V"], alpha=0.3,
-                               k_contrastive=k)
-            return ranking_grads(X, Y, cur, contrastive_seed=cseed)[0]
+            cur = RankingModel(U=ps["U"], V=ps["V"])
+            return ranking_grads(X, Y, cur, cfg, contrastive_seed=cseed)[0]
 
-        value, grads = ranking_grads(X, Y, m, contrastive_seed=cseed)
+        value, grads = ranking_grads(X, Y, m, cfg, contrastive_seed=cseed)
         if value == 0.0:
             continue
         err = finite_diff_check(loss, params, grads)
@@ -281,9 +279,9 @@ def test_criterion_5_ranking():
     z = rng.normal(size=(n_train + n_dev, dim))
     X = z + 0.02 * rng.normal(size=z.shape)    # images
     Y = z + 0.02 * rng.normal(size=z.shape)    # captions
-    model = init_ranking_model(dim, dim, dim, seed=0, alpha=0.2,
-                               k_contrastive=10)
-    cfg = RankTrainConfig(batch_size=25, learning_rate=0.05, seed=0)
+    model = init_ranking_model(dim, dim, dim, seed=0)
+    cfg = RankTrainConfig(batch_size=25, learning_rate=0.05, seed=0,
+                          alpha=0.2, k_contrastive=10)
     result = train_ranker((X[:n_train], Y[:n_train]), model, 15,
                           (X[n_train:], Y[n_train:]), cfg)
     best = max(h["dev_r1"] for h in result.history)
@@ -295,7 +293,7 @@ def test_criterion_5_ranking():
     N = 1000
     Xr = rng.normal(size=(N, 8))
     Yr = rng.normal(size=(N, 8))
-    base = init_ranking_model(8, 8, 8, seed=3, alpha=0.2, k_contrastive=1)
+    base = init_ranking_model(8, 8, 8, seed=3)
     res = evaluate_retrieval(Xr, Yr, base, group_size=1)
     for direction in ("annotation", "search"):
         r1 = res[direction].recall_at[1]
@@ -377,20 +375,22 @@ def test_criterion_7_bidirectional(rng):
     uni = make_model(vocab_size=8, embed_dim=3, hidden_dim=4, mode="uni",
                     seed=6)
     tokens = (2, 6, 3, 7, 0)
-    vec_bi = encode(tokens, bi.encoder)
+    vec_bi = encode_with_cache(tokens, bi.encoder)[0]
     assert vec_bi.shape == (2 * hidden,)
 
     # A uni encoder seeded with the bi model's forward direction must agree
     # bit for bit on the first half.
     fwd_only = EncoderModel(embedding=bi.encoder.embedding,
                             forward=bi.encoder.forward)
-    assert np.array_equal(vec_bi[:hidden], encode(tokens, fwd_only))
+    assert np.array_equal(vec_bi[:hidden],
+                          encode_with_cache(tokens, fwd_only)[0])
 
     # Combine mode concatenates the two models' vectors for the same line.
     combined = _encode_lines(["w2 w6 w3 w7"],
                              [ExpandedLookup(uni), ExpandedLookup(bi)])[0]
     assert combined.shape == (uni.encoder.output_dim + bi.encoder.output_dim,)
-    assert np.array_equal(combined[:4], encode(tokens, uni.encoder))
+    assert np.array_equal(combined[:4],
+                          encode_with_cache(tokens, uni.encoder)[0])
     assert np.array_equal(combined[4:], vec_bi)
 
 

@@ -8,6 +8,7 @@ reasonable; SystemExit from argparse is asserted where flags are invalid.
 import ast
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import pathlib
@@ -636,38 +637,41 @@ def test_fresh_train_without_settings_flags_uses_the_config_defaults(
 def test_one_home_per_setting():
     # The train settings flags have no default of their own: TrainConfig's
     # fill a fresh run and the checkpoint's a resumed one.  eval-rank's
-    # model and training flags read theirs from the ranking types, and
-    # TrainConfig reads Adam's from AdamState.
+    # training flags read theirs from RankTrainConfig, and TrainConfig and
+    # adam_step name the same numerics constants as Adam's defaults.
     _, registry = build_parser()
     train = {a.dest: a.default for a in registry["train"].parser._actions}
     assert {dest: train[dest] for dest in RESUMED_FLAGS} == dict.fromkeys(
         RESUMED_FLAGS)
     rank = {a.dest: a.default for a in registry["eval-rank"].parser._actions}
-    homes = {"alpha": ("RankingModel", "alpha"),
-             "k_contrastive": ("RankingModel", "k_contrastive"),
-             "lr": ("RankTrainConfig", "learning_rate"),
-             "batch": ("RankTrainConfig", "batch_size")}
+    homes = {"alpha": "alpha", "k_contrastive": "k_contrastive",
+             "lr": "learning_rate", "batch": "batch_size"}
     trees = {stem: ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
-             for stem in ("cli", "trainer")}
+             for stem in ("cli", "trainer", "numerics")}
     calls = [node for node in ast.walk(trees["cli"]) if isinstance(node, ast.Call)
              and getattr(node.func, "attr", None) == "add_argument"]
     flag_defaults = {}
     for call in calls:
         flag_defaults.setdefault(call.args[0].value, []).extend(
             ast.unparse(kw.value) for kw in call.keywords if kw.arg == "default")
-    for dest, (cls, field) in homes.items():
-        assert rank[dest] == getattr(getattr(ranking, cls), field)
+    for dest, field in homes.items():
+        assert rank[dest] == getattr(ranking.RankTrainConfig, field)
         flag = "--" + dest.replace("_", "-")
-        assert flag_defaults[flag] == [f"ranking.{cls}.{field}"], flag
-    adam = {f.name: f.default for f in dataclasses.fields(numerics.AdamState)}
+        assert flag_defaults[flag] == [f"ranking.RankTrainConfig.{field}"], flag
     config = {f.name: f.default for f in dataclasses.fields(trainer.TrainConfig)}
+    step = inspect.signature(numerics.adam_step).parameters
     [body] = [node.body for node in ast.walk(trees["trainer"])
               if isinstance(node, ast.ClassDef) and node.name == "TrainConfig"]
     field_defaults = {node.target.id: ast.unparse(node.value) for node in body
                       if isinstance(node, ast.AnnAssign) and node.value}
+    [args] = [node.args for node in ast.walk(trees["numerics"])
+              if isinstance(node, ast.FunctionDef) and node.name == "adam_step"]
+    step_defaults = {a.arg: ast.unparse(d) for a, d in
+                     zip(args.args[-len(args.defaults):], args.defaults)}
     for name in ("alpha", "beta1", "beta2", "epsilon"):
-        assert config[name] == adam[name], name
-        assert field_defaults[name] == f"AdamState.{name}", name
+        home = f"ADAM_{name.upper()}"
+        assert config[name] == step[name].default == getattr(numerics, home)
+        assert field_defaults[name] == step_defaults[name] == home, name
 
 
 def test_train_rerun_identical_checkpoint(ws, tmp_path):
@@ -1240,7 +1244,7 @@ def test_nn_word_with_no_other_word_prints_no_lines(tmp_path, capsys):
     # an empty candidate list used to die of np.vstack([]) (exit 1).
     ckpt = tmp_path / "one.ckpt"
     m = make_model(vocab_size=3, embed_dim=3, hidden_dim=4)
-    trainer.save_checkpoint(m, trainer.make_optimizer(m), ckpt)
+    trainer.save_checkpoint(m, numerics.AdamState.initial(m.param_dict()), ckpt)
     capsys.readouterr()
     assert main(["nn-word", "--ckpt", str(ckpt), "--query", "w2"]) == 0
     assert capsys.readouterr().out == ""
@@ -1574,8 +1578,43 @@ def test_eval_rank_refuses_a_setting_it_cannot_train_by_exit_2(
                  "--captions", str(caps), "--group-size", "1",
                  "--embed-dim", "3", "--out", str(out), flag, value]) == 2
     message = {"--lr": "learning_rate must be finite and positive",
-               "--batch": "batch_size must be >= 2"}[flag]
+               "--batch": "batch_size 0 must exceed k_contrastive 50"}[flag]
     assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["caps.txt", "img.bin"]
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--batch", "20", "--k-contrastive", "20"],
+     "batch_size 20 must exceed k_contrastive 20"),
+    (["--alpha", "0"], "alpha must be finite and positive, got 0.0"),
+    (["--k-contrastive", "0"], "k_contrastive must be >= 1, got 0"),
+    (["--train-items", "50", "--dev-items", "20"],
+     "train (50) + dev (20) items exceed the 60 available"),
+    (["--train-items", "5", "--k-contrastive", "5", "--batch", "10"],
+     "training needs more than k_contrastive 5 pairs, got 5"),
+    (["--init", "identity"], "--init identity needs image, sentence, and "
+                             "embedding dims to be equal")],
+    ids=["batch-not-above-k", "alpha", "k", "items", "pairs", "identity"])
+def test_eval_rank_checks_every_setting_before_it_encodes_a_caption(
+        ws, tmp_path, capsys, monkeypatch, flags, message):
+    # A batch or a training set of at most k pairs used to train no step,
+    # print "mean loss 0.0000" for each epoch and exit 0; the other settings
+    # exited 2 only after all 60 captions had been encoded.
+    caps = tmp_path / "caps.txt"
+    caps.write_text("".join(f"the cat sat {i} .\n" for i in range(60)))
+    img = tmp_path / "img.bin"
+    write_vectors(img, np.random.default_rng(0).normal(size=(60, 3)))
+    calls = []
+    monkeypatch.setattr(cli, "_encode_lines", lambda *a: calls.append(a))
+    out = tmp_path / "rank.csv"
+    capsys.readouterr()
+    assert main(["eval-rank", "--ckpt", str(ws["ckpt"]), "--images", str(img),
+                 "--captions", str(caps), "--group-size", "1",
+                 "--train-items", "30", "--dev-items", "10", "--embed-dim",
+                 "3", "--k-contrastive", "5", "--batch", "10", "--epochs",
+                 "2", "--out", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["caps.txt", "img.bin"]
 
 
@@ -1832,7 +1871,7 @@ def _assert_encode_refuses(tmp_path, capsys, kind, edit):
     header changed by `edit`, exits 4 and writes no vectors and no manifest."""
     ckpt, xmap = tmp_path / "c.ckpt", tmp_path / "x.map"
     m = make_model(vocab_size=6, embed_dim=3, hidden_dim=4)
-    trainer.save_checkpoint(m, trainer.make_optimizer(m), ckpt)
+    trainer.save_checkpoint(m, numerics.AdamState.initial(m.param_dict()), ckpt)
     write_small_map(xmap)
     if kind == "checkpoint":
         write_mismatched_checkpoint(ckpt, edit)

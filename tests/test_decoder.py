@@ -131,7 +131,7 @@ def test_log_prob_nonpositive_and_prob_rows_normalized(rng):
     logits = cache.trace.S[1:] @ V.T
     rows = scratch[:4]
     assert np.all(np.isnan(scratch[4:]))
-    assert np.max(np.abs(rows - softmax(logits, axis=1))) < 1e-12
+    assert np.max(np.abs(rows - softmax(logits))) < 1e-12
     assert np.max(np.abs(rows.sum(axis=1) - 1.0)) < 1e-12
     assert abs(lp - sum(np.log(rows[t, w])
                         for t, w in enumerate((2, 4, 1, 0)))) < 1e-12

@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import make_model, make_vocab, randomize_params, zero_grads
 from reference import finite_diff_check, gru_step
-from skipgru.encoder import (EncoderModel, GruParams, encode,
-                             encode_vectors, encode_with_cache,
-                             encoder_backward)
+from skipgru.encoder import (EncoderModel, GruParams, encode_vectors,
+                             encode_with_cache, encoder_backward)
 from skipgru.errors import InputError, RangeError, ShapeError
 from skipgru.trainer import model_from_params
 
@@ -99,14 +98,15 @@ def test_encode_single_eos_token_is_one_step():
     m = randomize_params(make_model(vocab_size=5, embed_dim=3, hidden_dim=2),
                          seed=4)
     out = gru_step(m.encoder.embedding[0], np.zeros(2), m.encoder.forward)
-    assert np.max(np.abs(encode((0,), m.encoder) - out.h)) < 1e-12
+    assert np.max(np.abs(encode_with_cache((0,), m.encoder)[0] - out.h)) < 1e-12
 
 
 def test_encode_zero_weights_zero_vector():
     m = make_model(vocab_size=5, embed_dim=3, hidden_dim=2)
     params = {k: np.zeros_like(v) for k, v in m.param_dict().items()}
     z = model_from_params(m.config, m.vocab, params)
-    assert np.array_equal(encode((2, 3, 0), z.encoder), np.zeros(2))
+    assert np.array_equal(encode_with_cache((2, 3, 0), z.encoder)[0],
+                          np.zeros(2))
 
 
 def test_encode_matches_unrolled_recurrence():
@@ -116,22 +116,22 @@ def test_encode_matches_unrolled_recurrence():
     h = np.zeros(4)
     for t in tokens:
         h = gru_step(m.encoder.embedding[t], h, m.encoder.forward).h
-    assert np.max(np.abs(encode(tokens, m.encoder) - h)) < 1e-12
+    assert np.max(np.abs(encode_with_cache(tokens, m.encoder)[0] - h)) < 1e-12
 
 
 def test_encode_empty_and_out_of_range():
     m = make_model(vocab_size=5)
     with pytest.raises(InputError):
-        encode((), m.encoder)
+        encode_with_cache((), m.encoder)
     with pytest.raises(RangeError):
-        encode((99, 0), m.encoder)
+        encode_with_cache((99, 0), m.encoder)
 
 
 def test_encode_permutation_sensitive():
     m = randomize_params(make_model(vocab_size=8, embed_dim=3, hidden_dim=3),
                          seed=11)
-    a = encode((2, 3, 4, 0), m.encoder)
-    b = encode((4, 3, 2, 0), m.encoder)
+    a = encode_with_cache((2, 3, 4, 0), m.encoder)[0]
+    b = encode_with_cache((4, 3, 2, 0), m.encoder)[0]
     assert np.max(np.abs(a - b)) > 1e-6
 
 
@@ -145,7 +145,7 @@ def test_encode_vectors_of_embedding_rows_is_encode_bit_for_bit(
         mode, embed_dim, hidden_dim):
     # encode_vectors is encode_batch of one sentence, which runs exactly the
     # products of encode_with_cache's pass: from the rows that token ids
-    # index, it gives the bits of encode.
+    # index, it gives that pass's bits.
     m = randomize_params(make_model(vocab_size=50, embed_dim=embed_dim,
                                     hidden_dim=hidden_dim, mode=mode),
                          seed=hidden_dim, scale=2.0 / np.sqrt(hidden_dim))
@@ -153,14 +153,14 @@ def test_encode_vectors_of_embedding_rows_is_encode_bit_for_bit(
     for length in range(1, 41):
         ids = rng.integers(0, 50, size=length)
         assert np.array_equal(encode_vectors(m.embedding[ids], m.encoder),
-                              encode(ids, m.encoder)), length
+                              encode_with_cache(ids, m.encoder)[0]), length
 
 
 def test_bi_concatenates_forward_and_reversed_final_states():
     m = randomize_params(make_model(vocab_size=8, embed_dim=3, hidden_dim=2,
                                     mode="bi"), seed=3)
     tokens = (2, 6, 3, 0)
-    vec = encode(tokens, m.encoder)
+    vec = encode_with_cache(tokens, m.encoder)[0]
     assert vec.shape == (4,)
 
     def run(params, ids):
@@ -180,8 +180,8 @@ def test_bi_forward_half_equals_uni_with_same_parameters():
     uni_enc = EncoderModel(embedding=bi.encoder.embedding,
                            forward=bi.encoder.forward)
     tokens = (4, 2, 7, 0)
-    assert np.array_equal(encode(tokens, bi.encoder)[:2],
-                          encode(tokens, uni_enc))
+    assert np.array_equal(encode_with_cache(tokens, bi.encoder)[0][:2],
+                          encode_with_cache(tokens, uni_enc)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +224,7 @@ def _fd_encoder(mode, seed, tokens=(2, 4, 3, 0)):
 
     def loss(params):
         mm = model_from_params(m.config, m.vocab, params)
-        return float(probe @ encode(tokens, mm.encoder))
+        return float(probe @ encode_with_cache(tokens, mm.encoder)[0])
 
     _, cache = encode_with_cache(tokens, m.encoder)
     analytic = zero_grads(m)

@@ -23,7 +23,8 @@ from skipgru.cli import _write_metric_rows, main
 from skipgru.errors import InputError
 from skipgru.corpus import save_vocab
 from skipgru.fileio import atomic_output, read_vectors, write_vectors
-from skipgru.trainer import load_model, make_optimizer, save_checkpoint
+from skipgru.numerics import AdamState
+from skipgru.trainer import load_model, save_checkpoint
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "skipgru"
 
@@ -159,7 +160,7 @@ def test_sha256_path_reuses_the_digest_of_a_verified_read(tmp_path,
     for seed in (0, 1):
         # The second model rewrites the same path through atomic_output.
         model = make_model(vocab_size=6, seed=seed)
-        save_checkpoint(model, make_optimizer(model), path)
+        save_checkpoint(model, AdamState.initial(model.param_dict()), path)
         want = hashlib.sha256(path.read_bytes()).hexdigest()
         assert fileio.sha256_path(path) == want
         load_model(path)
@@ -171,7 +172,7 @@ def test_sha256_path_reuses_the_digest_of_a_verified_read(tmp_path,
 def test_sha256_path_hashes_a_file_changed_since_its_read(tmp_path):
     path = tmp_path / "m.ckpt"
     model = make_model(vocab_size=6)
-    save_checkpoint(model, make_optimizer(model), path)
+    save_checkpoint(model, AdamState.initial(model.param_dict()), path)
     load_model(path)
     with open(path, "r+b") as fh:       # in place: same inode and size
         fh.seek(-1, os.SEEK_END)
@@ -189,7 +190,7 @@ def test_digest_record_is_bounded_and_forgets_rewritten_inodes(tmp_path):
     model = make_model(vocab_size=6)
     for i in range(fileio._DIGESTS_MAX + 3):
         path = tmp_path / f"{i}.ckpt"
-        save_checkpoint(model, make_optimizer(model), path)
+        save_checkpoint(model, AdamState.initial(model.param_dict()), path)
         load_model(path)
     assert len(fileio._DIGESTS) == fileio._DIGESTS_MAX
     # atomic_output truncates and reuses a leftover temp file, as a new file
@@ -270,7 +271,7 @@ def _manifest_writer(tmp_path):
 def _text_out_writer(tmp_path):
     model = make_model(vocab_size=6, embed_dim=3, hidden_dim=4)
     ckpt = tmp_path / "m.ckpt"
-    save_checkpoint(model, make_optimizer(model), ckpt)
+    save_checkpoint(model, AdamState.initial(model.param_dict()), ckpt)
     lines = tmp_path / "in.txt"
     lines.write_text("w2 w3\nw4\n", encoding="utf-8")
     path = tmp_path / "vectors.txt"

@@ -26,7 +26,7 @@ from skipgru import decoder, encoder, trainer
 from skipgru.encoder import (GruParams, GruTrace, encode_with_cache,
                              encoder_backward, gru_backward, gru_forward,
                              pad_batch)
-from skipgru.numerics import sigmoid
+from skipgru.numerics import AdamState, sigmoid
 
 from reference import log_softmax
 
@@ -299,7 +299,7 @@ def test_train_step_runs_one_backward_pass_per_decoder(mode, monkeypatch):
     batch = [random_triple(9, rng, max_len=6) for _ in range(5)]
     m = lay_out(randomize_params(make_model(vocab_size=9, embed_dim=3,
                                             hidden_dim=4, mode=mode), seed=25))
-    trainer.train_step(m, batch, trainer.make_optimizer(m), m.config)
+    trainer.train_step(m, batch, AdamState.initial(m.param_dict()), m.config)
     directions = len(m.encoder.directions)
     assert backward_batches == [(5,), (5,)] + [()] * (directions * len(batch))
     assert decoder_calls == [("dec_next.", 5), ("dec_prev.", 5)]

@@ -149,9 +149,9 @@ def _copy(d):
 
 def test_adam_zero_gradient_is_identity():
     p = {"w": np.array([1.0, -2.0, 3.0])}
-    st_ = AdamState.initial(p, alpha=0.1)
+    st_ = AdamState.initial(p)
     g = {"w": np.zeros(3)}
-    assert adam_step(p, g, st_) is None
+    assert adam_step(p, g, st_, alpha=0.1) is None
     assert np.array_equal(p["w"], [1.0, -2.0, 3.0])
     assert st_.step == 1
 
@@ -159,8 +159,8 @@ def test_adam_zero_gradient_is_identity():
 def test_adam_first_step_hand_computation():
     # Bias correction makes the first update alpha * g/(|g| + eps'): ~0.1.
     p = {"w": np.array([1.0])}
-    st_ = AdamState.initial(p, alpha=0.1)
-    adam_step(p, {"w": np.array([1.0])}, st_)
+    st_ = AdamState.initial(p)
+    adam_step(p, {"w": np.array([1.0])}, st_, alpha=0.1)
     assert abs(p["w"][0] - 0.9) < 1e-6
 
 
@@ -178,11 +178,11 @@ def _scalar_adam(p, grads, alpha=0.1, b1=0.9, b2=0.999, eps=1e-8):
 
 def test_adam_two_steps_match_scalar_oracle():
     p = {"w": np.array([1.0])}
-    st_ = AdamState.initial(p, alpha=0.1)
+    st_ = AdamState.initial(p)
     g = {"w": np.array([1.0])}
-    adam_step(p, g, st_)
+    adam_step(p, g, st_, alpha=0.1)
     p1 = p["w"][0]
-    adam_step(p, g, st_)
+    adam_step(p, g, st_, alpha=0.1)
     p2 = p["w"][0]
     assert abs(p2 - _scalar_adam(1.0, [1.0, 1.0])) < 1e-10
     # Second step also moves by roughly -alpha for a repeated unit gradient.
@@ -206,12 +206,14 @@ def test_adam_step_counter_strictly_increases():
 
 ADAM_SHAPES = {"emb": (2000, 64), "V": (2000, 128), "U": (64, 64),
                "begin": (64,)}
+# The step size of _adam_problem's updates.
+ALPHA = 0.01
 
 
 def _adam_problem(seed=0):
     rng = np.random.default_rng(seed)
     params = {k: rng.standard_normal(s) for k, s in ADAM_SHAPES.items()}
-    state = AdamState.initial(params, alpha=0.01)
+    state = AdamState.initial(params)
     grads = [{k: rng.standard_normal(s) * 10.0 ** -i
               for k, s in ADAM_SHAPES.items()} for i in range(4)]
     return params, state, grads
@@ -225,8 +227,8 @@ def test_adam_is_bit_identical_to_the_expression_oracle(monkeypatch):
         rp = _copy(params)
         rs = replace(state, m=_copy(state.m), v=_copy(state.v))
         for g in grads:
-            adam_step(params, g, state)
-            rp, rs = reference.adam_step(rp, g, rs)
+            adam_step(params, g, state, ALPHA)
+            rp, rs = reference.adam_step(rp, g, rs, ALPHA)
             assert state.step == rs.step
             for k in ADAM_SHAPES:
                 assert np.array_equal(params[k], rp[k])
@@ -236,13 +238,14 @@ def test_adam_is_bit_identical_to_the_expression_oracle(monkeypatch):
 
 def test_adam_updates_its_own_arrays_in_place():
     params, state, grads = _adam_problem()
-    adam_step(params, grads[0], state)
+    adam_step(params, grads[0], state, ALPHA)
     arrays = [dict(d) for d in (params, state.m, state.v)]
     before = [_copy(d) for d in (params, state.m, state.v)]
     g_before = _copy(grads[1])
     want_p, want_s = reference.adam_step(*before[:1], grads[1],
-                                         replace(state, m=before[1], v=before[2]))
-    adam_step(params, grads[1], state)
+                                         replace(state, m=before[1], v=before[2]),
+                                         ALPHA)
+    adam_step(params, grads[1], state, ALPHA)
     assert state.step == 2
     for d, same, want in zip((params, state.m, state.v), arrays,
                              (want_p, want_s.m, want_s.v)):
@@ -272,11 +275,11 @@ def test_adam_on_column_major_arrays_is_bit_identical_to_the_oracle(grad_order):
     for g in grads:
         laid_out = {k: np.asarray(a, order=grad_order) for k, a in g.items()}
         if grad_order == "F":
-            adam_step(params, laid_out, state)
-            rp, rs = reference.adam_step(rp, g, rs)
+            adam_step(params, laid_out, state, ALPHA)
+            rp, rs = reference.adam_step(rp, g, rs, ALPHA)
         else:
             with pytest.raises(ParameterError, match="grad 'emb'"):
-                adam_step(params, laid_out, state)
+                adam_step(params, laid_out, state, ALPHA)
         assert state.step == rs.step
         for d, want in zip((params, state.m, state.v), (rp, rs.m, rs.v)):
             for k in ADAM_SHAPES:
@@ -352,11 +355,11 @@ def _moment_in_another_order(params, grads, state):
     (_moment_in_another_order, ParameterError)])
 def test_adam_validates_every_array_before_writing(spoil, error):
     params, state, grads = _adam_problem()
-    adam_step(params, grads[0], state)
+    adam_step(params, grads[0], state, ALPHA)
     spoil(params, grads[1], state)
     before = [_copy(d) for d in (params, state.m, state.v)]
     with pytest.raises(error):
-        adam_step(params, grads[1], state)
+        adam_step(params, grads[1], state, ALPHA)
     assert state.step == 1
     for d, c in zip((params, state.m, state.v), before):
         for k in c:
@@ -374,7 +377,7 @@ def _adam_peak(step, params, grads, state) -> int:
 
 def test_adam_allocates_only_its_block_scratch():
     params, state, grads = _adam_problem()
-    adam_step(params, grads[0], state)
+    adam_step(params, grads[0], state, ALPHA)
     total = sum(a.nbytes for a in params.values())
     # Two scratch buffers of ADAM_BLOCK float64 each: 512 KiB.
     assert _adam_peak(adam_step, params, grads[1], state) < 1024 * 1024

@@ -153,7 +153,7 @@ def test_optimum_gradient_small_and_objective_matches_oracle():
     assert np.linalg.norm(grad) < 1e-6
     # Independent recomputation of the objective value.
     logits = X @ m.weights.T + m.bias
-    p = softmax(logits, axis=1)
+    p = softmax(logits)
     ce = -np.mean(np.sum(T * np.log(p), axis=1))
     want = ce + 0.5 * l2 * float(np.sum(m.weights ** 2))
     assert abs(loss - want) < 1e-10

@@ -10,7 +10,6 @@ import pytest
 
 from conftest import make_model, randomize_params
 from reference import union_words
-from skipgru.encoder import encode
 from skipgru.errors import ConfigError, InputError
 from skipgru.trainer import model_from_params
 from skipgru.vocab_expansion import (ExpandedLookup, ExternalEmbeddings,
@@ -348,7 +347,7 @@ def test_nearest_sentences_matches_exhaustive_scan():
 def test_bank_top_k_cosine_formula_and_ties():
     vecs = np.array([[3.0, 4.0], [0.0, 0.0], [6.0, 8.0], [-1.0, 0.5]])
     bank = SentenceBank(sentences=["a", "zero", "b", "c"], vectors=vecs)
-    assert np.array_equal(bank.norms, np.linalg.norm(vecs, axis=1))
+    assert np.array_equal(bank.safe_norms, [5.0, 1.0, 10.0, np.sqrt(1.25)])
     q = np.array([0.3, 0.4])
     sims = (vecs @ q) / (np.array([5.0, 1.0, 10.0, np.sqrt(1.25)]) * 0.5)
     # "a" and "b" tie at cosine 1 and keep row order; the zero row scores 0.
@@ -376,7 +375,8 @@ def test_bank_top_k_partial_selection_matches_full_sort(seed):
     bank = SentenceBank(sentences=[str(i) for i in range(n)], vectors=vecs)
     for q in (vecs[2], rng.normal(size=3), np.zeros(3)):
         qn = np.linalg.norm(q)
-        sims = (vecs @ q) / (np.where(bank.norms == 0.0, 1.0, bank.norms)
+        norms = np.linalg.norm(vecs, axis=1)
+        sims = (vecs @ q) / (np.where(norms == 0.0, 1.0, norms)
                              * (qn if qn > 0 else 1.0))
         full = [(str(i), float(sims[i]))
                 for i in np.argsort(-sims, kind="stable")]
