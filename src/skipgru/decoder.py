@@ -22,28 +22,28 @@ Both decoders run on the encoder's GRU kernel.  The conditioning terms
 C_* h_enc are constant over a sentence, so they are added once to the input
 pre-activations X @ W_*.T before the time loop.
 
-A train step runs all of its decoder passes through decode_batch, which
-owns the output layer, so that it runs once per group of passes rather than
-once per pass:
-- decode_batch allocates one logits buffer for the step and hands each pass
-  the next free rows of it.
-- sentence_log_prob_with_cache forms a pass's (T, vocab) logits in the rows
-  it is handed and leaves there their softmax rows.
+A train step runs each decoder end to end, through decode_batch and then
+decoder_backward.  decode_batch owns the output layer, so that it runs once
+per group of passes rather than once per pass:
+- decode_batch makes the decoder's block (DecoderCache) and one logits
+  buffer, and hands each pass its column of the block and the next free
+  rows of the buffer.
+- sentence_log_prob_with_cache writes a pass's inputs and trace into its
+  column (gru_forward's `out`), forms its (T, vocab) logits in the rows it
+  is handed and leaves there their softmax rows.
 - output_layer_backward runs as soon as OUTPUT_CHUNK rows are pending, and
   after the last pass.  It subtracts the one-hot targets from the pending
-  rows in place, then takes dlogits @ V, the passes' state gradients, and
-  dlogits.T @ H, which it adds into V's gradient in place by one dgemm
-  (numerics.add_matmul, on numpy's own OpenBLAS: a train step loads no
-  scipy).  It forms no logits and takes no exp: each logit of
-  a train step is formed once, in the forward pass.  No (rows, vocab) array
-  exists beyond the buffer.
-- decoder_backward then runs one decoder's passes from their state
-  gradients as one right-padded (T, B) gru_backward, the next decoder's
-  first: the per-step pre-activation gradients summed over time give the
-  conditioning matrices' gradients and each pass's gradient into h_enc, and
-  the input gradients are scatter-added into the embedding rows by one
-  np.add.at.  It does no work on V.  It drops each pass's inputs and trace
-  once packed, so a step holds each decoder's states once.
+  rows in place, then takes dlogits @ V, the passes' state gradients, which
+  it writes into the block, and dlogits.T @ H, which it adds into V's
+  gradient in place by one dgemm (numerics.add_matmul, on numpy's own
+  OpenBLAS: a train step loads no scipy).  It forms no logits and takes no
+  exp: each logit of a train step is formed once, in the forward pass.  No
+  (rows, vocab) array exists beyond the buffer.
+- decoder_backward then runs the block as one gru_backward: the per-step
+  pre-activation gradients summed over time give the conditioning matrices'
+  gradients and each pass's gradient into h_enc, and the input gradients
+  are scatter-added into the embedding rows by one np.add.at.  It does no
+  work on V.  The block is the only copy of the passes' states.
 
 The forward pass takes V row-major (as loaded for inference) or column-major
 (as trainer.train lays it out) without a copy; the backward pass takes only
@@ -59,8 +59,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .encoder import (GRU_KEYS, GruParams, GruTrace, gru_backward, gru_forward,
-                      pad_batch)
+from .encoder import GRU_KEYS, GruParams, GruTrace, gru_backward, gru_forward
 from .errors import (InputError, ParameterError, RangeError, ShapeError,
                      StateError)
 from .numerics import ParamSet, add_matmul, get_rng, softmax
@@ -133,123 +132,140 @@ def _check_target(target: Sequence[int], vocab_size: int) -> tuple[int, ...]:
 
 @dataclass
 class DecoderCache:
-    """Teacher-forced forward activations needed by output_layer_backward
-    and decoder_backward.  A cache serves one backward pass:
-    decoder_backward sets X and trace to None once it has packed them."""
+    """One decoder's passes over a batch as one zero-filled block,
+    right-padded to (T, B), T the longest target.  Pass b's forward writes
+    column b, and the output layer its state gradients.  The gate block is
+    (T, B, 2, hidden), so each step of a pass writes contiguous memory."""
 
-    target: tuple[int, ...]
-    h_enc: np.ndarray
-    X: np.ndarray        # (T, embed) inputs: begin, then target[:-1] embeddings
-    trace: GruTrace
+    targets: Sequence[Sequence[int]]
+    H_enc: np.ndarray | None  # (B, enc_dim); None for sentence_log_prob
+    X: np.ndarray        # (T, B, embed) inputs: begin, then target[:-1] embeddings
+    S: np.ndarray        # (T + 1, B, hidden): S[0] = 0, S[t] = h^t
+    RZ: np.ndarray       # (T, B, 2, hidden) gate block
+    Hbar: np.ndarray     # (T, B, hidden)
+    dS: np.ndarray       # (T, B, hidden) gradients of the loss wrt the states
+
+    @classmethod
+    def block(cls, targets: Sequence[Sequence[int]], H_enc: np.ndarray | None,
+              p: ConditionalGruParams) -> "DecoderCache":
+        T, B, hid = max(map(len, targets)), len(targets), p.hidden_dim
+        return cls(targets, H_enc, np.zeros((T, B, len(p.begin))),
+                   np.zeros((T + 1, B, hid)), np.zeros((T, B, 2, hid)),
+                   np.zeros((T, B, hid)), np.zeros((T, B, hid)))
+
+    @property
+    def trace(self) -> GruTrace:
+        return GruTrace(self.S, self.RZ[:, :, 0], self.RZ[:, :, 1], self.Hbar)
 
 
 def sentence_log_prob_with_cache(target: Sequence[int], h_enc: np.ndarray,
                                  p: ConditionalGruParams, V: np.ndarray,
-                                 embedding: np.ndarray, scratch: np.ndarray
-                                 ) -> tuple[float, DecoderCache]:
-    """The teacher-forced log-likelihood and the cache that the backward pass
-    needs.  The (T, vocab) logits are formed in the leading rows of `scratch`,
-    which are left holding the pass's softmax rows for output_layer_backward
-    to read."""
+                                 embedding: np.ndarray, scratch: np.ndarray,
+                                 cache: DecoderCache, b: int) -> float:
+    """The teacher-forced log-likelihood of pass b of `cache`, whose inputs
+    and trace go into column b of its block.  The (T, vocab) logits are
+    formed in the leading rows of `scratch`, which are left holding the
+    pass's softmax rows for output_layer_backward to read."""
     ids = _check_target(target, V.shape[0])
     h_enc = _check_conditioning(h_enc, p)
-    X = np.vstack([p.begin, embedding[list(ids[:-1])]])
+    T = len(ids)
+    X = cache.X[:T, b]
+    X[0] = p.begin
+    np.take(embedding, ids[:-1], axis=0, out=X[1:])
     # The conditioning terms are constant over the sentence: add them once.
     trace = gru_forward(X @ p.W_r.T + p.C_r @ h_enc, X @ p.W_z.T + p.C_z @ h_enc,
-                        X @ p.W.T + p.C @ h_enc, p)
+                        X @ p.W.T + p.C @ h_enc, p,
+                        out=(cache.S[:T + 1, b], cache.RZ[:T, b],
+                             cache.Hbar[:T, b]))
     # The loss reads z[target] - log(sum exp z) of the shifted logits z.
-    z = np.matmul(trace.S[1:], V.T, out=scratch[:len(ids)])  # (T, vocab)
+    z = np.matmul(trace.S[1:], V.T, out=scratch[:T])  # (T, vocab)
     z -= np.max(z, axis=1)[:, None]
-    picked = z[np.arange(len(ids)), list(ids)]
+    picked = z[np.arange(T), list(ids)]
     np.exp(z, out=z)
     sums = np.sum(z, axis=1)
     z /= sums[:, None]
-    total = float((picked - np.log(sums)).sum())
-    return total, DecoderCache(target=ids, h_enc=h_enc, X=X, trace=trace)
+    return float((picked - np.log(sums)).sum())
 
 
 def sentence_log_prob(target: Sequence[int], h_enc: np.ndarray,
                       p: ConditionalGruParams, V: np.ndarray,
                       embedding: np.ndarray) -> float:
     """Teacher-forced log P(target | h_enc) = sum_t log softmax(V h^t)[w^t]; <= 0."""
-    logp, _ = sentence_log_prob_with_cache(
-        target, h_enc, p, V, embedding, np.empty((len(target), len(V))))
-    return logp
+    return sentence_log_prob_with_cache(
+        target, h_enc, p, V, embedding, np.empty((len(target), len(V))),
+        DecoderCache.block([target], None, p), 0)
 
 
-def decode_batch(passes: Sequence[tuple[Sequence[int], np.ndarray,
-                                        ConditionalGruParams]],
-                 V: np.ndarray, embedding: np.ndarray, grads: ParamSet
-                 ) -> tuple[list[float], list[DecoderCache], list[np.ndarray]]:
-    """Run the teacher-forced forward pass of each (target, h_enc, params) in
-    `passes`, in order, and the output layer's backward over them; returns
-    each pass's log-likelihood, its cache and its (T, hidden) state gradients.
+def decode_batch(targets: Sequence[Sequence[int]], H_enc: np.ndarray,
+                 p: ConditionalGruParams, V: np.ndarray, embedding: np.ndarray,
+                 grads: ParamSet) -> tuple[list[float], DecoderCache]:
+    """Run one decoder's teacher-forced pass of each target, conditioned on
+    the matching row of H_enc, in order, and the output layer's backward
+    over them; returns the passes' log-likelihoods and their DecoderCache.
 
     V's gradient is added into grads["V"], group by group in pass order;
-    nothing else in `grads` is touched.  The passes share one logits buffer:
-    each allocating its own between the caches a batch keeps fragments the
-    heap and raises the process's peak RSS.  At most OUTPUT_CHUNK - 1 rows
-    wait in it when a pass begins.  An empty `passes` raises InputError.
+    nothing else in `grads` is touched.  The passes share one logits buffer
+    (one each would fragment the heap), in which at most OUTPUT_CHUNK - 1
+    rows wait when a pass begins.  An empty `targets` raises InputError.
     """
-    if not passes:
+    if not targets:
         raise InputError("decode_batch needs at least one decoder pass")
-    lengths = [len(target) for target, _, _ in passes]
+    lengths = [len(target) for target in targets]
     scratch = np.empty((min(sum(lengths), OUTPUT_CHUNK - 1 + max(lengths)),
                         V.shape[0]))
-    log_probs, caches, dS = [], [], []
-    rows = 0
-    for target, h_enc, p in passes:
-        lp, cache = sentence_log_prob_with_cache(target, h_enc, p, V,
-                                                 embedding, scratch[rows:])
-        log_probs.append(lp)
-        caches.append(cache)
-        rows += len(cache.target)
-        if rows >= OUTPUT_CHUNK or len(caches) == len(passes):
-            dS += output_layer_backward(caches[len(dS):], V, grads, scratch)
-            rows = 0
-    return log_probs, caches, dS
+    cache = DecoderCache.block(targets, H_enc, p)
+    log_probs = []
+    first = rows = 0
+    for b, target in enumerate(targets):
+        log_probs.append(sentence_log_prob_with_cache(
+            target, H_enc[b], p, V, embedding, scratch[rows:], cache, b))
+        rows += lengths[b]
+        if rows >= OUTPUT_CHUNK or b == len(targets) - 1:
+            output_layer_backward(cache, slice(first, b + 1), V, grads,
+                                  scratch)
+            first, rows = b + 1, 0
+    return log_probs, cache
 
 
-def output_layer_backward(caches: Sequence[DecoderCache], V: np.ndarray,
-                          grads: ParamSet,
-                          scratch: np.ndarray) -> list[np.ndarray]:
-    """Add the output layer's gradient for the cached passes into grads["V"],
-    and return each pass's (T, hidden) gradient of its negative
-    log-likelihood with respect to its states h^1..h^T, in the order of
-    `caches`.
+def output_layer_backward(cache: DecoderCache, passes: slice, V: np.ndarray,
+                          grads: ParamSet, scratch: np.ndarray) -> None:
+    """Add the output layer's gradient for the cache's `passes` into
+    grads["V"], and write the gradient of each pass's negative
+    log-likelihood with respect to its states h^1..h^T into cache.dS.
 
     The passes' forward calls must have left their softmax rows in the
-    leading rows of `scratch`, one pass after another in the order of
-    `caches`; those rows are overwritten with the gradient of the loss with
-    respect to the logits.  grads["V"] must be column-major, as trainer.train
-    lays it out: BLAS updates it in place by one call.  Any other layout
-    raises ParameterError before anything is written.
+    leading rows of `scratch`, one pass after another; those rows are
+    overwritten with the gradient of the loss with respect to the logits.
+    grads["V"] must be column-major, as trainer.train lays it out: BLAS
+    updates it in place by one call.  Any other layout raises ParameterError
+    before anything is written.
     """
-    if not all(isinstance(c, DecoderCache) for c in caches):
-        raise StateError("output_layer_backward needs the caches from "
-                         "sentence_log_prob_with_cache")
+    if not isinstance(cache, DecoderCache):
+        raise StateError("output_layer_backward needs the cache from "
+                         "decode_batch")
     gV = grads["V"]
     if not gV.flags.f_contiguous:
         raise ParameterError("the V gradient must be a column-major "
                              "contiguous array")
-    S = np.vstack([c.trace.S[1:] for c in caches])         # (rows, hidden)
+    targets = cache.targets[passes]
+    # The real steps of each pass, in pass order (the views are pass-major).
+    real = np.arange(len(cache.dS)) < np.array(list(map(len, targets)))[:, None]
+    S = cache.S[1:, passes].swapaxes(0, 1)[real]           # (rows, hidden)
     # Softmax cross-entropy: d(-log p)/dlogits = p - onehot(target), with p
     # the forward's softmax rows.
     G = scratch[:len(S)]
-    G[np.arange(len(G)), np.concatenate([c.target for c in caches])] -= 1.0
-    dS = G @ V
+    G[np.arange(len(G)), np.concatenate(targets)] -= 1.0
+    cache.dS[:, passes].swapaxes(0, 1)[real] = G @ V
     # grads["V"] += G.T @ S, accumulated by BLAS in place (beta = 1) from
     # operands it reads without a copy.
     add_matmul(gV, G.T, S)
-    return np.split(dS, np.cumsum([len(c.target) for c in caches[:-1]]))
 
 
-def decoder_backward(caches: Sequence[DecoderCache], dS: Sequence[np.ndarray],
-                     p: ConditionalGruParams, grads: ParamSet,
-                     prefix: str) -> np.ndarray:
-    """Add the gradients of one decoder's cached forward passes, run as one
-    right-padded (T, B) recurrence, into `grads`, given dS, each pass's
-    (T, hidden) state gradients from output_layer_backward, and return the
+def decoder_backward(cache: DecoderCache, p: ConditionalGruParams,
+                     grads: ParamSet, prefix: str) -> np.ndarray:
+    """Add the gradients of one decoder's passes, run as one right-padded
+    (T, B) recurrence over the cache's block, into `grads`, given the state
+    gradients that output_layer_backward wrote into cache.dS, and return the
     (B, enc_dim) conditioning gradients that flow back into the encoder.
 
     The nine decoder matrices and "begin" are added under `prefix` (e.g.
@@ -257,25 +273,18 @@ def decoder_backward(caches: Sequence[DecoderCache], dS: Sequence[np.ndarray],
     in pass order (the other rows are not touched).  V's gradient is not
     touched.
     """
-    if not all(isinstance(c, DecoderCache) and c.trace is not None
-               for c in caches):
-        raise StateError("decoder_backward needs the caches from "
-                         "sentence_log_prob_with_cache, each used once")
-    X = pad_batch([c.X for c in caches])
-    trace = GruTrace(*map(pad_batch, zip(*(c.trace for c in caches))))
-    for c in caches:
-        c.X = c.trace = None
-    back = gru_backward(X, trace, pad_batch(dS), p)
+    if not isinstance(cache, DecoderCache):
+        raise StateError("decoder_backward needs the cache from decode_batch")
+    back = gru_backward(cache.X, cache.trace, cache.dS, p)
     da_r, da_z, da_h = back.DA_r.sum(0), back.DA_z.sum(0), back.DA_h.sum(0)
-    H_enc = np.array([c.h_enc for c in caches])
-    own = dict(back.params, C_r=da_r.T @ H_enc, C_z=da_z.T @ H_enc,
-               C=da_h.T @ H_enc, begin=back.dX[0].sum(0))
+    own = dict(back.params, C_r=da_r.T @ cache.H_enc, C_z=da_z.T @ cache.H_enc,
+               C=da_h.T @ cache.H_enc, begin=back.dX[0].sum(0))
     for k, v in own.items():
         grads[prefix + k] += v
     # Step t > 0 of pass b reads the embedding row of target[t - 1].
-    np.add.at(grads["emb"], [w for c in caches for w in c.target[:-1]],
-              np.concatenate([back.dX[1:len(c.target), b]
-                              for b, c in enumerate(caches)]))
+    np.add.at(grads["emb"], [w for t in cache.targets for w in t[:-1]],
+              np.concatenate([back.dX[1:len(t), b]
+                              for b, t in enumerate(cache.targets)]))
     return da_h @ p.C + da_r @ p.C_r + da_z @ p.C_z
 
 

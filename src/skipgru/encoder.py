@@ -32,16 +32,16 @@ matrix is copied.
 
 gru_backward is backpropagation through time written out by hand, so the
 whole model trains without autodiff.  It takes the same (T, [B,] hidden)
-layouts (pad_batch builds a padded batch): its time loop only carries the
-state gradient, with one product da @ U_* per gate and step, and records the
-gate pre-activation gradients DA_* of every step; each weight gradient is
-then one matrix product over the T·B rows after the loop (for example
-DA_h.T @ X for W), and so are the input gradients.  Padding needs no mask:
-padded steps come after a sequence's last real step, so with no gradient
-flowing into them the carried gradient stays exactly zero there.  Each
-decoder runs one padded pass over its passes of a batch; encoder_backward
-runs one pass per sentence and direction and scatter-adds the input
-gradients into its embedding rows, because a sentence can repeat a token id.
+layouts: its time loop only carries the state gradient, with one product
+da @ U_* per gate and step, and records the gate pre-activation gradients
+DA_* of every step; each weight gradient is then one matrix product over the
+T·B rows after the loop (for example DA_h.T @ X for W), and so are the input
+gradients.  Padding needs no mask: padded steps come after a sequence's last
+real step, so with no gradient flowing into them the carried gradient stays
+exactly zero there.  Each decoder runs one padded pass over the block its
+passes wrote; encoder_backward runs one pass per sentence and direction and
+scatter-adds the input gradients into its embedding rows, because a
+sentence can repeat a token id.
 """
 
 from __future__ import annotations
@@ -109,17 +109,10 @@ class GruTrace(NamedTuple):
         return self.S[-1]
 
 
-def pad_batch(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Right-pad (T_b, ...) arrays with zeros into one (T, B, ...) block, T
-    the longest T_b: the batch layout of gru_forward and gru_backward."""
-    out = np.zeros((max(map(len, arrays)), len(arrays)) + arrays[0].shape[1:])
-    for b, a in enumerate(arrays):
-        out[:len(a), b] = a
-    return out
-
-
 def gru_forward(A_r: np.ndarray, A_z: np.ndarray, A_h: np.ndarray,
-                p: GruParams, h0: np.ndarray | float = 0.0) -> GruTrace:
+                p: GruParams, h0: np.ndarray | float = 0.0,
+                out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+                ) -> GruTrace:
     """Run the recurrence over precomputed input pre-activations.
 
     A_r, A_z, A_h are (T, hidden) for one sequence or (T, B, hidden) for B
@@ -136,12 +129,16 @@ def gru_forward(A_r: np.ndarray, A_z: np.ndarray, A_h: np.ndarray,
     Step t writes the U_r and U_z products into the two halves of its gate
     block RZ[t] and takes the sigmoid of the whole block in one call, in
     place.  Every other result is written into the trace or into two
-    buffers made once per call, so the loop allocates no array.
+    buffers made once per call, so the loop allocates no array.  The trace
+    goes into `out`, the caller's (S, RZ, Hbar) of shapes (T + 1, ...),
+    (T, 2, ...) and (T, ...), or into arrays made here when it is None.
     """
     T, shape = A_r.shape[0], A_r.shape[1:]
-    S = np.empty((T + 1,) + shape)
+    if out is None:
+        out = (np.empty((T + 1,) + shape), np.empty((T, 2) + shape),
+               np.empty(A_r.shape))
+    S, RZ, Hbar = out
     S[0] = h0
-    RZ, Hbar = np.empty((T, 2) + shape), np.empty(A_r.shape)
     R, Z = RZ[:, 0], RZ[:, 1]
     U_rT, U_zT, UT = p.U_r.T, p.U_z.T, p.U.T
     # one is a 0-d array, which numpy takes faster than the float 1.0.

@@ -16,23 +16,22 @@ The loss for one triple (s_prev, s_curr, s_next) is
     -[log P(s_next | h) + log P(s_prev | h)],  h = encode(s_curr)
 
 and a batch optimizes the mean over its triples (the corpus objective is the
-sum; the mean keeps the learning rate independent of batch size).  A train
-step allocates one zero-filled gradient per parameter, and batch_grads adds
-the whole batch's gradient into it in three sequential parts:
+sum; the mean keeps the learning rate independent of batch size).  The two
+terms are independent given h.  A train step allocates one zero-filled
+gradient per parameter, and batch_grads adds the whole batch's gradient into
+it in three sequential parts:
 
   A. the encoder's forward pass of every triple in batch order;
-  B. one decoder.decode_batch over the next and the previous decoder's pass
-     of every triple in batch order.  It runs the forward passes and the
-     output layer, which adds into V's column-major gradient group by group
-     and returns each pass's state gradients.  No logit is formed twice, and
-     no pass builds a vocabulary-sized array of its own;
-  C. triple_grads over the batch: one decoder_backward over the next
-     decoder's passes, right-padded into one (T, B) recurrence, then one
-     over the previous decoder's, then each triple's encoder_backward in
-     batch order, from the sum of its two conditioning gradients.
+  B. each decoder end to end, the next one's first: decoder.decode_batch
+     runs its pass of every triple in batch order into one right-padded
+     (T, B) block and the output layer over them, adding into V's
+     column-major gradient; decoder_backward runs one gru_backward over the
+     block, which is dropped before the other decoder's is made;
+  C. each triple's encoder_backward in batch order, from the sum of its two
+     conditioning gradients.
 
-The additions happen in a fixed order (V's in decode_batch's pass order, the
-decoders' in part C's, and the encoder's triple by triple), so runs are
+The additions happen in a fixed order (V's in each decoder's pass order, the
+decoders' in part B's, and the encoder's triple by triple), so runs are
 reproducible bit for bit given a seed, and a checkpointed run resumed
 mid-stream matches an unbroken run exactly.
 
@@ -56,8 +55,8 @@ import numpy as np
 
 from .corpus import SentenceTriple, Vocabulary
 from .decoder import (COND_CONDITIONING_KEYS, DECODER_PREFIXES,
-                      ConditionalGruParams, DecoderCache, DecoderPair,
-                      decode_batch, decoder_backward, sentence_log_prob)
+                      ConditionalGruParams, DecoderPair, decode_batch,
+                      decoder_backward, sentence_log_prob)
 from .encoder import (ENCODER_PREFIXES, GRU_INPUT_KEYS, GRU_RECURRENT_KEYS,
                       EncoderCache, EncoderModel, GruParams, encode_with_cache,
                       encoder_backward)
@@ -99,16 +98,20 @@ class TrainConfig:
     def __post_init__(self):
         check_types(vars(self), {f.name: f.type for f in fields(self)},
                     ConfigError)
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        for name in ("max_steps", "checkpoint_every"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         # Written so that NaN fails: every comparison with NaN is false.
-        if not self.clip_threshold > 0:
-            raise ConfigError(f"clip_threshold must be > 0, got {self.clip_threshold}")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
+        # Adam divides by 1 - beta**t, 0 at beta 1, and by sqrt(v) + epsilon,
+        # 0 at epsilon 0 where a gradient has been 0.
+        for name, ok, rule in (
+                ("batch_size", self.batch_size >= 1, ">= 1"),
+                ("max_steps", self.max_steps >= 0, ">= 0"),
+                ("checkpoint_every", self.checkpoint_every >= 0, ">= 0"),
+                ("clip_threshold", self.clip_threshold > 0, "> 0"),
+                ("alpha", 0 <= self.alpha < math.inf, "finite and >= 0"),
+                ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+                ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+                ("epsilon", 0 < self.epsilon < math.inf, "finite and > 0")):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
         if self.mode not in ("uni", "bi"):
             raise ConfigError(f"mode must be 'uni' or 'bi', got {self.mode!r}")
         if min(self.embed_dim, self.hidden_dim) < 1:
@@ -208,42 +211,34 @@ def triple_loss(model: SkipGruModel, triple: SentenceTriple) -> float:
 
 def batch_grads(model: SkipGruModel, batch: Sequence[SentenceTriple],
                 grads: ParamSet) -> float:
-    """Add the gradient of the summed triple losses of `batch` into `grads`
-    and return that sum, in the three parts of the module docstring.
-
-    grads holds one accumulator per parameter name (param_shapes).  The loss
-    is the sum, in batch order, of each triple's -(log P(next) + log P(prev))
-    from its forward pass.  An empty batch raises InputError.
-    """
-    dec = model.decoders
+    """Add the gradient of the summed triple losses of `batch` into `grads`,
+    one accumulator per parameter name (param_shapes), in the three parts of
+    the module docstring.  Returns that sum, in batch order, of each triple's
+    -(log P(next) + log P(prev)) from its forward pass.  An empty batch
+    raises InputError."""
     encoded = [encode_with_cache(t.curr, model.encoder) for t in batch]
-    log_probs, caches, dS = decode_batch(
-        [(target, h, p) for t, (h, _) in zip(batch, encoded)
-         for target, (p, _) in zip((t.next, t.prev), dec.directions)],
-        dec.V, model.embedding, grads)
-    triple_grads(model, [cache for _, cache in encoded], caches, dS, grads)
-    return -sum(n + p for n, p in zip(log_probs[::2], log_probs[1::2]))
+    return triple_grads(model, batch, encoded, grads)
 
 
-def triple_grads(model: SkipGruModel, enc_caches: Sequence[EncoderCache],
-                 dec_caches: Sequence[DecoderCache], dS: Sequence[np.ndarray],
-                 grads: ParamSet) -> None:
-    """Part C of batch_grads: add the batch's recurrence gradients into
-    `grads`, given its triples' encoder caches in batch order, and the
-    decoder caches and state gradients that decode_batch returned (next,
-    then previous, for each triple).
-
-    The next decoder's passes run as one decoder_backward, then the previous
-    decoder's; each triple's two conditioning gradients, summed, then flow
-    back through its encoder, triple by triple.  Embedding gradients thus
-    accumulate across all the passes.  V's gradient is not touched, and the
-    decoder caches serve no further backward pass.
-    """
-    gh_next, gh_prev = (
-        decoder_backward(dec_caches[i::2], dS[i::2], p, grads, prefix)
-        for i, (p, prefix) in enumerate(model.decoders.directions))
-    for cache, g in zip(enc_caches, gh_next + gh_prev):
+def triple_grads(model: SkipGruModel, batch: Sequence[SentenceTriple],
+                 encoded: Sequence[tuple[np.ndarray, EncoderCache]],
+                 grads: ParamSet) -> float:
+    """Parts B and C of batch_grads: add the batch's decoder and encoder
+    gradients into `grads`, given each triple's (sentence vector, encoder
+    cache) in batch order, and return the batch's summed loss."""
+    dec = model.decoders
+    H_enc = np.array([h for h, _ in encoded])
+    log_probs, g_enc = [], []
+    nexts, prevs = [t.next for t in batch], [t.prev for t in batch]
+    for targets, (p, prefix) in zip((nexts, prevs), dec.directions):
+        lp, cache = decode_batch(targets, H_enc, p, dec.V, model.embedding,
+                                 grads)
+        log_probs.append(lp)
+        g_enc.append(decoder_backward(cache, p, grads, prefix))
+        del cache  # before the next decoder's block is made
+    for (_, cache), g in zip(encoded, g_enc[0] + g_enc[1]):
         encoder_backward(cache, g, model.encoder, grads)
+    return -sum(n + q for n, q in zip(*log_probs))
 
 
 class TrainStepResult(NamedTuple):
@@ -261,12 +256,9 @@ def train_step(model: SkipGruModel, batch: Sequence[SentenceTriple],
 
     Returns the loss measured before the update.  One zero-filled gradient
     set is passed to batch_grads, which adds the batch's gradient in the
-    fixed order of the module docstring (the encoder passes, one decode_batch
-    over the decoder passes, then one recurrence per decoder and each
-    triple's encoder recurrence in batch order),
-    so runs are deterministic; it is then scaled to the batch mean, and its
-    one global norm is checked, reported and used to clip it in place before
-    it is handed to Adam.
+    fixed order of the module docstring, so runs are deterministic; it is
+    then scaled to the batch mean, and its one global norm is checked,
+    reported and used to clip it in place before it is handed to Adam.
     """
     params = model.param_dict()
     total: ParamSet = {k: np.zeros_like(v) for k, v in params.items()}

@@ -214,12 +214,12 @@ def lay_out(model: SkipGruModel) -> SkipGruModel:
 
 def decoder_pass_backward(target, h_enc, p, V, embedding, grads, prefix=""):
     """One decoder pass's forward and whole backward, as a train step runs
-    them for a batch of one pass: decode_batch, which runs the output layer,
-    then the recurrence of a one-pass batch.  Adds into `grads` and returns
-    the log-likelihood, the cache and the gradient into h_enc."""
-    [lp], [cache], [dS] = decode_batch([(target, h_enc, p)], V, embedding,
-                                       grads)
-    [g_henc] = decoder_backward([cache], [dS], p, grads, prefix)
+    them for a decoder of one pass: decode_batch, which runs the output
+    layer, then the recurrence of its one-pass block.  Adds into `grads` and
+    returns the log-likelihood, the cache and the gradient into h_enc."""
+    [lp], cache = decode_batch([target], np.asarray(h_enc)[None], p, V,
+                               embedding, grads)
+    [g_henc] = decoder_backward(cache, p, grads, prefix)
     return lp, cache, g_henc
 
 

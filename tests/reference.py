@@ -50,8 +50,8 @@ from skipgru.decoder import (COND_CONDITIONING_KEYS, COND_KEYS,
                              ConditionalGruParams, DecoderCache, DecoderPair,
                              sentence_log_prob_with_cache)
 from skipgru.encoder import (GRU_INPUT_KEYS, GRU_RECURRENT_KEYS, EncoderCache,
-                             EncoderModel, GruParams, encode_with_cache,
-                             gru_backward)
+                             EncoderModel, GruParams, GruTrace,
+                             encode_with_cache, gru_backward)
 from skipgru.errors import (InputError, MetricError, NumericError,
                             ParameterError, ShapeError)
 from skipgru.numerics import (ADAM_ALPHA, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON,
@@ -251,24 +251,38 @@ def encoder_backward(cache: EncoderCache, grad_output: np.ndarray,
     return out
 
 
-def decoder_backward(cache: DecoderCache, p: ConditionalGruParams, V: np.ndarray,
-                     embedding: np.ndarray) -> tuple[ParamSet, np.ndarray]:
-    """One decoder pass's gradients (the nine matrices, "begin", a dense "V"
-    and a full-table "emb") and the gradient into h_enc.  The softmax rows
-    are recomputed from the cached states, not read from the forward's
-    rows."""
-    T = len(cache.target)
-    dlogits = softmax(cache.trace.S[1:] @ V.T)
-    dlogits[np.arange(T), list(cache.target)] -= 1.0
-    back = gru_backward(cache.X, cache.trace, dlogits @ V, p)
+def decoder_backward(cache: DecoderCache, b: int, p: ConditionalGruParams,
+                     V: np.ndarray, embedding: np.ndarray
+                     ) -> tuple[ParamSet, np.ndarray]:
+    """Pass b's gradients (the nine matrices, "begin", a dense "V" and a
+    full-table "emb") and its gradient into h_enc, from its unpadded column
+    of the cache's block.  The softmax rows are recomputed from the cached
+    states, not read from the forward's rows."""
+    target, h_enc = cache.targets[b], cache.H_enc[b]
+    T = len(target)
+    X = cache.X[:T, b]
+    S, R, Z, Hbar = cache.trace
+    trace = GruTrace(S[:T + 1, b], R[:T, b], Z[:T, b], Hbar[:T, b])
+    dlogits = softmax(trace.S[1:] @ V.T)
+    dlogits[np.arange(T), list(target)] -= 1.0
+    back = gru_backward(X, trace, dlogits @ V, p)
     grads = dict(back.params)
     da_r, da_z, da_h = back.DA_r.sum(0), back.DA_z.sum(0), back.DA_h.sum(0)
-    grads.update(C_r=np.outer(da_r, cache.h_enc), C_z=np.outer(da_z, cache.h_enc),
-                 C=np.outer(da_h, cache.h_enc), begin=back.dX[0],
-                 V=dlogits.T @ cache.trace.S[1:], emb=np.zeros_like(embedding))
-    np.add.at(grads["emb"], list(cache.target[:-1]), back.dX[1:])
+    grads.update(C_r=np.outer(da_r, h_enc), C_z=np.outer(da_z, h_enc),
+                 C=np.outer(da_h, h_enc), begin=back.dX[0],
+                 V=dlogits.T @ trace.S[1:], emb=np.zeros_like(embedding))
+    np.add.at(grads["emb"], list(target[:-1]), back.dX[1:])
     g_henc = p.C.T @ da_h + p.C_r.T @ da_r + p.C_z.T @ da_z
     return grads, g_henc
+
+
+def decode(target, h_enc, p: ConditionalGruParams, V, embedding
+           ) -> tuple[float, DecoderCache]:
+    """The package's forward pass of one target, in a one-pass block."""
+    cache = DecoderCache.block([target], h_enc[None], p)
+    lp = sentence_log_prob_with_cache(target, h_enc, p, V, embedding,
+                                      np.empty((len(target), len(V))), cache, 0)
+    return lp, cache
 
 
 def triple_grads(model, triple: SentenceTriple) -> tuple[float, ParamSet]:
@@ -277,14 +291,11 @@ def triple_grads(model, triple: SentenceTriple) -> tuple[float, ParamSet]:
     h, enc_cache = encode_with_cache(triple.curr, model.encoder)
     # The forward passes are the package's; their softmax rows go unread,
     # since decoder_backward forms its own softmax.
-    lp_next, cache_n = sentence_log_prob_with_cache(
-        triple.next, h, model.decoders.next_params, V, emb,
-        np.empty((len(triple.next), len(V))))
-    lp_prev, cache_p = sentence_log_prob_with_cache(
-        triple.prev, h, model.decoders.prev_params, V, emb,
-        np.empty((len(triple.prev), len(V))))
-    g_next, gh_next = decoder_backward(cache_n, model.decoders.next_params, V, emb)
-    g_prev, gh_prev = decoder_backward(cache_p, model.decoders.prev_params, V, emb)
+    dec = model.decoders
+    lp_next, cache_n = decode(triple.next, h, dec.next_params, V, emb)
+    lp_prev, cache_p = decode(triple.prev, h, dec.prev_params, V, emb)
+    g_next, gh_next = decoder_backward(cache_n, 0, dec.next_params, V, emb)
+    g_prev, gh_prev = decoder_backward(cache_p, 0, dec.prev_params, V, emb)
     g_enc = encoder_backward(enc_cache, gh_next + gh_prev, model.encoder)
     grads: ParamSet = {"emb": g_enc["emb"] + g_next["emb"] + g_prev["emb"]}
     grads.update((k, v) for k, v in g_enc.items() if k != "emb")

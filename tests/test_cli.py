@@ -497,6 +497,29 @@ def test_resume_from_adam_values_at_odds_with_the_config_exit_4(ws, tmp_path,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["r.ckpt", "r.csv"]
 
 
+def test_resume_from_adam_values_that_step_to_non_finite_weights_exit_4(
+        ws, tmp_path, capsys):
+    # A checkpoint whose config and adam blocks agree on beta1 1.0 used to
+    # resume with exit 0: Adam's bias correction 1 - beta1**t is 0, and the
+    # checkpoint it wrote held non-finite parameters.
+    def beta1_one(header):
+        header["config"]["beta1"] = header["adam"]["beta1"] = 1.0
+    out, metrics = tmp_path / "r.ckpt", tmp_path / "r.csv"
+    out.write_bytes(ws["ckpt"].read_bytes())
+    edit_header(out, beta1_one)
+    metrics.write_bytes(pathlib.Path(str(ws["ckpt"]) + ".metrics.csv")
+                        .read_bytes())
+    before = out.read_bytes(), metrics.read_bytes()
+    capsys.readouterr()
+    assert main(["train", "--corpus", str(ws["corpus"]), "--vocab",
+                 str(ws["vocab"]), "--steps", "33", "--resume", "--lr",
+                 "0.001", "--metrics", str(metrics), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "malformed checkpoint header" in err and "beta1" in err
+    assert (out.read_bytes(), metrics.read_bytes()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.ckpt", "r.csv"]
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--seed", "9"), ("--mode", "bi"), ("--embed-dim", "7"),
     ("--hidden-dim", "7"), ("--batch", "5"), ("--clip", "2.5"),

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from skipgru import decoder, numerics
 from skipgru.decoder import (DECODER_PREFIXES, ConditionalGruParams,
-                             DecoderPair, decode_batch, decoder_backward,
-                             output_layer_backward, sample_sentence,
-                             sentence_log_prob, sentence_log_prob_with_cache)
+                             DecoderCache, DecoderPair, decode_batch,
+                             decoder_backward, output_layer_backward,
+                             sample_sentence, sentence_log_prob,
+                             sentence_log_prob_with_cache)
 from skipgru.encoder import GruParams, gru_forward
 from skipgru.errors import (InputError, ParameterError, RangeError,
                             ShapeError, StateError)
@@ -122,13 +123,14 @@ def test_log_prob_nonpositive_and_prob_rows_normalized(rng):
     V = rng.normal(size=(5, 4))
     emb = rng.normal(size=(5, 3))
     scratch = np.full((6, 5), np.nan)
-    lp, cache = sentence_log_prob_with_cache((2, 4, 1, 0), rng.normal(size=2),
-                                             p, V, emb, scratch)
+    cache = DecoderCache.block([(2, 4, 1, 0)], None, p)
+    lp = sentence_log_prob_with_cache((2, 4, 1, 0), rng.normal(size=2), p, V,
+                                      emb, scratch, cache, 0)
     assert lp <= 0.0
     # The pass leaves its softmax rows in the leading rows of its scratch and
     # no other row: each row sums to 1, and the log-likelihood is the sum of
     # the logs of the target's entries.
-    logits = cache.trace.S[1:] @ V.T
+    logits = cache.S[1:, 0] @ V.T
     rows = scratch[:4]
     assert np.all(np.isnan(scratch[4:]))
     assert np.max(np.abs(rows - softmax(logits))) < 1e-12
@@ -230,7 +232,8 @@ def test_backward_adds_into_column_major_v_accumulator(rng, monkeypatch):
     # output-layer backward over them reads those rows: BLAS accumulates
     # into the column-major V gradient in place by one call, whose output is
     # the accumulator itself, and it ends with the sums of the dense per-pass
-    # reference.
+    # reference.  Each pass's state gradients land in its column of the
+    # block, and its padded rows stay zero.
     results = []
 
     def recording_add_matmul(out, a, b):
@@ -240,23 +243,31 @@ def test_backward_adds_into_column_major_v_accumulator(rng, monkeypatch):
     p = rand_cond_params(rng, embed=3, hidden=3, enc=2)
     V, emb = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
     targets = ((2, 4, 2, 0), (3, 0), (1, 1, 0))
+    H_enc = rng.normal(size=(3, 2))
+    cache = DecoderCache.block(targets, H_enc, p)
     scratch = np.empty((sum(len(t) for t in targets), len(V)))
     starts = np.cumsum([0] + [len(t) for t in targets])
-    caches = [sentence_log_prob_with_cache(target, rng.normal(size=2), p, V,
-                                           emb, scratch[start:])[1]
-              for target, start in zip(targets, starts)]
+    for b, (target, start) in enumerate(zip(targets, starts)):
+        sentence_log_prob_with_cache(target, H_enc[b], p, V, emb,
+                                     scratch[start:], cache, b)
     start = rng.normal(size=V.shape)
     grads = zero_accumulator(p, V, emb)
     grads["V"][...] = start
     gV = grads["V"]
-    dS = output_layer_backward(caches, V, grads, scratch)
+    output_layer_backward(cache, slice(0, 3), V, grads, scratch)
     assert grads["V"] is gV and len(results) == 1
     assert all(np.shares_memory(r, gV) for r in results)
     assert gV.flags.f_contiguous and not gV.flags.c_contiguous
-    refs = [reference.decoder_backward(c, p, V, emb)[0]["V"] for c in caches]
+    refs = [reference.decoder_backward(cache, b, p, V, emb)[0]["V"]
+            for b in range(3)]
     want = start + sum(refs)
     assert np.max(np.abs(gV - want)) < 1e-12 * np.max(np.abs(want))
-    assert [d.shape for d in dS] == [(len(t), 3) for t in targets]
+    for b, target in enumerate(targets):
+        T = len(target)
+        G = softmax(cache.S[1:T + 1, b] @ V.T)
+        G[np.arange(T), list(target)] -= 1.0
+        assert np.max(np.abs(cache.dS[:T, b] - G @ V)) < 1e-12
+        assert not cache.dS[T:, b].any()
     assert not any(np.any(g) for k, g in grads.items() if k != "V")
 
 
@@ -277,33 +288,17 @@ def test_backward_degenerate_vocab_zero_gradient(rng):
 def test_backward_missing_cache_is_state_error(rng):
     p = rand_cond_params(rng)
     with pytest.raises(StateError):
-        decoder_backward([None], [np.zeros((2, 3))], p, {}, "")
+        decoder_backward(None, p, {}, "")
     with pytest.raises(StateError):
-        output_layer_backward([None], np.zeros((4, 3)),
+        output_layer_backward(None, slice(0, 1), np.zeros((4, 3)),
                               {"V": np.zeros((4, 3))}, np.empty((1, 4)))
-
-
-def test_backward_refuses_a_cache_it_has_used(rng):
-    # decoder_backward drops a cache's inputs and trace once it has packed
-    # them, so a second backward pass over the same cache is refused before
-    # anything is added.
-    p = rand_cond_params(rng, embed=3, hidden=3, enc=2)
-    V, emb = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
-    grads = zero_accumulator(p, V, emb)
-    _, cache, _ = decoder_pass_backward((2, 4, 0), rng.normal(size=2), p, V,
-                                        emb, grads)
-    assert cache.X is None and cache.trace is None
-    before = {k: g.copy() for k, g in grads.items()}
-    with pytest.raises(StateError, match="each used once"):
-        decoder_backward([cache], [np.zeros((3, 3))], p, grads, "")
-    assert all(np.array_equal(grads[k], before[k]) for k in grads)
 
 
 def test_decode_batch_of_no_passes_is_input_error(rng):
     grads = {"V": np.zeros((4, 3), order="F")}
     with pytest.raises(InputError):
-        decode_batch([], rng.normal(size=(4, 3)), rng.normal(size=(4, 3)),
-                     grads)
+        decode_batch([], np.zeros((0, 3)), rand_cond_params(rng),
+                     rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), grads)
     assert not grads["V"].any()
 
 

@@ -11,8 +11,9 @@ parameter's accumulator at zero.
 
 gru_forward and gru_backward are checked against their own single-sequence
 passes: a right-padded (T, B) pass against B passes of one sentence, and
-gru_forward for the memory it takes beyond its trace.  A train step runs one
-gru_backward per decoder over that decoder's passes.
+gru_forward for the memory it takes beyond its trace and for the arrays it
+is handed to write its trace into.  A train step runs one gru_backward per
+decoder over the block that decoder's passes wrote.
 """
 
 import tracemalloc
@@ -24,8 +25,7 @@ from conftest import (decoder_pass_backward, lay_out, make_model,
                       random_triple, randomize_params, zero_grads)
 from skipgru import decoder, encoder, trainer
 from skipgru.encoder import (GruParams, GruTrace, encode_with_cache,
-                             encoder_backward, gru_backward, gru_forward,
-                             pad_batch)
+                             encoder_backward, gru_backward, gru_forward)
 from skipgru.numerics import AdamState, sigmoid
 
 from reference import log_softmax
@@ -218,6 +218,33 @@ def test_forward_allocates_no_weight_sized_array():
     assert peak - trace_bytes < p.U.nbytes
 
 
+def test_forward_writes_its_trace_into_the_arrays_it_is_handed():
+    # Handed column b of (T, B, ...) blocks, as a decoder pass hands its
+    # column of the decoder's block, a one-sequence pass writes its trace
+    # there with the bits of a pass that makes its own arrays, and leaves
+    # every other entry of the blocks as it was.
+    hid, T = 6, 5
+    p = _random_gru(4, hid, seed=11)
+    A = [np.random.default_rng(12).normal(size=(T, hid)) for _ in range(3)]
+    S, RZ, Hbar = (np.zeros((T + 2, 3, hid)), np.zeros((T + 1, 3, 2, hid)),
+                   np.zeros((T + 1, 3, hid)))
+    trace = gru_forward(*A, p, out=(S[:T + 1, 1], RZ[:T, 1], Hbar[:T, 1]))
+    for got, want, block in zip(trace, gru_forward(*A, p), (S, RZ, RZ, Hbar)):
+        assert np.shares_memory(got, block)
+        assert np.array_equal(got, want)
+    for block, steps in ((S, T + 1), (RZ, T), (Hbar, T)):
+        assert not block[:, [0, 2]].any() and not block[steps:].any()
+
+
+def pad(arrays):
+    """Right-pad (T_b, ...) arrays with zeros into one (T, B, ...) block, T
+    the longest T_b: the batch layout of gru_forward and gru_backward."""
+    out = np.zeros((max(map(len, arrays)), len(arrays)) + arrays[0].shape[1:])
+    for b, a in enumerate(arrays):
+        out[:len(a), b] = a
+    return out
+
+
 def _padded_backward_case(lengths, seed, hid=6, embed=4):
     """B single passes over random inputs, their traces and state
     gradients, and the same passes right-padded into one (T, B) batch."""
@@ -227,8 +254,7 @@ def _padded_backward_case(lengths, seed, hid=6, embed=4):
     traces = [gru_forward(*(X @ W.T for W in (p.W_r, p.W_z, p.W)), p)
               for X in Xs]
     dHs = [rng.normal(size=(n, hid)) for n in lengths]
-    padded = (pad_batch(Xs), GruTrace(*map(pad_batch, zip(*traces))),
-              pad_batch(dHs))
+    padded = pad(Xs), GruTrace(*map(pad, zip(*traces))), pad(dHs)
     return p, list(zip(Xs, traces, dHs)), padded
 
 
@@ -289,9 +315,9 @@ def test_train_step_runs_one_backward_pass_per_decoder(mode, monkeypatch):
         backward_batches.append(X.shape[1:-1])
         return real_gru_backward(X, trace, dH, p)
 
-    def recording_decoder_backward(caches, dS, p, grads, prefix):
-        decoder_calls.append((prefix, len(caches)))
-        return real_decoder_backward(caches, dS, p, grads, prefix)
+    def recording_decoder_backward(cache, p, grads, prefix):
+        decoder_calls.append((prefix, len(cache.targets)))
+        return real_decoder_backward(cache, p, grads, prefix)
     for module in (encoder, decoder):
         monkeypatch.setattr(module, "gru_backward", recording_gru_backward)
     monkeypatch.setattr(trainer, "decoder_backward", recording_decoder_backward)

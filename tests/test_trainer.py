@@ -12,6 +12,7 @@ import hashlib
 import pathlib
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -80,9 +81,7 @@ def test_loss_nonnegative(rng):
 
 def test_grads_v_accumulates_both_decoders():
     # The shared output matrix collects gradient from both teacher-forced
-    # passes; the joint V gradient must equal the per-decoder sum.  The
-    # triple's two passes share one logits buffer; each pass alone has its
-    # own.
+    # passes; the joint V gradient must equal the per-decoder sum.
     m = randomize_params(make_model(vocab_size=6), seed=4)
     t = small_triple()
     grads = zero_grads(m)
@@ -212,17 +211,19 @@ def test_step_and_output_layer_refuse_a_v_gradient_not_column_major(layout):
     m = _mixed_model("uni", seed=47)
     dec = m.decoders
     h = encode_with_cache(MIXED_BATCH[0].curr, m.encoder)[0]
-    scratch = np.empty((len(MIXED_BATCH[0].next), len(dec.V)))
-    _, cache = sentence_log_prob_with_cache(MIXED_BATCH[0].next, h,
-                                            dec.next_params, dec.V,
-                                            m.embedding, scratch)
+    target = MIXED_BATCH[0].next
+    scratch = np.empty((len(target), len(dec.V)))
+    cache = DecoderCache.block([target], h[None], dec.next_params)
+    sentence_log_prob_with_cache(target, h, dec.next_params, dec.V,
+                                 m.embedding, scratch, cache, 0)
     grads = zero_grads(m)
     grads["V"] = layout(np.random.default_rng(47).normal(size=dec.V.shape))
     assert not grads["V"].flags.f_contiguous
     before = {k: g.copy() for k, g in grads.items()}
     with pytest.raises(ParameterError):
-        output_layer_backward([cache], dec.V, grads, scratch)
+        output_layer_backward(cache, slice(0, 1), dec.V, grads, scratch)
     assert all(np.array_equal(grads[k], before[k]) for k in before)
+    assert not cache.dS.any()
 
     dec.V = layout(dec.V)
     opt = AdamState.initial(m.param_dict())
@@ -258,15 +259,21 @@ def test_triple_gradient_builds_no_vocabulary_sized_array():
     assert ref_peak > 3 * m.decoders.V.nbytes
 
 
-def test_batch_grads_peak_memory_at_the_recurrence_bound_shape():
-    # V=2000, E=64, H=128, a batch of 32 uni triples of 16-31 tokens.  Each
-    # decoder's passes run as one padded (T, B) backward pass, and each
-    # pass's own trace is dropped once packed, so the batch holds each
-    # decoder's states once.  One batch_grads peaks at 18.8 MB here; it
-    # peaked at 13.8 MB with a backward pass per sentence, and at 22.3 MB
-    # with the per-pass traces kept beside the padded copies.
+@pytest.mark.parametrize("mode,bound", [("uni", 15.0e6), ("bi", 18.5e6)],
+                         ids=["uni", "bi"])
+def test_batch_grads_peak_memory_at_the_recurrence_bound_shape(mode, bound):
+    # V=2000, E=64, H=128, a batch of 32 triples of 16-31 tokens.  Each
+    # decoder runs end to end: its passes write their inputs and traces in
+    # place into one zero-filled (T, B) block, which its one padded backward
+    # pass reads, and the block is dropped before the other decoder's is
+    # made, so the batch holds one decoder's states at a time.  One
+    # batch_grads peaks at 14.4 MB here in uni mode and 18.1 MB in bi.
+    # With both decoders' per-pass traces kept and packed into padded copies
+    # it peaked at 18.8 MB (22.1 MB in bi), and at 13.8 MB in uni with a
+    # backward pass per sentence.
     m = lay_out(randomize_params(
-        make_model(vocab_size=2000, embed_dim=64, hidden_dim=128), seed=60))
+        make_model(vocab_size=2000, embed_dim=64, hidden_dim=128, mode=mode),
+        seed=60))
     rng = np.random.default_rng(61)
 
     def sentence():
@@ -281,29 +288,32 @@ def test_batch_grads_peak_memory_at_the_recurrence_bound_shape():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 19.5e6
+    assert peak <= bound
 
 
-# A batch of 41 decoder rows: MIXED_BATCH's 25, then a 10-token next
-# sentence on rows 25-34.
+# A batch of 21 next-decoder rows and 20 previous-decoder rows: MIXED_BATCH's
+# 11 and 14, then a 10-token next and a 6-token previous sentence.
 LONG_BATCH = MIXED_BATCH + [
     SentenceTriple(prev=(6, 2, 7, 7, 3, 0), curr=(4, 4, 0),
                    next=(2, 5, 3, 8, 8, 6, 2, 7, 4, 0))]
 
-# A batch of 76 decoder rows whose passes straddle a flush at OUTPUT_CHUNK =
-# 64: LONG_BATCH's 41 and 12 more, then 10-token next and previous sentences
-# on rows 53-62 and 63-72.  The flush after the latter takes 73 rows, every
-# row of the batch's buffer (63 + 10); the last triple's 3 rows go in the
-# flush at the end of the batch.
+# A batch of 38 rows per decoder whose passes straddle a flush at
+# STRADDLE_CHUNK = 16 rows in each decoder: LONG_BATCH's, then three more
+# triples.  The next decoder's 10-token pass on rows 11-20 crosses row 16,
+# and so does the previous decoder's 6-token pass on rows 14-19.  The next
+# decoder's flushes then take 21 and 17 rows, and the previous decoder's
+# 20, 17 and 1.
 STRADDLE_BATCH = LONG_BATCH + [
     MIXED_BATCH[2],
     SentenceTriple(prev=(8, 3, 5, 5, 2, 6, 7, 4, 3, 0), curr=(2, 6, 0),
                    next=(7, 7, 2, 4, 6, 8, 3, 5, 2, 0)),
     MIXED_BATCH[0]]
+STRADDLE_CHUNK = 16
 
 
 def _decoder_rows(batch):
-    return [n for t in batch for n in (len(t.next), len(t.prev))]
+    """Each pass's row count, for the next decoder, then the previous."""
+    return [[len(t.next) for t in batch], [len(t.prev) for t in batch]]
 
 
 def _set_output_chunk(monkeypatch, chunk):
@@ -312,11 +322,15 @@ def _set_output_chunk(monkeypatch, chunk):
 
 
 @pytest.mark.parametrize("mode", ["uni", "bi"])
-def test_fused_output_layer_matches_reference_across_chunks(mode):
-    ends = list(np.cumsum(_decoder_rows(STRADDLE_BATCH)))
-    # A pass crosses OUTPUT_CHUNK, and passes follow the flush after it.
-    assert any(a < OUTPUT_CHUNK < b < ends[-1]
-               for a, b in zip(ends[:-1], ends[1:]))
+def test_fused_output_layer_matches_reference_across_chunks(mode,
+                                                            monkeypatch):
+    _set_output_chunk(monkeypatch, STRADDLE_CHUNK)
+    for rows in _decoder_rows(STRADDLE_BATCH):
+        ends = list(np.cumsum(rows))
+        # In each decoder a pass crosses the chunk, and passes follow the
+        # flush after it.
+        assert any(a < STRADDLE_CHUNK < b < ends[-1]
+                   for a, b in zip(ends[:-1], ends[1:]))
     m = _mixed_model(mode, seed=48)
     grads = zero_grads(m)
     loss = batch_grads(m, STRADDLE_BATCH, grads)
@@ -348,12 +362,13 @@ def test_batch_loss_is_the_sum_of_the_sentence_log_probs(batch):
 
 @pytest.mark.parametrize("chunk", [OUTPUT_CHUNK, 5])
 def test_step_flushes_the_output_layer_at_pass_boundaries(chunk, monkeypatch):
-    # One train step runs the output layer's backward as soon as `chunk`
-    # rows are pending after a decoder pass, and once at the end: every
-    # decoder row goes through exactly one V-gradient dgemm, in pass order,
-    # each call's passes end at a pass boundary, every dgemm writes the
-    # step's one accumulator in place, and every call reads one buffer.
-    dgemms, calls, buffers = [], [], []
+    # One train step runs each decoder's output-layer backward as soon as
+    # `chunk` rows are pending after one of its passes, and once after its
+    # last pass: every decoder row goes through exactly one V-gradient
+    # dgemm, in pass order, the next decoder's first; each call's passes
+    # end at a pass boundary, every dgemm writes the step's one accumulator
+    # in place, and each decoder's calls read one buffer.
+    dgemms, calls = [], []
 
     def recording_add_matmul(out, a, b):
         want = out + a @ b
@@ -361,41 +376,96 @@ def test_step_flushes_the_output_layer_at_pass_boundaries(chunk, monkeypatch):
         dgemms.append((b.copy(), out, np.allclose(out, want, rtol=1e-12,
                                                   atol=1e-12)))
 
-    def recording_sweep(caches, V, grads, scratch):
-        # The states are read here: decoder_backward drops each cache's
-        # trace once it has packed it.
-        calls.append([(c, c.trace.S[1:]) for c in caches])
-        buffers.append(scratch)
-        return real_sweep(caches, V, grads, scratch)
+    def recording_sweep(cache, passes, V, grads, scratch):
+        targets = cache.targets[passes]
+        states = [cache.S[1:len(t) + 1, b].copy()
+                  for t, b in zip(targets, range(len(cache.targets))[passes])]
+        calls.append((cache, targets, states, scratch))
+        return real_sweep(cache, passes, V, grads, scratch)
     real_sweep = decoder.output_layer_backward
     monkeypatch.setattr(decoder, "add_matmul", recording_add_matmul)
     monkeypatch.setattr(decoder, "output_layer_backward", recording_sweep)
     _set_output_chunk(monkeypatch, chunk)
     batch = STRADDLE_BATCH
-    lengths = _decoder_rows(batch)
     m = lay_out(_mixed_model("uni", seed=50))
     train_step(m, batch, AdamState.initial(m.param_dict()), m.config)
 
-    passes = [c for call in calls for c, _ in call]
-    assert [c.target for c in passes] == \
-        [s for t in batch for s in (t.next, t.prev)]
-    assert len({id(c) for c in passes}) == len(passes)
+    assert [t for _, targets, _, _ in calls for t in targets] == \
+        [t.next for t in batch] + [t.prev for t in batch]
     assert len(dgemms) == len(calls)
-    for call, (states, _, _) in zip(calls, dgemms):
-        assert np.array_equal(states, np.vstack([S for _, S in call]))
-    rows = [sum(len(c.target) for c, _ in call) for call in calls]
-    assert sum(rows) == sum(lengths)
-    for call, n in zip(calls[:-1], rows[:-1]):
-        assert n >= chunk > n - len(call[-1][0].target)
+    for (_, _, states, _), (got, _, _) in zip(calls, dgemms):
+        assert np.array_equal(got, np.vstack(states))
     assert all(shared for _, _, shared in dgemms)
     assert all(c is dgemms[0][1] for _, c, _ in dgemms)
     assert dgemms[0][1].shape == m.decoders.V.shape
-    buffer = buffers[0]
-    assert all(b is buffer for b in buffers)
-    assert len(buffer) == min(sum(lengths), chunk - 1 + max(lengths))
-    assert max(rows) <= len(buffer)
+    caches = list({id(cache): cache for cache, _, _, _ in calls}.values())
+    assert len(caches) == 2
+    rows, buffers = [], []
+    for cache, lengths in zip(caches, _decoder_rows(batch)):
+        mine = [call for call in calls if call[0] is cache]
+        assert cache.targets == [t for _, targets, _, _ in mine
+                                 for t in targets]
+        n = [sum(map(len, targets)) for _, targets, _, _ in mine]
+        assert sum(n) == sum(lengths)
+        for (_, targets, _, _), k in zip(mine[:-1], n[:-1]):
+            assert k >= chunk > k - len(targets[-1])
+        buffer = mine[0][3]
+        assert all(scratch is buffer for _, _, _, scratch in mine)
+        assert len(buffer) == min(sum(lengths), chunk - 1 + max(lengths))
+        assert max(n) <= len(buffer)
+        rows.append(n)
+        buffers.append(len(buffer))
     if chunk == 64:
-        assert rows == [73, 3] and len(buffer) == 73
+        assert rows == [[38], [38]] and buffers == [38, 38]
+
+
+@pytest.mark.parametrize("mode", ["uni", "bi"])
+def test_step_runs_each_decoder_end_to_end_in_its_block(mode, monkeypatch):
+    # A train step finishes the next decoder, its passes and then its
+    # backward, before the previous decoder's first pass, and by then the
+    # next decoder's cache and its block are gone.  Every decoder pass
+    # writes its inputs and trace into its column of its decoder's block:
+    # each trace that gru_forward returns in a pass shares memory with that
+    # block.
+    events, traces, shared, refs = [], [], [], []
+    m = lay_out(_mixed_model(mode, seed=53))
+    prefix = {id(p): name for p, name in m.decoders.directions}
+
+    def recording_pass(target, h_enc, p, V, embedding, scratch, cache, b):
+        if not refs or refs[-1][0]() is not cache:
+            if refs:
+                events.append(("dead", [ref() for ref in refs[-1]]))
+            refs.append((weakref.ref(cache), weakref.ref(cache.S)))
+        lp = real_pass(target, h_enc, p, V, embedding, scratch, cache, b)
+        [trace] = traces
+        traces.clear()
+        shared.append(all(np.shares_memory(got, block) for got, block in
+                          zip(trace, (cache.S, cache.RZ, cache.RZ, cache.Hbar))))
+        T = len(target)
+        shared.append(np.array_equal(cache.X[:T, b], np.vstack(
+            [p.begin, m.embedding[list(target[:-1])]])))
+        events.append(("pass", prefix[id(p)]))
+        return lp
+
+    def recording_forward(*args, **kwargs):
+        traces.append(real_forward(*args, **kwargs))
+        return traces[-1]
+
+    def recording_backward(cache, p, grads, name):
+        events.append(("backward", name))
+        return real_backward(cache, p, grads, name)
+    real_pass = decoder.sentence_log_prob_with_cache
+    real_forward, real_backward = decoder.gru_forward, trainer.decoder_backward
+    monkeypatch.setattr(decoder, "sentence_log_prob_with_cache", recording_pass)
+    monkeypatch.setattr(decoder, "gru_forward", recording_forward)
+    monkeypatch.setattr(trainer, "decoder_backward", recording_backward)
+    train_step(m, STRADDLE_BATCH, AdamState.initial(m.param_dict()), m.config)
+    B = len(STRADDLE_BATCH)
+    assert events == ([("pass", "dec_next.")] * B + [("backward", "dec_next."),
+                                                    ("dead", [None, None])]
+                      + [("pass", "dec_prev.")] * B
+                      + [("backward", "dec_prev.")])
+    assert len(shared) == 4 * B and all(shared)
 
 
 class _CountingV(np.ndarray):
@@ -427,31 +497,30 @@ def test_step_forms_each_logit_once(monkeypatch):
     monkeypatch.setattr(_CountingV, "logit_rows", 0)
     m.decoders.V = m.decoders.V.view(_CountingV)
     train_step(m, STRADDLE_BATCH, AdamState.initial(m.param_dict()), m.config)
-    assert _CountingV.logit_rows == sum(_decoder_rows(STRADDLE_BATCH))
+    assert _CountingV.logit_rows == sum(map(sum, _decoder_rows(STRADDLE_BATCH)))
 
 
 def test_decoder_caches_hold_no_vocabulary_sized_row(monkeypatch):
-    # The forward pass leaves its softmax rows in the batch's buffer, not in
-    # its cache: no array that a cache holds has a vocabulary-sized axis.
-    # The arrays are read at the sweep, before decoder_backward drops X and
-    # the trace.
+    # The forward pass leaves its softmax rows in the decoder's buffer, not
+    # in its cache: no array that a cache holds has a vocabulary-sized axis.
     kept = []
 
-    def keeping(*args):
-        kept.extend((cache, [getattr(cache, f.name)
-                             for f in dataclasses.fields(cache)]
-                     + list(cache.trace)) for cache in args[0])
-        return real_sweep(*args)
+    def keeping(cache, *args):
+        kept.append(cache)
+        return real_sweep(cache, *args)
     real_sweep = decoder.output_layer_backward
     monkeypatch.setattr(decoder, "output_layer_backward", keeping)
     m = randomize_params(make_model(vocab_size=97, embed_dim=3, hidden_dim=4),
                          seed=51)
     batch_grads(m, STRADDLE_BATCH, zero_grads(m))
-    assert len(kept) == 2 * len(STRADDLE_BATCH)
-    for cache, arrays in kept:
+    caches = list({id(cache): cache for cache in kept}.values())
+    assert len(caches) == 2
+    for cache in caches:
         assert isinstance(cache, DecoderCache)
-        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
-        assert len(arrays) == 6
+        arrays = [getattr(cache, f.name) for f in dataclasses.fields(cache)]
+        arrays = [a for a in arrays + list(cache.trace)
+                  if isinstance(a, np.ndarray)]
+        assert len(arrays) == 10
         assert all(97 not in a.shape for a in arrays)
 
 
@@ -543,9 +612,10 @@ def test_nonfinite_gradient_stops_before_update_and_checkpoint(tmp_path, rng,
     before = {k: v.copy() for k, v in m.param_dict().items()}
     real_grads = trainer.triple_grads
 
-    def inf_grads(model, enc_caches, dec_caches, dS, grads):
-        real_grads(model, enc_caches, dec_caches, dS, grads)
+    def inf_grads(model, batch, encoded, grads):
+        loss = real_grads(model, batch, encoded, grads)
         grads["V"][0, 0] = np.inf
+        return loss
 
     monkeypatch.setattr(trainer, "triple_grads", inf_grads)
     longer = model_from_params(dataclasses.replace(m.config, max_steps=4),
@@ -1264,6 +1334,21 @@ def test_config_validation():
                     clip_threshold=0.0)
     with pytest.raises(Exception):
         TrainConfig(embed_dim=3, hidden_dim=3, vocab_size=5, mode="tri")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("beta1", 1.0), ("beta2", 1.0), ("epsilon", 0.0), ("epsilon", np.nan),
+    ("beta1", -0.1), ("beta2", np.nan), ("epsilon", np.inf)])
+def test_config_refuses_adam_values_outside_their_range(field, value):
+    # Adam divides by its bias corrections 1 - beta**t, zero at beta 1, and
+    # by sqrt(v) + epsilon, zero at epsilon 0 on an untouched entry: beta1
+    # 1.0, beta2 1.0 and epsilon 0.0 each trained a step into non-finite
+    # parameters and checkpointed them, and epsilon nan wrote a checkpoint
+    # that load_checkpoint then refused.
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig(vocab_size=6, **{field: value})
+    # The ends of each range that Adam can step with are accepted.
+    TrainConfig(vocab_size=6, beta1=0.0, beta2=0.0, epsilon=5e-324)
 
 
 def test_param_shapes_cover_param_dict():
