@@ -5,8 +5,10 @@ eval-paraphrase, eval-classify, eval-rank, generate.  Every run is
 deterministic given its flags and seeds.  A run that writes an output file,
 or is given --manifest, also writes one JSON manifest recording the config,
 input digests, outputs, and an env block: numpy's version, its BLAS, and the
-BLAS thread count the run used.  Exit codes: 0 success, 2 usage or
-config problems, 3 numeric failures, 4 I/O failures.
+BLAS core and thread count the run used.  train --resume warns on stderr
+when the manifest of the run it resumes names another BLAS core.  Exit
+codes: 0 success, 2 usage or config problems, 3 numeric failures, 4 I/O
+failures.
 
 main sets numpy's OpenBLAS to one thread before it dispatches, so every
 command runs one BLAS thread, and gives the same bytes, whatever
@@ -201,6 +203,22 @@ RESUMED_FLAGS = {"seed": "seed", "mode": "mode", "embed_dim": "embed_dim",
                  "clip": "clip_threshold", "lr": "alpha"}
 
 
+def _warn_if_blas_core_changed(args) -> None:
+    """One stderr line when the manifest of the run being resumed, at the
+    path this run writes its own, names a BLAS core other than the running
+    one: the resumed run's bytes then differ from an unbroken run's."""
+    try:
+        with open(args.manifest or f"{args.out}.manifest.json",
+                  encoding="utf-8") as fh:
+            core = json.load(fh)["env"]["blas_core"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return
+    if core != blas_core():
+        print(f"warning: the checkpoint {args.out} was written on BLAS core "
+              f"{core} and this run uses {blas_core()}; its bytes may differ "
+              f"from an unbroken run's", file=sys.stderr)
+
+
 def cmd_train(args) -> dict:
     vocab = corpus.load_vocab(args.vocab)
     triples = list(corpus.iter_triples(corpus.read_documents(args.corpus),
@@ -225,6 +243,7 @@ def cmd_train(args) -> dict:
                                   f"run keeps the checkpoint's value")
         config = replace(model.config, **counts)
         model = replace(model, config=config)
+        _warn_if_blas_core_changed(args)
     else:
         config = trainer.TrainConfig(
             vocab_size=vocab.size, **counts,

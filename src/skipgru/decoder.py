@@ -24,21 +24,26 @@ pre-activations X @ W_*.T before the time loop.
 
 A train step runs each decoder end to end, through decode_batch and then
 decoder_backward.  decode_batch owns the output layer, so that it runs once
-per group of passes rather than once per pass:
+per chunk of passes rather than once per pass:
 - decode_batch makes the decoder's block (DecoderCache) and one logits
-  buffer, and hands each pass its column of the block and the next free
-  rows of the buffer.
-- sentence_log_prob_with_cache writes a pass's inputs and trace into its
-  column (gru_forward's `out`), forms its (T, vocab) logits in the rows it
-  is handed and leaves there their softmax rows.
-- output_layer_backward runs as soon as OUTPUT_CHUNK rows are pending, and
-  after the last pass.  It subtracts the one-hot targets from the pending
-  rows in place, then takes dlogits @ V, the passes' state gradients, which
-  it writes into the block, and dlogits.T @ H, which it adds into V's
-  gradient in place by one dgemm (numerics.add_matmul, on numpy's own
-  OpenBLAS: a train step loads no scipy).  It forms no logits and takes no
-  exp: each logit of a train step is formed once, in the forward pass.  No
-  (rows, vocab) array exists beyond the buffer.
+  buffer, and hands each pass its column of the block.
+- sentence_log_prob_with_cache checks a pass's target and writes its inputs
+  and trace into its column (gru_forward's `out`).  It forms no logits: with
+  teacher forcing the states do not depend on them.
+- output_layer runs as soon as OUTPUT_CHUNK rows are pending, and after the
+  last pass.  It gathers the chunk's states S once and forms their logits
+  in one product into the buffer, then exponentiates them shifted by each
+  row's max.  A pass's log-likelihood sums, over its rows, the target's
+  shifted logit less the log of the row's sum.  The gradient wrt the logits
+  is softmax - onehot(target) = Z / sums, where Z is the exponentiated rows
+  less each row's sum at its target.  So it subtracts the sums at the
+  targets in place and divides only the (rows, hidden) sides by them:
+  (Z @ V) / sums are the state gradients, which it writes into the block,
+  and Z.T @ (S / sums) is added into V's gradient in place by one dgemm
+  (numerics.add_matmul, on numpy's own OpenBLAS: a train step loads no
+  scipy).  Each logit of a train step is formed and exponentiated once, and
+  no (rows, vocab) array exists beyond the buffer.  sentence_log_prob runs
+  the same function without its backward, so the loss is written once.
 - decoder_backward then runs the block as one gru_backward: the per-step
   pre-activation gradients summed over time give the conditioning matrices'
   gradients and each pass's gradient into h_enc, and the input gradients
@@ -71,8 +76,8 @@ COND_KEYS = GRU_KEYS + COND_CONDITIONING_KEYS + ("begin",)
 # previous sentence's.
 DECODER_PREFIXES = ("dec_next.", "dec_prev.")
 
-# Decoder rows pending in decode_batch's logits buffer at which it runs
-# output_layer_backward over them.
+# Decoder rows pending after a pass at which decode_batch runs output_layer
+# over them.
 OUTPUT_CHUNK = 64
 
 
@@ -160,12 +165,13 @@ class DecoderCache:
 
 def sentence_log_prob_with_cache(target: Sequence[int], h_enc: np.ndarray,
                                  p: ConditionalGruParams, V: np.ndarray,
-                                 embedding: np.ndarray, scratch: np.ndarray,
-                                 cache: DecoderCache, b: int) -> float:
-    """The teacher-forced log-likelihood of pass b of `cache`, whose inputs
-    and trace go into column b of its block.  The (T, vocab) logits are
-    formed in the leading rows of `scratch`, which are left holding the
-    pass's softmax rows for output_layer_backward to read."""
+                                 embedding: np.ndarray, cache: DecoderCache,
+                                 b: int) -> None:
+    """Pass b of `cache`: check its target against V's vocabulary, and write
+    its inputs and the trace of its teacher-forced recurrence into column b
+    of the block.  output_layer then forms its logits and log-likelihood.
+    The name is kept for perfbench, whose per-layer metrics observe it, until
+    ROADMAP item 1 (b) replaces them."""
     ids = _check_target(target, V.shape[0])
     h_enc = _check_conditioning(h_enc, p)
     T = len(ids)
@@ -173,40 +179,32 @@ def sentence_log_prob_with_cache(target: Sequence[int], h_enc: np.ndarray,
     X[0] = p.begin
     np.take(embedding, ids[:-1], axis=0, out=X[1:])
     # The conditioning terms are constant over the sentence: add them once.
-    trace = gru_forward(X @ p.W_r.T + p.C_r @ h_enc, X @ p.W_z.T + p.C_z @ h_enc,
-                        X @ p.W.T + p.C @ h_enc, p,
-                        out=(cache.S[:T + 1, b], cache.RZ[:T, b],
-                             cache.Hbar[:T, b]))
-    # The loss reads z[target] - log(sum exp z) of the shifted logits z.
-    z = np.matmul(trace.S[1:], V.T, out=scratch[:T])  # (T, vocab)
-    z -= np.max(z, axis=1)[:, None]
-    picked = z[np.arange(T), list(ids)]
-    np.exp(z, out=z)
-    sums = np.sum(z, axis=1)
-    z /= sums[:, None]
-    return float((picked - np.log(sums)).sum())
+    gru_forward(X @ p.W_r.T + p.C_r @ h_enc, X @ p.W_z.T + p.C_z @ h_enc,
+                X @ p.W.T + p.C @ h_enc, p,
+                out=(cache.S[:T + 1, b], cache.RZ[:T, b], cache.Hbar[:T, b]))
 
 
 def sentence_log_prob(target: Sequence[int], h_enc: np.ndarray,
                       p: ConditionalGruParams, V: np.ndarray,
                       embedding: np.ndarray) -> float:
     """Teacher-forced log P(target | h_enc) = sum_t log softmax(V h^t)[w^t]; <= 0."""
-    return sentence_log_prob_with_cache(
-        target, h_enc, p, V, embedding, np.empty((len(target), len(V))),
-        DecoderCache.block([target], None, p), 0)
+    cache = DecoderCache.block([target], None, p)
+    sentence_log_prob_with_cache(target, h_enc, p, V, embedding, cache, 0)
+    return output_layer(cache, slice(0, 1), V,
+                        np.empty((len(target), V.shape[0])))[0]
 
 
 def decode_batch(targets: Sequence[Sequence[int]], H_enc: np.ndarray,
                  p: ConditionalGruParams, V: np.ndarray, embedding: np.ndarray,
                  grads: ParamSet) -> tuple[list[float], DecoderCache]:
     """Run one decoder's teacher-forced pass of each target, conditioned on
-    the matching row of H_enc, in order, and the output layer's backward
-    over them; returns the passes' log-likelihoods and their DecoderCache.
+    the matching row of H_enc, in order, and the output layer over them;
+    returns the passes' log-likelihoods and their DecoderCache.
 
-    V's gradient is added into grads["V"], group by group in pass order;
-    nothing else in `grads` is touched.  The passes share one logits buffer
-    (one each would fragment the heap), in which at most OUTPUT_CHUNK - 1
-    rows wait when a pass begins.  An empty `targets` raises InputError.
+    V's gradient is added into grads["V"], chunk by chunk in pass order;
+    nothing else in `grads` is touched.  The chunks share one logits buffer
+    (one each would fragment the heap) of at most OUTPUT_CHUNK - 1 + max(T)
+    rows.  An empty `targets` raises InputError.
     """
     if not targets:
         raise InputError("decode_batch needs at least one decoder pass")
@@ -217,55 +215,66 @@ def decode_batch(targets: Sequence[Sequence[int]], H_enc: np.ndarray,
     log_probs = []
     first = rows = 0
     for b, target in enumerate(targets):
-        log_probs.append(sentence_log_prob_with_cache(
-            target, H_enc[b], p, V, embedding, scratch[rows:], cache, b))
+        sentence_log_prob_with_cache(target, H_enc[b], p, V, embedding, cache,
+                                     b)
         rows += lengths[b]
         if rows >= OUTPUT_CHUNK or b == len(targets) - 1:
-            output_layer_backward(cache, slice(first, b + 1), V, grads,
-                                  scratch)
+            log_probs += output_layer(cache, slice(first, b + 1), V, scratch,
+                                      grads)
             first, rows = b + 1, 0
     return log_probs, cache
 
 
-def output_layer_backward(cache: DecoderCache, passes: slice, V: np.ndarray,
-                          grads: ParamSet, scratch: np.ndarray) -> None:
-    """Add the output layer's gradient for the cache's `passes` into
-    grads["V"], and write the gradient of each pass's negative
+def output_layer(cache: DecoderCache, passes: slice, V: np.ndarray,
+                 scratch: np.ndarray, grads: ParamSet | None = None
+                 ) -> list[float]:
+    """The log-likelihoods of the cache's `passes`, whose forward calls have
+    run, from their logits formed in one product into the leading rows of
+    `scratch`.  Given `grads`, it also adds the output layer's gradient into
+    grads["V"] and writes the gradient of each pass's negative
     log-likelihood with respect to its states h^1..h^T into cache.dS.
 
-    The passes' forward calls must have left their softmax rows in the
-    leading rows of `scratch`, one pass after another; those rows are
-    overwritten with the gradient of the loss with respect to the logits.
     grads["V"] must be column-major, as trainer.train lays it out: BLAS
     updates it in place by one call.  Any other layout raises ParameterError
     before anything is written.
     """
     if not isinstance(cache, DecoderCache):
-        raise StateError("output_layer_backward needs the cache from "
-                         "decode_batch")
-    gV = grads["V"]
-    if not gV.flags.f_contiguous:
+        raise StateError("output_layer needs the cache of a decoder's passes")
+    if grads is not None and not grads["V"].flags.f_contiguous:
         raise ParameterError("the V gradient must be a column-major "
                              "contiguous array")
     targets = cache.targets[passes]
+    lengths = [len(target) for target in targets]
     # The real steps of each pass, in pass order (the views are pass-major).
-    real = np.arange(len(cache.dS)) < np.array(list(map(len, targets)))[:, None]
+    real = np.arange(len(cache.dS)) < np.array(lengths)[:, None]
     S = cache.S[1:, passes].swapaxes(0, 1)[real]           # (rows, hidden)
-    # Softmax cross-entropy: d(-log p)/dlogits = p - onehot(target), with p
-    # the forward's softmax rows.
-    G = scratch[:len(S)]
-    G[np.arange(len(G)), np.concatenate(targets)] -= 1.0
-    cache.dS[:, passes].swapaxes(0, 1)[real] = G @ V
-    # grads["V"] += G.T @ S, accumulated by BLAS in place (beta = 1) from
-    # operands it reads without a copy.
-    add_matmul(gV, G.T, S)
+    rows, ids = np.arange(len(S)), np.concatenate(targets)
+    # Each row's z[target] - log(sum exp z) of the shifted logits z.
+    z = np.matmul(S, V.T, out=scratch[:len(S)])            # (rows, vocab)
+    z -= np.max(z, axis=1)[:, None]
+    log_lik = z[rows, ids]
+    np.exp(z, out=z)
+    sums = np.sum(z, axis=1)
+    log_lik -= np.log(sums)
+    log_probs = [float(part.sum())
+                 for part in np.split(log_lik, np.cumsum(lengths)[:-1])]
+    if grads is not None:
+        # Softmax cross-entropy: d(-log p)/dlogits = z / sums - onehot(target)
+        # = Z / sums, with Z = z less each row's sum at its target.  The
+        # division goes to the (rows, hidden) sides of both products.
+        z[rows, ids] -= sums
+        cache.dS[:, passes].swapaxes(0, 1)[real] = (z @ V) / sums[:, None]
+        # grads["V"] += Z.T @ (S / sums), accumulated by BLAS in place
+        # (beta = 1) from operands it reads without a copy.
+        add_matmul(grads["V"], z.T, S / sums[:, None])
+    return log_probs
 
 
 def decoder_backward(cache: DecoderCache, p: ConditionalGruParams,
                      grads: ParamSet, prefix: str) -> np.ndarray:
     """Add the gradients of one decoder's passes, run as one right-padded
     (T, B) recurrence over the cache's block, into `grads`, given the state
-    gradients that output_layer_backward wrote into cache.dS, and return the
+    gradients that output_layer wrote into cache.dS, and return the
     (B, enc_dim) conditioning gradients that flow back into the encoder.
 
     The nine decoder matrices and "begin" are added under `prefix` (e.g.

@@ -23,14 +23,16 @@ it in three sequential parts:
 
   A. the encoder's forward pass of every triple in batch order;
   B. each decoder end to end, the next one's first: decoder.decode_batch
-     runs its pass of every triple in batch order into one right-padded
-     (T, B) block and the output layer over them, adding into V's
-     column-major gradient; decoder_backward runs one gru_backward over the
-     block, which is dropped before the other decoder's is made;
+     runs the recurrence of its pass of every triple in batch order into
+     one right-padded (T, B) block, and the output layer once per chunk of
+     passes, which forms the chunk's logits in one product, takes its
+     log-likelihoods and adds its gradient into V's column-major gradient;
+     decoder_backward runs one gru_backward over the block, which is
+     dropped before the other decoder's is made;
   C. each triple's encoder_backward in batch order, from the sum of its two
      conditioning gradients.
 
-The additions happen in a fixed order (V's in each decoder's pass order, the
+The additions happen in a fixed order (V's in each decoder's chunk order, the
 decoders' in part B's, and the encoder's triple by triple), so runs are
 reproducible bit for bit given a seed, and a checkpointed run resumed
 mid-stream matches an unbroken run exactly.
@@ -306,8 +308,8 @@ def train(model: SkipGruModel, triples: Sequence[SentenceTriple],
 
     On entry the output matrix V and its Adam moments are laid out
     column-major (the step's gradient follows V through zeros_like), which
-    is the layout in which BLAS streams V fastest in every decoder pass, and
-    the only one the output layer's backward accepts.  model.decoders.V,
+    is the layout in which BLAS streams V fastest in every logits product,
+    and the only one the output layer's backward accepts.  model.decoders.V,
     opt.m["V"] and opt.v["V"] may thus be new arrays with the same values;
     checkpoints store them row-major.
     """

@@ -10,9 +10,9 @@ something the package computes in bulk:
   pass returns its own full (vocab, embed) embedding gradient and each decoder
   its own (vocab, hidden) V gradient from a (T, vocab) softmax of logits it
   forms again from the cached states (the package adds every pass into one
-  accumulator per train step, and runs the output layer over groups of
-  passes from the softmax rows that their forward passes left in a shared
-  buffer);
+  accumulator per train step, and forms, scores and back-propagates the
+  logits of a chunk of passes in one place, from one product of their
+  stacked states);
 - a model's initial weights from a chain of builders, one per GRU, encoder
   and decoder pair, that share one random stream (SkipGruModel.init draws
   each entry of trainer.param_shapes in turn);
@@ -48,7 +48,7 @@ import numpy as np
 from skipgru.corpus import SENTENCE_CAP, SentenceTriple, Vocabulary
 from skipgru.decoder import (COND_CONDITIONING_KEYS, COND_KEYS,
                              ConditionalGruParams, DecoderCache, DecoderPair,
-                             sentence_log_prob_with_cache)
+                             output_layer, sentence_log_prob_with_cache)
 from skipgru.encoder import (GRU_INPUT_KEYS, GRU_RECURRENT_KEYS, EncoderCache,
                              EncoderModel, GruParams, GruTrace,
                              encode_with_cache, gru_backward)
@@ -278,10 +278,11 @@ def decoder_backward(cache: DecoderCache, b: int, p: ConditionalGruParams,
 
 def decode(target, h_enc, p: ConditionalGruParams, V, embedding
            ) -> tuple[float, DecoderCache]:
-    """The package's forward pass of one target, in a one-pass block."""
+    """The package's forward pass of one target, in a one-pass block, and
+    its log-likelihood from the output layer without its backward."""
     cache = DecoderCache.block([target], h_enc[None], p)
-    lp = sentence_log_prob_with_cache(target, h_enc, p, V, embedding,
-                                      np.empty((len(target), len(V))), cache, 0)
+    sentence_log_prob_with_cache(target, h_enc, p, V, embedding, cache, 0)
+    [lp] = output_layer(cache, slice(0, 1), V, np.empty((len(target), len(V))))
     return lp, cache
 
 
@@ -289,8 +290,8 @@ def triple_grads(model, triple: SentenceTriple) -> tuple[float, ParamSet]:
     """Loss and a fresh dense gradient set for one triple (a SkipGruModel)."""
     emb, V = model.embedding, model.decoders.V
     h, enc_cache = encode_with_cache(triple.curr, model.encoder)
-    # The forward passes are the package's; their softmax rows go unread,
-    # since decoder_backward forms its own softmax.
+    # The forward passes and log-likelihoods are the package's;
+    # decoder_backward forms its own softmax.
     dec = model.decoders
     lp_next, cache_n = decode(triple.next, h, dec.next_params, V, emb)
     lp_prev, cache_p = decode(triple.prev, h, dec.prev_params, V, emb)

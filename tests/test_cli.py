@@ -218,15 +218,22 @@ def test_the_evals_load_no_scipy(ws, tmp_path):
         assert len((tmp_path / command / "out.csv").read_text().splitlines()) > 2
 
 
-def test_manifest_names_the_blas_core_it_ran_on(tmp_path):
-    # The bytes of a run depend on the kernel family OpenBLAS picked for the
-    # CPU, so the manifest records it; OPENBLAS_CORETYPE forces another.
+def _default_core_unless_haswell_is_it() -> str:
+    """The BLAS core a fresh process reports, after checking that
+    OPENBLAS_CORETYPE=Haswell makes it report another (else skip)."""
     read = "from skipgru import numerics; print(numerics.blas_core())"
     default = _python(read).stdout.strip()
     if _python(read, OPENBLAS_CORETYPE="Haswell").stdout.strip() in (
             default, ""):
         pytest.skip("OPENBLAS_CORETYPE=Haswell does not change the core "
                     f"OpenBLAS reports on this host ({default})")
+    return default
+
+
+def test_manifest_names_the_blas_core_it_ran_on(tmp_path):
+    # The bytes of a run depend on the kernel family OpenBLAS picked for the
+    # CPU, so the manifest records it; OPENBLAS_CORETYPE forces another.
+    default = _default_core_unless_haswell_is_it()
     corpus = tmp_path / "corpus.txt"
     corpus.write_text(CORPUS, encoding="utf-8")
     cores = {}
@@ -239,6 +246,27 @@ def test_manifest_names_the_blas_core_it_ran_on(tmp_path):
         manifest = json.loads(pathlib.Path(f"{out}.manifest.json").read_text())
         cores[forced.get("OPENBLAS_CORETYPE")] = manifest["env"]["blas_core"]
     assert cores == {None: default, "Haswell": "Haswell"}
+
+
+def test_resume_on_another_blas_core_warns_once(ws, tmp_path):
+    # A run trained under a forced core and resumed on the host's own says
+    # so in one stderr line naming both cores, and still exits 0; resumed on
+    # the core that wrote it, it says nothing.
+    default = _default_core_unless_haswell_is_it()
+    ckpt = tmp_path / "core.ckpt"
+    argv = ["train", "--corpus", str(ws["corpus"]), "--vocab",
+            str(ws["vocab"]), "--embed-dim", "5", "--hidden-dim", "6",
+            "--batch", "4", "--out", str(ckpt)]
+
+    def train(steps, **forced):
+        run = argv + ["--steps", str(steps)] + (["--resume"] if steps > 2
+                                                else [])
+        return _python(f"import sys; from skipgru.cli import main; "
+                       f"sys.exit(main({run!r}))", **forced).stderr
+    assert train(2, OPENBLAS_CORETYPE="Haswell") == ""
+    [warning] = train(4).splitlines()
+    assert "Haswell" in warning and default in warning
+    assert train(6) == ""
 
 
 # Names whose use would make a run depend on the environment or start threads.

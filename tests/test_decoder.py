@@ -12,7 +12,7 @@ import pytest
 from skipgru import decoder, numerics
 from skipgru.decoder import (DECODER_PREFIXES, ConditionalGruParams,
                              DecoderCache, DecoderPair, decode_batch,
-                             decoder_backward, output_layer_backward,
+                             decoder_backward, output_layer,
                              sample_sentence, sentence_log_prob,
                              sentence_log_prob_with_cache)
 from skipgru.encoder import GruParams, gru_forward
@@ -124,19 +124,23 @@ def test_log_prob_nonpositive_and_prob_rows_normalized(rng):
     emb = rng.normal(size=(5, 3))
     scratch = np.full((6, 5), np.nan)
     cache = DecoderCache.block([(2, 4, 1, 0)], None, p)
-    lp = sentence_log_prob_with_cache((2, 4, 1, 0), rng.normal(size=2), p, V,
-                                      emb, scratch, cache, 0)
+    sentence_log_prob_with_cache((2, 4, 1, 0), rng.normal(size=2), p, V,
+                                 emb, cache, 0)
+    # The pass forms no logits; the output layer forms them in the leading
+    # rows of its scratch and no other row, and leaves them exponentiated:
+    # each row over its sum is the softmax row, and the log-likelihood is
+    # the sum of the logs of the target's entries.
+    assert np.all(np.isnan(scratch))
+    [lp] = output_layer(cache, slice(0, 1), V, scratch)
     assert lp <= 0.0
-    # The pass leaves its softmax rows in the leading rows of its scratch and
-    # no other row: each row sums to 1, and the log-likelihood is the sum of
-    # the logs of the target's entries.
     logits = cache.S[1:, 0] @ V.T
-    rows = scratch[:4]
+    rows = scratch[:4] / scratch[:4].sum(axis=1)[:, None]
     assert np.all(np.isnan(scratch[4:]))
     assert np.max(np.abs(rows - softmax(logits))) < 1e-12
-    assert np.max(np.abs(rows.sum(axis=1) - 1.0)) < 1e-12
+    assert np.max(np.abs(scratch[:4].max(axis=1) - 1.0)) == 0.0
     assert abs(lp - sum(np.log(rows[t, w])
                         for t, w in enumerate((2, 4, 1, 0)))) < 1e-12
+    assert not cache.dS.any()
 
 
 def test_log_prob_matches_unrolled_oracle(rng):
@@ -228,12 +232,12 @@ def test_backward_finite_difference_repeated_inputs():
 
 
 def test_backward_adds_into_column_major_v_accumulator(rng, monkeypatch):
-    # Three passes leave their rows one after another in one buffer, and one
-    # output-layer backward over them reads those rows: BLAS accumulates
-    # into the column-major V gradient in place by one call, whose output is
-    # the accumulator itself, and it ends with the sums of the dense per-pass
-    # reference.  Each pass's state gradients land in its column of the
-    # block, and its padded rows stay zero.
+    # Three passes write their states into one block, and one output layer
+    # over them forms their logits in one buffer, one pass after another:
+    # BLAS accumulates into the column-major V gradient in place by one
+    # call, whose output is the accumulator itself, and it ends with the
+    # sums of the dense per-pass reference.  Each pass's state gradients
+    # land in its column of the block, and its padded rows stay zero.
     results = []
 
     def recording_add_matmul(out, a, b):
@@ -246,15 +250,15 @@ def test_backward_adds_into_column_major_v_accumulator(rng, monkeypatch):
     H_enc = rng.normal(size=(3, 2))
     cache = DecoderCache.block(targets, H_enc, p)
     scratch = np.empty((sum(len(t) for t in targets), len(V)))
-    starts = np.cumsum([0] + [len(t) for t in targets])
-    for b, (target, start) in enumerate(zip(targets, starts)):
-        sentence_log_prob_with_cache(target, H_enc[b], p, V, emb,
-                                     scratch[start:], cache, b)
+    for b, target in enumerate(targets):
+        sentence_log_prob_with_cache(target, H_enc[b], p, V, emb, cache, b)
     start = rng.normal(size=V.shape)
     grads = zero_accumulator(p, V, emb)
     grads["V"][...] = start
     gV = grads["V"]
-    output_layer_backward(cache, slice(0, 3), V, grads, scratch)
+    log_probs = output_layer(cache, slice(0, 3), V, scratch, grads)
+    assert log_probs == [sentence_log_prob(t, H_enc[b], p, V, emb)
+                         for b, t in enumerate(targets)]
     assert grads["V"] is gV and len(results) == 1
     assert all(np.shares_memory(r, gV) for r in results)
     assert gV.flags.f_contiguous and not gV.flags.c_contiguous
@@ -290,8 +294,8 @@ def test_backward_missing_cache_is_state_error(rng):
     with pytest.raises(StateError):
         decoder_backward(None, p, {}, "")
     with pytest.raises(StateError):
-        output_layer_backward(None, slice(0, 1), np.zeros((4, 3)),
-                              {"V": np.zeros((4, 3))}, np.empty((1, 4)))
+        output_layer(None, slice(0, 1), np.zeros((4, 3)), np.empty((1, 4)),
+                     {"V": np.zeros((4, 3), order="F")})
 
 
 def test_decode_batch_of_no_passes_is_input_error(rng):

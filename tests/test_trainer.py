@@ -27,7 +27,7 @@ from conftest import (CHECKPOINT_FIELD_TYPES, CHECKPOINT_KEY_EDITS,
 import reference
 from reference import finite_diff_check
 from skipgru.corpus import SentenceTriple
-from skipgru.decoder import (OUTPUT_CHUNK, DecoderCache, output_layer_backward,
+from skipgru.decoder import (OUTPUT_CHUNK, DecoderCache, output_layer,
                              sentence_log_prob, sentence_log_prob_with_cache)
 from skipgru.encoder import encode_with_cache
 from skipgru.errors import (CheckpointError, ConfigError, InputError,
@@ -212,18 +212,18 @@ def test_step_and_output_layer_refuse_a_v_gradient_not_column_major(layout):
     dec = m.decoders
     h = encode_with_cache(MIXED_BATCH[0].curr, m.encoder)[0]
     target = MIXED_BATCH[0].next
-    scratch = np.empty((len(target), len(dec.V)))
+    scratch = np.full((len(target), len(dec.V)), np.nan)
     cache = DecoderCache.block([target], h[None], dec.next_params)
     sentence_log_prob_with_cache(target, h, dec.next_params, dec.V,
-                                 m.embedding, scratch, cache, 0)
+                                 m.embedding, cache, 0)
     grads = zero_grads(m)
     grads["V"] = layout(np.random.default_rng(47).normal(size=dec.V.shape))
     assert not grads["V"].flags.f_contiguous
     before = {k: g.copy() for k, g in grads.items()}
     with pytest.raises(ParameterError):
-        output_layer_backward(cache, slice(0, 1), dec.V, grads, scratch)
+        output_layer(cache, slice(0, 1), dec.V, scratch, grads)
     assert all(np.array_equal(grads[k], before[k]) for k in before)
-    assert not cache.dS.any()
+    assert not cache.dS.any() and np.isnan(scratch).all()
 
     dec.V = layout(dec.V)
     opt = AdamState.initial(m.param_dict())
@@ -240,8 +240,8 @@ def test_triple_gradient_builds_no_vocabulary_sized_array():
     # At V=20000, E=64, H=128 one (V, H) array takes 20.5 MB.  The dense
     # per-pass reference builds several inside one triple; the accumulating
     # path adds into the step's arrays and builds only one logits buffer of
-    # at most OUTPUT_CHUNK - 1 + max(T) rows, which its forward passes fill
-    # and the output layer's backward reads.
+    # at most OUTPUT_CHUNK - 1 + max(T) rows, in which the output layer
+    # forms, scores and back-propagates each chunk's logits.
     m = make_model(vocab_size=20000, embed_dim=64, hidden_dim=128)
     t = SentenceTriple(prev=(5, 17, 2, 9, 0), curr=(3, 19999, 40, 7, 3, 0),
                        next=(11, 12, 13, 11, 0))
@@ -362,39 +362,44 @@ def test_batch_loss_is_the_sum_of_the_sentence_log_probs(batch):
 
 @pytest.mark.parametrize("chunk", [OUTPUT_CHUNK, 5])
 def test_step_flushes_the_output_layer_at_pass_boundaries(chunk, monkeypatch):
-    # One train step runs each decoder's output-layer backward as soon as
-    # `chunk` rows are pending after one of its passes, and once after its
-    # last pass: every decoder row goes through exactly one V-gradient
-    # dgemm, in pass order, the next decoder's first; each call's passes
-    # end at a pass boundary, every dgemm writes the step's one accumulator
-    # in place, and each decoder's calls read one buffer.
+    # One train step runs each decoder's output layer as soon as `chunk`
+    # rows are pending after one of its passes, and once after its last
+    # pass: every decoder row goes through exactly one V-gradient dgemm, in
+    # pass order, the next decoder's first, which adds G.T @ S for the
+    # softmax gradient G of the chunk's states S; each call's passes end at
+    # a pass boundary, every dgemm writes the step's one accumulator in
+    # place, and each decoder's calls read one buffer.
     dgemms, calls = [], []
 
     def recording_add_matmul(out, a, b):
         want = out + a @ b
         numerics.add_matmul(out, a, b)
-        dgemms.append((b.copy(), out, np.allclose(out, want, rtol=1e-12,
-                                                  atol=1e-12)))
+        dgemms.append((a @ b, out, np.allclose(out, want, rtol=1e-12,
+                                               atol=1e-12)))
 
-    def recording_sweep(cache, passes, V, grads, scratch):
+    def recording_sweep(cache, passes, V, scratch, grads=None):
         targets = cache.targets[passes]
         states = [cache.S[1:len(t) + 1, b].copy()
                   for t, b in zip(targets, range(len(cache.targets))[passes])]
         calls.append((cache, targets, states, scratch))
-        return real_sweep(cache, passes, V, grads, scratch)
-    real_sweep = decoder.output_layer_backward
+        return real_sweep(cache, passes, V, scratch, grads)
+    real_sweep = decoder.output_layer
     monkeypatch.setattr(decoder, "add_matmul", recording_add_matmul)
-    monkeypatch.setattr(decoder, "output_layer_backward", recording_sweep)
+    monkeypatch.setattr(decoder, "output_layer", recording_sweep)
     _set_output_chunk(monkeypatch, chunk)
     batch = STRADDLE_BATCH
     m = lay_out(_mixed_model("uni", seed=50))
+    V = m.decoders.V.copy()
     train_step(m, batch, AdamState.initial(m.param_dict()), m.config)
 
     assert [t for _, targets, _, _ in calls for t in targets] == \
         [t.next for t in batch] + [t.prev for t in batch]
     assert len(dgemms) == len(calls)
-    for (_, _, states, _), (got, _, _) in zip(calls, dgemms):
-        assert np.array_equal(got, np.vstack(states))
+    for (_, targets, states, _), (got, _, _) in zip(calls, dgemms):
+        S = np.vstack(states)
+        G = numerics.softmax(S @ V.T)
+        G[np.arange(len(G)), np.concatenate(targets)] -= 1.0
+        assert _rel_err(got, G.T @ S) < 1e-12
     assert all(shared for _, _, shared in dgemms)
     assert all(c is dgemms[0][1] for _, c, _ in dgemms)
     assert dgemms[0][1].shape == m.decoders.V.shape
@@ -421,9 +426,9 @@ def test_step_flushes_the_output_layer_at_pass_boundaries(chunk, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["uni", "bi"])
 def test_step_runs_each_decoder_end_to_end_in_its_block(mode, monkeypatch):
-    # A train step finishes the next decoder, its passes and then its
-    # backward, before the previous decoder's first pass, and by then the
-    # next decoder's cache and its block are gone.  Every decoder pass
+    # A train step finishes the next decoder, its passes, its output layer
+    # and then its backward, before the previous decoder's first pass, and
+    # by then the next decoder's cache and its block are gone.  Every pass
     # writes its inputs and trace into its column of its decoder's block:
     # each trace that gru_forward returns in a pass shares memory with that
     # block.
@@ -431,12 +436,12 @@ def test_step_runs_each_decoder_end_to_end_in_its_block(mode, monkeypatch):
     m = lay_out(_mixed_model(mode, seed=53))
     prefix = {id(p): name for p, name in m.decoders.directions}
 
-    def recording_pass(target, h_enc, p, V, embedding, scratch, cache, b):
+    def recording_pass(target, h_enc, p, V, embedding, cache, b):
         if not refs or refs[-1][0]() is not cache:
             if refs:
                 events.append(("dead", [ref() for ref in refs[-1]]))
             refs.append((weakref.ref(cache), weakref.ref(cache.S)))
-        lp = real_pass(target, h_enc, p, V, embedding, scratch, cache, b)
+        real_pass(target, h_enc, p, V, embedding, cache, b)
         [trace] = traces
         traces.clear()
         shared.append(all(np.shares_memory(got, block) for got, block in
@@ -445,40 +450,47 @@ def test_step_runs_each_decoder_end_to_end_in_its_block(mode, monkeypatch):
         shared.append(np.array_equal(cache.X[:T, b], np.vstack(
             [p.begin, m.embedding[list(target[:-1])]])))
         events.append(("pass", prefix[id(p)]))
-        return lp
 
     def recording_forward(*args, **kwargs):
         traces.append(real_forward(*args, **kwargs))
         return traces[-1]
 
+    def recording_output(cache, *args):
+        events.append(("output", refs[-1][0]() is cache))
+        return real_output(cache, *args)
+
     def recording_backward(cache, p, grads, name):
         events.append(("backward", name))
         return real_backward(cache, p, grads, name)
-    real_pass = decoder.sentence_log_prob_with_cache
+    real_pass, real_output = (decoder.sentence_log_prob_with_cache,
+                              decoder.output_layer)
     real_forward, real_backward = decoder.gru_forward, trainer.decoder_backward
     monkeypatch.setattr(decoder, "sentence_log_prob_with_cache", recording_pass)
+    monkeypatch.setattr(decoder, "output_layer", recording_output)
     monkeypatch.setattr(decoder, "gru_forward", recording_forward)
     monkeypatch.setattr(trainer, "decoder_backward", recording_backward)
     train_step(m, STRADDLE_BATCH, AdamState.initial(m.param_dict()), m.config)
     B = len(STRADDLE_BATCH)
-    assert events == ([("pass", "dec_next.")] * B + [("backward", "dec_next."),
-                                                    ("dead", [None, None])]
+    assert events == ([("pass", "dec_next.")] * B
+                      + [("output", True), ("backward", "dec_next."),
+                         ("dead", [None, None])]
                       + [("pass", "dec_prev.")] * B
-                      + [("backward", "dec_prev.")])
+                      + [("output", True), ("backward", "dec_prev.")])
     assert len(shared) == 4 * B and all(shared)
 
 
 class _CountingV(np.ndarray):
-    """A view of V that counts the rows it multiplies into logits: matmul
-    (and so `@`) by its transpose, whose last axis is the vocabulary."""
+    """A view of V that records the rows of each product that forms logits:
+    matmul (and so `@`) by its transpose, whose last axis is the
+    vocabulary."""
 
     vocab_size = 0
-    logit_rows = 0
+    logit_rows: list[int] = []
 
     def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
         if (ufunc is np.matmul and isinstance(inputs[1], _CountingV)
                 and inputs[1].shape[-1] == _CountingV.vocab_size):
-            _CountingV.logit_rows += inputs[0].shape[0]
+            _CountingV.logit_rows.append(inputs[0].shape[0])
         inputs = [np.asarray(x) if isinstance(x, _CountingV) else x
                   for x in inputs]
         if out is not None:
@@ -488,28 +500,34 @@ class _CountingV(np.ndarray):
 
 
 def test_step_forms_each_logit_once(monkeypatch):
-    # Each decoder target row is multiplied by V once per train step, in its
-    # forward pass; the output layer's backward reads the rows that pass
-    # left instead of forming them again.
+    # Each decoder target row is multiplied by V once per train step, in the
+    # output layer, which forms a chunk's logits in one product and reads
+    # them for the loss and the backward instead of forming them again: per
+    # decoder, one product per chunk, whose rows sum to its target rows.  At
+    # STRADDLE_CHUNK the next decoder's chunks take 21 and 17 rows, and the
+    # previous decoder's 20, 17 and 1.
+    _set_output_chunk(monkeypatch, STRADDLE_CHUNK)
     m = lay_out(_mixed_model("bi", seed=52))
     assert m.config.vocab_size != m.config.hidden_dim
     monkeypatch.setattr(_CountingV, "vocab_size", m.config.vocab_size)
-    monkeypatch.setattr(_CountingV, "logit_rows", 0)
+    monkeypatch.setattr(_CountingV, "logit_rows", [])
     m.decoders.V = m.decoders.V.view(_CountingV)
     train_step(m, STRADDLE_BATCH, AdamState.initial(m.param_dict()), m.config)
-    assert _CountingV.logit_rows == sum(map(sum, _decoder_rows(STRADDLE_BATCH)))
+    assert _CountingV.logit_rows == [21, 17, 20, 17, 1]
+    assert [sum(_CountingV.logit_rows[:2]), sum(_CountingV.logit_rows[2:])] \
+        == list(map(sum, _decoder_rows(STRADDLE_BATCH)))
 
 
 def test_decoder_caches_hold_no_vocabulary_sized_row(monkeypatch):
-    # The forward pass leaves its softmax rows in the decoder's buffer, not
-    # in its cache: no array that a cache holds has a vocabulary-sized axis.
+    # The output layer forms its logits in the decoder's buffer, not in its
+    # cache: no array that a cache holds has a vocabulary-sized axis.
     kept = []
 
     def keeping(cache, *args):
         kept.append(cache)
         return real_sweep(cache, *args)
-    real_sweep = decoder.output_layer_backward
-    monkeypatch.setattr(decoder, "output_layer_backward", keeping)
+    real_sweep = decoder.output_layer
+    monkeypatch.setattr(decoder, "output_layer", keeping)
     m = randomize_params(make_model(vocab_size=97, embed_dim=3, hidden_dim=4),
                          seed=51)
     batch_grads(m, STRADDLE_BATCH, zero_grads(m))
@@ -889,22 +907,26 @@ def test_the_expanded_vocabulary_is_placed_by_locate_alone():
 
 def test_decode_batch_alone_runs_the_logits_buffer():
     # One function owns the protocol of the shared logits buffer:
-    # decode_batch sizes it by OUTPUT_CHUNK, hands its rows to the forward
-    # passes and runs the output layer's backward over them.  The trainer
-    # names none of it, and no cache keeps a per-row sum beside the rows.
+    # decode_batch sizes it by OUTPUT_CHUNK and runs the output layer over
+    # each chunk of passes in it.  The trainer names none of it, and no
+    # cache keeps a per-row sum beside the rows.  The loss is written once:
+    # the output layer alone takes an exp or a log, and sentence_log_prob
+    # reaches it too, over a buffer of its one pass.
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     trainer_names = {getattr(node, "id", None) or getattr(node, "attr", None)
                      or getattr(node, "name", None)
                      for node in ast.walk(trees["trainer"])}
     assert not trainer_names & {"OUTPUT_CHUNK", "logits_buffer",
-                                "output_flushes", "output_layer_backward"}
+                                "output_flushes", "output_layer"}
     tree = trees["decoder"]
     assert sorted(set(_references(tree, "OUTPUT_CHUNK"))) == \
         ["<module>", "decode_batch"]
     callers = [f"{stem}.{where}" for stem, t in trees.items()
-               for where in _references(t, "output_layer_backward")]
-    assert callers == ["decoder.decode_batch"]
+               for where in _references(t, "output_layer")]
+    assert callers == ["decoder.sentence_log_prob", "decoder.decode_batch"]
+    assert _references(tree, "exp") == _references(tree, "log") == \
+        ["output_layer"]
     buffers = [stmt.name for stmt in tree.body for node in ast.walk(stmt)
                if isinstance(node, ast.Call)
                and getattr(node.func, "attr", None) == "empty"
