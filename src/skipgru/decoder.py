@@ -18,18 +18,17 @@ DecoderPair.directions yields each decoder with its parameter-name prefix
 through one loop.  Their weights are drawn by trainer.SkipGruModel.init,
 and trainer.model_from_params is the one check of their shapes.
 
-Both decoders run on the encoder's GRU kernel.  The conditioning terms
-C_* h_enc are constant over a sentence, so they are added once to the input
-pre-activations X @ W_*.T before the time loop.
-
 A train step runs each decoder end to end, through decode_batch and then
-decoder_backward.  decode_batch owns the output layer, so that it runs once
-per chunk of passes rather than once per pass:
+decoder_backward.  decode_batch runs all of a decoder's passes as one
+recurrence, and the output layer once per chunk of passes:
 - decode_batch makes the decoder's block (DecoderCache) and one logits
-  buffer, and hands each pass its column of the block.
-- sentence_log_prob_with_cache checks a pass's target and writes its inputs
-  and trace into its column (gru_forward's `out`).  It forms no logits: with
-  teacher forcing the states do not depend on them.
+  buffer.  sentence_log_prob_with_cache checks each pass's target and
+  conditioning vector and writes its inputs into its column of the block.
+- One gru_forward, the encoder's kernel, then runs the block right-padded
+  to (T, B).  The conditioning terms C_* h_enc are constant over a pass, so
+  each gate's (B, hidden) rows H_enc @ C_*.T are added once to the input
+  pre-activations X @ W_*.T.  With teacher forcing the states do not depend
+  on the logits.  sentence_log_prob is decode_batch of one pass.
 - output_layer runs as soon as OUTPUT_CHUNK rows are pending, and after the
   last pass.  It gathers the chunk's states S once and forms their logits
   in one product into the buffer, then exponentiates them shifted by each
@@ -42,13 +41,13 @@ per chunk of passes rather than once per pass:
   and Z.T @ (S / sums) is added into V's gradient in place by one dgemm
   (numerics.add_matmul, on numpy's own OpenBLAS: a train step loads no
   scipy).  Each logit of a train step is formed and exponentiated once, and
-  no (rows, vocab) array exists beyond the buffer.  sentence_log_prob runs
-  the same function without its backward, so the loss is written once.
+  no (rows, vocab) array exists beyond the buffer.  Without `grads` it
+  skips its backward, so the loss is written once.
 - decoder_backward then runs the block as one gru_backward: the per-step
   pre-activation gradients summed over time give the conditioning matrices'
   gradients and each pass's gradient into h_enc, and the input gradients
   are scatter-added into the embedding rows by one np.add.at.  It does no
-  work on V.  The block is the only copy of the passes' states.
+  work on V.  The trace is the only copy of the passes' states.
 
 The forward pass takes V row-major (as loaded for inference) or column-major
 (as trainer.train lays it out) without a copy; the backward pass takes only
@@ -137,74 +136,61 @@ def _check_target(target: Sequence[int], vocab_size: int) -> tuple[int, ...]:
 
 @dataclass
 class DecoderCache:
-    """One decoder's passes over a batch as one zero-filled block,
-    right-padded to (T, B), T the longest target.  Pass b's forward writes
-    column b, and the output layer its state gradients.  The gate block is
-    (T, B, 2, hidden), so each step of a pass writes contiguous memory."""
+    """One decoder's passes over a batch, right-padded to (T, B), T the
+    longest target.  Pass b writes its inputs into column b of the
+    zero-filled X, and the output layer its state gradients into the
+    zero-filled dS; `trace` is the block's one gru_forward pass."""
 
     targets: Sequence[Sequence[int]]
-    H_enc: np.ndarray | None  # (B, enc_dim); None for sentence_log_prob
+    H_enc: np.ndarray    # (B, enc_dim)
     X: np.ndarray        # (T, B, embed) inputs: begin, then target[:-1] embeddings
-    S: np.ndarray        # (T + 1, B, hidden): S[0] = 0, S[t] = h^t
-    RZ: np.ndarray       # (T, B, 2, hidden) gate block
-    Hbar: np.ndarray     # (T, B, hidden)
     dS: np.ndarray       # (T, B, hidden) gradients of the loss wrt the states
+    trace: GruTrace | None = None
 
     @classmethod
-    def block(cls, targets: Sequence[Sequence[int]], H_enc: np.ndarray | None,
+    def block(cls, targets: Sequence[Sequence[int]], H_enc: np.ndarray,
               p: ConditionalGruParams) -> "DecoderCache":
-        T, B, hid = max(map(len, targets)), len(targets), p.hidden_dim
+        T, B = max(map(len, targets)), len(targets)
         return cls(targets, H_enc, np.zeros((T, B, len(p.begin))),
-                   np.zeros((T + 1, B, hid)), np.zeros((T, B, 2, hid)),
-                   np.zeros((T, B, hid)), np.zeros((T, B, hid)))
-
-    @property
-    def trace(self) -> GruTrace:
-        return GruTrace(self.S, self.RZ[:, :, 0], self.RZ[:, :, 1], self.Hbar)
+                   np.zeros((T, B, p.hidden_dim)))
 
 
 def sentence_log_prob_with_cache(target: Sequence[int], h_enc: np.ndarray,
                                  p: ConditionalGruParams, V: np.ndarray,
                                  embedding: np.ndarray, cache: DecoderCache,
                                  b: int) -> None:
-    """Pass b of `cache`: check its target against V's vocabulary, and write
-    its inputs and the trace of its teacher-forced recurrence into column b
-    of the block.  output_layer then forms its logits and log-likelihood.
-    The name is kept for perfbench, whose per-layer metrics observe it, until
-    ROADMAP item 1 (b) replaces them."""
+    """Pass b of `cache`: check its target against V's vocabulary and its
+    conditioning vector, and write its inputs into column b of the block.
+    decode_batch runs it once per pass, then the block's recurrence and
+    output layer.  The name is kept for perfbench, whose per-layer metrics
+    observe it once per pass, until ROADMAP item 1 (b) replaces them."""
     ids = _check_target(target, V.shape[0])
-    h_enc = _check_conditioning(h_enc, p)
-    T = len(ids)
-    X = cache.X[:T, b]
+    _check_conditioning(h_enc, p)
+    X = cache.X[:len(ids), b]
     X[0] = p.begin
     np.take(embedding, ids[:-1], axis=0, out=X[1:])
-    # The conditioning terms are constant over the sentence: add them once.
-    gru_forward(X @ p.W_r.T + p.C_r @ h_enc, X @ p.W_z.T + p.C_z @ h_enc,
-                X @ p.W.T + p.C @ h_enc, p,
-                out=(cache.S[:T + 1, b], cache.RZ[:T, b], cache.Hbar[:T, b]))
 
 
 def sentence_log_prob(target: Sequence[int], h_enc: np.ndarray,
                       p: ConditionalGruParams, V: np.ndarray,
                       embedding: np.ndarray) -> float:
     """Teacher-forced log P(target | h_enc) = sum_t log softmax(V h^t)[w^t]; <= 0."""
-    cache = DecoderCache.block([target], None, p)
-    sentence_log_prob_with_cache(target, h_enc, p, V, embedding, cache, 0)
-    return output_layer(cache, slice(0, 1), V,
-                        np.empty((len(target), V.shape[0])))[0]
+    return decode_batch([target], np.asarray(h_enc)[None], p, V,
+                        embedding)[0][0]
 
 
 def decode_batch(targets: Sequence[Sequence[int]], H_enc: np.ndarray,
                  p: ConditionalGruParams, V: np.ndarray, embedding: np.ndarray,
-                 grads: ParamSet) -> tuple[list[float], DecoderCache]:
-    """Run one decoder's teacher-forced pass of each target, conditioned on
-    the matching row of H_enc, in order, and the output layer over them;
-    returns the passes' log-likelihoods and their DecoderCache.
+                 grads: ParamSet | None = None
+                 ) -> tuple[list[float], DecoderCache]:
+    """Run one decoder's teacher-forced passes of `targets`, conditioned on
+    the rows of H_enc, as one padded recurrence, and the output layer over
+    them in order; returns their log-likelihoods and DecoderCache.
 
-    V's gradient is added into grads["V"], chunk by chunk in pass order;
-    nothing else in `grads` is touched.  The chunks share one logits buffer
-    (one each would fragment the heap) of at most OUTPUT_CHUNK - 1 + max(T)
-    rows.  An empty `targets` raises InputError.
+    Given `grads`, V's gradient is added into grads["V"], chunk by chunk in
+    pass order; nothing else in `grads` is touched.  The chunks share one
+    logits buffer (one each would fragment the heap) of at most
+    OUTPUT_CHUNK - 1 + max(T) rows.  An empty `targets` raises InputError.
     """
     if not targets:
         raise InputError("decode_batch needs at least one decoder pass")
@@ -212,12 +198,17 @@ def decode_batch(targets: Sequence[Sequence[int]], H_enc: np.ndarray,
     scratch = np.empty((min(sum(lengths), OUTPUT_CHUNK - 1 + max(lengths)),
                         V.shape[0]))
     cache = DecoderCache.block(targets, H_enc, p)
-    log_probs = []
-    first = rows = 0
     for b, target in enumerate(targets):
         sentence_log_prob_with_cache(target, H_enc[b], p, V, embedding, cache,
                                      b)
-        rows += lengths[b]
+    X = cache.X
+    cache.trace = gru_forward(X @ p.W_r.T + H_enc @ p.C_r.T,
+                              X @ p.W_z.T + H_enc @ p.C_z.T,
+                              X @ p.W.T + H_enc @ p.C.T, p)
+    log_probs = []
+    first = rows = 0
+    for b, n in enumerate(lengths):
+        rows += n
         if rows >= OUTPUT_CHUNK or b == len(targets) - 1:
             log_probs += output_layer(cache, slice(first, b + 1), V, scratch,
                                       grads)
@@ -228,8 +219,8 @@ def decode_batch(targets: Sequence[Sequence[int]], H_enc: np.ndarray,
 def output_layer(cache: DecoderCache, passes: slice, V: np.ndarray,
                  scratch: np.ndarray, grads: ParamSet | None = None
                  ) -> list[float]:
-    """The log-likelihoods of the cache's `passes`, whose forward calls have
-    run, from their logits formed in one product into the leading rows of
+    """The log-likelihoods of the cache's `passes`, whose block's forward
+    has run, from their logits formed in one product into the leading rows of
     `scratch`.  Given `grads`, it also adds the output layer's gradient into
     grads["V"] and writes the gradient of each pass's negative
     log-likelihood with respect to its states h^1..h^T into cache.dS.
@@ -247,7 +238,7 @@ def output_layer(cache: DecoderCache, passes: slice, V: np.ndarray,
     lengths = [len(target) for target in targets]
     # The real steps of each pass, in pass order (the views are pass-major).
     real = np.arange(len(cache.dS)) < np.array(lengths)[:, None]
-    S = cache.S[1:, passes].swapaxes(0, 1)[real]           # (rows, hidden)
+    S = cache.trace.S[1:, passes].swapaxes(0, 1)[real]     # (rows, hidden)
     rows, ids = np.arange(len(S)), np.concatenate(targets)
     # Each row's z[target] - log(sum exp z) of the shifted logits z.
     z = np.matmul(S, V.T, out=scratch[:len(S)])            # (rows, vocab)

@@ -23,12 +23,13 @@ gate, X @ W_*.T, computed before the time loop), so each step only adds the
 three recurrent products U_* h^{t-1}.  Its inputs are (T, hidden) for one
 sequence or (T, B, hidden) for a right-padded batch of B sequences, which
 encode_batch uses to encode many sentences with one (B, hidden) matrix
-product per gate and step over input products of distinct rows.  The r and z
-pre-activations of a step sit in one gate block, (2, [B,] hidden): the U_r
-and U_z products are written into its two halves, and one numerics.sigmoid
-call takes the whole block in place.  The other per-step results are
-written into the trace or into buffers made once per pass, and no weight
-matrix is copied.
+product per gate and step over input products of distinct rows, and
+decoder.decode_batch to run all of one decoder's passes of a train step in
+one call.  The r and z pre-activations of a step sit in one gate block,
+(2, [B,] hidden): the U_r and U_z products are written into its two halves,
+and one numerics.sigmoid call takes the whole block in place.  The other
+per-step results are written into the trace or into buffers made once per
+pass, and no weight matrix is copied.
 
 gru_backward is backpropagation through time written out by hand, so the
 whole model trains without autodiff.  It takes the same (T, [B,] hidden)
@@ -38,10 +39,10 @@ DA_* of every step; each weight gradient is then one matrix product over the
 T·B rows after the loop (for example DA_h.T @ X for W), and so are the input
 gradients.  Padding needs no mask: padded steps come after a sequence's last
 real step, so with no gradient flowing into them the carried gradient stays
-exactly zero there.  Each decoder runs one padded pass over the block its
-passes wrote; encoder_backward runs one pass per sentence and direction and
-scatter-adds the input gradients into its embedding rows, because a
-sentence can repeat a token id.
+exactly zero there, whatever the padded states hold.  Each decoder runs
+one padded pass over the trace of its padded forward; encoder_backward runs
+one pass per sentence and direction and scatter-adds the input gradients
+into its embedding rows, because a sentence can repeat a token id.
 """
 
 from __future__ import annotations
@@ -110,9 +111,7 @@ class GruTrace(NamedTuple):
 
 
 def gru_forward(A_r: np.ndarray, A_z: np.ndarray, A_h: np.ndarray,
-                p: GruParams, h0: np.ndarray | float = 0.0,
-                out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-                ) -> GruTrace:
+                p: GruParams, h0: np.ndarray | float = 0.0) -> GruTrace:
     """Run the recurrence over precomputed input pre-activations.
 
     A_r, A_z, A_h are (T, hidden) for one sequence or (T, B, hidden) for B
@@ -129,16 +128,12 @@ def gru_forward(A_r: np.ndarray, A_z: np.ndarray, A_h: np.ndarray,
     Step t writes the U_r and U_z products into the two halves of its gate
     block RZ[t] and takes the sigmoid of the whole block in one call, in
     place.  Every other result is written into the trace or into two
-    buffers made once per call, so the loop allocates no array.  The trace
-    goes into `out`, the caller's (S, RZ, Hbar) of shapes (T + 1, ...),
-    (T, 2, ...) and (T, ...), or into arrays made here when it is None.
+    buffers made once per call, so the loop allocates no array.
     """
     T, shape = A_r.shape[0], A_r.shape[1:]
-    if out is None:
-        out = (np.empty((T + 1,) + shape), np.empty((T, 2) + shape),
-               np.empty(A_r.shape))
-    S, RZ, Hbar = out
+    S = np.empty((T + 1,) + shape)
     S[0] = h0
+    RZ, Hbar = np.empty((T, 2) + shape), np.empty(A_r.shape)
     R, Z = RZ[:, 0], RZ[:, 1]
     U_rT, U_zT, UT = p.U_r.T, p.U_z.T, p.U.T
     # one is a 0-d array, which numpy takes faster than the float 1.0.

@@ -226,14 +226,6 @@ def orthogonal_init(rows: int, cols: int, seed) -> np.ndarray:
     return np.ascontiguousarray(q)
 
 
-def uniform_init(rows: int, cols: int, lo: float, hi: float, seed) -> np.ndarray:
-    """Entries drawn i.i.d. uniform from [lo, hi)."""
-    if lo >= hi:
-        raise ParameterError(f"uniform_init needs lo < hi, got [{lo}, {hi}]")
-    rng = get_rng(seed)
-    return rng.uniform(lo, hi, size=(rows, cols))
-
-
 def global_norm(params: ParamSet) -> float:
     """L2 norm of all parameter entries concatenated, in sorted key order.
 

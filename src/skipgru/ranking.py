@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (ConfigError, InputError, MetricError, NumericError,
                      ShapeError)
-from .numerics import AdamState, adam_step, get_rng, seed_tuple, uniform_init
+from .numerics import AdamState, adam_step, get_rng, seed_tuple
 
 DEFAULT_RECALL_KS = (1, 5, 10)
 
@@ -46,8 +46,9 @@ class RankingModel:
 def init_ranking_model(image_dim: int, sentence_dim: int, embed_dim: int,
                        seed) -> RankingModel:
     rng = get_rng(seed_tuple(seed, "rank-init"))
-    return RankingModel(U=uniform_init(embed_dim, image_dim, -0.1, 0.1, rng),
-                        V=uniform_init(embed_dim, sentence_dim, -0.1, 0.1, rng))
+    return RankingModel(
+        U=rng.uniform(-0.1, 0.1, size=(embed_dim, image_dim)),
+        V=rng.uniform(-0.1, 0.1, size=(embed_dim, sentence_dim)))
 
 
 def _embed_rows(X: np.ndarray, M: np.ndarray,

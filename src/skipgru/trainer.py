@@ -23,8 +23,8 @@ it in three sequential parts:
 
   A. the encoder's forward pass of every triple in batch order;
   B. each decoder end to end, the next one's first: decoder.decode_batch
-     runs the recurrence of its pass of every triple in batch order into
-     one right-padded (T, B) block, and the output layer once per chunk of
+     runs its pass of every triple in batch order as one gru_forward over a
+     right-padded (T, B) block, and the output layer once per chunk of
      passes, which forms the chunk's logits in one product, takes its
      log-likelihoods and adds its gradient into V's column-major gradient;
      decoder_backward runs one gru_backward over the block, which is

@@ -14,8 +14,10 @@ something the package computes in bulk:
   logits of a chunk of passes in one place, from one product of their
   stacked states);
 - a model's initial weights from a chain of builders, one per GRU, encoder
-  and decoder pair, that share one random stream (SkipGruModel.init draws
-  each entry of trainer.param_shapes in turn);
+  and decoder pair, that share one random stream and draw each uniform
+  matrix through uniform_init (SkipGruModel.init draws each entry of
+  trainer.param_shapes in turn, and ranking.init_ranking_model draws U and V,
+  each with one rng.uniform call);
 - the cosine score of one image-sentence pair (ranking scores whole batches);
 - the ranking loss with one loop iteration per hinge, and retrieval ranks
   with one sort per query (ranking builds both with array indexing);
@@ -48,7 +50,7 @@ import numpy as np
 from skipgru.corpus import SENTENCE_CAP, SentenceTriple, Vocabulary
 from skipgru.decoder import (COND_CONDITIONING_KEYS, COND_KEYS,
                              ConditionalGruParams, DecoderCache, DecoderPair,
-                             output_layer, sentence_log_prob_with_cache)
+                             decode_batch)
 from skipgru.encoder import (GRU_INPUT_KEYS, GRU_RECURRENT_KEYS, EncoderCache,
                              EncoderModel, GruParams, GruTrace,
                              encode_with_cache, gru_backward)
@@ -56,7 +58,7 @@ from skipgru.errors import (InputError, MetricError, NumericError,
                             ParameterError, ShapeError)
 from skipgru.numerics import (ADAM_ALPHA, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON,
                               AdamState, ParamSet, get_rng, orthogonal_init,
-                              seed_tuple, sigmoid, softmax, uniform_init)
+                              seed_tuple, sigmoid, softmax)
 from skipgru.probes import SCORE_BINS
 from skipgru.ranking import RankingModel, RankTrainConfig, _contrastive_draws
 from skipgru.trainer import INIT_RANGE, SkipGruModel, TrainConfig
@@ -114,6 +116,14 @@ def finite_diff_check(loss_fn, params: ParamSet, analytic: ParamSet, eps: float 
             err = abs(ana[idx] - numeric) / max(1e-8, abs(ana[idx]) + abs(numeric))
             worst = max(worst, err)
     return worst
+
+
+def uniform_init(rows: int, cols: int, lo: float, hi: float, seed) -> np.ndarray:
+    """Entries drawn i.i.d. uniform from [lo, hi)."""
+    if lo >= hi:
+        raise ParameterError(f"uniform_init needs lo < hi, got [{lo}, {hi}]")
+    rng = get_rng(seed)
+    return rng.uniform(lo, hi, size=(rows, cols))
 
 
 def init_gru_params(embed_dim: int, hidden_dim: int, seed) -> GruParams:
@@ -276,25 +286,18 @@ def decoder_backward(cache: DecoderCache, b: int, p: ConditionalGruParams,
     return grads, g_henc
 
 
-def decode(target, h_enc, p: ConditionalGruParams, V, embedding
-           ) -> tuple[float, DecoderCache]:
-    """The package's forward pass of one target, in a one-pass block, and
-    its log-likelihood from the output layer without its backward."""
-    cache = DecoderCache.block([target], h_enc[None], p)
-    sentence_log_prob_with_cache(target, h_enc, p, V, embedding, cache, 0)
-    [lp] = output_layer(cache, slice(0, 1), V, np.empty((len(target), len(V))))
-    return lp, cache
-
-
 def triple_grads(model, triple: SentenceTriple) -> tuple[float, ParamSet]:
     """Loss and a fresh dense gradient set for one triple (a SkipGruModel)."""
     emb, V = model.embedding, model.decoders.V
     h, enc_cache = encode_with_cache(triple.curr, model.encoder)
-    # The forward passes and log-likelihoods are the package's;
-    # decoder_backward forms its own softmax.
+    # The forward passes and log-likelihoods are the package's, from a
+    # decoder of one pass without its backward; decoder_backward forms its
+    # own softmax.
     dec = model.decoders
-    lp_next, cache_n = decode(triple.next, h, dec.next_params, V, emb)
-    lp_prev, cache_p = decode(triple.prev, h, dec.prev_params, V, emb)
+    [lp_next], cache_n = decode_batch([triple.next], h[None], dec.next_params,
+                                      V, emb)
+    [lp_prev], cache_p = decode_batch([triple.prev], h[None], dec.prev_params,
+                                      V, emb)
     g_next, gh_next = decoder_backward(cache_n, 0, dec.next_params, V, emb)
     g_prev, gh_prev = decoder_backward(cache_p, 0, dec.prev_params, V, emb)
     g_enc = encoder_backward(enc_cache, gh_next + gh_prev, model.encoder)

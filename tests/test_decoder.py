@@ -11,10 +11,8 @@ import numpy as np
 import pytest
 from skipgru import decoder, numerics
 from skipgru.decoder import (DECODER_PREFIXES, ConditionalGruParams,
-                             DecoderCache, DecoderPair, decode_batch,
-                             decoder_backward, output_layer,
-                             sample_sentence, sentence_log_prob,
-                             sentence_log_prob_with_cache)
+                             DecoderPair, decode_batch, decoder_backward,
+                             output_layer, sample_sentence, sentence_log_prob)
 from skipgru.encoder import GruParams, gru_forward
 from skipgru.errors import (InputError, ParameterError, RangeError,
                             ShapeError, StateError)
@@ -122,18 +120,16 @@ def test_log_prob_nonpositive_and_prob_rows_normalized(rng):
     p = rand_cond_params(rng, embed=3, hidden=4, enc=2)
     V = rng.normal(size=(5, 4))
     emb = rng.normal(size=(5, 3))
+    [want], cache = decode_batch([(2, 4, 1, 0)], rng.normal(size=(1, 2)), p,
+                                 V, emb)
+    # The output layer forms the logits of the block's states in the
+    # leading rows of its scratch and no other row, and leaves them
+    # exponentiated: each row over its sum is the softmax row, and the
+    # log-likelihood is the sum of the logs of the target's entries.
     scratch = np.full((6, 5), np.nan)
-    cache = DecoderCache.block([(2, 4, 1, 0)], None, p)
-    sentence_log_prob_with_cache((2, 4, 1, 0), rng.normal(size=2), p, V,
-                                 emb, cache, 0)
-    # The pass forms no logits; the output layer forms them in the leading
-    # rows of its scratch and no other row, and leaves them exponentiated:
-    # each row over its sum is the softmax row, and the log-likelihood is
-    # the sum of the logs of the target's entries.
-    assert np.all(np.isnan(scratch))
     [lp] = output_layer(cache, slice(0, 1), V, scratch)
-    assert lp <= 0.0
-    logits = cache.S[1:, 0] @ V.T
+    assert lp == want and lp <= 0.0
+    logits = cache.trace.S[1:, 0] @ V.T
     rows = scratch[:4] / scratch[:4].sum(axis=1)[:, None]
     assert np.all(np.isnan(scratch[4:]))
     assert np.max(np.abs(rows - softmax(logits))) < 1e-12
@@ -232,8 +228,8 @@ def test_backward_finite_difference_repeated_inputs():
 
 
 def test_backward_adds_into_column_major_v_accumulator(rng, monkeypatch):
-    # Three passes write their states into one block, and one output layer
-    # over them forms their logits in one buffer, one pass after another:
+    # Three passes run as one padded recurrence, and one output layer over
+    # them forms their logits in one buffer, one pass after another:
     # BLAS accumulates into the column-major V gradient in place by one
     # call, whose output is the accumulator itself, and it ends with the
     # sums of the dense per-pass reference.  Each pass's state gradients
@@ -248,17 +244,20 @@ def test_backward_adds_into_column_major_v_accumulator(rng, monkeypatch):
     V, emb = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
     targets = ((2, 4, 2, 0), (3, 0), (1, 1, 0))
     H_enc = rng.normal(size=(3, 2))
-    cache = DecoderCache.block(targets, H_enc, p)
+    lps, cache = decode_batch(targets, H_enc, p, V, emb)
     scratch = np.empty((sum(len(t) for t in targets), len(V)))
-    for b, target in enumerate(targets):
-        sentence_log_prob_with_cache(target, H_enc[b], p, V, emb, cache, b)
     start = rng.normal(size=V.shape)
     grads = zero_accumulator(p, V, emb)
     grads["V"][...] = start
     gV = grads["V"]
     log_probs = output_layer(cache, slice(0, 3), V, scratch, grads)
-    assert log_probs == [sentence_log_prob(t, H_enc[b], p, V, emb)
-                         for b, t in enumerate(targets)]
+    # With its backward the output layer keeps the bits of its loss; a
+    # pass of its own steps (1, hidden) rows, which may sum in another order.
+    assert log_probs == lps
+    alone = [sentence_log_prob(t, H_enc[b], p, V, emb)
+             for b, t in enumerate(targets)]
+    assert np.max(np.abs(np.subtract(log_probs, alone))) \
+        < 1e-12 * np.max(np.abs(alone))
     assert grads["V"] is gV and len(results) == 1
     assert all(np.shares_memory(r, gV) for r in results)
     assert gV.flags.f_contiguous and not gV.flags.c_contiguous
@@ -268,7 +267,7 @@ def test_backward_adds_into_column_major_v_accumulator(rng, monkeypatch):
     assert np.max(np.abs(gV - want)) < 1e-12 * np.max(np.abs(want))
     for b, target in enumerate(targets):
         T = len(target)
-        G = softmax(cache.S[1:T + 1, b] @ V.T)
+        G = softmax(cache.trace.S[1:T + 1, b] @ V.T)
         G[np.arange(T), list(target)] -= 1.0
         assert np.max(np.abs(cache.dS[:T, b] - G @ V)) < 1e-12
         assert not cache.dS[T:, b].any()

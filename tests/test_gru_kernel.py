@@ -11,9 +11,9 @@ parameter's accumulator at zero.
 
 gru_forward and gru_backward are checked against their own single-sequence
 passes: a right-padded (T, B) pass against B passes of one sentence, and
-gru_forward for the memory it takes beyond its trace and for the arrays it
-is handed to write its trace into.  A train step runs one gru_backward per
-decoder over the block that decoder's passes wrote.
+gru_forward for the memory it takes beyond its trace.  A train step runs one
+gru_forward and one gru_backward per decoder over the block that decoder's
+passes wrote.
 """
 
 import tracemalloc
@@ -218,24 +218,6 @@ def test_forward_allocates_no_weight_sized_array():
     assert peak - trace_bytes < p.U.nbytes
 
 
-def test_forward_writes_its_trace_into_the_arrays_it_is_handed():
-    # Handed column b of (T, B, ...) blocks, as a decoder pass hands its
-    # column of the decoder's block, a one-sequence pass writes its trace
-    # there with the bits of a pass that makes its own arrays, and leaves
-    # every other entry of the blocks as it was.
-    hid, T = 6, 5
-    p = _random_gru(4, hid, seed=11)
-    A = [np.random.default_rng(12).normal(size=(T, hid)) for _ in range(3)]
-    S, RZ, Hbar = (np.zeros((T + 2, 3, hid)), np.zeros((T + 1, 3, 2, hid)),
-                   np.zeros((T + 1, 3, hid)))
-    trace = gru_forward(*A, p, out=(S[:T + 1, 1], RZ[:T, 1], Hbar[:T, 1]))
-    for got, want, block in zip(trace, gru_forward(*A, p), (S, RZ, RZ, Hbar)):
-        assert np.shares_memory(got, block)
-        assert np.array_equal(got, want)
-    for block, steps in ((S, T + 1), (RZ, T), (Hbar, T)):
-        assert not block[:, [0, 2]].any() and not block[steps:].any()
-
-
 def pad(arrays):
     """Right-pad (T_b, ...) arrays with zeros into one (T, B, ...) block, T
     the longest T_b: the batch layout of gru_forward and gru_backward."""
@@ -300,6 +282,43 @@ def test_backward_extra_zero_padding_leaves_the_weight_gradients():
         assert np.array_equal(got.params[k], want.params[k]), k
     assert np.array_equal(got.dX[:len(X)], want.dX)
     assert not got.dX[len(X):].any()
+
+
+@pytest.mark.parametrize("mode", ["uni", "bi"])
+def test_train_step_runs_one_forward_pass_per_decoder(mode, monkeypatch):
+    # Per train step: one gru_forward per triple and encoder direction over
+    # its (T, hidden) inputs, then one per decoder over the (T, B, hidden)
+    # inputs of all of its passes, T its longest target, next decoder
+    # first.  sentence_log_prob_with_cache runs once per pass and calls no
+    # gru_forward.
+    forwards, passes = [], []
+    real_gru_forward = gru_forward
+    real_pass = decoder.sentence_log_prob_with_cache
+
+    def recording_gru_forward(A_r, A_z, A_h, p, *args, **kwargs):
+        forwards.append((A_r.shape, A_z.shape, A_h.shape))
+        return real_gru_forward(A_r, A_z, A_h, p, *args, **kwargs)
+
+    def recording_pass(target, *args):
+        before = len(forwards)
+        real_pass(target, *args)
+        passes.append((target, len(forwards) - before))
+    for module in (encoder, decoder):
+        monkeypatch.setattr(module, "gru_forward", recording_gru_forward)
+    monkeypatch.setattr(decoder, "sentence_log_prob_with_cache", recording_pass)
+    rng = np.random.default_rng(24)
+    batch = [random_triple(9, rng, max_len=6) for _ in range(5)]
+    m = lay_out(randomize_params(make_model(vocab_size=9, embed_dim=3,
+                                            hidden_dim=4, mode=mode), seed=25))
+    trainer.train_step(m, batch, AdamState.initial(m.param_dict()), m.config)
+    directions = len(m.encoder.directions)
+    blocks = [(max(len(t) for t in targets), 5, 4) for targets in
+              ([t.next for t in batch], [t.prev for t in batch])]
+    assert forwards == ([((len(t.curr), 4),) * 3 for t in batch
+                         for _ in range(directions)]
+                        + [(shape,) * 3 for shape in blocks])
+    assert passes == ([(t.next, 0) for t in batch]
+                      + [(t.prev, 0) for t in batch])
 
 
 @pytest.mark.parametrize("mode", ["uni", "bi"])

@@ -1,5 +1,5 @@
-"""Numeric core: init schemes, clipping, Adam, L-BFGS, the finite-difference
-checker.
+"""Numeric core: init schemes, clipping, Adam, L-BFGS, and two helpers of
+reference.py: the finite-difference checker and the uniform initializer.
 
 Derived-value oracles used here: scalar hand computations of the Adam update,
 the one-expression-per-array Adam of reference.py, scipy's L-BFGS-B and
@@ -19,10 +19,10 @@ from skipgru import numerics
 from skipgru.errors import NumericError, ParameterError, ShapeError
 from skipgru.numerics import (ADAM_BLOCK, AdamState, adam_step, clip_gradients,
                               get_rng, global_norm, orthogonal_init,
-                              seed_tuple, sigmoid, softmax, uniform_init)
+                              seed_tuple, sigmoid, softmax)
 
 import reference
-from reference import finite_diff_check, log_softmax
+from reference import finite_diff_check, log_softmax, uniform_init
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +56,8 @@ def test_orthogonal_init_deterministic():
     assert np.array_equal(orthogonal_init(5, 5, seed=9),
                           orthogonal_init(5, 5, seed=9))
 
+
+# reference.uniform_init draws the reference builders' uniform matrices.
 
 def test_uniform_init_range_and_determinism():
     w = uniform_init(2, 2, -0.1, 0.1, seed=3)

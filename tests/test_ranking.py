@@ -278,6 +278,14 @@ def planted_pairs(n, dim, rng, noise=0.01):
     return X, Y
 
 
+def test_init_draws_u_then_v_uniform_from_its_named_stream():
+    # U, then V, uniform in [-0.1, 0.1) from the seed's "rank-init" stream.
+    m = init_ranking_model(3, 5, 4, seed=7)
+    rng = get_rng(seed_tuple(7, "rank-init"))
+    assert np.array_equal(m.U, reference.uniform_init(4, 3, -0.1, 0.1, rng))
+    assert np.array_equal(m.V, reference.uniform_init(4, 5, -0.1, 0.1, rng))
+
+
 def test_train_zero_epochs_returns_initial_model(rng):
     X, Y = planted_pairs(10, 4, rng)
     m = init_ranking_model(4, 4, 4, seed=0)

@@ -162,7 +162,9 @@ def test_batch_accumulation_matches_dense_per_triple_reference(mode):
         assert ref.keys() == want.keys()
         for k in want:
             want[k] += ref[k]
-    assert loss == want_loss
+    # The batch's padded recurrence steps (B, hidden) blocks, which may sum
+    # in another order than a pass of its own.
+    assert _rel_err(loss, want_loss) < 1e-12
     for k in want:
         assert _rel_err(grads[k], want[k]) < 1e-12, k
 
@@ -191,7 +193,8 @@ def test_train_step_reduces_the_reference_gradients_of_its_batch():
     refs = [reference.triple_grads(m, t) for t in MIXED_BATCH]
     res = train_step(m, MIXED_BATCH, AdamState.initial(m.param_dict()), m.config)
     mean = {k: sum(g[k] for _, g in refs) / len(refs) for k in refs[0][1]}
-    assert res.batch_loss == sum(loss for loss, _ in refs) / len(refs)
+    assert _rel_err(res.batch_loss,
+                    sum(loss for loss, _ in refs) / len(refs)) < 1e-12
     assert abs(res.grad_norm - global_norm(mean)) < 1e-12 * global_norm(mean)
 
 
@@ -340,7 +343,7 @@ def test_fused_output_layer_matches_reference_across_chunks(mode,
         want_loss += ref_loss
         for k in want:
             want[k] += ref[k]
-    assert loss == want_loss
+    assert _rel_err(loss, want_loss) < 1e-12
     for k in want:
         assert _rel_err(grads[k], want[k]) < 1e-12, k
 
@@ -357,7 +360,7 @@ def test_batch_loss_is_the_sum_of_the_sentence_log_probs(batch):
                                     m.embedding)
                   + sentence_log_prob(t.prev, h, dec.prev_params, dec.V,
                                       m.embedding))
-    assert batch_grads(m, batch, zero_grads(m)) == want
+    assert _rel_err(batch_grads(m, batch, zero_grads(m)), want) < 1e-12
 
 
 @pytest.mark.parametrize("chunk", [OUTPUT_CHUNK, 5])
@@ -379,7 +382,7 @@ def test_step_flushes_the_output_layer_at_pass_boundaries(chunk, monkeypatch):
 
     def recording_sweep(cache, passes, V, scratch, grads=None):
         targets = cache.targets[passes]
-        states = [cache.S[1:len(t) + 1, b].copy()
+        states = [cache.trace.S[1:len(t) + 1, b].copy()
                   for t, b in zip(targets, range(len(cache.targets))[passes])]
         calls.append((cache, targets, states, scratch))
         return real_sweep(cache, passes, V, scratch, grads)
@@ -426,13 +429,13 @@ def test_step_flushes_the_output_layer_at_pass_boundaries(chunk, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["uni", "bi"])
 def test_step_runs_each_decoder_end_to_end_in_its_block(mode, monkeypatch):
-    # A train step finishes the next decoder, its passes, its output layer
-    # and then its backward, before the previous decoder's first pass, and
-    # by then the next decoder's cache and its block are gone.  Every pass
-    # writes its inputs and trace into its column of its decoder's block:
-    # each trace that gru_forward returns in a pass shares memory with that
-    # block.
-    events, traces, shared, refs = [], [], [], []
+    # A train step finishes the next decoder, its passes, its one padded
+    # forward over the block, its output layer and then its backward,
+    # before the previous decoder's first pass, and by then the next
+    # decoder's cache, its block and its trace are gone.  Every pass writes
+    # its inputs into its column of its decoder's block, and the cache that
+    # the output layer reads holds the trace that the forward returned.
+    events, written, refs = [], [], []
     m = lay_out(_mixed_model(mode, seed=53))
     prefix = {id(p): name for p, name in m.decoders.directions}
 
@@ -440,23 +443,22 @@ def test_step_runs_each_decoder_end_to_end_in_its_block(mode, monkeypatch):
         if not refs or refs[-1][0]() is not cache:
             if refs:
                 events.append(("dead", [ref() for ref in refs[-1]]))
-            refs.append((weakref.ref(cache), weakref.ref(cache.S)))
+            refs.append([weakref.ref(cache), weakref.ref(cache.X)])
         real_pass(target, h_enc, p, V, embedding, cache, b)
-        [trace] = traces
-        traces.clear()
-        shared.append(all(np.shares_memory(got, block) for got, block in
-                          zip(trace, (cache.S, cache.RZ, cache.RZ, cache.Hbar))))
         T = len(target)
-        shared.append(np.array_equal(cache.X[:T, b], np.vstack(
+        written.append(np.array_equal(cache.X[:T, b], np.vstack(
             [p.begin, m.embedding[list(target[:-1])]])))
         events.append(("pass", prefix[id(p)]))
 
     def recording_forward(*args, **kwargs):
-        traces.append(real_forward(*args, **kwargs))
-        return traces[-1]
+        trace = real_forward(*args, **kwargs)
+        refs[-1].append(weakref.ref(trace.S))
+        events.append(("forward", args[0].shape))
+        return trace
 
     def recording_output(cache, *args):
-        events.append(("output", refs[-1][0]() is cache))
+        events.append(("output", refs[-1][0]() is cache
+                       and cache.trace.S is refs[-1][2]()))
         return real_output(cache, *args)
 
     def recording_backward(cache, p, grads, name):
@@ -470,13 +472,18 @@ def test_step_runs_each_decoder_end_to_end_in_its_block(mode, monkeypatch):
     monkeypatch.setattr(decoder, "gru_forward", recording_forward)
     monkeypatch.setattr(trainer, "decoder_backward", recording_backward)
     train_step(m, STRADDLE_BATCH, AdamState.initial(m.param_dict()), m.config)
-    B = len(STRADDLE_BATCH)
+    B, H = len(STRADDLE_BATCH), m.config.hidden_dim
+    T_next, T_prev = (max(map(len, rows)) for rows in
+                      ([t.next for t in STRADDLE_BATCH],
+                       [t.prev for t in STRADDLE_BATCH]))
     assert events == ([("pass", "dec_next.")] * B
-                      + [("output", True), ("backward", "dec_next."),
-                         ("dead", [None, None])]
+                      + [("forward", (T_next, B, H)), ("output", True),
+                         ("backward", "dec_next."),
+                         ("dead", [None, None, None])]
                       + [("pass", "dec_prev.")] * B
-                      + [("output", True), ("backward", "dec_prev.")])
-    assert len(shared) == 4 * B and all(shared)
+                      + [("forward", (T_prev, B, H)), ("output", True),
+                         ("backward", "dec_prev.")])
+    assert len(written) == 2 * B and all(written)
 
 
 class _CountingV(np.ndarray):
@@ -538,7 +545,7 @@ def test_decoder_caches_hold_no_vocabulary_sized_row(monkeypatch):
         arrays = [getattr(cache, f.name) for f in dataclasses.fields(cache)]
         arrays = [a for a in arrays + list(cache.trace)
                   if isinstance(a, np.ndarray)]
-        assert len(arrays) == 10
+        assert len(arrays) == 7
         assert all(97 not in a.shape for a in arrays)
 
 
@@ -911,7 +918,7 @@ def test_decode_batch_alone_runs_the_logits_buffer():
     # each chunk of passes in it.  The trainer names none of it, and no
     # cache keeps a per-row sum beside the rows.  The loss is written once:
     # the output layer alone takes an exp or a log, and sentence_log_prob
-    # reaches it too, over a buffer of its one pass.
+    # reaches it too, as decode_batch of its one pass.
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     trainer_names = {getattr(node, "id", None) or getattr(node, "attr", None)
@@ -924,7 +931,8 @@ def test_decode_batch_alone_runs_the_logits_buffer():
         ["<module>", "decode_batch"]
     callers = [f"{stem}.{where}" for stem, t in trees.items()
                for where in _references(t, "output_layer")]
-    assert callers == ["decoder.sentence_log_prob", "decoder.decode_batch"]
+    assert callers == ["decoder.decode_batch"]
+    assert _references(tree, "decode_batch") == ["sentence_log_prob"]
     assert _references(tree, "exp") == _references(tree, "log") == \
         ["output_layer"]
     buffers = [stmt.name for stmt in tree.body for node in ast.walk(stmt)
