@@ -37,7 +37,8 @@ from .decoder import sample_sentence
 from .encoder import encode_vectors
 from .errors import (CheckpointError, ConfigError, ConvergenceError, InputError,
                      MetricError, NumericError, ParameterError, SkipGruError)
-from .fileio import read_vectors, sha256_path, write_text, write_vectors
+from .fileio import (read_vectors, sha256_path, stored_digest, write_text,
+                     write_vectors)
 from .numerics import (blas_core, blas_name, blas_threads, seed_tuple,
                        use_one_blas_thread)
 from .probes import DEFAULT_L2_GRID
@@ -67,8 +68,9 @@ def _require_inputs(*paths) -> None:
 def _write_manifest(args, inputs, outputs, seeds, t0) -> None:
     """Write the run's manifest next to its first output, or to --manifest.
     A run with no output file and no --manifest writes none, so such commands
-    leave the working directory untouched.  An input container the run has
-    read is not read again: sha256_path reuses the digest of that read."""
+    leave the working directory untouched.  `inputs` maps each input's dest
+    to its path; a container (MODEL_INPUTS) is recorded by its stored digest,
+    which the run's read has checked, and any other file by its sha256."""
     path = args.manifest
     if path is None:
         if not outputs:
@@ -82,7 +84,9 @@ def _write_manifest(args, inputs, outputs, seeds, t0) -> None:
     manifest = {
         "command": args.command,
         "config": config,
-        "inputs": {str(p): sha256_path(p) for p in inputs if p is not None},
+        "inputs": {str(p): (stored_digest if k in MODEL_INPUTS
+                            else sha256_path)(p)
+                   for k, p in inputs.items() if p is not None},
         "outputs": [str(p) for p in outputs],
         "seeds": seeds,
         "wall_time_s": round(time.perf_counter() - t0, 3),
@@ -476,7 +480,8 @@ def cmd_generate(args) -> dict:
 # ---------------------------------------------------------------- parser
 
 
-# The files _add_model_flags names, for a command's declared inputs.
+# The container files _add_model_flags names, for a command's declared
+# inputs; the manifest records each by its stored digest (stored_digest).
 MODEL_INPUTS = ("ckpt", "ckpt2", "expansion", "expansion2")
 
 
@@ -702,8 +707,8 @@ def main(argv=None) -> int:
             raise ConfigError("--config must be spelled in full")
         cmd = registry[args.command]
         t0 = time.perf_counter()
-        inputs = [getattr(args, k) for k in cmd.inputs]
-        _require_inputs(*inputs)
+        inputs = {k: getattr(args, k) for k in cmd.inputs}
+        _require_inputs(*inputs.values())
         seeds = cmd.func(args) or {}
         outputs = [o(args) if callable(o) else getattr(args, o)
                    for o in cmd.outputs]

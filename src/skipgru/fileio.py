@@ -22,16 +22,9 @@ covers everything before it.  A reader may build only the leading blobs (a
 checkpoint's parameters without its Adam moments); the rest still pass
 through the checksum before anything is returned.
 
-A verified read also yields the sha256 of the whole file: the running digest
-of everything before the stored one, fed those stored 32 bytes.  fileio keeps
-the last few such digests, keyed by the file's (device, inode, size, mtime,
-ctime), and sha256_path answers from that record when a fresh stat of the
-path matches a key exactly, so a command's manifest does not read its
-checkpoint a second time.  A file replaced through atomic_output has a new
-inode, and atomic_output drops any record of the inode it writes, so a
-rewritten file never matches a stale entry.  Only a rewrite in place by
-another program, to the same size and within one tick of the file system's
-clock after the read, would go unseen.
+A manifest records a container by its stored sha256 (stored_digest), one
+read of its last 32 bytes, since every command reads and verifies the
+container before its manifest is written.
 
 Vector files hold a header of two little-endian uint32 words (count, dim)
 followed by row-major little-endian float32 rows; read_vectors widens them to
@@ -47,7 +40,6 @@ import math
 import os
 import re
 import struct
-import threading
 from contextlib import contextmanager, suppress
 from itertools import chain
 
@@ -58,31 +50,6 @@ from .errors import CheckpointError, InputError, SkipGruError
 _PREFIX = struct.Struct("<IQ")     # version, header length
 _DIGEST_LEN = 32
 _CHUNK = 1 << 20                   # bytes per read or written block
-
-# Whole-file sha256 of the last verified container reads, by _stat_key.
-_DIGESTS: dict[tuple, str] = {}
-_DIGESTS_MAX = 16
-_DIGESTS_LOCK = threading.Lock()
-
-
-def _stat_key(st: os.stat_result) -> tuple:
-    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
-
-
-def _remember(st: os.stat_result, hexdigest: str) -> None:
-    with _DIGESTS_LOCK:
-        _DIGESTS[_stat_key(st)] = hexdigest
-        while len(_DIGESTS) > _DIGESTS_MAX:
-            del _DIGESTS[next(iter(_DIGESTS))]
-
-
-def _forget(st: os.stat_result) -> None:
-    """Drop every record of st's inode, which now holds a new file: the
-    inode of a deleted file can be given to the next one created."""
-    with _DIGESTS_LOCK:
-        for key in [k for k in _DIGESTS if k[:2] == (st.st_dev, st.st_ino)]:
-            del _DIGESTS[key]
-
 
 def _remove_orphans(path: str) -> None:
     """Remove each `path`.<pid>.tmp whose writer has died: a process killed
@@ -117,7 +84,6 @@ def atomic_output(path):
     try:
         with open(tmp, "wb") as fh:
             yield fh
-            _forget(os.fstat(fh.fileno()))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -203,12 +169,10 @@ def read_container(path, magic: bytes, version: int, kind: str, parse,
     through one fixed buffer and never held.  The file size is checked
     against the shapes before any blob is allocated, and the checksum, taken
     over every byte as the file is read, before anything is returned; each
-    failure is a CheckpointError that names `kind`.  A verified read records
-    the file's sha256 for sha256_path.
+    failure is a CheckpointError that names `kind`.
     """
     with open(path, "rb") as fh:
-        st = os.fstat(fh.fileno())
-        size = st.st_size
+        size = os.fstat(fh.fileno()).st_size
         start = len(magic) + _PREFIX.size
         if size < start + _DIGEST_LEN:
             raise CheckpointError(f"{path}: too short to be a {kind} file")
@@ -245,8 +209,6 @@ def read_container(path, magic: bytes, version: int, kind: str, parse,
         if digest.digest() != stored:
             raise CheckpointError(f"{path}: {kind} checksum mismatch "
                                   f"(truncated or corrupt)")
-        digest.update(stored)
-        _remember(st, digest.hexdigest())
     return meta, blobs
 
 
@@ -262,13 +224,16 @@ def _hash_through(fh, digest, size: int) -> None:
         size -= got
 
 
+def stored_digest(path) -> str:
+    """Hex of a container's last 32 bytes: the sha256 of every byte before
+    them, which read_container checks.  Only those 32 bytes are read."""
+    with open(path, "rb") as fh:
+        fh.seek(-_DIGEST_LEN, os.SEEK_END)
+        return fh.read(_DIGEST_LEN).hex()
+
+
 def sha256_path(path) -> str:
-    """Hex sha256 of a file.  A container that read_container verified is not
-    read again while a fresh stat still matches the one taken at that read."""
-    with _DIGESTS_LOCK:
-        known = _DIGESTS.get(_stat_key(os.stat(path)))
-    if known is not None:
-        return known
+    """Hex sha256 of a whole file, read _CHUNK bytes at a time."""
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(_CHUNK), b""):

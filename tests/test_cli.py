@@ -15,6 +15,7 @@ import pathlib
 import struct
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from conftest import (CHECKPOINT_FIELD_TYPES, CHECKPOINT_KEY_EDITS,
                       MISMATCHED_HEADERS, edit_header, make_model, retyped,
                       randomize_params, write_mismatched_checkpoint,
                       write_small_map)
-from skipgru import (cli, corpus, errors, numerics, ranking, trainer,
+from skipgru import (cli, corpus, errors, fileio, numerics, ranking, trainer,
                      vocab_expansion)
 from skipgru.cli import (RESUMED_FLAGS, _encode_lines, _tokenize_distinct,
                          build_parser, main)
@@ -779,6 +780,59 @@ def test_interrupted_train_resumes_to_the_same_checkpoint(ws, tmp_path,
     steps = [line.split(",")[0] for line in metrics.read_text().splitlines()]
     assert steps[1:] == [str(i) for i in range(1, 10)]
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+def _metric_rows(path) -> list[str]:
+    """The lines of a metrics CSV without their wall_ms field."""
+    return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs SIGKILL")
+@pytest.mark.parametrize("kill_after", [12, 27])
+def test_killed_train_resumes_to_the_same_checkpoint(tmp_path, kill_after):
+    # A train process killed once its metrics CSV holds kill_after rows, at
+    # whatever point of a step, a flush or a checkpoint write that lands,
+    # resumes to the bytes and the rows of an uninterrupted run.
+    rng = np.random.default_rng(kill_after)
+    words = [f"w{i}" for i in range(48)]
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("\n\n".join(
+        "\n".join(" ".join(rng.choice(words, size=rng.integers(3, 8)))
+                  for _ in range(6)) for _ in range(12)) + "\n")
+    vocab = tmp_path / "vocab.txt"
+    assert main(["build-vocab", "--corpus", str(corpus), "--size", "50",
+                 "--out", str(vocab)]) == 0
+    base = ["train", "--corpus", str(corpus), "--vocab", str(vocab),
+            "--embed-dim", "16", "--hidden-dim", "24", "--batch", "8",
+            "--seed", "1", "--steps", "40", "--checkpoint-every", "5"]
+    straight = tmp_path / "s.ckpt"
+    assert main(base + ["--out", str(straight)]) == 0
+    run = tmp_path / "run"
+    run.mkdir()
+    out, metrics = run / "k.ckpt", run / "k.ckpt.metrics.csv"
+    src = str(pathlib.Path(skipgru.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "skipgru.cli", *base, "--out", str(out)],
+        cwd=run, env=dict(os.environ, PYTHONPATH=src,
+                          PYTHONDONTWRITEBYTECODE="1"),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        # Rows past the first checkpoint's are written after that checkpoint
+        # is in place, so the killed run always leaves one to resume from.
+        deadline = time.monotonic() + 60
+        while proc.poll() is None and not (
+                metrics.exists()
+                and len(metrics.read_text().splitlines()) > kill_after):
+            assert time.monotonic() < deadline, "no metrics rows in 60 s"
+            time.sleep(0.002)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert main(base + ["--out", str(out), "--resume"]) == 0
+    assert out.read_bytes() == straight.read_bytes()
+    assert _metric_rows(metrics) == _metric_rows(
+        tmp_path / "s.ckpt.metrics.csv")
+    assert list(run.glob("*.tmp")) == []
 
 
 def test_train_summary_losses_are_the_rows_the_run_appended(ws, tmp_path,
@@ -1969,15 +2023,38 @@ def _sha256(path) -> str:
     return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
 
 
-def test_manifest_digests_are_those_of_the_files(ws, expansion, tmp_path):
+def _stored_sha256(path) -> str:
+    """The sha256 of a container's bytes but its last 32, which the manifest
+    records; it equals those last 32 bytes."""
+    data = pathlib.Path(path).read_bytes()
+    digest = hashlib.sha256(data[:-32]).hexdigest()
+    assert digest == data[-32:].hex()
+    return digest
+
+
+def test_manifest_digests_are_those_of_the_files(ws, expansion, tmp_path,
+                                                 monkeypatch):
+    # A text input is hashed whole; a container is recorded by the digest it
+    # stores, and never hashed whole.
     inp = tmp_path / "in.txt"
     inp.write_text("the cat sat .\n")
+    ckpt2 = tmp_path / "two.ckpt"
+    ckpt2.write_bytes(ws["ckpt"].read_bytes())
     manifest = tmp_path / "m.json"
-    assert main(["encode", "--ckpt", str(ws["ckpt"]), "--expansion",
-                 str(expansion), "--input", str(inp), "--out",
+    containers = {str(ws["ckpt"]), str(ckpt2), str(expansion)}
+    whole = fileio.sha256_path
+
+    def text_only(path):
+        assert str(path) not in containers, f"{path} hashed whole"
+        return whole(path)
+    monkeypatch.setattr(cli, "sha256_path", text_only)
+    monkeypatch.setattr(fileio, "sha256_path", text_only)
+    assert main(["encode", "--ckpt", str(ws["ckpt"]), "--ckpt2", str(ckpt2),
+                 "--expansion", str(expansion), "--input", str(inp), "--out",
                  str(tmp_path / "v.bin"), "--manifest", str(manifest)]) == 0
     inputs = json.loads(manifest.read_text())["inputs"]
-    assert inputs == {str(p): _sha256(p) for p in (inp, ws["ckpt"], expansion)}
+    assert inputs == {str(inp): _sha256(inp),
+                      **{p: _stored_sha256(p) for p in containers}}
 
 
 def test_manifest_digest_follows_a_rewritten_checkpoint(ws, tmp_path):
@@ -1992,7 +2069,7 @@ def test_manifest_digest_follows_a_rewritten_checkpoint(ws, tmp_path):
                      "--out", str(tmp_path / "v.bin"), "--manifest",
                      str(manifest)]) == 0
         seen.append(json.loads(manifest.read_text())["inputs"][str(ckpt)])
-        assert seen[-1] == _sha256(ckpt)
+        assert seen[-1] == _stored_sha256(ckpt)
     assert seen[0] != seen[1]
 
 
@@ -2009,7 +2086,7 @@ def test_encode_same_checkpoint_twice(ws, tmp_path):
                  str(manifest)]) == 0
     assert np.array_equal(read_vectors(two), np.hstack([read_vectors(one)] * 2))
     inputs = json.loads(manifest.read_text())["inputs"]
-    assert inputs[ckpt] == _sha256(ckpt)
+    assert inputs[ckpt] == _stored_sha256(ckpt)
 
 
 def _damaged_moments(ckpt, tmp_path):

@@ -27,6 +27,7 @@ from skipgru.numerics import AdamState
 from skipgru.trainer import load_model, save_checkpoint
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "skipgru"
+DATA = Path(__file__).resolve().parent / "data"
 
 # (module, function) allowed to open a file for writing.
 WRITE_OPENERS = {("fileio", "atomic_output"), ("trainer", "train")}
@@ -148,25 +149,38 @@ def test_files_are_written_only_through_atomic_output():
     assert write_opens_outside_atomic_output(PACKAGE) == []
 
 
-def _no_reads(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("file read again")
-    monkeypatch.setattr(fileio, "open", refuse, raising=False)
+class _CountingReader:
+    """A binary file that logs the length of each read."""
+
+    def __init__(self, fh, log):
+        self.fh, self.log = fh, log
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def seek(self, *args):
+        return self.fh.seek(*args)
+
+    def read(self, size=-1):
+        data = self.fh.read(size)
+        self.log.append(len(data))
+        return data
 
 
-def test_sha256_path_reuses_the_digest_of_a_verified_read(tmp_path,
-                                                          monkeypatch):
-    path = tmp_path / "m.ckpt"
-    for seed in (0, 1):
-        # The second model rewrites the same path through atomic_output.
-        model = make_model(vocab_size=6, seed=seed)
-        save_checkpoint(model, AdamState.initial(model.param_dict()), path)
-        want = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert fileio.sha256_path(path) == want
-        load_model(path)
-        with monkeypatch.context() as m:
-            _no_reads(m)
-            assert fileio.sha256_path(path) == want
+@pytest.mark.parametrize("name", ["tiny.ckpt", "tiny.map"])
+def test_stored_digest_reads_only_the_trailer(monkeypatch, name):
+    path = DATA / name
+    data = path.read_bytes()
+    reads = []
+    monkeypatch.setattr(fileio, "open", lambda *a, **kw: _CountingReader(
+        builtins.open(*a, **kw), reads), raising=False)
+    want = hashlib.sha256(data[:-32]).hexdigest()
+    assert want == data[-32:].hex()
+    assert fileio.stored_digest(path) == want
+    assert reads == [32]
 
 
 def test_sha256_path_hashes_a_file_changed_since_its_read(tmp_path):
@@ -184,25 +198,6 @@ def test_sha256_path_hashes_a_file_changed_since_its_read(tmp_path):
     os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns - 10**9))
     assert fileio.sha256_path(path) == hashlib.sha256(
         path.read_bytes()).hexdigest()
-
-
-def test_digest_record_is_bounded_and_forgets_rewritten_inodes(tmp_path):
-    model = make_model(vocab_size=6)
-    for i in range(fileio._DIGESTS_MAX + 3):
-        path = tmp_path / f"{i}.ckpt"
-        save_checkpoint(model, AdamState.initial(model.param_dict()), path)
-        load_model(path)
-    assert len(fileio._DIGESTS) == fileio._DIGESTS_MAX
-    # atomic_output truncates and reuses a leftover temp file, as a new file
-    # can reuse the inode of a deleted one: no record of it may survive.
-    target = tmp_path / "v.bin"
-    tmp = tmp_path / f"v.bin.{os.getpid()}.tmp"
-    tmp.write_bytes(b"stale")
-    st = tmp.stat()
-    fileio._DIGESTS[(st.st_dev, st.st_ino, 5, 0, 0)] = "0" * 64
-    write_vectors(target, np.eye(2))
-    assert target.stat().st_ino == st.st_ino
-    assert not any(k[:2] == (st.st_dev, st.st_ino) for k in fileio._DIGESTS)
 
 
 class _HalfThenFail:
