@@ -306,7 +306,7 @@ def sample_sentence(h_enc: np.ndarray, p: ConditionalGruParams, V: np.ndarray,
     for _ in range(max_len):
         # One kernel step from h; the next input is the word it samples.
         h = gru_forward(x @ p.W_r.T + c_r, x @ p.W_z.T + c_z, x @ p.W.T + c_h,
-                        p, h0=h).h_final
+                        p, h0=h).S[-1]
         logits = V @ h
         if temperature == 0.0:
             w = int(np.argmax(logits))

@@ -21,10 +21,11 @@ One kernel pair runs every GRU pass, here and in the decoders.  gru_forward
 takes the input pre-activations of all steps at once (one matrix product per
 gate, X @ W_*.T, computed before the time loop), so each step only adds the
 three recurrent products U_* h^{t-1}.  Its inputs are (T, hidden) for one
-sequence or (T, B, hidden) for a right-padded batch of B sequences, which
-encode_batch uses to encode many sentences with one (B, hidden) matrix
-product per gate and step over input products of distinct rows, and
-decoder.decode_batch to run all of one decoder's passes of a train step in
+sequence or (T, B, hidden) for a right-padded batch of B sequences.  Here
+only encode_batch calls it, and every sentence vector comes from there: one
+(B, hidden) product per gate and step over input products of distinct rows
+(encode_with_cache is encode_batch of one sentence, its traces kept).
+decoder.decode_batch runs all of one decoder's passes of a train step in
 one call.  The r and z pre-activations of a step sit in one gate block,
 (2, [B,] hidden): the U_r and U_z products are written into its two halves,
 and one numerics.sigmoid call takes the whole block in place.  The other
@@ -41,8 +42,9 @@ gradients.  Padding needs no mask: padded steps come after a sequence's last
 real step, so with no gradient flowing into them the carried gradient stays
 exactly zero there, whatever the padded states hold.  Each decoder runs
 one padded pass over the trace of its padded forward; encoder_backward runs
-one pass per sentence and direction and scatter-adds the input gradients
-into its embedding rows, because a sentence can repeat a token id.
+one pass per sentence and direction, over the (T, hidden) views of its
+one-sentence traces, and scatter-adds the input gradients into its
+embedding rows, because a sentence can repeat a token id.
 """
 
 from __future__ import annotations
@@ -104,10 +106,6 @@ class GruTrace(NamedTuple):
     R: np.ndarray      # (T, [B,] hidden)
     Z: np.ndarray
     Hbar: np.ndarray
-
-    @property
-    def h_final(self) -> np.ndarray:
-        return self.S[-1]
 
 
 def gru_forward(A_r: np.ndarray, A_z: np.ndarray, A_h: np.ndarray,
@@ -273,14 +271,14 @@ class EncoderCache:
 
 def encode_with_cache(tokens: Sequence[int],
                       model: EncoderModel) -> tuple[np.ndarray, EncoderCache]:
+    """Encode one sentence of token ids as encode_batch over its own rows,
+    keeping each direction's trace as (T, hidden) views for encoder_backward."""
     ids = _check_tokens(tokens, model.vocab_size)
     X = model.embedding[list(ids)]
-    traces = []
-    for p, rev, _ in model.directions:
-        Xd = X[::-1] if rev else X
-        traces.append(gru_forward(Xd @ p.W_r.T, Xd @ p.W_z.T, Xd @ p.W.T, p))
-    return (np.concatenate([trace.h_final for trace in traces]),
-            EncoderCache(tokens=ids, X=X, traces=traces))
+    traces: list[GruTrace] = []
+    h = encode_batch(X, np.arange(len(X))[:, None], [len(X)], model, traces)[0]
+    return h, EncoderCache(tokens=ids, X=X, traces=[
+        GruTrace(*(a[:, 0] for a in trace)) for trace in traces])
 
 
 def encode_vectors(X: np.ndarray, model: EncoderModel) -> np.ndarray:
@@ -294,17 +292,18 @@ def encode_vectors(X: np.ndarray, model: EncoderModel) -> np.ndarray:
 
 
 def encode_batch(rows: np.ndarray, index: np.ndarray, lengths: Sequence[int],
-                 model: EncoderModel) -> np.ndarray:
+                 model: EncoderModel,
+                 traces: list[GruTrace] | None = None) -> np.ndarray:
     """Encode B sentences from their (T, B) row matrix: index[t, b] is the
     row of `rows` that sentence b reads at step t < lengths[b], any row after.
 
-    Each direction multiplies `rows` by W_r, W_z and W once, gathers the
-    pre-activations by index and runs one gru_forward pass, whose trace lives
-    only inside this call; sentence b's vector is S[T_b, b].  Padded steps
-    come after a sentence's last, so no mask is needed; the reverse direction
-    reads each sentence's rows reversed.  A row matches its sentence encoded
-    alone within 1e-12 relative; one sentence over its own rows runs exactly
-    encode_with_cache's products, so its bits match.
+    The encoder's one run of the recurrence.  Each direction multiplies
+    `rows` by W_r, W_z and W once, gathers the pre-activations by index and
+    runs one gru_forward pass; sentence b's vector is S[T_b, b].  Padded
+    steps come after a sentence's last, so no mask is needed; the reverse
+    direction reads each sentence's rows reversed.  Each trace is appended
+    to `traces` when a list is given, else dropped once its vectors are
+    read.  A row matches its sentence encoded alone within 1e-12 relative.
     """
     lengths = np.asarray(lengths, dtype=np.intp)
     if 0 in lengths:
@@ -316,7 +315,11 @@ def encode_batch(rows: np.ndarray, index: np.ndarray, lengths: Sequence[int],
     for p, rev, _ in model.directions:
         at = index[flip, cols] if rev else index
         gates = ((rows @ W.T).take(at, axis=0) for W in (p.W_r, p.W_z, p.W))
-        halves.append(gru_forward(*gates, p).S[lengths, cols])
+        trace = gru_forward(*gates, p)
+        halves.append(trace.S[lengths, cols])
+        if traces is not None:
+            traces.append(trace)
+        del trace  # before the next direction's is made
     return np.concatenate(halves, axis=1)
 
 

@@ -289,22 +289,21 @@ class TrainResult(NamedTuple):
 
 
 def train(model: SkipGruModel, triples: Sequence[SentenceTriple],
-          opt: AdamState | None = None, metrics_path=None,
-          checkpoint_path=None) -> TrainResult:
+          opt: AdamState | None, metrics_path, checkpoint_path) -> TrainResult:
     """Run from opt.step up to config.max_steps over shuffled triples,
     training `model` and `opt` in place; a caller that needs the starting
-    weights copies them first.  Returns the optimizer state (`opt`, or the
-    one made for a fresh run) and the batch losses of the run's first and
-    last steps.
+    weights copies them first.  `opt` None starts a fresh run.  Returns the
+    optimizer state (`opt`, or the one made for a fresh run) and the batch
+    losses of the run's first and last steps.
 
     Each epoch is a fresh seeded permutation of the triples, consumed in
     batch_size slices; the current position is derived from opt.step alone, so
     resuming from a checkpoint continues the identical batch stream.  Appends
-    one metrics row per step when metrics_path is given (a new or empty file
-    gets the header first; a resumed run drops the rows after opt.step) and
-    checkpoints every config.checkpoint_every steps plus at the end when
-    checkpoint_path is given; the end writes only if the last step did not,
-    so every run writes its final state exactly once.
+    one row per step to the metrics CSV at metrics_path (a new or empty file
+    gets the header first; a resumed run drops the rows after opt.step), and
+    writes the checkpoint at checkpoint_path every config.checkpoint_every
+    steps and at the end; the end writes only if the last step did not, so
+    every run writes its final state exactly once.
 
     On entry the output matrix V and its Adam moments are laid out
     column-major (the step's gradient follows V through zeros_like), which
@@ -327,14 +326,11 @@ def train(model: SkipGruModel, triples: Sequence[SentenceTriple],
     first_loss = final_loss = None
     cached_epoch, perm = -1, None
     saved_step = None
-    metrics = None
-    if metrics_path is not None:
-        if opt.step > 0 and os.path.exists(metrics_path):
-            _truncate_metrics(metrics_path, opt.step)
-        metrics = open(metrics_path, "a" if opt.step > 0 else "w")
+    if opt.step > 0 and os.path.exists(metrics_path):
+        _truncate_metrics(metrics_path, opt.step)
+    with open(metrics_path, "a" if opt.step > 0 else "w") as metrics:
         if metrics.tell() == 0:
             metrics.write(METRICS_HEADER + "\n")
-    try:
         while opt.step < config.max_steps:
             epoch = opt.step // steps_per_epoch
             if epoch != cached_epoch:
@@ -350,21 +346,16 @@ def train(model: SkipGruModel, triples: Sequence[SentenceTriple],
             if first_loss is None:
                 first_loss = res.batch_loss
             final_loss = res.batch_loss
-            if metrics is not None:
-                metrics.write(f"{opt.step},{res.batch_loss:.17g},"
-                              f"{res.grad_norm:.17g},{int(res.clipped)},"
-                              f"{wall_ms:.3f}\n")
-            if (checkpoint_path is not None and config.checkpoint_every > 0
+            metrics.write(f"{opt.step},{res.batch_loss:.17g},"
+                          f"{res.grad_norm:.17g},{int(res.clipped)},"
+                          f"{wall_ms:.3f}\n")
+            if (config.checkpoint_every > 0
                     and opt.step % config.checkpoint_every == 0):
-                if metrics is not None:
-                    # The rows up to the checkpoint reach the file before it.
-                    metrics.flush()
+                # The rows up to the checkpoint reach the file before it.
+                metrics.flush()
                 save_checkpoint(model, opt, checkpoint_path)
                 saved_step = opt.step
-    finally:
-        if metrics is not None:
-            metrics.close()
-    if checkpoint_path is not None and saved_step != opt.step:
+    if saved_step != opt.step:
         save_checkpoint(model, opt, checkpoint_path)
     return TrainResult(opt=opt, first_loss=first_loss, final_loss=final_loss)
 

@@ -297,11 +297,11 @@ def write_expansion(map: ExpansionMap, ext: ExternalEmbeddings, path) -> None:
     vectors it applies to, as a fileio container (magic SKIPGRUX) whose
     blobs are W, then the external vectors."""
     header = {
-        "ext_dim": int(ext.dim),
-        "rank_deficient": bool(map.rank_deficient),
-        "residual_rms": float(map.residual_rms),
-        "rnn_dim": int(map.W.shape[0]),
-        "shared_count": int(map.shared_count),
+        "ext_dim": ext.dim,
+        "rank_deficient": map.rank_deficient,
+        "residual_rms": map.residual_rms,
+        "rnn_dim": map.W.shape[0],
+        "shared_count": map.shared_count,
         "tokens": ext.tokens,
     }
     write_container(path, EXPANSION_MAGIC, EXPANSION_VERSION, header,
@@ -316,6 +316,8 @@ def _parse_expansion_header(header):
     check_types(header, kinds)
     tokens, rnn_dim, ext_dim = (header[k] for k in ("tokens", "rnn_dim",
                                                     "ext_dim"))
+    if len(set(tokens)) != len(tokens):
+        raise ValueError("external embedding tokens are not unique")
     fit = {k: header[k]
            for k in ("shared_count", "residual_rms", "rank_deficient")}
     return (tokens, fit), [(rnn_dim, ext_dim), (len(tokens), ext_dim)]

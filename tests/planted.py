@@ -5,7 +5,8 @@ document draws all its sentences from one topic, so the encoder's vector of
 a sentence tells the decoders which words its neighbours use: a model that
 learns the skip-thought objective here learns the topic.  The vocabulary has
 VOCAB_SIZE entries: the reserved eos and unk, the topic words, and unused
-words up to that size.
+words up to that size.  conditioning_gain measures that signal on a corpus
+drawn with another seed.
 
     PYTHONPATH=src python tests/planted.py
 
@@ -21,11 +22,14 @@ import tempfile
 import numpy as np
 
 from skipgru.corpus import EOS_TOKEN, UNK_TOKEN, Vocabulary, iter_triples
-from skipgru.trainer import SkipGruModel, TrainConfig, train
+from skipgru.decoder import decode_batch
+from skipgru.encoder import encode_with_cache
+from skipgru.trainer import SkipGruModel, TrainConfig, load_model, train
 
 TOPICS, TOPIC_WORDS, VOCAB_SIZE = 10, 48, 500
 DOCUMENTS, SENTENCES = 300, 8
 SEED = 5
+HELD_OUT_SEED = 6
 # (mode, steps, the steps whose batch loss is pinned)
 RUNS = (("uni", 300, (100, 200, 300)), ("bi", 60, (30, 60)))
 FIXTURE = pathlib.Path(__file__).parent / "data" / "trajectory.json"
@@ -49,14 +53,41 @@ def planted_corpus(seed: int = SEED) -> tuple[Vocabulary, list]:
 
 def trajectory(mode: str, steps: int, workdir) -> list[float]:
     """The batch loss of every step of a fresh run on the planted corpus, as
-    the run's metrics CSV records it (17 significant digits)."""
+    the run's metrics CSV records it (17 significant digits).  The run's
+    final checkpoint stays at checkpoint(mode, workdir)."""
     vocab, triples = planted_corpus()
     config = TrainConfig(vocab_size=vocab.size, embed_dim=32, hidden_dim=64,
                          batch_size=16, max_steps=steps, seed=SEED, mode=mode)
     metrics = pathlib.Path(workdir) / f"{mode}.metrics.csv"
-    train(SkipGruModel.init(vocab, config), triples, metrics_path=metrics)
+    train(SkipGruModel.init(vocab, config), triples, None, metrics,
+          checkpoint(mode, workdir))
     rows = metrics.read_text(encoding="utf-8").splitlines()[1:]
     return [float(row.split(",")[1]) for row in rows]
+
+
+def checkpoint(mode: str, workdir) -> pathlib.Path:
+    return pathlib.Path(workdir) / f"{mode}.ckpt"
+
+
+def conditioning_gain(path, seed: int = HELD_OUT_SEED) -> float:
+    """Nats per triple by which the decoders of the checkpoint at `path`
+    score the neighbours of each sentence of a held-out planted corpus
+    (another seed) better from its own vector than from a shuffled one: the
+    vector of the sentence that a seeded permutation puts in its place."""
+    model = load_model(path)
+    triples = planted_corpus(seed)[1]
+    H = np.array([encode_with_cache(t.curr, model.encoder)[0]
+                  for t in triples])
+    shuffled = H[np.random.default_rng(seed).permutation(len(H))]
+    dec = model.decoders
+
+    def log_likelihood(H_enc):
+        return sum(sum(decode_batch(targets, H_enc, p, dec.V,
+                                    model.embedding)[0])
+                   for targets, (p, _) in zip(
+                       ([t.next for t in triples], [t.prev for t in triples]),
+                       dec.directions))
+    return (log_likelihood(H) - log_likelihood(shuffled)) / len(triples)
 
 
 def pinned_losses(workdir) -> dict[str, dict[str, float]]:

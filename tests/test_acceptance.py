@@ -169,7 +169,7 @@ def test_criterion_1_gradients():
 # ---------------------------------------------------------------------------
 
 @_criterion(2, "20-triple memorization to <10% of uniform loss in <=2000 steps")
-def test_criterion_2_memorization():
+def test_criterion_2_memorization(tmp_path):
     rng = np.random.default_rng(7)
     vocab = make_vocab(30)
 
@@ -191,7 +191,8 @@ def test_criterion_2_memorization():
         import dataclasses
         cfg = dataclasses.replace(model.config, max_steps=steps)
         model = dataclasses.replace(model, config=cfg)
-        opt = train(model, triples, opt).opt
+        opt = train(model, triples, opt, tmp_path / "m.csv",
+                    tmp_path / "m.ckpt").opt
         mean_loss = float(np.mean([triple_loss(model, t) for t in triples]))
         if mean_loss < 0.1 * baseline:
             break

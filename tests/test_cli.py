@@ -787,6 +787,17 @@ def _metric_rows(path) -> list[str]:
     return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
 
 
+def _spawn_cli(args, cwd) -> subprocess.Popen:
+    """`python -m skipgru.cli args` as a child process in `cwd`, which can
+    be killed at any point; it writes no bytecode into the source tree."""
+    src = str(pathlib.Path(skipgru.__file__).resolve().parent.parent)
+    return subprocess.Popen(
+        [sys.executable, "-m", "skipgru.cli", *args],
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=src,
+                          PYTHONDONTWRITEBYTECODE="1"),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+
+
 @pytest.mark.skipif(os.name != "posix", reason="needs SIGKILL")
 @pytest.mark.parametrize("kill_after", [12, 27])
 def test_killed_train_resumes_to_the_same_checkpoint(tmp_path, kill_after):
@@ -810,12 +821,7 @@ def test_killed_train_resumes_to_the_same_checkpoint(tmp_path, kill_after):
     run = tmp_path / "run"
     run.mkdir()
     out, metrics = run / "k.ckpt", run / "k.ckpt.metrics.csv"
-    src = str(pathlib.Path(skipgru.__file__).resolve().parent.parent)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "skipgru.cli", *base, "--out", str(out)],
-        cwd=run, env=dict(os.environ, PYTHONPATH=src,
-                          PYTHONDONTWRITEBYTECODE="1"),
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    proc = _spawn_cli([*base, "--out", str(out)], run)
     try:
         # Rows past the first checkpoint's are written after that checkpoint
         # is in place, so the killed run always leaves one to resume from.
@@ -833,6 +839,86 @@ def test_killed_train_resumes_to_the_same_checkpoint(tmp_path, kill_after):
     assert _metric_rows(metrics) == _metric_rows(
         tmp_path / "s.ckpt.metrics.csv")
     assert list(run.glob("*.tmp")) == []
+
+
+@pytest.fixture(scope="module")
+def kill_inputs(tmp_path_factory):
+    """Inputs on which build-vocab, encode and expand each take a few tenths
+    of a second: a corpus, its vocabulary, an untrained checkpoint (V=2000,
+    E=64, H=128), lines to encode and text-format external embeddings."""
+    root = tmp_path_factory.mktemp("kill")
+    rng = np.random.default_rng(29)
+    words = np.array([f"w{i}" for i in range(3000)])
+
+    def line():
+        return " ".join(words[rng.integers(3000, size=rng.integers(5, 20))])
+    paths = {name: root / name for name in
+             ("corpus.txt", "vocab.txt", "m.ckpt", "lines.txt", "emb.txt")}
+    paths["corpus.txt"].write_text("\n\n".join(
+        "\n".join(line() for _ in range(8)) for _ in range(2000)) + "\n")
+    paths["lines.txt"].write_text("".join(line() + "\n" for _ in range(1500)))
+    ext = [*words[:1500], *(f"e{i}" for i in range(8500))]
+    paths["emb.txt"].write_text(f"{len(ext)} 50\n" + "".join(
+        w + " " + " ".join(map(str, row.round(6))) + "\n"
+        for w, row in zip(ext, rng.normal(size=(len(ext), 50)))))
+    assert main(["build-vocab", "--corpus", str(paths["corpus.txt"]),
+                 "--size", "2000", "--out", str(paths["vocab.txt"])]) == 0
+    assert main(["train", "--corpus", str(paths["corpus.txt"]),
+                 "--vocab", str(paths["vocab.txt"]), "--embed-dim", "64",
+                 "--hidden-dim", "128", "--steps", "0",
+                 "--out", str(paths["m.ckpt"])]) == 0
+    return {name: str(path) for name, path in paths.items()}
+
+
+# The flags of each killed command but its --out.
+KILLED_COMMANDS = {
+    "build-vocab": lambda p: ["build-vocab", "--corpus", p["corpus.txt"],
+                              "--size", "2000"],
+    "encode": lambda p: ["encode", "--ckpt", p["m.ckpt"],
+                         "--input", p["lines.txt"]],
+    "expand": lambda p: ["expand", "--ckpt", p["m.ckpt"],
+                         "--embeddings", p["emb.txt"]],
+}
+# Seconds from the start of the child to its kill; a child takes about 0.2 s
+# to import the package.  None kills it as soon as a file appears in its
+# empty directory, which lands inside the write of its output: the file is
+# the output's temp file, or the output itself if a write were not atomic.
+KILL_DELAYS = (0.2, 0.35, 0.5, None)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs SIGKILL")
+@pytest.mark.parametrize("command", sorted(KILLED_COMMANDS))
+def test_killed_command_leaves_its_output_absent_or_whole(kill_inputs,
+                                                         tmp_path, command):
+    # Whenever the kill lands, the output is absent or the bytes of an
+    # uninterrupted run, and a manifest, if written, is whole and follows
+    # its output; a rerun writes the same bytes and leaves no temp file.
+    args = KILLED_COMMANDS[command](kill_inputs)
+    straight = tmp_path / "straight.out"
+    assert main([*args, "--out", str(straight)]) == 0
+    want = straight.read_bytes()
+    for i, delay in enumerate(KILL_DELAYS):
+        run = tmp_path / f"run{i}"
+        run.mkdir()
+        out, manifest = run / "k.out", run / "k.out.manifest.json"
+        proc = _spawn_cli([*args, "--out", str(out)], run)
+        try:
+            if delay is not None:
+                time.sleep(delay)
+            deadline = time.monotonic() + 60
+            while delay is None and proc.poll() is None and not any(
+                    run.iterdir()):
+                assert time.monotonic() < deadline, "no file in 60 s"
+                time.sleep(0.0005)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert not out.exists() or out.read_bytes() == want, delay
+        if manifest.exists():
+            assert out.exists() and json.loads(manifest.read_text())
+        assert main([*args, "--out", str(out)]) == 0
+        assert out.read_bytes() == want
+        assert list(run.glob("*.tmp")) == []
 
 
 def test_train_summary_losses_are_the_rows_the_run_appended(ws, tmp_path,
@@ -2017,6 +2103,12 @@ def test_header_key_set_other_than_the_format_exit_4(tmp_path, capsys, kind,
 def test_negative_adam_step_exit_4(tmp_path, capsys):
     _assert_encode_refuses(tmp_path, capsys, "checkpoint",
                            retyped("adam.step", -3))
+
+
+def test_expansion_map_with_a_repeated_token_exit_4(tmp_path, capsys):
+    # It used to exit 2, with a message that named no file.
+    _assert_encode_refuses(tmp_path, capsys, "expansion-map",
+                           retyped("tokens", ["w2", "w3", "w2"]))
 
 
 def _sha256(path) -> str:

@@ -43,7 +43,7 @@ def kernel_step(x, h_prev, h_enc, p):
     input pre-activations, as sample_sentence runs it."""
     X = np.asarray(x, dtype=np.float64)[None, :]
     return gru_forward(X @ p.W_r.T + p.C_r @ h_enc, X @ p.W_z.T + p.C_z @ h_enc,
-                       X @ p.W.T + p.C @ h_enc, p, h0=h_prev).h_final
+                       X @ p.W.T + p.C @ h_enc, p, h0=h_prev).S[-1]
 
 
 def test_step_reduces_to_plain_gru_when_unconditioned(rng):

@@ -287,7 +287,7 @@ def test_backward_extra_zero_padding_leaves_the_weight_gradients():
 @pytest.mark.parametrize("mode", ["uni", "bi"])
 def test_train_step_runs_one_forward_pass_per_decoder(mode, monkeypatch):
     # Per train step: one gru_forward per triple and encoder direction over
-    # its (T, hidden) inputs, then one per decoder over the (T, B, hidden)
+    # its (T, 1, hidden) inputs, then one per decoder over the (T, B, hidden)
     # inputs of all of its passes, T its longest target, next decoder
     # first.  sentence_log_prob_with_cache runs once per pass and calls no
     # gru_forward.
@@ -314,7 +314,7 @@ def test_train_step_runs_one_forward_pass_per_decoder(mode, monkeypatch):
     directions = len(m.encoder.directions)
     blocks = [(max(len(t) for t in targets), 5, 4) for targets in
               ([t.next for t in batch], [t.prev for t in batch])]
-    assert forwards == ([((len(t.curr), 4),) * 3 for t in batch
+    assert forwards == ([((len(t.curr), 1, 4),) * 3 for t in batch
                          for _ in range(directions)]
                         + [(shape,) * 3 for shape in blocks])
     assert passes == ([(t.next, 0) for t in batch]

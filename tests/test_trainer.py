@@ -9,6 +9,7 @@ including files committed under tests/data by an earlier version.
 import ast
 import dataclasses
 import hashlib
+import json
 import pathlib
 import struct
 import tracemalloc
@@ -16,6 +17,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from skipgru import decoder, numerics, trainer
 from conftest import (CHECKPOINT_FIELD_TYPES, CHECKPOINT_KEY_EDITS,
@@ -632,7 +635,7 @@ def test_nonfinite_gradient_stops_before_update_and_checkpoint(tmp_path, rng,
     m = make_model(vocab_size=6, batch_size=2, max_steps=2, checkpoint_every=1,
                    seed=12)
     ckpt = tmp_path / "c.ckpt"
-    res = train(m, triples, checkpoint_path=ckpt)
+    res = train(m, triples, None, tmp_path / "m.csv", ckpt)
     saved = ckpt.read_bytes()
     before = {k: v.copy() for k, v in m.param_dict().items()}
     real_grads = trainer.triple_grads
@@ -646,7 +649,7 @@ def test_nonfinite_gradient_stops_before_update_and_checkpoint(tmp_path, rng,
     longer = model_from_params(dataclasses.replace(m.config, max_steps=4),
                                m.vocab, m.param_dict())
     with pytest.raises(NumericError, match="gradient norm"):
-        train(longer, triples, opt=res.opt, checkpoint_path=ckpt)
+        train(longer, triples, res.opt, tmp_path / "m.csv", ckpt)
     assert ckpt.read_bytes() == saved
     after = m.param_dict()
     assert all(np.array_equal(before[k], after[k]) for k in before)
@@ -697,18 +700,18 @@ def test_training_beats_uniform_baseline(tmp_path, rng):
     triples = [random_triple(vocab_size, rng, max_len=3) for _ in range(50)]
     m = make_model(vocab_size=vocab_size, embed_dim=4, hidden_dim=6,
                    batch_size=16, max_steps=200, seed=1)
-    train(m, triples, metrics_path=tmp_path / "m.csv")
+    train(m, triples, None, tmp_path / "m.csv", tmp_path / "m.ckpt")
     baseline = float(np.mean([len(t.prev) + len(t.next) for t in triples])
                      ) * np.log(vocab_size)
     assert _losses(tmp_path / "m.csv")[-1] < baseline
 
 
-def test_training_deterministic_across_runs(rng):
+def test_training_deterministic_across_runs(tmp_path, rng):
     triples = [random_triple(6, rng) for _ in range(10)]
 
     def run():
         m = make_model(vocab_size=6, batch_size=4, max_steps=20, seed=9)
-        train(m, triples)
+        train(m, triples, None, tmp_path / "m.csv", tmp_path / "m.ckpt")
         return m.param_dict()
 
     a, b = run(), run()
@@ -721,7 +724,7 @@ def test_memorizes_single_triple(tmp_path):
     t = small_triple()
     m = make_model(vocab_size=6, embed_dim=4, hidden_dim=8, batch_size=1,
                    max_steps=500, seed=3)
-    train(m, [t], metrics_path=tmp_path / "m.csv")
+    train(m, [t], None, tmp_path / "m.csv", tmp_path / "m.ckpt")
     losses = np.array(_losses(tmp_path / "m.csv"))
     smooth = np.convolve(losses, np.ones(20) / 20, mode="valid")
     assert np.all(np.diff(smooth) <= 1e-3)       # monotone after smoothing
@@ -732,7 +735,7 @@ def test_metrics_csv_contract(tmp_path, rng):
     triples = [random_triple(6, rng) for _ in range(6)]
     m = make_model(vocab_size=6, batch_size=3, max_steps=8, seed=2)
     path = tmp_path / "metrics.csv"
-    train(m, triples, metrics_path=path)
+    train(m, triples, None, path, tmp_path / "m.ckpt")
     lines = path.read_text().strip().split("\n")
     assert lines[0] == METRICS_HEADER
     assert len(lines) == 9                        # header + one row per step
@@ -754,7 +757,7 @@ def test_resume_writes_each_metrics_row_once(tmp_path, rng, monkeypatch):
                           checkpoint_every=5, seed=13)
 
     straight = tmp_path / "straight.csv"
-    train(fresh(), triples, metrics_path=straight)
+    train(fresh(), triples, None, straight, tmp_path / "straight.ckpt")
 
     metrics, ckpt = tmp_path / "m.csv", tmp_path / "c.ckpt"
     real_step = trainer.train_step
@@ -766,12 +769,12 @@ def test_resume_writes_each_metrics_row_once(tmp_path, rng, monkeypatch):
 
     monkeypatch.setattr(trainer, "train_step", stop_after_7)
     with pytest.raises(_Stop):
-        train(fresh(), triples, metrics_path=metrics, checkpoint_path=ckpt)
+        train(fresh(), triples, None, metrics, ckpt)
     monkeypatch.undo()
     model, opt = load_checkpoint(ckpt)
     assert opt.step == 5
     assert len(metrics.read_text().splitlines()) == 1 + 7
-    train(model, triples, opt=opt, metrics_path=metrics, checkpoint_path=ckpt)
+    train(model, triples, opt, metrics, ckpt)
 
     def without_wall_ms(path):
         return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
@@ -794,7 +797,7 @@ def test_resume_drops_a_torn_last_metrics_row(tmp_path, rng, monkeypatch,
                           checkpoint_every=5, seed=13)
 
     straight = tmp_path / "straight.csv"
-    train(fresh(), triples, metrics_path=straight)
+    train(fresh(), triples, None, straight, tmp_path / "straight.ckpt")
 
     metrics, ckpt = tmp_path / "m.csv", tmp_path / "c.ckpt"
     real_step = trainer.train_step
@@ -806,12 +809,12 @@ def test_resume_drops_a_torn_last_metrics_row(tmp_path, rng, monkeypatch,
 
     monkeypatch.setattr(trainer, "train_step", stop_after_5)
     with pytest.raises(_Stop):
-        train(fresh(), triples, metrics_path=metrics, checkpoint_path=ckpt)
+        train(fresh(), triples, None, metrics, ckpt)
     monkeypatch.undo()
     with open(metrics, "a") as fh:
         fh.write(torn)
     model, opt = load_checkpoint(ckpt)
-    train(model, triples, opt=opt, metrics_path=metrics, checkpoint_path=ckpt)
+    train(model, triples, opt, metrics, ckpt)
 
     def without_wall_ms(path):
         return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
@@ -826,7 +829,8 @@ def test_resume_drops_a_torn_last_metrics_row(tmp_path, rng, monkeypatch,
 def test_checkpoint_roundtrip_byte_identical(tmp_path, rng):
     triples = [random_triple(6, rng) for _ in range(5)]
     m = make_model(vocab_size=6, batch_size=2, max_steps=5, seed=4)
-    opt = train(m, triples).opt
+    opt = train(m, triples, None, tmp_path / "m.csv",
+                tmp_path / "m.ckpt").opt
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     save_checkpoint(m, opt, p1)
     m2, opt2 = load_checkpoint(p1)
@@ -846,14 +850,14 @@ def test_training_keeps_v_column_major_and_checkpoints_row_major(tmp_path, rng):
     ckpt, rows = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     model = make_model(vocab_size=6, hidden_dim=4, batch_size=2, max_steps=3,
                        seed=4)
-    res = train(model, triples, checkpoint_path=ckpt)
+    res = train(model, triples, None, tmp_path / "m.csv", ckpt)
     for a in (model.decoders.V, res.opt.m["V"], res.opt.v["V"]):
         assert a.flags.f_contiguous and not a.flags.c_contiguous
     model, opt = load_checkpoint(ckpt)
     assert model.decoders.V.flags.c_contiguous and opt.m["V"].flags.c_contiguous
     config = dataclasses.replace(model.config, max_steps=5)
     model = model_from_params(config, model.vocab, model.param_dict())
-    res = train(model, triples, opt=opt, checkpoint_path=ckpt)
+    res = train(model, triples, opt, tmp_path / "m.csv", ckpt)
     assert res.opt is opt and opt.step == 5
     for a in (model.decoders.V, opt.m["V"], opt.v["V"]):
         assert a.flags.f_contiguous and not a.flags.c_contiguous
@@ -956,8 +960,10 @@ def _code_strings(tree) -> list[str]:
 def test_one_path_per_job_in_a_train_step():
     # Both encoder directions run one loop over EncoderModel.directions, so
     # no encoder pass nor param_dict branches on the reverse GRU; each
-    # parameter-name prefix is written once; Adam has one layout rule; and
-    # clip_gradients alone compares the norm with the clip threshold.
+    # parameter-name prefix is written once; Adam has one layout rule;
+    # clip_gradients alone compares the norm with the clip threshold;
+    # encode_batch is the one encoder function that runs the recurrence; and
+    # train() always writes its metrics and its checkpoint.
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     defs = {(stem, node.name): node for stem, tree in trees.items()
@@ -975,6 +981,18 @@ def test_one_path_per_job_in_a_train_step():
     compares = [ast.dump(node) for node in ast.walk(defs["trainer", "train_step"])
                 if isinstance(node, ast.Compare)]
     assert not [c for c in compares if "clip_threshold" in c]
+    recurrent = {name for (stem, name), node in defs.items()
+                 if stem == "encoder" and any(
+                     isinstance(call, ast.Call)
+                     and getattr(call.func, "id", None) == "gru_forward"
+                     for call in ast.walk(node))}
+    assert recurrent == {"encode_batch"}
+    for node in ast.walk(defs["trainer", "train"]):
+        if isinstance(node, ast.Compare):
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            nones = [n for n in ast.walk(node)
+                     if isinstance(n, ast.Constant) and n.value is None]
+            assert not (nones and names & {"metrics_path", "checkpoint_path"})
 
 
 def test_checkpoint_save_writes_column_major_blobs_without_a_whole_copy(
@@ -1219,6 +1237,126 @@ def test_committed_files_resave_to_identical_bytes(tmp_path):
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes()
 
 
+def test_expansion_map_with_a_repeated_token_is_malformed(tmp_path):
+    # It used to raise InputError from ExternalEmbeddings, which names no
+    # file, and the CLI exited 2 instead of 4.
+    path = tmp_path / "tiny.map"
+    path.write_bytes((DATA / "tiny.map").read_bytes())
+    edit_header(path, retyped("tokens", ["w2", "w2", "w4", "w5", "x6", "x7"]))
+    _assert_rejected(path, read_expansion, "expansion-map")
+    with pytest.raises(CheckpointError, match="malformed expansion-map header"):
+        read_expansion(path)
+
+
+# Each committed container: its loader, and the save of what that loads.
+COMMITTED = {"tiny.ckpt": (load_checkpoint, save_checkpoint),
+             "tiny.map": (read_expansion, write_expansion)}
+HEADER_EDITS = ("value", "retype", "drop", "add", "version", "length")
+# Short strings over the letters of the fixtures' tokens and keys, so that an
+# edit can repeat a token, and two letters that JSON escapes.
+TEXT = st.text("wx2345<>kos_\u00e9\U0001f600", max_size=4)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | TEXT
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(TEXT, inner, max_size=3)),
+    max_leaves=5)
+
+
+def _json_paths(node, at=()):
+    """The path, as keys and list indices, of every value of a JSON tree."""
+    yield at
+    if isinstance(node, (dict, list)):
+        for k, v in (node.items() if isinstance(node, dict)
+                     else enumerate(node)):
+            yield from _json_paths(v, at + (k,))
+
+
+def _at(node, path):
+    for k in path:
+        node = node[k]
+    return node
+
+
+def _of_other_types(old):
+    """JSON values of another type than old's, among them old's value in
+    another type (3.0 for 3, 1 for true) and old spelled as a string."""
+    values = [None, True, False, 0, 1, 0.5, "", json.dumps(old), [], [old],
+              {}, {"": old}]
+    if isinstance(old, (int, float)) and float(old).is_integer():
+        values += [int(old), float(old)]
+    return [v for v in values if type(v) is not type(old)]
+
+
+def _like(old):
+    """Values of old's own type, which a check of types alone lets through;
+    any JSON value in place of an object or a list."""
+    return {bool: st.booleans(), int: st.integers(), str: TEXT,
+            float: st.floats(allow_nan=False, allow_infinity=False)
+            }.get(type(old), JSON_VALUES)
+
+
+def _mutant(raw: bytes, data) -> bytes:
+    """`raw` with one header edit drawn from `data`, under a valid checksum.
+    An edit of the header's JSON writes it back as canonical JSON."""
+    version, length = struct.unpack_from("<IQ", raw, 8)
+    head, blobs = raw[20:20 + length], raw[20 + length:-32]
+    edit = data.draw(st.sampled_from(HEADER_EDITS))
+    if edit == "version":
+        version = data.draw(st.integers(0, 2**32 - 1))
+    elif edit == "length":
+        length = data.draw(st.integers(0, 2**64 - 1))
+    else:
+        header = {"": json.loads(head)}     # a root that an edit may replace
+        fits = {"add": lambda p: isinstance(_at(header, p), dict),
+                "drop": lambda p: len(p) > 1
+                and isinstance(_at(header, p[:-1]), dict)}
+        # Each top-level field is as likely as the long parameter list.
+        sections = {}
+        for p in list(_json_paths(header))[1:]:
+            if fits.get(edit, lambda p: True)(p):
+                sections.setdefault(p[:2], []).append(p)
+        section = data.draw(st.sampled_from(list(sections.values())))
+        path = data.draw(st.sampled_from(section))
+        if edit == "add":
+            node = _at(header, path)
+            key = data.draw(TEXT.filter(lambda k: k not in node))
+            node[key] = data.draw(JSON_VALUES)
+        elif edit == "drop":
+            del _at(header, path[:-1])[path[-1]]
+        else:
+            old = _at(header, path)
+            new = (_like(old) if edit == "value"
+                   else st.sampled_from(_of_other_types(old)))
+            _at(header, path[:-1])[path[-1]] = data.draw(new)
+        head = json.dumps(header[""], sort_keys=True, separators=(",", ":"),
+                          ensure_ascii=True).encode("ascii")
+        length = len(head)
+    body = raw[:8] + struct.pack("<IQ", version, length) + head + blobs
+    return body + hashlib.sha256(body).digest()
+
+
+@pytest.mark.parametrize("name", sorted(COMMITTED))
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_header_is_refused_or_resaves_to_its_bytes(tmp_path, name,
+                                                           data):
+    # A header changed in any one field, key, type or prefix word, under a
+    # valid checksum, is refused as a damaged file, or it loads to what
+    # saves back to the same bytes: nothing is cast, defaulted or dropped.
+    load, save = COMMITTED[name]
+    path, again = tmp_path / name, tmp_path / f"again.{name}"
+    mutant = _mutant((DATA / name).read_bytes(), data)
+    path.write_bytes(mutant)
+    try:
+        loaded = load(path)
+    except CheckpointError:
+        return
+    save(*loaded, again)
+    assert again.read_bytes() == mutant
+
+
 def test_committed_checkpoint_matches_fresh_init():
     model, opt = load_checkpoint(DATA / "tiny.ckpt")
     c = model.config
@@ -1247,7 +1385,7 @@ def test_crash_mid_checkpoint_write_keeps_previous_file(tmp_path, rng,
 
     straight_csv = tmp_path / "straight.csv"
     straight = fresh()
-    train(straight, triples, metrics_path=straight_csv)
+    train(straight, triples, None, straight_csv, tmp_path / "straight.ckpt")
 
     run = tmp_path / "run"
     run.mkdir()
@@ -1274,7 +1412,7 @@ def test_crash_mid_checkpoint_write_keeps_previous_file(tmp_path, rng,
 
     monkeypatch.setattr(trainer, "train_step", crash_on_step_6_save)
     with pytest.raises(_Crash):
-        train(fresh(), triples, metrics_path=metrics, checkpoint_path=ckpt)
+        train(fresh(), triples, None, metrics, ckpt)
     monkeypatch.undo()
     assert len(seen["partial"]) == 1
     assert ckpt.read_bytes() == seen["saved"]
@@ -1282,7 +1420,7 @@ def test_crash_mid_checkpoint_write_keeps_previous_file(tmp_path, rng,
 
     model, opt = load_checkpoint(ckpt)
     assert opt.step == 3
-    train(model, triples, opt=opt, metrics_path=metrics, checkpoint_path=ckpt)
+    train(model, triples, opt, metrics, ckpt)
     a, b = straight.param_dict(), model.param_dict()
     assert all(np.array_equal(a[k], b[k]) for k in a)
 
@@ -1302,16 +1440,15 @@ def test_resume_equivalence(tmp_path, rng):
         return make_model(vocab_size=6, batch_size=4, max_steps=steps, seed=7)
 
     straight = fresh(20)
-    train(straight, triples)
+    train(straight, triples, None, tmp_path / "s.csv", tmp_path / "s.ckpt")
     straight = straight.param_dict()
 
-    half = fresh(10)
-    ckpt = tmp_path / "half.ckpt"
-    save_checkpoint(half, train(half, triples).opt, ckpt)
+    ckpt, metrics = tmp_path / "half.ckpt", tmp_path / "half.csv"
+    train(fresh(10), triples, None, metrics, ckpt)
     m2, opt2 = load_checkpoint(ckpt)
     m2 = model_from_params(dataclasses.replace(m2.config, max_steps=20),
                            m2.vocab, m2.param_dict())
-    train(m2, triples, opt=opt2)
+    train(m2, triples, opt2, metrics, ckpt)
     resumed = m2.param_dict()
     assert all(np.array_equal(straight[k], resumed[k]) for k in straight)
 
@@ -1327,7 +1464,8 @@ def test_every_run_writes_its_final_checkpoint_once(tmp_path, rng,
     # The bytes of the end state, as the save after the loop writes them.
     final = tmp_path / "final.ckpt"
     end = fresh(4)
-    save_checkpoint(end, train(end, triples).opt, final)
+    save_checkpoint(end, train(end, triples, None, tmp_path / "end.csv",
+                               tmp_path / "end.ckpt").opt, final)
     saves = []
     real_save = trainer.save_checkpoint
 
@@ -1339,7 +1477,7 @@ def test_every_run_writes_its_final_checkpoint_once(tmp_path, rng,
 
     def run(model, opt=None):
         saves.clear()
-        train(model, triples, opt=opt, checkpoint_path=path)
+        train(model, triples, opt, tmp_path / "m.csv", path)
         return saves
 
     path = tmp_path / "c.ckpt"
@@ -1438,7 +1576,7 @@ def test_one_table_declares_every_parameter():
 def test_optimizer_buffers_survive_roundtrip(tmp_path, rng):
     triples = [random_triple(6, rng) for _ in range(4)]
     m = make_model(vocab_size=6, batch_size=2, max_steps=3, seed=11)
-    res = train(m, triples)
+    res = train(m, triples, None, tmp_path / "m.csv", tmp_path / "m.ckpt")
     path = tmp_path / "o.ckpt"
     save_checkpoint(m, res.opt, path)
     m2, opt2 = load_checkpoint(path)
